@@ -1,12 +1,14 @@
 # Developer entry points. `make check` is what CI runs: lint (when ruff is
-# installed), the tier-1 suite, the scheduler-equivalence gate (calendar
-# queue + timer wheel + auto backend must be bit-identical to the reference
-# heap), and the benchmark regression gate (a quick kernel-bench smoke pass
-# — which re-verifies the hot-path speedups, the membership-backend
-# equivalence checksum, and the seeded-run determinism checksums for both
-# the v1 and v2 profiles plus the v2 swim_full floor — compared against the
-# committed full-mode BENCH_kernel.json), and the chaos smoke gate (the
-# fault-injection layer stays deterministic and inert when unused).
+# installed), the tier-1 suite, the scheduler-equivalence gate (the calendar
+# queue and timer wheel must be bit-identical to their tests/oracles/
+# references: a binary heap and a self-rescheduling timer), the benchmark
+# regression gate (a quick kernel-bench smoke pass — which re-verifies the
+# metrics/send hot-path speedups, the swim_full and serial<->parallel
+# checksums, and the seeded-run determinism checksums for both the v1 and v2
+# profiles — compared against the committed full-mode BENCH_kernel.json),
+# the chaos smoke gate (the fault-injection layer stays deterministic and
+# inert when unused), and the focusbench smoke pass (the BENCHMARK.json
+# yardstick still runs against this tree).
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -14,9 +16,10 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: check lint test scheduler-equivalence global-state-gate \
         parallel-equivalence bench-gate bench-kernel \
         bench-kernel-smoke bench chaos-smoke bench-shards bench-shards-smoke \
-        bench-overload bench-overload-smoke
+        bench-overload bench-overload-smoke focusbench-smoke
 
-check: lint test scheduler-equivalence global-state-gate bench-gate chaos-smoke
+check: lint test scheduler-equivalence global-state-gate bench-gate chaos-smoke \
+       focusbench-smoke
 
 # Gated on availability: ruff is a dev convenience, not a runtime
 # dependency, and the offline test image does not ship it. CI installs it.
@@ -34,7 +37,7 @@ scheduler-equivalence:
 
 # Cross-simulation isolation: two seeded sims in one process must checksum
 # identically in both run orders (no interpreter-global mutable state), and
-# run_until's inclusive-bound rule must hold on every scheduler backend.
+# run_until's inclusive-bound rule must hold on the queue and its oracle.
 # Part of `test` too; named so the sweep is visible in CI logs.
 global-state-gate:
 	$(PYTHON) -m pytest tests/test_global_state.py \
@@ -72,6 +75,11 @@ bench-gate: bench-kernel-smoke bench-shards-smoke bench-overload-smoke
 # empty fault plan must leave the kernel determinism checksum untouched.
 chaos-smoke:
 	$(PYTHON) benchmarks/chaos_smoke.py
+
+# The BENCHMARK.json yardstick's own smoke pass (~10 s): a src/ change must
+# not break benchmarks/focusbench unnoticed.
+focusbench-smoke:
+	$(PYTHON) -m pytest benchmarks/focusbench -q
 
 bench-kernel:
 	$(PYTHON) benchmarks/bench_kernel.py

@@ -3,10 +3,13 @@
 Unlike the ``bench_fig*`` files (which regenerate the paper's figures), this
 harness measures the kernel itself: the event loop, the network send path,
 and the metrics window queries that every figure's measurement code leans
-on. For each optimized path it also times a **naive reference** — a faithful
-copy of the pre-optimization implementation (linear scans, per-recipient
-``approx_size``, re-sorting histograms) — so the speedup stays visible and
-regressions are measurable long after the old code is gone.
+on. For each optimized metrics/send path it also times a **naive reference**
+— a faithful copy of the pre-optimization implementation (linear scans,
+per-recipient ``approx_size``, re-sorting histograms) — so the speedup stays
+visible and regressions are measurable long after the old code is gone. The
+scheduler, timer and full-protocol points are single-arm throughput numbers:
+the kernel has one implementation of each, and its oracles live in
+``tests/oracles/``.
 
 Run from the repo root::
 
@@ -32,7 +35,6 @@ from typing import Callable, Dict, List, Tuple
 from repro.gossip.agent import SerfAgent, SerfConfig
 from repro.gossip.member import Member, MemberState
 from repro.gossip.membership import NodeDirectory
-from repro.gossip.probe import RegionProbeBatcher
 from repro.gossip.swim import SwimAgent, SwimConfig
 from repro.sim import Network, Simulator, Topology
 from repro.sim.metrics import BandwidthMeter, Histogram, TimeSeries
@@ -270,16 +272,14 @@ def bench_send_fanout(quick: bool) -> Dict[str, object]:
 PR1_EVENT_LOOP_BASELINE = 273_782.05
 
 
-def _timer_density_run(
-    scheduler: str, coalesce: bool, nodes: int, duration: float
-) -> Tuple[int, float]:
+def _timer_density_run(nodes: int, duration: float) -> Tuple[int, float]:
     """One SWIM-density timer storm: every node runs a 1 s probe timer and a
     100 ms gossip timer (the paper's node-agent cadence), with per-timer
     jitter. Returns (events_processed, elapsed_seconds) for the run itself;
     timer registration happens outside the timed region."""
     from repro.sim.loop import RepeatingTimer
 
-    sim = Simulator(seed=7, scheduler=scheduler, coalesce_timers=coalesce)
+    sim = Simulator(seed=7)
     counts = [0]
 
     def tick() -> None:
@@ -311,44 +311,32 @@ def _best_rate(runs: int, fn: Callable[[], Tuple[int, float]]) -> Tuple[int, flo
 
 
 def bench_event_loop(quick: bool) -> Dict[str, object]:
-    """Event-loop throughput at SWIM timer density: the pre-PR configuration
-    (single heap, one event per timer firing) vs the default scheduler
-    (calendar-queue hybrid + timer-wheel coalescing). Both process the exact
-    same events in the exact same order — the assertion below fails the
-    bench if the counts ever diverge."""
+    """Event-loop throughput at SWIM timer density (calendar queue + timer
+    wheel), against PR 1's committed single-heap number."""
     nodes = 400 if quick else 1600
     duration = 5.0 if quick else 10.0
     runs = 1 if quick else 3
-
-    naive_events, naive = _best_rate(
-        runs, lambda: _timer_density_run("heap", False, nodes, duration)
-    )
-    optimized_events, optimized = _best_rate(
-        runs, lambda: _timer_density_run("calendar", True, nodes, duration)
-    )
-    assert naive_events == optimized_events, (
-        f"scheduler equivalence broken: {naive_events} != {optimized_events}"
+    events, rate = _best_rate(
+        runs, lambda: _timer_density_run(nodes, duration)
     )
     return {
         "nodes": nodes,
-        "events": optimized_events,
-        "naive_ops_per_sec": naive,
-        "optimized_ops_per_sec": optimized,
-        "speedup": optimized / naive,
+        "events": events,
+        "ops_per_sec": rate,
         "pr1_baseline_ops_per_sec": PR1_EVENT_LOOP_BASELINE,
-        "speedup_vs_pr1_baseline": optimized / PR1_EVENT_LOOP_BASELINE,
+        "speedup_vs_pr1_baseline": rate / PR1_EVENT_LOOP_BASELINE,
     }
 
 
 def bench_timer_storm(quick: bool) -> Dict[str, object]:
     """Timer churn: nodes restart their timers and schedule-then-cancel
     probe-timeout one-shots every round, stressing O(1) tombstoning plus
-    wheel re-aiming against the heap's allocate-per-firing path."""
+    wheel re-aiming."""
     nodes = 200 if quick else 800
     rounds = 10 if quick else 20
 
-    def run(scheduler: str, coalesce: bool) -> Tuple[int, float]:
-        sim = Simulator(seed=11, scheduler=scheduler, coalesce_timers=coalesce)
+    def run() -> Tuple[int, float]:
+        sim = Simulator(seed=11)
         timers = {}
 
         def tick() -> None:
@@ -376,19 +364,8 @@ def bench_timer_storm(quick: bool) -> Dict[str, object]:
         sim.run_until(rounds * 1.0)
         return sim.events_processed, time.perf_counter() - start
 
-    runs = 1 if quick else 3
-    naive_events, naive = _best_rate(runs, lambda: run("heap", False))
-    optimized_events, optimized = _best_rate(runs, lambda: run("calendar", True))
-    assert naive_events == optimized_events, (
-        f"scheduler equivalence broken: {naive_events} != {optimized_events}"
-    )
-    return {
-        "nodes": nodes,
-        "events": optimized_events,
-        "naive_ops_per_sec": naive,
-        "optimized_ops_per_sec": optimized,
-        "speedup": optimized / naive,
-    }
+    events, rate = _best_rate(1 if quick else 3, run)
+    return {"nodes": nodes, "events": events, "ops_per_sec": rate}
 
 
 #: Pre-PR full-protocol throughput at 6400 nodes (dict membership, one timer
@@ -404,9 +381,6 @@ _SWEEP_QUERY_TIMES = (0.5, 1.5, 2.5)
 def _swim_full_run(
     nodes: int,
     duration: float,
-    membership: str,
-    batched: bool,
-    delivery_batching: bool = True,
     profile: str = "v1",
     gc_stats: Dict[str, object] = None,
 ) -> Tuple[int, float, str]:
@@ -420,7 +394,7 @@ def _swim_full_run(
     operation, not an O(N^2) join storm. Returns
     ``(events, elapsed_seconds, checksum)``; the checksum digests event
     counts, query completions, metrics counters, and one agent's bandwidth
-    meter, and must be identical across membership backends.
+    meter.
 
     ``profile="v2"`` runs the fast determinism profile: the warm population
     is GC-frozen before the timed region (and unfrozen after, so back-to-back
@@ -430,16 +404,15 @@ def _swim_full_run(
     """
     sim = Simulator(seed=13, profile=profile)
     topology = Topology()
-    network = Network(sim, topology, delivery_batching=delivery_batching)
+    network = Network(sim, topology)
     regions = [r.name for r in topology.regions]
     config = SerfConfig(sync_interval=30.0)
-    directory = NodeDirectory() if membership == "table" else None
-    batcher = RegionProbeBatcher(sim, config.probe_interval) if batched else None
+    directory = NodeDirectory()
     agents = []
     for i in range(nodes):
         agent = SerfAgent(
             sim, network, f"n{i}", f"a{i}", regions[i % len(regions)], config,
-            membership=membership, directory=directory, probe_batcher=batcher,
+            directory=directory,
         )
         agents.append(agent)
     for agent in agents:
@@ -493,29 +466,15 @@ def _swim_full_run(
 
 
 def bench_swim_full(quick: bool) -> Dict[str, object]:
-    """Full-protocol A/B: dict membership + per-agent timers (the pre-PR
-    configuration, kept alive as the naive reference) against the vectorized
-    MembershipTable + per-region probe batching. Both arms must produce the
-    same checksum — same events, same query completions, same bytes on the
-    wire — before either time is worth reporting."""
+    """Full-protocol throughput at the paper's population: every node
+    probes, gossips, syncs and answers the sweep queries."""
     nodes = 400 if quick else 1600
-    duration = 3.0
-    naive_events, naive_elapsed, naive_ck = _swim_full_run(
-        nodes, duration, "dict", False
-    )
-    opt_events, opt_elapsed, opt_ck = _swim_full_run(
-        nodes, duration, "table", True
-    )
-    assert naive_ck == opt_ck, (
-        f"membership equivalence broken: {naive_ck[:16]} != {opt_ck[:16]}"
-    )
+    events, elapsed, checksum = _swim_full_run(nodes, 3.0)
     return {
         "nodes": nodes,
-        "events": opt_events,
-        "naive_ops_per_sec": naive_events / naive_elapsed,
-        "optimized_ops_per_sec": opt_events / opt_elapsed,
-        "speedup": (opt_events / opt_elapsed) / (naive_events / naive_elapsed),
-        "checksum": opt_ck,
+        "events": events,
+        "ops_per_sec": events / elapsed,
+        "checksum": checksum,
     }
 
 
@@ -547,41 +506,11 @@ SWIM_FULL_V2_6400_FLOOR = 45_000.0
 SWIM_FULL_V2_6400_MIN_SPEEDUP = 1.15
 
 
-def bench_net_delivery(quick: bool) -> Dict[str, object]:
-    """Full-protocol A/B of the network delivery path: one queue event per
-    in-flight message (the reference, ``delivery_batching=False``) against
-    the shared in-flight heap with one coalesced sentinel aimed at the
-    earliest arrival. Delivery keys are allocated at send time from the
-    queue's global sequence, so both arms must produce the same checksum —
-    same event count, same query completions, same bytes on the wire —
-    before either time is reported."""
-    nodes = 400 if quick else 1600
-    duration = 3.0
-    naive_events, naive_elapsed, naive_ck = _swim_full_run(
-        nodes, duration, "table", True, delivery_batching=False
-    )
-    opt_events, opt_elapsed, opt_ck = _swim_full_run(
-        nodes, duration, "table", True
-    )
-    assert naive_ck == opt_ck, (
-        f"delivery equivalence broken: {naive_ck[:16]} != {opt_ck[:16]}"
-    )
-    return {
-        "nodes": nodes,
-        "events": opt_events,
-        "naive_ops_per_sec": naive_events / naive_elapsed,
-        "optimized_ops_per_sec": opt_events / opt_elapsed,
-        "speedup": (opt_events / opt_elapsed) / (naive_events / naive_elapsed),
-        "checksum": opt_ck,
-    }
-
-
 def bench_scale_sweep(quick: bool) -> Dict[str, object]:
     """Sweep past the paper's 1600-node ceiling, two workloads per size:
     ``timer_storm`` (SWIM-density timers only, the PR 2 sweep) and
     ``swim_full`` (the complete protocol — probes, piggyback gossip,
-    suspicion, push-pull sync, and group-wide queries — on the vectorized
-    membership + region-batched probes)."""
+    suspicion, push-pull sync, and group-wide queries)."""
     timer_sizes = [400, 1600] if quick else [400, 1600, 3200, 6400]
     swim_sizes = [400] if quick else [1600, 3200, 6400]
     timer_duration = 2.0 if quick else 10.0
@@ -589,7 +518,7 @@ def bench_scale_sweep(quick: bool) -> Dict[str, object]:
     timer_points = {}
     for nodes in timer_sizes:
         events, rate = _best_rate(
-            1, lambda: _timer_density_run("calendar", True, nodes, timer_duration)
+            1, lambda: _timer_density_run(nodes, timer_duration)
         )
         timer_points[str(nodes)] = {
             "events": events,
@@ -609,7 +538,7 @@ def bench_scale_sweep(quick: bool) -> Dict[str, object]:
         for _ in range(swim_repeats):
             gc.collect()  # previous run's agents must not tax this one's GC
             events, run_elapsed, run_checksum = _swim_full_run(
-                nodes, swim_duration, "table", True
+                nodes, swim_duration
             )
             assert checksum is None or checksum == run_checksum, (
                 f"swim_full checksum unstable at {nodes} nodes"
@@ -635,8 +564,7 @@ def bench_scale_sweep(quick: bool) -> Dict[str, object]:
         for _ in range(swim_repeats):
             gc.collect()
             events, run_elapsed, run_checksum = _swim_full_run(
-                nodes, swim_duration, "table", True,
-                profile="v2", gc_stats=gc_stats,
+                nodes, swim_duration, profile="v2", gc_stats=gc_stats,
             )
             assert checksum is None or checksum == run_checksum, (
                 f"swim_full v2 checksum unstable at {nodes} nodes"
@@ -808,7 +736,6 @@ BENCHES = {
     "event_loop": bench_event_loop,
     "timer_storm": bench_timer_storm,
     "swim_full": bench_swim_full,
-    "net_delivery": bench_net_delivery,
     "scale_sweep": bench_scale_sweep,
     "swim_full_parallel": bench_swim_full_parallel,
 }

@@ -12,9 +12,8 @@ Defaults match the paper's node-agent configuration (§VIII-B): gossip fanout
 from repro.gossip.agent import SerfAgent, SerfConfig
 from repro.gossip.broadcast import Broadcast, BroadcastQueue
 from repro.gossip.coalesce import EventCoalescer
-from repro.gossip.member import Member, MemberList, MemberState
+from repro.gossip.member import Member, MemberState
 from repro.gossip.membership import MembershipTable, NodeDirectory
-from repro.gossip.probe import RegionProbeBatcher
 from repro.gossip.swim import SwimAgent, SwimConfig
 
 __all__ = [
@@ -22,11 +21,9 @@ __all__ = [
     "BroadcastQueue",
     "EventCoalescer",
     "Member",
-    "MemberList",
     "MemberState",
     "MembershipTable",
     "NodeDirectory",
-    "RegionProbeBatcher",
     "SerfAgent",
     "SerfConfig",
     "SwimAgent",

@@ -19,7 +19,6 @@ from typing import Callable, Dict, List, Optional
 from repro.sim.loop import Simulator
 from repro.sim.network import Message, Network
 from repro.gossip.membership import NodeDirectory
-from repro.gossip.probe import RegionProbeBatcher
 from repro.gossip.swim import SwimAgent, SwimConfig
 
 QUERY_RESPONSE = "serf.query-resp"
@@ -92,9 +91,7 @@ class SerfAgent(SwimAgent):
         region: str,
         config: Optional[SerfConfig] = None,
         *,
-        membership: str = "table",
         directory: Optional[NodeDirectory] = None,
-        probe_batcher: Optional[RegionProbeBatcher] = None,
     ) -> None:
         super().__init__(
             sim,
@@ -103,9 +100,7 @@ class SerfAgent(SwimAgent):
             address,
             region,
             config or SerfConfig(),
-            membership=membership,
             directory=directory,
-            probe_batcher=probe_batcher,
         )
         self.event_handlers: Dict[str, Callable[[object, str], None]] = {}
         self.query_handlers: Dict[str, Callable[[object, str], object]] = {}

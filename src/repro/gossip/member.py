@@ -9,8 +9,7 @@ itself by bumping its incarnation and re-broadcasting ``alive``.
 from __future__ import annotations
 
 import enum
-import random
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
 
 class MemberState(str, enum.Enum):
@@ -104,8 +103,7 @@ class GossipDrawBlock:
     and consumed from a plain list; the block is discarded whenever the
     candidate count changes so every index stays uniform over the current
     population. The (bound, draw) consumption sequence is a pure function
-    of the generator state and the alive-count history — identical in both
-    membership backends — so v2 runs stay byte-identical across backends.
+    of the generator state and the alive-count history.
 
     The block is sized for the per-agent consumption rate (a handful of
     draws per gossip tick): large blocks made the *first* refill of every
@@ -147,200 +145,3 @@ class GossipDrawBlock:
                 picked.append(d)
         self._pos = pos
         return picked
-
-
-class MemberList:
-    """An agent's local view of the group."""
-
-    def __init__(self, self_name: str) -> None:
-        self.self_name = self_name
-        self._members: Dict[str, Member] = {}
-        self._alive_cache: Optional[List[Member]] = None
-        self._alive_count = 0
-        self._suspicion_deadlines: Dict[str, float] = {}
-        self._gossip_draws = GossipDrawBlock()
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._members
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __iter__(self) -> Iterator[Member]:
-        return iter(self._members.values())
-
-    def get(self, name: str) -> Optional[Member]:
-        return self._members.get(name)
-
-    def _count_delta(self, old: Optional[Member], new: Optional[Member]) -> None:
-        if old is not None and old.state == MemberState.ALIVE:
-            self._alive_count -= 1
-        if new is not None and new.state == MemberState.ALIVE:
-            self._alive_count += 1
-
-    def upsert(self, member: Member) -> None:
-        """Insert or unconditionally replace a member record."""
-        self._count_delta(self._members.get(member.name), member)
-        self._members[member.name] = member
-        self._alive_cache = None
-
-    def remove(self, name: str) -> None:
-        old = self._members.pop(name, None)
-        self._count_delta(old, None)
-        self._suspicion_deadlines.pop(name, None)
-        self._alive_cache = None
-
-    def apply(self, update: Member) -> bool:
-        """Apply an update if it supersedes the current record.
-
-        Returns True if the view changed (the caller should re-broadcast).
-        """
-        current = self._members.get(update.name)
-        if current is None:
-            self._count_delta(None, update)
-            self._members[update.name] = update
-            self._alive_cache = None
-            return True
-        if supersedes(update.state, update.incarnation, current.state, current.incarnation):
-            self._count_delta(current, update)
-            self._members[update.name] = update
-            self._alive_cache = None
-            return True
-        return False
-
-    @property
-    def alive_count(self) -> int:
-        """Number of alive members, maintained incrementally (O(1))."""
-        return self._alive_count
-
-    def prewarm(self) -> None:
-        """Backend-API twin of ``MembershipTable.prewarm``: build the lazy
-        alive view at agent start instead of inside a measured region.
-        Pure caching — runs are byte-identical with or without it."""
-        self.alive()
-
-    def alive(self, *, exclude_self: bool = False) -> List[Member]:
-        if self._alive_cache is None:
-            self._alive_cache = [
-                m for m in self._members.values() if m.state == MemberState.ALIVE
-            ]
-        if exclude_self:
-            return [m for m in self._alive_cache if m.name != self.self_name]
-        return list(self._alive_cache)
-
-    def alive_names(self, *, exclude_self: bool = False) -> List[str]:
-        return [m.name for m in self.alive(exclude_self=exclude_self)]
-
-    def permuted_alive_names(
-        self, np_rng, *, exclude_self: bool = False
-    ) -> List[str]:
-        """Alive names permuted by a numpy ``Generator`` (v2 profile).
-
-        Matches ``MembershipTable.permuted_alive_names`` draw-for-draw: both
-        permute the same insertion-ordered alive view with one
-        ``Generator.permutation(n)`` call, so the two backends stay
-        bit-identical under v2 just as they are under v1.
-        """
-        names = self.alive_names(exclude_self=exclude_self)
-        if len(names) < 2:
-            return names
-        return [names[i] for i in np_rng.permutation(len(names))]
-
-    def suspects(self) -> List[Member]:
-        return [m for m in self._members.values() if m.state == MemberState.SUSPECT]
-
-    def snapshot_wire(self) -> List[Dict[str, object]]:
-        """Full state for push-pull anti-entropy sync."""
-        return [m.to_wire() for m in self._members.values()]
-
-    def snapshot_size(self) -> int:
-        """Estimated wire size of :meth:`snapshot_wire`."""
-        return 2 + sum(m.wire_size() + 1 for m in self._members.values())
-
-    # ----------------------------------------------------- selection helpers
-    # Shared backend API with repro.gossip.membership.MembershipTable: the
-    # SWIM agent only ever selects peers through these, so swapping the
-    # backend cannot perturb the RNG draw sequence. Each helper makes at
-    # most one rng draw, over the insertion-ordered alive view.
-    def peek(self, name: str) -> Optional[Tuple[int, str]]:
-        """``(incarnation, state value)`` or None, without a Member copy."""
-        member = self._members.get(name)
-        if member is None:
-            return None
-        return member.incarnation, member.state.value
-
-    def gossip_targets(self, rng: random.Random, max_fanout: int) -> List[str]:
-        """Addresses of up to ``max_fanout`` random alive peers."""
-        peers = self.alive(exclude_self=True)
-        if not peers:
-            return []
-        sampled = rng.sample(peers, min(max_fanout, len(peers)))
-        return [member.address for member in sampled]
-
-    def gossip_targets_v2(self, np_rng, max_fanout: int) -> List[str]:
-        """v2-profile twin of :meth:`gossip_targets`; identical algorithm to
-        ``MembershipTable.gossip_targets_v2`` over the same insertion-ordered
-        alive view, so the two backends consume the generator identically."""
-        peers = self.alive(exclude_self=True)
-        count = len(peers)
-        if not count:
-            return []
-        if max_fanout >= count:
-            if count == 1:
-                return [peers[0].address]
-            perm = np_rng.permutation(count)
-            return [peers[i].address for i in perm.tolist()]
-        picked = self._gossip_draws.draw(np_rng, count, max_fanout)
-        return [peers[d].address for d in picked]
-
-    def sync_peer(self, rng: random.Random) -> Optional[str]:
-        """Address of one random alive peer for push-pull anti-entropy."""
-        peers = self.alive(exclude_self=True)
-        if not peers:
-            return None
-        return rng.choice(peers).address
-
-    def relay_sample(
-        self, rng: random.Random, count: int, exclude_name: str
-    ) -> List[str]:
-        """Addresses of up to ``count`` relays for an indirect probe."""
-        relays = [
-            member
-            for member in self.alive(exclude_self=True)
-            if member.name != exclude_name
-        ]
-        if not relays:
-            return []
-        sampled = rng.sample(relays, min(count, len(relays)))
-        return [member.address for member in sampled]
-
-    def filter_superseding(
-        self, updates: Sequence[Dict[str, object]]
-    ) -> Sequence[Dict[str, object]]:
-        """Reference backend: no prefilter, the apply loop drops stale ones."""
-        return updates
-
-    def expire_dead(self, cutoff: float) -> int:
-        """Reclaim dead/left records older than ``cutoff``; returns count."""
-        stale = [
-            member.name
-            for member in self._members.values()
-            if member.state in (MemberState.DEAD, MemberState.LEFT)
-            and member.state_time < cutoff
-        ]
-        for name in stale:
-            self.remove(name)
-        return len(stale)
-
-    def set_suspicion_deadline(self, name: str, deadline: float) -> None:
-        self._suspicion_deadlines[name] = deadline
-
-    def due_suspects(self, now: float) -> List[str]:
-        """Names of suspects whose suspicion deadline has passed."""
-        deadlines = self._suspicion_deadlines
-        return [
-            member.name
-            for member in self._members.values()
-            if member.state == MemberState.SUSPECT
-            and deadlines.get(member.name, float("inf")) <= now
-        ]

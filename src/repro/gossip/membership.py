@@ -1,15 +1,15 @@
 """Vectorized SWIM membership bookkeeping.
 
-:class:`MembershipTable` is a drop-in replacement for
-:class:`~repro.gossip.member.MemberList` that keeps the per-member protocol
-state — alive/suspect/faulty status, incarnation numbers, suspicion
-deadlines — in numpy arrays keyed by a **stable node index** instead of a
-dict of :class:`~repro.gossip.member.Member` objects. Status filtering,
-suspicion expiry, dead-member reclamation and stale-update rejection become
-array operations; the selection views the protocol hot paths hit every tick
+:class:`MembershipTable` is the SWIM agent's membership view. It keeps the
+per-member protocol state — alive/suspect/faulty status, incarnation
+numbers, suspicion deadlines — in numpy arrays keyed by a **stable node
+index** instead of a dict of :class:`~repro.gossip.member.Member` objects.
+Status filtering, suspicion expiry, dead-member reclamation and stale-update
+rejection become array operations; the selection views the protocol hot
+paths hit every tick
 (alive peers, probe-target names, gossip/sync addresses, anti-entropy
 snapshots) are cached and invalidated only when membership actually changes,
-so a converged group pays O(1) per tick where the dict walk paid O(n).
+so a converged group pays O(1) per tick where a dict walk would pay O(n).
 
 Node identity is interned once in a :class:`NodeDirectory` — the stable
 index allocator. Agents simulated in the same process can share one
@@ -17,11 +17,12 @@ directory, which shares the name/address/region strings, the per-node wire
 sizes and the piggyback wire dicts across all views of the same node; a
 table constructed without a directory makes a private one.
 
-Semantics are pinned to ``MemberList`` two ways: Hypothesis property tests
-drive both through random join/suspect/refute/fault sequences
-(``tests/test_gossip_membership.py``), and a seeded full-protocol SWIM run
-must be bit-identical — same event order, same RNG draws, same metrics —
-under either backend (``tests/test_gossip_swim.py``).
+Semantics are pinned to the dict-of-``Member`` oracle in
+``tests/oracles/member_list.py`` two ways (``tests/test_gossip_membership.py``):
+Hypothesis property tests drive both through random
+join/suspect/refute/fault sequences, and a seeded full-protocol SWIM run must
+be bit-identical — same event order, same RNG draws, same metrics — with the
+oracle substituted for the table.
 """
 
 from __future__ import annotations
@@ -62,10 +63,10 @@ _NEVER = np.inf
 class _SlotAddresses(SequenceABC):
     """Virtual sequence: addresses of the slots in an index array.
 
-    Duck-types as the address list ``MemberList`` hands to ``rng.sample`` /
-    ``rng.choice`` without materializing a per-agent list — the RNG draw
-    sequence depends only on ``len()``, which matches by construction, and
-    ``sample``/``choice`` touch only the few selected indices.
+    Duck-types as a plain address list for ``rng.sample`` / ``rng.choice``
+    without materializing a per-agent list — the RNG draw sequence depends
+    only on ``len()``, and ``sample``/``choice`` touch only the few selected
+    indices.
     """
 
     __slots__ = ("_arr", "_addresses")
@@ -188,18 +189,18 @@ class NodeDirectory:
 class MembershipTable:
     """One agent's membership view, vectorized.
 
-    API-compatible with :class:`~repro.gossip.member.MemberList` (``get`` /
-    ``apply`` / ``upsert`` / ``alive`` / snapshots / the selection helpers),
-    with the record state held in numpy arrays indexed by the shared
-    :class:`NodeDirectory` slot. :class:`Member` objects are materialized
-    on demand as *views* — nothing retains them, so an N-agent full-mesh
-    simulation holds N arrays instead of N^2 member objects.
+    A dict-like API (``get`` / ``apply`` / ``upsert`` / ``alive`` /
+    snapshots / the selection helpers) with the record state held in numpy
+    arrays indexed by the shared :class:`NodeDirectory` slot.
+    :class:`Member` objects are materialized on demand as *views* — nothing
+    retains them, so an N-agent full-mesh simulation holds N arrays instead
+    of N^2 member objects.
 
     Ordering contract (load-bearing for seeded-run equivalence): every list
     this table returns — alive members, probe-target names, gossip/sync/relay
     addresses, snapshots — is in *insertion order*, exactly like iterating
-    ``MemberList``'s underlying dict. Removal followed by re-insertion moves
-    a node to the end, like a dict re-insert.
+    a dict keyed by name. Removal followed by re-insertion moves a node to
+    the end, like a dict re-insert.
     """
 
     def __init__(
@@ -225,8 +226,8 @@ class MembershipTable:
         self._count = 0
         self._alive_count = 0
         self._self_slot = -1
-        # Deadlines set for names with no live record yet; MemberList keeps
-        # these in a name-keyed dict, so they must survive until insertion.
+        # Deadlines set for names with no live record yet; they must
+        # survive until insertion.
         self._pending_deadline: Dict[str, float] = {}
         # Lazily rebuilt views; None means dirty. The base view is the
         # int64 array of alive slots; the name/address lists derive from it
@@ -424,7 +425,6 @@ class MembershipTable:
         """Apply ``update`` if it supersedes the current record.
 
         Returns True if the view changed (the caller should re-broadcast).
-        Same ordering rules as :meth:`MemberList.apply`.
         """
         directory = self.directory
         slot = directory.slot_of(update.name)
@@ -465,34 +465,21 @@ class MembershipTable:
         arr = self._alive_excl_arr() if exclude_self else self._alive_arr()
         return self._take_names(arr)
 
-    def permuted_alive_names(
-        self, np_rng, *, exclude_self: bool = False
-    ) -> List[str]:
-        """Alive names in a random order drawn from a numpy ``Generator``.
-
-        The v2-profile twin of ``alive_names`` + Fisher–Yates: one
-        ``Generator.permutation`` over the slot array replaces the
-        per-element Python shuffle loop, turning the probe-order reshuffle
-        from O(n) interpreter iterations into one vectorized draw. The
-        resulting order is a different (but still seed-deterministic) stream
-        than the v1 shuffle — which is exactly what the v2 checksum admits.
-        """
-        arr = self._alive_excl_arr() if exclude_self else self._alive_arr()
-        if len(arr) < 2:
-            return self._take_names(arr)
-        return self._take_names(arr[np_rng.permutation(len(arr))])
-
     def permuted_alive_slots(
         self, np_rng, *, exclude_self: bool = False
     ) -> np.ndarray:
-        """Slot-array twin of :meth:`permuted_alive_names` (same RNG draws).
+        """Alive slots in a random order drawn from a numpy ``Generator``.
 
-        Returning slots instead of materialized name lists keeps the
-        per-agent probe order in an untracked numpy buffer: at 6400 nodes
-        the name-list version put ~41M GC-tracked pointers back on the heap
-        (one 6399-entry list per agent, built *after* the v2 warmup freeze),
-        which every gen2 pass then rescanned. Names are resolved lazily, one
-        probe target at a time, via :meth:`next_alive_in_order`.
+        The v2-profile probe order: one ``Generator.permutation`` over the
+        slot array replaces v1's per-element Python shuffle loop — a
+        different (but still seed-deterministic) stream, which is exactly
+        what the v2 checksum admits. Returning slots instead of materialized
+        name lists keeps the per-agent probe order in an untracked numpy
+        buffer: at 6400 nodes a name-list version put ~41M GC-tracked
+        pointers back on the heap (one 6399-entry list per agent, built
+        *after* the v2 warmup freeze), which every gen2 pass then rescanned.
+        Names are resolved lazily, one probe target at a time, via
+        :meth:`next_alive_in_order`.
         """
         arr = self._alive_excl_arr() if exclude_self else self._alive_arr()
         if len(arr) < 2:
@@ -506,8 +493,7 @@ class MembershipTable:
         member; returns ``(next_index, name-or-None)``.
 
         The skip condition (``known`` and currently alive) is exactly the
-        ``peek(name)``-based filter of the name-list walk, so the sequence of
-        probed names is identical to walking the materialized list.
+        ``peek(name)``-based filter of the v1 name-list walk.
         """
         state = self._state
         known = self._known
@@ -532,7 +518,7 @@ class MembershipTable:
         """Addresses of up to ``max_fanout`` random alive peers.
 
         Exactly one ``rng.sample`` draw over the insertion-ordered alive
-        view, matching ``MemberList.gossip_targets`` draw for draw.
+        view.
         """
         arr = self._alive_excl_arr()
         count = len(arr)
@@ -551,8 +537,7 @@ class MembershipTable:
         of batched ``Generator.integers`` draws, amortizing the generator
         call over ~1k ticks. The draw sequence is a pure function of the
         generator state and the alive-count history, so the result stays
-        deterministic and backend-independent (the MemberList twin runs the
-        identical algorithm over the same insertion order).
+        deterministic.
         """
         arr = self._alive_excl_arr()
         count = len(arr)

@@ -17,17 +17,11 @@ idle group's background traffic is the probe traffic — which is what Fig. 8b
 of the paper measures as "normal operation" (<2 KB/s even for 400-member
 groups).
 
-Membership bookkeeping is pluggable (``membership=`` constructor knob):
-``"table"`` (default) stores the view in the vectorized
-:class:`~repro.gossip.membership.MembershipTable`; ``"dict"`` keeps the
-original :class:`~repro.gossip.member.MemberList`, retained as the reference
-for equivalence tests and A/B benchmarks. The agent only touches membership
-through the backend-neutral selection API (``gossip_targets`` /
-``sync_peer`` / ``relay_sample`` / ``peek`` / snapshots), so both backends
-produce bit-identical runs for the same seed. Probe scheduling can likewise
-be handed to a shared :class:`~repro.gossip.probe.RegionProbeBatcher` via
-``probe_batcher=``, which coalesces a whole region's probe round into one
-recycled sentinel event without perturbing event order.
+Membership bookkeeping lives in the vectorized
+:class:`~repro.gossip.membership.MembershipTable`; its oracle, the original
+dict-of-``Member`` list, is ``tests/oracles/member_list.py``. Probe timers are
+ordinary :meth:`~repro.sim.process.Process.every` timers, coalesced by the
+simulator's timer wheel.
 """
 
 from __future__ import annotations
@@ -44,11 +38,9 @@ from repro.gossip.member import (
     RANK_BY_VALUE,
     STATE_BY_VALUE,
     Member,
-    MemberList,
     MemberState,
 )
 from repro.gossip.membership import MembershipTable, NodeDirectory
-from repro.gossip.probe import RegionProbeBatcher
 
 PING = "swim.ping"
 ACK = "swim.ack"
@@ -141,22 +133,12 @@ class SwimAgent(Process):
         region: str,
         config: Optional[SwimConfig] = None,
         *,
-        membership: str = "table",
         directory: Optional[NodeDirectory] = None,
-        probe_batcher: Optional[RegionProbeBatcher] = None,
     ) -> None:
         super().__init__(sim, network, address, region)
         self.name = name
         self.config = config or SwimConfig()
-        if membership == "table":
-            self.members = MembershipTable(name, directory)
-        elif membership == "dict":
-            self.members = MemberList(name)
-        else:
-            raise ValueError(
-                f"unknown membership backend {membership!r} "
-                "(expected 'table' or 'dict')"
-            )
+        self.members = MembershipTable(name, directory)
         self.incarnation = 0
         self.broadcasts = BroadcastQueue(self.config.retransmit_mult)
         self.on_member_alive: List[Callable[[Member], None]] = []
@@ -173,12 +155,11 @@ class SwimAgent(Process):
         self._pending_probes: Dict[int, _PendingProbe] = {}
         self._relayed: Dict[int, _RelayedPing] = {}
         self._probe_order: List[str] = []
-        # v2 + MembershipTable: the probe order is a numpy slot array (no
-        # GC-tracked name list); names resolve lazily per probe target.
+        # v2: the probe order is a numpy slot array (no GC-tracked name
+        # list); names resolve lazily per probe target.
         self._probe_order_slots = None
         self._probe_index = 0
         self._gossip_scheduled = False
-        self._probe_batcher = probe_batcher
         self._self_wire_cache: Optional[Dict[str, object]] = None
         self._self_wire_size = 48 + len(name) + len(address) + len(region)
         self.members.upsert(self._self_member())
@@ -192,30 +173,11 @@ class SwimAgent(Process):
 
     # ------------------------------------------------------------- lifecycle
     def on_start(self) -> None:
-        batcher = self._probe_batcher
-        if batcher is not None and batcher.interval != self.config.probe_interval:
-            raise ValueError(
-                f"probe batcher interval {batcher.interval} != "
-                f"probe_interval {self.config.probe_interval}"
-            )
-        if batcher is not None:
-            # Same RNG stream derivation as Process.every would use for this
-            # timer slot, so batched and per-agent probe scheduling draw
-            # identical jitter sequences.
-            rng = self.sim.derive_rng(f"{self.address}/timer/{len(self._timers)}")
-            handle = batcher.register(
-                self.region,
-                self._probe_tick,
-                jitter=self.config.probe_interval * 0.1,
-                rng=rng,
-            )
-            self._timers.append(handle)
-        else:
-            self.every(
-                self.config.probe_interval,
-                self._probe_tick,
-                jitter=self.config.probe_interval * 0.1,
-            )
+        self.every(
+            self.config.probe_interval,
+            self._probe_tick,
+            jitter=self.config.probe_interval * 0.1,
+        )
         self.every(
             self.config.sync_interval,
             self._sync_tick,
@@ -230,20 +192,11 @@ class SwimAgent(Process):
             # v2: draw the first probe-order permutation now as well — it is
             # the single largest per-agent draw (O(population)) and would
             # otherwise land inside the measured region on the first probe
-            # tick. Both membership backends pre-draw through the same
-            # methods the first wrap would use, so the generator consumption
-            # stays twinned across backends.
-            members = self.members
-            if hasattr(members, "permuted_alive_slots"):
-                order = members.permuted_alive_slots(np_rng, exclude_self=True)
-                if len(order):
-                    self._probe_order_slots = order
-                    self._probe_index = 0
-            else:
-                names = members.permuted_alive_names(np_rng, exclude_self=True)
-                if names:
-                    self._probe_order = names
-                    self._probe_index = 0
+            # tick.
+            order = self.members.permuted_alive_slots(np_rng, exclude_self=True)
+            if len(order):
+                self._probe_order_slots = order
+                self._probe_index = 0
 
     def join(self, entry_points: List[str]) -> None:
         """Join via push-pull sync with the given entry addresses."""
@@ -355,10 +308,6 @@ class SwimAgent(Process):
 
     # ---------------------------------------------------------------- probing
     def _probe_tick(self) -> None:
-        if self.paused:
-            # Region-batched probe firings bypass Process.every's pause
-            # guard; a frozen agent must not record probes it never sent.
-            return
         target_name = self._next_probe_target()
         if target_name is None:
             return
@@ -380,29 +329,18 @@ class SwimAgent(Process):
 
     def _next_probe_target(self) -> Optional[str]:
         np_rng = self._np_rng
-        if np_rng is not None and hasattr(self.members, "permuted_alive_slots"):
+        if np_rng is not None:
             return self._next_probe_target_slots(np_rng)
         # The alive view is only materialized on wrap — a probe tick that is
         # mid-round walks the existing shuffled order without touching it.
         if self._probe_index >= len(self._probe_order):
-            if np_rng is not None:
-                # v2: one vectorized permutation draw replaces the
-                # per-element shuffle loop (the dominant cost of a wrap at
-                # thousands of members).
-                order = self.members.permuted_alive_names(
-                    np_rng, exclude_self=True
-                )
-                if not order:
-                    return None
-                self._probe_order = order
-            else:
-                # alive_names returns a fresh list on both implementations,
-                # so we can shuffle it in place without copying.
-                alive = self.members.alive_names(exclude_self=True)
-                if not alive:
-                    return None
-                self._probe_order = alive
-                _shuffle_exact(self._probe_order, self._rng.getrandbits)
+            # alive_names returns a fresh list, so we can shuffle it in
+            # place without copying.
+            alive = self.members.alive_names(exclude_self=True)
+            if not alive:
+                return None
+            self._probe_order = alive
+            _shuffle_exact(self._probe_order, self._rng.getrandbits)
             self._probe_index = 0
         alive_value = MemberState.ALIVE.value
         while self._probe_index < len(self._probe_order):
@@ -416,10 +354,10 @@ class SwimAgent(Process):
     def _next_probe_target_slots(self, np_rng) -> Optional[str]:
         """v2 probe-order walk over a slot array instead of a name list.
 
-        Draw-for-draw identical to the name-list path (one ``permutation``
-        per wrap, the same known-and-alive skip filter), but the order lives
-        in an untracked numpy buffer and names materialize one target at a
-        time — see ``MembershipTable.permuted_alive_slots``.
+        One vectorized ``permutation`` draw per wrap replaces the v1
+        per-element shuffle loop; the order lives in an untracked numpy
+        buffer and names materialize one target at a time — see
+        ``MembershipTable.permuted_alive_slots``.
         """
         members = self.members
         order = self._probe_order_slots
@@ -656,8 +594,7 @@ class SwimAgent(Process):
 
     def _merge_state(self, state) -> None:
         # Anti-entropy snapshots are mostly re-delivery of known state; the
-        # table backend drops the stale bulk in one vectorized pass (the
-        # dict backend's filter is the identity and the loop does the work).
+        # table drops the stale bulk in one vectorized pass.
         self._apply_updates(self.members.filter_superseding(state))
 
     def _on_gossip(self, message: Message) -> None:

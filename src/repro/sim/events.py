@@ -4,22 +4,18 @@ Events are ordered by ``(time, seq)`` where ``seq`` is a monotonically
 increasing tie-breaker, so same-time events fire in scheduling order and runs
 are fully deterministic.
 
-Two implementations share the same API:
+There is one scheduler, :class:`EventQueue` — a calendar-queue/heap hybrid.
+Near-term events live in fixed-width time buckets (plain-list appends on
+insert, one heapify when a bucket becomes the drain front), far-future
+events overflow to a binary heap and migrate into buckets as the window
+advances. Cancellation is O(1) tombstoning with periodic compaction.
 
-* :class:`EventQueue` — a calendar-queue/heap hybrid. Near-term events live
-  in fixed-width time buckets (plain-list appends on insert, one heapify when
-  a bucket becomes the drain front), far-future events overflow to a binary
-  heap and migrate into buckets as the window advances. Cancellation is O(1)
-  tombstoning with periodic compaction. This is the default scheduler.
-* :class:`HeapEventQueue` — the original single binary heap, kept as the
-  reference implementation for the seeded equivalence tests and the
-  before/after kernel benchmarks.
-
-Both order strictly by ``(time, seq)``: the bucket index ``floor(time / width)``
+It orders strictly by ``(time, seq)``: the bucket index ``floor(time / width)``
 is a monotone function of ``time`` and entries within a bucket are drained
-through a heap of ``(time, seq, event)`` tuples, so the hybrid pops events in
-exactly the order the plain heap would — verified bit-for-bit by
-``tests/test_sim_scheduler.py``.
+through a heap of ``(time, seq, event)`` tuples, so it pops events in exactly
+the order a single binary heap would. That heap is its oracle
+(``tests/oracles/heap_queue.py``); ``tests/test_sim_scheduler.py`` holds the
+two bit-identical.
 """
 
 from __future__ import annotations
@@ -102,97 +98,6 @@ class TimerHandle:
 
 
 _Entry = Tuple[float, int, Event]
-
-
-class HeapEventQueue:
-    """A single binary heap of scheduled events with lazy cancellation.
-
-    Heap entries are ``(time, seq, event)`` tuples rather than the events
-    themselves: every sift comparison is then a C-level tuple comparison
-    instead of a Python ``__lt__`` call that builds two tuples. This was the
-    only scheduler before the calendar hybrid landed; it is retained as the
-    obviously-correct reference for equivalence tests and benchmarks.
-    """
-
-    def __init__(self) -> None:
-        self._heap: List[_Entry] = []
-        self._seq = itertools.count()
-        #: Total inserts ever; lets batch executors detect that no event was
-        #: scheduled between two points and reuse a cached :meth:`peek_key`.
-        self.pushes = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def alloc_seq(self) -> int:
-        """Reserve the next ordering sequence number (for the timer wheel)."""
-        return next(self._seq)
-
-    def push(self, time: float, callback: Callable[..., Any], args: tuple) -> Event:
-        seq = next(self._seq)
-        event = Event(time, seq, callback, args)
-        heappush(self._heap, (time, seq, event))
-        self.pushes += 1
-        return event
-
-    def push_entry(self, event: Event) -> None:
-        """Insert an event whose ``time``/``seq`` are already assigned."""
-        heappush(self._heap, (event.time, event.seq, event))
-        self.pushes += 1
-
-    def pop(self) -> Optional[Event]:
-        """Pop the next non-cancelled event, or ``None`` if the queue is empty."""
-        heap = self._heap
-        while heap:
-            event = heappop(heap)[2]
-            if not event.cancelled:
-                return event
-        return None
-
-    def pop_before(self, bound: float) -> Optional[Event]:
-        """Pop the next live event with ``time <= bound``, else ``None``.
-
-        The bound is **inclusive**: an event stamped exactly ``bound`` pops.
-        Every backend (heap, calendar, auto) implements the same rule — it is
-        the queue half of :meth:`Simulator.run_until`'s boundary contract.
-        """
-        heap = self._heap
-        while heap:
-            if heap[0][0] > bound:
-                return None
-            event = heappop(heap)[2]
-            if not event.cancelled:
-                return event
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event without popping it."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heappop(heap)
-        if heap:
-            return heap[0][0]
-        return None
-
-    def peek_key(self) -> Optional[Tuple[float, int]]:
-        """``(time, seq)`` of the next live event without popping it.
-
-        The network's delivery batcher compares this against its own pending
-        deliveries to decide how many it may flush back-to-back without
-        violating global ``(time, seq)`` order.
-        """
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heappop(heap)
-        if heap:
-            return (heap[0][0], heap[0][1])
-        return None
-
-    def note_cancelled(self) -> None:
-        """Tombstone accounting hook; the plain heap only skips lazily."""
-
-    def clear(self) -> None:
-        self._heap.clear()
 
 
 #: Default bucket width: 1/20 of the SWIM probe interval (1 s), so a
@@ -384,9 +289,9 @@ class EventQueue:
     def pop_before(self, bound: float) -> Optional[Event]:
         """Pop the next live event with ``time <= bound``, else ``None``.
 
-        The bound is **inclusive** (an event stamped exactly ``bound`` pops),
-        matching :class:`HeapEventQueue` — the two backends must agree or
-        ``scheduler="auto"``'s mid-run migration would move the boundary.
+        The bound is **inclusive**: an event stamped exactly ``bound`` pops.
+        This is the queue half of :meth:`Simulator.run_until`'s boundary
+        contract.
 
         One front-heap inspection plus at most one pop per live event, which
         lets :meth:`Simulator.run_until` avoid a separate peek-then-pop pair.
@@ -466,119 +371,3 @@ class EventQueue:
         self._overflow = []
         self._size = 0
         self._tombstones = 0
-
-
-#: Live-queue width at which the ``"auto"`` scheduler backend migrates from
-#: the plain binary heap to the calendar queue. Measured on the kernel
-#: benchmark's timer-density workload (see benchmarks/README.md): below
-#: ~1–2k pending events the heap's tighter constant factors win (a few
-#: hundred one-shot deadlines sift in O(log n) with n tiny), while at SWIM
-#: densities of 1600+ nodes the wheel's O(1) bucket appends pull ahead and
-#: keep widening with population. 2048 sits in the flat middle of the
-#: crossover band; the exact value is not sensitive within 2x either way.
-AUTO_CALENDAR_THRESHOLD = 2048
-
-
-class AutoEventQueue:
-    """Width-adaptive scheduler: binary heap first, calendar queue at scale.
-
-    Coalesced workloads (timer wheel + delivery batching keep one sentinel
-    per class) hold the live queue narrow, where :class:`HeapEventQueue` is
-    the faster backend; workloads with many distinct one-shot deadlines
-    (per-message timeouts, uncoalesced deliveries) grow the live width, where
-    the calendar queue's O(1) bucket inserts win. This facade starts on the
-    heap and, the first time the live width crosses ``threshold``, migrates
-    every pending entry into a fresh :class:`EventQueue` — preserving each
-    event's already-assigned ``(time, seq)`` key and sharing one sequence
-    counter across the switch, so the drain order (and therefore any seeded
-    run) is bit-identical to either backend run alone. The upgrade is
-    one-way: a width that shrinks back stays on the calendar queue, whose
-    disadvantage at small widths is a constant factor, not a blowup.
-    """
-
-    def __init__(
-        self,
-        bucket_width: float = DEFAULT_BUCKET_WIDTH,
-        wheel_span: int = DEFAULT_WHEEL_SPAN,
-        threshold: int = AUTO_CALENDAR_THRESHOLD,
-    ) -> None:
-        if threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {threshold}")
-        self._backend: object = HeapEventQueue()
-        self._bucket_width = bucket_width
-        self._wheel_span = wheel_span
-        self._threshold = threshold
-        self._upgraded = False
-        # The facade owns the shared sequence counter and insert counter;
-        # batch executors bind `_seq.__next__` / read `pushes` off whatever
-        # object `sim._queue` is, which is this facade for "auto" runs.
-        self._seq = self._backend._seq
-        self.pushes = 0
-
-    def __len__(self) -> int:
-        return len(self._backend)
-
-    @property
-    def backend_name(self) -> str:
-        """``"heap"`` until the width crossover, ``"calendar"`` after."""
-        return "calendar" if self._upgraded else "heap"
-
-    def alloc_seq(self) -> int:
-        """Reserve the next ordering sequence number (for the timer wheel)."""
-        return next(self._seq)
-
-    def _upgrade(self) -> None:
-        """Migrate every live entry from the heap into a calendar queue.
-
-        Entries keep their assigned ``(time, seq)`` keys and the calendar
-        queue adopts the shared sequence counter, so ordering across the
-        switch is exactly what either backend alone would produce.
-        Tombstoned (cancelled) entries are dropped during the move.
-        """
-        heap_backend = self._backend
-        calendar = EventQueue(
-            bucket_width=self._bucket_width, wheel_span=self._wheel_span
-        )
-        calendar._seq = self._seq
-        live = 0
-        for entry in heap_backend._heap:
-            if not entry[2].cancelled:
-                calendar._route(entry)
-                live += 1
-        calendar._size = live
-        heap_backend.clear()
-        self._backend = calendar
-        self._upgraded = True
-
-    def push(self, time: float, callback: Callable[..., Any], args: tuple) -> Event:
-        event = self._backend.push(time, callback, args)
-        self.pushes += 1
-        if not self._upgraded and len(self._backend) >= self._threshold:
-            self._upgrade()
-        return event
-
-    def push_entry(self, event: Event) -> None:
-        self._backend.push_entry(event)
-        self.pushes += 1
-        if not self._upgraded and len(self._backend) >= self._threshold:
-            self._upgrade()
-
-    def pop(self) -> Optional[Event]:
-        return self._backend.pop()
-
-    def pop_before(self, bound: float) -> Optional[Event]:
-        # Inclusive bound, delegated: both backends implement the same rule,
-        # so the auto migration never shifts which window an event lands in.
-        return self._backend.pop_before(bound)
-
-    def peek_time(self) -> Optional[float]:
-        return self._backend.peek_time()
-
-    def peek_key(self) -> Optional[Tuple[float, int]]:
-        return self._backend.peek_key()
-
-    def note_cancelled(self) -> None:
-        self._backend.note_cancelled()
-
-    def clear(self) -> None:
-        self._backend.clear()

@@ -5,8 +5,8 @@ of the payload (JSON-oriented, matching the paper's JSON REST API and Serf's
 UDP messages), accounts it against both endpoints' bandwidth meters, and
 schedules delivery after the topology-derived one-way latency plus jitter.
 
-Delivery scheduling is batched by default: instead of one event-queue entry
-per in-flight message, every pending delivery lives in one shared heap
+Delivery scheduling is batched: instead of one event-queue entry per
+in-flight message, every pending delivery lives in one shared heap
 ordered by its ``(time, seq)`` key, and exactly **one** recycled sentinel
 event sits in the main queue, aimed at the head message's exact key (the
 same sentinel-recycling discipline as the scheduler's timer wheel). When the
@@ -20,9 +20,10 @@ sentinels (≈1.04 deliveries per flush — all sentinel churn, no batching),
 where the shared heap sustains ~5 per flush. Delivery keys are allocated at
 *send* time from the queue's shared sequence counter and every RNG draw
 (degradation, loss, jitter) stays in the send path, so event order, RNG
-streams and all metrics are byte-identical to the unbatched reference path
-(``delivery_batching=False``), which is retained for the seeded A/B
-equivalence tests and the ``net_delivery`` benchmark.
+streams and all metrics are byte-identical to posting one event per message.
+That direct-post path is part of the hybrid (see :data:`DIRECT_POST_MAX`);
+``tests/test_sim_network_batching.py`` uses it as the oracle by pinning
+``network._direct_post_max`` to infinity.
 
 Failure injection: per-pair blocks and region partitions let tests exercise
 the store's quorum behaviour and SWIM's suspicion mechanism. Blocks and
@@ -324,12 +325,6 @@ class Network:
         base times ``1 + uniform(0, jitter_fraction)``. Must be ``>= 0`` — a
         negative fraction could otherwise schedule delivery in the simulated
         past.
-    delivery_batching:
-        When ``True`` (default) in-flight messages are bucketed into
-        per-link-latency-class delivery batches with one coalesced sentinel
-        timer per class (see the module docstring); ``False`` posts one event
-        per message, the original reference behaviour. Both produce
-        bit-identical runs.
     record_bandwidth_events:
         When ``True`` meters keep per-message timestamped events so arbitrary
         windows can be measured; when ``False`` meters keep aggregates only
@@ -350,7 +345,7 @@ class Network:
         :class:`MessageArena` and handlers receive a refilled flyweight
         ``Message`` (valid only during the handler call). Defaults to
         ``None``, which resolves to "on" exactly when the simulator runs the
-        ``v2`` profile with delivery batching; forcing it ``True`` under v1
+        ``v2`` profile; forcing it ``True`` under v1
         is allowed (the A/B tests do) and does not change event order or the
         RNG stream — only object lifetimes.
     region_rng:
@@ -374,7 +369,6 @@ class Network:
         *,
         loss_rate: float = 0.0,
         jitter_fraction: float = 0.1,
-        delivery_batching: bool = True,
         record_bandwidth_events: Optional[bool] = None,
         bandwidth_horizon: Optional[float] = None,
         message_arena: Optional[bool] = None,
@@ -468,9 +462,8 @@ class Network:
         self._drop_reason_counters: Dict[str, object] = {}
         # Delivery batching state. Sequence numbers come from the simulator
         # queue's shared counter — allocated at the same moments ``sim.post``
-        # would allocate them, so batched and unbatched runs interleave
-        # deliveries with timers identically.
-        self.delivery_batching = delivery_batching
+        # would allocate them, so batched and direct-posted deliveries
+        # interleave with timers identically.
         self._in_flight = _DeliveryBatch()
         self._queue = sim._queue
         self._alloc_seq = sim._queue._seq.__next__
@@ -482,8 +475,8 @@ class Network:
         # already met.
         self._direct_outstanding = 0
         if message_arena is None:
-            message_arena = delivery_batching and self._profile == "v2"
-        self.message_arena = message_arena and delivery_batching
+            message_arena = self._profile == "v2"
+        self.message_arena = message_arena
         self._arena = MessageArena() if self.message_arena else None
         # Flyweight refilled per arena delivery; fields are placeholders.
         self._flyweight = Message("", None, "", "", 0, 0.0)
@@ -729,14 +722,11 @@ class Network:
                    kind, payload, src, dst, wire_size, now)
             return
         batch = self._in_flight
-        if not self.delivery_batching or (
-            len(batch.heap) + self._direct_outstanding < self._direct_post_max
-        ):
-            # Reference path: fire-and-forget, one queue entry per message
-            # (deliveries are never cancelled, so no TimerHandle either).
-            # Also taken at low in-flight density even when batching is on —
-            # see DIRECT_POST_MAX; the key comes from the same counter either
-            # way, so the drain order is unchanged.
+        if len(batch.heap) + self._direct_outstanding < self._direct_post_max:
+            # Low in-flight density (see DIRECT_POST_MAX): fire-and-forget,
+            # one queue entry per message (deliveries are never cancelled, so
+            # no TimerHandle either). The key comes from the same counter
+            # either way, so the drain order is unchanged.
             self._direct_outstanding += 1
             self.sim.post(
                 latency, self._deliver,
@@ -813,7 +803,6 @@ class Network:
             degrade_rng = self._degrade_rng
         export = self._export
         remote_regions = self._remote_regions
-        delivery_batching = self.delivery_batching
         direct_max = self._direct_post_max
         batch = self._in_flight
         heap = batch.heap
@@ -865,9 +854,7 @@ class Network:
                        self._alloc_seq(), kind, payload, src, dst,
                        wire_size, now)
                 continue
-            if not delivery_batching or (
-                len(heap) + self._direct_outstanding < direct_max
-            ):
+            if len(heap) + self._direct_outstanding < direct_max:
                 self._direct_outstanding += 1
                 post(latency, deliver, Message(kind, payload, src, dst, wire_size, now))
                 continue
@@ -1062,7 +1049,7 @@ class Network:
         sequence number, so a stale cached key can only ever end the drain
         early (the sentinel re-aims and the flush resumes), never late.
 
-        The delivery body inlines :meth:`_deliver` (the reference path) —
+        The delivery body inlines :meth:`_deliver` (the direct-post path) —
         the two must stay in lockstep; the seeded A/B equivalence tests in
         ``tests/test_sim_network_batching.py`` enforce it. The only
         intentional difference: the delivered-messages counter is batched
@@ -1179,7 +1166,7 @@ class Network:
         return None
 
     def _deliver(self, message: Message) -> None:
-        """Deliver one message now (reference path; the batched flush in
+        """Deliver one message now (direct-post path; the batched flush in
         :meth:`_fire_deliveries` inlines this body — keep them in lockstep)."""
         self._direct_outstanding -= 1
         receiver = self._endpoints.get(message.dst)

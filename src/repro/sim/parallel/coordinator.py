@@ -204,7 +204,11 @@ class ParallelSimulation:
                     process.terminate()
                     process.join(timeout=5.0)
             for conn in connections:
-                conn.close()
+                try:
+                    conn.close()
+                except OSError:
+                    # Must not mask the SimulationError being propagated.
+                    pass
 
     def _send(self, index: int, connections, processes, message) -> None:
         """Send a command to worker ``index``; a broken pipe (the worker
@@ -212,7 +216,7 @@ class ParallelSimulation:
         clear diagnostics ``_receive`` produces, never a raw OS error."""
         try:
             connections[index].send(message)
-        except (BrokenPipeError, OSError):
+        except OSError:
             # Drain the worker's side of the pipe: an ("error", traceback)
             # reply raises with the real cause; a silent death raises the
             # died-mid-run error. Either way _receive raises.
@@ -224,26 +228,29 @@ class ParallelSimulation:
         conn = connections[index]
         process = processes[index]
         while True:
-            if conn.poll(_POLL_INTERVAL):
-                try:
+            # A worker killed mid-write resets the pipe, which surfaces from
+            # poll/recv as ConnectionResetError (an OSError) rather than the
+            # EOFError of a clean close; both mean the worker is gone.
+            try:
+                if conn.poll(_POLL_INTERVAL):
                     reply = conn.recv()
-                except EOFError:
-                    self._worker_failed(index, process, "closed its pipe")
-                if reply[0] == "error":
-                    raise SimulationError(
-                        f"parallel worker {index} "
-                        f"(regions {', '.join(self.assignments[index])}) "
-                        f"failed:\n{reply[1]}"
-                    )
-                return reply
-            if not process.is_alive():
-                # One last poll: the worker may have replied and exited
-                # before the liveness check saw it die.
-                if conn.poll(0):
+                elif process.is_alive() or conn.poll(0):
+                    # Still working — or it replied and exited between the
+                    # timed poll and the liveness check.
                     continue
-                self._worker_failed(
-                    index, process, f"died (exit code {process.exitcode})"
+                else:
+                    self._worker_failed(
+                        index, process, f"died (exit code {process.exitcode})"
+                    )
+            except (EOFError, OSError):
+                self._worker_failed(index, process, "closed its pipe")
+            if reply[0] == "error":
+                raise SimulationError(
+                    f"parallel worker {index} "
+                    f"(regions {', '.join(self.assignments[index])}) "
+                    f"failed:\n{reply[1]}"
                 )
+            return reply
 
     def _worker_failed(self, index: int, process, what: str) -> None:
         raise SimulationError(

@@ -125,5 +125,5 @@ def worker_main(
         try:
             conn.send(("error", traceback.format_exc()))
             conn.close()
-        except (BrokenPipeError, OSError):  # coordinator already gone
+        except OSError:  # coordinator already gone
             pass

@@ -34,7 +34,6 @@ from repro.faults.plan import FaultPlan, PartitionRegions
 from repro.gossip.agent import SerfAgent, SerfConfig
 from repro.gossip.member import Member, MemberState
 from repro.gossip.membership import NodeDirectory
-from repro.gossip.probe import RegionProbeBatcher
 from repro.sim.loop import Simulator
 from repro.sim.network import Network
 from repro.sim.parallel.coordinator import ParallelSimulation
@@ -72,7 +71,6 @@ def _build_shard(
     owned = set(owned_regions)
     config = SerfConfig(sync_interval=30.0)
     directory = NodeDirectory()
-    batcher = RegionProbeBatcher(sim, config.probe_interval)
 
     address_regions = {
         f"a{i}": regions[i % len(regions)] for i in range(nodes)
@@ -90,7 +88,7 @@ def _build_shard(
             continue
         agent = SerfAgent(
             sim, network, f"n{i}", f"a{i}", region, config,
-            membership="table", directory=directory, probe_batcher=batcher,
+            directory=directory,
         )
         agents.append(agent)
         local_index[i] = agent

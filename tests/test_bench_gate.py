@@ -57,6 +57,28 @@ class TestMissingBenches:
         assert check(baseline, candidate) == []
 
 
+class TestSingleArmPoints:
+    """event_loop / timer_storm / swim_full carry no naive arm any more."""
+
+    @staticmethod
+    def report(*, quick, pr1_ratio=2.2):
+        report = kernel_report(quick=quick, benches=())
+        report["results"] = {
+            "event_loop": {"ops_per_sec": 6e5, "speedup_vs_pr1_baseline": pr1_ratio},
+            "timer_storm": {"ops_per_sec": 6e5},
+        }
+        return report
+
+    def test_points_without_a_speedup_key_pass(self):
+        assert check(self.report(quick=False), self.report(quick=True)) == []
+
+    def test_baseline_below_pr1_acceptance_bar_fails(self):
+        failures = check(
+            self.report(quick=False, pr1_ratio=1.7), self.report(quick=True)
+        )
+        assert any("PR 1 constant" in f for f in failures)
+
+
 class TestNoKeyErrors:
     def test_empty_reports_fail_without_raising(self):
         failures = check({}, {})

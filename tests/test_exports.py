@@ -35,6 +35,19 @@ class TestPublicSurface:
         assert exported == sorted(exported), f"{name}.__all__ is not sorted"
         assert len(exported) == len(set(exported)), f"{name}.__all__ has duplicates"
 
+    def test_oracles_are_not_exported(self):
+        """The reference arms live in tests/oracles/, not in the packages."""
+        import repro.gossip
+        import repro.sim
+
+        for module, gone in (
+            (repro.sim, "HeapEventQueue"),
+            (repro.gossip, "MemberList"),
+            (repro.gossip, "RegionProbeBatcher"),
+        ):
+            assert gone not in module.__all__
+            assert not hasattr(module, gone)
+
     def test_headline_symbols_reachable(self):
         from repro.core import FocusConfig, FocusService, NodeAgent, Query  # noqa: F401
         from repro.gossip import SerfAgent, SwimAgent  # noqa: F401

@@ -1,14 +1,24 @@
-"""Unit and property tests for membership records and SWIM ordering rules."""
+"""Unit and property tests for membership records and SWIM ordering rules.
 
+The view-level properties run against both the kernel's
+:class:`MembershipTable` and its dict-of-``Member`` oracle.
+"""
+
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.gossip.member import (
     Member,
-    MemberList,
     MemberState,
     RANK_BY_VALUE,
     STATE_BY_VALUE,
     supersedes,
+)
+from repro.gossip.membership import MembershipTable
+from tests.oracles.member_list import MemberList
+
+both_views = pytest.mark.parametrize(
+    "view", [MembershipTable, MemberList], ids=["table", "dict-oracle"]
 )
 
 states = st.sampled_from(list(MemberState))
@@ -69,40 +79,41 @@ class TestWireRoundtrip:
             assert state.value in RANK_BY_VALUE
 
 
-class TestMemberList:
-    def test_apply_new_member(self):
-        ml = MemberList("self")
+@both_views
+class TestMembershipView:
+    def test_apply_new_member(self, view):
+        ml = view("self")
         assert ml.apply(member("a"))
         assert "a" in ml
         assert len(ml) == 1
 
-    def test_apply_stale_update_rejected(self):
-        ml = MemberList("self")
+    def test_apply_stale_update_rejected(self, view):
+        ml = view("self")
         ml.apply(member("a", MemberState.DEAD, inc=2))
         assert not ml.apply(member("a", MemberState.ALIVE, inc=1))
         assert ml.get("a").state == MemberState.DEAD
 
-    def test_alive_excludes_dead(self):
-        ml = MemberList("self")
+    def test_alive_excludes_dead(self, view):
+        ml = view("self")
         ml.apply(member("a"))
         ml.apply(member("b", MemberState.DEAD))
         assert ml.alive_names() == ["a"]
 
-    def test_alive_exclude_self(self):
-        ml = MemberList("a")
+    def test_alive_exclude_self(self, view):
+        ml = view("a")
         ml.apply(member("a"))
         ml.apply(member("b"))
         assert ml.alive_names(exclude_self=True) == ["b"]
 
-    def test_remove(self):
-        ml = MemberList("self")
+    def test_remove(self, view):
+        ml = view("self")
         ml.apply(member("a"))
         ml.remove("a")
         assert "a" not in ml
         assert ml.alive_count == 0
 
-    def test_snapshot_size_tracks_members(self):
-        ml = MemberList("self")
+    def test_snapshot_size_tracks_members(self, view):
+        ml = view("self")
         empty = ml.snapshot_size()
         ml.apply(member("a"))
         assert ml.snapshot_size() > empty
@@ -113,9 +124,9 @@ class TestMemberList:
             max_size=40,
         )
     )
-    def test_alive_count_invariant(self, updates):
+    def test_alive_count_invariant(self, view, updates):
         """The incremental alive counter always equals the recount."""
-        ml = MemberList("self")
+        ml = view("self")
         for name, state, inc in updates:
             ml.apply(Member(name, f"{name}/addr", "r", incarnation=inc, state=state))
             assert ml.alive_count == len(ml.alive())
@@ -126,10 +137,10 @@ class TestMemberList:
             max_size=30,
         )
     )
-    def test_convergent_regardless_of_order(self, updates):
+    def test_convergent_regardless_of_order(self, view, updates):
         """Applying the same updates in any order converges to the same view."""
-        forward = MemberList("self")
-        backward = MemberList("self")
+        forward = view("self")
+        backward = view("self")
         for name, state, inc in updates:
             forward.apply(Member(name, f"{name}/a", "r", incarnation=inc, state=state))
         for name, state, inc in reversed(updates):

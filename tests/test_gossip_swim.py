@@ -101,6 +101,21 @@ class TestFailureDetection:
                 assert record is not None and record.state == MemberState.ALIVE
 
 
+    def test_paused_agent_records_no_probes(self, sim, network, regions):
+        """A frozen agent's probe timer keeps ticking but must not record
+        probes it never sent — Process.every skips the firing."""
+        agents = build_group(sim, network, 4, regions)
+        sim.run_until(3.0)
+        frozen = agents[1]
+        frozen.pause()
+        seq_before = frozen._seq
+        sim.run_until(6.0)
+        assert frozen._seq == seq_before
+        frozen.resume()
+        sim.run_until(9.0)
+        assert frozen._seq > seq_before
+
+
 class TestLeave:
     def test_graceful_leave_propagates(self, sim, network, regions):
         agents = build_group(sim, network, 6, regions)

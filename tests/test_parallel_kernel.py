@@ -14,7 +14,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.faults.plan import ChurnBurst, DegradeLink, FaultPlan
-from repro.sim.loop import Simulator
 from repro.sim.parallel import (
     ParallelSimulation,
     assign_regions,
@@ -101,14 +100,6 @@ def test_worker_death_surfaces_clear_error_not_hang():
 
 
 # ------------------------------------------------------------- validation
-def test_simulator_workers_knob_validated():
-    with pytest.raises(SimulationError, match="workers"):
-        Simulator(workers=0)
-    with pytest.raises(SimulationError, match="workers"):
-        Simulator(workers=2.5)
-    assert Simulator(workers=3).workers == 3
-
-
 def test_window_wider_than_lookahead_rejected():
     lookahead = Topology().min_inter_region_latency()
     with pytest.raises(SimulationError, match="lookahead"):

@@ -10,9 +10,9 @@ v1's. What must hold instead:
 * v2 is exactly as deterministic as v1: same seed, same checksum, across
   runs and platforms (the numpy seed derivation hashes the label with
   sha256, so no ``PYTHONHASHSEED`` dependence);
-* within v2, every implementation arm (membership backend, delivery
-  batching, arena on/off, GC freeze on/off) is byte-identical to every
-  other — the profile is the *only* sanctioned source of divergence;
+* within v2, every implementation arm (batched vs direct-post delivery,
+  arena on/off, GC freeze on/off) is byte-identical to every other — the
+  profile is the *only* sanctioned source of divergence;
 * v1 and v2 agree statistically: same converged membership views, same
   failure detections, event/byte totals within a few percent;
 * arena-backed message records round-trip bit-identically to object-backed
@@ -47,8 +47,7 @@ def swim_profile_run(
     seed: int = 99,
     num_nodes: int = 6,
     duration: float = 15.0,
-    membership: str = "table",
-    delivery_batching: bool = True,
+    direct_post_only: bool = False,
     message_arena=None,
     freeze: bool = False,
     crash_at=None,
@@ -63,17 +62,15 @@ def swim_profile_run(
     """
     sim = Simulator(seed=seed, profile=profile)
     topology = Topology()
-    network = Network(
-        sim, topology,
-        delivery_batching=delivery_batching,
-        message_arena=message_arena,
-    )
+    network = Network(sim, topology, message_arena=message_arena)
+    if direct_post_only:
+        network._direct_post_max = float("inf")  # the unbatched oracle
     regions = [r.name for r in topology.regions]
     agents = []
     for i in range(num_nodes):
         agent = SwimAgent(
             sim, network, f"n{i}", f"a{i}", regions[i % len(regions)],
-            SwimConfig(sync_interval=5.0), membership=membership,
+            SwimConfig(sync_interval=5.0),
         )
         agent.start()
         agents.append(agent)
@@ -173,12 +170,11 @@ class TestV2Determinism:
         assert swim_profile_run(profile="v2") != swim_profile_run(profile="v1")
 
     def test_v2_arms_byte_identical(self):
-        """Membership backend, delivery batching, arena, and GC freeze are
-        all implementation details *within* the v2 stream."""
+        """Delivery batching, arena, and GC freeze are all implementation
+        details *within* the v2 stream."""
         reference = swim_profile_run(profile="v2")
         arms = [
-            dict(membership="dict"),
-            dict(delivery_batching=False),
+            dict(direct_post_only=True),
             dict(message_arena=False),
             dict(freeze=True),
         ]

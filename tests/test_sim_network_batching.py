@@ -1,13 +1,16 @@
 """Batched delivery equivalence and in-flight fault accounting.
 
-The delivery batcher buckets in-flight messages into per-``(src-region,
-dst-region, jitter-bucket)`` classes with one coalesced sentinel event each;
-it must be *invisible* — same event order, same RNG draws, same bytes on the
-wire as the one-event-per-message reference path. These tests pin that
-equivalence (seeded full-protocol run + a Hypothesis sweep over random
-topologies and fault plans), plus the drop-accounting bugfixes that rode
-along: in-flight partition/block re-checks, dead-destination partition
-attribution, and jitter/loss validation with a latency clamp.
+The delivery batcher parks in-flight messages in one shared heap behind a
+single coalesced sentinel event; it must be *invisible* — same event order,
+same RNG draws, same bytes on the wire as posting one event per message.
+That direct-post path is part of the shipped hybrid (taken below
+``DIRECT_POST_MAX`` in-flight messages), so the oracle arm here is the same
+``Network`` with ``_direct_post_max`` pinned to infinity: every message is
+direct-posted, none is batched. These tests pin the equivalence (seeded
+full-protocol run + a Hypothesis sweep over random topologies and fault
+plans), plus the drop-accounting bugfixes that rode along: in-flight
+partition/block re-checks, dead-destination partition attribution, and
+jitter/loss validation with a latency clamp.
 """
 
 from __future__ import annotations
@@ -27,6 +30,14 @@ from repro.faults import (
 from repro.gossip.swim import SwimAgent, SwimConfig
 from repro.sim import Network, Region, Simulator, Topology
 from repro.sim.process import Process
+
+
+def make_network(sim, topology, *, batched, **kwargs):
+    """The shipped network, or (``batched=False``) its direct-post oracle."""
+    network = Network(sim, topology, **kwargs)
+    if not batched:
+        network._direct_post_max = float("inf")
+    return network
 
 
 class Chatter(Process):
@@ -51,7 +62,7 @@ class Chatter(Process):
 
 
 def network_summary(sim, network, trace):
-    """Everything an unbatched/batched pair must agree on, bit for bit."""
+    """Everything a direct-post/batched pair must agree on, bit for bit."""
     meters = {
         address: (
             meter.bytes_sent,
@@ -87,12 +98,12 @@ def chatter_run(
 ):
     sim = Simulator(seed=seed)
     topo = topology if topology is not None else Topology()
-    network = Network(
+    network = make_network(
         sim,
         topo,
+        batched=batched,
         loss_rate=loss_rate,
         jitter_fraction=jitter_fraction,
-        delivery_batching=batched,
     )
     regions = [r.name for r in topo.regions]
     trace = []
@@ -120,8 +131,8 @@ def swim_run(*, batched, seed=7, num_nodes=10, duration=8.0, loss_rate=0.05):
     """Full SWIM protocol (probes, suspicion, piggyback gossip, sync)."""
     sim = Simulator(seed=seed)
     topology = Topology()
-    network = Network(
-        sim, topology, loss_rate=loss_rate, delivery_batching=batched
+    network = make_network(
+        sim, topology, batched=batched, loss_rate=loss_rate
     )
     regions = [r.name for r in topology.regions]
     trace = []
@@ -155,6 +166,27 @@ class TestBatchedEquivalence:
         batched = swim_run(batched=True)
         assert batched == reference
 
+    def test_arms_exercise_different_paths(self):
+        """Guard the seam: the oracle arm never touches the shared heap, the
+        shipped arm does — otherwise the A/B above compares a path to itself."""
+        for batched in (False, True):
+            sim = Simulator(seed=7)
+            network = make_network(sim, Topology(), batched=batched)
+            regions = [r.name for r in network.topology.regions]
+            parked = []
+            nodes = [
+                Chatter(sim, network, f"c{i}", regions[i % len(regions)],
+                        f"c{(i + 1) % 12}", 0.01)
+                for i in range(12)
+            ]
+            for node in nodes:
+                node.start()
+            network.add_delivery_tap(
+                lambda m: parked.append(len(network._in_flight.heap))
+            )
+            sim.run_until(0.5)
+            assert (max(parked) > 0) is batched
+
     def test_lossless_low_jitter_identical(self):
         reference = chatter_run(batched=False, seed=3, jitter_fraction=0.0)
         batched = chatter_run(batched=True, seed=3, jitter_fraction=0.0)
@@ -167,7 +199,7 @@ class TestBatchedEquivalence:
 
         def sliced(batched):
             sim = Simulator(seed=5)
-            network = Network(sim, Topology(), delivery_batching=batched)
+            network = make_network(sim, Topology(), batched=batched)
             regions = [r.name for r in network.topology.regions]
             trace = []
             network.add_delivery_tap(
@@ -310,7 +342,8 @@ class TestBatchedEquivalenceProperty:
     ):
         """Across random topologies, jitter/loss settings and fault plans
         (partitions with heals, degraded links, crash/restart), the batched
-        path produces the identical delivery trace, counters and meters."""
+        path produces the identical delivery trace, counters and meters as
+        the direct-post oracle."""
         kwargs = dict(
             seed=seed,
             topology=topology,
@@ -482,8 +515,8 @@ class TestParameterValidationAndClamp:
         topo = Topology(
             [Region("weird", 0.0, 0.0)], intra_region_latency=-0.002
         )
-        network = Network(
-            sim, topo, jitter_fraction=0.0, delivery_batching=batched
+        network = make_network(
+            sim, topo, batched=batched, jitter_fraction=0.0
         )
         a = Chatter(sim, network, "a", "weird", "b", 1000.0)
         b = Chatter(sim, network, "b", "weird", "a", 1000.0)

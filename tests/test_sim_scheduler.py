@@ -1,8 +1,9 @@
 """Scheduler equivalence and edge-case tests.
 
-The calendar-queue/heap hybrid (``scheduler="calendar"``) and the timer
-wheel (``coalesce_timers=True``) must be *bit-identical* to the reference
-single-heap scheduler: same event order, same RNG draws, same
+The calendar-queue/heap hybrid and the timer wheel — the kernel's only
+scheduler and only periodic-timer path — must be *bit-identical* to their
+oracles in ``tests/oracles/``: a single binary heap and a timer that
+re-schedules itself every firing. Same event order, same RNG draws, same
 ``events_processed``, same metrics. These tests pin that equivalence on a
 real seeded SWIM run and on randomized synthetic workloads, then cover the
 edge cases a bucketed scheduler can get wrong: bucket-boundary exactness,
@@ -10,30 +11,40 @@ cancellation races, tombstone compaction, overflow migration, and the
 timer-wheel interval-class bookkeeping.
 """
 
+import functools
 import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.sim.loop
 from repro.errors import SimulationError
 from repro.gossip.swim import SwimAgent, SwimConfig
 from repro.sim import Network, Simulator, Topology
 from repro.sim.events import DEFAULT_BUCKET_WIDTH, EventQueue
+from tests.arms import kernel
+from tests.oracles.heap_queue import HeapEventQueue
+from tests.oracles.self_timer import SelfReschedulingTimer
 
+#: (queue, timers) arms; ``("calendar", "wheel")`` is the kernel as shipped,
+#: the others swap in one or both oracles from the test side.
 CONFIGS = [
-    ("heap", False),
-    ("heap", True),
-    ("calendar", False),
-    ("calendar", True),
+    ("heap", "self"),
+    ("heap", "wheel"),
+    ("calendar", "self"),
+    ("calendar", "wheel"),
 ]
 
-CONFIG_IDS = [f"{s}-{'wheel' if c else 'plain'}" for s, c in CONFIGS]
+
+def swim_summary(queue: str, timers: str, seed: int = 7) -> str:
+    """Canonical JSON summary of a seeded SWIM run under one arm."""
+    with kernel(queue, timers):
+        sim = Simulator(seed=seed)
+        return _swim_summary(sim)
 
 
-def swim_summary(scheduler: str, coalesce: bool, seed: int = 7) -> str:
-    """Canonical JSON summary of a seeded SWIM run under one scheduler."""
-    sim = Simulator(seed=seed, scheduler=scheduler, coalesce_timers=coalesce)
+def _swim_summary(sim: Simulator) -> str:
     topology = Topology()
     network = Network(sim, topology)
     regions = [r.name for r in topology.regions]
@@ -77,89 +88,77 @@ def swim_summary(scheduler: str, coalesce: bool, seed: int = 7) -> str:
 
 
 class TestSchedulerEquivalence:
-    """The acceptance gate: every backend produces the same bytes."""
+    """The acceptance gate: the kernel reproduces its oracles' bytes."""
 
     def test_swim_run_identical_across_all_configs(self):
-        reference = swim_summary("heap", False)
-        for scheduler, coalesce in CONFIGS[1:]:
-            assert swim_summary(scheduler, coalesce) == reference, (
-                f"{scheduler}/coalesce={coalesce} diverged from heap baseline"
+        reference = swim_summary("heap", "self")
+        for queue, timers in CONFIGS[1:]:
+            assert swim_summary(queue, timers) == reference, (
+                f"{queue}/{timers} diverged from the heap + self-timer oracle"
             )
+
+    def test_oracles_are_actually_substituted(self):
+        """Guard the seam itself: a renamed module global would otherwise
+        turn every equivalence test into kernel-vs-kernel."""
+        with kernel("heap", "self"):
+            sim = Simulator(seed=0)
+            timer = sim.call_every(1.0, lambda: None)
+        assert isinstance(sim._queue, HeapEventQueue)
+        assert isinstance(timer, SelfReschedulingTimer)
+        sim = Simulator(seed=0)
+        assert type(sim._queue) is EventQueue
+        assert type(sim.call_every(1.0, lambda: None)) is (
+            repro.sim.loop.RepeatingTimer
+        )
 
     def test_synthetic_timer_storm_trace_identical(self):
         """Mixed-interval repeating timers: exact (time, seq, cb) traces."""
 
-        def trace(scheduler, coalesce):
-            sim = Simulator(seed=3, scheduler=scheduler, coalesce_timers=coalesce)
-            log = []
-            timers = []
-            for i, interval in enumerate([0.1, 0.1, 0.25, 0.25, 1.0, 0.1]):
-                timers.append(
-                    sim.call_every(
-                        interval,
-                        (lambda i=i: log.append((round(sim.now, 9), i))),
-                        jitter=interval * 0.1,
-                        rng=sim.derive_rng(f"t{i}"),
+        def trace(queue, timers):
+            with kernel(queue, timers):
+                sim = Simulator(seed=3)
+                log = []
+                handles = []
+                for i, interval in enumerate([0.1, 0.1, 0.25, 0.25, 1.0, 0.1]):
+                    handles.append(
+                        sim.call_every(
+                            interval,
+                            (lambda i=i: log.append((round(sim.now, 9), i))),
+                            jitter=interval * 0.1,
+                            rng=sim.derive_rng(f"t{i}"),
+                        )
                     )
-                )
-            sim.schedule(2.0, timers[1].stop)
-            sim.schedule(3.0, lambda: timers[2].set_interval(0.5))
-            sim.run_until(6.0)
-            return log, sim.events_processed
+                sim.schedule(2.0, handles[1].stop)
+                sim.schedule(3.0, lambda: handles[2].set_interval(0.5))
+                sim.run_until(6.0)
+                return log, sim.events_processed
 
-        reference = trace("heap", False)
-        for scheduler, coalesce in CONFIGS[1:]:
-            assert trace(scheduler, coalesce) == reference
+        reference = trace("heap", "self")
+        for queue, timers in CONFIGS[1:]:
+            assert trace(queue, timers) == reference
 
-    def test_auto_backend_matches_reference(self):
-        """The width-adaptive facade is just another bit-identical backend."""
-        reference = swim_summary("heap", False)
-        assert swim_summary("auto", False) == reference
-        assert swim_summary("auto", True) == reference
+    def test_wide_queue_matches_heap_oracle(self):
+        """2048+ pending one-shots (the live width the old "auto" backend
+        switched at), some tombstoned, all at distinct-or-tied stamps."""
 
-    def test_auto_upgrades_at_threshold_and_preserves_order(self):
-        """Crossing the live-width threshold migrates heap -> calendar with
-        every pending (time, seq) key intact and tombstones dropped."""
-        from repro.sim.events import AutoEventQueue
+        def drive(queue):
+            with kernel(queue):
+                sim = Simulator(seed=0)
+            fired = []
+            rng = random.Random(5)
+            delays = [rng.random() * 30.0 for _ in range(2048 + 64)]
+            handles = [
+                sim.schedule(d, lambda i=i: fired.append(i))
+                for i, d in enumerate(delays)
+            ]
+            for i in range(0, 32, 2):
+                handles[i].cancel()
+            for i in range(20):  # same stamp: ordering is purely by seq
+                sim.schedule(31.0, lambda i=i: fired.append(("tie", i)))
+            sim.run_until(40.0)
+            return fired, sim.events_processed
 
-        sim = Simulator(seed=0, scheduler="auto")
-        queue = sim._queue
-        assert isinstance(queue, AutoEventQueue)
-        assert queue.backend_name == "heap"
-        queue._threshold = 24
-        fired = []
-        rng = random.Random(5)
-        delays = [rng.random() * 30.0 for _ in range(64)]
-        handles = [
-            sim.schedule(d, lambda i=i: fired.append(i))
-            for i, d in enumerate(delays)
-        ]
-        for i in range(0, 16, 2):  # tombstone some pre-migration entries
-            handles[i].cancel()
-        assert queue.backend_name == "calendar"
-        sim.run_until(40.0)
-        cancelled = set(range(0, 16, 2))
-        expected = [
-            i for i, _ in sorted(enumerate(delays), key=lambda p: (p[1], p[0]))
-            if i not in cancelled
-        ]
-        assert fired == expected
-
-    def test_auto_seq_counter_shared_across_migration(self):
-        """Events keyed before and after the upgrade interleave correctly —
-        the sequence counter must be one stream across both backends."""
-        from repro.sim.events import AutoEventQueue
-
-        sim = Simulator(seed=0, scheduler="auto")
-        assert isinstance(sim._queue, AutoEventQueue)
-        sim._queue._threshold = 8
-        fired = []
-        # Same target time for everything: ordering is decided purely by seq.
-        for i in range(20):
-            sim.schedule(1.0, lambda i=i: fired.append(i))
-        assert sim._queue.backend_name == "calendar"
-        sim.run_until(2.0)
-        assert fired == list(range(20))
+        assert drive("calendar") == drive("heap")
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**6))
@@ -174,8 +173,9 @@ class TestSchedulerEquivalence:
             # bucket inserts, front pushes and overflow all get exercised.
             ops.append((t, rng.random() * 40.0, rng.random() < 0.25))
 
-        def run(scheduler):
-            sim = Simulator(seed=0, scheduler=scheduler)
+        def run(queue):
+            with kernel(queue):
+                sim = Simulator(seed=0)
             fired = []
             for i, (at, delay, cancel) in enumerate(ops):
                 def arm(i=i, delay=delay, cancel=cancel):
@@ -186,15 +186,13 @@ class TestSchedulerEquivalence:
             sim.run_until(120.0)
             return fired, sim.events_processed
 
-        reference = run("heap")
-        assert run("calendar") == reference
-        assert run("auto") == reference
+        assert run("calendar") == run("heap")
 
 
 class TestCalendarQueueEdges:
     def test_run_until_exact_at_bucket_edge(self):
         """Events exactly on a bucket boundary fire when the clock reaches it."""
-        sim = Simulator(seed=0, scheduler="calendar")
+        sim = Simulator(seed=0)
         width = sim._queue.bucket_width
         fired = []
         for k in (1, 2, 3):
@@ -207,7 +205,7 @@ class TestCalendarQueueEdges:
 
     def test_zero_delay_self_rescheduling(self):
         """Zero-delay chains land in the already-draining front bucket."""
-        sim = Simulator(seed=0, scheduler="calendar")
+        sim = Simulator(seed=0)
         hits = []
 
         def chain(n):
@@ -222,7 +220,7 @@ class TestCalendarQueueEdges:
 
     def test_cancel_then_fire_race_across_bucket_boundary(self):
         """Cancelling from an earlier bucket suppresses a later-bucket event."""
-        sim = Simulator(seed=0, scheduler="calendar")
+        sim = Simulator(seed=0)
         width = sim._queue.bucket_width
         fired = []
         victim = sim.schedule(2.5 * width, lambda: fired.append("victim"))
@@ -234,7 +232,12 @@ class TestCalendarQueueEdges:
 
     def test_overflow_migrates_into_wheel(self):
         """Far-future events beyond the horizon still fire, in order."""
-        sim = Simulator(seed=0, scheduler="calendar", wheel_span=8)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                repro.sim.loop, "EventQueue",
+                functools.partial(EventQueue, wheel_span=8),
+            )
+            sim = Simulator(seed=0)
         width = sim._queue.bucket_width
         horizon = 8 * width
         fired = []
@@ -247,7 +250,7 @@ class TestCalendarQueueEdges:
 
     def test_overflow_only_queue_jumps_window(self):
         """An empty wheel with a distant head jumps instead of spinning."""
-        sim = Simulator(seed=0, scheduler="calendar")
+        sim = Simulator(seed=0)
         fired = []
         sim.schedule(10_000.0, lambda: fired.append("far"))
         sim.run_until(10_000.0)
@@ -289,9 +292,13 @@ class TestCalendarQueueEdges:
             queue.pop()
         assert len(queue) == 0
 
-    def test_bad_scheduler_name_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator(scheduler="fifo")
+    @pytest.mark.parametrize("knob", [
+        dict(scheduler="heap"), dict(coalesce_timers=False),
+        dict(bucket_width=0.1), dict(wheel_span=8), dict(workers=2),
+    ])
+    def test_removed_knobs_are_type_errors(self, knob):
+        with pytest.raises(TypeError):
+            Simulator(**knob)
 
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):
@@ -388,12 +395,13 @@ class TestTimerWheel:
         with pytest.raises(SimulationError):
             timer.start()
 
-    def test_wheel_off_matches_wheel_on_per_timer_state(self):
+    def test_wheel_matches_self_timer_oracle_per_timer_state(self):
         traces = {}
-        for coalesce in (False, True):
-            sim = Simulator(seed=5, coalesce_timers=coalesce)
-            fired = []
-            sim.call_every(0.25, lambda: fired.append(round(sim.now, 9)))
-            sim.run_until(2.0)
-            traces[coalesce] = fired
-        assert traces[False] == traces[True] != []
+        for timers in ("self", "wheel"):
+            with kernel(timers=timers):
+                sim = Simulator(seed=5)
+                fired = []
+                sim.call_every(0.25, lambda: fired.append(round(sim.now, 9)))
+                sim.run_until(2.0)
+            traces[timers] = fired
+        assert traces["self"] == traces["wheel"] != []
