@@ -16,7 +16,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: check lint test scheduler-equivalence global-state-gate \
         parallel-equivalence bench-gate bench-kernel \
         bench-kernel-smoke bench chaos-smoke bench-shards bench-shards-smoke \
-        bench-overload bench-overload-smoke focusbench-smoke
+        bench-overload bench-overload-smoke focusbench-smoke digest-diff
 
 check: lint test scheduler-equivalence global-state-gate bench-gate chaos-smoke \
        focusbench-smoke
@@ -80,6 +80,15 @@ chaos-smoke:
 # not break benchmarks/focusbench unnoticed.
 focusbench-smoke:
 	$(PYTHON) -m pytest benchmarks/focusbench -q
+
+# "Byte stream unchanged" as a command: one smoke focusbench rep per workload
+# and seed on the committed files of BASE and on this tree, digests side by
+# side, non-zero exit on any difference. Nothing is pinned, so a change that
+# moves bytes on purpose reports it here instead of editing a constant.
+BASE ?= HEAD~1
+digest-diff:
+	$(PYTHON) benchmarks/digest_diff.py --base $(BASE) \
+		$(if $(DIGEST_SUMMARY),--summary $(DIGEST_SUMMARY))
 
 bench-kernel:
 	$(PYTHON) benchmarks/bench_kernel.py

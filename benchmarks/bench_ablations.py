@@ -36,8 +36,10 @@ def test_ablation_gossip_fanout(benchmark, record_rows):
 
     def run_point(fanout: int) -> dict:
         serf = SerfConfig(gossip_fanout=fanout, gossip_interval=0.1)
+        # The member window starts mid-run: keep the per-message meter log.
         scenario = build_single_group_cluster(
-            group_size, seed=BENCH_SEED, serf_config=serf
+            group_size, seed=BENCH_SEED, serf_config=serf,
+            record_bandwidth_events=True,
         )
         scenario.sim.run_until(5.0)
         query = Query([QueryTerm.at_least("load", 0.0)], freshness_ms=0.0)

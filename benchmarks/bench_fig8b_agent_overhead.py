@@ -35,7 +35,10 @@ def node_bandwidth_kbps(scenario, node_id: str, start: float, end: float) -> flo
 
 
 def run_point(group_size: int) -> dict:
-    scenario = build_single_group_cluster(group_size, seed=BENCH_SEED)
+    # Windows that start mid-run need the per-message meter log.
+    scenario = build_single_group_cluster(
+        group_size, seed=BENCH_SEED, record_bandwidth_events=True
+    )
     sim = scenario.sim
     sim.run_until(5.0)
 

@@ -24,7 +24,6 @@ def main() -> None:
     config = FocusConfig(cache_enabled=False)
     scenario = build_focus_cluster(
         NUM_NODES, seed=33, config=config, warm_start=True, with_store=False,
-        record_bandwidth_events=False,
     )
     drain(scenario, 5.0)
 

@@ -194,8 +194,7 @@ def cmd_trace(args) -> int:
 
     scenario = build_focus_cluster(
         args.nodes, seed=args.seed, config=_Config(cache_enabled=False),
-        warm_start=True, with_store=False, record_bandwidth_events=False,
-        profile=args.profile,
+        warm_start=True, with_store=False, profile=args.profile,
     )
     drain(scenario, 3.0)
     generator = ChameleonTraceGenerator(seed=1)

@@ -17,12 +17,12 @@ Two cooperating pieces run on every node:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.core.config import FocusConfig
 from repro.core.groups import serf_address
-from repro.core.query import Query
-from repro.gossip.agent import SerfAgent
+from repro.core.query import DecodedQueryJson, Query
+from repro.gossip.agent import SerfAgent, SerfConfig
 from repro.sim.loop import RepeatingTimer, Simulator
 from repro.sim.network import Network
 from repro.sim.process import Process
@@ -82,6 +82,10 @@ class NodeAgent(Process, RpcMixin):
         self._skip_registration = False
         self._moving: set = set()
         self._rng = sim.derive_rng(f"agent/{node_id}")
+        #: Serf address -> the id sequence shared by every p2p agent this node
+        #: has run there since it started, so a group it leaves and re-enters
+        #: never sees one of its query ids twice.
+        self._serf_event_ids: Dict[str, Iterator[int]] = {}
 
         #: Materialized views (§XII extension): definitions this node knows,
         #: and the view groups it currently belongs to.
@@ -122,6 +126,12 @@ class NodeAgent(Process, RpcMixin):
         self._moving.clear()
         self._joining_views.clear()
         self.reset_rpc()
+        # Nor do its id counters survive: a restarted node numbers from q1
+        # again, as a crashed process would. Peers that remember the old q1
+        # ignore the new one until the numbering passes it (ROADMAP 0(b));
+        # ids that outlive a crash change the seeded crash scenario's report
+        # and wait for the re-pin of BENCH_chaos.json.
+        self._serf_event_ids.clear()
 
     def restart(self) -> None:
         """Crash recovery: come back up and re-register with the service.
@@ -217,22 +227,15 @@ class NodeAgent(Process, RpcMixin):
         group = str(suggestion["name"])
         attribute = str(suggestion["attribute"])
         low, high = suggestion["range"]  # type: ignore[misc]
-        address = serf_address(self.node_id, group)
         old = self.memberships.get(attribute)
         if old is not None and old.group == group:
             return
-        if self.network.is_registered(address):
-            # Rejoining a group whose previous serf agent is still draining
-            # its graceful leave: tear it down immediately.
-            self.network.endpoint(address).stop()  # type: ignore[attr-defined]
         serf_config = self.config.serf
         fanout = suggestion.get("fanout")
         if fanout is not None and fanout != serf_config.gossip_fanout:
             # §XII: this group runs at its own fanout (time-sensitive apps).
             serf_config = replace(serf_config, gossip_fanout=int(fanout))
-        serf = SerfAgent(self.sim, self.network, self.node_id, address, self.region, serf_config)
-        serf.on_query(GROUP_QUERY_EVENT, self._answer_group_query)
-        serf.start()
+        serf = self._start_serf(group, serf_config)
         membership = GroupMembership(group, attribute, float(low), float(high), serf)
         self.memberships[attribute] = membership
         entry_points = list(suggestion.get("entry_points") or ())
@@ -241,6 +244,22 @@ class NodeAgent(Process, RpcMixin):
             self.after(JOIN_VERIFY_DELAY, self._verify_join, attribute, group)
         if suggestion.get("representative"):
             self._start_reporting(membership, float(suggestion.get("report_interval", 5.0)))
+
+    def _start_serf(self, group: str, serf_config: SerfConfig) -> SerfAgent:
+        """Start this node's p2p agent for ``group`` (attribute or view)."""
+        address = serf_address(self.node_id, group)
+        if self.network.is_registered(address):
+            # Rejoining a group whose previous serf agent is still draining
+            # its graceful leave: tear it down immediately.
+            self.network.endpoint(address).stop()  # type: ignore[attr-defined]
+        serf = SerfAgent(self.sim, self.network, self.node_id, address, self.region, serf_config)
+        # A re-entered group gets a new agent at the old address: it goes on
+        # numbering where its predecessor stopped, so a late answer to one of
+        # the predecessor's queries matches no collector of this one.
+        serf.event_ids = self._serf_event_ids.setdefault(address, serf.event_ids)
+        serf.on_query(GROUP_QUERY_EVENT, self._answer_group_query)
+        serf.start()
+        return serf
 
     def _verify_join(self, attribute: str, group: str) -> None:
         """Entry points can be stale; re-request a suggestion if isolated."""
@@ -333,15 +352,7 @@ class NodeAgent(Process, RpcMixin):
             if not self.running or result.get("error"):
                 return
             group = str(result["name"])
-            address = serf_address(self.node_id, group)
-            if self.network.is_registered(address):
-                self.network.endpoint(address).stop()  # type: ignore[attr-defined]
-            serf = SerfAgent(
-                self.sim, self.network, self.node_id, address, self.region,
-                self.config.serf,
-            )
-            serf.on_query(GROUP_QUERY_EVENT, self._answer_group_query)
-            serf.start()
+            serf = self._start_serf(group, self.config.serf)
             membership = GroupMembership(
                 group, f"__view__:{view_id}", float("-inf"), float("inf"), serf
             )
@@ -415,7 +426,10 @@ class NodeAgent(Process, RpcMixin):
         Non-matching members answer with a bare "no" — shipping their full
         attribute state would waste the group's bandwidth (Fig. 8b).
         """
-        query = Query.from_json(payload)
+        if type(payload) is DecodedQueryJson:
+            query = payload.query
+        else:
+            query = Query.from_json(payload)
         attrs = self.attributes()
         if not query.matches(attrs):
             return {"node": self.node_id, "match": False}
@@ -438,7 +452,8 @@ class NodeAgent(Process, RpcMixin):
         if membership is None:
             return {"matches": [], "respondents": 0, "error": "not-member"}
 
-        limit = Query.from_json(params["query"]).limit
+        query_json = DecodedQueryJson(params["query"])
+        limit = query_json.query.limit
 
         def on_complete(responses: Dict[str, object]) -> None:
             matches = [
@@ -458,7 +473,7 @@ class NodeAgent(Process, RpcMixin):
 
         membership.serf.query(
             GROUP_QUERY_EVENT,
-            params["query"],
+            query_json,
             on_complete,
             timeout=self.config.group_query_timeout,
         )

@@ -187,3 +187,22 @@ class Query:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<Query {self.terms} limit={self.limit} fresh={self.freshness_ms}ms>"
+
+
+class DecodedQueryJson(dict):
+    """A query's JSON form with the :class:`Query` it decodes to riding along.
+
+    A group query is gossiped, as one shared object, to every member of the
+    group, and each member needs the decoded form to match itself against.
+    The member that starts the pull has to decode the JSON anyway (it reads
+    ``limit``), so it ships this instead of the bare ``dict`` and the group
+    decodes the query once instead of once per member. On the wire it is the
+    same JSON: ``approx_size`` charges a ``dict`` subclass as a ``dict``, and
+    nobody mutates a query in flight, so ``query`` cannot go stale.
+    """
+
+    __slots__ = ("query",)
+
+    def __init__(self, data: Dict[str, object]) -> None:
+        super().__init__(data)
+        self.query = Query.from_json(data)

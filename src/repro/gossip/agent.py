@@ -8,16 +8,24 @@ Two Serf features matter for FOCUS:
   member sends its answer *directly* to the originating member (§VII,
   "Load-balanced Query Routing"), which aggregates and can finish early once
   every member in its local view has answered.
+
+Event and query wires are immutable and carry their size: the originator
+builds one :class:`~repro.gossip.broadcast.SizedWire`, and every member that
+hears it re-gossips that same object at the size the originator measured —
+the cost of a dissemination is one walk per wire, not one per member. A
+hand-built plain ``dict`` wire still works; it is measured where it is queued.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from itertools import count
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.sim.loop import Simulator
 from repro.sim.network import Message, Network
+from repro.gossip.broadcast import SizedWire
 from repro.gossip.membership import NodeDirectory
 from repro.gossip.swim import SwimAgent, SwimConfig
 
@@ -104,7 +112,11 @@ class SerfAgent(SwimAgent):
         )
         self.event_handlers: Dict[str, Callable[[object, str], None]] = {}
         self.query_handlers: Dict[str, Callable[[object, str], object]] = {}
-        self._event_seq = 0
+        #: Sequence numbers of the event/query ids this agent originates. Ids
+        #: must never repeat at one address, or a late answer to an old
+        #: query is merged into a new one: whoever replaces this agent with
+        #: another at the same address hands the successor this iterator.
+        self.event_ids: Iterator[int] = count(1)
         self._seen: set = set()
         self._seen_order: deque = deque()
         self._collectors: Dict[str, QueryCollector] = {}
@@ -129,9 +141,10 @@ class SerfAgent(SwimAgent):
     # ------------------------------------------------------------ user events
     def user_event(self, name: str, payload: object) -> str:
         """Originate a user event; returns its id."""
-        self._event_seq += 1
-        event_id = f"{self.name}:e{self._event_seq}"
-        wire = {"t": "e", "id": event_id, "en": name, "ep": payload, "o": self.name}
+        event_id = f"{self.name}:e{next(self.event_ids)}"
+        wire = SizedWire(
+            {"t": "e", "id": event_id, "en": name, "ep": payload, "o": self.name}
+        )
         self._remember(event_id)
         self._deliver_event(wire)
         self.broadcast_payload("event", event_id, wire)
@@ -153,16 +166,17 @@ class SerfAgent(SwimAgent):
         with a dict of ``member name -> response payload``, either when all
         members in the local alive view have answered or at the timeout.
         """
-        self._event_seq += 1
-        query_id = f"{self.name}:q{self._event_seq}"
-        wire = {
-            "t": "q",
-            "id": query_id,
-            "qn": name,
-            "qp": payload,
-            "o": self.name,
-            "ra": self.address,
-        }
+        query_id = f"{self.name}:q{next(self.event_ids)}"
+        wire = SizedWire(
+            {
+                "t": "q",
+                "id": query_id,
+                "qn": name,
+                "qp": payload,
+                "o": self.name,
+                "ra": self.address,
+            }
+        )
         expected = self.members.alive_names()
         collector = QueryCollector(query_id, expected, on_complete, self.sim.now)
         self._collectors[query_id] = collector
@@ -201,10 +215,10 @@ class SerfAgent(SwimAgent):
         self._remember(event_id)
         if kind == "e":
             self._deliver_event(wire)
-            self.broadcast_payload("event", str(event_id), dict(wire))
+            self.broadcast_payload("event", str(event_id), wire)
         elif kind == "q":
             self._answer_query(wire)
-            self.broadcast_payload("query", str(event_id), dict(wire))
+            self.broadcast_payload("query", str(event_id), wire)
 
     def _deliver_event(self, wire: Dict[str, object]) -> None:
         handler = self.event_handlers.get(str(wire["en"]))

@@ -8,16 +8,39 @@ gives epidemic dissemination with high probability while bounding bandwidth.
 Broadcasts carry a ``key``: queueing a new broadcast with the same key
 invalidates the old one (e.g. a newer state for the same member replaces the
 older state still awaiting retransmission).
+
+Every member of a group forwards the custom (Serf event/query) updates it
+hears, so such a wire is a :class:`SizedWire`: it carries the size its
+originator measured, and each forwarder queues the same object at that size
+instead of walking a copy of it again.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 from typing import Dict, List, Optional, Tuple
 
 from repro.sim.network import SizedPayload, approx_size
+
+_TRANSMITS_LEFT = operator.attrgetter("transmits_left")
+
+
+class SizedWire(dict):
+    """An update wire that carries its own :func:`approx_size`.
+
+    Measured once, on construction, and never again: a wire is immutable once
+    built (receivers never mutate payloads), so every queue it passes through
+    can charge ``size`` without re-walking it. It is a ``dict`` in every other
+    respect — what handlers read, what ``approx_size`` would return for it,
+    and what ``pickle`` ships (the slot travels with the items).
+    """
+
+    __slots__ = ("size",)
+
+    def __init__(self, fields: Dict[str, object]) -> None:
+        super().__init__(fields)
+        self.size = approx_size(fields)
 
 
 class Broadcast:
@@ -87,7 +110,8 @@ class BroadcastQueue:
                 size = payload.size
             payload = payload.payload
         if size is None:
-            size = approx_size(payload)
+            # Only a hand-built wire still needs measuring here.
+            size = payload.size if type(payload) is SizedWire else approx_size(payload)
         self._queue[key] = Broadcast(key, payload, max(limit, 1), size)
 
     def invalidate(self, key: Tuple[str, str]) -> None:
@@ -102,15 +126,16 @@ class BroadcastQueue:
         """Like :meth:`take` but also returns the summed payload size."""
         if not self._queue or max_items <= 0:
             return [], 0
-        # Least-transmitted first, so fresh information spreads fastest.
+        # Least-transmitted first, so fresh information spreads fastest;
+        # ties go to the broadcast queued first (the sort is stable, also
+        # under ``reverse``). A full C-level sort beats a Python-level
+        # partial selection at the tens to hundreds of broadcasts held here.
         if len(self._queue) <= max_items:
             selected = list(self._queue.values())
         else:
-            selected = heapq.nlargest(
-                max_items,
-                self._queue.values(),
-                key=operator.attrgetter("transmits_left"),
-            )
+            selected = sorted(
+                self._queue.values(), key=_TRANSMITS_LEFT, reverse=True
+            )[:max_items]
         payloads = []
         total_size = 0
         for broadcast in selected:

@@ -39,7 +39,6 @@ def build_finder(system: str, num_nodes: int, *, seed: int = DEFAULT_SEED,
             config=config,
             warm_start=True,
             with_store=False,
-            record_bandwidth_events=False,
             node_factory=factory,
         )
         return FocusFinder(scenario)

@@ -167,7 +167,6 @@ def _build(
         config=config,
         warm_start=True,
         with_store=True,
-        record_bandwidth_events=False,
     )
     targets = {service.address: service for service in scenario.services}
     if scenario.plane is not None and scenario.plane.router is not None:

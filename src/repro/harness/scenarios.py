@@ -117,7 +117,7 @@ def build_focus_cluster(
     registration_window: float = 5.0,
     topology: Optional[Topology] = None,
     collector_factory: Optional[Callable[[NodeAgent], Callable[[], Dict[str, float]]]] = None,
-    record_bandwidth_events: bool = True,
+    record_bandwidth_events: bool = False,
     node_factory: Optional[Callable[[int, str], Dict[str, object]]] = None,
     profile: str = "v1",
 ) -> FocusScenario:
@@ -130,6 +130,14 @@ def build_focus_cluster(
     (default) is the bit-exact reference stream; ``"v2"`` is the fast
     profile (batched numpy RNG, arena message records) — seeded results
     stay reproducible but are a different byte stream than v1's.
+
+    Bandwidth meters keep totals only (``record_bandwidth_events`` is off):
+    ``total_bytes``, :meth:`FocusScenario.server_bandwidth_bytes` and any
+    window that covers everything since the last
+    :meth:`FocusScenario.reset_bandwidth` answer exactly, and a run pays for
+    no per-message log. Pass ``record_bandwidth_events=True`` to measure a
+    window that starts mid-run (``meter.bytes_in_window``); without the log
+    such a window raises ``WindowTruncatedError`` rather than under-count.
     """
     config = config or FocusConfig()
     sim = Simulator(seed=seed, profile=profile)
@@ -202,7 +210,7 @@ def build_single_group_cluster(
     *,
     seed: int = 0,
     serf_config=None,
-    record_bandwidth_events: bool = True,
+    record_bandwidth_events: bool = False,
 ) -> FocusScenario:
     """A deployment whose nodes all share ONE attribute group.
 

@@ -565,6 +565,8 @@ class BandwidthMeter:
         self._sent.clear()
         self._recv.clear()
         self._since_truncate = 0
+        self._oldest = math.inf
+        self._newest = -math.inf
 
 
 class MetricsRegistry:

@@ -104,15 +104,53 @@ def approx_size(payload: object) -> int:
     nested payloads cost no Python frames, and the flat loop is measurably
     faster on the wide-but-shallow dicts that dominate SWIM/RPC traffic.
     Container framing (braces plus per-item separators) is added when the
-    container is visited; the stack then carries only leaf/child values.
+    container is visited; only nested containers and the rare leaf that is
+    not a plain ``str``/``float``/``int`` go onto the stack.
+
+    Dispatch is on the exact type first — nearly every value on the wire is
+    a plain ``str``, ``float``, ``int``, ``dict`` or ``list`` — and the
+    ``isinstance`` chain below handles the rest (``None``, ``bool``,
+    subclasses, sets, ``bytes``, :class:`SizedPayload`, anything else by its
+    ``repr``). Both routes charge a value the same, so the result does not
+    depend on which one sized it; ``tests/oracles/approx_size.py`` is the
+    chain-only reference the property test compares against.
     """
     total = 0
     stack = [payload]
     pop = stack.pop
-    extend = stack.extend
+    push = stack.append
     while stack:
         value = pop()
-        if value is None:
+        kind = type(value)
+        if kind is dict:
+            total += 2 + 2 * len(value)
+            for key, item in value.items():
+                if type(key) is str:
+                    total += len(key) + 2
+                else:
+                    push(key)
+                kind = type(item)
+                if kind is str:
+                    total += len(item) + 2
+                elif kind is float or kind is int:
+                    total += 8
+                else:
+                    push(item)
+        elif kind is list or kind is tuple:
+            total += 2 + len(value)
+            for item in value:
+                kind = type(item)
+                if kind is str:
+                    total += len(item) + 2
+                elif kind is float or kind is int:
+                    total += 8
+                else:
+                    push(item)
+        elif kind is str:
+            total += len(value) + 2
+        elif kind is float or kind is int:
+            total += 8
+        elif value is None:
             total += 4
         elif value is True or value is False:
             total += 5
@@ -126,11 +164,11 @@ def approx_size(payload: object) -> int:
             total += len(value)
         elif isinstance(value, (list, tuple, set, frozenset)):
             total += 2 + len(value)
-            extend(value)
+            stack.extend(value)
         elif isinstance(value, dict):
             total += 2 + 2 * len(value)
-            extend(value.keys())
-            extend(value.values())
+            stack.extend(value.keys())
+            stack.extend(value.values())
         else:
             # Fallback for unexpected objects: size of their repr.
             total += len(repr(value))

@@ -1,9 +1,12 @@
 """Tests for node-agent behaviours: moves, representatives, collectors."""
 
 
+import repro.gossip.broadcast
 from repro.core.config import FocusConfig
 from repro.core.query import Query, QueryTerm
+from repro.gossip.agent import QUERY_RESPONSE
 from repro.harness import build_focus_cluster, drain, run_query
+from repro.harness.scenarios import build_single_group_cluster
 
 
 class TestGroupMoves:
@@ -65,6 +68,85 @@ class TestGroupMoves:
         query = Query([QueryTerm.at_least("ram_mb", 14000.0)], freshness_ms=0.0)
         response = run_query(scenario, query)
         assert agent.node_id in response.node_ids
+
+
+class TestGroupReentry:
+    def test_late_answer_to_a_previous_incarnations_query_is_dropped(self):
+        """Leave a group, re-enter it, and an answer to the first stay's
+        ``q1`` arrives late: the new serf agent at the old address must not
+        have a ``q1`` of its own to merge it into."""
+        scenario = build_focus_cluster(16, seed=3, with_store=False, warm_start=True)
+        drain(scenario, 5.0)
+        agent = scenario.agents[0]
+        home = agent.memberships["ram_mb"]
+        home_value = agent.dynamic["ram_mb"]
+        everyone = Query([QueryTerm.at_least("ram_mb", 0.0)]).to_json()
+
+        first_serf = home.serf
+        old_id = first_serf.query("fq", everyone, lambda responses: None, timeout=1.0)
+        drain(scenario, 3.0)
+        away = home.high + 3000.0 if home.high + 3000.0 < 16384 else home.low - 3000.0
+        agent.set_attribute("ram_mb", away)
+        drain(scenario, 10.0)
+        assert agent.memberships["ram_mb"].group != home.group
+        agent.set_attribute("ram_mb", home_value)
+        drain(scenario, 10.0)
+        back = agent.memberships["ram_mb"]
+        assert back.group == home.group
+        assert back.serf is not first_serf
+        assert back.serf.address == first_serf.address
+
+        answers = []
+        new_id = back.serf.query("fq", everyone, answers.append, timeout=1.0)
+        assert new_id != old_id
+        peer = next(
+            a for a in scenario.agents
+            if a is not agent and a.memberships["ram_mb"].group == back.group
+        )
+        peer.memberships["ram_mb"].serf.send(
+            back.serf.address,
+            QUERY_RESPONSE,
+            {"id": old_id, "from": "ghost", "r": {"node": "ghost", "match": True}},
+        )
+        drain(scenario, 3.0)
+        (responses,) = answers
+        assert "ghost" not in responses
+        assert set(responses) == {m.name for m in back.serf.alive_members()}
+
+
+class TestGroupQueryCost:
+    def test_one_pull_measures_and_decodes_its_query_once_for_the_group(
+        self, monkeypatch
+    ):
+        """A pull costs one walk of the query wire and one decode of the
+        query for the whole group, not one of each per member."""
+        scenario = build_single_group_cluster(32, seed=5)
+        scenario.sim.run_until(5.0)
+        walks = []
+        measure = repro.gossip.broadcast.approx_size
+
+        def counting_measure(payload):
+            if isinstance(payload, dict) and payload.get("t") == "q":
+                walks.append(payload["id"])
+            return measure(payload)
+
+        monkeypatch.setattr(repro.gossip.broadcast, "approx_size", counting_measure)
+        decodes = []
+        decode = Query.from_json.__func__
+
+        def counting_decode(cls, data):
+            decodes.append(data)
+            return decode(cls, data)
+
+        monkeypatch.setattr(Query, "from_json", classmethod(counting_decode))
+        response = run_query(
+            scenario, Query([QueryTerm.at_least("load", 0.0)], freshness_ms=0.0)
+        )
+        assert len(response.matches) == 32  # every member answered
+        assert len(walks) == 1
+        # The server's own decode, plus the pulling member's (it reads
+        # ``limit``) shared with the group: never one per member.
+        assert len(decodes) <= 2
 
 
 class TestCollector:

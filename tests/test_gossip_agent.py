@@ -3,6 +3,9 @@
 import pytest
 
 from repro.gossip import SerfAgent, SerfConfig
+from repro.gossip.broadcast import SizedWire
+from repro.gossip.swim import GOSSIP
+from repro.sim.network import approx_size
 
 
 def build_group(sim, network, count, regions, config=None):
@@ -148,3 +151,43 @@ class TestQueries:
         sim.run_until(10.0)
         assert "n6" not in results
         assert len(results) >= 6
+
+
+class TestWires:
+    def test_members_forward_the_originators_wire_itself(self, sim, network, regions):
+        """A wire is immutable and carries its size: whoever hears it queues
+        that same object, at that size, for its own retransmissions."""
+        agents = build_group(sim, network, 6, regions)
+        sim.run_until(5.0)
+        agents[0].user_event("deploy", {"version": 2})
+        (origin,) = agents[0].broadcasts._queue.values()
+        assert type(origin.payload) is SizedWire
+        assert origin.size == origin.payload.size == approx_size(dict(origin.payload))
+        sim.run_until(5.25)  # a couple of gossip rounds
+        forwarded = [
+            agent.broadcasts._queue[origin.key]
+            for agent in agents[1:]
+            if origin.key in agent.broadcasts._queue
+        ]
+        assert forwarded
+        for broadcast in forwarded:
+            assert broadcast.payload is origin.payload
+            assert broadcast.size == origin.size
+
+    def test_hand_built_dict_wire_is_measured_and_forwarded(self, sim, network, regions):
+        """A custom update that is a plain ``dict`` carries no size; the
+        member that hears it measures it and the event still spreads."""
+        agents = build_group(sim, network, 6, regions)
+        sim.run_until(5.0)
+        seen = []
+        for agent in agents:
+            agent.on_event("cfg", lambda p, o, name=agent.name: seen.append((name, p, o)))
+        wire = {"t": "e", "id": "ext:e1", "en": "cfg", "ep": {"k": "v"}, "o": "ext"}
+        agents[0].send(agents[1].address, GOSSIP, {"u": [wire]})
+        sim.run_until(5.1)
+        queued = agents[1].broadcasts._queue[("event", "ext:e1")]
+        assert queued.payload == wire
+        assert queued.size == approx_size(wire)
+        sim.run_until(9.0)
+        # Every member once — the sender too, when the wire is gossiped back.
+        assert sorted(seen) == sorted((a.name, {"k": "v"}, "ext") for a in agents)

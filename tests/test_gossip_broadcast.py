@@ -1,6 +1,13 @@
 """Unit tests for the piggyback broadcast queue."""
 
-from repro.gossip.broadcast import BroadcastQueue, retransmit_limit
+import heapq
+import pickle
+
+from hypothesis import given, strategies as st
+
+import repro.gossip.broadcast
+from repro.gossip.broadcast import BroadcastQueue, SizedWire, retransmit_limit
+from repro.sim.network import approx_size
 
 
 class TestRetransmitLimit:
@@ -77,3 +84,65 @@ class TestQueue:
         q = BroadcastQueue()
         q.enqueue(("m", "a"), {}, group_size=4)
         assert q.peek_keys() == [("m", "a")]
+
+
+class TestSelection:
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=40),
+        st.lists(st.integers(1, 9), min_size=1, max_size=12),
+    )
+    def test_take_selects_what_nlargest_would(self, budgets, takes):
+        """Least-transmitted first, ties to the broadcast queued first: the
+        order ``heapq.nlargest`` documents, over a queue full of ties that is
+        drained take by take. (A queue that fits whole goes out in queue
+        order; no selection happens.)"""
+        q = BroadcastQueue()
+        for index, budget in enumerate(budgets):
+            q.enqueue(("m", str(index)), {"v": index}, group_size=4,
+                      transmits=budget, size=index)
+        for max_items in takes:
+            expected = list(q._queue.values())
+            if len(expected) > max_items:
+                expected = heapq.nlargest(
+                    max_items, expected, key=lambda b: b.transmits_left
+                )
+            payloads, size = q.take_with_size(max_items)
+            assert payloads == [b.payload for b in expected]
+            assert size == sum(b.size for b in expected)
+
+
+class TestSizedWire:
+    WIRE = {"t": "q", "id": "n0:q1", "qn": "fq", "qp": {"terms": [1.5, None]},
+            "o": "n0", "ra": "n0/serf"}
+
+    def test_measured_once_on_construction(self):
+        wire = SizedWire(self.WIRE)
+        assert wire == self.WIRE
+        assert wire.size == approx_size(self.WIRE) == approx_size(wire)
+
+    def test_enqueue_charges_the_carried_size_without_a_walk(self, monkeypatch):
+        wire = SizedWire(self.WIRE)
+
+        def no_walk(payload):
+            raise AssertionError("a sized wire was measured again")
+
+        monkeypatch.setattr(repro.gossip.broadcast, "approx_size", no_walk)
+        q = BroadcastQueue()
+        q.enqueue(("query", "n0:q1"), wire, group_size=8)
+        payloads, size = q.take_with_size(1)
+        assert payloads[0] is wire
+        assert size == wire.size
+
+    def test_plain_dict_wire_is_measured_where_it_is_queued(self):
+        q = BroadcastQueue()
+        q.enqueue(("query", "n0:q1"), dict(self.WIRE), group_size=8)
+        assert q.take_with_size(1) == ([self.WIRE], approx_size(self.WIRE))
+
+    def test_size_survives_pickle(self):
+        """The parallel kernel ships payloads between workers through pipes."""
+        wire = SizedWire(self.WIRE)
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            shipped = pickle.loads(pickle.dumps([wire], protocol))[0]
+            assert type(shipped) is SizedWire
+            assert shipped == self.WIRE
+            assert shipped.size == wire.size

@@ -256,6 +256,20 @@ class TestBandwidthMeter:
         m = BandwidthMeter("m", record_events=False)
         assert m.bytes_in_window(0, 10) == 0
 
+    def test_no_event_recording_reset_forgets_the_observed_span(self):
+        """A window that covers everything since ``reset()`` covers
+        everything the meter holds: the span before the reset is gone with
+        the bytes it described."""
+        m = BandwidthMeter("m", record_events=False)
+        m.on_send(1.0, 100)
+        m.on_receive(5.0, 50)
+        m.reset()
+        m.on_send(6.0, 10)
+        m.on_receive(9.0, 20)
+        assert m.bytes_in_window(5.5, 10.0) == 30
+        with pytest.raises(WindowTruncatedError):
+            m.bytes_in_window(7.0, 10.0)
+
     def test_interleaved_record_and_window_query(self):
         m = BandwidthMeter("m")
         for t in range(50):

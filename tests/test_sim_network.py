@@ -1,6 +1,8 @@
 """Unit tests for the network: delivery, sizes, accounting, failures."""
 
+import enum
 import json
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +10,7 @@ from hypothesis import given, strategies as st
 from repro.errors import NetworkError
 from repro.sim import Network, Topology, approx_size
 from repro.sim.network import MESSAGE_OVERHEAD_BYTES, SizedPayload
+from tests.oracles.approx_size import approx_size as chain_walk_size
 
 
 class Sink:
@@ -27,12 +30,67 @@ def wire(network, address, region=None):
     return endpoint
 
 
-class TestApproxSize:
-    # Wire payloads in this system are ASCII identifiers and numbers; exotic
-    # unicode would be escaped by JSON and balloon past the estimate.
-    _ascii = st.text(
-        alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=20
+class _Rank(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Label(str):
+    pass
+
+
+class _Bag(dict):
+    pass
+
+
+class _Opaque:
+    """Sized by its ``repr``: no branch of the walk knows this type."""
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def __repr__(self):
+        return f"<opaque {self.tag}>"
+
+
+# Wire payloads in this system are ASCII identifiers and numbers; exotic
+# unicode would be escaped by JSON and balloon past the estimate.
+_ascii = st.text(
+    alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=20
+)
+
+# Everything the exact-type dispatch must hand to the isinstance chain, next
+# to everything it sizes itself: None, bool, IntEnum, str and dict subclasses,
+# bytes, sets, tuples, non-str keys, nested SizedPayload and an object only
+# ``repr`` can size.
+_hashable = (
+    st.none() | st.booleans() | st.integers(-10**9, 10**9)
+    | st.floats(allow_nan=False) | _ascii | st.sampled_from(list(_Rank))
+    | _ascii.map(_Label) | st.binary(max_size=12)
+    | st.builds(_Opaque, st.integers(0, 999))
+)
+_any_payload = st.recursive(
+    _hashable,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.sets(_hashable, max_size=4)
+    | st.frozensets(_hashable, max_size=4)
+    | st.dictionaries(
+        _hashable | st.tuples(_ascii, st.integers(0, 9)), children, max_size=4
     )
+    | st.dictionaries(_ascii, children, max_size=4).map(OrderedDict)
+    | st.dictionaries(_ascii, children, max_size=4).map(_Bag)
+    | st.builds(SizedPayload, children, st.integers(0, 5000)),
+    max_leaves=25,
+)
+
+
+class TestApproxSize:
+    @given(_any_payload)
+    def test_same_integer_as_the_chain_walk(self, payload):
+        """Exact-type dispatch and inline leaves change the cost of the walk,
+        never its result."""
+        assert approx_size(payload) == chain_walk_size(payload)
 
     @given(
         st.recursive(
