@@ -33,8 +33,7 @@ import time
 from typing import Callable, Dict, List, Tuple
 
 from repro.gossip.agent import SerfAgent, SerfConfig
-from repro.gossip.member import Member, MemberState
-from repro.gossip.membership import NodeDirectory
+from repro.gossip.membership import NodeDirectory, seed_converged
 from repro.gossip.swim import SwimAgent, SwimConfig
 from repro.sim import Network, Simulator, Topology
 from repro.sim.metrics import BandwidthMeter, Histogram, TimeSeries
@@ -415,14 +414,11 @@ def _swim_full_run(
             directory=directory,
         )
         agents.append(agent)
-    for agent in agents:
-        for other in agents:
-            if other is not agent:
-                agent.members.upsert(
-                    Member(other.name, other.address, other.region,
-                           incarnation=0, state=MemberState.ALIVE,
-                           state_time=0.0)
-                )
+    seed_converged(
+        [agent.members for agent in agents],
+        [(agent.name, agent.address, agent.region) for agent in agents],
+        0.0,
+    )
     completions: List[int] = []
     for agent in agents:
         agent.on_query(

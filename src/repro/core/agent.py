@@ -23,6 +23,7 @@ from repro.core.config import FocusConfig
 from repro.core.groups import serf_address
 from repro.core.query import DecodedQueryJson, Query
 from repro.gossip.agent import SerfAgent, SerfConfig
+from repro.gossip.membership import NodeDirectory
 from repro.sim.loop import RepeatingTimer, Simulator
 from repro.sim.network import Network
 from repro.sim.process import Process
@@ -252,7 +253,18 @@ class NodeAgent(Process, RpcMixin):
             # Rejoining a group whose previous serf agent is still draining
             # its graceful leave: tear it down immediately.
             self.network.endpoint(address).stop()  # type: ignore[attr-defined]
-        serf = SerfAgent(self.sim, self.network, self.node_id, address, self.region, serf_config)
+        # One node universe per group per simulation: every member's table is
+        # indexed by the same directory, so a peer's identity strings and wire
+        # dicts exist once per group instead of once per (member, peer) pair.
+        serf = SerfAgent(
+            self.sim,
+            self.network,
+            self.node_id,
+            address,
+            self.region,
+            serf_config,
+            directory=self.sim.shared(("serf-directory", group), NodeDirectory),
+        )
         # A re-entered group gets a new agent at the old address: it goes on
         # numbering where its predecessor stopped, so a late answer to one of
         # the predecessor's queries matches no collector of this one.

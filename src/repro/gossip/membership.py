@@ -12,10 +12,23 @@ snapshots) are cached and invalidated only when membership actually changes,
 so a converged group pays O(1) per tick where a dict walk would pay O(n).
 
 Node identity is interned once in a :class:`NodeDirectory` — the stable
-index allocator. Agents simulated in the same process can share one
-directory, which shares the name/address/region strings, the per-node wire
-sizes and the piggyback wire dicts across all views of the same node; a
-table constructed without a directory makes a private one.
+index allocator. Tables on one directory share the name/address/region
+strings, the per-node wire sizes and the piggyback wire dicts across all
+views of the same node. Who shares: every p2p agent a FOCUS
+:class:`~repro.core.agent.NodeAgent` starts for a group uses that group's one
+directory, owned by the simulation (``Simulator.shared``), so there is one
+node universe per group per simulation — within a group a node's address and
+region are a function of its id, so no table can change what another reads,
+and each table's own insertion order (not the slot numbering) decides every
+list it returns. A table constructed without a directory, as a hand-built
+``SerfAgent`` gets, makes a private one.
+
+A warm start fills the converged full mesh through one bulk path,
+:func:`seed_converged`: the group's members are interned once and every table
+takes the slot array in a handful of array operations
+(:meth:`MembershipTable.seed_alive`), leaving each table exactly as one
+``upsert`` per (table, peer) pair would — same records, same insertion order,
+same counts (``tests/oracles/warm_start.py`` keeps that loop as the oracle).
 
 Semantics are pinned to the dict-of-``Member`` oracle in
 ``tests/oracles/member_list.py`` two ways (``tests/test_gossip_membership.py``):
@@ -89,7 +102,8 @@ class NodeDirectory:
     every agent's view of it — name, address, region, estimated wire size,
     and the piggyback wire dicts for each ``(incarnation, state)`` the node
     has been seen in — so a 6400-agent simulation stores each of these once
-    instead of once per agent.
+    instead of once per agent. "Global" is per gossip group: the agents of
+    one group share one directory (see the module docstring).
     """
 
     def __init__(self) -> None:
@@ -194,7 +208,10 @@ class MembershipTable:
     arrays indexed by the shared :class:`NodeDirectory` slot.
     :class:`Member` objects are materialized on demand as *views* — nothing
     retains them, so an N-agent full-mesh simulation holds N arrays instead
-    of N^2 member objects.
+    of N^2 member objects. The directory may be shared with other tables (one
+    per group per simulation in the FOCUS stack) and so may hold slots this
+    table has never met, past the end of its arrays: every reader treats such
+    a slot as unknown.
 
     Ordering contract (load-bearing for seeded-run equivalence): every list
     this table returns — alive members, probe-target names, gossip/sync/relay
@@ -241,9 +258,11 @@ class MembershipTable:
     # ------------------------------------------------------------- invariants
     def _grow(self, slot: int) -> None:
         capacity = len(self._known)
-        if slot < capacity:
-            return
-        new = max(capacity * 2, slot + 1)
+        if slot >= capacity:
+            self._resize(max(capacity * 2, slot + 1))
+
+    def _resize(self, new: int) -> None:
+        capacity = len(self._known)
         for attr, fill in (
             ("_known", False),
             ("_state", 0),
@@ -337,7 +356,9 @@ class MembershipTable:
     # ------------------------------------------------------------- dict-like
     def __contains__(self, name: str) -> bool:
         slot = self.directory.slot_of(name)
-        return slot is not None and bool(self._known[slot])
+        return (
+            slot is not None and slot < len(self._known) and bool(self._known[slot])
+        )
 
     def __len__(self) -> int:
         return self._count
@@ -406,6 +427,45 @@ class MembershipTable:
             deadline = self._pending_deadline.pop(name, None)
             if deadline is not None:
                 self._deadline[slot] = deadline
+
+    def seed_alive(self, slots: np.ndarray, state_time: float) -> None:
+        """Bulk ``upsert``: learn every slot in ``slots`` except this table's
+        own as alive at incarnation 0 since ``state_time``.
+
+        Leaves the table exactly as ``upsert(Member(name, address, region,
+        incarnation=0, state=ALIVE, state_time=state_time))`` over the same
+        slots in the same order would: slots new to the table are appended to
+        the insertion order in the order given, slots it already knows are
+        overwritten where they stand, and pending suspicion deadlines are
+        absorbed. ``slots`` are distinct slots of this table's directory
+        (:func:`seed_converged` makes them).
+        """
+        own = self.directory.slot_of(self.self_name)
+        if own is not None:
+            slots = slots[slots != own]
+        if not len(slots):
+            return
+        if len(self.directory) > len(self._known):
+            # Sized to the directory, not doubled: a warm start knows its
+            # whole group up front.
+            self._resize(len(self.directory))
+        known = self._known[slots]
+        fresh = slots[~known]
+        self._alive_count += len(slots) - int(
+            (known & (self._state[slots] == CODE_ALIVE)).sum()
+        )
+        self._pos[fresh] = np.arange(len(self._order), len(self._order) + len(fresh))
+        self._order.frombytes(fresh.tobytes())
+        self._count += len(fresh)
+        self._known[slots] = True
+        self._state[slots] = CODE_ALIVE
+        self._inc[slots] = 0
+        self._state_time[slots] = state_time
+        if self._pending_deadline:
+            names = self.directory.names
+            for slot in slots.tolist():
+                self._absorb_pending_deadline(names[slot], slot)
+        self._invalidate(alive_changed=True)
 
     def remove(self, name: str) -> None:
         if self._pending_deadline:
@@ -604,8 +664,12 @@ class MembershipTable:
         slots = np.fromiter(
             (slot_of.get(name, -1) for name in names), np.int64, count=n
         )
-        bounded = np.clip(slots, 0, len(self._known) - 1)
-        known = (slots >= 0) & self._known[bounded]
+        # A shared directory can hold slots past this table's capacity (a
+        # node only other tables have met): those are unknown here, whatever
+        # the member at the clipped index happens to be.
+        in_table = (slots >= 0) & (slots < len(self._known))
+        bounded = np.where(in_table, slots, 0)
+        known = in_table & self._known[bounded]
         prev_inc = self._inc[bounded]
         prev_rank = _RANK_BY_CODE[self._state[bounded]]
         rank = _RANK_BY_CODE[codes]
@@ -660,9 +724,11 @@ class MembershipTable:
         if rid is None:
             mask[:] = False
             return mask
+        # The directory can be shorter than the table (spare capacity) or
+        # longer (slots only other tables on it have met).
         ids = np.fromiter(
             self.directory.region_ids, dtype=np.int64, count=len(self.directory)
-        )
+        )[: len(mask)]
         mask[: len(ids)] &= ids == rid
         mask[len(ids):] = False
         return mask
@@ -704,3 +770,34 @@ class MembershipTable:
             )
             self._snapshot_size = int(2 + (sizes[arr] + 1).sum()) if len(arr) else 2
         return self._snapshot_size
+
+
+def seed_converged(
+    tables: Sequence[MembershipTable],
+    identities: Sequence[Tuple[str, str, str]],
+    state_time: float,
+) -> None:
+    """Warm-start one group: every table learns every peer, in bulk.
+
+    ``identities`` are the group's ``(name, address, region)`` triples and
+    ``tables`` the members' views, all on one :class:`NodeDirectory`. Each
+    identity is interned once for the whole group, and each table then takes
+    the slot array through :meth:`MembershipTable.seed_alive` — the converged
+    full mesh for N interns and N array passes where an ``upsert`` per
+    (table, peer) pair costs N² of each, with every table left exactly as
+    that loop would leave it.
+    """
+    if not tables:
+        return
+    directory = tables[0].directory
+    assert all(table.directory is directory for table in tables), (
+        "bulk seeding indexes every table by one directory's slots"
+    )
+    slots = np.fromiter(
+        (directory.intern(*identity) for identity in identities),
+        np.int64,
+        count=len(identities),
+    )
+    assert len(set(slots.tolist())) == len(slots), "a member is listed twice"
+    for table in tables:
+        table.seed_alive(slots, state_time)

@@ -21,7 +21,7 @@ Two bring-up modes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.agent import NodeAgent
 from repro.core.config import FocusConfig
@@ -29,7 +29,7 @@ from repro.core.groups import serf_address
 from repro.core.rest import Application
 from repro.core.service import FocusService
 from repro.core.shardplane import ShardPlane, build_shard_plane
-from repro.gossip.member import Member, MemberState
+from repro.gossip.membership import MembershipTable, seed_converged
 from repro.sim.loop import Simulator
 from repro.sim.network import Network
 from repro.sim.topology import Topology
@@ -138,6 +138,12 @@ def build_focus_cluster(
     no per-message log. Pass ``record_bandwidth_events=True`` to measure a
     window that starts mid-run (``meter.bytes_in_window``); without the log
     such a window raises ``WindowTruncatedError`` rather than under-count.
+
+    Cost of a population: a node's p2p agents index their membership tables
+    by one node directory per group, so an entry of a table costs its numpy
+    cells (~50 B) and nothing per string, and ``warm_start=True`` fills all
+    Σ(group size)² entries in bulk (~775k at the paper's 1600 agents;
+    EXPERIMENTS.md, "Set-up and memory", has the build time and RSS).
     """
     config = config or FocusConfig()
     sim = Simulator(seed=seed, profile=profile)
@@ -267,6 +273,15 @@ def _warm_start(scenario: FocusScenario) -> None:
     router would replicate it); each shard suggests only the group families
     it owns, so concatenating the per-shard suggestion lists reproduces the
     single server's suggestion set exactly.
+
+    Member lists are seeded group by group through
+    :func:`~repro.gossip.membership.seed_converged`: the agents of a group
+    share one node directory (``NodeAgent._start_serf``), the group's members
+    are interned into it once, and every member's table takes the slot array
+    in bulk — each table reads self first, then its peers in sorted node-id
+    order, all alive at incarnation 0 since ``sim.now``, exactly what one
+    ``upsert`` per (agent, peer) pair produced. Every member of a
+    warm-started group is one of the scenario's agents (asserted).
     """
     sim = scenario.sim
     services = scenario.services
@@ -292,32 +307,27 @@ def _warm_start(scenario: FocusScenario) -> None:
             agent._join_group(suggestion)
     # Seed every serf agent's member list with its full group and promote
     # the DGM's pending entries to confirmed members.
+    joined: Dict[str, List[Tuple[NodeAgent, MembershipTable]]] = {}
+    for agent in scenario.agents:
+        for membership in agent.memberships.values():
+            joined.setdefault(membership.group, []).append(
+                (agent, membership.serf.members)
+            )
     for service in services:
         for group in service.dgm.groups.all_groups():
             node_ids = group.all_node_ids()
-            regions = {}
-            for agent in scenario.agents:
-                if agent.node_id in group.pending or agent.node_id in group.members:
-                    regions[agent.node_id] = agent.region
-            for agent in scenario.agents:
-                membership = next(
-                    (m for m in agent.memberships.values() if m.group == group.name),
-                    None,
-                )
-                if membership is None:
-                    continue
-                for node_id in node_ids:
-                    if node_id == agent.node_id:
-                        continue
-                    membership.serf.members.upsert(
-                        Member(
-                            node_id,
-                            serf_address(node_id, group.name),
-                            regions.get(node_id, agent.region),
-                            incarnation=0,
-                            state=MemberState.ALIVE,
-                            state_time=sim.now,
-                        )
-                    )
+            members = joined.get(group.name, ())
+            regions = {agent.node_id: agent.region for agent, _ in members}
+            assert sorted(regions) == node_ids, (
+                f"{group.name}: the DGM's members are not the agents that joined"
+            )
+            seed_converged(
+                [table for _, table in members],
+                [
+                    (node_id, serf_address(node_id, group.name), regions[node_id])
+                    for node_id in node_ids
+                ],
+                sim.now,
+            )
             group.record_report(node_ids, regions, sim.now)
         service.dgm.transitions.clear()

@@ -96,6 +96,8 @@ class Simulator:
         self.strict_rng_labels = strict_rng_labels
         #: (method, label) -> times derived; >1 entries are collisions.
         self._derived_labels: Dict[Tuple[str, str], int] = {}
+        #: key -> the one object this simulation's components share under it.
+        self._shared: Dict[Any, Any] = {}
         if profile not in PROFILES:
             raise SimulationError(
                 f"unknown determinism profile {profile!r} "
@@ -331,6 +333,23 @@ class Simulator:
         self._note_label("derive_np_rng", label)
         digest = hashlib.sha256(f"{self.seed}/{label}".encode()).digest()
         return np.random.default_rng(int.from_bytes(digest[:16], "little"))
+
+    # ---------------------------------------------------------------- shared
+    def shared(self, key: Any, factory: Callable[[], Any]) -> Any:
+        """The one object this simulation's components share under ``key``,
+        made by ``factory`` the first time it is asked for.
+
+        State that several processes of one run want a single copy of — the
+        per-group :class:`~repro.gossip.membership.NodeDirectory` every p2p
+        agent of a group indexes its table by — lives here rather than in a
+        module global, so it dies with the simulator and two simulations in
+        one interpreter never see each other's.
+        """
+        try:
+            return self._shared[key]
+        except KeyError:
+            made = self._shared[key] = factory()
+            return made
 
     # ------------------------------------------------------------------- gc
     def freeze_hot_state(self) -> Dict[str, object]:

@@ -32,8 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.faults.engine import ChaosEngine
 from repro.faults.plan import FaultPlan, PartitionRegions
 from repro.gossip.agent import SerfAgent, SerfConfig
-from repro.gossip.member import Member, MemberState
-from repro.gossip.membership import NodeDirectory
+from repro.gossip.membership import NodeDirectory, seed_converged
 from repro.sim.loop import Simulator
 from repro.sim.network import Network
 from repro.sim.parallel.coordinator import ParallelSimulation
@@ -75,11 +74,6 @@ def _build_shard(
     address_regions = {
         f"a{i}": regions[i % len(regions)] for i in range(nodes)
     }
-    members = [
-        Member(f"n{i}", f"a{i}", regions[i % len(regions)],
-               incarnation=0, state=MemberState.ALIVE, state_time=0.0)
-        for i in range(nodes)
-    ]
     agents: List[SerfAgent] = []
     local_index: Dict[int, SerfAgent] = {}
     for i in range(nodes):
@@ -92,10 +86,11 @@ def _build_shard(
         )
         agents.append(agent)
         local_index[i] = agent
-    for agent in agents:
-        for member in members:
-            if member.address != agent.address:
-                agent.members.upsert(member)
+    seed_converged(
+        [agent.members for agent in agents],
+        [(f"n{i}", f"a{i}", regions[i % len(regions)]) for i in range(nodes)],
+        0.0,
+    )
     completions: Dict[int, int] = {}
     for agent in agents:
         agent.on_query(

@@ -11,6 +11,7 @@ between two components is the in-process flavour of the same bug).
 import pytest
 
 from repro.errors import SimulationError
+from repro.harness import build_focus_cluster, drain
 from repro.sim.loop import Simulator
 from repro.sim.parallel.workload import run_serial, summary_checksum
 
@@ -46,6 +47,42 @@ def test_profiles_do_not_contaminate_each_other():
 
 def test_repeated_identical_runs_are_stable():
     assert _checksum(24) == _checksum(24)
+
+
+# ------------------------------------------------- per-simulation directories
+def _focus_run(nodes, seed):
+    """A warm FOCUS deployment run for 3 sim-s: its digest and directories."""
+    scenario = build_focus_cluster(nodes, seed=seed, warm_start=True, with_store=False)
+    drain(scenario, 3.0)
+    digest = (
+        scenario.sim.events_processed,
+        scenario.network.metrics.counter("messages_sent").value,
+        scenario.server_bandwidth_bytes(),
+        sorted(
+            (agent.node_id, membership.group, membership.serf.alive_members()[-1].name)
+            for agent in scenario.agents
+            for membership in agent.memberships.values()
+        ),
+    )
+    directories = {
+        id(membership.serf.members.directory): membership.serf.members.directory
+        for agent in scenario.agents
+        for membership in agent.memberships.values()
+    }
+    return digest, directories
+
+
+def test_focus_scenarios_share_no_directory_and_digest_alike_in_both_orders():
+    # The per-group node directories hang off the Simulator: the same group
+    # name in two simulations is two directories, and neither run can tell
+    # whether the other came first.
+    a_first, a_dirs = _focus_run(24, seed=3)
+    b_second, b_dirs = _focus_run(32, seed=4)
+    b_first, _ = _focus_run(32, seed=4)
+    a_second, _ = _focus_run(24, seed=3)
+    assert a_first == a_second
+    assert b_second == b_first
+    assert a_dirs and b_dirs and not a_dirs.keys() & b_dirs.keys()
 
 
 # ------------------------------------------------------ label-collision guard

@@ -17,14 +17,16 @@ Two layers of pinning against the dict-of-``Member`` oracle
 import json
 import random
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from repro.gossip.agent import SerfAgent, SerfConfig
 from repro.gossip.member import Member, MemberState
-from repro.gossip.membership import MembershipTable, NodeDirectory
+from repro.gossip.membership import MembershipTable, NodeDirectory, seed_converged
 from repro.sim import Network, Simulator, Topology
 from tests.arms import kernel
 from tests.oracles.member_list import MemberList
+from tests.oracles.warm_start import seed_per_pair
 
 NAMES = [f"m{i}" for i in range(8)]
 REGIONS = ["region-a", "region-b", "region-c"]
@@ -35,29 +37,23 @@ names = st.sampled_from(NAMES)
 incarnations = st.integers(min_value=0, max_value=6)
 
 
+def identity(name: str):
+    """``(name, address, region)`` of ``m<i>``: a pure function of the name."""
+    return name, f"{name}/addr", REGIONS[int(name[1:]) % len(REGIONS)]
+
+
 def make_member(name: str, state: MemberState, inc: int, t: float) -> Member:
-    i = NAMES.index(name)
-    return Member(
-        name,
-        f"{name}/addr",
-        REGIONS[i % len(REGIONS)],
-        incarnation=inc,
-        state=state,
-        state_time=t,
-    )
+    return Member(*identity(name), incarnation=inc, state=state, state_time=t)
 
 
-operations = st.lists(
-    st.one_of(
-        st.tuples(st.just("apply"), names, states, incarnations),
-        st.tuples(st.just("upsert"), names, states, incarnations),
-        st.tuples(st.just("remove"), names),
-        st.tuples(st.just("deadline"), names, st.floats(0.0, 50.0)),
-        st.tuples(st.just("expire"), st.floats(0.0, 60.0)),
-    ),
-    min_size=1,
-    max_size=60,
+operation = st.one_of(
+    st.tuples(st.just("apply"), names, states, incarnations),
+    st.tuples(st.just("upsert"), names, states, incarnations),
+    st.tuples(st.just("remove"), names),
+    st.tuples(st.just("deadline"), names, st.floats(0.0, 50.0)),
+    st.tuples(st.just("expire"), st.floats(0.0, 60.0)),
 )
+operations = st.lists(operation, min_size=1, max_size=60)
 
 
 def observe(backend, now: float):
@@ -80,25 +76,39 @@ def observe(backend, now: float):
     }
 
 
-def run_ops(backend, ops):
+def run_op(backend, op, t: float):
+    """Apply one op at time ``t``; returns what the call itself answered."""
+    if op[0] == "apply":
+        _, name, state, inc = op
+        return "apply", backend.apply(make_member(name, state, inc, t))
+    if op[0] == "upsert":
+        _, name, state, inc = op
+        return backend.upsert(make_member(name, state, inc, t))
+    if op[0] == "remove":
+        return backend.remove(op[1])
+    if op[0] == "deadline":
+        return backend.set_suspicion_deadline(op[1], op[2])
+    return "expired", backend.expire_dead(op[1])
+
+
+def run_ops(backend, ops, start: int = 0):
     """Apply an op sequence; returns the per-step observable trace."""
     trace = []
-    for step, op in enumerate(ops):
+    for step, op in enumerate(ops, start):
         t = float(step)
-        if op[0] == "apply":
-            _, name, state, inc = op
-            trace.append(("apply", backend.apply(make_member(name, state, inc, t))))
-        elif op[0] == "upsert":
-            _, name, state, inc = op
-            backend.upsert(make_member(name, state, inc, t))
-        elif op[0] == "remove":
-            backend.remove(op[1])
-        elif op[0] == "deadline":
-            backend.set_suspicion_deadline(op[1], op[2])
-        else:
-            trace.append(("expired", backend.expire_dead(op[1])))
+        answer = run_op(backend, op, t)
+        if answer is not None:
+            trace.append(answer)
         trace.append(observe(backend, now=t))
     return trace
+
+
+def selection_draws(backend, seed: int):
+    return [
+        [backend.gossip_targets(random.Random(seed), k) for k in (1, 3, 8)],
+        backend.sync_peer(random.Random(seed)),
+        [backend.relay_sample(random.Random(seed), 3, name) for name in NAMES],
+    ]
 
 
 class TestTableMatchesReference:
@@ -119,17 +129,7 @@ class TestTableMatchesReference:
         table = MembershipTable(SELF)
         run_ops(reference, ops)
         run_ops(table, ops)
-        for fanout in (1, 3, 8):
-            assert reference.gossip_targets(
-                random.Random(seed), fanout
-            ) == table.gossip_targets(random.Random(seed), fanout)
-        assert reference.sync_peer(random.Random(seed)) == table.sync_peer(
-            random.Random(seed)
-        )
-        for exclude in NAMES:
-            assert reference.relay_sample(
-                random.Random(seed), 3, exclude
-            ) == table.relay_sample(random.Random(seed), 3, exclude)
+        assert selection_draws(reference, seed) == selection_draws(table, seed)
 
     @given(operations)
     @settings(max_examples=100)
@@ -164,18 +164,39 @@ class TestTableMatchesReference:
         assert [m.name for m in table] == [NAMES[0], NAMES[2], NAMES[3], NAMES[1]]
 
 
-class TestFilterSuperseding:
-    wire_updates = st.lists(
-        st.tuples(
-            st.sampled_from([f"m{i}" for i in range(24)]),
-            states,
-            incarnations,
-        ),
-        min_size=16,
-        max_size=24,
-        unique_by=lambda u: u[0],
-    )
+#: A push-pull batch big enough for the vectorized prefilter (>= 16 updates),
+#: over more names than the op sequences touch.
+wire_updates = st.lists(
+    st.tuples(
+        st.sampled_from([f"m{i}" for i in range(24)]),
+        states,
+        incarnations,
+    ),
+    min_size=16,
+    max_size=24,
+    unique_by=lambda u: u[0],
+)
 
+
+def wire_batch(updates):
+    return [
+        make_member(name, state, inc, 0.0).to_wire() for name, state, inc in updates
+    ]
+
+
+def agent_loop_apply(table, wire, t: float = 99.0):
+    # Mirror SwimAgent._apply_updates for one membership wire: drop
+    # death notices about unknown members, route self updates to
+    # refutation handling (not apply), else apply.
+    previous = table.peek(wire["n"])
+    if previous is None and wire["s"] in ("dead", "left"):
+        return "dropped"
+    if wire["n"] == table.self_name:
+        return "self"
+    return table.apply(Member.from_wire(wire, t))
+
+
+class TestFilterSuperseding:
     @given(operations, wire_updates)
     @settings(max_examples=100)
     def test_filtered_batch_reaches_same_state(self, ops, updates):
@@ -183,27 +204,7 @@ class TestFilterSuperseding:
         filtered = MembershipTable(SELF)
         run_ops(full, ops)
         run_ops(filtered, ops)
-        batch = [
-            {
-                "n": name,
-                "a": f"{name}/addr",
-                "r": REGIONS[0],
-                "i": inc,
-                "s": state.value,
-            }
-            for name, state, inc in updates
-        ]
-        def agent_loop_apply(table, wire):
-            # Mirror SwimAgent._apply_updates for one membership wire: drop
-            # death notices about unknown members, route self updates to
-            # refutation handling (not apply), else apply.
-            previous = table.peek(wire["n"])
-            if previous is None and wire["s"] in ("dead", "left"):
-                return "dropped"
-            if wire["n"] == table.self_name:
-                return "self"
-            return table.apply(Member.from_wire(wire, 99.0))
-
+        batch = wire_batch(updates)
         kept = filtered.filter_superseding(batch)
         kept_ids = {id(w) for w in kept}
         for wire in batch:
@@ -233,6 +234,195 @@ class TestFilterSuperseding:
         kept = table.filter_superseding(batch)
         # Stale by incarnation, but self-updates drive refutation: kept.
         assert batch[0] in kept
+
+
+def crowded_directory(*self_names):
+    """Tables on one directory whose every later slot is past their capacity.
+
+    The tables are made first (capacity 64), then 64 strangers are interned
+    directly: any name a table meets from here on sits at slot >= 64, beyond
+    the arrays of every table that has not met it yet.
+    """
+    directory = NodeDirectory()
+    tables = [MembershipTable(name, directory) for name in self_names]
+    for i in range(64):
+        directory.intern(f"pad{i}", f"pad{i}/addr", REGIONS[0])
+    return tables
+
+
+def names_in_mask(table, mask):
+    names = table.directory.names
+    return sorted(names[slot] for slot in np.flatnonzero(mask).tolist())
+
+
+class TestSharedDirectoryPastCapacity:
+    """A slot another table interned lies past this table's arrays: to this
+    table that member is simply unknown."""
+
+    def setup_method(self):
+        self.directory = NodeDirectory()
+        self.a = MembershipTable("n0", self.directory)
+        self.b = MembershipTable("n1", self.directory)
+        for i in range(64):  # fills a's initial capacity exactly
+            self.a.upsert(Member(f"n{i}", f"n{i}/addr", "r", incarnation=0))
+        self.b.upsert(Member("new", "new/addr", "r", incarnation=0))
+        assert self.directory.slot_of("new") == 64 == len(self.a._known)
+
+    def test_prefilter_keeps_a_newcomer_only_another_table_has_met(self):
+        batch = [
+            {"n": name, "a": f"{name}/addr", "r": "r", "i": 0, "s": "alive"}
+            for name in ["new"] + [f"n{i}" for i in range(20)]
+        ]
+        kept = [w["n"] for w in self.a.filter_superseding(batch)]
+        # Everything but the newcomer is re-delivery (n0 is self: always kept).
+        assert kept == ["new", "n0"]
+
+    def test_contains_is_false_not_an_index_error(self):
+        assert "new" not in self.a
+        assert "new" in self.b
+        assert "n5" in self.a
+
+    def test_region_mask_with_a_longer_directory(self):
+        mask = self.a.region_mask("r")
+        assert names_in_mask(self.a, mask) == sorted(f"n{i}" for i in range(64))
+        assert names_in_mask(self.b, self.b.region_mask("r")) == ["new"]
+
+
+class TestTablesOnOneDirectoryMatchPrivateTables:
+    """N tables sharing a directory, each driven by its own op sequence, are
+    N private tables: nothing one table does is visible through another."""
+
+    interleaved = st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=2),
+            st.one_of(
+                operation,
+                st.tuples(st.just("merge"), wire_updates),
+                st.tuples(st.just("contains"), names),
+                st.tuples(st.just("region"), st.sampled_from(REGIONS + ["nowhere"])),
+            ),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+
+    @staticmethod
+    def drive(tables, steps):
+        trace = []
+        for step, (index, op) in enumerate(steps):
+            table, t = tables[index], float(step)
+            if op[0] == "merge":
+                # An anti-entropy merge: prefilter, then the agent loop.
+                kept = table.filter_superseding(wire_batch(op[1]))
+                trace.append([(w["n"], agent_loop_apply(table, w, t)) for w in kept])
+            elif op[0] == "contains":
+                trace.append(op[1] in table)
+            elif op[0] == "region":
+                trace.append(names_in_mask(table, table.region_mask(op[1])))
+            else:
+                trace.append(run_op(table, op, t))
+            trace.append([observe(each, now=t) for each in tables])
+        return trace
+
+    @given(interleaved, st.integers(min_value=0, max_value=1000))
+    @settings(max_examples=150)
+    def test_interleaved_sequences_match(self, steps, seed):
+        shared = crowded_directory(*NAMES[:3])
+        private = [MembershipTable(name) for name in NAMES[:3]]
+        assert self.drive(shared, steps) == self.drive(private, steps)
+        for one, other in zip(shared, private):
+            assert selection_draws(one, seed) == selection_draws(other, seed)
+
+
+class TestBulkSeeding:
+    """``seed_converged`` leaves every table as the ``upsert`` loop would."""
+
+    seed_orders = st.lists(names, unique=True, max_size=len(NAMES))
+
+    @staticmethod
+    def assert_same(bulk, loop, now, seed):
+        assert observe(bulk, now) == observe(loop, now)
+        assert selection_draws(bulk, seed) == selection_draws(loop, seed)
+        # The insertion-order index the next write will extend is coherent.
+        live = list(bulk._live_slots())
+        assert [bulk._order[int(bulk._pos[slot])] for slot in live] == live
+        assert len(live) == len(bulk)
+
+    @given(operations, seed_orders, operations, st.integers(0, 1000))
+    # A suspicion deadline waiting for a record is absorbed when bulk seeding
+    # inserts it, and fires once the member is suspected.
+    @example(
+        [("deadline", "m1", 5.0)],
+        ["m2", "m1"],
+        [("apply", "m1", MemberState.SUSPECT, 0)],
+        0,
+    )
+    # Known in another state, and removed-then-reseeded (moves to the end).
+    @example(
+        [
+            ("upsert", "m3", MemberState.DEAD, 4),
+            ("upsert", "m2", MemberState.ALIVE, 1),
+            ("remove", "m2"),
+        ],
+        ["m2", "m3", "m0", "m1"],
+        [("expire", 60.0)],
+        0,
+    )
+    @settings(max_examples=150)
+    def test_matches_the_upsert_loop(self, before, order, after, seed):
+        bulk = MembershipTable(SELF)
+        loop = MembershipTable(SELF)
+        assert run_ops(bulk, before) == run_ops(loop, before)
+        identities = [identity(name) for name in order]
+        seed_converged([bulk], identities, 100.0)
+        seed_per_pair([loop], identities, 100.0)
+        self.assert_same(bulk, loop, 100.0, seed)
+        assert run_ops(bulk, after, 101) == run_ops(loop, after, 101)
+        self.assert_same(bulk, loop, 200.0, seed)
+
+    @given(
+        st.lists(operations, min_size=3, max_size=3),
+        seed_orders,
+        st.integers(0, 1000),
+    )
+    @settings(max_examples=100)
+    def test_a_group_on_one_directory_matches_private_loops(
+        self, histories, order, seed
+    ):
+        # The shape a warm start has: several tables, one directory, slots
+        # past every table's initial capacity (so seeding has to resize).
+        shared = crowded_directory(*NAMES[:3])
+        private = [MembershipTable(name) for name in NAMES[:3]]
+        for one, other, ops in zip(shared, private, histories):
+            assert run_ops(one, ops) == run_ops(other, ops)
+        identities = [identity(name) for name in order]
+        seed_converged(shared, identities, 100.0)
+        seed_per_pair(private, identities, 100.0)
+        for one, other in zip(shared, private):
+            self.assert_same(one, other, 100.0, seed)
+
+    def test_own_record_is_left_alone(self):
+        table = MembershipTable(SELF)
+        table.upsert(make_member(SELF, MemberState.ALIVE, 3, 1.0))
+        seed_converged([table], [identity(name) for name in NAMES], 9.0)
+        assert [m.name for m in table] == NAMES
+        assert (table.get(SELF).incarnation, table.get(SELF).state_time) == (3, 1.0)
+        assert table.alive_count == len(NAMES)
+
+    def test_interns_each_member_once_for_the_whole_group(self, monkeypatch):
+        directory = NodeDirectory()
+        tables = [MembershipTable(name, directory) for name in NAMES]
+        calls = []
+        intern = NodeDirectory.intern
+        monkeypatch.setattr(
+            NodeDirectory,
+            "intern",
+            lambda self, *args: calls.append(args) or intern(self, *args),
+        )
+        seed_converged(tables, [identity(name) for name in NAMES], 0.0)
+        assert len(calls) == len(NAMES)
+        # Every peer, and not the table's own record (nobody wrote one here).
+        assert all(len(table) == len(NAMES) - 1 for table in tables)
 
 
 class TestDirectoryAndRegions:
