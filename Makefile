@@ -16,7 +16,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: check lint test scheduler-equivalence global-state-gate \
         parallel-equivalence bench-gate bench-kernel \
         bench-kernel-smoke bench chaos-smoke bench-shards bench-shards-smoke \
-        bench-overload bench-overload-smoke focusbench-smoke digest-diff
+        bench-overload bench-overload-smoke focusbench-smoke digest-diff \
+        hotspots
 
 check: lint test scheduler-equivalence global-state-gate bench-gate chaos-smoke \
        focusbench-smoke
@@ -89,6 +90,13 @@ BASE ?= HEAD~1
 digest-diff:
 	$(PYTHON) benchmarks/digest_diff.py --base $(BASE) \
 		$(if $(DIGEST_SUMMARY),--summary $(DIGEST_SUMMARY))
+
+# One level below the focusbench ledger: the top functions of one workload's
+# steady phase by self time, with calls/event, and the share of gossip
+# deliveries that were re-deliveries. Informational; nothing is gated on it.
+WORKLOAD ?= group_mesh
+hotspots:
+	PYTHONHASHSEED=0 $(PYTHON) -m benchmarks.hotspots --workload $(WORKLOAD)
 
 bench-kernel:
 	$(PYTHON) benchmarks/bench_kernel.py

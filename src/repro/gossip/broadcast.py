@@ -12,7 +12,8 @@ older state still awaiting retransmission).
 Every member of a group forwards the custom (Serf event/query) updates it
 hears, so such a wire is a :class:`SizedWire`: it carries the size its
 originator measured, and each forwarder queues the same object at that size
-instead of walking a copy of it again.
+instead of walking a copy of it again. It also carries its dedupe key, because
+forwarding is what makes nearly every delivery of it a re-delivery.
 """
 
 from __future__ import annotations
@@ -27,20 +28,26 @@ _TRANSMITS_LEFT = operator.attrgetter("transmits_left")
 
 
 class SizedWire(dict):
-    """An update wire that carries its own :func:`approx_size`.
+    """A Serf event/query wire that carries its :func:`approx_size` and its id.
 
     Measured once, on construction, and never again: a wire is immutable once
     built (receivers never mutate payloads), so every queue it passes through
-    can charge ``size`` without re-walking it. It is a ``dict`` in every other
-    respect — what handlers read, what ``approx_size`` would return for it,
-    and what ``pickle`` ships (the slot travels with the items).
+    can charge ``size`` without re-walking it. ``id`` is ``fields["id"]``, the
+    key members deduplicate on: epidemic dissemination re-delivers a wire tens
+    of times per member, and the update loop
+    (``SwimAgent._apply_updates``) rejects a re-delivery by asking
+    ``wire.id in seen`` of a wire it recognises by this type — no call, no
+    subscript. It is a ``dict`` in every other respect — what handlers read,
+    what ``approx_size`` would return for it, and what ``pickle`` ships (the
+    slots travel with the items).
     """
 
-    __slots__ = ("size",)
+    __slots__ = ("size", "id")
 
     def __init__(self, fields: Dict[str, object]) -> None:
         super().__init__(fields)
         self.size = approx_size(fields)
+        self.id = fields["id"]
 
 
 class Broadcast:

@@ -40,14 +40,15 @@ oracle substituted for the table.
 
 from __future__ import annotations
 
+import math
 import random
 from array import array
-from collections.abc import Sequence as SequenceABC
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.gossip.member import (
+    RANK_BY_VALUE,
     GossipDrawBlock,
     Member,
     MemberState,
@@ -65,34 +66,56 @@ STATE_BY_CODE = (
     MemberState.DEAD,
     MemberState.LEFT,
 )
-#: Update-ordering ranks per code; dead and left tie (see member.py).
-_RANK_BY_CODE = np.array([0, 1, 2, 2], dtype=np.int8)
+#: Update-ordering ranks per code; dead and left tie (see member.py). The
+#: tuple serves the scalar rule (``can_change``), the array the vector one
+#: (``filter_superseding``).
+_RANK_OF_CODE = (0, 1, 2, 2)
+_RANK_BY_CODE = np.array(_RANK_OF_CODE, dtype=np.int8)
 #: Keyed by enum member identity: Enum.value is a descriptor hop, this isn't.
 CODE_BY_STATE = {state: CODE_BY_VALUE[state.value] for state in MemberState}
+
+#: Wire states of a death notice.
+_GONE_VALUES = (MemberState.DEAD.value, MemberState.LEFT.value)
 
 _NEVER = np.inf
 
 
-class _SlotAddresses(SequenceABC):
-    """Virtual sequence: addresses of the slots in an index array.
+def _sample_exact(getrandbits: Callable[[int], int], n: int, k: int) -> List[int]:
+    """``random.sample(range(n), k)`` inlined against raw ``getrandbits``.
 
-    Duck-types as a plain address list for ``rng.sample`` / ``rng.choice``
-    without materializing a per-agent list — the RNG draw sequence depends
-    only on ``len()``, and ``sample``/``choice`` touch only the few selected
-    indices.
+    Consumes exactly the bits ``Random.sample`` would — both of CPython's
+    branches: the shrinking-pool walk while an ``n``-list is smaller than a
+    ``k``-set (``n <= 21``, more once ``k > 5``) and rejection against the
+    already-selected indices above that — so seeded runs are bit-identical,
+    without ``rng.sample``'s ``Sequence`` ABC check and Python ``_randbelow``
+    call per draw, and without a sequence of addresses to hand it: the caller
+    indexes its slot array. With ``k == 1`` it is ``rng.choice``'s one draw.
+    The sibling of ``swim._shuffle_exact``; ``tests/test_gossip_membership.py``
+    holds both branches to ``random.sample`` on every CI interpreter.
     """
-
-    __slots__ = ("_arr", "_addresses")
-
-    def __init__(self, arr: np.ndarray, addresses: List[str]) -> None:
-        self._arr = arr
-        self._addresses = addresses
-
-    def __len__(self) -> int:
-        return len(self._arr)
-
-    def __getitem__(self, index: int) -> str:
-        return self._addresses[self._arr[index]]
+    picked = [-1] * k  # -1 is never drawn, so unfilled entries match no index
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        pool = list(range(n))
+        for i in range(k):
+            m = n - i
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            picked[i] = pool[j]
+            pool[j] = pool[m - 1]
+    else:
+        bits = n.bit_length()
+        for i in range(k):
+            j = getrandbits(bits)
+            # k is a fan-out (a handful): a list probe beats building a set.
+            while j >= n or j in picked:
+                j = getrandbits(bits)
+            picked[i] = j
+    return picked
 
 
 class NodeDirectory:
@@ -212,6 +235,13 @@ class MembershipTable:
     per group per simulation in the FOCUS stack) and so may hold slots this
     table has never met, past the end of its arrays: every reader treats such
     a slot as unknown.
+
+    The stale-update rule lives here, once per shape: :meth:`can_change`
+    answers "can this wire change my view?" for one wire (what the agent asks
+    of every piggybacked member update and of every probe's sender record —
+    nearly all of them re-deliveries, so the answer is nearly always no and
+    costs one call), :meth:`filter_superseding` answers it for an anti-entropy
+    batch in one array pass. Each is the other's test oracle.
 
     Ordering contract (load-bearing for seeded-run equivalence): every list
     this table returns — alive members, probe-target names, gossip/sync/relay
@@ -389,6 +419,18 @@ class MembershipTable:
         if slot is None or slot >= len(self._known) or not self._known[slot]:
             return None
         return int(self._inc[slot]), VALUE_BY_CODE[self._state[slot]]
+
+    def alive_address(self, name: str) -> Optional[str]:
+        """``name``'s address if this view holds it alive, else ``None``."""
+        slot = self.directory._slot_of.get(name)
+        if (
+            slot is None
+            or slot >= len(self._known)
+            or not self._known[slot]
+            or self._state[slot] != CODE_ALIVE
+        ):
+            return None
+        return self.directory.addresses[slot]
 
     # ---------------------------------------------------------------- writes
     def _write(self, slot: int, code: int, inc: int, state_time: float) -> None:
@@ -574,25 +616,33 @@ class MembershipTable:
         return [self._view(s) for s in arr[self._state[arr] == CODE_SUSPECT].tolist()]
 
     # --------------------------------------------------- selection hot paths
+    def _draw_addresses(
+        self, rng: random.Random, arr: np.ndarray, k: int
+    ) -> List[str]:
+        """Addresses of ``k`` slots of ``arr``, drawn as ``rng.sample`` over
+        the addresses would draw them (:func:`_sample_exact`)."""
+        addresses = self.directory.addresses
+        picked = _sample_exact(rng.getrandbits, len(arr), k)
+        return [addresses[arr[j]] for j in picked]
+
     def gossip_targets(self, rng: random.Random, max_fanout: int) -> List[str]:
         """Addresses of up to ``max_fanout`` random alive peers.
 
-        Exactly one ``rng.sample`` draw over the insertion-ordered alive
-        view.
+        Exactly the draws of one ``rng.sample`` over the insertion-ordered
+        alive view.
         """
         arr = self._alive_excl_arr()
         count = len(arr)
         if not count:
             return []
-        peers = _SlotAddresses(arr, self.directory.addresses)
-        return rng.sample(peers, min(max_fanout, count))
+        return self._draw_addresses(rng, arr, min(max_fanout, count))
 
     def gossip_targets_v2(self, np_rng, max_fanout: int) -> List[str]:
         """v2-profile twin of :meth:`gossip_targets` on a numpy ``Generator``.
 
-        ``rng.sample`` was the single hottest per-tick RNG cost left at 6400
-        nodes (one Mersenne draw per candidate, through a virtual-sequence
-        ``__getitem__`` per hit). Here the k-of-n without-replacement draw is
+        ``rng.sample``'s draws were the single hottest per-tick RNG cost left
+        at 6400 nodes (one Mersenne draw per candidate, which the v1 stream
+        is pinned to). Here the k-of-n without-replacement draw is
         rejection-sampled from a :class:`~repro.gossip.member.GossipDrawBlock`
         of batched ``Generator.integers`` draws, amortizing the generator
         call over ~1k ticks. The draw sequence is a pure function of the
@@ -613,11 +663,12 @@ class MembershipTable:
         return [addresses[int(arr[d])] for d in picked]
 
     def sync_peer(self, rng: random.Random) -> Optional[str]:
-        """Address of one random alive peer for push-pull anti-entropy."""
+        """Address of one random alive peer for push-pull anti-entropy
+        (the one draw of ``rng.choice`` over the alive view)."""
         arr = self._alive_excl_arr()
         if not len(arr):
             return None
-        return rng.choice(_SlotAddresses(arr, self.directory.addresses))
+        return self._draw_addresses(rng, arr, 1)[0]
 
     def relay_sample(
         self, rng: random.Random, count: int, exclude_name: str
@@ -630,22 +681,48 @@ class MembershipTable:
                 arr = arr[arr != excluded]
         if not len(arr):
             return []
-        relays = _SlotAddresses(arr, self.directory.addresses)
-        return rng.sample(relays, min(count, len(arr)))
+        return self._draw_addresses(rng, arr, min(count, len(arr)))
 
-    # -------------------------------------------------------------- batches
+    # ------------------------------------------------------- the stale rule
+    def can_change(self, wire: Dict[str, object]) -> bool:
+        """Whether the member update ``wire`` can change this view.
+
+        The SWIM ordering rule, for one wire: about a member this view does
+        not hold, anything but a death notice can (a ``dead``/``left`` for a
+        node we never knew is garbage — applying it would resurrect reclaimed
+        tombstones forever via anti-entropy merges); about this table's own
+        member, anything can (the agent decides whether to refute); otherwise
+        a higher incarnation can, and at equal incarnation a higher rank
+        (dead/left > suspect > alive, dead and left tying). A slot past this
+        table's arrays — a node only other tables on the directory have met —
+        is a member this view does not hold. No object is built and nothing
+        is interned: most gossip traffic is re-delivery of known state, and
+        this is all a re-delivered member wire costs.
+        :meth:`filter_superseding` is the same rule over a batch.
+        """
+        slot = self.directory._slot_of.get(wire["n"])
+        if slot is None or slot >= len(self._known) or not self._known[slot]:
+            return wire["s"] not in _GONE_VALUES
+        if slot == self._self_slot:
+            return True
+        incarnation = wire["i"]
+        held = self._inc.item(slot)
+        if incarnation != held:
+            return incarnation > held
+        return RANK_BY_VALUE[wire["s"]] > _RANK_OF_CODE[self._state[slot]]
+
     def filter_superseding(
         self, updates: Sequence[Dict[str, object]]
     ) -> Sequence[Dict[str, object]]:
         """Drop updates that cannot change this view, in one array pass.
 
-        Exactly the stale-update fast path of ``SwimAgent._apply_updates``
-        (incarnation dominates; at equal incarnation dead/left > suspect >
-        alive; updates about *self* and about unknown-but-living members are
-        always kept), evaluated with numpy over the whole batch. Falls back
-        to returning the batch untouched when it is small, contains
-        non-membership payloads, or mentions the same member twice (the
-        sequential loop must then see intermediate states).
+        Exactly :meth:`can_change` (incarnation dominates; at equal
+        incarnation dead/left > suspect > alive; updates about *self* and
+        about unknown-but-living members are always kept), evaluated with
+        numpy over the whole batch. Falls back to returning the batch
+        untouched when it is small, contains non-membership payloads, or
+        mentions the same member twice (the sequential loop must then see
+        intermediate states).
         """
         n = len(updates)
         if n < 16:
@@ -679,7 +756,7 @@ class MembershipTable:
         dead_unknown = ~known & (codes >= CODE_DEAD)
         keep = ~(stale_known | dead_unknown)
         if self._self_slot >= 0:
-            keep |= slots == self._self_slot
+            keep |= known & (slots == self._self_slot)
         if keep.all():
             return updates
         return [w for w, k in zip(updates, keep.tolist()) if k]

@@ -33,13 +33,8 @@ from typing import Callable, Dict, List, Optional
 from repro.sim.loop import Simulator
 from repro.sim.network import Message, Network, SizedPayload
 from repro.sim.process import Process
-from repro.gossip.broadcast import BroadcastQueue
-from repro.gossip.member import (
-    RANK_BY_VALUE,
-    STATE_BY_VALUE,
-    Member,
-    MemberState,
-)
+from repro.gossip.broadcast import BroadcastQueue, SizedWire
+from repro.gossip.member import STATE_BY_VALUE, Member, MemberState
 from repro.gossip.membership import MembershipTable, NodeDirectory
 
 PING = "swim.ping"
@@ -160,6 +155,10 @@ class SwimAgent(Process):
         self._probe_order_slots = None
         self._probe_index = 0
         self._gossip_scheduled = False
+        #: Ids of the custom wires already handled. The update loop rejects a
+        #: re-delivered :class:`SizedWire` against it; only a subclass that
+        #: handles custom wires (Serf) ever adds one.
+        self._seen: set = set()
         self._self_wire_cache: Optional[Dict[str, object]] = None
         self._self_wire_size = 48 + len(name) + len(address) + len(region)
         self.members.upsert(self._self_member())
@@ -311,15 +310,15 @@ class SwimAgent(Process):
         target_name = self._next_probe_target()
         if target_name is None:
             return
-        target = self.members.get(target_name)
-        if target is None or target.state != MemberState.ALIVE:
+        target_address = self.members.alive_address(target_name)
+        if target_address is None:
             return
         self._seq += 1
         seq = self._seq
         self._pending_probes[seq] = _PendingProbe(seq=seq, target=target_name)
         updates, usize = self._piggyback()
         self.send(
-            target.address,
+            target_address,
             PING,
             {"seq": seq, "from": self._self_wire(), "u": updates},
             size=24 + self._self_wire_size + usize,
@@ -408,8 +407,12 @@ class SwimAgent(Process):
 
     def _on_ping(self, message: Message) -> None:
         payload = message.payload
-        self._apply_updates(payload.get("u", ()))
-        self._apply_updates([payload["from"]])
+        updates = payload.get("u")
+        if updates:
+            self._apply_updates(updates)
+        sender = payload["from"]
+        if self.members.can_change(sender):
+            self._apply_member_update(sender)
         updates, usize = self._piggyback()
         self.send(
             message.src,
@@ -420,8 +423,12 @@ class SwimAgent(Process):
 
     def _on_ack(self, message: Message) -> None:
         payload = message.payload
-        self._apply_updates(payload.get("u", ()))
-        self._apply_updates([payload["from"]])
+        updates = payload.get("u")
+        if updates:
+            self._apply_updates(updates)
+        sender = payload["from"]
+        if self.members.can_change(sender):
+            self._apply_member_update(sender)
         seq = payload["seq"]
         relay = self._relayed.pop(seq, None)
         if relay is not None:
@@ -439,14 +446,15 @@ class SwimAgent(Process):
 
     def _on_ping_req(self, message: Message) -> None:
         payload = message.payload
-        self._apply_updates([payload["from"]])
-        target = Member.from_wire(payload["target"], self.sim.now)
+        sender = payload["from"]
+        if self.members.can_change(sender):
+            self._apply_member_update(sender)
         self._seq += 1
         relay_seq = self._seq
         self._relayed[relay_seq] = _RelayedPing(message.src, payload["seq"])
         updates, usize = self._piggyback()
         self.send(
-            target.address,
+            payload["target"]["a"],
             PING,
             {"seq": relay_seq, "from": self._self_wire(), "u": updates},
             size=24 + self._self_wire_size + usize,
@@ -500,48 +508,46 @@ class SwimAgent(Process):
 
     # ---------------------------------------------------------------- updates
     def _apply_updates(self, updates) -> None:
+        """Apply a batch of piggybacked updates.
+
+        Epidemic dissemination makes nearly every wire here a re-delivery, so
+        the loop settles those inline: a custom wire (recognised by its type)
+        whose id was seen costs one set probe, a member wire that cannot
+        change the view one call into the table that owns that rule.
+        """
+        seen = self._seen
+        can_change = self.members.can_change
         for wire in updates:
-            if wire.get("t", "m") != "m":
+            if type(wire) is SizedWire:
+                if wire.id not in seen:
+                    self.handle_custom_update(wire)
+            elif wire.get("t", "m") != "m":
+                # A hand-built plain-dict custom wire; the hook dedupes it.
                 self.handle_custom_update(wire)
-                continue
-            name = wire["n"]
-            previous = self.members.peek(name)
-            if previous is None and wire["s"] in (
-                MemberState.DEAD.value,
-                MemberState.LEFT.value,
+            elif can_change(wire):
+                self._apply_member_update(wire)
+
+    def _apply_member_update(self, wire: Dict[str, object]) -> None:
+        """Apply a member wire the table said can change the view."""
+        update = Member.from_wire(wire, self.sim.now)
+        if update.name == self.name:
+            self._handle_update_about_self(update)
+            return
+        previous = self.members.peek(update.name)
+        previous_state = STATE_BY_VALUE[previous[1]] if previous is not None else None
+        if self.members.apply(update):
+            # Re-broadcast: epidemic dissemination requires forwarding
+            # any update that changed our view.
+            self._broadcast_member(update)
+            if update.state == MemberState.SUSPECT:
+                self._schedule_suspicion_timeout(update)
+            if update.state == MemberState.ALIVE and previous_state != MemberState.ALIVE:
+                self._notify_alive(update)
+            if (
+                update.state in (MemberState.DEAD, MemberState.LEFT)
+                and previous_state not in (MemberState.DEAD, MemberState.LEFT)
             ):
-                # A death notice for a node we never knew is pure garbage;
-                # applying it would resurrect reclaimed tombstones forever
-                # via anti-entropy merges.
-                continue
-            if previous is not None and name != self.name:
-                # Fast path: drop stale updates without building objects.
-                # Most gossip traffic is re-delivery of already-known state.
-                inc = wire["i"]
-                if inc < previous[0]:
-                    continue
-                if inc == previous[0] and (
-                    RANK_BY_VALUE[wire["s"]] <= RANK_BY_VALUE[previous[1]]
-                ):
-                    continue
-            update = Member.from_wire(wire, self.sim.now)
-            if update.name == self.name:
-                self._handle_update_about_self(update)
-                continue
-            previous_state = STATE_BY_VALUE[previous[1]] if previous is not None else None
-            if self.members.apply(update):
-                # Re-broadcast: epidemic dissemination requires forwarding
-                # any update that changed our view.
-                self._broadcast_member(update)
-                if update.state == MemberState.SUSPECT:
-                    self._schedule_suspicion_timeout(update)
-                if update.state == MemberState.ALIVE and previous_state != MemberState.ALIVE:
-                    self._notify_alive(update)
-                if (
-                    update.state in (MemberState.DEAD, MemberState.LEFT)
-                    and previous_state not in (MemberState.DEAD, MemberState.LEFT)
-                ):
-                    self._notify_dead(update)
+                self._notify_dead(update)
 
     def handle_custom_update(self, wire: Dict[str, object]) -> None:
         """Hook for subclasses (Serf user events); default ignores."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.gossip.member import Member, MemberState, supersedes
+from repro.gossip.member import RANK_BY_VALUE, Member, MemberState, supersedes
 
 
 class MemberList:
@@ -115,6 +115,25 @@ class MemberList:
         if member is None:
             return None
         return member.incarnation, member.state.value
+
+    def alive_address(self, name: str) -> Optional[str]:
+        """``name``'s address if this view holds it alive, else ``None``."""
+        member = self._members.get(name)
+        if member is None or member.state != MemberState.ALIVE:
+            return None
+        return member.address
+
+    def can_change(self, wire: Dict[str, object]) -> bool:
+        """Whether the member update ``wire`` can change this view: the
+        stale-update rule as ``SwimAgent._apply_updates`` once spelled it."""
+        previous = self.peek(wire["n"])
+        if previous is None:
+            return wire["s"] not in (MemberState.DEAD.value, MemberState.LEFT.value)
+        if wire["n"] == self.self_name:
+            return True
+        if wire["i"] != previous[0]:
+            return wire["i"] > previous[0]
+        return RANK_BY_VALUE[wire["s"]] > RANK_BY_VALUE[previous[1]]
 
     def gossip_targets(self, rng: random.Random, max_fanout: int) -> List[str]:
         """Addresses of up to ``max_fanout`` random alive peers."""

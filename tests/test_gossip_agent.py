@@ -1,11 +1,15 @@
 """Integration tests for Serf-style user events and queries."""
 
+import sys
+from contextlib import contextmanager
+
 import pytest
 
 from repro.gossip import SerfAgent, SerfConfig
+from repro.gossip.agent import QUERY_RESPONSE, SEEN_BUFFER
 from repro.gossip.broadcast import SizedWire
-from repro.gossip.swim import GOSSIP
-from repro.sim.network import approx_size
+from repro.gossip.swim import GOSSIP, PING
+from repro.sim.network import Message, approx_size
 
 
 def build_group(sim, network, count, regions, config=None):
@@ -191,3 +195,126 @@ class TestWires:
         sim.run_until(9.0)
         # Every member once — the sender too, when the wire is gossiped back.
         assert sorted(seen) == sorted((a.name, {"k": "v"}, "ext") for a in agents)
+
+
+@contextmanager
+def program_calls():
+    """The Python-level calls into ``repro`` made inside the block, in order,
+    as ``(file name, function name)`` (``sys.setprofile`` "call" events; C
+    builtins are not Python-level calls)."""
+    calls = []
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and "/repro/" in code.co_filename:
+            calls.append((code.co_filename.rsplit("/", 1)[-1], code.co_name))
+
+    sys.setprofile(hook)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(None)
+
+
+def names(calls):
+    return [name for _, name in calls]
+
+
+class TestRedelivery:
+    """Epidemic dissemination re-delivers every wire tens of times per
+    member; the update loop turns a repeat away with a set probe, and the
+    member handles each wire once."""
+
+    @pytest.fixture
+    def group(self, sim, network, regions):
+        agents = build_group(sim, network, 6, regions)
+        sim.run_until(5.0)
+        return agents
+
+    @staticmethod
+    def gossip(agents, wires):
+        """A gossip packet from ``agents[0]``, delivered to ``agents[1]``."""
+        src, dst = agents[0].address, agents[1].address
+        return Message(GOSSIP, {"u": list(wires)}, src, dst, 0, 0.0)
+
+    @staticmethod
+    def query_wire(query_id="ext:q1"):
+        return SizedWire({"t": "q", "id": query_id, "qn": "s", "qp": {"x": 1},
+                          "o": "n0", "ra": "n0/serf"})
+
+    def test_a_packet_of_seen_wires_costs_no_call_per_wire(self, group, sim):
+        wires = []
+        for index in range(8):
+            event_id = group[0].user_event("deploy", {"version": index})
+            wires.append(group[0].broadcasts._queue[("event", event_id)].payload)
+        sim.run_until(9.0)  # every member has heard all eight
+        assert all(type(wire) is SizedWire for wire in wires)
+        receiver = group[1]
+        queued = len(receiver.broadcasts)
+        packet = self.gossip(group, wires)
+        with program_calls() as calls:
+            receiver.handle_message(packet)
+        assert "handle_custom_update" not in names(calls)
+        assert names(calls)[0] == "handle_message"
+        assert len(calls) - 1 <= 3, names(calls)
+        assert len(receiver.broadcasts) == queued
+
+    def test_a_first_delivery_is_handled_once_and_answered_once(
+        self, group, sim, network
+    ):
+        receiver = group[1]
+        asked = []
+        receiver.on_query("s", lambda p, origin: asked.append(origin) or {"ok": 1})
+        answers = []
+        network.add_delivery_tap(
+            lambda m: answers.append(m.payload) if m.kind == QUERY_RESPONSE else None
+        )
+        wire = self.query_wire()
+        with program_calls() as calls:
+            receiver.handle_message(self.gossip(group, [wire]))
+            receiver.handle_message(self.gossip(group, [wire, wire]))
+        assert names(calls).count("handle_custom_update") == 1
+        assert asked == ["n0"]
+        sim.run_until(sim.now + 1.0)  # the answer lands; nobody else has a handler
+        assert answers == [{"id": "ext:q1", "from": "n1", "r": {"ok": 1}}]
+        assert receiver.broadcasts._queue[("query", "ext:q1")].payload is wire
+
+    def test_a_ping_from_a_known_sender_asks_the_table_once(self, group):
+        sender, receiver = group[0], group[1]
+        ping = Message(
+            PING, {"seq": 1, "from": sender._self_wire(), "u": []},
+            sender.address, receiver.address, 0, 0.0,
+        )
+        with program_calls() as calls:
+            receiver.handle_message(ping)
+        table_calls = [name for file, name in calls if file == "membership.py"]
+        assert table_calls == ["can_change"]
+        assert "_apply_updates" not in names(calls)
+
+    def test_a_plain_dict_wire_is_still_deduplicated_by_the_hook(self, group):
+        receiver = group[1]
+        heard = []
+        receiver.on_event("cfg", lambda payload, origin: heard.append(payload))
+        wire = {"t": "e", "id": "ext:e1", "en": "cfg", "ep": {"k": "v"}, "o": "ext"}
+        with program_calls() as calls:
+            receiver.handle_message(self.gossip(group, [wire, dict(wire)]))
+        # Not recognisable by type: both reach the hook, which drops the repeat.
+        assert names(calls).count("handle_custom_update") == 2
+        assert heard == [{"k": "v"}]
+        assert receiver.broadcasts._queue[("event", "ext:e1")].payload is wire
+
+    def test_an_id_evicted_from_the_seen_buffer_is_handled_again(self, group):
+        receiver = group[1]
+        asked = []
+        receiver.on_query("s", lambda payload, origin: asked.append(origin))
+        wire = self.query_wire()
+        receiver.handle_message(self.gossip(group, [wire]))
+        for index in range(SEEN_BUFFER - 1):
+            receiver._remember(f"filler:{index}")
+        receiver.handle_message(self.gossip(group, [wire]))
+        assert asked == ["n0"]  # still remembered: the buffer holds SEEN_BUFFER ids
+        receiver._remember("one-more")
+        assert "ext:q1" not in receiver._seen
+        receiver.handle_message(self.gossip(group, [wire]))
+        assert asked == ["n0", "n0"]
+        assert "ext:q1" in receiver._seen

@@ -119,6 +119,7 @@ class TestSizedWire:
         wire = SizedWire(self.WIRE)
         assert wire == self.WIRE
         assert wire.size == approx_size(self.WIRE) == approx_size(wire)
+        assert wire.id == "n0:q1"
 
     def test_enqueue_charges_the_carried_size_without_a_walk(self, monkeypatch):
         wire = SizedWire(self.WIRE)
@@ -139,10 +140,12 @@ class TestSizedWire:
         assert q.take_with_size(1) == ([self.WIRE], approx_size(self.WIRE))
 
     def test_size_survives_pickle(self):
-        """The parallel kernel ships payloads between workers through pipes."""
+        """The parallel kernel ships payloads between workers through pipes;
+        the far side dedupes on ``id`` and charges ``size`` as this side does."""
         wire = SizedWire(self.WIRE)
         for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
             shipped = pickle.loads(pickle.dumps([wire], protocol))[0]
             assert type(shipped) is SizedWire
             assert shipped == self.WIRE
             assert shipped.size == wire.size
+            assert shipped.id == wire.id == "n0:q1"

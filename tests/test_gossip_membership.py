@@ -22,7 +22,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.gossip.agent import SerfAgent, SerfConfig
 from repro.gossip.member import Member, MemberState
-from repro.gossip.membership import MembershipTable, NodeDirectory, seed_converged
+from repro.gossip.membership import (
+    MembershipTable,
+    NodeDirectory,
+    _sample_exact,
+    seed_converged,
+)
 from repro.sim import Network, Simulator, Topology
 from tests.arms import kernel
 from tests.oracles.member_list import MemberList
@@ -72,6 +77,7 @@ def observe(backend, now: float):
         "snapshot": backend.snapshot_wire(),
         "snapshot_size": backend.snapshot_size(),
         "peek": [backend.peek(n) for n in NAMES],
+        "alive_address": [backend.alive_address(n) for n in NAMES],
         "due": backend.due_suspects(now),
     }
 
@@ -185,11 +191,11 @@ def wire_batch(updates):
 
 
 def agent_loop_apply(table, wire, t: float = 99.0):
-    # Mirror SwimAgent._apply_updates for one membership wire: drop
-    # death notices about unknown members, route self updates to
-    # refutation handling (not apply), else apply.
-    previous = table.peek(wire["n"])
-    if previous is None and wire["s"] in ("dead", "left"):
+    # Mirror SwimAgent._apply_updates for one membership wire: drop what
+    # cannot change the view (stale, or a death notice about an unknown
+    # member), route self updates to refutation handling (not apply), else
+    # apply.
+    if not table.can_change(wire):
         return "dropped"
     if wire["n"] == table.self_name:
         return "self"
@@ -234,6 +240,108 @@ class TestFilterSuperseding:
         kept = table.filter_superseding(batch)
         # Stale by incarnation, but self-updates drive refutation: kept.
         assert batch[0] in kept
+
+
+class TestStaleRule:
+    """One rule, three spellings: the table's scalar ``can_change``, the dict
+    oracle's, and membership of the vectorized ``filter_superseding``'s output
+    must agree on every wire of every batch."""
+
+    @staticmethod
+    def verdicts(table, batch):
+        kept = {id(wire) for wire in table.filter_superseding(batch)}
+        return (
+            [table.can_change(wire) for wire in batch],
+            [id(wire) in kept for wire in batch],
+        )
+
+    @given(operations, wire_updates)
+    # The dead/left tie, equal and lower incarnations, the table's own name,
+    # and names (m8..m23) the view has never held.
+    @example(
+        [
+            ("upsert", "m0", MemberState.ALIVE, 3),
+            ("upsert", "m1", MemberState.DEAD, 2),
+            ("upsert", "m2", MemberState.LEFT, 2),
+            ("upsert", "m3", MemberState.SUSPECT, 2),
+            ("upsert", "m4", MemberState.ALIVE, 2),
+        ],
+        [
+            ("m0", MemberState.DEAD, 0),
+            ("m1", MemberState.LEFT, 2),
+            ("m2", MemberState.DEAD, 2),
+            ("m3", MemberState.ALIVE, 2),
+            ("m4", MemberState.SUSPECT, 1),
+            ("m5", MemberState.DEAD, 6),
+            ("m6", MemberState.LEFT, 0),
+            ("m7", MemberState.SUSPECT, 0),
+        ]
+        + [(f"m{i}", MemberState.ALIVE, 0) for i in range(8, 16)],
+    )
+    # A table that dropped its own record: a death notice about it is one
+    # about a member this view does not hold.
+    @example(
+        [("upsert", "m0", MemberState.ALIVE, 1), ("remove", "m0")],
+        [("m0", MemberState.DEAD, 5)]
+        + [(f"m{i}", MemberState.ALIVE, 0) for i in range(1, 16)],
+    )
+    @settings(max_examples=150)
+    def test_scalar_oracle_and_vector_agree(self, ops, updates):
+        reference = MemberList(SELF)
+        table = MembershipTable(SELF)
+        run_ops(reference, ops)
+        run_ops(table, ops)
+        batch = wire_batch(updates)
+        scalar, vector = self.verdicts(table, batch)
+        assert scalar == vector == [reference.can_change(wire) for wire in batch]
+
+    @given(operations, operations, wire_updates)
+    @settings(max_examples=100)
+    def test_slots_past_capacity_on_a_shared_directory(self, ops, other_ops, updates):
+        # The neighbour interns names this table has not met at slots past
+        # the end of its arrays; to this table they are unknown members.
+        table, neighbour = crowded_directory(SELF, NAMES[1])
+        reference = MemberList(SELF)
+        run_ops(table, ops)
+        run_ops(reference, ops)
+        run_ops(neighbour, other_ops)
+        for name, _, _ in updates:
+            neighbour.directory.intern(*identity(name))
+        batch = wire_batch(updates)
+        scalar, vector = self.verdicts(table, batch)
+        assert scalar == vector == [reference.can_change(wire) for wire in batch]
+
+
+class TestDrawExactness:
+    """``_sample_exact`` consumes exactly the bits ``random.sample`` (and, for
+    one draw, ``random.choice``) does. In tier-1 so that every interpreter CI
+    runs is the trip-wire for CPython ever changing the algorithm."""
+
+    # n <= 21 walks a pool, above that indices are rejected against a set;
+    # k > 5 moves the boundary to 85 (21 + 4 ** ceil(log(3k, 4))).
+    sizes = st.integers(min_value=1, max_value=3000).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, min(n, 8)))
+    )
+
+    @given(st.integers(0, 2**32), sizes)
+    @example(0, (21, 4))
+    @example(0, (22, 4))
+    @example(0, (85, 6))
+    @example(0, (86, 8))
+    @example(0, (1, 1))
+    @settings(max_examples=300)
+    def test_same_indices_same_generator_state_as_sample(self, seed, size):
+        n, k = size
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert _sample_exact(ours.getrandbits, n, k) == theirs.sample(range(n), k)
+        assert ours.random() == theirs.random()
+
+    @given(st.integers(0, 2**32), st.integers(min_value=1, max_value=3000))
+    @settings(max_examples=200)
+    def test_one_draw_is_choice(self, seed, n):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert _sample_exact(ours.getrandbits, n, 1) == [theirs.choice(range(n))]
+        assert ours.random() == theirs.random()
 
 
 def crowded_directory(*self_names):
