@@ -548,7 +548,7 @@ def bench_scale_sweep(quick: bool) -> Dict[str, object]:
             "checksum": checksum,
         }
     # The v2 fast-determinism profile runs the same frozen workload with
-    # batched numpy RNG, arena message records and a GC-frozen population.
+    # batched numpy RNG draws and a GC-frozen population.
     # Its checksum is pinned separately from v1's (different byte stream,
     # same protocol behaviour) and must be just as stable run to run.
     v2_sizes = [400] if quick else [1600, 6400]
@@ -592,8 +592,8 @@ def bench_scale_sweep(quick: bool) -> Dict[str, object]:
             "pr5_v1_baseline_6400_ops_per_sec": PR5_SWIM_FULL_6400_BASELINE,
             "floor_6400_ops_per_sec": SWIM_FULL_V2_6400_FLOOR,
             "min_speedup_6400_vs_v1": SWIM_FULL_V2_6400_MIN_SPEEDUP,
-            # The last (largest) point's freeze report; CI uploads this so
-            # GC-pressure regressions show up in PR diffs.
+            # The last (largest) point's freeze report, so GC-pressure
+            # regressions show up in this file's diff.
             "gc_freeze": gc_stats,
         },
     }
@@ -807,20 +807,6 @@ def main(argv=None) -> int:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {args.out}")
-
-    # The v2 sweep's GC-freeze report (gc.get_stats() before/after freeze,
-    # collected count, tuned thresholds) also goes to its own small file so
-    # CI can upload it as an artifact and GC-pressure regressions are
-    # visible in PR diffs without digging through the full results JSON.
-    if "scale_sweep" in results:
-        gc_freeze = results["scale_sweep"].get("swim_full_v2", {}).get("gc_freeze")
-        if gc_freeze:
-            gc_out = ("GC_freeze_stats.quick.json" if args.quick
-                      else "GC_freeze_stats.json")
-            with open(gc_out, "w") as fh:
-                json.dump(gc_freeze, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote {gc_out}")
 
     failures = [
         name

@@ -61,14 +61,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Shared by every subcommand that builds a simulated cluster: which
     # determinism profile the simulator runs. "v1" is the bit-exact
-    # reference stream; "v2" is the fast profile (batched numpy RNG, arena
-    # message records, GC-frozen hot state) — still seeded-reproducible,
-    # but a different byte stream, so don't diff v1 and v2 outputs.
+    # reference stream; "v2" is the fast profile (batched numpy RNG for
+    # loss/jitter, gossip targets and probe order) — still
+    # seeded-reproducible, but a different byte stream, so don't diff v1 and
+    # v2 outputs.
     profiled = argparse.ArgumentParser(add_help=False)
     profiled.add_argument(
         "--profile", choices=["v1", "v2"], default="v1",
         help="determinism profile: v1 = bit-exact reference (default), "
-             "v2 = fast (batched RNG + arena records; different but "
+             "v2 = fast (batched numpy RNG draws; different but "
              "equally reproducible stream)",
     )
 

@@ -11,7 +11,6 @@ Defaults match the paper's node-agent configuration (§VIII-B): gossip fanout
 
 from repro.gossip.agent import SerfAgent, SerfConfig
 from repro.gossip.broadcast import Broadcast, BroadcastQueue
-from repro.gossip.coalesce import EventCoalescer
 from repro.gossip.member import Member, MemberState
 from repro.gossip.membership import MembershipTable, NodeDirectory
 from repro.gossip.swim import SwimAgent, SwimConfig
@@ -19,7 +18,6 @@ from repro.gossip.swim import SwimAgent, SwimConfig
 __all__ = [
     "Broadcast",
     "BroadcastQueue",
-    "EventCoalescer",
     "Member",
     "MemberState",
     "MembershipTable",

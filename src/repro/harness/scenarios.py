@@ -128,7 +128,7 @@ def build_focus_cluster(
 
     ``profile`` selects the simulator's determinism profile: ``"v1"``
     (default) is the bit-exact reference stream; ``"v2"`` is the fast
-    profile (batched numpy RNG, arena message records) — seeded results
+    profile (batched numpy RNG draws) — seeded results
     stay reproducible but are a different byte stream than v1's.
 
     Bandwidth meters keep totals only (``record_bandwidth_events`` is off):

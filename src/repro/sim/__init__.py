@@ -17,7 +17,7 @@ from repro.sim.metrics import (
     WindowTruncatedError,
 )
 from repro.sim.network import Endpoint, Message, Network, SizedPayload, approx_size
-from repro.sim.process import PeriodicTask, Process
+from repro.sim.process import Process
 from repro.sim.rpc import DEFERRED, RpcMixin
 from repro.sim.topology import (
     PAPER_REGIONS,
@@ -40,7 +40,6 @@ __all__ = [
     "MetricsRegistry",
     "Network",
     "PAPER_REGIONS",
-    "PeriodicTask",
     "Process",
     "Region",
     "RpcMixin",

@@ -34,7 +34,7 @@ class Event:
     firings instead of allocating a new object per period.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "recyclable")
+    __slots__ = ("time", "seq", "callback", "args", "cancelled")
 
     def __init__(
         self,
@@ -48,11 +48,6 @@ class Event:
         self.callback = callback
         self.args = args
         self.cancelled = False
-        #: Fire-and-forget events (``Simulator.post`` under the v2 profile)
-        #: return to the simulator's event pool after firing instead of being
-        #: garbage; only ``post``-created events may be marked — anything
-        #: reachable through a TimerHandle must never be reused.
-        self.recyclable = False
 
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)

@@ -19,17 +19,20 @@ Determinism profiles (``profile=`` constructor knob):
   The seeded kernel checksum is pinned in ``BENCH_kernel.json`` and must
   never move.
 * ``"v2"`` — the fast profile: components may replace per-element draws with
-  batched ``numpy.random.Generator`` draws (probe-order permutations, block
-  jitter/loss sampling) and per-message Python objects with arena records.
-  Runs are still fully deterministic — same seed, same byte stream — but the
-  stream *differs* from v1, so v2 carries its own pinned checksum
-  (``checksum_v2``) and is validated against v1 statistically (same
-  convergence/detection distributions) rather than byte-for-byte.
+  batched ``numpy.random.Generator`` draws (probe-order permutations,
+  gossip-target draws, block jitter/loss sampling). Runs are still fully
+  deterministic — same seed, same byte stream — but the stream *differs*
+  from v1, so v2 carries its own pinned checksum (``checksum_v2``) and is
+  validated against v1 statistically (same convergence/detection
+  distributions) rather than byte-for-byte.
+
+The loop itself never reads the profile: it validates the name and carries it
+for the components that draw (:mod:`repro.sim.network`,
+:mod:`repro.gossip.swim`, :mod:`repro.gossip.membership`).
 
 Long-lived state (membership tables, the node directory, interning pools)
 can be pinned out of the cyclic collector's reach after warmup via
-:meth:`Simulator.freeze_hot_state`, with the collection thresholds tuned
-through the ``gc_thresholds`` knob — see that method's docstring.
+:meth:`Simulator.freeze_hot_state` — see that method's docstring.
 """
 
 from __future__ import annotations
@@ -47,12 +50,11 @@ from repro.sim.events import Event, EventQueue, TimerHandle
 #: Valid determinism profiles; see the module docstring.
 PROFILES = ("v1", "v2")
 
-#: Default GC thresholds applied by :meth:`Simulator.freeze_hot_state` under
-#: profile v2 when the constructor got no explicit ``gc_thresholds``: a much
+#: Collection thresholds :meth:`Simulator.freeze_hot_state` applies: a much
 #: larger gen0 allocation budget (protocol traffic allocates heavily but
 #: almost everything dies young) and gen1/gen2 promotion factors high enough
 #: that full collections essentially never run inside a timed region.
-V2_GC_THRESHOLDS = (50_000, 50, 50)
+FROZEN_GC_THRESHOLD = (50_000, 50, 50)
 
 
 class Simulator:
@@ -66,14 +68,8 @@ class Simulator:
         perturb the randomness seen by unrelated components.
     profile:
         Determinism profile, ``"v1"`` (default, bit-exact) or ``"v2"``
-        (fast; batched numpy RNG + arena message records). Components read
-        :attr:`profile` at construction to pick their draw strategy; see the
-        module docstring.
-    gc_thresholds:
-        Optional ``(gen0, gen1, gen2)`` tuple applied (process-wide) by
-        :meth:`freeze_hot_state` and restored by :meth:`unfreeze_hot_state`.
-        Defaults to :data:`V2_GC_THRESHOLDS` under profile v2 and to
-        "leave the interpreter's thresholds alone" under v1.
+        (fast; batched numpy RNG). Components read :attr:`profile` at
+        construction to pick their draw strategy; see the module docstring.
     strict_rng_labels:
         When ``True``, :meth:`derive_rng` / :meth:`derive_np_rng` raise on a
         duplicate label instead of silently handing out the *same* stream
@@ -88,7 +84,6 @@ class Simulator:
         seed: int = 0,
         *,
         profile: str = "v1",
-        gc_thresholds: Optional[Tuple[int, int, int]] = None,
         strict_rng_labels: bool = False,
     ) -> None:
         self.seed = seed
@@ -104,24 +99,10 @@ class Simulator:
                 f"(expected one of {PROFILES})"
             )
         self.profile = profile
-        if gc_thresholds is None and profile == "v2":
-            gc_thresholds = V2_GC_THRESHOLDS
-        if gc_thresholds is not None:
-            gc_thresholds = tuple(int(t) for t in gc_thresholds)
-            if len(gc_thresholds) != 3 or any(t <= 0 for t in gc_thresholds):
-                raise SimulationError(
-                    f"gc_thresholds must be three positive ints, "
-                    f"got {gc_thresholds!r}"
-                )
-        self.gc_thresholds = gc_thresholds
-        self._gc_frozen = False
-        self._gc_prev_thresholds: Optional[Tuple[int, int, int]] = None
+        #: The interpreter's thresholds while :meth:`freeze_hot_state` is in
+        #: effect (``None`` otherwise), for :meth:`unfreeze_hot_state`.
+        self._gc_prev_threshold: Optional[Tuple[int, int, int]] = None
         self._queue = EventQueue()
-        #: v2: fired fire-and-forget events return here and are reused by the
-        #: next ``post`` instead of being allocated fresh (slot storage for
-        #: queued records — only ``post``-created events are pooled; anything
-        #: a TimerHandle can still reach is never reused).
-        self._event_pool: Optional[list] = [] if profile == "v2" else None
         self._wheel = TimerWheel(self)
         self._now = 0.0
         self._running = False
@@ -172,18 +153,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay:.6f}s in the past")
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event.time = self._now + delay
-            event.seq = self._queue.alloc_seq()
-            event.callback = callback
-            event.args = args
-            self._queue.push_entry(event)
-        else:
-            event = self._queue.push(self._now + delay, callback, args)
-            if pool is not None:
-                event.recyclable = True
+        self._queue.push(self._now + delay, callback, args)
 
     def call_every(
         self,
@@ -245,31 +215,16 @@ class Simulator:
         # Hot loop: one bounded pop per event instead of peek + pop, with the
         # bound check done against the queue head inside the queue.
         pop_before = self._queue.pop_before
-        pool = self._event_pool
         previous_bound = self._run_bound
         self._run_bound = time
         try:
-            if pool is None:
-                while True:
-                    event = pop_before(time)
-                    if event is None:
-                        break
-                    self._now = event.time
-                    self._events_processed += 1
-                    event.callback(*event.args)
-            else:
-                recycle = pool.append
-                while True:
-                    event = pop_before(time)
-                    if event is None:
-                        break
-                    self._now = event.time
-                    self._events_processed += 1
-                    event.callback(*event.args)
-                    if event.recyclable:
-                        event.callback = None
-                        event.args = ()
-                        recycle(event)
+            while True:
+                event = pop_before(time)
+                if event is None:
+                    break
+                self._now = event.time
+                self._events_processed += 1
+                event.callback(*event.args)
         finally:
             self._run_bound = previous_bound
         self._now = time
@@ -360,7 +315,7 @@ class Simulator:
         garbage, ``gc.freeze`` moves every survivor — membership tables, the
         node directory, interning pools, the event queue — to the permanent
         generation, and the collection thresholds are raised to
-        :attr:`gc_thresholds` (when set) so the young generations stop
+        :data:`FROZEN_GC_THRESHOLD` so the young generations stop
         promoting protocol traffic into gen2 scans. This changes *no* event
         ordering or RNG draw — it is purely an allocator/GC lever, safe under
         either determinism profile.
@@ -370,16 +325,15 @@ class Simulator:
         simulators back to back must call it, or each frozen population
         leaks into the next run's heap). Returns a stats dict — frozen-object
         count, per-generation ``gc.get_stats()`` before/after — which the
-        kernel benchmark uploads as a CI artifact so GC-pressure regressions
-        stay visible in PRs.
+        kernel benchmark records in ``BENCH_kernel.json`` so GC-pressure
+        regressions stay visible in PRs.
         """
         stats_before = gc.get_stats()
         collected = gc.collect()
         gc.freeze()
-        if self.gc_thresholds is not None and not self._gc_frozen:
-            self._gc_prev_thresholds = gc.get_threshold()
-            gc.set_threshold(*self.gc_thresholds)
-        self._gc_frozen = True
+        if self._gc_prev_threshold is None:
+            self._gc_prev_threshold = gc.get_threshold()
+            gc.set_threshold(*FROZEN_GC_THRESHOLD)
         return {
             "collected": collected,
             "frozen": gc.get_freeze_count(),
@@ -391,13 +345,11 @@ class Simulator:
     def unfreeze_hot_state(self) -> None:
         """Undo :meth:`freeze_hot_state`: thaw the permanent generation and
         restore the interpreter's previous collection thresholds."""
-        if not self._gc_frozen:
+        if self._gc_prev_threshold is None:
             return
         gc.unfreeze()
-        if self._gc_prev_thresholds is not None:
-            gc.set_threshold(*self._gc_prev_thresholds)
-            self._gc_prev_thresholds = None
-        self._gc_frozen = False
+        gc.set_threshold(*self._gc_prev_threshold)
+        self._gc_prev_threshold = None
 
 
 class _IntervalClass:

@@ -22,13 +22,13 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 
 class WindowTruncatedError(ValueError):
-    """A window query reached behind a meter's ``horizon`` truncation point.
+    """A window query asked an aggregate-only meter for a partial window.
 
-    Events older than the horizon have been discarded, so the query would
-    silently undercount; raising makes the data loss explicit. Either widen
-    the horizon, query a window starting at or after
-    :attr:`BandwidthMeter.truncated_before`, or use the totals (which never
-    truncate).
+    A meter built with ``record_events=False`` keeps totals and the observed
+    time span, not the per-message log, so a window that does not cover every
+    event it has seen would silently undercount; raising makes the missing
+    data explicit. Either build the meter (or the ``Network``) with
+    ``record_events=True``, or use the totals.
     """
 
 
@@ -305,16 +305,13 @@ class _EventLog:
     order) before rebuilding the cache.
     """
 
-    __slots__ = ("times", "sizes", "_prefix", "_unsorted", "truncated_before")
+    __slots__ = ("times", "sizes", "_prefix", "_unsorted")
 
     def __init__(self) -> None:
         self.times: List[float] = []
         self.sizes: List[int] = []
         self._prefix: List[int] = [0]
         self._unsorted = False
-        #: Highest cutoff at which events were actually discarded; window
-        #: queries starting below it raise instead of undercounting.
-        self.truncated_before = -math.inf
 
     def __len__(self) -> int:
         return len(self.times)
@@ -336,32 +333,7 @@ class _EventLog:
             self._prefix = [0]
             self._unsorted = False
 
-    def drop_before(self, cutoff: float) -> int:
-        """Discard events with ``time < cutoff``; returns how many were dropped.
-
-        The prefix-sum cache is invalidated and rebuilt lazily on the next
-        query, so window sums that lie entirely at or after ``cutoff`` return
-        exactly what they would have on the untruncated log.
-        """
-        if not self.times:
-            return 0
-        self._ensure_sorted()
-        dropped = bisect_left(self.times, cutoff)
-        if dropped:
-            del self.times[:dropped]
-            del self.sizes[:dropped]
-            self._prefix = [0]
-            if cutoff > self.truncated_before:
-                self.truncated_before = cutoff
-        return dropped
-
     def bytes_between(self, start: float, end: float) -> int:
-        if start < self.truncated_before:
-            raise WindowTruncatedError(
-                f"window start {start:g} reaches behind the truncation point "
-                f"{self.truncated_before:g}: events there were discarded by "
-                "the horizon, so the sum would silently undercount"
-            )
         if not self.times:
             return 0
         self._ensure_sorted()
@@ -380,7 +352,6 @@ class _EventLog:
         self.sizes.clear()
         self._prefix = [0]
         self._unsorted = False
-        self.truncated_before = -math.inf
 
 
 class BandwidthMeter:
@@ -388,35 +359,15 @@ class BandwidthMeter:
 
     Tracks totals and a per-direction event log so benchmarks can compute
     average KB/s over any measurement window without rescanning the run.
-
-    ``horizon`` (seconds) turns the event logs into a ring buffer: every
-    :data:`_TRUNCATE_EVERY` recorded events, entries older than ``horizon``
-    behind the newest event are discarded. Totals (``bytes_sent`` etc.) are
-    unaffected, and any window query whose ``start`` is at or after
-    ``newest - horizon`` returns exactly the untruncated answer (property
-    test in ``tests/test_sim_metrics.py``). A window whose ``start`` falls
-    behind the truncation point raises :class:`WindowTruncatedError` instead
-    of silently under-counting — bounded memory must not read as lower
-    bandwidth.
+    With ``record_events=False`` it keeps the totals and the observed time
+    span only (aggregate mode); see :meth:`bytes_in_window`.
     """
 
     __slots__ = ("name", "bytes_sent", "bytes_received", "messages_sent",
                  "messages_received", "_sent", "_recv", "record_events",
-                 "horizon", "_since_truncate", "_oldest", "_newest")
+                 "_oldest", "_newest")
 
-    #: How many recorded events between truncation sweeps (amortises the
-    #: O(dropped) list surgery to O(1) per event).
-    _TRUNCATE_EVERY = 1024
-
-    def __init__(
-        self,
-        name: str,
-        *,
-        record_events: bool = True,
-        horizon: Optional[float] = None,
-    ) -> None:
-        if horizon is not None and horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
+    def __init__(self, name: str, *, record_events: bool = True) -> None:
         self.name = name
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -425,8 +376,6 @@ class BandwidthMeter:
         self._sent = _EventLog()
         self._recv = _EventLog()
         self.record_events = record_events
-        self.horizon = horizon
-        self._since_truncate = 0
         # Aggregate mode (record_events=False): the observed time span, so
         # window queries that cover every event can still answer exactly
         # from the totals.
@@ -438,8 +387,6 @@ class BandwidthMeter:
         self.messages_sent += 1
         if self.record_events:
             self._sent.append(time, size)
-            if self.horizon is not None:
-                self._maybe_truncate(time)
         else:
             if time < self._oldest:
                 self._oldest = time
@@ -449,22 +396,17 @@ class BandwidthMeter:
     def on_send_many(self, time: float, size: int, count: int) -> None:
         """``count`` same-sized sends at one instant (fan-out fast path).
 
-        Identical observable state to ``count`` ``on_send`` calls: the event
-        log gains ``count`` entries and the truncation cadence advances once
-        per entry, so window queries and horizon sweeps are unchanged.
+        Identical observable state to ``count`` ``on_send`` calls — the event
+        log gains ``count`` entries, so window queries are unchanged — and a
+        zero-count fan-out, which sent nothing, observes nothing.
         """
         self.bytes_sent += size * count
         self.messages_sent += count
         if self.record_events:
             append = self._sent.append
-            if self.horizon is not None:
-                for _ in range(count):
-                    append(time, size)
-                    self._maybe_truncate(time)
-            else:
-                for _ in range(count):
-                    append(time, size)
-        else:
+            for _ in range(count):
+                append(time, size)
+        elif count:
             if time < self._oldest:
                 self._oldest = time
             if time > self._newest:
@@ -475,47 +417,15 @@ class BandwidthMeter:
         self.messages_received += 1
         if self.record_events:
             self._recv.append(time, size)
-            if self.horizon is not None:
-                self._maybe_truncate(time)
         else:
             if time < self._oldest:
                 self._oldest = time
             if time > self._newest:
                 self._newest = time
 
-    def _maybe_truncate(self, time: float) -> None:
-        self._since_truncate += 1
-        if self._since_truncate >= self._TRUNCATE_EVERY:
-            self._since_truncate = 0
-            cutoff = time - self.horizon
-            self._sent.drop_before(cutoff)
-            self._recv.drop_before(cutoff)
-
-    def truncate_now(self) -> None:
-        """Force an immediate truncation sweep (requires ``horizon``)."""
-        if self.horizon is None:
-            raise ValueError("truncate_now() requires a horizon")
-        newest = max(
-            self._sent.times[-1] if self._sent.times else -math.inf,
-            self._recv.times[-1] if self._recv.times else -math.inf,
-        )
-        if newest > -math.inf:
-            self._sent.drop_before(newest - self.horizon)
-            self._recv.drop_before(newest - self.horizon)
-        self._since_truncate = 0
-
     @property
     def total_bytes(self) -> int:
         return self.bytes_sent + self.bytes_received
-
-    @property
-    def truncated_before(self) -> float:
-        """Earliest time window queries may start without raising.
-
-        ``-inf`` until the horizon actually discards an event; thereafter the
-        highest cutoff that dropped anything (in either direction).
-        """
-        return max(self._sent.truncated_before, self._recv.truncated_before)
 
     def sent_events(self) -> List[Tuple[float, int]]:
         """Recorded ``(time, size)`` send events (test/debug helper)."""
@@ -529,8 +439,7 @@ class BandwidthMeter:
         """Total bytes (both directions) in ``[start, end]``.
 
         With ``record_events=True``: O(log n) in the number of recorded
-        events. Raises :class:`WindowTruncatedError` when ``start`` falls
-        behind :attr:`truncated_before` (the horizon discarded events there).
+        events.
 
         With ``record_events=False`` (aggregate mode, the v2 profile's
         default): answers exactly — from the running totals — whenever the
@@ -564,7 +473,6 @@ class BandwidthMeter:
         self.messages_received = 0
         self._sent.clear()
         self._recv.clear()
-        self._since_truncate = 0
         self._oldest = math.inf
         self._newest = -math.inf
 

@@ -32,15 +32,14 @@ message is in flight still stops it (counted under
 ``messages_dropped.blocked_in_flight`` / ``.partitioned_in_flight``).
 
 Determinism profiles: under the simulator's default ``v1`` profile every
-loss/jitter draw comes one-at-a-time from ``random.Random`` and every
-in-flight message is a :class:`Message` object — byte-identical to the
-original reference implementation. Under ``v2`` (see ``sim/loop.py``) the
-same draws are taken in blocks of :data:`UNIFORM_BLOCK` from a numpy
-``Generator`` and consumed in send order, and in-flight records live in a
-:class:`MessageArena` (parallel lists plus a free list, heap entries carry
-integer slots, one flyweight ``Message`` is refilled per delivery). Event
+loss/jitter draw comes one-at-a-time from ``random.Random`` — byte-identical
+to the original reference implementation. Under ``v2`` (see ``sim/loop.py``)
+the same draws are taken in blocks of :data:`UNIFORM_BLOCK` from a numpy
+``Generator`` and consumed in send order (:class:`_BlockUniform`). Event
 *order* is identical between profiles — only the RNG byte stream differs —
-which is what the v1-vs-v2 statistical-equivalence suite checks.
+which is what the v1-vs-v2 statistical-equivalence suite checks. Under both
+profiles an in-flight message is one :class:`Message` object, so a handler or
+delivery tap may keep the object it was handed.
 """
 
 from __future__ import annotations
@@ -200,95 +199,15 @@ class Message:
         return f"<Message {self.kind} {self.src}->{self.dst} {self.size}B>"
 
 
-class MessageArena:
-    """Slot storage for in-flight messages: parallel lists plus a free list.
-
-    Each in-flight message occupies one integer slot across six parallel
-    lists instead of one six-field Python object, so a run with hundreds of
-    thousands of sends creates no per-message objects for the GC to trace —
-    the lists are long-lived and (after :meth:`~repro.sim.loop.Simulator.
-    freeze_hot_state`) frozen. Slots are recycled LIFO through ``_free``;
-    both allocation and release happen in event order, so slot assignment is
-    deterministic. Capacity doubles on exhaustion and never shrinks.
-
-    :meth:`load` refills a caller-owned flyweight :class:`Message` from a
-    slot; the flyweight is only valid until the next ``load``. Delivery
-    handlers and taps read the message synchronously, so they never notice —
-    but a handler that *retains* the message object (rather than its fields)
-    must run under the v1 profile, which keeps one object per message.
-    """
-
-    __slots__ = ("kind", "payload", "src", "dst", "size", "sent_at",
-                 "_free", "capacity")
-
-    def __init__(self, capacity: int = 4096) -> None:
-        self.kind: List[Optional[str]] = [None] * capacity
-        self.payload: List[object] = [None] * capacity
-        self.src: List[Optional[str]] = [None] * capacity
-        self.dst: List[Optional[str]] = [None] * capacity
-        self.size: List[int] = [0] * capacity
-        self.sent_at: List[float] = [0.0] * capacity
-        self._free: List[int] = list(range(capacity - 1, -1, -1))
-        self.capacity = capacity
-
-    def __len__(self) -> int:
-        """Number of live (allocated) slots."""
-        return self.capacity - len(self._free)
-
-    def alloc(self, kind: str, payload: object, src: str, dst: str,
-              size: int, sent_at: float) -> int:
-        free = self._free
-        if not free:
-            self._grow()
-            free = self._free
-        slot = free.pop()
-        self.kind[slot] = kind
-        self.payload[slot] = payload
-        self.src[slot] = src
-        self.dst[slot] = dst
-        self.size[slot] = size
-        self.sent_at[slot] = sent_at
-        return slot
-
-    def _grow(self) -> None:
-        old = self.capacity
-        self.kind.extend([None] * old)
-        self.payload.extend([None] * old)
-        self.src.extend([None] * old)
-        self.dst.extend([None] * old)
-        self.size.extend([0] * old)
-        self.sent_at.extend([0.0] * old)
-        # New slots go on top of the (empty) free list, highest first, so the
-        # next allocations take the lowest new slot — the same order a fresh
-        # arena of the doubled size would produce.
-        self._free.extend(range(2 * old - 1, old - 1, -1))
-        self.capacity = 2 * old
-
-    def load(self, slot: int, message: Message) -> Message:
-        """Refill the flyweight ``message`` from ``slot`` and return it."""
-        message.kind = self.kind[slot]
-        message.payload = self.payload[slot]
-        message.src = self.src[slot]
-        message.dst = self.dst[slot]
-        message.size = self.size[slot]
-        message.sent_at = self.sent_at[slot]
-        return message
-
-    def release(self, slot: int) -> None:
-        # Drop the payload/string references so the arena never pins dead
-        # payload graphs; scalar fields are overwritten on reuse.
-        self.payload[slot] = None
-        self.kind[slot] = None
-        self.src[slot] = None
-        self.dst[slot] = None
-        self._free.append(slot)
-
-
 class _BlockUniform:
-    """Per-region batched uniform tap (``v2`` profile + ``region_rng``).
+    """Batched uniform tap (``v2`` profile): one numpy generator, one block.
 
-    Same block discipline as :meth:`Network._next_uniform`, but each source
-    region owns its own generator and block, so one region's draw count never
+    Draws are generated :data:`UNIFORM_BLOCK` at a time and consumed in
+    generation order (the block is reversed once so ``list.pop`` walks it
+    front-to-back), so the sequence of draws is a pure function of the seed —
+    batch size and refill timing never change which draw the Nth send sees.
+    The network owns one tap for the shared ``network`` stream, or under
+    ``region_rng`` one per source region, so one region's draw count never
     shifts another region's sequence — the property the parallel kernel needs
     to run regions in separate processes.
     """
@@ -338,9 +257,8 @@ class _DeliveryBatch:
     __slots__ = ("heap", "event", "target", "scheduled")
 
     def __init__(self) -> None:
-        #: Entries are ``(time, seq, Message)`` in object mode or
-        #: ``(time, seq, slot)`` with an int arena slot under ``v2``.
-        self.heap: List[Tuple[float, int, object]] = []
+        #: Entries are ``(time, seq, Message)``.
+        self.heap: List[Tuple[float, int, Message]] = []
         self.event: Optional[Event] = None
         self.target: Optional[Tuple[float, int]] = None
         self.scheduled = False
@@ -371,21 +289,7 @@ class Network:
         Defaults to ``None``, which resolves to ``True`` under the ``v1``
         profile and ``False`` under ``v2``: the fast profile trades the
         per-message log (two list appends on every delivery) for aggregate
-        meters, exactly like it trades per-message records for arena slots.
-        Pass an explicit ``True`` to keep full logs under v2.
-    bandwidth_horizon:
-        When set, each meter discards recorded events older than this many
-        seconds behind its newest event; window queries that start inside the
-        horizon are unaffected (see :class:`BandwidthMeter`). Bounds memory
-        on long runs that only ever measure recent windows.
-    message_arena:
-        When ``True``, in-flight records on the batched path live in a
-        :class:`MessageArena` and handlers receive a refilled flyweight
-        ``Message`` (valid only during the handler call). Defaults to
-        ``None``, which resolves to "on" exactly when the simulator runs the
-        ``v2`` profile; forcing it ``True`` under v1
-        is allowed (the A/B tests do) and does not change event order or the
-        RNG stream — only object lifetimes.
+        meters. Pass an explicit ``True`` to keep full logs under v2.
     region_rng:
         When ``True``, loss/jitter and degraded-link draws come from
         per-*source-region* streams (``network@<region>`` /
@@ -408,8 +312,6 @@ class Network:
         loss_rate: float = 0.0,
         jitter_fraction: float = 0.1,
         record_bandwidth_events: Optional[bool] = None,
-        bandwidth_horizon: Optional[float] = None,
-        message_arena: Optional[bool] = None,
         region_rng: bool = False,
     ) -> None:
         if not 0.0 <= loss_rate <= 1.0:
@@ -422,10 +324,12 @@ class Network:
         self.topology = topology if topology is not None else Topology()
         self.loss_rate = loss_rate
         self.jitter_fraction = jitter_fraction
+        # The profile decides two things here and nothing else: which
+        # generator the loss/jitter taps below draw from, and this default.
+        v2 = getattr(sim, "profile", "v1") == "v2"
         if record_bandwidth_events is None:
-            record_bandwidth_events = getattr(sim, "profile", "v1") != "v2"
+            record_bandwidth_events = not v2
         self.record_bandwidth_events = record_bandwidth_events
-        self.bandwidth_horizon = bandwidth_horizon
         self.metrics = MetricsRegistry()
         self._endpoints: Dict[str, Endpoint] = {}
         #: Last known region per address; kept after unregister so messages
@@ -448,14 +352,11 @@ class Network:
         # reference byte stream); v2 refills a block of numpy draws and pops
         # them in send order, so draws stay deterministic per seed but come
         # from a different (much cheaper per-draw) generator.
-        self._profile = getattr(sim, "profile", "v1")
-        if self._profile == "v2":
-            self._np_rng = sim.derive_np_rng("network")
-            self._uniform_block: List[float] = []
-            self._uniform = self._next_uniform
+        if v2:
+            self._uniform: Callable[[], float] = _BlockUniform(
+                sim.derive_np_rng("network")
+            )
         else:
-            self._np_rng = None
-            self._uniform_block = []
             self._uniform = self._rng.random
         # Per-source-region streams (see the ``region_rng`` parameter). The
         # dicts are keyed by region name and built in topology order so the
@@ -466,7 +367,7 @@ class Network:
             self._region_degrade: Optional[Dict[str, object]] = {
                 name: sim.derive_rng(f"network/degrade@{name}") for name in names
             }
-            if self._profile == "v2":
+            if v2:
                 self._region_uniform: Optional[Dict[str, Callable[[], float]]] = {
                     name: _BlockUniform(sim.derive_np_rng(f"network@{name}"))
                     for name in names
@@ -512,12 +413,6 @@ class Network:
         # threshold through a path that only fills once the threshold is
         # already met.
         self._direct_outstanding = 0
-        if message_arena is None:
-            message_arena = self._profile == "v2"
-        self.message_arena = message_arena
-        self._arena = MessageArena() if self.message_arena else None
-        # Flyweight refilled per arena delivery; fields are placeholders.
-        self._flyweight = Message("", None, "", "", 0, 0.0)
 
     # ------------------------------------------------------------ membership
     def register(self, endpoint: Endpoint) -> None:
@@ -547,9 +442,7 @@ class Network:
         meter = self._meters.get(address)
         if meter is None:
             meter = BandwidthMeter(
-                address,
-                record_events=self.record_bandwidth_events,
-                horizon=self.bandwidth_horizon,
+                address, record_events=self.record_bandwidth_events
             )
             self._meters[address] = meter
         return meter
@@ -641,21 +534,6 @@ class Network:
     def add_delivery_tap(self, tap: Callable[[Message], None]) -> None:
         """Register a callback invoked on every successful delivery."""
         self._delivery_taps.append(tap)
-
-    def _next_uniform(self) -> float:
-        """Pop the next uniform draw from the numpy block (v2 profile).
-
-        Draws are generated :data:`UNIFORM_BLOCK` at a time and consumed in
-        generation order (the block is reversed once so ``list.pop`` walks it
-        front-to-back), so the sequence of draws is a pure function of the
-        seed — batch size and refill timing never change which draw the Nth
-        send sees.
-        """
-        block = self._uniform_block
-        if not block:
-            block[:] = self._np_rng.random(UNIFORM_BLOCK).tolist()
-            block.reverse()
-        return block.pop()
 
     # ---------------------------------------------------------------- sending
     def send(
@@ -776,12 +654,10 @@ class Network:
         # in-flight heap; only the batch sentinel lives in the main queue.
         delivery_time = now + latency
         seq = self._alloc_seq()
-        arena = self._arena
-        if arena is not None:
-            record: object = arena.alloc(kind, payload, src, dst, wire_size, now)
-        else:
-            record = Message(kind, payload, src, dst, wire_size, now)
-        heappush(batch.heap, (delivery_time, seq, record))
+        heappush(
+            batch.heap,
+            (delivery_time, seq, Message(kind, payload, src, dst, wire_size, now)),
+        )
         if not batch.scheduled or (delivery_time, seq) < batch.target:
             self._retarget_deliveries(batch)
 
@@ -844,7 +720,6 @@ class Network:
         direct_max = self._direct_post_max
         batch = self._in_flight
         heap = batch.heap
-        arena = self._arena
         post = self.sim.post
         deliver = self._deliver
         # Fault-free fast path: with no blocks, partitions, degradations or
@@ -898,11 +773,10 @@ class Network:
                 continue
             delivery_time = now + latency
             seq = self._alloc_seq()
-            if arena is not None:
-                record: object = arena.alloc(kind, payload, src, dst, wire_size, now)
-            else:
-                record = Message(kind, payload, src, dst, wire_size, now)
-            heappush(heap, (delivery_time, seq, record))
+            heappush(
+                heap,
+                (delivery_time, seq, Message(kind, payload, src, dst, wire_size, now)),
+            )
             if not batch.scheduled or (delivery_time, seq) < batch.target:
                 self._retarget_deliveries(batch)
 
@@ -1101,8 +975,6 @@ class Network:
         meter = self.meter
         meters_get = self._meters.get
         taps = self._delivery_taps
-        arena = self._arena
-        flyweight = self._flyweight
         # Mark the batch as draining so a handler sending into it mid-flush
         # never schedules a second sentinel (_DRAINING beats every real key).
         batch.scheduled = True
@@ -1112,13 +984,7 @@ class Network:
         delivered = 0
         first = True
         while True:
-            time, _seq, record = heappop(heap)
-            if arena is not None:
-                # ``record`` is an int slot: refill the flyweight. Handlers
-                # and taps see a normal Message for the duration of the call.
-                message = arena.load(record, flyweight)
-            else:
-                message = record
+            time, _seq, message = heappop(heap)
             if first:
                 first = False
             else:
@@ -1144,11 +1010,6 @@ class Network:
                     for tap in taps:
                         tap(message)
                 receiver.handle_message(message)
-            if arena is not None:
-                # Release after the handler ran: any sends the handler made
-                # have already taken their slots, so the LIFO free order is
-                # still a pure function of event order.
-                arena.release(record)
             if not heap:
                 break
             head = heap[0]

@@ -220,26 +220,3 @@ class Process:
         state = "paused" if self.paused else ("up" if self.running else "down")
         return f"<{type(self).__name__} {self.address} ({self.region}) {state}>"
 
-
-class PeriodicTask:
-    """A named periodic task owned by a process; thin wrapper for tests.
-
-    Provided for components that want to expose their timers (e.g. the node
-    agent exposes its collection and gossip tasks so tests can assert on
-    their intervals).
-    """
-
-    def __init__(self, name: str, timer: RepeatingTimer) -> None:
-        self.name = name
-        self._timer = timer
-
-    @property
-    def interval(self) -> float:
-        return self._timer.interval
-
-    @property
-    def stopped(self) -> bool:
-        return self._timer.stopped
-
-    def stop(self) -> None:
-        self._timer.stop()

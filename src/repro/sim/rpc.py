@@ -169,10 +169,6 @@ class RpcMixin:
         payload = message.payload
         method = payload["method"]
         call_id = payload["id"]
-        # Capture the reply address NOW: under the v2 profile the delivered
-        # ``message`` is the arena's recycled flyweight, whose fields are
-        # overwritten by the next delivery — a deferred ``respond`` must not
-        # read them after the handler returns.
         reply_to = message.src
         cache = self._rpc_reply_cache
         if cache is not None:

@@ -53,3 +53,22 @@ class TestPublicSurface:
         from repro.gossip import SerfAgent, SwimAgent  # noqa: F401
         from repro.harness import build_focus_cluster, run_query  # noqa: F401
         from repro.sim import Network, Simulator  # noqa: F401
+
+    @pytest.mark.parametrize("cls, options", [
+        ("Simulator", ["profile", "strict_rng_labels"]),
+        ("Network", ["loss_rate", "jitter_fraction",
+                     "record_bandwidth_events", "region_rng"]),
+        ("BandwidthMeter", ["record_events"]),
+    ])
+    def test_kernel_keyword_options_are_pinned(self, cls, options):
+        """The kernel's constructor knobs, by name: a new one is added here
+        on purpose, with a committed benchmark that shows what it buys."""
+        import inspect
+
+        import repro.sim
+
+        params = inspect.signature(getattr(repro.sim, cls).__init__).parameters
+        keyword_only = [
+            name for name, p in params.items() if p.kind is p.KEYWORD_ONLY
+        ]
+        assert keyword_only == options

@@ -1,9 +1,8 @@
-"""Determinism-profile (v1 vs v2) equivalence and arena round-trip tests.
+"""Determinism-profile (v1 vs v2) equivalence tests.
 
 The v2 fast profile replaces per-draw ``random.Random`` calls with batched
-numpy draws, per-message objects with arena slots, and leaves the GC frozen
-over the hot population — so its byte stream legitimately differs from
-v1's. What must hold instead:
+numpy draws, so its byte stream legitimately differs from v1's. What must
+hold instead:
 
 * v1 stays byte-identical to the committed reference (the pinned
   ``1431b395…`` checksum) — selecting a profile must not perturb the other;
@@ -11,12 +10,12 @@ v1's. What must hold instead:
   runs and platforms (the numpy seed derivation hashes the label with
   sha256, so no ``PYTHONHASHSEED`` dependence);
 * within v2, every implementation arm (batched vs direct-post delivery,
-  arena on/off, GC freeze on/off) is byte-identical to every other — the
-  profile is the *only* sanctioned source of divergence;
+  GC freeze on/off) is byte-identical to every other — the profile is the
+  *only* sanctioned source of divergence;
 * v1 and v2 agree statistically: same converged membership views, same
   failure detections, event/byte totals within a few percent;
-* arena-backed message records round-trip bit-identically to object-backed
-  ones (Hypothesis property below).
+* under both profiles a delivered ``Message`` is the receiver's to keep: one
+  object per message, never refilled.
 """
 
 from __future__ import annotations
@@ -24,13 +23,11 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.gossip.swim import SwimAgent, SwimConfig
 from repro.sim import Network, Simulator, Topology
-from repro.sim.network import Message, MessageArena
+from repro.sim.network import DIRECT_POST_MAX, MESSAGE_OVERHEAD_BYTES
 from repro.sim.process import Process
 from repro.sim.rpc import DEFERRED, RpcMixin
 
@@ -48,7 +45,6 @@ def swim_profile_run(
     num_nodes: int = 6,
     duration: float = 15.0,
     direct_post_only: bool = False,
-    message_arena=None,
     freeze: bool = False,
     crash_at=None,
 ):
@@ -62,7 +58,7 @@ def swim_profile_run(
     """
     sim = Simulator(seed=seed, profile=profile)
     topology = Topology()
-    network = Network(sim, topology, message_arena=message_arena)
+    network = Network(sim, topology)
     if direct_post_only:
         network._direct_post_max = float("inf")  # the unbatched oracle
     regions = [r.name for r in topology.regions]
@@ -112,17 +108,6 @@ class TestProfileSelection:
         with pytest.raises(SimulationError):
             Simulator(seed=0, profile="v3")
 
-    def test_bad_gc_thresholds_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator(seed=0, gc_thresholds=(0, 10, 10))
-        with pytest.raises(SimulationError):
-            Simulator(seed=0, gc_thresholds=(700,))
-
-    def test_v2_defaults_gc_thresholds(self):
-        sim = Simulator(seed=0, profile="v2")
-        assert sim.gc_thresholds is not None
-        assert Simulator(seed=0).gc_thresholds is None
-
     def test_derive_np_rng_is_label_and_seed_keyed(self):
         sim = Simulator(seed=5)
         a = sim.derive_np_rng("x").random(4).tolist()
@@ -150,11 +135,6 @@ class TestV1ByteExactness:
             V1_DETERMINISM_CHECKSUM
         )
 
-    def test_v1_unaffected_by_arena_opt_in(self):
-        """Forcing the arena under v1 changes object lifetimes only."""
-        reference = swim_profile_run(profile="v1")
-        assert swim_profile_run(profile="v1", message_arena=True) == reference
-
     def test_v1_unaffected_by_freeze(self):
         reference = swim_profile_run(profile="v1")
         assert swim_profile_run(profile="v1", freeze=True) == reference
@@ -170,12 +150,11 @@ class TestV2Determinism:
         assert swim_profile_run(profile="v2") != swim_profile_run(profile="v1")
 
     def test_v2_arms_byte_identical(self):
-        """Delivery batching, arena, and GC freeze are all implementation
-        details *within* the v2 stream."""
+        """Delivery batching and GC freeze are implementation details
+        *within* the v2 stream."""
         reference = swim_profile_run(profile="v2")
         arms = [
             dict(direct_post_only=True),
-            dict(message_arena=False),
             dict(freeze=True),
         ]
         for arm in arms:
@@ -255,15 +234,12 @@ class _RpcHost(Process, RpcMixin):
         self.init_rpc()
 
 
-class TestDeferredRpcUnderArena:
-    def test_deferred_respond_survives_flyweight_recycling(self):
-        """A DEFERRED handler's ``respond`` must reach the original caller.
-
-        Under v2 the delivered ``Message`` is the arena's flyweight, whose
-        fields are overwritten by every subsequent delivery; a respond
-        closure that read ``message.src`` lazily would reply to whatever
-        endpoint happened to receive a message last (regression: FOCUS group
-        queries timed out under v2 because the server never saw the reply).
+class TestDeferredRpc:
+    def test_deferred_respond_reaches_the_original_caller(self):
+        """A DEFERRED handler's ``respond`` must reach the original caller,
+        however much other traffic the server handled in between (regression:
+        FOCUS group queries timed out under v2 because a late ``respond``
+        replied to whichever endpoint had been delivered to last).
         """
         sim = Simulator(seed=3, profile="v2")
         network = Network(sim, Topology())
@@ -276,7 +252,6 @@ class TestDeferredRpcUnderArena:
             host.on("noise", lambda message: None)
 
         def handler(params, respond, message):
-            # Respond well after other traffic has recycled the flyweight.
             sim.schedule(1.0, respond, {"echo": params["x"]})
             return DEFERRED
 
@@ -286,8 +261,7 @@ class TestDeferredRpcUnderArena:
 
         def issue() -> None:
             # Flood first so >= DIRECT_POST_MAX messages are in flight when
-            # the request is sent: that pushes the request through the arena
-            # (flyweight) path rather than a direct-posted Message object.
+            # the request is sent: the request takes the batched path.
             for i in range(12):
                 bystander.send("srv", "noise", {"i": i})
             client.call(
@@ -299,7 +273,7 @@ class TestDeferredRpcUnderArena:
 
         sim.schedule(0.1, issue)
         # Deliveries between the request and the deferred respond, so the
-        # flyweight last carried a message whose src is NOT the caller.
+        # server's last delivery came from an endpoint that is NOT the caller.
         for i in range(10):
             sim.schedule(0.5 + 0.05 * i, bystander.send, "srv", "noise", {"i": i})
         sim.run_until(10.0)
@@ -307,64 +281,44 @@ class TestDeferredRpcUnderArena:
         assert not timeouts
 
 
-# --------------------------------------------------------------- arena unit
-message_fields = st.tuples(
-    st.sampled_from(["swim.ping", "swim.ack", "gossip", "q"]),      # kind
-    st.one_of(st.none(), st.dictionaries(st.text(max_size=5),
-                                         st.integers(), max_size=3)),
-    st.text(min_size=1, max_size=8),                                 # src
-    st.text(min_size=1, max_size=8),                                 # dst
-    st.integers(min_value=0, max_value=10**6),                       # size
-    st.floats(min_value=0.0, max_value=1e6, allow_nan=False),        # sent_at
-)
+@pytest.mark.parametrize("profile", ["v1", "v2"])
+def test_delivered_message_objects_may_be_retained(profile):
+    """A handler or delivery tap may keep the ``Message`` it was handed.
 
+    The flood goes far past ``DIRECT_POST_MAX`` in-flight messages, so nearly
+    all of it is delivered by the batched flush; each delivery must be its
+    own object, still carrying what was sent once the run is over.
+    """
+    sim = Simulator(seed=11, profile=profile)
+    network = Network(sim, Topology())
+    region = network.topology.regions[0].name
+    sink = Process(sim, network, "sink", region)
+    source = Process(sim, network, "source", region)
+    sink.start()
+    source.start()
+    handled, tapped = [], []
+    sink.on("flood", handled.append)
+    network.add_delivery_tap(tapped.append)
+    count = 8 * DIRECT_POST_MAX
+    sent = []
 
-class TestMessageArena:
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(message_fields, min_size=1, max_size=40),
-           st.randoms(use_true_random=False))
-    def test_round_trip_matches_object_backed(self, records, rng):
-        """Interleaved alloc/release round-trips every field bit-exactly."""
-        arena = MessageArena(capacity=4)  # force growth
-        flyweight = Message("", None, "", "", 0, 0.0)
-        live = {}
-        for fields in records:
-            slot = arena.alloc(*fields)
-            assert slot not in live
-            live[slot] = fields
-            # Randomly release ~half the live slots as we go.
-            for s in [s for s in list(live) if rng.random() < 0.4]:
-                kind, payload, src, dst, size, sent_at = live.pop(s)
-                loaded = arena.load(s, flyweight)
-                assert loaded is flyweight
-                assert (loaded.kind, loaded.payload, loaded.src, loaded.dst,
-                        loaded.size, loaded.sent_at) == (
-                    kind, payload, src, dst, size, sent_at)
-                arena.release(s)
-        for s, fields in live.items():
-            loaded = arena.load(s, flyweight)
-            assert (loaded.kind, loaded.payload, loaded.src, loaded.dst,
-                    loaded.size, loaded.sent_at) == fields
-            arena.release(s)
-        assert len(arena) == 0
+    def flood() -> None:
+        for i in range(count):
+            payload = {"i": i, "pad": "x" * i}
+            network.send("source", "sink", "flood", payload, size=100 + i)
+            wire_size = 100 + i + MESSAGE_OVERHEAD_BYTES
+            sent.append(("flood", "source", "sink", wire_size, sim.now, payload))
 
-    def test_slot_reuse_is_lifo_and_growth_preserves_slots(self):
-        arena = MessageArena(capacity=2)
-        a = arena.alloc("k", {"x": 1}, "s", "d", 10, 1.0)
-        b = arena.alloc("k", {"x": 2}, "s", "d", 20, 2.0)
-        c = arena.alloc("k", {"x": 3}, "s", "d", 30, 3.0)  # forces growth
-        assert arena.capacity == 4
-        fly = Message("", None, "", "", 0, 0.0)
-        assert arena.load(a, fly).payload == {"x": 1}
-        assert arena.load(b, fly).payload == {"x": 2}
-        assert arena.load(c, fly).payload == {"x": 3}
-        arena.release(b)
-        assert arena.alloc("k", None, "s", "d", 0, 0.0) == b  # LIFO reuse
-        assert arena.payload[a] == {"x": 1}  # neighbours untouched
+    sim.schedule(0.25, flood)
+    sim.run_until(5.0)
 
-    def test_release_drops_references(self):
-        arena = MessageArena(capacity=2)
-        slot = arena.alloc("k", {"big": "payload"}, "s", "d", 1, 0.0)
-        arena.release(slot)
-        assert arena.payload[slot] is None
-        assert arena.kind[slot] is None
+    def fields(messages):
+        return sorted(
+            ((m.kind, m.src, m.dst, m.size, m.sent_at, m.payload)
+             for m in messages),
+            key=lambda f: f[3],
+        )
+
+    for kept in (handled, tapped):
+        assert len({id(m) for m in kept}) == count
+        assert fields(kept) == sent

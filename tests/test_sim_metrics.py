@@ -270,6 +270,24 @@ class TestBandwidthMeter:
         with pytest.raises(WindowTruncatedError):
             m.bytes_in_window(7.0, 10.0)
 
+    @pytest.mark.parametrize("ops, window", [
+        ([("on_send", 1.0, 100), ("on_receive", 2.0, 50)], (0.0, 2.0)),
+        ([("on_send_many", 1.0, 100, 3), ("on_receive", 4.0, 10)], (1.0, 4.0)),
+        # A zero-count fan-out sent nothing: it must not widen the span.
+        ([("on_send", 1.0, 100), ("on_send_many", 5.0, 100, 0)], (0.0, 2.0)),
+    ])
+    def test_aggregate_meter_agrees_with_event_log(self, ops, window):
+        """Fed the same calls, an aggregate meter answers a window covering
+        everything that was sent or received with the event log's number."""
+        log = BandwidthMeter("log")
+        aggregate = BandwidthMeter("aggregate", record_events=False)
+        for name, *args in ops:
+            getattr(log, name)(*args)
+            getattr(aggregate, name)(*args)
+        assert aggregate.bytes_in_window(*window) == log.bytes_in_window(*window)
+        assert aggregate.total_bytes == log.total_bytes
+        assert aggregate.messages_sent == log.messages_sent
+
     def test_interleaved_record_and_window_query(self):
         m = BandwidthMeter("m")
         for t in range(50):
@@ -292,110 +310,6 @@ class TestBandwidthMeter:
 
 
 class TestBandwidthMeterTruncation:
-    times = st.floats(min_value=0, max_value=1000, allow_nan=False)
-    sizes = st.integers(min_value=0, max_value=10**6)
-    events = st.lists(st.tuples(times, sizes), min_size=1, max_size=300)
-
-    @given(sent=events, received=events, data=st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_recent_windows_agree_with_untruncated_meter(
-        self, sent, received, data
-    ):
-        """Any window starting inside the horizon is truncation-invariant."""
-        horizon = data.draw(st.floats(min_value=1.0, max_value=500.0))
-        plain = BandwidthMeter("plain")
-        ring = BandwidthMeter("ring", horizon=horizon)
-        for t, size in sorted(sent):
-            plain.on_send(t, size)
-            ring.on_send(t, size)
-        for t, size in sorted(received):
-            plain.on_receive(t, size)
-            ring.on_receive(t, size)
-        ring.truncate_now()
-        newest = max(t for t, _ in sent + received)
-        start = data.draw(
-            st.floats(min_value=max(0.0, newest - horizon), max_value=newest)
-        )
-        end = data.draw(st.floats(min_value=start, max_value=1000.0))
-        assert ring.bytes_in_window(start, end) == plain.bytes_in_window(start, end)
-        # Totals never truncate.
-        assert ring.total_bytes == plain.total_bytes
-        assert ring.messages_sent == plain.messages_sent
-
-    def test_truncation_drops_old_events(self):
-        m = BandwidthMeter("m", horizon=10.0)
-        for t in range(100):
-            m.on_send(float(t), 1)
-        m.truncate_now()
-        assert len(m.sent_events()) == 11  # t in [89, 99]
-        assert m.bytes_in_window(89.0, 99.0) == 11
-        assert m.bytes_sent == 100  # totals unaffected
-
-    def test_auto_truncation_bounds_memory(self):
-        m = BandwidthMeter("m", horizon=1.0)
-        step = 1.0 / 256  # 256 events per horizon; sweep every 1024
-        for i in range(20_000):
-            m.on_send(i * step, 1)
-        # Without truncation the log would hold 20k events; with it the log
-        # can never exceed one horizon plus one sweep period of backlog.
-        assert len(m.sent_events()) <= 256 + m._TRUNCATE_EVERY
-
-    def test_horizon_must_be_positive(self):
-        with pytest.raises(ValueError):
-            BandwidthMeter("m", horizon=0.0)
-
-    def test_truncate_now_requires_horizon(self):
-        m = BandwidthMeter("m")
-        with pytest.raises(ValueError):
-            m.truncate_now()
-
-    def test_window_behind_truncation_point_raises(self):
-        """A query reaching behind the horizon must raise, not undercount:
-        events there are gone, so any number it returned would be wrong."""
-        m = BandwidthMeter("m", horizon=10.0)
-        for t in range(100):
-            m.on_send(float(t), 1)
-        m.truncate_now()
-        assert m.truncated_before == 89.0
-        with pytest.raises(WindowTruncatedError):
-            m.bytes_in_window(0.0, 99.0)
-        with pytest.raises(WindowTruncatedError):
-            m.rate_bps(50.0, 99.0)
-        # Starting exactly at the truncation point is the oldest exact query.
-        assert m.bytes_in_window(89.0, 99.0) == 11
-        assert m.bytes_in_window(95.0, 99.0) == 5
-
-    def test_truncated_before_is_minus_inf_until_events_dropped(self):
-        m = BandwidthMeter("m", horizon=10.0)
-        assert m.truncated_before == -math.inf
-        m.on_send(1.0, 1)
-        m.on_receive(2.0, 1)
-        m.truncate_now()  # nothing older than the horizon: no-op
-        assert m.truncated_before == -math.inf
-        assert m.bytes_in_window(0.0, 5.0) == 2  # pre-truncation starts fine
-
-    def test_truncated_before_tracks_both_directions(self):
-        m = BandwidthMeter("m", horizon=5.0)
-        for t in range(20):
-            m.on_send(float(t), 1)
-        m.on_receive(19.0, 1)
-        m.truncate_now()  # drops sends before 14.0; receive log untouched
-        assert m.truncated_before == 14.0
-        with pytest.raises(WindowTruncatedError):
-            m.bytes_in_window(13.0, 19.0)
-        assert m.bytes_in_window(14.0, 19.0) == 7
-
-    def test_reset_clears_truncation_point(self):
-        m = BandwidthMeter("m", horizon=1.0)
-        for t in range(10):
-            m.on_send(float(t), 1)
-        m.truncate_now()
-        assert m.truncated_before > -math.inf
-        m.reset()
-        assert m.truncated_before == -math.inf
-        m.on_send(0.5, 3)
-        assert m.bytes_in_window(0.0, 1.0) == 3
-
     def test_window_truncated_error_is_value_error(self):
         # Callers that already guard bytes_in_window with ValueError keep
         # working; the subclass only adds precision.
