@@ -9,7 +9,10 @@ workload and seed on that tree and on this one, prints the digests side by
 side and exits non-zero when any pair differs. A focusbench digest is a
 SHA-256 over everything a rep simulated — every query span, the message, byte
 and event counts, the sim metrics — so "no difference" is what "byte stream
-unchanged" means in a change description.
+unchanged" means in a change description. Where a pair does differ, the two
+reps' digested blocks are walked side by side and the leaves that differ are
+named (``counts.events``, ``spans[3].latency_ms``, ...), so "unchanged apart
+from the event count" is a line of output too.
 
 Nothing is pinned: there is no expected digest to edit. A change that moves
 bytes on purpose reports the difference, and its description says why.
@@ -30,11 +33,16 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SEEDS = (42, 7)
 REP_TIMEOUT_S = 170
+#: What focusbench's ``rep._digest`` hashes, i.e. where a difference can be.
+DIGESTED = ("attempted", "outcomes", "failed", "wrong", "degraded", "sim",
+            "counts", "spans", "conservation")
+#: Differing leaves named per pair before the rest is only counted.
+MAX_NAMED = 12
 
 
 def export_revision(rev: str, into: Path) -> None:
@@ -50,8 +58,8 @@ def export_revision(rev: str, into: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout, check=True)
 
 
-def smoke_digest(tree: Path, workload: str, seed: int) -> str:
-    """The digest of one untraced smoke rep, run by ``tree``'s own focusbench."""
+def smoke_rep(tree: Path, workload: str, seed: int) -> Dict[str, object]:
+    """One untraced smoke rep, run by ``tree``'s own focusbench."""
     runner = tree / "benchmarks" / "focusbench" / "run.py"
     if not runner.is_file():
         raise SystemExit(f"digest-diff: {tree} has no benchmarks/focusbench/run.py")
@@ -69,41 +77,67 @@ def smoke_digest(tree: Path, workload: str, seed: int) -> str:
             f"digest-diff: {workload} seed {seed} failed in {tree}:\n"
             f"{done.stderr[-2000:]}"
         )
-    return json.loads(done.stdout.strip().splitlines()[-1])["digest"]
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def compare(base_tree: Path, seeds: Sequence[int]) -> List[Tuple[str, int, str, str]]:
-    """``(workload, seed, base digest, this tree's digest)`` for every
-    workload ``BENCHMARK.json`` declares and every seed."""
+def differing_leaves(theirs: object, ours: object, path: str = "") -> Iterator[str]:
+    """Paths of the leaves at which two JSON values differ."""
+    if isinstance(theirs, dict) and isinstance(ours, dict):
+        for key in sorted(theirs.keys() | ours.keys()):
+            yield from differing_leaves(
+                theirs.get(key), ours.get(key), f"{path}.{key}" if path else key
+            )
+    elif isinstance(theirs, list) and isinstance(ours, list) and len(theirs) == len(ours):
+        for index, (left, right) in enumerate(zip(theirs, ours)):
+            yield from differing_leaves(left, right, f"{path}[{index}]")
+    elif theirs != ours:
+        yield path
+
+
+Row = Tuple[str, int, str, str, List[str]]
+
+
+def compare(base_tree: Path, seeds: Sequence[int]) -> List[Row]:
+    """``(workload, seed, base digest, this tree's digest, differing leaves)``
+    for every workload ``BENCHMARK.json`` declares and every seed."""
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
     rows = []
     for seed in seeds:
         for workload in (entry["name"] for entry in declared):
-            rows.append((
-                workload, seed,
-                smoke_digest(base_tree, workload, seed),
-                smoke_digest(ROOT, workload, seed),
+            theirs = smoke_rep(base_tree, workload, seed)
+            ours = smoke_rep(ROOT, workload, seed)
+            leaves = [] if theirs["digest"] == ours["digest"] else list(differing_leaves(
+                {key: theirs.get(key) for key in DIGESTED},
+                {key: ours.get(key) for key in DIGESTED},
             ))
+            rows.append((workload, seed, theirs["digest"], ours["digest"], leaves))
     return rows
 
 
-def render(base: str, rows: Sequence[Tuple[str, int, str, str]]) -> str:
+def render(base: str, rows: Sequence[Row]) -> str:
     """A markdown table; it reads the same on a terminal."""
     lines = [
         f"| workload | seed | `{base}` | this tree | |",
         "|---|---|---|---|---|",
     ]
-    for workload, seed, theirs, ours in rows:
-        verdict = "same" if theirs == ours else "**DIFFERENT**"
+    for workload, seed, theirs, ours, leaves in rows:
+        verdict = "same"
+        if theirs != ours:
+            named = ", ".join(f"`{leaf}`" for leaf in leaves[:MAX_NAMED])
+            more = f" and {len(leaves) - MAX_NAMED} more" if len(leaves) > MAX_NAMED else ""
+            verdict = f"**DIFFERENT** in {named}{more}"
         lines.append(
             f"| `{workload}` | {seed} | `{theirs[:12]}` | `{ours[:12]}` | {verdict} |"
         )
-    moved = sum(theirs != ours for _, _, theirs, ours in rows)
+    moved = sum(theirs != ours for _, _, theirs, ours, _ in rows)
     lines.append("")
+    everywhere = sorted(set().union(*(leaves for *_, leaves in rows)))
     lines.append(
         f"byte stream unchanged: all {len(rows)} smoke digests equal `{base}`"
         if not moved else
         f"byte stream CHANGED: {moved} of {len(rows)} smoke digests differ from `{base}`"
+        + (f", only in {', '.join(f'`{leaf}`' for leaf in everywhere)}"
+           if len(everywhere) <= MAX_NAMED else "")
     )
     return "\n".join(lines)
 
@@ -127,7 +161,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.summary:
         with open(args.summary, "a", encoding="utf-8") as handle:
             handle.write(f"### focusbench digests vs `{args.base}`\n\n{table}\n\n")
-    return 1 if any(theirs != ours for _, _, theirs, ours in rows) else 0
+    return 1 if any(theirs != ours for _, _, theirs, ours, _ in rows) else 0
 
 
 if __name__ == "__main__":

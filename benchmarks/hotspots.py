@@ -6,16 +6,19 @@
 
 One level below focusbench's 14-layer ledger: build, warm up and generate as
 ``focusbench/rep.py`` does, ``cProfile`` the steady phase, print the top
-functions by self time with calls and calls/event, then how much of the gossip
-traffic was re-delivery (what the update loop's no-op path is worth). No gate,
-no committed output; profiled seconds are ~3x untraced ones, so read counts
-and proportions here and host time in focusbench.
+functions by self time with calls and calls/event, then the events by kind
+(messages delivered per ``kind``, timer-wheel firings, posted and deadline
+callbacks by name — what the loop was asked to run, whether or not it found
+anything to do), then how much of the gossip traffic was re-delivery (what
+the update loop's no-op path is worth). No gate, no committed output;
+profiled seconds are ~3x untraced ones, so read counts and proportions here
+and host time in focusbench.
 """
 
 import argparse
 import cProfile
 import gc
-from collections import Counter
+from collections import Counter, defaultdict
 
 from benchmarks.focusbench.workloads import WORKLOADS
 from repro.gossip.swim import SwimAgent
@@ -35,6 +38,76 @@ def count_deliveries(tally: Counter) -> None:
         inner(self, updates)
 
     SwimAgent._apply_updates = counting
+
+
+#: Network drop reasons decided when the message arrives: each such drop was
+#: an event, like a delivery.
+ARRIVAL_DROPS = ("dead_endpoint", "blocked_in_flight", "partitioned_in_flight")
+
+
+def arrival_drops(network) -> int:
+    counters = (network.metrics.get_counter(f"messages_dropped.{reason}")
+                for reason in ARRIVAL_DROPS)
+    return sum(int(counter.value) for counter in counters if counter is not None)
+
+
+def callees(stats, function: str, *helpers: str) -> Counter:
+    """name -> times ``function`` called it, ``helpers`` left out."""
+    found = Counter()
+    for entry in stats:
+        if bare_name(entry.code) == function:
+            for edge in entry.calls or ():
+                found[bare_name(edge.code)] += edge.callcount
+    for helper in helpers:
+        found.pop(helper, None)
+    return found
+
+
+def events_by_kind(stats, events: int, kinds: Counter, dropped: int) -> None:
+    """Print the steady phase's events by what the loop ran.
+
+    The loop's callees in the profile are the callbacks it popped. Behind one
+    popped delivery sentinel further messages are flushed, each an event of
+    its own, so arrivals are counted by a network tap (``kinds``) and the
+    drop counters (``dropped``) instead; and a deadline sentinel that only
+    swept cancelled entries is no event. The last row checks the sum.
+    """
+    popped = callees(stats, "run_until", "pop_before", "_fire_deliveries", "_deliver")
+    wheel = popped.pop("_fire_class", 0)
+    posted = popped.pop("_post_fire", 0)
+    sentinel_firings = popped.pop("_fire_deadlines", 0)
+    fired = callees(stats, "_fire_deadlines", "push_entry",
+                    "<method 'popleft' of 'collections.deque' objects>")
+    guarded = callees(stats, "_post_fire", "<method 'append' of 'list' objects>")
+    rows = [(0, "messages delivered", sum(kinds.values()))]
+    rows += [(1, kind, count) for kind, count in kinds.most_common()]
+    rows += [
+        (0, "messages dropped on arrival", dropped),
+        (0, "timer-wheel firings", wheel),
+        (0, "posted callbacks (Process.post)", posted),
+        (0, "deadline callbacks that fired", sum(fired.values())),
+    ]
+    # One level of call edges cannot tell which of the two a guarded callback
+    # came through, so the names are listed once for both.
+    by_name = guarded + Counter({callback: count for callback, count in fired.items()
+                                 if callback != "_post_fire"})
+    rows += [(1, callback, count) for callback, count in by_name.most_common()]
+    rows += [(0, "other callbacks", sum(popped.values()))]
+    rows += [(1, callback, count) for callback, count in popped.most_common()]
+    rows += [(0, "sum of the above - events (must be 0)",
+              sum(count for indent, _, count in rows if indent == 0) - events),
+             (0, "deadline sentinel firings that only swept (no event)",
+              sentinel_firings - sum(fired.values())),
+             (0, "queue compactions (EventQueue.compact)",
+              sum(e.callcount for e in stats if bare_name(e.code) == "compact"))]
+    print(f"events by kind ({events} events):")
+    for indent, what, count in rows:
+        print(f"  {'  ' * indent}{what:<{54 - 2 * indent}}{count:>10}")
+
+
+def bare_name(code) -> str:
+    """Bare function name of a profile entry's code."""
+    return code if isinstance(code, str) else code.co_name
 
 
 def label(code) -> str:
@@ -59,7 +132,14 @@ def main() -> None:
     scenario.reset_bandwidth()
     tally = Counter({"custom wires delivered": 0, "custom wires first-time": 0})
     count_deliveries(tally)
+    kinds = defaultdict(int)
+
+    def count_kind(message) -> None:  # no call of its own: its frame is left out
+        kinds[message.kind] += 1
+
+    scenario.network.add_delivery_tap(count_kind)
     before = scenario.sim.events_processed
+    dropped_before = arrival_drops(scenario.network)
     profile = cProfile.Profile()
     gc.collect()
     profile.runcall(scenario.sim.run_until, plan.end_time)
@@ -77,9 +157,11 @@ def main() -> None:
         print(f"{entry.inlinetime:>8.3f}{entry.inlinetime / total_self:>7.1%}"
               f"{entry.callcount:>10}{entry.callcount / events:>8.3f}  {label(entry.code)}")
 
+    events_by_kind(stats, events, Counter(kinds),
+                   arrival_drops(scenario.network) - dropped_before)
+
     def entries(function: str) -> int:
-        suffix = f"({function})"
-        return sum(e.callcount for e in stats if label(e.code).endswith(suffix))
+        return sum(e.callcount for e in stats if bare_name(e.code) == function)
 
     tally["handle_custom_update entries"] = entries("handle_custom_update")
     tally["member wires examined (can_change)"] = entries("can_change")

@@ -84,8 +84,8 @@ class NodeAgent(Process, RpcMixin):
         self._moving: set = set()
         self._rng = sim.derive_rng(f"agent/{node_id}")
         #: Serf address -> the id sequence shared by every p2p agent this node
-        #: has run there since it started, so a group it leaves and re-enters
-        #: never sees one of its query ids twice.
+        #: has ever run there, so a group it leaves and re-enters — or rejoins
+        #: after a crash — never sees one of its query ids twice.
         self._serf_event_ids: Dict[str, Iterator[int]] = {}
 
         #: Materialized views (§XII extension): definitions this node knows,
@@ -127,12 +127,6 @@ class NodeAgent(Process, RpcMixin):
         self._moving.clear()
         self._joining_views.clear()
         self.reset_rpc()
-        # Nor do its id counters survive: a restarted node numbers from q1
-        # again, as a crashed process would. Peers that remember the old q1
-        # ignore the new one until the numbering passes it (ROADMAP 0(b));
-        # ids that outlive a crash change the seeded crash scenario's report
-        # and wait for the re-pin of BENCH_chaos.json.
-        self._serf_event_ids.clear()
 
     def restart(self) -> None:
         """Crash recovery: come back up and re-register with the service.

@@ -21,7 +21,9 @@ Membership bookkeeping lives in the vectorized
 :class:`~repro.gossip.membership.MembershipTable`; its oracle, the original
 dict-of-``Member`` list, is ``tests/oracles/member_list.py``. Probe timers are
 ordinary :meth:`~repro.sim.process.Process.every` timers, coalesced by the
-simulator's timer wheel.
+simulator's timer wheel, and an outstanding probe is its own timeout — a
+:class:`~repro.sim.events.Deadline` the ack cancels — so an acked probe costs
+three events (tick, ping, ack) and leaves nothing in the event queue.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from repro.sim.events import Deadline
 from repro.sim.loop import Simulator
 from repro.sim.network import Message, Network, SizedPayload
 from repro.sim.process import Process
@@ -98,12 +101,17 @@ def _shuffle_exact(x: List[str], getrandbits) -> None:
         m -= 1
 
 
-@dataclass
-class _PendingProbe:
-    seq: int
-    target: str  # member name
-    indirect_sent: bool = False
-    done: bool = False
+class _PendingProbe(Deadline):
+    """An outstanding probe, which is also its own timeout: armed for the
+    direct ack window at the tick, re-armed for the indirect window if that
+    one expires, cancelled by the ack."""
+
+    __slots__ = ("target", "tick_time")
+
+    def __init__(self, target: str, tick_time: float) -> None:
+        super().__init__()
+        self.target = target  # member name
+        self.tick_time = tick_time
 
 
 @dataclass
@@ -315,7 +323,8 @@ class SwimAgent(Process):
             return
         self._seq += 1
         seq = self._seq
-        self._pending_probes[seq] = _PendingProbe(seq=seq, target=target_name)
+        probe = _PendingProbe(target_name, self.sim.now)
+        self._pending_probes[seq] = probe
         updates, usize = self._piggyback()
         self.send(
             target_address,
@@ -323,8 +332,7 @@ class SwimAgent(Process):
             {"seq": seq, "from": self._self_wire(), "u": updates},
             size=24 + self._self_wire_size + usize,
         )
-        self.post(self.config.probe_timeout, self._direct_probe_timeout, seq)
-        self.post(self.config.probe_timeout * 3, self._final_probe_timeout, seq)
+        self.arm(probe, self.config.probe_timeout, self._direct_probe_timeout, seq)
 
     def _next_probe_target(self) -> Optional[str]:
         np_rng = self._np_rng
@@ -375,14 +383,25 @@ class SwimAgent(Process):
 
     def _direct_probe_timeout(self, seq: int) -> None:
         probe = self._pending_probes.get(seq)
-        if probe is None or probe.done or probe.indirect_sent:
+        if probe is None:
             return
-        probe.indirect_sent = True
-        target = self.members.get(probe.target)
+        # No direct ack. Whatever happens next, the probe is given up on at
+        # the instant a timeout armed at the tick would have fired.
+        self.arm(
+            probe,
+            self.config.probe_timeout * 3,
+            self._final_probe_timeout,
+            seq,
+            since=probe.tick_time,
+        )
+        self._send_ping_reqs(seq, probe.target)
+
+    def _send_ping_reqs(self, seq: int, target_name: str) -> None:
+        target = self.members.get(target_name)
         if target is None:
             return
         relays = self.members.relay_sample(
-            self._rng, self.config.indirect_probes, probe.target
+            self._rng, self.config.indirect_probes, target_name
         )
         if not relays:
             return
@@ -399,7 +418,7 @@ class SwimAgent(Process):
 
     def _final_probe_timeout(self, seq: int) -> None:
         probe = self._pending_probes.pop(seq, None)
-        if probe is None or probe.done:
+        if probe is None:
             return
         member = self.members.get(probe.target)
         if member is not None and member.state == MemberState.ALIVE:
@@ -442,7 +461,7 @@ class SwimAgent(Process):
             return
         probe = self._pending_probes.pop(seq, None)
         if probe is not None:
-            probe.done = True
+            probe.cancelled = True
 
     def _on_ping_req(self, message: Message) -> None:
         payload = message.payload

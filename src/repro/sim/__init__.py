@@ -5,7 +5,7 @@ geo-aware network with latency and bandwidth accounting, and metrics.
 All higher layers (gossip, store, broker, FOCUS itself) run on top of it.
 """
 
-from repro.sim.events import Event, EventQueue, TimerHandle
+from repro.sim.events import Deadline, Event, EventQueue, TimerHandle
 from repro.sim.loop import Simulator
 from repro.sim.metrics import (
     BandwidthMeter,
@@ -31,6 +31,7 @@ __all__ = [
     "BandwidthMeter",
     "Counter",
     "DEFERRED",
+    "Deadline",
     "Endpoint",
     "Event",
     "EventQueue",

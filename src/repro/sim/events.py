@@ -10,6 +10,12 @@ insert, one heapify when a bucket becomes the drain front), far-future
 events overflow to a binary heap and migrate into buckets as the window
 advances. Cancellation is O(1) tombstoning with periodic compaction.
 
+A :class:`Deadline` is the other kind of timeout: one that is expected to be
+cancelled. It never enters the queue — :meth:`Simulator.deadline
+<repro.sim.loop.Simulator.deadline>` files it in a per-delay FIFO behind one
+sentinel event — so cancelling it leaves no tombstone and an answered request
+costs no event at all.
+
 It orders strictly by ``(time, seq)``: the bucket index ``floor(time / width)``
 is a monotone function of ``time`` and entries within a bucket are drained
 through a heap of ``(time, seq, event)`` tuples, so it pops events in exactly
@@ -58,6 +64,33 @@ class Event:
         return f"<Event t={self.time:.6f} seq={self.seq} cb={name}{state}>"
 
 
+class Deadline:
+    """A one-shot timeout that is expected to be cancelled before it fires.
+
+    Armed by :meth:`Simulator.arm <repro.sim.loop.Simulator.arm>` (or created
+    and armed by :meth:`~repro.sim.loop.Simulator.deadline`). If it is still
+    live at ``time`` it runs ``callback(*args)`` as an ordinary event, at the
+    exact ``(time, seq)`` a ``post`` made at the arming moment would have;
+    cancelling it is one flag write and costs no event. The owner may
+    subclass it, so that the thing waited for *is* its own timeout (a SWIM
+    probe is), and may re-arm an entry once it has fired.
+    """
+
+    __slots__ = ("time", "seq", "callback", "args", "cancelled")
+
+    def __init__(self) -> None:
+        self.time = 0.0
+        #: Ordering tie-breaker while armed, ``-1`` otherwise.
+        self.seq = -1
+        self.callback: Optional[Callable[..., Any]] = None
+        self.args: tuple = ()
+        self.cancelled = False
+
+    def cancel(self) -> None:
+        """Prevent the deadline from firing (a no-op once it has)."""
+        self.cancelled = True
+
+
 class TimerHandle:
     """Cancellation handle returned by ``Simulator.schedule``.
 
@@ -84,10 +117,15 @@ class TimerHandle:
         """Prevent the event from firing.
 
         Cancelling an already-fired or already-cancelled event is a no-op.
+        The tombstone left in the queue holds nothing: what the callback and
+        its arguments referenced (an RPC call's state and payload, say) is
+        released now, not when the cancelled time comes round.
         """
         event = self._event
         if not event.cancelled:
             event.cancelled = True
+            event.callback = None
+            event.args = ()
             if self._queue is not None:
                 self._queue.note_cancelled()
 
@@ -126,7 +164,9 @@ class EventQueue:
       heap; they migrate into buckets as the front advances.
 
     Cancellation tombstones events in place; :meth:`note_cancelled` counts
-    them and triggers :meth:`compact` when they outnumber live entries.
+    them, every drain path that discards one takes it off the count again,
+    and :meth:`compact` runs when the tombstones still queued outnumber the
+    live entries.
     """
 
     def __init__(
@@ -277,6 +317,7 @@ class EventQueue:
                 event = entry[2]
                 if not event.cancelled:
                     return event
+                self._discarded_tombstone()
                 continue
             if not self._advance():
                 return None
@@ -301,6 +342,7 @@ class EventQueue:
                 event = entry[2]
                 if not event.cancelled:
                     return event
+                self._discarded_tombstone()
                 continue
             if not self._advance():
                 return None
@@ -325,10 +367,20 @@ class EventQueue:
                     return (entry[0], entry[1])
                 heappop(front)
                 self._size -= 1
+                self._discarded_tombstone()
             if not self._advance():
                 return None
 
     # ------------------------------------------------------------ tombstones
+    def _discarded_tombstone(self) -> None:
+        """A drain path dropped a cancelled entry: one tombstone fewer.
+
+        Floored at zero because a cancellation is not always counted (an
+        ``Event`` flagged by hand, a handle built without its queue).
+        """
+        if self._tombstones:
+            self._tombstones -= 1
+
     def note_cancelled(self) -> None:
         """Record one cancellation; compact once tombstones dominate."""
         self._tombstones += 1

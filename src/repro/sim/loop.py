@@ -12,6 +12,23 @@ probe ticks) into one recycled sentinel entry per interval class. Their
 oracles — a single binary heap and a self-rescheduling timer — live in
 ``tests/oracles/``.
 
+Deadlines (:meth:`Simulator.deadline`) sit beside the wheel for the opposite
+case: one-shot timeouts that are nearly always cancelled (a SWIM probe's ack
+window). What is FIFO: all deadlines armed with one ``delay`` share a deque,
+and because the clock and the sequence counter only move forward, arming order
+*is* ``(time, seq)`` order, so arming is an append and the head is always the
+next to expire. One recycled sentinel event per delay sits in the queue at the
+head's exact key. Cancelling is a flag write that touches neither structure.
+When the sentinel fires it takes the head off, drops the cancelled entries
+behind it, re-aims at the first live one, and runs the head's callback if it
+was still live — at the ``(time, seq)`` a ``post`` at the arming moment would
+have had. Why a sweep is not an event: a firing that finds its head cancelled
+runs nobody's code, and how many such firings happen depends on how the
+simulation is cut up (each region worker of the parallel kernel sweeps its
+own FIFOs), so counting them would break serial == parallel on
+``events_processed``; the sentinel takes its count back. Oracle:
+``tests/oracles/deadlines.py`` (every deadline a ``schedule`` + ``cancel``).
+
 Determinism profiles (``profile=`` constructor knob):
 
 * ``"v1"`` (default) — the bit-exact reference: every random draw comes from
@@ -41,11 +58,12 @@ import gc
 import hashlib
 import math
 import random
+from collections import deque
 from heapq import heappop, heappush, heapreplace
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, EventQueue, TimerHandle
+from repro.sim.events import Deadline, Event, EventQueue, TimerHandle
 
 #: Valid determinism profiles; see the module docstring.
 PROFILES = ("v1", "v2")
@@ -103,7 +121,11 @@ class Simulator:
         #: effect (``None`` otherwise), for :meth:`unfreeze_hot_state`.
         self._gc_prev_threshold: Optional[Tuple[int, int, int]] = None
         self._queue = EventQueue()
+        self._alloc_seq = self._queue._seq.__next__
         self._wheel = TimerWheel(self)
+        #: delay -> the FIFO of deadlines armed with it; a FIFO is listed
+        #: exactly while it holds entries, and its sentinel is queued then.
+        self._deadline_fifos: Dict[float, _DeadlineFifo] = {}
         self._now = 0.0
         self._running = False
         self._events_processed = 0
@@ -155,6 +177,107 @@ class Simulator:
             raise SimulationError(f"cannot schedule {delay:.6f}s in the past")
         self._queue.push(self._now + delay, callback, args)
 
+    def deadline(
+        self,
+        delay: float,
+        callback: Callable[..., Any],
+        *args: Any,
+        since: Optional[float] = None,
+    ) -> Deadline:
+        """A cancellable one-shot for timeouts that are usually cancelled.
+
+        Same firing instant, order and event count as :meth:`schedule` —
+        ``callback(*args)`` runs ``delay`` seconds from now unless the
+        returned :class:`~repro.sim.events.Deadline` is cancelled first — but
+        the entry waits in a per-``delay`` FIFO instead of the event queue,
+        so a cancelled one costs a flag write: no event, no tombstone. See
+        the module docstring. ``since`` counts the delay from an earlier
+        instant (a timeout that started before it could be armed); an
+        instant already past fires now.
+        """
+        entry = Deadline()
+        self.arm(entry, delay, callback, *args, since=since)
+        return entry
+
+    def arm(
+        self,
+        entry: Deadline,
+        delay: float,
+        callback: Callable[..., Any],
+        *args: Any,
+        since: Optional[float] = None,
+    ) -> None:
+        """:meth:`deadline` on a caller-owned entry — a ``Deadline`` subclass
+        carrying the waiter's own state, or one that has fired, re-armed for
+        its next stage. An entry that may still be filed (armed and not yet
+        fired, cancelled or not) cannot be armed again."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule {delay:.6f}s in the past")
+        if entry.seq >= 0:
+            raise SimulationError("deadline is still armed; arm a fresh one")
+        time = self._now + delay
+        if since is not None:
+            time = max(self._now, since + delay)
+        entry.time = time
+        # The tie-breaker a post() made here would get.
+        entry.seq = self._alloc_seq()
+        entry.callback = callback
+        entry.args = args
+        entry.cancelled = False
+        fifo = self._deadline_fifos.get(delay)
+        if fifo is not None and fifo[-1].time <= time:
+            fifo.append(entry)
+        else:
+            self._file_deadline(fifo, delay, entry)
+
+    def _file_deadline(
+        self, fifo: Optional["_DeadlineFifo"], delay: float, entry: Deadline
+    ) -> None:
+        """Slow path of :meth:`arm`: the first entry of its delay, or one
+        that expires before the tail (possible only with ``since``)."""
+        if fifo is None:
+            fifo = self._deadline_fifos[delay] = _DeadlineFifo(delay)
+            fifo.append(entry)
+        else:
+            # Keep (time, seq) order; the newcomer has the largest seq, so it
+            # goes behind every entry that does not expire strictly later.
+            index = len(fifo)
+            while index and fifo[index - 1].time > entry.time:
+                index -= 1
+            fifo.insert(index, entry)
+            if index:
+                return
+            # New head: the queued sentinel is aimed at the old one. It stays
+            # behind as a tombstone, like a re-aimed timer-wheel sentinel.
+            fifo.event.cancelled = True
+            self._queue.note_cancelled()
+        fifo.event = Event(entry.time, entry.seq, self._fire_deadlines, (fifo,))
+        self._queue.push_entry(fifo.event)
+
+    def _fire_deadlines(self, fifo: "_DeadlineFifo") -> None:
+        """Sentinel callback: the head of ``fifo`` is due.
+
+        The sentinel is re-aimed before the head's callback runs, so a
+        callback that arms into the same FIFO finds it consistent.
+        """
+        entry = fifo.popleft()
+        entry.seq = -1
+        while fifo and fifo[0].cancelled:
+            fifo.popleft().seq = -1
+        if fifo:
+            head = fifo[0]
+            event = fifo.event  # just fired: free to recycle
+            event.time = head.time
+            event.seq = head.seq
+            self._queue.push_entry(event)
+        else:
+            del self._deadline_fifos[fifo.delay]
+        if entry.cancelled:
+            # Nothing ran: a sweep is not an event (see the module docstring).
+            self._events_processed -= 1
+        else:
+            entry.callback(*entry.args)
+
     def call_every(
         self,
         interval: float,
@@ -178,15 +301,24 @@ class Simulator:
 
     # ---------------------------------------------------------------- running
     def step(self) -> bool:
-        """Execute the next event. Returns ``False`` when the queue is empty."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        if event.time < self._now:  # pragma: no cover - queue invariant
-            raise SimulationError("event queue returned an event from the past")
-        self._now = event.time
-        self._events_processed += 1
-        event.callback(*event.args)
+        """Execute the next event. Returns ``False`` when the queue is empty.
+
+        A deadline sentinel that only sweeps cancelled entries is not an
+        event: it is passed over, and if nothing else is queued the clock
+        stays where it was.
+        """
+        start = self._now
+        processed = self._events_processed
+        while self._events_processed == processed:
+            event = self._queue.pop()
+            if event is None:
+                self._now = start
+                return False
+            if event.time < self._now:  # pragma: no cover - queue invariant
+                raise SimulationError("event queue returned an event from the past")
+            self._now = event.time
+            self._events_processed += 1
+            event.callback(*event.args)
         return True
 
     def run_until(self, time: float) -> None:
@@ -352,6 +484,18 @@ class Simulator:
         self._gc_prev_threshold = None
 
 
+class _DeadlineFifo(deque):
+    """The deadlines armed with one ``delay``, in ``(time, seq)`` order, with
+    the sentinel :class:`Event` queued at the head's key."""
+
+    __slots__ = ("delay", "event")
+
+    def __init__(self, delay: float) -> None:
+        super().__init__()
+        self.delay = delay
+        self.event: Optional[Event] = None
+
+
 class _IntervalClass:
     """All wheel-registered timers sharing one interval value.
 
@@ -392,7 +536,7 @@ class TimerWheel:
         self._sim = sim
         self._queue = sim._queue
         # Bound seq allocator: one C call per re-arm instead of a method hop.
-        self._alloc = sim._queue._seq.__next__
+        self._alloc = sim._alloc_seq
         self._classes: Dict[float, _IntervalClass] = {}
 
     def class_count(self) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
+from repro.sim.events import Deadline
 from repro.sim.loop import RepeatingTimer, Simulator
 from repro.sim.network import Message, Network
 
@@ -78,9 +79,10 @@ class Process:
 
         While paused the process stays registered on the network but drops
         every delivery and send, skips periodic timer firings, and defers
-        expired one-shot (:meth:`after`/:meth:`post`) callbacks. Peers see
-        an unresponsive node — SWIM suspects it — yet its state survives, so
-        on resume it refutes suspicion instead of rejoining from scratch.
+        expired one-shot (:meth:`after`/:meth:`post`/:meth:`deadline`)
+        callbacks. Peers see an unresponsive node — SWIM suspects it — yet
+        its state survives, so on resume it refutes suspicion instead of
+        rejoining from scratch.
         """
         if not self.running:
             raise SimulationError(f"cannot pause stopped process {self.address}")
@@ -207,6 +209,32 @@ class Process:
         :meth:`after`; only the per-call allocations disappear.
         """
         self.sim.post(delay, self._post_fire, callback, args)
+
+    def deadline(
+        self,
+        delay: float,
+        callback: Callable[..., None],
+        *args: object,
+        since: Optional[float] = None,
+    ) -> Deadline:
+        """:meth:`post` for a timeout that is usually cancelled: the returned
+        :class:`~repro.sim.events.Deadline` costs no event if it is. Fires
+        under :meth:`post`'s rules (dropped once stopped, deferred while
+        paused); see :meth:`Simulator.deadline`."""
+        entry = Deadline()
+        self.sim.arm(entry, delay, self._post_fire, callback, args, since=since)
+        return entry
+
+    def arm(
+        self,
+        entry: Deadline,
+        delay: float,
+        callback: Callable[..., None],
+        *args: object,
+        since: Optional[float] = None,
+    ) -> None:
+        """:meth:`deadline` on a caller-owned entry; see :meth:`Simulator.arm`."""
+        self.sim.arm(entry, delay, self._post_fire, callback, args, since=since)
 
     def _post_fire(self, callback: Callable[..., None], args: tuple) -> None:
         if not self.running:

@@ -113,6 +113,34 @@ class TestGroupReentry:
         assert "ghost" not in responses
         assert set(responses) == {m.name for m in back.serf.alive_members()}
 
+    def test_first_pull_after_a_crash_restart_is_answered(self):
+        """Peers remember the crashed incarnation's ``q1``; the restarted
+        node must not number its first query ``q1`` again, or they all take
+        it for a re-delivery and nobody answers."""
+        scenario = build_focus_cluster(16, seed=3, with_store=False, warm_start=True)
+        drain(scenario, 5.0)
+        agent = scenario.agents[0]
+        home = agent.memberships["ram_mb"]
+        everyone = Query([QueryTerm.at_least("ram_mb", 0.0)]).to_json()
+        old_id = home.serf.query("fq", everyone, lambda responses: None, timeout=1.0)
+        drain(scenario, 3.0)
+
+        agent.stop()
+        agent.restart()
+        drain(scenario, 10.0)
+        back = agent.memberships["ram_mb"]
+        assert back.group == home.group
+        assert back.serf is not home.serf
+        assert back.serf.address == home.serf.address
+
+        answers = []
+        new_id = back.serf.query("fq", everyone, answers.append, timeout=1.0)
+        drain(scenario, 3.0)
+        (responses,) = answers
+        assert len(responses) > 1
+        assert set(responses) == {m.name for m in back.serf.alive_members()}
+        assert new_id != old_id
+
 
 class TestGroupQueryCost:
     def test_one_pull_measures_and_decodes_its_query_once_for_the_group(

