@@ -9,19 +9,25 @@ One level below focusbench's 14-layer ledger: build, warm up and generate as
 functions by self time with calls and calls/event, then the events by kind
 (messages delivered per ``kind``, timer-wheel firings, posted and deadline
 callbacks by name — what the loop was asked to run, whether or not it found
-anything to do), then how much of the gossip traffic was re-delivery (what
-the update loop's no-op path is worth). No gate, no committed output;
-profiled seconds are ~3x untraced ones, so read counts and proportions here
-and host time in focusbench.
+anything to do), then who measured and decoded wire payloads (every
+``approx_size`` walk, ``Query.from_json`` decode, ``json.dumps`` and sized-dict
+construction, by calling function: a hop that re-measures or re-decodes what
+it was handed is one line), then how much of the gossip traffic was
+re-delivery (what the update loop's no-op path is worth). No gate, no
+committed output; profiled seconds are ~3x untraced ones, so read counts and
+proportions here and host time in focusbench.
 """
 
 import argparse
 import cProfile
 import gc
+import json
 from collections import Counter, defaultdict
 
 from benchmarks.focusbench.workloads import WORKLOADS
+from repro.core.query import Query
 from repro.gossip.swim import SwimAgent
+from repro.sim.network import SizedDict, approx_size
 
 
 def count_deliveries(tally: Counter) -> None:
@@ -105,16 +111,49 @@ def events_by_kind(stats, events: int, kinds: Counter, dropped: int) -> None:
         print(f"  {'  ' * indent}{what:<{54 - 2 * indent}}{count:>10}")
 
 
+def callers(stats, function) -> Counter:
+    """caller's label -> times it called ``function`` (a Python function)."""
+    code = function.__code__
+    found = Counter()
+    for entry in stats:
+        for edge in entry.calls or ():
+            if edge.code is code:
+                found[label(entry.code)] += edge.callcount
+    return found
+
+
+def wire_sizing(stats) -> None:
+    """Print who measured, decoded and encoded wire payloads, by caller.
+
+    The sized-dict row counts every ``SizedDict`` built, its subclasses
+    (``SizedWire``, ``DecodedQueryJson``) included: their constructors show
+    up among its callers.
+    """
+    print("wire sizing and decoding (entries by caller):")
+    for what, function in (
+        ("approx_size", approx_size),
+        ("Query.from_json", Query.from_json.__func__),
+        ("json.dumps", json.dumps),
+        ("sized-dict constructions (SizedDict.__init__)", SizedDict.__init__),
+    ):
+        found = callers(stats, function)
+        print(f"  {what:<54}{sum(found.values()):>10}")
+        for caller, count in found.most_common():
+            print(f"    {caller:<52}{count:>10}")
+
+
 def bare_name(code) -> str:
     """Bare function name of a profile entry's code."""
     return code if isinstance(code, str) else code.co_name
 
 
 def label(code) -> str:
+    """``file:line(name)``, the name qualified where the interpreter knows it
+    (3.11+), so a constructor reads ``SizedWire.__init__``."""
     if isinstance(code, str):  # C builtin / method descriptor
         return code
     file = code.co_filename.rsplit("/repro/", 1)[-1]
-    return f"{file}:{code.co_firstlineno}({code.co_name})"
+    return f"{file}:{code.co_firstlineno}({getattr(code, 'co_qualname', code.co_name)})"
 
 
 def main() -> None:
@@ -159,6 +198,7 @@ def main() -> None:
 
     events_by_kind(stats, events, Counter(kinds),
                    arrival_drops(scenario.network) - dropped_before)
+    wire_sizing(stats)
 
     def entries(function: str) -> int:
         return sum(e.callcount for e in stats if bare_name(e.code) == function)
@@ -169,7 +209,7 @@ def main() -> None:
     tally["random.Random.sample calls from gossip/"] = sum(
         edge.callcount
         for entry in stats if label(entry.code).startswith("gossip/")
-        for edge in entry.calls or () if label(edge.code).endswith("(sample)")
+        for edge in entry.calls or () if bare_name(edge.code) == "sample"
     )
     print("re-delivery (what the update loop turns away):")
     for name, count in tally.items():

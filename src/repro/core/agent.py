@@ -21,11 +21,11 @@ from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.core.config import FocusConfig
 from repro.core.groups import serf_address
-from repro.core.query import DecodedQueryJson, Query
+from repro.core.query import DecodedQueryJson, Query, decode_query, match_record
 from repro.gossip.agent import SerfAgent, SerfConfig
 from repro.gossip.membership import NodeDirectory
 from repro.sim.loop import RepeatingTimer, Simulator
-from repro.sim.network import Network
+from repro.sim.network import Network, SizedDict
 from repro.sim.process import Process
 from repro.sim.rpc import DEFERRED, RpcMixin
 
@@ -87,6 +87,13 @@ class NodeAgent(Process, RpcMixin):
         #: has ever run there, so a group it leaves and re-enters — or rejoins
         #: after a crash — never sees one of its query ids twice.
         self._serf_event_ids: Dict[str, Iterator[int]] = {}
+        #: This node's answer to a query it matches, ``{node, match, attrs,
+        #: region}`` around a sized attribute snapshot, built on first use
+        #: and dropped by ``set_attribute`` — the only writer of ``static``
+        #: and ``dynamic``. Every reply and cache that carries it shares it.
+        self._match_answer: Optional[SizedDict] = None
+        #: ... and its answer to one it does not match.
+        self._no_match_answer = SizedDict({"node": node_id, "match": False})
 
         #: Materialized views (§XII extension): definitions this node knows,
         #: and the view groups it currently belongs to.
@@ -176,6 +183,7 @@ class NodeAgent(Process, RpcMixin):
         """
         value = float(self.config.schema.normalize_value(name, value))
         self.dynamic[name] = value
+        self._match_answer = None
         membership = self.memberships.get(name)
         if membership is not None:
             if not membership.contains(value) and name not in self._moving:
@@ -334,7 +342,7 @@ class NodeAgent(Process, RpcMixin):
         return {"ok": True}
 
     def _learn_view(self, view_id: str, query_json) -> None:
-        self.view_definitions[view_id] = Query.from_json(query_json)
+        self.view_definitions[view_id] = decode_query(query_json)
         self._reevaluate_views()
 
     def _reevaluate_views(self) -> None:
@@ -426,25 +434,28 @@ class NodeAgent(Process, RpcMixin):
         )
 
     # ------------------------------------------------------------ query paths
+    def _matching_answer(self) -> SizedDict:
+        """The answer to a matched query for the current attribute version."""
+        answer = self._match_answer
+        if answer is None:
+            answer = self._match_answer = SizedDict({
+                "node": self.node_id,
+                "match": True,
+                "attrs": SizedDict(self.attributes()),
+                "region": self.region,
+            })
+        return answer
+
     def _answer_group_query(self, payload, origin: str) -> Dict[str, object]:
         """Every group member answers; the originator aggregates (§VII).
 
         Non-matching members answer with a bare "no" — shipping their full
         attribute state would waste the group's bandwidth (Fig. 8b).
         """
-        if type(payload) is DecodedQueryJson:
-            query = payload.query
-        else:
-            query = Query.from_json(payload)
-        attrs = self.attributes()
-        if not query.matches(attrs):
-            return {"node": self.node_id, "match": False}
-        return {
-            "node": self.node_id,
-            "match": True,
-            "attrs": attrs,
-            "region": self.region,
-        }
+        answer = self._matching_answer()
+        if decode_query(payload).matches(answer["attrs"]):
+            return answer
+        return self._no_match_answer
 
     def _rpc_group_query(self, params, respond, message):
         group = str(params["group"])
@@ -458,16 +469,14 @@ class NodeAgent(Process, RpcMixin):
         if membership is None:
             return {"matches": [], "respondents": 0, "error": "not-member"}
 
-        query_json = DecodedQueryJson(params["query"])
+        query_json = params["query"]
+        if type(query_json) is not DecodedQueryJson:
+            query_json = DecodedQueryJson(query_json)
         limit = query_json.query.limit
 
         def on_complete(responses: Dict[str, object]) -> None:
             matches = [
-                {
-                    "node": r["node"],
-                    "attrs": r["attrs"],
-                    "region": r.get("region", ""),
-                }
+                match_record(r["node"], r["attrs"], r.get("region", ""))
                 for r in responses.values()
                 if r and r.get("match")
             ]
@@ -486,14 +495,13 @@ class NodeAgent(Process, RpcMixin):
         return DEFERRED
 
     def _rpc_node_query(self, params, respond, message):
-        query = Query.from_json(params["query"])
-        attrs = self.attributes()
-        return {
-            "node": self.node_id,
-            "match": query.matches(attrs),
-            "attrs": attrs,
-            "region": self.region,
-        }
+        answer = self._matching_answer()
+        attrs = answer["attrs"]
+        if decode_query(params["query"]).matches(attrs):
+            return answer
+        return SizedDict(
+            {"node": self.node_id, "match": False, "attrs": attrs, "region": self.region}
+        )
 
     def _rpc_be_representative(self, params, respond, message):
         group = str(params["group"])

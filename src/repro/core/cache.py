@@ -5,6 +5,10 @@ entry stores the response and the time it was fetched from the groups; a
 query's ``freshness`` parameter (milliseconds) bounds how old a cached
 response may be. Freshness zero means "as close to real time as possible" —
 it always bypasses the cache.
+
+An entry holds the match records the answer arrived with, shared and never
+copied or mutated (see :func:`~repro.core.query.match_record`), so a hit
+ships them again at the size they carry.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ class QueryCache:
 
     def __init__(self, max_entries: int = 1024) -> None:
         self.max_entries = max_entries
-        self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, CacheEntry]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
@@ -47,7 +51,8 @@ class QueryCache:
         if query.freshness_ms <= 0:
             self.misses += 1
             return None
-        entry = self._entries.get(query.cache_key())
+        key = query.cache_key()
+        entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
             return None
@@ -55,7 +60,7 @@ class QueryCache:
         if age_ms > query.freshness_ms:
             self.misses += 1
             return None
-        self._entries.move_to_end(query.cache_key())
+        self._entries.move_to_end(key)
         self.hits += 1
         return entry
 

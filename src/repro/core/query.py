@@ -12,10 +12,10 @@ Static attributes may also match by equality on strings (e.g.
 
 from __future__ import annotations
 
-import json
-from typing import Dict, Iterable, Optional, Union
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 from repro.errors import QueryError
+from repro.sim.network import SizedDict
 
 Value = Union[float, int, str]
 
@@ -178,31 +178,65 @@ class Query:
             freshness_ms=float(data.get("freshness_ms", 0.0)),  # type: ignore[arg-type]
         )
 
-    def cache_key(self) -> str:
-        """Canonical key ignoring freshness (freshness is checked at lookup)."""
-        terms = sorted(
+    def cache_key(self) -> Tuple[object, ...]:
+        """Canonical key ignoring freshness (freshness is checked at lookup).
+
+        Two queries share a key exactly when they ask for the same number of
+        the same nodes: the limit, then the terms in name order, bounds
+        compared as numbers (``1`` and ``1.0`` are one bound, as they are to
+        :meth:`QueryTerm.matches`).
+        """
+        return (self.limit, *sorted(
             (t.name, t.lower, t.upper, t.equals) for t in self.terms
-        )
-        return json.dumps({"terms": terms, "limit": self.limit}, sort_keys=True)
+        ))
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<Query {self.terms} limit={self.limit} fresh={self.freshness_ms}ms>"
 
 
-class DecodedQueryJson(dict):
-    """A query's JSON form with the :class:`Query` it decodes to riding along.
+class DecodedQueryJson(SizedDict):
+    """A query's JSON form, measured, with the :class:`Query` it decodes to.
 
-    A group query is gossiped, as one shared object, to every member of the
-    group, and each member needs the decoded form to match itself against.
-    The member that starts the pull has to decode the JSON anyway (it reads
-    ``limit``), so it ships this instead of the bare ``dict`` and the group
-    decodes the query once instead of once per member. On the wire it is the
-    same JSON: ``approx_size`` charges a ``dict`` subclass as a ``dict``, and
-    nobody mutates a query in flight, so ``query`` cannot go stale.
+    This is how a query travels: the client, the front router's forwards to
+    its shards, a shard's pulls into its groups and the group member that
+    gossips it on all ship one of these, and every hop that needs the query
+    takes it from :func:`decode_query` instead of decoding the JSON again.
+    On the wire it is the same JSON, charged the size it carries (see
+    :class:`~repro.sim.network.SizedDict`). It is built per request by
+    :meth:`of` and dies with the messages that carry it; nothing is kept on
+    the caller's :class:`Query`. Nobody mutates a query in flight, so
+    ``query`` cannot go stale.
     """
 
     __slots__ = ("query",)
 
-    def __init__(self, data: Dict[str, object]) -> None:
+    def __init__(self, data: Dict[str, object], query: Optional[Query] = None) -> None:
         super().__init__(data)
-        self.query = Query.from_json(data)
+        self.query = decode_query(data) if query is None else query
+
+    @classmethod
+    def of(cls, query: Query) -> "DecodedQueryJson":
+        """The wire form of ``query``: its :meth:`~Query.to_json`, carrying it."""
+        return cls(query.to_json(), query)
+
+
+def decode_query(data: Dict[str, object]) -> Query:
+    """The :class:`Query` a received query JSON stands for.
+
+    A :class:`DecodedQueryJson` hands over the query it carries; only a
+    hand-built plain dict is decoded.
+    """
+    if type(data) is DecodedQueryJson:
+        return data.query
+    return Query.from_json(data)
+
+
+def match_record(node: object, attrs: Dict[str, object], region: object) -> SizedDict:
+    """One matching node as every hop ships it: ``{node, attrs, region}``.
+
+    Built once where the match is found — the aggregating group member, the
+    router's transition and static paths — and shared by every reply and
+    cache after that. ``attrs`` is normally the answering node's sized
+    snapshot, so measuring the record walks its three keys only.
+    """
+    return SizedDict({"node": node, "attrs": attrs, "region": region})

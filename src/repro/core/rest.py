@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro.core.query import Query
+from repro.core.query import DecodedQueryJson, Query, match_record
 from repro.sim.loop import Simulator
 from repro.sim.network import Network
 from repro.sim.process import Process
@@ -85,7 +85,7 @@ class FocusClient:
         self.host.call(
             self.focus_address,
             "focus.query",
-            {"query": query.to_json()},
+            {"query": DecodedQueryJson.of(query)},
             on_reply=on_reply,
             on_timeout=on_timeout,
             timeout=timeout,
@@ -134,6 +134,7 @@ class FocusClient:
             "groups_queried": 0,
         }
         rng = self.host.sim.derive_rng(f"client/{self.host.address}/delegated")
+        wire = DecodedQueryJson.of(query)
 
         def finish(timed_out: bool) -> None:
             if state["done"]:
@@ -169,11 +170,9 @@ class FocusClient:
         def on_node_reply(result) -> None:
             state["pending"] -= 1
             if result and result.get("match"):
-                state["matches"][str(result["node"])] = {
-                    "node": result["node"],
-                    "attrs": result.get("attrs", {}),
-                    "region": result.get("region", ""),
-                }
+                state["matches"][str(result["node"])] = match_record(
+                    result["node"], result.get("attrs", {}), result.get("region", "")
+                )
             advance()
 
         def on_timeout() -> None:
@@ -190,7 +189,7 @@ class FocusClient:
             self.host.call(
                 member,
                 "node.group-query",
-                {"group": group["name"], "query": query.to_json()},
+                {"group": group["name"], "query": wire},
                 on_reply=on_group_reply,
                 on_timeout=on_timeout,
                 timeout=self.group_query_timeout,
@@ -200,7 +199,7 @@ class FocusClient:
             self.host.call(
                 node_id,
                 "node.query",
-                {"query": query.to_json()},
+                {"query": wire},
                 on_reply=on_node_reply,
                 on_timeout=on_timeout,
                 timeout=self.group_query_timeout,

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.core.groups import GroupInfo
-from repro.core.query import Query
+from repro.core.query import DecodedQueryJson, Query, decode_query, match_record
 from repro.core.registrar import static_table_name
 from repro.errors import QueryError
 from repro.sim.rpc import DEFERRED
@@ -34,6 +34,9 @@ class ActiveQuery:
 
     def __init__(self, query: Query, respond, started_at: float) -> None:
         self.query = query
+        #: What every pull of this query ships: built once, shared by the
+        #: group and transition pulls, gone with this state.
+        self.wire = DecodedQueryJson.of(query)
         self.respond = respond
         self.started_at = started_at
         self.matches: Dict[str, dict] = {}
@@ -65,7 +68,7 @@ class QueryRouter:
 
     # ----------------------------------------------------------------- entry
     def handle(self, params: Dict[str, object], respond) -> object:
-        query = Query.from_json(params["query"])  # type: ignore[arg-type]
+        query = decode_query(params["query"])  # type: ignore[arg-type]
         service = self.service
         service.metrics.counter("queries").inc()
         service.resources.charge_query()
@@ -158,11 +161,7 @@ class QueryRouter:
                 attrs = dict(row.value.get("attributes") or {})
                 if query.matches(attrs):
                     matches.append(
-                        {
-                            "node": row.key,
-                            "attrs": attrs,
-                            "region": row.value.get("region", ""),
-                        }
+                        match_record(row.key, attrs, row.value.get("region", ""))
                     )
                     if query.limit is not None and len(matches) >= query.limit:
                         break
@@ -275,7 +274,7 @@ class QueryRouter:
         service.call(
             member,
             "node.group-query",
-            {"group": group.name, "query": state.query.to_json()},
+            {"group": group.name, "query": state.wire},
             on_reply=on_reply,
             on_timeout=on_timeout,
             timeout=service.config.query_timeout,
@@ -306,7 +305,7 @@ class QueryRouter:
             self.service.call(
                 substitute,
                 "node.group-query",
-                {"group": group.name, "query": state.query.to_json()},
+                {"group": group.name, "query": state.wire},
                 on_reply=on_reply,
                 on_timeout=lambda: (
                     state.pending_groups.discard(group.name),
@@ -326,11 +325,9 @@ class QueryRouter:
             if state.finished:
                 return
             if result and result.get("match"):
-                state.matches[str(result["node"])] = {
-                    "node": result["node"],
-                    "attrs": result.get("attrs", {}),
-                    "region": result.get("region", ""),
-                }
+                state.matches[str(result["node"])] = match_record(
+                    result["node"], result.get("attrs", {}), result.get("region", "")
+                )
             self._advance(state)
 
         def on_timeout() -> None:
@@ -340,7 +337,7 @@ class QueryRouter:
         self.service.call(
             node_id,
             "node.query",
-            {"query": state.query.to_json()},
+            {"query": state.wire},
             on_reply=on_reply,
             on_timeout=on_timeout,
             timeout=self.service.config.query_timeout,

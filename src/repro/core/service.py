@@ -28,7 +28,7 @@ from repro.core.cache import QueryCache
 from repro.core.config import FocusConfig
 from repro.core.cpumodel import ServerCpuModel
 from repro.core.dgm import DynamicGroupsManager
-from repro.core.query import Query
+from repro.core.query import DecodedQueryJson, Query
 from repro.core.registrar import Registrar
 from repro.core.router import QueryRouter
 from repro.core.views import ViewManager, is_view_group
@@ -470,7 +470,7 @@ class FocusService(Process, RpcMixin):
         endpoint (including the modelled processing delay).
         """
         try:
-            result = self.router.handle({"query": query.to_json()}, on_response)
+            result = self.router.handle({"query": DecodedQueryJson.of(query)}, on_response)
         except FocusError as exc:
             on_response({"error": str(exc), "matches": [], "source": "error"})
             return

@@ -26,6 +26,11 @@ Every answer that did not come straight from the groups carries an explicit
 (see :meth:`~repro.core.cache.QueryCache.store`), so staleness compounds
 honestly across cache → replica → cache hops.
 
+Nothing here re-decodes or re-measures what passes through: a query is
+forwarded as the :class:`~repro.core.query.DecodedQueryJson` it arrived as,
+and a merged or cached answer re-ships the shards' match records themselves,
+each charged the size it carries.
+
 ``shards=1`` (the default, with ``replica_reads`` off) bypasses all of this
 and returns the legacy single :class:`~repro.core.service.FocusService` —
 byte-identical to the pre-sharding code path.
@@ -41,7 +46,7 @@ from repro.core.cache import QueryCache
 from repro.core.config import FocusConfig
 from repro.core.cpumodel import ServerCpuModel
 from repro.core.naming import group_name, groups_covering
-from repro.core.query import Query
+from repro.core.query import DecodedQueryJson, Query, decode_query
 from repro.core.service import FocusService, ResourceModelConfig
 from repro.core.views import is_view_group, view_group_name, _constraint_key
 from repro.sim.loop import Simulator
@@ -328,9 +333,9 @@ class ShardRouter(Process, RpcMixin):
 
         def on_reply(result) -> None:
             if result and not result.get("error"):
-                query = Query.from_json(params["query"])
+                query = decode_query(params["query"])
                 self.views[view_id] = {
-                    "query_json": query.to_json(),
+                    "query_json": DecodedQueryJson.of(query),
                     "key": _constraint_key(query),
                     "owner": owner,
                 }
@@ -371,7 +376,7 @@ class ShardRouter(Process, RpcMixin):
 
     # ---------------------------------------------------------------- queries
     def _rpc_query(self, params, respond, message):
-        query = Query.from_json(params["query"])
+        query = decode_query(params["query"])
         self.metrics.counter("queries").inc()
 
         if self.config.cache_enabled:
@@ -711,7 +716,7 @@ class RegionReadReplica(Process, RpcMixin):
         self.serve("replica.view-update", self._rpc_view_update)
 
     def _rpc_query(self, params, respond, message):
-        query = Query.from_json(params["query"])
+        query = decode_query(params["query"])
         entry = self.cache.lookup_entry(query, self.sim.now)
         if entry is not None:
             self.metrics.counter("replica_hits").inc()
@@ -766,7 +771,7 @@ class RegionReadReplica(Process, RpcMixin):
         return DEFERRED
 
     def _rpc_view_update(self, params, respond, message):
-        query = Query.from_json(params["query"])
+        query = decode_query(params["query"])
         self.cache.store(
             query,
             list(params.get("matches") or ()),

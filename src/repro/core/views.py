@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.groups import GroupInfo, GroupMember
-from repro.core.query import Query
+from repro.core.query import Query, decode_query
 from repro.errors import FocusError
 
 
@@ -61,7 +61,7 @@ class ViewManager:
     def create_view(self, query_json: Dict[str, object],
                     view_id: Optional[str] = None) -> View:
         """Register a view and push its definition to every node."""
-        query = Query.from_json(query_json)
+        query = decode_query(query_json)
         if query.limit is not None:
             raise FocusError("views materialise full result sets; drop the limit")
         if view_id is None:
@@ -203,8 +203,7 @@ class ViewManager:
                 )
 
 
-def _constraint_key(query: Query) -> str:
-    import json
-
-    terms = sorted((t.name, t.lower, t.upper, t.equals) for t in query.terms)
-    return json.dumps(terms)
+def _constraint_key(query: Query) -> tuple:
+    """The query's terms in name order: :meth:`Query.cache_key` without the
+    limit, which a view ignores."""
+    return tuple(sorted((t.name, t.lower, t.upper, t.equals) for t in query.terms))

@@ -10,9 +10,10 @@ invalidates the old one (e.g. a newer state for the same member replaces the
 older state still awaiting retransmission).
 
 Every member of a group forwards the custom (Serf event/query) updates it
-hears, so such a wire is a :class:`SizedWire`: it carries the size its
-originator measured, and each forwarder queues the same object at that size
-instead of walking a copy of it again. It also carries its dedupe key, because
+hears, so such a wire is a :class:`SizedWire`, a
+:class:`~repro.sim.network.SizedDict`: it carries the size its originator
+measured, and each forwarder queues the same object at that size instead of
+walking a copy of it again. It also carries its dedupe key, because
 forwarding is what makes nearly every delivery of it a re-delivery.
 """
 
@@ -22,31 +23,28 @@ import math
 import operator
 from typing import Dict, List, Optional, Tuple
 
-from repro.sim.network import SizedPayload, approx_size
+from repro.sim.network import SizedDict, SizedPayload, approx_size
 
 _TRANSMITS_LEFT = operator.attrgetter("transmits_left")
 
 
-class SizedWire(dict):
-    """A Serf event/query wire that carries its :func:`approx_size` and its id.
+class SizedWire(SizedDict):
+    """A Serf event/query wire: a :class:`~repro.sim.network.SizedDict` that
+    also carries its dedupe id.
 
-    Measured once, on construction, and never again: a wire is immutable once
-    built (receivers never mutate payloads), so every queue it passes through
-    can charge ``size`` without re-walking it. ``id`` is ``fields["id"]``, the
-    key members deduplicate on: epidemic dissemination re-delivers a wire tens
-    of times per member, and the update loop
-    (``SwimAgent._apply_updates``) rejects a re-delivery by asking
-    ``wire.id in seen`` of a wire it recognises by this type — no call, no
-    subscript. It is a ``dict`` in every other respect — what handlers read,
-    what ``approx_size`` would return for it, and what ``pickle`` ships (the
-    slots travel with the items).
+    The originator builds it and every member that hears it re-gossips the
+    same object, so each queue it passes through charges ``size`` without
+    re-walking it. ``id`` is ``fields["id"]``, the key members deduplicate on:
+    epidemic dissemination re-delivers a wire tens of times per member, and
+    the update loop (``SwimAgent._apply_updates``) rejects a re-delivery by
+    asking ``wire.id in seen`` of a wire it recognises by this exact type — no
+    call, no subscript.
     """
 
-    __slots__ = ("size", "id")
+    __slots__ = ("id",)
 
     def __init__(self, fields: Dict[str, object]) -> None:
         super().__init__(fields)
-        self.size = approx_size(fields)
         self.id = fields["id"]
 
 

@@ -30,6 +30,8 @@ _STATE_RANK = {
 #: Fast lookups used on the gossip hot path (avoids Enum.__call__).
 STATE_BY_VALUE = {state.value: state for state in MemberState}
 RANK_BY_VALUE = {state.value: rank for state, rank in _STATE_RANK.items()}
+#: ... and the other way: Enum.value is a descriptor hop, this is a dict probe.
+_VALUE_BY_STATE = {state: state.value for state in MemberState}
 
 
 def supersedes(
@@ -72,7 +74,7 @@ class Member:
             "a": self.address,
             "r": self.region,
             "i": self.incarnation,
-            "s": self.state.value,
+            "s": _VALUE_BY_STATE[self.state],
         }
 
     def wire_size(self) -> int:

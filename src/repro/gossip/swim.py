@@ -47,6 +47,10 @@ GOSSIP = "swim.gossip"
 SYNC_REQ = "swim.sync-req"
 SYNC_RESP = "swim.sync-resp"
 
+#: Wire state of a live member, read once per probe tick: Enum.value is a
+#: descriptor hop, a module constant isn't.
+_ALIVE_VALUE = MemberState.ALIVE.value
+
 
 @dataclass
 class SwimConfig:
@@ -251,7 +255,7 @@ class SwimAgent(Process):
                 "a": self.address,
                 "r": self.region,
                 "i": self.incarnation,
-                "s": MemberState.ALIVE.value,
+                "s": _ALIVE_VALUE,
             }
             self._self_wire_cache = wire
         return wire
@@ -349,12 +353,11 @@ class SwimAgent(Process):
             self._probe_order = alive
             _shuffle_exact(self._probe_order, self._rng.getrandbits)
             self._probe_index = 0
-        alive_value = MemberState.ALIVE.value
         while self._probe_index < len(self._probe_order):
             name = self._probe_order[self._probe_index]
             self._probe_index += 1
             peeked = self.members.peek(name)
-            if peeked is not None and peeked[1] == alive_value:
+            if peeked is not None and peeked[1] == _ALIVE_VALUE:
                 return name
         return self._next_probe_target()
 

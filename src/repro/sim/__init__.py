@@ -16,7 +16,14 @@ from repro.sim.metrics import (
     TimeSeries,
     WindowTruncatedError,
 )
-from repro.sim.network import Endpoint, Message, Network, SizedPayload, approx_size
+from repro.sim.network import (
+    Endpoint,
+    Message,
+    Network,
+    SizedDict,
+    SizedPayload,
+    approx_size,
+)
 from repro.sim.process import Process
 from repro.sim.rpc import DEFERRED, RpcMixin
 from repro.sim.topology import (
@@ -46,6 +53,7 @@ __all__ = [
     "RpcMixin",
     "Simulator",
     "Site",
+    "SizedDict",
     "SizedPayload",
     "TimeSeries",
     "TimerHandle",

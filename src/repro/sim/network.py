@@ -5,6 +5,18 @@ of the payload (JSON-oriented, matching the paper's JSON REST API and Serf's
 UDP messages), accounts it against both endpoints' bandwidth meters, and
 schedules delivery after the topology-derived one-way latency plus jitter.
 
+Wire sizes: :func:`approx_size` walks a payload once per send, and three
+things keep it from walking the same bytes twice. A message kind may register
+a sizer (the RPC envelope does, see :meth:`Network.register_message_size`); a
+:class:`SizedPayload` states the size of what it wraps (gossip packets,
+fan-outs); and a :class:`SizedDict` — a dict measured once when it is built
+and immutable from then on — is charged the size it carries wherever it
+appears. Whatever a message travels through more than once is a
+:class:`SizedDict`: a Serf wire, a query's JSON, a node's attribute snapshot
+and every match record built around it. An answer relayed by a group member,
+a shard, the front router and a cache is measured once, where it was built,
+and costs one step per record at every hop after that.
+
 Delivery scheduling is batched: instead of one event-queue entry per
 in-flight message, every pending delivery lives in one shared heap
 ordered by its ``(time, seq)`` key, and exactly **one** recycled sentinel
@@ -73,13 +85,19 @@ DIRECT_POST_MAX = 8
 
 
 class SizedPayload:
-    """A payload bundled with its precomputed wire-size estimate.
+    """A payload bundled with a wire size its sender states.
 
     Fanout paths (gossip rebroadcast, piggyback batches, broker fanout) send
-    one payload to many recipients; wrapping it once means the recursive
-    :func:`approx_size` walk runs once per unique message instead of once per
-    recipient. :meth:`Network.send` unwraps the wrapper before delivery, so
-    message handlers always see the raw payload.
+    one payload to many recipients; wrapping it once means the payload is
+    measured once per unique message instead of once per recipient.
+    :meth:`Network.send` unwraps the wrapper before delivery, so message
+    handlers always see the raw payload.
+
+    Unlike a :class:`SizedDict`, the size need not be what :func:`approx_size`
+    would walk to: a SWIM gossip packet ``{"u": updates}`` is charged its
+    *modelled* size, the updates' sizes plus 8, where the walk would give
+    ``9 + len(updates)`` plus the same sum. Omitting ``size`` measures the
+    payload with the walk.
     """
 
     __slots__ = ("payload", "size")
@@ -90,6 +108,33 @@ class SizedPayload:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<SizedPayload {self.size}B {self.payload!r}>"
+
+
+class SizedDict(dict):
+    """A ``dict`` that carries its own wire size.
+
+    ``size`` is what :func:`approx_size` walks the items to, measured once,
+    when the dict is built. Instances are immutable by contract: they are
+    shared by every hop, queue and cache that carries them, and nobody
+    mutates a payload it was handed, so the size cannot go stale.
+    :func:`approx_size` charges an instance its ``size`` — at the top level
+    and nested in a list or dict alike — so a list of N sized records costs
+    N steps however many items each record holds. In every other respect it
+    is a ``dict``: what handlers read and what ``pickle`` ships (the slots
+    travel with the items).
+
+    Building one from parts that are sized already walks only its own keys:
+    a match record ``{node, attrs, region}`` around a sized attribute
+    snapshot costs three steps. Subclasses add what else rides along:
+    :class:`~repro.gossip.broadcast.SizedWire` a dedupe id,
+    :class:`~repro.core.query.DecodedQueryJson` the decoded query.
+    """
+
+    __slots__ = ("size",)
+
+    def __init__(self, fields: Dict[str, object]) -> None:
+        super().__init__(fields)
+        self.size = approx_size(fields)
 
 
 def approx_size(payload: object) -> int:
@@ -109,10 +154,12 @@ def approx_size(payload: object) -> int:
     Dispatch is on the exact type first — nearly every value on the wire is
     a plain ``str``, ``float``, ``int``, ``dict`` or ``list`` — and the
     ``isinstance`` chain below handles the rest (``None``, ``bool``,
-    subclasses, sets, ``bytes``, :class:`SizedPayload`, anything else by its
-    ``repr``). Both routes charge a value the same, so the result does not
-    depend on which one sized it; ``tests/oracles/approx_size.py`` is the
-    chain-only reference the property test compares against.
+    :class:`SizedDict`, other subclasses, sets, ``bytes``,
+    :class:`SizedPayload`, anything else by its ``repr``). A
+    :class:`SizedDict` is charged the size it carries, which is what walking
+    it as a plain ``dict`` gives, so the result does not depend on which
+    route sized a value; ``tests/oracles/approx_size.py`` is the chain-only
+    reference, walking every dict, that the property tests compare against.
     """
     total = 0
     stack = [payload]
@@ -153,6 +200,8 @@ def approx_size(payload: object) -> int:
             total += 4
         elif value is True or value is False:
             total += 5
+        elif isinstance(value, SizedDict):
+            total += value.size
         elif isinstance(value, (int, float)):
             total += 8
         elif isinstance(value, str):
@@ -553,7 +602,7 @@ class Network:
         per-reason counter under ``messages_dropped.<reason>``.
 
         ``payload`` may be a :class:`SizedPayload`, in which case its
-        memoized size is used and the wrapped payload is what gets delivered.
+        stated size is used and the wrapped payload is what gets delivered.
         """
         sender = self._endpoints.get(src)
         if sender is None:

@@ -1,7 +1,7 @@
 """Tests for node-agent behaviours: moves, representatives, collectors."""
 
 
-import repro.gossip.broadcast
+import repro.sim.network
 from repro.core.config import FocusConfig
 from repro.core.query import Query, QueryTerm
 from repro.gossip.agent import QUERY_RESPONSE
@@ -146,19 +146,19 @@ class TestGroupQueryCost:
     def test_one_pull_measures_and_decodes_its_query_once_for_the_group(
         self, monkeypatch
     ):
-        """A pull costs one walk of the query wire and one decode of the
-        query for the whole group, not one of each per member."""
+        """A pull costs one walk of the query wire for the whole group, not
+        one per member, and no decode at all: the query travels decoded."""
         scenario = build_single_group_cluster(32, seed=5)
         scenario.sim.run_until(5.0)
         walks = []
-        measure = repro.gossip.broadcast.approx_size
+        measure = repro.sim.network.approx_size
 
         def counting_measure(payload):
             if isinstance(payload, dict) and payload.get("t") == "q":
                 walks.append(payload["id"])
             return measure(payload)
 
-        monkeypatch.setattr(repro.gossip.broadcast, "approx_size", counting_measure)
+        monkeypatch.setattr(repro.sim.network, "approx_size", counting_measure)
         decodes = []
         decode = Query.from_json.__func__
 
@@ -172,9 +172,7 @@ class TestGroupQueryCost:
         )
         assert len(response.matches) == 32  # every member answered
         assert len(walks) == 1
-        # The server's own decode, plus the pulling member's (it reads
-        # ``limit``) shared with the group: never one per member.
-        assert len(decodes) <= 2
+        assert decodes == []
 
 
 class TestCollector:
