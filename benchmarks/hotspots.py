@@ -9,7 +9,10 @@ One level below focusbench's 14-layer ledger: build, warm up and generate as
 functions by self time with calls and calls/event, then the events by kind
 (messages delivered per ``kind``, timer-wheel firings, posted and deadline
 callbacks by name — what the loop was asked to run, whether or not it found
-anything to do), then who measured and decoded wire payloads (every
+anything to do), then the network's per-message path (send calls by entry,
+sentinel flushes and retargets, the in-flight heap's high-water mark, RPC
+deadlines armed, cancelled and fired), then who measured and decoded wire
+payloads (every
 ``approx_size`` walk, ``Query.from_json`` decode, ``json.dumps`` and sized-dict
 construction, by calling function: a hop that re-measures or re-decodes what
 it was handed is one line), then how much of the gossip traffic was
@@ -27,7 +30,9 @@ from collections import Counter, defaultdict
 from benchmarks.focusbench.workloads import WORKLOADS
 from repro.core.query import Query
 from repro.gossip.swim import SwimAgent
-from repro.sim.network import SizedDict, approx_size
+from repro.sim.events import Deadline
+from repro.sim.loop import Simulator
+from repro.sim.network import Network, SizedDict, approx_size
 
 
 def count_deliveries(tally: Counter) -> None:
@@ -78,7 +83,7 @@ def events_by_kind(stats, events: int, kinds: Counter, dropped: int) -> None:
     drop counters (``dropped``) instead; and a deadline sentinel that only
     swept cancelled entries is no event. The last row checks the sum.
     """
-    popped = callees(stats, "run_until", "pop_before", "_fire_deliveries", "_deliver")
+    popped = callees(stats, "run_until", "pop_before", "_fire_deliveries")
     wheel = popped.pop("_fire_class", 0)
     posted = popped.pop("_post_fire", 0)
     sentinel_firings = popped.pop("_fire_deadlines", 0)
@@ -120,6 +125,44 @@ def callers(stats, function) -> Counter:
             if edge.code is code:
                 found[label(entry.code)] += edge.callcount
     return found
+
+
+def per_message_path(stats, sent: int, arrived: int, high_water: int) -> None:
+    """Print how messages entered the network and left the in-flight heap,
+    and what the RPC layer's deadlines did.
+
+    ``arrived`` is every message that left the heap (delivered or dropped on
+    arrival); ``high_water`` the heap's largest size seen at a delivery.
+    """
+    rows = []
+    for what, function in (("Network.send_fanout calls", Network.send_fanout),
+                           ("Network.send calls", Network.send)):
+        found = callers(stats, function)
+        rows += [(0, what, sum(found.values()))]
+        rows += [(1, caller, count) for caller, count in found.most_common()]
+    flushes = sum(e.callcount for e in stats if e.code is Network._fire_deliveries.__code__)
+    retargets = callers(stats, Network._retarget_deliveries)
+    rows += [
+        (0, "messages sent", sent),
+        (0, "sentinel flushes (_fire_deliveries)", flushes),
+        (0, "sentinel retargets (_retarget_deliveries)", sum(retargets.values())),
+    ]
+    rows += [(1, caller, count) for caller, count in retargets.most_common()]
+    rows += [(0, "in-flight heap high-water mark (at a delivery)", high_water)]
+    armed = callers(stats, Simulator.deadline)
+    cancelled = callers(stats, Deadline.cancel)
+    rows += [
+        (0, "RPC deadlines armed",
+         sum(n for caller, n in armed.items() if caller.startswith("sim/rpc.py"))),
+        (0, "RPC deadlines cancelled",
+         sum(n for caller, n in cancelled.items() if caller.startswith("sim/rpc.py"))),
+        (0, "RPC deadlines fired", callees(stats, "_fire_deadlines")["timed_out"]),
+    ]
+    print("per-message path:")
+    for indent, what, count in rows:
+        print(f"  {'  ' * indent}{what:<{54 - 2 * indent}}{count:>10}")
+    per_flush = arrived / flushes if flushes else 0.0
+    print(f"  {'messages off the heap per flush':<54}{per_flush:>10.2f}")
 
 
 def wire_sizing(stats) -> None:
@@ -172,17 +215,24 @@ def main() -> None:
     tally = Counter({"custom wires delivered": 0, "custom wires first-time": 0})
     count_deliveries(tally)
     kinds = defaultdict(int)
+    heap = scenario.network._in_flight.heap
+    peak = [0]
 
     def count_kind(message) -> None:  # no call of its own: its frame is left out
         kinds[message.kind] += 1
+        while heap[peak[0]:]:  # a slice, unlike len(), is not a profiled call
+            peak[0] += 1
 
     scenario.network.add_delivery_tap(count_kind)
+    sent_counter = scenario.network.metrics.counter("messages_sent")
+    sent_before = sent_counter.value
     before = scenario.sim.events_processed
     dropped_before = arrival_drops(scenario.network)
     profile = cProfile.Profile()
     gc.collect()
     profile.runcall(scenario.sim.run_until, plan.end_time)
     events = scenario.sim.events_processed - before
+    dropped = arrival_drops(scenario.network) - dropped_before
     stats = [entry for entry in profile.getstats()
              if isinstance(entry.code, str) or entry.code.co_filename != __file__]
     stats.sort(key=lambda entry: -entry.inlinetime)
@@ -196,8 +246,10 @@ def main() -> None:
         print(f"{entry.inlinetime:>8.3f}{entry.inlinetime / total_self:>7.1%}"
               f"{entry.callcount:>10}{entry.callcount / events:>8.3f}  {label(entry.code)}")
 
-    events_by_kind(stats, events, Counter(kinds),
-                   arrival_drops(scenario.network) - dropped_before)
+    events_by_kind(stats, events, Counter(kinds), dropped)
+    # The message in hand at the tap had already left the heap: + 1.
+    per_message_path(stats, int(sent_counter.value - sent_before),
+                     sum(kinds.values()) + dropped, peak[0] + 1 if kinds else 0)
     wire_sizing(stats)
 
     def entries(function: str) -> int:

@@ -87,8 +87,14 @@ class Deadline:
         self.cancelled = False
 
     def cancel(self) -> None:
-        """Prevent the deadline from firing (a no-op once it has)."""
+        """Prevent the deadline from firing (a no-op once it has).
+
+        The entry waits in its FIFO until its instant, but holds nothing:
+        what the callback and its arguments referenced is released now.
+        """
         self.cancelled = True
+        self.callback = None
+        self.args = ()
 
 
 class TimerHandle:

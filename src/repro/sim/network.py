@@ -1,9 +1,11 @@
 """Simulated network: message delivery with latency, loss and accounting.
 
-Endpoints register under a string address. ``send`` estimates the wire size
-of the payload (JSON-oriented, matching the paper's JSON REST API and Serf's
-UDP messages), accounts it against both endpoints' bandwidth meters, and
-schedules delivery after the topology-derived one-way latency plus jitter.
+Endpoints register under a string address. :meth:`Network.send_fanout`
+estimates the wire size of a payload once (JSON-oriented, matching the
+paper's JSON REST API and Serf's UDP messages), accounts it against both
+endpoints' bandwidth meters, and schedules each delivery after the
+topology-derived one-way latency plus jitter. :meth:`Network.send` is a
+fan-out of one.
 
 Wire sizes: :func:`approx_size` walks a payload once per send, and three
 things keep it from walking the same bytes twice. A message kind may register
@@ -17,31 +19,33 @@ and every match record built around it. An answer relayed by a group member,
 a shard, the front router and a cache is measured once, where it was built,
 and costs one step per record at every hop after that.
 
-Delivery scheduling is batched: instead of one event-queue entry per
-in-flight message, every pending delivery lives in one shared heap
-ordered by its ``(time, seq)`` key, and exactly **one** recycled sentinel
-event sits in the main queue, aimed at the head message's exact key (the
-same sentinel-recycling discipline as the scheduler's timer wheel). When the
-sentinel fires, the flush delivers every consecutive message whose key beats
-the main queue's head — advancing the clock and event count itself — so a
-burst of gossip and acks lands in one tight loop with one queue entry
-instead of dozens. An earlier revision bucketed messages into
-per-``(src-region, dst-region, jitter-bucket)`` delivery classes; measured
-at full-protocol density that fragmented consecutive deliveries across ~128
-sentinels (≈1.04 deliveries per flush — all sentinel churn, no batching),
-where the shared heap sustains ~5 per flush. Delivery keys are allocated at
-*send* time from the queue's shared sequence counter and every RNG draw
-(degradation, loss, jitter) stays in the send path, so event order, RNG
-streams and all metrics are byte-identical to posting one event per message.
-That direct-post path is part of the hybrid (see :data:`DIRECT_POST_MAX`);
-``tests/test_sim_network_batching.py`` uses it as the oracle by pinning
-``network._direct_post_max`` to infinity.
+One per-message path: every send resolves the sender, the size, the
+sender's meter, the counters and the source region's latency row once, then
+runs one loop per destination — destination region, drop decision,
+degraded-link multiplier, jitter draw, exporter hand-off, ``(time, seq)``
+allocation. Every message scheduled locally, and every message another
+region's worker injects, then waits in one shared heap ordered by that key,
+and exactly **one** recycled sentinel event sits in the main queue, aimed at
+the head message's exact key (the same sentinel-recycling discipline as the
+scheduler's timer wheel). When the sentinel fires, the flush delivers every
+consecutive message whose key beats the main queue's head — advancing the
+clock and event count itself — so a burst of gossip and acks lands in one
+tight loop with one queue entry instead of dozens. Delivery keys are
+allocated at *send* time from the queue's shared sequence counter and every
+RNG draw (degradation, loss, jitter) stays in the send path, so event order,
+RNG streams and all metrics are byte-identical to posting one event per
+message; that per-message path is the oracle in
+``tests/oracles/direct_post.py``.
 
-Failure injection: per-pair blocks and region partitions let tests exercise
-the store's quorum behaviour and SWIM's suspicion mechanism. Blocks and
-partitions are re-checked at delivery time, so a fault injected while a
-message is in flight still stops it (counted under
-``messages_dropped.blocked_in_flight`` / ``.partitioned_in_flight``).
+Failure injection: per-pair and one-way blocks, region partitions, degraded
+links and a network-wide loss rate. Whether any exist is decided when one
+changes, not per message: every fault setter, and the ``loss_rate``
+property, recomputes two flags. ``_faults`` says a send must run the full
+drop decision (any fault at all); ``_in_flight_faults`` says a delivery
+must re-check blocks and partitions (a fault injected while a message is in
+flight still stops it, counted under ``messages_dropped.blocked_in_flight``
+/ ``.partitioned_in_flight``). A fault-free send tests one flag and keeps
+only the unknown-destination check; a fault-free delivery tests one flag.
 
 Determinism profiles: under the simulator's default ``v1`` profile every
 loss/jitter draw comes one-at-a-time from ``random.Random`` — byte-identical
@@ -56,6 +60,7 @@ delivery tap may keep the object it was handed.
 
 from __future__ import annotations
 
+import math
 from heapq import heappop, heappush
 from typing import Callable, Dict, FrozenSet, List, Optional, Protocol, Sequence, Set, Tuple
 
@@ -72,16 +77,6 @@ MESSAGE_OVERHEAD_BYTES = 60
 #: that the per-block ``Generator.random`` + ``tolist`` overhead amortises to
 #: ~30 ns/draw; small enough that short runs don't waste draws.
 UNIFORM_BLOCK = 1024
-
-#: Below this many in-flight batched messages, ``send`` posts a per-message
-#: delivery event directly instead of parking the message in the shared
-#: heap. At low density the sentinel is retargeted on nearly every send
-#: (tombstone + re-push), which is strictly more queue work than one plain
-#: post — the measured source of the 0.95x ``net_delivery`` quick-bench
-#: point at 400 nodes (see benchmarks/README.md). Both paths allocate the
-#: delivery ``(time, seq)`` key from the same shared counter, so any mix of
-#: them drains in exactly the same order and the run stays byte-identical.
-DIRECT_POST_MAX = 8
 
 
 class SizedPayload:
@@ -228,15 +223,8 @@ class Message:
 
     __slots__ = ("kind", "payload", "src", "dst", "size", "sent_at")
 
-    def __init__(
-        self,
-        kind: str,
-        payload: object,
-        src: str,
-        dst: str,
-        size: int,
-        sent_at: float,
-    ) -> None:
+    def __init__(self, kind: str, payload: object, src: str, dst: str,
+                 size: int, sent_at: float) -> None:
         self.kind = kind
         self.payload = payload
         self.src = src
@@ -285,10 +273,13 @@ class Endpoint(Protocol):
         """Called on delivery of each message addressed to this endpoint."""
 
 
-#: ``target`` value marking a batch whose sentinel just fired and is being
-#: drained; compares below every real ``(time, seq)`` key so sends landing
-#: in the batch mid-flush never try to schedule a second sentinel.
-_DRAINING = (-1.0, -1)
+#: ``target_time`` of a batch with no sentinel queued: every send beats it.
+_IDLE = math.inf
+
+#: ``target_time`` of a batch whose sentinel just fired and is being drained:
+#: no send beats it, so a handler sending mid-flush never queues a second
+#: sentinel.
+_DRAINING = -1.0
 
 
 class _DeliveryBatch:
@@ -296,25 +287,31 @@ class _DeliveryBatch:
 
     ``heap`` orders pending deliveries by their ``(time, seq)`` key, which is
     allocated at send time; ``event`` is the single recycled sentinel entry
-    the batch keeps in the main event queue, aimed at the head's exact key
-    while ``scheduled`` is true. Messages are never cancelled, so unlike the
-    timer wheel the heap holds no tombstones. Sentinel retargets from the
-    send path are rare: the head delivery is almost always nearer than the
-    shortest link latency a new send could add.
+    the batch keeps in the main event queue, aimed at the head's exact key.
+    ``target_time`` is that key's time while the sentinel is queued,
+    :data:`_IDLE` or :data:`_DRAINING` otherwise. A new message's seq is
+    larger than every queued one, so it beats the sentinel's key exactly
+    when ``time < target_time``: one float compare per send. Messages are
+    never cancelled, so unlike the timer wheel the heap holds no tombstones.
     """
 
-    __slots__ = ("heap", "event", "target", "scheduled")
+    __slots__ = ("heap", "event", "target_time")
 
     def __init__(self) -> None:
         #: Entries are ``(time, seq, Message)``.
         self.heap: List[Tuple[float, int, Message]] = []
         self.event: Optional[Event] = None
-        self.target: Optional[Tuple[float, int]] = None
-        self.scheduled = False
+        self.target_time = _IDLE
 
 
 class Network:
     """Latency- and bandwidth-accounted message fabric.
+
+    Every message takes one path: :meth:`send_fanout` accounts and parks it
+    in the in-flight heap (:attr:`in_flight` counts it), and the sentinel's
+    flush delivers it; :meth:`inject_remote` parks another worker's export
+    the same way. The fault setters are the only place the fault-free
+    decision is made (see the module docstring's two flags).
 
     Parameters
     ----------
@@ -363,15 +360,16 @@ class Network:
         record_bandwidth_events: Optional[bool] = None,
         region_rng: bool = False,
     ) -> None:
-        if not 0.0 <= loss_rate <= 1.0:
-            raise NetworkError(f"loss rate must be in [0, 1], got {loss_rate}")
         if jitter_fraction < 0.0:
             raise NetworkError(
                 f"jitter fraction must be >= 0, got {jitter_fraction}"
             )
         self.sim = sim
         self.topology = topology if topology is not None else Topology()
-        self.loss_rate = loss_rate
+        #: ``src_region -> {dst_region: latency}``: one row per send.
+        self._latency_rows: Dict[str, Dict[str, float]] = {}
+        for (src_region, dst_region), latency in self.topology.latency_map().items():
+            self._latency_rows.setdefault(src_region, {})[dst_region] = latency
         self.jitter_fraction = jitter_fraction
         # The profile decides two things here and nothing else: which
         # generator the loss/jitter taps below draw from, and this default.
@@ -391,6 +389,8 @@ class Network:
         self._blocked_directed: Set[Tuple[str, str]] = set()
         #: Per-link degradation overrides: pair -> (latency multiplier, loss).
         self._degraded: Dict[FrozenSet[str], Tuple[float, float]] = {}
+        # The setter validates and sets the fault flags from the containers.
+        self.loss_rate = loss_rate
         self._rng = sim.derive_rng("network")
         # Degraded-link loss draws come from their own stream so layering a
         # degradation onto one link never shifts the base ``_rng`` sequence
@@ -448,20 +448,28 @@ class Network:
         # not grow a zero-valued "messages_dropped" it never had before.
         self._messages_dropped = None
         self._drop_reason_counters: Dict[str, object] = {}
-        # Delivery batching state. Sequence numbers come from the simulator
-        # queue's shared counter — allocated at the same moments ``sim.post``
-        # would allocate them, so batched and direct-posted deliveries
-        # interleave with timers identically.
+        # Delivery state. Sequence numbers come from the simulator queue's
+        # shared counter — allocated at the moments ``sim.post`` would
+        # allocate them, so deliveries interleave with timers exactly as one
+        # posted event per message would.
         self._in_flight = _DeliveryBatch()
         self._queue = sim._queue
         self._alloc_seq = sim._queue._seq.__next__
-        # Instance copy so tests (and density experiments) can pin it.
-        self._direct_post_max = DIRECT_POST_MAX
-        # Direct-posted deliveries still in flight. The density check must
-        # see these too: the heap alone can never climb from empty to the
-        # threshold through a path that only fills once the threshold is
-        # already met.
-        self._direct_outstanding = 0
+
+    @property
+    def in_flight(self) -> int:
+        """Messages scheduled here and not yet delivered or dropped.
+
+        Every local send and every injected message waits in the in-flight
+        heap, so on a serial run ``messages_sent == messages_delivered +
+        messages_dropped + in_flight`` holds between any two events, no drain
+        needed. Under region sharding a message exported to another worker
+        counts in this network's ``messages_sent`` but not in its
+        ``in_flight``: the parallel coordinator counts it
+        (``ParallelSimulation.messages_exchanged``) and injects it into the
+        destination worker's heap, where it is ``in_flight`` until delivered.
+        """
+        return len(self._in_flight.heap)
 
     # ------------------------------------------------------------ membership
     def register(self, endpoint: Endpoint) -> None:
@@ -510,12 +518,35 @@ class Network:
         self._wire_sizes[kind] = size
 
     # ------------------------------------------------------- failure control
+    @property
+    def loss_rate(self) -> float:
+        """Probability that any message is silently dropped, in ``[0, 1]``."""
+        return self._loss_rate
+
+    @loss_rate.setter
+    def loss_rate(self, value: float) -> None:
+        if not 0.0 <= value <= 1.0:
+            raise NetworkError(f"loss rate must be in [0, 1], got {value}")
+        self._loss_rate = value
+        self._refresh_faults()
+
+    def _refresh_faults(self) -> None:
+        """Recompute the two fault flags; every fault setter ends here."""
+        self._in_flight_faults = bool(
+            self._blocked or self._blocked_directed or self._blocked_regions
+        )
+        self._faults = (
+            self._in_flight_faults or bool(self._degraded) or self._loss_rate > 0
+        )
+
     def block(self, address_a: str, address_b: str) -> None:
         """Drop all traffic between two addresses (both directions)."""
         self._blocked.add(frozenset((address_a, address_b)))
+        self._refresh_faults()
 
     def unblock(self, address_a: str, address_b: str) -> None:
         self._blocked.discard(frozenset((address_a, address_b)))
+        self._refresh_faults()
 
     def block_directed(self, src: str, dst: str) -> None:
         """Drop traffic from ``src`` to ``dst`` only (asymmetric failure).
@@ -525,25 +556,24 @@ class Network:
         still ping ``src``, but never hears an ack back.
         """
         self._blocked_directed.add((src, dst))
+        self._refresh_faults()
 
     def unblock_directed(self, src: str, dst: str) -> None:
         self._blocked_directed.discard((src, dst))
+        self._refresh_faults()
 
     def partition_regions(self, region_a: str, region_b: str) -> None:
         """Drop all traffic between two regions (both directions)."""
         self._blocked_regions.add(frozenset((region_a, region_b)))
+        self._refresh_faults()
 
     def heal_regions(self, region_a: str, region_b: str) -> None:
         self._blocked_regions.discard(frozenset((region_a, region_b)))
+        self._refresh_faults()
 
-    def degrade_link(
-        self,
-        address_a: str,
-        address_b: str,
-        *,
-        latency_multiplier: float = 1.0,
-        loss_rate: float = 0.0,
-    ) -> None:
+    def degrade_link(self, address_a: str, address_b: str, *,
+                     latency_multiplier: float = 1.0,
+                     loss_rate: float = 0.0) -> None:
         """Degrade one link (both directions): slower and/or lossier.
 
         ``latency_multiplier`` scales the topology-derived one-way latency;
@@ -562,9 +592,11 @@ class Network:
             latency_multiplier,
             loss_rate,
         )
+        self._refresh_faults()
 
     def clear_link_degradation(self, address_a: str, address_b: str) -> None:
         self._degraded.pop(frozenset((address_a, address_b)), None)
+        self._refresh_faults()
 
     def link_degradation(
         self, address_a: str, address_b: str
@@ -579,27 +611,32 @@ class Network:
         self._blocked_regions.clear()
         self._blocked_directed.clear()
         self._degraded.clear()
+        self._refresh_faults()
 
     def add_delivery_tap(self, tap: Callable[[Message], None]) -> None:
         """Register a callback invoked on every successful delivery."""
         self._delivery_taps.append(tap)
 
     # ---------------------------------------------------------------- sending
-    def send(
-        self,
-        src: str,
-        dst: str,
-        kind: str,
-        payload: object,
-        *,
-        size: Optional[int] = None,
-    ) -> None:
-        """Send a message; delivery is scheduled, never synchronous.
+    def send(self, src: str, dst: str, kind: str, payload: object, *,
+             size: Optional[int] = None) -> None:
+        """Send a message: :meth:`send_fanout` to one destination."""
+        self.send_fanout(src, (dst,), kind, payload, size=size)
 
+    def send_fanout(self, src: str, dsts: Sequence[str], kind: str,
+                    payload: object, *, size: Optional[int] = None) -> None:
+        """Send one payload to each of ``dsts``, in order; delivery is
+        scheduled, never synchronous.
+
+        The payload is sized, and the sender's meter and the sent counters
+        charged, once per call. Per destination, in order: its region (a
+        recently dead endpoint routes toward where it actually lived), the
+        drop decision, the degraded-link multiplier, the jitter draw, the
+        exporter hand-off under region sharding, and the delivery key.
         Unknown destinations and blocked/partitioned pairs silently drop the
         message (that is what the real network does); every loss is counted
-        exactly once in ``metrics.counter("messages_dropped")``, with a
-        per-reason counter under ``messages_dropped.<reason>``.
+        once in ``messages_dropped`` and once under
+        ``messages_dropped.<reason>``.
 
         ``payload`` may be a :class:`SizedPayload`, in which case its
         stated size is used and the wrapped payload is what gets delivered.
@@ -620,20 +657,16 @@ class Network:
             else:
                 size = entry
         wire_size = size + MESSAGE_OVERHEAD_BYTES
-        now = self.sim.now
-        self.meter(src).on_send(now, wire_size)
-        self._messages_sent.inc()
-        self._bytes_sent.inc(wire_size)
-
-        # The destination's region is resolved once and shared by the drop
-        # checks, the latency model and the delivery-class key. A recently
-        # dead endpoint routes toward where it actually lived.
-        receiver = self._endpoints.get(dst)
-        if receiver is not None:
-            dst_region = receiver.region
-        else:
-            dst_region = self._last_region.get(dst)
+        now = self.sim._now
+        count = len(dsts)
+        meter = self._meters.get(src)
+        if meter is None:
+            meter = self.meter(src)
+        meter.on_send_many(now, wire_size, count)
+        self._messages_sent.value += count
+        self._bytes_sent.value += wire_size * count
         src_region = sender.region
+        latency_row = self._latency_rows[src_region]
         region_uniform = self._region_uniform
         if region_uniform is not None:
             uniform = region_uniform[src_region]
@@ -641,202 +674,66 @@ class Network:
         else:
             uniform = self._uniform
             degrade_rng = self._degrade_rng
-        if not (
-            self._blocked
-            or self._blocked_directed
-            or self._blocked_regions
-            or self._degraded
-            or self.loss_rate > 0
-        ):
-            # Fault-free fast path (see send_fanout): only the
-            # unknown-destination drop can apply, and _drop_reason makes no
-            # RNG draws in this state, so skipping the call is byte-exact.
-            if dst_region is None:
-                self._count_drop("unknown_destination")
-                return
-        else:
-            drop_reason = self._drop_reason(
-                src, dst, sender, dst_region, uniform, degrade_rng
-            )
-            if drop_reason is not None:
-                self._count_drop(drop_reason)
-                return
-        base = self.topology.latency(src_region, dst_region)
-        if self._degraded:
-            entry = self._degraded.get(frozenset((src, dst)))
-            if entry is not None:
-                base *= entry[0]
-        jitter_fraction = self.jitter_fraction
-        if jitter_fraction > 0.0:
-            latency = base * (1.0 + uniform() * jitter_fraction)
-        else:
-            latency = base
-        if latency < 0.0:
-            # Degenerate topologies (negative configured latency) must never
-            # schedule a delivery in the simulated past.
-            latency = 0.0
-        export = self._export
-        if export is not None and dst_region in self._remote_regions:
-            # Region-sharded mode: the destination lives in another worker.
-            # All accounting and RNG draws above already happened (identical
-            # to a local send); the delivery key's seq comes from the local
-            # counter exactly as the batched path would allocate it, and the
-            # coordinator merges it into the destination worker at the next
-            # window barrier.
-            export(src_region, dst_region, now + latency, self._alloc_seq(),
-                   kind, payload, src, dst, wire_size, now)
-            return
-        batch = self._in_flight
-        if len(batch.heap) + self._direct_outstanding < self._direct_post_max:
-            # Low in-flight density (see DIRECT_POST_MAX): fire-and-forget,
-            # one queue entry per message (deliveries are never cancelled, so
-            # no TimerHandle either). The key comes from the same counter
-            # either way, so the drain order is unchanged.
-            self._direct_outstanding += 1
-            self.sim.post(
-                latency, self._deliver,
-                Message(kind, payload, src, dst, wire_size, now),
-            )
-            return
-        # Batched path: allocate the delivery key now (send order == seq
-        # order, exactly as sim.post would) and park the message in the
-        # in-flight heap; only the batch sentinel lives in the main queue.
-        delivery_time = now + latency
-        seq = self._alloc_seq()
-        heappush(
-            batch.heap,
-            (delivery_time, seq, Message(kind, payload, src, dst, wire_size, now)),
-        )
-        if not batch.scheduled or (delivery_time, seq) < batch.target:
-            self._retarget_deliveries(batch)
-
-    def send_fanout(
-        self,
-        src: str,
-        dsts: Sequence[str],
-        kind: str,
-        payload: object,
-        *,
-        size: Optional[int] = None,
-    ) -> None:
-        """Send one payload to several destinations with a single prologue.
-
-        Byte-identical to calling :meth:`send` once per destination in
-        order: per-destination RNG draws (degradation, loss, jitter) happen
-        in destination order, the sender's meter log and the drop/sent
-        counters reach the same state, and delivery keys come from the same
-        shared counter. Only the per-message re-resolution of sender, size,
-        meter, counters, and hot attributes is hoisted out of the loop —
-        which matters because gossip fan-out is ~90% of all messages in the
-        full-protocol workload.
-        """
-        sender = self._endpoints.get(src)
-        if sender is None:
-            raise NetworkError(f"send from unregistered endpoint {src!r}")
-        if isinstance(payload, SizedPayload):
-            if size is None:
-                size = payload.size
-            payload = payload.payload
-        if size is None:
-            entry = self._wire_sizes.get(kind)
-            if entry is None:
-                size = approx_size(payload)
-            elif callable(entry):
-                size = entry(payload)
-            else:
-                size = entry
-        wire_size = size + MESSAGE_OVERHEAD_BYTES
-        now = self.sim.now
-        count = len(dsts)
-        self.meter(src).on_send_many(now, wire_size, count)
-        self._messages_sent.inc(count)
-        self._bytes_sent.inc(wire_size * count)
-        src_region = sender.region
         endpoints = self._endpoints
         last_region = self._last_region
-        latency_table = self.topology.latency_map()
+        faults = self._faults
         degraded = self._degraded
         jitter_fraction = self.jitter_fraction
-        region_uniform = self._region_uniform
-        if region_uniform is not None:
-            uniform = region_uniform[src_region]
-            degrade_rng = self._region_degrade[src_region]
-        else:
-            uniform = self._uniform
-            degrade_rng = self._degrade_rng
         export = self._export
-        remote_regions = self._remote_regions
-        direct_max = self._direct_post_max
         batch = self._in_flight
         heap = batch.heap
-        post = self.sim.post
-        deliver = self._deliver
-        # Fault-free fast path: with no blocks, partitions, degradations or
-        # loss configured, _drop_reason can only ever return
-        # "unknown_destination" — that one check is kept inline and the call
-        # (which makes no RNG draws in this state) is skipped entirely.
-        faultless = not (
-            self._blocked
-            or self._blocked_directed
-            or self._blocked_regions
-            or degraded
-            or self.loss_rate > 0
-        )
+        alloc_seq = self._alloc_seq
         for dst in dsts:
             receiver = endpoints.get(dst)
             if receiver is not None:
                 dst_region = receiver.region
             else:
                 dst_region = last_region.get(dst)
-            if faultless:
-                if dst_region is None:
-                    self._count_drop("unknown_destination")
-                    continue
-            else:
+            if faults:
                 drop_reason = self._drop_reason(
                     src, dst, sender, dst_region, uniform, degrade_rng
                 )
                 if drop_reason is not None:
                     self._count_drop(drop_reason)
                     continue
-            base = latency_table[(src_region, dst_region)]
-            if degraded:
-                entry = degraded.get(frozenset((src, dst)))
-                if entry is not None:
-                    base *= entry[0]
-            if jitter_fraction > 0.0:
-                latency = base * (1.0 + uniform() * jitter_fraction)
+                latency = latency_row[dst_region]
+                if degraded:
+                    entry = degraded.get(frozenset((src, dst)))
+                    if entry is not None:
+                        latency *= entry[0]
+            elif dst_region is None:
+                # Fault-free, only this drop can apply, and _drop_reason
+                # would make no RNG draw: skipping it is byte-exact.
+                self._count_drop("unknown_destination")
+                continue
             else:
-                latency = base
+                latency = latency_row[dst_region]
+            if jitter_fraction > 0.0:
+                latency *= 1.0 + uniform() * jitter_fraction
             if latency < 0.0:
+                # Degenerate topologies (negative configured latency) must
+                # never schedule a delivery in the simulated past.
                 latency = 0.0
-            if export is not None and dst_region in remote_regions:
-                # Region-sharded mode: see the matching branch in send().
-                export(src_region, dst_region, now + latency,
-                       self._alloc_seq(), kind, payload, src, dst,
-                       wire_size, now)
+            time = now + latency
+            if export is not None and dst_region in self._remote_regions:
+                # Region-sharded mode: the destination lives in another
+                # worker. Accounting and RNG draws are a local send's; the
+                # key's seq comes from the local counter, and the coordinator
+                # merges the message into the destination worker at the next
+                # window barrier.
+                export(src_region, dst_region, time, alloc_seq(),
+                       kind, payload, src, dst, wire_size, now)
                 continue
-            if len(heap) + self._direct_outstanding < direct_max:
-                self._direct_outstanding += 1
-                post(latency, deliver, Message(kind, payload, src, dst, wire_size, now))
-                continue
-            delivery_time = now + latency
-            seq = self._alloc_seq()
             heappush(
                 heap,
-                (delivery_time, seq, Message(kind, payload, src, dst, wire_size, now)),
+                (time, alloc_seq(), Message(kind, payload, src, dst, wire_size, now)),
             )
-            if not batch.scheduled or (delivery_time, seq) < batch.target:
+            if time < batch.target_time:
                 self._retarget_deliveries(batch)
 
     def _drop_reason(
-        self,
-        src: str,
-        dst: str,
-        sender: Endpoint,
-        dst_region: Optional[str],
-        uniform: Callable[[], float],
-        degrade_rng,
+        self, src: str, dst: str, sender: Endpoint, dst_region: Optional[str],
+        uniform: Callable[[], float], degrade_rng,
     ) -> Optional[str]:
         """Send-time drop decision; RNG draws happen here and only here.
 
@@ -844,12 +741,13 @@ class Network:
         ``network`` streams normally, the sender-region streams under
         ``region_rng`` — so this body stays byte-identical in both modes.
 
-        Every container check is guarded by a truthiness test so the
-        fault-free hot path never builds a frozenset per message, and the
-        region-partition check routes through the resolved ``dst_region``
-        (which falls back to the last known region), so traffic toward a
-        recently dead endpoint across a partition counts as ``partitioned``
-        rather than surviving until the ``dead_endpoint`` check.
+        Only called while ``_faults`` is set. Each container check is still
+        guarded by a truthiness test, so a run with loss alone never builds a
+        frozenset per message. The region-partition check routes through the
+        resolved ``dst_region`` (which falls back to the last known region),
+        so traffic toward a recently dead endpoint across a partition counts
+        as ``partitioned`` rather than surviving until the ``dead_endpoint``
+        check.
         """
         if self._blocked and frozenset((src, dst)) in self._blocked:
             return "blocked"
@@ -872,17 +770,14 @@ class Network:
                 and degrade_rng.random() < entry[1]
             ):
                 return "degraded"
-        if self.loss_rate > 0 and uniform() < self.loss_rate:
+        if self._loss_rate > 0 and uniform() < self._loss_rate:
             return "loss"
         return None
 
     # ------------------------------------------------------- region sharding
     def enable_region_sharding(
-        self,
-        local_regions: Sequence[str],
-        remote_regions: Sequence[str],
-        address_regions: Dict[str, str],
-        exporter: Callable[..., None],
+        self, local_regions: Sequence[str], remote_regions: Sequence[str],
+        address_regions: Dict[str, str], exporter: Callable[..., None],
     ) -> None:
         """Turn this network into one shard of a region-partitioned run.
 
@@ -925,75 +820,62 @@ class Network:
         for address, region in address_regions.items():
             self._last_region.setdefault(address, region)
 
-    def inject_remote(
-        self,
-        arrival: float,
-        kind: str,
-        payload: object,
-        src: str,
-        dst: str,
-        size: int,
-        sent_at: float,
-    ) -> None:
-        """Schedule a delivery exported by another region's worker.
+    def inject_remote(self, arrival: float, kind: str, payload: object,
+                      src: str, dst: str, size: int, sent_at: float) -> None:
+        """Park a message exported by another region's worker in the
+        in-flight heap, like a local send.
 
         Called by the parallel coordinator's barrier merge, in the
         deterministic ``(arrival, src-region index, sender seq)`` order — the
         local delivery seq is allocated here, by insertion order, so the
         destination worker's event order is a pure function of the merged
-        stream. The in-flight fault re-check still runs at delivery time via
-        :meth:`_deliver`, so a partition injected in this window drops a
-        message sent before it, exactly as in the serial run.
+        stream. The message is delivered by the same flush as a local one,
+        so the in-flight fault re-check still runs (a partition injected in
+        this window drops a message sent before it, exactly as in the serial
+        run) and :attr:`in_flight` counts it until then.
         """
-        sim = self.sim
-        if arrival < sim.now:
+        if arrival < self.sim._now:
             raise NetworkError(
                 f"remote injection at t={arrival:.6f} behind local clock "
-                f"t={sim.now:.6f} — lookahead (window width) violated"
+                f"t={self.sim._now:.6f} — lookahead (window width) violated"
             )
-        self._direct_outstanding += 1
-        self._queue.push(
-            arrival, self._deliver,
-            (Message(kind, payload, src, dst, size, sent_at),),
+        batch = self._in_flight
+        heappush(
+            batch.heap,
+            (arrival, self._alloc_seq(),
+             Message(kind, payload, src, dst, size, sent_at)),
         )
+        if arrival < batch.target_time:
+            self._retarget_deliveries(batch)
 
-    # ------------------------------------------------------ batched delivery
+    # -------------------------------------------------------------- delivery
     def _retarget_deliveries(self, batch: _DeliveryBatch) -> None:
         """Aim the batch sentinel at the head message's exact ``(time, seq)``.
 
-        Mirrors the timer wheel's sentinel recycling: a sentinel that is
-        already queued at a now-stale key is tombstoned (the old object stays
-        behind in the queue) and a fresh event takes its place; a sentinel
-        that just fired is reused in place, costing no allocation.
+        Called when a new message beats the queued sentinel's key, or when
+        the batch is idle. Mirrors the timer wheel's sentinel recycling: a
+        sentinel queued at a now-stale key is tombstoned (the old object
+        stays behind in the queue) and a fresh event takes its place; a
+        sentinel that just fired is reused in place, costing no allocation.
         """
-        heap = batch.heap
         queue = self._queue
-        if not heap:
-            if batch.scheduled:
-                batch.event.cancelled = True
-                queue.note_cancelled()
-                batch.event = None
-                batch.scheduled = False
-            batch.target = None
-            return
-        time, seq = heap[0][0], heap[0][1]
-        key = (time, seq)
-        if batch.scheduled:
-            if batch.target == key:
-                return
+        if batch.target_time != _IDLE:
             batch.event.cancelled = True
             queue.note_cancelled()
             batch.event = None
+        heap = batch.heap
+        if not heap:
+            batch.target_time = _IDLE
+            return
+        time, seq, _message = heap[0]
         event = batch.event
         if event is None:
-            event = Event(time, seq, self._fire_deliveries, (batch,))
-            batch.event = event
+            event = batch.event = Event(time, seq, self._fire_deliveries, (batch,))
         else:
             event.time = time
             event.seq = seq
         queue.push_entry(event)
-        batch.scheduled = True
-        batch.target = key
+        batch.target_time = time
 
     def _fire_deliveries(self, batch: _DeliveryBatch) -> None:
         """Sentinel callback: flush every consecutively-due delivery.
@@ -1008,52 +890,43 @@ class Network:
         iteration that actually pushed an event (tracked by the queue's
         ``pushes`` counter): handler-scheduled events always carry a fresh
         sequence number, so a stale cached key can only ever end the drain
-        early (the sentinel re-aims and the flush resumes), never late.
+        early (the sentinel re-aims and the flush resumes), never late. Seqs
+        are unique across the queue and the heap, so comparing that
+        ``(time, seq)`` key with a heap entry is decided by its first two
+        items.
 
-        The delivery body inlines :meth:`_deliver` (the direct-post path) —
-        the two must stay in lockstep; the seeded A/B equivalence tests in
-        ``tests/test_sim_network_batching.py`` enforce it. The only
-        intentional difference: the delivered-messages counter is batched
-        per flush instead of incremented per message (nothing in the stack
-        reads it mid-flush).
+        The delivered-messages counter is charged once per flush (nothing in
+        the stack reads it mid-flush); ``tests/oracles/direct_post.py``, one
+        posted event per message, is what this loop must replay exactly.
         """
         sim = self.sim
         heap = batch.heap
         queue = self._queue
         endpoints_get = self._endpoints.get
-        meter = self.meter
         meters_get = self._meters.get
         taps = self._delivery_taps
-        # Mark the batch as draining so a handler sending into it mid-flush
-        # never schedules a second sentinel (_DRAINING beats every real key).
-        batch.scheduled = True
-        batch.target = _DRAINING
+        bound = sim._run_bound
+        batch.target_time = _DRAINING
         next_key = queue.peek_key()
         pushes = queue.pushes
         delivered = 0
-        first = True
+        time, _seq, message = heappop(heap)
         while True:
-            time, _seq, message = heappop(heap)
-            if first:
-                first = False
-            else:
-                sim._now = time
-                sim._events_processed += 1
             receiver = endpoints_get(message.dst)
             if receiver is None:
                 # Endpoint died while the message was in flight.
                 self._count_drop("dead_endpoint")
             elif (
-                (self._blocked or self._blocked_directed or self._blocked_regions)
+                self._in_flight_faults
                 and (reason := self._in_flight_drop_reason(message, receiver))
                 is not None
             ):
                 self._count_drop(reason)
             else:
-                m = meters_get(message.dst)
-                if m is None:
-                    m = meter(message.dst)
-                m.on_receive(time, message.size)
+                meter = meters_get(message.dst)
+                if meter is None:
+                    meter = self.meter(message.dst)
+                meter.on_receive(time, message.size)
                 delivered += 1
                 if taps:
                     for tap in taps:
@@ -1062,17 +935,19 @@ class Network:
             if not heap:
                 break
             head = heap[0]
-            if head[0] > sim._run_bound:
+            if head[0] > bound:
                 break
             if queue.pushes != pushes:
                 next_key = queue.peek_key()
                 pushes = queue.pushes
-            if next_key is not None and next_key < (head[0], head[1]):
+            if next_key is not None and next_key < head:
                 break
+            time, _seq, message = heappop(heap)
+            sim._now = time
+            sim._events_processed += 1
         if delivered:
             self._messages_delivered.value += delivered
-        batch.scheduled = False
-        batch.target = None
+        batch.target_time = _IDLE
         self._retarget_deliveries(batch)
 
     def _count_drop(self, reason: str) -> None:
@@ -1080,12 +955,12 @@ class Network:
         if dropped is None:
             dropped = self.metrics.counter("messages_dropped")
             self._messages_dropped = dropped
-        dropped.inc()
+        dropped.value += 1
         counter = self._drop_reason_counters.get(reason)
         if counter is None:
             counter = self.metrics.counter(f"messages_dropped.{reason}")
             self._drop_reason_counters[reason] = counter
-        counter.inc()
+        counter.value += 1
 
     def _in_flight_drop_reason(
         self, message: Message, receiver: Endpoint
@@ -1093,9 +968,8 @@ class Network:
         """Delivery-time fault re-check: blocks/partitions injected while the
         message was in flight still stop it.
 
-        Only consulted when at least one block or partition exists (callers
-        guard on set truthiness), so fault-free runs pay nothing and keep
-        their determinism checksum. The sender's region comes from
+        Only consulted while ``_in_flight_faults`` is set, so fault-free runs
+        pay one flag test per delivery. The sender's region comes from
         ``_last_region`` — the sender may itself have died mid-flight.
         """
         src = message.src
@@ -1112,23 +986,3 @@ class Network:
             ):
                 return "partitioned_in_flight"
         return None
-
-    def _deliver(self, message: Message) -> None:
-        """Deliver one message now (direct-post path; the batched flush in
-        :meth:`_fire_deliveries` inlines this body — keep them in lockstep)."""
-        self._direct_outstanding -= 1
-        receiver = self._endpoints.get(message.dst)
-        if receiver is None:
-            # Endpoint died while the message was in flight.
-            self._count_drop("dead_endpoint")
-            return
-        if self._blocked or self._blocked_directed or self._blocked_regions:
-            reason = self._in_flight_drop_reason(message, receiver)
-            if reason is not None:
-                self._count_drop(reason)
-                return
-        self.meter(message.dst).on_receive(self.sim.now, message.size)
-        self._messages_delivered.inc()
-        for tap in self._delivery_taps:
-            tap(message)
-        receiver.handle_message(message)

@@ -137,14 +137,14 @@ class Process:
         if self.paused:
             self.paused_drops += 1
             return
-        self.network.send(self.address, dst, kind, payload, size=size)
+        self.network.send_fanout(self.address, (dst,), kind, payload, size=size)
 
     def send_fanout(
         self, dsts: Sequence[str], kind: str, payload: object, *, size: Optional[int] = None
     ) -> None:
         """One payload to several destinations; equivalent to ``send`` per
         destination in order (one paused drop per destination, same network
-        accounting) with the per-message prologue hoisted."""
+        accounting), sized and charged once."""
         if not self.running:
             return
         if self.paused:

@@ -219,6 +219,10 @@ class RpcMixin:
     ) -> str:
         """Issue a call; exactly one of ``on_reply``/``on_timeout`` fires.
 
+        Each attempt's timeout is a :meth:`Simulator.deadline
+        <repro.sim.loop.Simulator.deadline>`: a reply cancels it with a flag
+        write, and a cancelled one costs no event.
+
         With ``retries > 0`` a timed-out request is retransmitted up to that
         many times, waiting ``uniform(0, retry_backoff * 2**attempt)`` before
         each resend (exponential backoff, full jitter — uncoordinated
@@ -240,6 +244,8 @@ class RpcMixin:
                 delay = self._rpc_retry_rng.uniform(
                     0.0, retry_backoff * (2 ** (pending.attempt - 1))
                 )
+                # Backoff stays a queued event: a random delay would give
+                # each backoff its own deadline FIFO.
                 pending.timer = self.sim.schedule(delay, resend)
                 return
             del self._rpc_pending[call_id]
@@ -255,10 +261,10 @@ class RpcMixin:
                 # without firing either callback (crash semantics).
                 del self._rpc_pending[call_id]
                 return
-            pending.timer = self.sim.schedule(timeout, timed_out)
+            pending.timer = self.sim.deadline(timeout, timed_out)
             self.send(dst, REQUEST_KIND, request)
 
-        timer = self.sim.schedule(timeout, timed_out)
+        timer = self.sim.deadline(timeout, timed_out)
         self._rpc_pending[call_id] = PendingCall(
             call_id, method, on_reply, timer, self.sim.now
         )

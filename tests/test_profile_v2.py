@@ -9,8 +9,9 @@ hold instead:
 * v2 is exactly as deterministic as v1: same seed, same checksum, across
   runs and platforms (the numpy seed derivation hashes the label with
   sha256, so no ``PYTHONHASHSEED`` dependence);
-* within v2, every implementation arm (batched vs direct-post delivery,
-  GC freeze on/off) is byte-identical to every other — the profile is the
+* within v2, every implementation arm (the shipped in-flight heap vs the
+  one-event-per-message oracle in ``tests/oracles/direct_post.py``, GC
+  freeze on/off) is byte-identical to every other — the profile is the
   *only* sanctioned source of divergence;
 * v1 and v2 agree statistically: same converged membership views, same
   failure detections, event/byte totals within a few percent;
@@ -27,9 +28,10 @@ import pytest
 from repro.errors import SimulationError
 from repro.gossip.swim import SwimAgent, SwimConfig
 from repro.sim import Network, Simulator, Topology
-from repro.sim.network import DIRECT_POST_MAX, MESSAGE_OVERHEAD_BYTES
+from repro.sim.network import MESSAGE_OVERHEAD_BYTES
 from repro.sim.process import Process
 from repro.sim.rpc import DEFERRED, RpcMixin
+from tests.oracles.direct_post import DirectPostNetwork
 
 #: The committed v1 determinism checksum (BENCH_kernel.json); byte-exactness
 #: of the v1 profile is part of this repo's public contract.
@@ -58,9 +60,7 @@ def swim_profile_run(
     """
     sim = Simulator(seed=seed, profile=profile)
     topology = Topology()
-    network = Network(sim, topology)
-    if direct_post_only:
-        network._direct_post_max = float("inf")  # the unbatched oracle
+    network = (DirectPostNetwork if direct_post_only else Network)(sim, topology)
     regions = [r.name for r in topology.regions]
     agents = []
     for i in range(num_nodes):
@@ -150,7 +150,7 @@ class TestV2Determinism:
         assert swim_profile_run(profile="v2") != swim_profile_run(profile="v1")
 
     def test_v2_arms_byte_identical(self):
-        """Delivery batching and GC freeze are implementation details
+        """The in-flight heap and GC freeze are implementation details
         *within* the v2 stream."""
         reference = swim_profile_run(profile="v2")
         arms = [
@@ -260,8 +260,7 @@ class TestDeferredRpc:
         timeouts = []
 
         def issue() -> None:
-            # Flood first so >= DIRECT_POST_MAX messages are in flight when
-            # the request is sent: the request takes the batched path.
+            # Flood first so the request waits in a crowded in-flight heap.
             for i in range(12):
                 bystander.send("srv", "noise", {"i": i})
             client.call(
@@ -285,9 +284,9 @@ class TestDeferredRpc:
 def test_delivered_message_objects_may_be_retained(profile):
     """A handler or delivery tap may keep the ``Message`` it was handed.
 
-    The flood goes far past ``DIRECT_POST_MAX`` in-flight messages, so nearly
-    all of it is delivered by the batched flush; each delivery must be its
-    own object, still carrying what was sent once the run is over.
+    The flood is delivered in flushes of the in-flight heap; each delivery
+    must be its own object, still carrying what was sent once the run is
+    over.
     """
     sim = Simulator(seed=11, profile=profile)
     network = Network(sim, Topology())
@@ -299,7 +298,7 @@ def test_delivered_message_objects_may_be_retained(profile):
     handled, tapped = [], []
     sink.on("flood", handled.append)
     network.add_delivery_tap(tapped.append)
-    count = 8 * DIRECT_POST_MAX
+    count = 64
     sent = []
 
     def flood() -> None:

@@ -1,9 +1,16 @@
-"""RPC under faults: retries, idempotency, timeout metrics, pause semantics."""
+"""RPC under faults: retries, idempotency, timeout metrics, pause semantics.
+
+A call's timeout is a ``Simulator.deadline``; ``TestDeadlineTimeouts`` holds
+it to the deadline oracle (``tests/oracles/deadlines.py``, every deadline a
+``schedule`` + ``cancel``) and pins the backoff, crash and reset edges.
+"""
 
 import pytest
 
+from repro.sim import Network, Simulator, Topology
 from repro.sim.process import Process
-from repro.sim.rpc import RpcMixin
+from repro.sim.rpc import DEFERRED, RpcMixin
+from tests.oracles.deadlines import ScheduledDeadlineSimulator
 
 
 class Peer(Process, RpcMixin):
@@ -166,3 +173,102 @@ class TestPauseSemantics:
                     timeout=5.0)
         sim.run_until(sim.now + 6.0)
         assert len(replies) == 1
+
+
+def answer_later(sim, delay):
+    """A server method that answers ``delay`` seconds after the request."""
+
+    def handler(params, respond, message):
+        sim.schedule(delay, respond, {"late": params})
+        return DEFERRED
+
+    return handler
+
+
+def deadline_run(sim_cls):
+    """Calls answered, timed out, retried across a block, and cancelled;
+    returns every callback with its instant, the event count and counters."""
+    sim = sim_cls(seed=5)
+    network = Network(sim, Topology())
+    regions = [r.name for r in network.topology.regions]
+    client = Peer(sim, network, "client", regions[0])
+    server = Peer(sim, network, "server", regions[1])
+    client.start()
+    server.start()
+    server.serve("slow", answer_later(sim, 0.4))
+    log = []
+
+    def issue(n, method, timeout, retries=0):
+        client.call(
+            "server", method, {"n": n},
+            on_reply=lambda result: log.append((sim.now, "reply", n)),
+            on_timeout=lambda: log.append((sim.now, "timeout", n)),
+            timeout=timeout, retries=retries, retry_backoff=0.3,
+        )
+
+    for i in range(12):
+        at = 0.25 * i
+        sim.schedule(at, issue, i, "echo", 0.5)
+        sim.schedule(at + 0.1, issue, 100 + i, "slow", 0.3 + 0.1 * (i % 3),
+                     i % 3)
+    sim.schedule(0.9, network.block, "client", "server")
+    sim.schedule(1.8, network.unblock, "client", "server")
+    sim.schedule(2.05, lambda: client.cancel_call(next(iter(client._rpc_pending))))
+    sim.run_until(10.0)
+    counters = {
+        name: network.metrics.counter(name).value
+        for name in network.metrics.names()["counters"]
+    }
+    return log, sim.events_processed, counters
+
+
+class TestDeadlineTimeouts:
+    def test_fires_at_the_instant_order_and_event_count_of_the_oracle(self):
+        kernel = deadline_run(Simulator)
+        assert kernel == deadline_run(ScheduledDeadlineSimulator)
+        log, _, counters = kernel
+        kinds = {kind for _, kind, _ in log}
+        assert kinds == {"reply", "timeout"}
+        assert counters["rpc.timeouts"] > counters.get("rpc.late_replies", 0) > 0
+
+    def test_late_reply_during_backoff_completes_the_call(self, sim, network, peers):
+        client, server = peers
+        executions = []
+        slow = answer_later(sim, 1.5)
+
+        def counted(params, respond, message):
+            executions.append(sim.now)
+            return slow(params, respond, message)
+
+        server.serve("slow", counted)
+        replies, timeouts = [], []
+        client.call("server", "slow", {"n": 1}, on_reply=replies.append,
+                    on_timeout=lambda: timeouts.append(True),
+                    timeout=1.0, retries=1, retry_backoff=1000.0)
+        sim.run_until(sim.now + 2.0)  # timed out at 1.0, answered at ~1.5
+        assert replies == [{"late": {"n": 1}}] and timeouts == []
+        assert network.metrics.counter("rpc.timeouts").value == 1
+        assert network.metrics.get_counter("rpc.late_replies") is None
+        sim.run_until(sim.now + 2000.0)  # the backoff ends: nothing to resend
+        assert len(executions) == 1
+        assert replies == [{"late": {"n": 1}}] and timeouts == []
+
+    def test_reset_rpc_fires_neither_callback_and_counts_late_replies(
+        self, sim, network, peers
+    ):
+        client, server = peers
+        server.serve("slow", answer_later(sim, 0.5))
+        fired = []
+        # One call waiting on its deadline, one backing off after a timeout.
+        client.call("server", "slow", {}, on_reply=fired.append,
+                    on_timeout=lambda: fired.append("timeout"), timeout=1.0)
+        client.call("ghost", "echo", {}, on_reply=fired.append,
+                    on_timeout=lambda: fired.append("timeout"),
+                    timeout=0.1, retries=1, retry_backoff=1000.0)
+        sim.run_until(sim.now + 0.2)
+        client.reset_rpc()
+        sim.run_until(sim.now + 2000.0)
+        assert fired == []
+        assert network.metrics.counter("rpc.timeouts").value == 1
+        assert network.metrics.counter("rpc.late_replies").value == 1
+        assert network.metrics.counter("messages_sent").value == 3  # no resend

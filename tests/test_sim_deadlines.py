@@ -180,6 +180,14 @@ class TestSweepIsNotAnEvent:
         assert len(sim._queue) == queued
         assert sim._queue._tombstones == 0
 
+    def test_cancelled_entry_releases_its_callback(self, sim):
+        held = {"payload": "x" * 1000}
+        entry = sim.deadline(1.0, held.get, "payload")
+        entry.cancel()
+        assert (entry.callback, entry.args) == (None, ())
+        sim.run_until(2.0)
+        assert sim.events_processed == 0
+
     def test_drained_fifo_is_forgotten(self, sim):
         for delay in (0.1, 0.2, 0.3):
             sim.deadline(delay, lambda: None)

@@ -1,24 +1,32 @@
-"""Batched delivery equivalence and in-flight fault accounting.
+"""Delivery equivalence, fault flags, conservation and in-flight faults.
 
-The delivery batcher parks in-flight messages in one shared heap behind a
-single coalesced sentinel event; it must be *invisible* — same event order,
-same RNG draws, same bytes on the wire as posting one event per message.
-That direct-post path is part of the shipped hybrid (taken below
-``DIRECT_POST_MAX`` in-flight messages), so the oracle arm here is the same
-``Network`` with ``_direct_post_max`` pinned to infinity: every message is
-direct-posted, none is batched. These tests pin the equivalence (seeded
-full-protocol run + a Hypothesis sweep over random topologies and fault
-plans), plus the drop-accounting bugfixes that rode along: in-flight
-partition/block re-checks, dead-destination partition attribution, and
-jitter/loss validation with a latency clamp.
+The network parks every in-flight message in one shared heap behind a single
+coalesced sentinel event, and decides whether any fault exists once per
+fault-state change (two flags the setters keep) instead of once per message.
+Both must be *invisible* — same event order, same RNG draws, same bytes on
+the wire as posting one event per message and testing the fault containers
+every time, which is what the oracle arm here does
+(``tests/oracles/direct_post.py``, a ``Network`` subclass built in place of
+the shipped one). These tests pin the equivalence (a seeded full-protocol
+run, a Hypothesis sweep over random topologies and fault plans, and a
+Hypothesis sweep over raw fault-setter calls interleaved with sends),
+guard that the two arms really take different paths, hold the flags in
+step with the containers, and check message conservation at every sim
+second of a chaos run. The drop-accounting fixes that rode along earlier
+stay pinned too: in-flight partition/block re-checks, dead-destination
+partition attribution, and jitter/loss validation with a latency clamp.
 """
 
 from __future__ import annotations
+
+import heapq
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.network
 from repro.errors import NetworkError
 from repro.faults import (
     ChaosEngine,
@@ -30,14 +38,13 @@ from repro.faults import (
 from repro.gossip.swim import SwimAgent, SwimConfig
 from repro.sim import Network, Region, Simulator, Topology
 from repro.sim.process import Process
+from tests.oracles.direct_post import DirectPostNetwork
 
 
 def make_network(sim, topology, *, batched, **kwargs):
     """The shipped network, or (``batched=False``) its direct-post oracle."""
-    network = Network(sim, topology, **kwargs)
-    if not batched:
-        network._direct_post_max = float("inf")
-    return network
+    cls = Network if batched else DirectPostNetwork
+    return cls(sim, topology, **kwargs)
 
 
 class Chatter(Process):
@@ -167,25 +174,29 @@ class TestBatchedEquivalence:
         assert batched == reference
 
     def test_arms_exercise_different_paths(self):
-        """Guard the seam: the oracle arm never touches the shared heap, the
-        shipped arm does — otherwise the A/B above compares a path to itself."""
+        """Guard the substitution: the oracle arm parks nothing in the
+        in-flight heap and the shipped arm parks every message — otherwise
+        the A/Bs here compare a path with itself."""
         for batched in (False, True):
             sim = Simulator(seed=7)
             network = make_network(sim, Topology(), batched=batched)
             regions = [r.name for r in network.topology.regions]
             parked = []
-            nodes = [
-                Chatter(sim, network, f"c{i}", regions[i % len(regions)],
-                        f"c{(i + 1) % 12}", 0.01)
-                for i in range(12)
-            ]
-            for node in nodes:
-                node.start()
-            network.add_delivery_tap(
-                lambda m: parked.append(len(network._in_flight.heap))
-            )
-            sim.run_until(0.5)
-            assert (max(parked) > 0) is batched
+
+            def counting_push(heap, entry, parked=parked):
+                parked.append(entry[1])
+                heapq.heappush(heap, entry)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(repro.sim.network, "heappush", counting_push)
+                for i in range(12):
+                    Chatter(sim, network, f"c{i}", regions[i % len(regions)],
+                            f"c{(i + 1) % 12}", 0.01).start()
+                sim.run_until(0.5)
+            sent = network.metrics.counter("messages_sent").value
+            assert sent > 100
+            assert network.metrics.counter("messages_delivered").value > 100
+            assert len(parked) == (sent if batched else 0)
 
     def test_lossless_low_jitter_identical(self):
         reference = chatter_run(batched=False, seed=3, jitter_fraction=0.0)
@@ -245,19 +256,18 @@ class TestBatchedEquivalence:
         """Once every in-flight message has delivered, the batch heap is
         empty and no sentinel lingers in the event queue."""
         network = Network(sim, Topology(), jitter_fraction=0.0)
-        # Pin the direct-post threshold to 0 so even a lone send takes the
-        # shared-heap path and actually schedules a sentinel.
-        network._direct_post_max = 0
         region = network.topology.regions[0].name
         a = Chatter(sim, network, "a", region, "b", 1000.0)
         b = Chatter(sim, network, "b", region, "a", 1000.0)
         a.start()
         b.start()
         a.send("b", "ping", {})
-        assert network._in_flight.scheduled
+        batch = network._in_flight
+        assert network.in_flight == 1
+        assert batch.target_time == batch.heap[0][0]
         sim.run_until(1.0)
-        assert not network._in_flight.heap
-        assert not network._in_flight.scheduled
+        assert network.in_flight == 0
+        assert batch.target_time == math.inf
         assert network.metrics.counter("messages_delivered").value == 2
 
 
@@ -356,6 +366,230 @@ class TestBatchedEquivalenceProperty:
         reference = chatter_run(batched=False, **kwargs)
         batched = chatter_run(batched=True, **kwargs)
         assert batched == reference
+
+
+def fault_flags(network):
+    return network._faults, network._in_flight_faults
+
+
+def fault_truth(network):
+    """What the two flags must say, read off the fault containers."""
+    in_flight = bool(
+        network._blocked or network._blocked_directed or network._blocked_regions
+    )
+    return in_flight or bool(network._degraded) or network.loss_rate > 0, in_flight
+
+
+#: fault -> (inject, clear, re-checked in flight?); ``r`` is the region list.
+FAULTS = {
+    "block": (
+        lambda n, r: n.block("a", "b"),
+        lambda n, r: n.unblock("b", "a"),
+        True,
+    ),
+    "block_directed": (
+        lambda n, r: n.block_directed("a", "b"),
+        lambda n, r: n.unblock_directed("a", "b"),
+        True,
+    ),
+    "partition": (
+        lambda n, r: n.partition_regions(r[0], r[1]),
+        lambda n, r: n.heal_regions(r[1], r[0]),
+        True,
+    ),
+    "degrade": (
+        lambda n, r: n.degrade_link("a", "b", latency_multiplier=2.0),
+        lambda n, r: n.clear_link_degradation("b", "a"),
+        False,
+    ),
+    "loss": (
+        lambda n, r: setattr(n, "loss_rate", 0.25),
+        lambda n, r: setattr(n, "loss_rate", 0.0),
+        False,
+    ),
+}
+
+
+class TestFaultFlags:
+    @pytest.mark.parametrize("name", sorted(FAULTS))
+    def test_setter_and_its_inverse_keep_the_flags_in_step(self, sim, name):
+        network = Network(sim, Topology())
+        regions = [r.name for r in network.topology.regions]
+        inject, clear, in_flight = FAULTS[name]
+        assert fault_flags(network) == fault_truth(network) == (False, False)
+        for _ in range(2):  # injecting twice is still one fault
+            inject(network, regions)
+            assert fault_flags(network) == fault_truth(network) == (True, in_flight)
+        clear(network, regions)
+        assert fault_flags(network) == fault_truth(network) == (False, False)
+
+    def test_overlapping_faults_clear_one_at_a_time(self, sim):
+        network = Network(sim, Topology())
+        regions = [r.name for r in network.topology.regions]
+        for inject, _, _ in FAULTS.values():
+            inject(network, regions)
+        for name in sorted(FAULTS):
+            FAULTS[name][1](network, regions)
+            assert fault_flags(network) == fault_truth(network)
+        assert fault_flags(network) == (False, False)
+
+    def test_heal_all_keeps_the_loss_rate(self, sim):
+        network = Network(sim, Topology(), loss_rate=0.1)
+        regions = [r.name for r in network.topology.regions]
+        for name in ("block", "block_directed", "partition", "degrade"):
+            FAULTS[name][0](network, regions)
+        network.heal_all()
+        assert fault_flags(network) == fault_truth(network) == (True, False)
+        network.loss_rate = 0.0
+        assert fault_flags(network) == (False, False)
+
+    @pytest.mark.parametrize("bad", [-0.01, 1.01, 2.0, math.nan])
+    def test_assigned_loss_rate_is_validated(self, sim, bad):
+        network = Network(sim, Topology())
+        with pytest.raises(NetworkError):
+            network.loss_rate = bad
+        assert network.loss_rate == 0.0
+        assert fault_flags(network) == (False, False)
+
+
+def setter_programs(num_nodes):
+    """Raw fault-setter calls interleaved with sends, fan-outs, crashes and
+    clock advances; node index ``num_nodes`` is a never-registered address."""
+    node = st.integers(min_value=0, max_value=num_nodes - 1)
+    dst = st.integers(min_value=0, max_value=num_nodes)
+    # Faults name few pairs, so a clearing call often names a fault in force.
+    link = st.sampled_from(((0, 1), (1, 0), (1, 2), (2, 0)))
+    regions = st.sampled_from(((0, 1), (1, 2), (2, 0)))
+    return st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(
+                ("block", "unblock", "block_directed", "unblock_directed")
+            ), link),
+            st.tuples(st.sampled_from(("partition", "heal")), regions),
+            st.tuples(
+                st.just("degrade"), link,
+                st.sampled_from((0.5, 1.0, 4.0)), st.sampled_from((0.0, 0.5, 1.0)),
+            ),
+            st.tuples(st.just("clear_degrade"), link),
+            st.tuples(st.just("heal_all")),
+            st.tuples(st.just("loss"), st.sampled_from((0.0, 0.2, 1.0))),
+            st.tuples(st.just("send"), node, dst),
+            st.tuples(st.just("fanout"), node, st.lists(dst, max_size=4)),
+            st.tuples(st.just("toggle"), node),
+            st.tuples(st.just("run"), st.sampled_from((0.0, 0.0005, 0.01, 0.05))),
+        ),
+        min_size=20,
+        max_size=80,
+    )
+
+
+def play_setters(batched, program, num_nodes):
+    """Interpret a setter program on one arm; return everything observable.
+    On the shipped arm the flags are checked against the containers after
+    every step."""
+    sim = Simulator(seed=3)
+    network = make_network(sim, Topology(), batched=batched)
+    regions = [r.name for r in network.topology.regions]
+    addresses = [f"c{i}" for i in range(num_nodes)] + ["ghost"]
+    trace = []
+    network.add_delivery_tap(
+        lambda m: trace.append((sim.now, m.kind, m.src, m.dst, m.size))
+    )
+    nodes = [
+        Chatter(sim, network, addresses[i], regions[i % len(regions)],
+                addresses[(i + 1) % num_nodes], 1000.0)
+        for i in range(num_nodes)
+    ]
+    for node in nodes:
+        node.start()
+    for op in program:
+        kind = op[0]
+        if kind in ("block", "unblock", "block_directed", "unblock_directed",
+                    "clear_degrade"):
+            name = "clear_link_degradation" if kind == "clear_degrade" else kind
+            getattr(network, name)(*(addresses[i] for i in op[1]))
+        elif kind == "partition":
+            network.partition_regions(*(regions[i] for i in op[1]))
+        elif kind == "heal":
+            network.heal_regions(*(regions[i] for i in op[1]))
+        elif kind == "degrade":
+            network.degrade_link(*(addresses[i] for i in op[1]),
+                                 latency_multiplier=op[2], loss_rate=op[3])
+        elif kind == "heal_all":
+            network.heal_all()
+        elif kind == "loss":
+            network.loss_rate = op[1]
+        elif kind == "send":
+            nodes[op[1]].send(addresses[op[2]], "ping", {"n": len(trace)})
+        elif kind == "fanout":
+            nodes[op[1]].send_fanout([addresses[i] for i in op[2]], "ping", {})
+        elif kind == "toggle":
+            if nodes[op[1]].running:
+                nodes[op[1]].stop()
+            else:
+                nodes[op[1]].restart()
+        else:
+            sim.run_until(sim.now + op[1])
+        if batched:
+            assert fault_flags(network) == fault_truth(network), op
+    sim.run_until(sim.now + 1.0)
+    return network_summary(sim, network, trace)
+
+
+class TestFaultSetterSequences:
+    @given(program=setter_programs(num_nodes=5))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_direct_post_oracle(self, program):
+        """Any interleaving of fault setters with sends and deliveries: the
+        shipped network (flags kept by the setters) and the oracle (fault
+        containers tested per message) agree bit for bit — drop counters per
+        reason, meters, events and the delivery trace."""
+        shipped = play_setters(True, program, 5)
+        assert shipped == play_setters(False, program, 5)
+
+
+class TestConservation:
+    def test_sent_is_delivered_dropped_or_in_flight_every_second(self):
+        """Every message sent is delivered, dropped or still in the
+        in-flight heap, at every sim second of a chaos run — no drain."""
+        plan = FaultPlan().extend([
+            PartitionRegions(at=1.31, side_a=("us-east-2",),
+                             side_b=("us-west-2", "us-west-1"), heal_after=2.0),
+            CrashNode(at=2.1, target="c3", restart_after=1.5),
+            DegradeLink(at=0.7, src="c0", dst="c3", latency_multiplier=40.0,
+                        loss_rate=0.3, clear_after=4.0),
+        ])
+        sim = Simulator(seed=21)
+        network = Network(sim, Topology(), loss_rate=0.02)
+        regions = [r.name for r in network.topology.regions]
+        nodes = {}
+        for i in range(8):
+            node = Chatter(sim, network, f"c{i}", regions[i % len(regions)],
+                           f"c{(i + 3) % 8}", 0.05)
+            node.start()
+            nodes[node.address] = node
+        ChaosEngine(sim, network, targets=nodes).execute(plan)
+        checks = []
+
+        def count(name):
+            counter = network.metrics.get_counter(name)
+            return 0 if counter is None else counter.value
+
+        def check():
+            sent = count("messages_sent")
+            accounted = (count("messages_delivered")
+                         + count("messages_dropped") + network.in_flight)
+            checks.append((sim.now, sent, accounted, network.in_flight))
+
+        sim.call_every(1.0, check)
+        sim.run_until(8.0)
+        assert len(checks) == 8
+        for at, sent, accounted, _ in checks:
+            assert sent == accounted, at
+        assert any(in_flight for *_, in_flight in checks)
+        for reason in ("partitioned", "partitioned_in_flight", "degraded",
+                       "loss", "dead_endpoint"):
+            assert count(f"messages_dropped.{reason}") > 0, reason
 
 
 @pytest.fixture
