@@ -16,7 +16,9 @@ payloads (every
 ``approx_size`` walk, ``Query.from_json`` decode, ``json.dumps`` and sized-dict
 construction, by calling function: a hop that re-measures or re-decodes what
 it was handed is one line), then how much of the gossip traffic was
-re-delivery (what the update loop's no-op path is worth). No gate, no
+re-delivery (what the update loop's no-op path is worth: custom wires, and
+member wires delivered, turned away by identity, examined and applied), and
+how often a member that had left refuted its own leave (must be 0). No gate, no
 committed output; profiled seconds are ~3x untraced ones, so read counts and
 proportions here and host time in focusbench.
 """
@@ -29,6 +31,8 @@ from collections import Counter, defaultdict
 
 from benchmarks.focusbench.workloads import WORKLOADS
 from repro.core.query import Query
+from repro.gossip.broadcast import SizedWire
+from repro.gossip.membership import CODE_LEFT, MembershipTable
 from repro.gossip.swim import SwimAgent
 from repro.sim.events import Deadline
 from repro.sim.loop import Simulator
@@ -36,19 +40,43 @@ from repro.sim.network import Network, SizedDict, approx_size
 
 
 def count_deliveries(tally: Counter) -> None:
-    """Wrap the update loop to count the custom wires handed to it. The
-    wrapper makes no call per wire and its frame is left out of the totals."""
+    """Wrap the update loop to count the wires handed to it: custom wires
+    (a ``SizedWire``, or a plain dict whose ``"t"`` is not ``"m"``) delivered
+    and first-time, and member wires (every other wire, interned or plain,
+    with or without a ``"t"``) delivered. The wrapper makes no call per wire
+    and its frame is left out of the totals."""
     inner = SwimAgent._apply_updates
 
     def counting(self, updates):
         seen = self._seen
         for wire in updates:
-            if "t" in wire and wire["t"] != "m":
+            if type(wire) is SizedWire or ("t" in wire and wire["t"] != "m"):
                 tally["custom wires delivered"] += 1
                 tally["custom wires first-time"] += wire["id"] not in seen
+            else:
+                tally["member wires delivered"] += 1
         inner(self, updates)
 
     SwimAgent._apply_updates = counting
+
+
+def count_refutations_while_left(tally: Counter) -> None:
+    """Wrap the self-update handler to count refutations (an incarnation
+    bump) by an agent whose own record is ``left``: a member that has left
+    must never re-announce itself alive, so the count must be 0. Reads the
+    table's arrays directly, so the wrapper makes no profiled call."""
+    inner = SwimAgent._handle_update_about_self
+
+    def counting(self, update):
+        members = self.members
+        own = members._self_slot
+        left = own >= 0 and members._state[own] == CODE_LEFT
+        before = self.incarnation
+        inner(self, update)
+        if left and self.incarnation != before:
+            tally["self-refutations while LEFT (must be 0)"] += 1
+
+    SwimAgent._handle_update_about_self = counting
 
 
 #: Network drop reasons decided when the message arrives: each such drop was
@@ -212,8 +240,9 @@ def main() -> None:
     workload.warm_up(scenario, args.seed, sizes)
     plan = workload.generate(scenario, args.seed, sizes)
     scenario.reset_bandwidth()
-    tally = Counter({"custom wires delivered": 0, "custom wires first-time": 0})
+    tally = Counter()
     count_deliveries(tally)
+    count_refutations_while_left(tally)
     kinds = defaultdict(int)
     heap = scenario.network._in_flight.heap
     peak = [0]
@@ -255,16 +284,30 @@ def main() -> None:
     def entries(function: str) -> int:
         return sum(e.callcount for e in stats if bare_name(e.code) == function)
 
-    tally["handle_custom_update entries"] = entries("handle_custom_update")
-    tally["member wires examined (can_change)"] = entries("can_change")
-    tally["member wires applied"] = entries("_apply_member_update")
-    tally["random.Random.sample calls from gossip/"] = sum(
-        edge.callcount
-        for entry in stats if label(entry.code).startswith("gossip/")
-        for edge in entry.calls or () if bare_name(edge.code) == "sample"
-    )
+    # The loop asks can_change of every member wire it does not turn away by
+    # identity; probe handlers ask it of each sender record besides.
+    judged_in_loop = sum(count for caller, count in
+                         callers(stats, MembershipTable.can_change).items()
+                         if caller.endswith("_apply_updates)"))
+    delivered = tally["member wires delivered"]
+    rows = [
+        ("custom wires delivered", tally["custom wires delivered"]),
+        ("custom wires first-time", tally["custom wires first-time"]),
+        ("handle_custom_update entries", entries("handle_custom_update")),
+        ("member wires delivered", delivered),
+        ("  rejected by identity (no can_change)", delivered - judged_in_loop),
+        ("member wires examined (can_change)", entries("can_change")),
+        ("member wires applied", entries("_apply_member_update")),
+        ("self-refutations while LEFT (must be 0)",
+         tally["self-refutations while LEFT (must be 0)"]),
+        ("random.Random.sample calls from gossip/", sum(
+            edge.callcount
+            for entry in stats if label(entry.code).startswith("gossip/")
+            for edge in entry.calls or () if bare_name(edge.code) == "sample"
+        )),
+    ]
     print("re-delivery (what the update loop turns away):")
-    for name, count in tally.items():
+    for name, count in rows:
         print(f"  {name:<42}{count:>10}")
 
 

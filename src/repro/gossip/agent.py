@@ -24,7 +24,12 @@ all but one of a member's deliveries of a wire are repeats (99% in a
 ``SizedWire`` whose ``id`` is in this agent's seen set never reaches
 :meth:`SerfAgent.handle_custom_update`, which therefore runs once per wire per
 member. The hook keeps its own check for the wires the loop cannot recognise
-by type (a plain ``dict``).
+by type (a plain ``dict``). Member updates are the same story one layer down:
+each is an interned :class:`~repro.gossip.membership.MemberWire` that every
+gossiping member queues, the table remembers the one it last rejected per
+member, and a repeat of that object never reaches
+:meth:`~repro.gossip.membership.MembershipTable.can_change`. A plain-dict
+member wire (a probe's sender record) is judged by ``can_change`` each time.
 """
 
 from __future__ import annotations

@@ -118,6 +118,26 @@ def _sample_exact(getrandbits: Callable[[int], int], n: int, k: int) -> List[int
     return picked
 
 
+class MemberWire(dict):
+    """An interned member update: the ``{n, a, r, i, s}`` wire of one
+    ``(node, incarnation, state)``, built once per directory by
+    :meth:`NodeDirectory.wire_for` and never mutated.
+
+    Every agent that gossips that fact queues this same object, so epidemic
+    dissemination hands each member the same wire tens of times. ``slot`` is
+    the node's slot in the directory that built it: a table that rejected the
+    wire remembers it under that slot (:attr:`MembershipTable.rejected`), and
+    the update loop turns a re-delivery away with one identity test — the
+    member-wire twin of :class:`~repro.gossip.broadcast.SizedWire`'s ``id``.
+    """
+
+    __slots__ = ("slot",)
+
+    def __init__(self, fields: Dict[str, object], slot: int) -> None:
+        super().__init__(fields)
+        self.slot = slot
+
+
 class NodeDirectory:
     """Global node universe: one stable index (*slot*) per node name.
 
@@ -138,8 +158,8 @@ class NodeDirectory:
         self._region_id_of: Dict[str, int] = {}
         self.region_names: List[str] = []
         self._wire_sizes: List[int] = []
-        #: Per-slot interned wire dicts keyed by (incarnation, state code).
-        self._wires: List[Dict[Tuple[int, int], Dict[str, object]]] = []
+        #: Per-slot interned wires keyed by (incarnation, state code).
+        self._wires: List[Dict[Tuple[int, int], MemberWire]] = []
         # Object-array mirrors of names/addresses for vectorized view
         # rebuilds (fancy-index + tolist beats a Python listcomp ~10x at
         # 6400 slots). Built lazily, dropped whenever identity changes.
@@ -202,23 +222,27 @@ class NodeDirectory:
     def wire_size(self, slot: int) -> int:
         return self._wire_sizes[slot]
 
-    def wire_for(self, slot: int, incarnation: int, code: int) -> Dict[str, object]:
-        """Interned piggyback dict for one ``(node, incarnation, state)``.
+    def wire_for(self, slot: int, incarnation: int, code: int) -> MemberWire:
+        """Interned member wire for one ``(node, incarnation, state)``.
 
-        Shared across every agent gossiping about that node state, and —
-        because a changed state allocates a *new* dict rather than mutating
+        The one source of the member wires agents gossip and snapshot:
+        shared across every agent that carries that node state, and —
+        because a changed state allocates a *new* wire rather than mutating
         the old one — safe to reference from in-flight messages.
         """
         cache = self._wires[slot]
         wire = cache.get((incarnation, code))
         if wire is None:
-            wire = {
-                "n": self.names[slot],
-                "a": self.addresses[slot],
-                "r": self.regions[slot],
-                "i": incarnation,
-                "s": VALUE_BY_CODE[code],
-            }
+            wire = MemberWire(
+                {
+                    "n": self.names[slot],
+                    "a": self.addresses[slot],
+                    "r": self.regions[slot],
+                    "i": incarnation,
+                    "s": VALUE_BY_CODE[code],
+                },
+                slot,
+            )
             cache[(incarnation, code)] = wire
         return wire
 
@@ -238,10 +262,13 @@ class MembershipTable:
 
     The stale-update rule lives here, once per shape: :meth:`can_change`
     answers "can this wire change my view?" for one wire (what the agent asks
-    of every piggybacked member update and of every probe's sender record —
-    nearly all of them re-deliveries, so the answer is nearly always no and
-    costs one call), :meth:`filter_superseding` answers it for an anti-entropy
-    batch in one array pass. Each is the other's test oracle.
+    of every piggybacked member update and of every probe's sender record),
+    :meth:`filter_superseding` answers it for an anti-entropy batch in one
+    array pass. Each is the other's test oracle. Nearly every member wire an
+    agent hears is a re-delivery of an interned :class:`MemberWire` it has
+    already turned away, so :meth:`can_change` remembers each such wire in
+    :attr:`rejected` and the agent's update loop rejects its next delivery by
+    identity, without the call.
 
     Ordering contract (load-bearing for seeded-run equivalence): every list
     this table returns — alive members, probe-target names, gossip/sync/relay
@@ -284,6 +311,12 @@ class MembershipTable:
         self._snapshot: Optional[List[Dict[str, object]]] = None
         self._snapshot_size: Optional[int] = None
         self._gossip_draws = GossipDrawBlock()
+        #: slot -> the last interned wire :meth:`can_change` rejected about
+        #: that slot's node, dropped whenever the slot's record changes: while
+        #: an entry stands, a re-delivery of that same object is stale by
+        #: construction. A sparse dict filled on rejection, not a per-slot
+        #: array — most tables reject wires about few of their peers.
+        self.rejected: Dict[int, MemberWire] = {}
 
     # ------------------------------------------------------------- invariants
     def _grow(self, slot: int) -> None:
@@ -445,6 +478,7 @@ class MembershipTable:
         self._state[slot] = code
         self._inc[slot] = inc
         self._state_time[slot] = state_time
+        self.rejected.pop(slot, None)
         if was_alive != is_alive:
             self._alive_count += 1 if is_alive else -1
         self._invalidate(alive_changed=(was_alive != is_alive) or not was_known)
@@ -503,6 +537,9 @@ class MembershipTable:
         self._state[slots] = CODE_ALIVE
         self._inc[slots] = 0
         self._state_time[slots] = state_time
+        # Records rewritten in bulk: forget every rejection (a warm start
+        # has made none yet).
+        self.rejected.clear()
         if self._pending_deadline:
             names = self.directory.names
             for slot in slots.tolist():
@@ -518,6 +555,7 @@ class MembershipTable:
         self._known[slot] = False
         self._pos[slot] = -1
         self._deadline[slot] = _NEVER
+        self.rejected.pop(slot, None)
         self._count -= 1
         if self._state[slot] == CODE_ALIVE:
             self._alive_count -= 1
@@ -684,6 +722,15 @@ class MembershipTable:
         return self._draw_addresses(rng, arr, min(count, len(arr)))
 
     # ------------------------------------------------------- the stale rule
+    def wire_of(self, member: Member) -> MemberWire:
+        """The interned wire of ``member``'s ``(incarnation, state)``: what
+        the agent gossips, so every agent queues the same object."""
+        directory = self.directory
+        slot = directory.intern(member.name, member.address, member.region)
+        return directory.wire_for(
+            slot, member.incarnation, CODE_BY_STATE[member.state]
+        )
+
     def can_change(self, wire: Dict[str, object]) -> bool:
         """Whether the member update ``wire`` can change this view.
 
@@ -696,20 +743,32 @@ class MembershipTable:
         (dead/left > suspect > alive, dead and left tying). A slot past this
         table's arrays — a node only other tables on the directory have met —
         is a member this view does not hold. No object is built and nothing
-        is interned: most gossip traffic is re-delivery of known state, and
-        this is all a re-delivered member wire costs.
+        is interned. A rejected :class:`MemberWire` is remembered in
+        :attr:`rejected` under its node's slot here, so the update loop turns
+        its re-deliveries away by identity and this call runs about once per
+        fact per table, not once per delivery; a plain-dict wire (a probe's
+        sender record, a hand-built update) is judged afresh every time.
         :meth:`filter_superseding` is the same rule over a batch.
         """
         slot = self.directory._slot_of.get(wire["n"])
-        if slot is None or slot >= len(self._known) or not self._known[slot]:
+        if slot is None:
             return wire["s"] not in _GONE_VALUES
-        if slot == self._self_slot:
+        if slot >= len(self._known) or not self._known[slot]:
+            changes = wire["s"] not in _GONE_VALUES
+        elif slot == self._self_slot:
             return True
-        incarnation = wire["i"]
-        held = self._inc.item(slot)
-        if incarnation != held:
-            return incarnation > held
-        return RANK_BY_VALUE[wire["s"]] > _RANK_OF_CODE[self._state[slot]]
+        else:
+            incarnation = wire["i"]
+            held = self._inc.item(slot)
+            if incarnation != held:
+                changes = incarnation > held
+            else:
+                changes = RANK_BY_VALUE[wire["s"]] > _RANK_OF_CODE[self._state[slot]]
+        if not changes and type(wire) is MemberWire:
+            # Keyed by this directory's slot for the name, so a wire interned
+            # by another directory can never be matched under a wrong slot.
+            self.rejected[slot] = wire
+        return changes
 
     def filter_superseding(
         self, updates: Sequence[Dict[str, object]]

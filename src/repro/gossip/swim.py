@@ -6,7 +6,8 @@ HashiCorp memberlist/Serf, which the paper uses as its p2p fabric:
 
 * round-robin randomised probing with direct ping, indirect ping-req relays,
   and a suspicion period before declaring a member dead;
-* incarnation numbers with self-refutation of suspicion;
+* incarnation numbers with self-refutation of suspicion, except by a member
+  that has left, which stays gone;
 * piggyback dissemination of membership updates over probe and gossip
   messages with bounded retransmissions;
 * push-pull anti-entropy state sync on join and periodically thereafter.
@@ -38,7 +39,7 @@ from repro.sim.network import Message, Network, SizedPayload
 from repro.sim.process import Process
 from repro.gossip.broadcast import BroadcastQueue, SizedWire
 from repro.gossip.member import STATE_BY_VALUE, Member, MemberState
-from repro.gossip.membership import MembershipTable, NodeDirectory
+from repro.gossip.membership import MembershipTable, MemberWire, NodeDirectory
 
 PING = "swim.ping"
 ACK = "swim.ack"
@@ -50,6 +51,7 @@ SYNC_RESP = "swim.sync-resp"
 #: Wire state of a live member, read once per probe tick: Enum.value is a
 #: descriptor hop, a module constant isn't.
 _ALIVE_VALUE = MemberState.ALIVE.value
+_LEFT_VALUE = MemberState.LEFT.value
 
 
 @dataclass
@@ -268,10 +270,12 @@ class SwimAgent(Process):
 
     # ------------------------------------------------------------- broadcast
     def _broadcast_member(self, member: Member) -> None:
-        payload = {"t": "m", **member.to_wire()}
+        # The interned wire of this fact, shared with every other agent that
+        # gossips it. It carries no "t" (receivers read a missing one as a
+        # member wire); the 8 bytes over the record model that type tag.
         self.broadcasts.enqueue(
             ("member", member.name),
-            payload,
+            self.members.wire_of(member),
             self.group_size(),
             size=member.wire_size() + 8,
         )
@@ -533,16 +537,25 @@ class SwimAgent(Process):
         """Apply a batch of piggybacked updates.
 
         Epidemic dissemination makes nearly every wire here a re-delivery, so
-        the loop settles those inline: a custom wire (recognised by its type)
-        whose id was seen costs one set probe, a member wire that cannot
-        change the view one call into the table that owns that rule.
+        the loop settles those inline, recognising a wire by its type: a
+        custom wire whose id was seen costs one set probe, an interned member
+        wire the table has already rejected one identity test against the
+        table's rejection memo. Any other member wire costs one call into the
+        table that owns the stale rule. Custom wires are tested first: a
+        queried group delivers them millions of times a run, member wires
+        mostly under churn.
         """
         seen = self._seen
+        rejected = self.members.rejected
         can_change = self.members.can_change
         for wire in updates:
-            if type(wire) is SizedWire:
+            kind = type(wire)
+            if kind is SizedWire:
                 if wire.id not in seen:
                     self.handle_custom_update(wire)
+            elif kind is MemberWire:
+                if rejected.get(wire.slot) is not wire and can_change(wire):
+                    self._apply_member_update(wire)
             elif wire.get("t", "m") != "m":
                 # A hand-built plain-dict custom wire; the hook dedupes it.
                 self.handle_custom_update(wire)
@@ -576,6 +589,14 @@ class SwimAgent(Process):
 
     def _handle_update_about_self(self, update: Member) -> None:
         if update.state == MemberState.ALIVE:
+            return
+        own = self.members.peek(self.name)
+        if own is not None and own[1] == _LEFT_VALUE:
+            # A member that has left refutes nothing (memberlist refutes only
+            # if it has not left): the accusation is its own leave echoing
+            # back, or a peer's verdict on a node about to stop, and a
+            # refutation would re-announce it alive to peers that would then
+            # wait for it until suspicion declared it dead.
             return
         if update.incarnation >= self.incarnation:
             # Refute: I am alive. Bump incarnation past the accusation.

@@ -215,15 +215,17 @@ class StoreClient:
     # ------------------------------------------------------------------ reads
     @staticmethod
     def _newest_row(results: List[object]) -> Optional[Row]:
-        newest: Optional[Row] = None
+        """The first strictly newest reply's row, the only one decoded."""
+        newest = None
+        newest_ts = 0.0
         for result in results:
             wire = result.get("row") if isinstance(result, dict) else None
             if wire is None:
                 continue
-            row = Row.from_wire(wire)
-            if newest is None or row.timestamp > newest.timestamp:
-                newest = row
-        return newest
+            ts = float(wire["ts"])
+            if newest is None or ts > newest_ts:
+                newest, newest_ts = wire, ts
+        return Row.from_wire(newest) if newest is not None else None
 
     def get(
         self,
@@ -310,17 +312,20 @@ class StoreClient:
             raise QuorumError("store has no replicas")
 
         def merge(results: List[object]) -> None:
-            merged: Dict[str, Row] = {}
+            # Versions are compared on the wire; only each key's first
+            # strictly newest version (and, under a limit, only the rows
+            # returned) is decoded.
+            newest: Dict[str, Tuple[float, Dict[str, object]]] = {}
             for result in results:
                 for wire in result.get("rows", ()):
-                    row = Row.from_wire(wire)
-                    current = merged.get(row.key)
-                    if current is None or row.timestamp > current.timestamp:
-                        merged[row.key] = row
-            rows = list(merged.values())
+                    ts = float(wire["ts"])
+                    current = newest.get(wire["k"])
+                    if current is None or ts > current[0]:
+                        newest[wire["k"]] = (ts, wire)
+            winners = list(newest.values())
             if limit is not None:
-                rows = rows[:limit]
-            on_done(rows)
+                winners = winners[:limit]
+            on_done([Row.from_wire(wire) for _, wire in winners])
 
         # A full scan must cover the whole ring; require all replicas so no
         # token range is missed (our tables are small).

@@ -13,19 +13,34 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro.sim.network import SizedDict
+
 
 class Row:
-    """A versioned row. Greater ``timestamp`` wins on merge."""
+    """A versioned row. Greater ``timestamp`` wins on merge.
 
-    __slots__ = ("key", "value", "timestamp")
+    A row is never modified once built — :meth:`Table.put` replaces it — and
+    nobody mutates its ``value`` after the put, so its wire is built and
+    measured once, on first use, and shared by every reply that carries it.
+    """
+
+    __slots__ = ("key", "value", "timestamp", "_wire")
 
     def __init__(self, key: str, value: Dict[str, object], timestamp: float) -> None:
         self.key = key
         self.value = value
         self.timestamp = timestamp
+        self._wire: Optional[SizedDict] = None
 
-    def to_wire(self) -> Dict[str, object]:
-        return {"k": self.key, "v": self.value, "ts": self.timestamp}
+    def to_wire(self) -> SizedDict:
+        """``{"k", "v", "ts"}`` as a :class:`~repro.sim.network.SizedDict`:
+        a scan reply of N rows then costs the RPC sizer N steps."""
+        wire = self._wire
+        if wire is None:
+            wire = self._wire = SizedDict(
+                {"k": self.key, "v": self.value, "ts": self.timestamp}
+            )
+        return wire
 
     @classmethod
     def from_wire(cls, data: Dict[str, object]) -> "Row":

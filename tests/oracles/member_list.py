@@ -3,6 +3,9 @@
 Formerly ``repro.gossip.member.MemberList``, minus the v2-profile twins, so
 it reproduces the **v1** byte stream only. Tests substitute it with
 ``monkeypatch.setattr(repro.gossip.swim, "MembershipTable", MemberList)``.
+It gossips plain wires and never remembers a rejection, so agents built on
+it judge every delivery with :meth:`MemberList.can_change`: the arm that
+holds the table's interned wires and rejection memo to the plain rule.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ class MemberList:
         self._alive_cache: Optional[List[Member]] = None
         self._alive_count = 0
         self._suspicion_deadlines: Dict[str, float] = {}
+        #: The table's rejection memo, never filled: every wire the agent
+        #: hears reaches :meth:`can_change`.
+        self.rejected: Dict[int, Dict[str, object]] = {}
 
     def __contains__(self, name: str) -> bool:
         return name in self._members
@@ -122,6 +128,10 @@ class MemberList:
         if member is None or member.state != MemberState.ALIVE:
             return None
         return member.address
+
+    def wire_of(self, member: Member) -> Dict[str, object]:
+        """A plain, uninterned wire: what the agent gossips about ``member``."""
+        return member.to_wire()
 
     def can_change(self, wire: Dict[str, object]) -> bool:
         """Whether the member update ``wire`` can change this view: the

@@ -222,8 +222,9 @@ def names(calls):
 
 class TestRedelivery:
     """Epidemic dissemination re-delivers every wire tens of times per
-    member; the update loop turns a repeat away with a set probe, and the
-    member handles each wire once."""
+    member; the update loop turns a repeat away with a set probe (a custom
+    wire) or an identity test (a member wire), and the member handles each
+    wire once."""
 
     @pytest.fixture
     def group(self, sim, network, regions):
@@ -258,6 +259,20 @@ class TestRedelivery:
         assert names(calls)[0] == "handle_message"
         assert len(calls) - 1 <= 3, names(calls)
         assert len(receiver.broadcasts) == queued
+
+    def test_a_packet_of_held_member_wires_costs_no_call_per_wire(self, group):
+        """A member wire is judged once; the table remembers the interned
+        object it rejected and the loop turns every repeat away by identity."""
+        receiver = group[1]
+        members = receiver.members
+        wires = [members.wire_of(m) for m in members.alive(exclude_self=True)]
+        assert len(wires) == 5
+        receiver.handle_message(self.gossip(group, wires))
+        assert all(members.rejected[wire.slot] is wire for wire in wires)
+        with program_calls() as calls:
+            receiver.handle_message(self.gossip(group, wires * 2))
+        assert "can_change" not in names(calls)
+        assert len(calls) - 1 <= 3, names(calls)
 
     def test_a_first_delivery_is_handled_once_and_answered_once(
         self, group, sim, network

@@ -23,11 +23,14 @@ from hypothesis import example, given, settings, strategies as st
 from repro.gossip.agent import SerfAgent, SerfConfig
 from repro.gossip.member import Member, MemberState
 from repro.gossip.membership import (
+    CODE_BY_STATE,
     MembershipTable,
+    MemberWire,
     NodeDirectory,
     _sample_exact,
     seed_converged,
 )
+from repro.gossip.swim import SwimAgent
 from repro.sim import Network, Simulator, Topology
 from tests.arms import kernel
 from tests.oracles.member_list import MemberList
@@ -310,6 +313,156 @@ class TestStaleRule:
         batch = wire_batch(updates)
         scalar, vector = self.verdicts(table, batch)
         assert scalar == vector == [reference.can_change(wire) for wire in batch]
+
+
+class Forgetful(dict):
+    """A rejection memo that remembers nothing: the table without the memo."""
+
+    def __setitem__(self, slot, wire):
+        pass
+
+
+class UpdateLoop:
+    """``SwimAgent._apply_updates`` around one table, recording what reaches
+    ``_apply_member_update``; an update about another member is applied as
+    the agent applies it, one about self only recorded."""
+
+    _apply_updates = SwimAgent._apply_updates
+
+    def __init__(self, members):
+        self.members = members
+        self._seen = set()
+        self.applied = []
+        self.now = 0.0
+
+    def _apply_member_update(self, wire):
+        self.applied.append((self.now, dict(wire)))
+        if wire["n"] != self.members.self_name:
+            self.members.apply(Member.from_wire(wire, self.now))
+
+    def handle_custom_update(self, wire):  # pragma: no cover - never reached
+        raise AssertionError(f"a member wire taken for a custom one: {wire}")
+
+
+#: m8/m9 are never written by an op: members the tables may not hold.
+wire_names = st.sampled_from([f"m{i}" for i in range(10)])
+delivery = st.tuples(wire_names, states, incarnations, st.booleans())
+memo_operation = st.one_of(
+    st.tuples(st.just("deliver"), st.lists(delivery, min_size=1, max_size=4)),
+    st.tuples(st.just("seed"), st.lists(names, unique=True, max_size=4)),
+    operation,
+)
+
+
+class TestRejectionMemo:
+    """A table remembers the interned wires it rejected; the update loop
+    turns their re-deliveries away by identity. That must be invisible: the
+    same tables and the same applied updates as judging every delivery."""
+
+    @staticmethod
+    def run(loop, directory, ops):
+        trace = []
+        for step, op in enumerate(ops):
+            loop.now = t = float(step)
+            if op[0] == "deliver":
+                packet = []
+                for name, state, inc, interned in op[1]:
+                    if interned:
+                        # The directory's one object for this fact: repeats
+                        # across and within packets are re-deliveries.
+                        slot = directory.intern(*identity(name))
+                        code = CODE_BY_STATE[state]
+                        packet.append(directory.wire_for(slot, inc, code))
+                    else:
+                        packet.append(make_member(name, state, inc, t).to_wire())
+                loop._apply_updates(packet)
+            elif op[0] == "seed":
+                identities = [identity(name) for name in op[1]]
+                if type(loop.members) is MemberList:
+                    seed_per_pair([loop.members], identities, t)
+                else:
+                    seed_converged([loop.members], identities, t)
+            else:
+                trace.append(run_op(loop.members, op, t))
+            trace.append(observe(loop.members, now=t))
+        return trace
+
+    @given(st.lists(memo_operation, min_size=1, max_size=50))
+    # A rejected wire stays rejected until its member's record changes:
+    # here removal (then the same death notice is about an unknown member),
+    # re-adding, and a fresher record than the remembered wire.
+    @example(
+        [
+            ("upsert", "m1", MemberState.ALIVE, 2),
+            ("deliver", [("m1", MemberState.ALIVE, 1, True)] * 2),
+            ("remove", "m1"),
+            ("deliver", [("m1", MemberState.ALIVE, 1, True)] * 2),
+            ("deliver", [("m1", MemberState.DEAD, 2, True)]),
+            ("deliver", [("m1", MemberState.DEAD, 1, True)]),
+            ("upsert", "m1", MemberState.SUSPECT, 0),
+            ("deliver", [("m1", MemberState.DEAD, 1, True)]),
+            ("deliver", [("m8", MemberState.LEFT, 0, True)] * 2),
+            ("deliver", [("m0", MemberState.DEAD, 0, True)] * 2),
+            # A warm start rewrites remembered members in bulk.
+            ("deliver", [("m2", MemberState.ALIVE, 0, True)]),
+            ("deliver", [("m2", MemberState.DEAD, 1, True)]),
+            ("deliver", [("m2", MemberState.DEAD, 1, True)]),
+            ("seed", ["m2"]),
+            ("deliver", [("m2", MemberState.DEAD, 1, True)]),
+        ]
+    )
+    @settings(max_examples=150)
+    def test_same_tables_and_applied_updates_with_and_without_the_memo(self, ops):
+        directory = NodeDirectory()
+        with_memo = UpdateLoop(MembershipTable(SELF, directory))
+        without = UpdateLoop(MembershipTable(SELF, directory))
+        without.members.rejected = Forgetful()
+        oracle = UpdateLoop(MemberList(SELF))
+        traces = [self.run(loop, directory, ops)
+                  for loop in (with_memo, without, oracle)]
+        assert traces[0] == traces[1] == traces[2]
+        assert with_memo.applied == without.applied == oracle.applied
+        # Every remembered wire is about the slot it is filed under.
+        for slot, wire in with_memo.members.rejected.items():
+            assert wire.slot == slot and directory.names[slot] == wire["n"]
+
+    def test_a_held_wire_never_reaches_can_change(self, monkeypatch):
+        directory = NodeDirectory()
+        table = MembershipTable(SELF, directory)
+        table.upsert(make_member("m1", MemberState.ALIVE, 3, 0.0))
+        alive = CODE_BY_STATE[MemberState.ALIVE]
+        stale = directory.wire_for(directory.slot_of("m1"), 2, alive)
+        asked = []
+        can_change = MembershipTable.can_change
+        monkeypatch.setattr(
+            MembershipTable, "can_change",
+            lambda self, wire: asked.append(wire) or can_change(self, wire),
+        )
+        loop = UpdateLoop(table)
+        loop._apply_updates([stale, stale])
+        loop._apply_updates([stale])
+        assert asked == [stale] and loop.applied == []
+        assert table.rejected == {directory.slot_of("m1"): stale}
+        # A changed record drops the memo: the next delivery is judged again.
+        table.apply(make_member("m1", MemberState.SUSPECT, 3, 1.0))
+        loop._apply_updates([stale])
+        assert asked == [stale, stale]
+
+    def test_only_interned_wires_are_remembered(self):
+        table = MembershipTable(SELF)
+        table.upsert(make_member("m1", MemberState.ALIVE, 3, 0.0))
+        plain = make_member("m1", MemberState.ALIVE, 1, 0.0).to_wire()
+        assert not table.can_change(plain)
+        assert table.rejected == {}
+
+    def test_the_gossiped_wire_is_the_interned_one(self):
+        directory = NodeDirectory()
+        a, b = MembershipTable("a", directory), MembershipTable("b", directory)
+        member = make_member("m1", MemberState.SUSPECT, 4, 0.0)
+        wire = a.wire_of(member)
+        assert type(wire) is MemberWire and wire is b.wire_of(member)
+        assert wire == member.to_wire() and wire.slot == directory.slot_of("m1")
+        assert MemberList(SELF).wire_of(member) == wire
 
 
 class TestDrawExactness:
@@ -608,6 +761,8 @@ def _swim_equivalence_summary(seed: int) -> str:
         agent.join(["addr0"])
     sim.run_until(8.0)
     agents[3].stop()  # crash: exercises probe timeout -> suspect -> dead
+    # Graceful leave: the leaver hears its own leave echo and stays gone.
+    sim.schedule_at(9.0, agents[5].leave)
     sim.schedule_at(
         12.0, lambda: agents[1].query("who", None, lambda r: answers.append(sorted(r)))
     )
@@ -628,6 +783,11 @@ def _swim_equivalence_summary(seed: int) -> str:
             if agent.running
         ),
         "backends": sorted({type(agent.members).__name__ for agent in agents}),
+        "leaver_records": sorted(
+            (agent.name, agent.members.peek("n5"))
+            for agent in agents
+            if agent.running
+        ),
     }
     return json.dumps(summary, sort_keys=True)
 
@@ -649,4 +809,8 @@ class TestSeededSwimEquivalence:
         # crashed agent disappears from every surviving view.
         for _, view in summary["alive_views"]:
             assert "n3" not in view
+            assert "n5" not in view
+        # Every survivor holds the leave as it was sent, never a refutation.
+        records = [record for _, record in summary["leaver_records"]]
+        assert records and all(record == [0, "left"] for record in records)
         assert summary["answers"], "query must complete"

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.gossip import SwimAgent, SwimConfig
-from repro.gossip.member import MemberState
+from repro.gossip.member import Member, MemberState
 from repro.gossip.membership import NodeDirectory, seed_converged
-from repro.gossip.swim import ACK, PING, PING_REQ
+from repro.gossip.swim import ACK, GOSSIP, PING, PING_REQ
 from repro.sim import Network, Simulator, Topology
+from repro.sim.network import Message
 from tests.oracles.two_timeouts import TwoTimeoutSwimAgent
 
 
@@ -140,6 +141,43 @@ class TestLeave:
         sim.run_until(5.0)
         assert not agents[1].running
 
+    @pytest.mark.parametrize(
+        "rumour", [MemberState.LEFT, MemberState.DEAD, MemberState.SUSPECT]
+    )
+    def test_a_leaving_member_does_not_refute_its_own_leave(
+        self, sim, network, regions, rumour
+    ):
+        """Its own ``left`` coming back — or a peer's ``dead``/``suspect``
+        verdict on it — finds a member that has left: it keeps its
+        incarnation and re-announces nothing."""
+        agents = build_group(sim, network, 4, regions)
+        sim.run_until(3.0)
+        leaver, peer = agents[1], agents[0]
+        leaver.leave()
+        incarnation = leaver.incarnation
+        leaver.broadcasts.clear()  # the leave itself, already on its way
+        echo = Member(leaver.name, leaver.address, leaver.region,
+                      incarnation=incarnation, state=rumour).to_wire()
+        leaver.handle_message(
+            Message(GOSSIP, {"u": [echo]}, peer.address, leaver.address, 0, sim.now)
+        )
+        assert leaver.incarnation == incarnation
+        assert leaver.broadcasts.empty
+        assert leaver.members.peek(leaver.name) == (incarnation, "left")
+
+    def test_every_peer_holds_the_leave_not_a_resurrection(self, sim, network, regions):
+        """Gossip echoes the leave back to the leaver before it stops; no peer
+        ends up holding it alive at a bumped incarnation (and later dead)."""
+        agents = build_group(sim, network, 6, regions)
+        sim.run_until(5.0)
+        leaver = agents[2]
+        leaver.leave()
+        sim.run_until(15.0)
+        assert leaver.incarnation == 0
+        for agent in agents:
+            if agent is not leaver:
+                assert agent.members.peek(leaver.name) == (0, "left")
+
 
 class TestAntiEntropy:
     def test_isolated_views_merge_via_sync(self, sim, network, regions):
@@ -167,8 +205,6 @@ class TestIncarnation:
         sim.run_until(3.0)
         target = agents[1]
         # Inject a false suspicion about n1 into n0 and let it gossip.
-        from repro.gossip.member import Member
-
         slander = Member("n1", target.address, target.region,
                          incarnation=target.incarnation, state=MemberState.SUSPECT)
         agents[0].members.apply(slander)

@@ -4,8 +4,10 @@ import pytest
 
 from repro.errors import QuorumError
 from repro.sim.process import Process
-from repro.sim.rpc import RpcMixin
+from repro.sim.rpc import RESPONSE_KIND, RpcMixin
 from repro.store import StoreCluster
+from repro.store.cluster import StoreClient
+from repro.store.table import Row
 
 
 class Host(Process, RpcMixin):
@@ -120,6 +122,77 @@ class TestFaultTolerance:
         host.start()
         with pytest.raises(ValueError):
             cluster.client_for(host, replication_factor=2, write_quorum=3)
+
+
+def merge_decoding_everything(results):
+    """The scan merge as it was: decode every version, newest per key wins,
+    ties to the first seen, keys in first-seen order."""
+    merged = {}
+    for result in results:
+        for wire in result.get("rows", ()):
+            row = Row.from_wire(wire)
+            current = merged.get(row.key)
+            if current is None or row.timestamp > current.timestamp:
+                merged[row.key] = row
+    return list(merged.values())
+
+
+def facts(rows):
+    return [(row.key, row.value, row.timestamp) for row in rows]
+
+
+class TestMerge:
+    """Versions are compared on the wire; only the winners are decoded."""
+
+    @staticmethod
+    def count_decodes(monkeypatch):
+        decoded = []
+        from_wire = Row.from_wire.__func__
+        monkeypatch.setattr(
+            Row, "from_wire",
+            classmethod(lambda cls, data: decoded.append(data) or from_wire(cls, data)),
+        )
+        return decoded
+
+    def test_get_decodes_the_first_strictly_newest_reply_only(self, monkeypatch):
+        older = Row("k", {"v": 1}, 1.0).to_wire()
+        newest = Row("k", {"v": 2}, 2.0).to_wire()
+        tie = Row("k", {"v": 3}, 2.0).to_wire()
+        decoded = self.count_decodes(monkeypatch)
+        results = [{"row": older}, {"row": None}, {"row": newest}, {"row": tie}, None]
+        row = StoreClient._newest_row(results)
+        assert (row.key, row.value, row.timestamp) == ("k", {"v": 2}, 2.0)
+        assert decoded == [newest]
+        assert StoreClient._newest_row([{"row": None}]) is None
+
+    @pytest.mark.parametrize("limit", [None, 2])
+    def test_scan_matches_decoding_every_version(
+        self, sim, network, client, cluster, monkeypatch, limit
+    ):
+        # Diverged replicas: one behind on k1, a tie on k2 with two values.
+        versions = (
+            [("k0", 1, 1.0), ("k1", 1, 1.0), ("k2", 1, 2.0)],
+            [("k1", 2, 3.0), ("k0", 1, 1.0)],
+            [("k2", 2, 2.0), ("k3", 1, 1.0)],
+        )
+        for replica, rows in zip(cluster.replicas, versions):
+            for key, v, ts in rows:
+                replica.table("t").put(key, {"v": v}, ts)
+        results = []
+        network.add_delivery_tap(
+            lambda m: results.append(m.payload["result"])
+            if m.kind == RESPONSE_KIND and m.payload["method"] == "store.scan"
+            else None
+        )
+        decoded = self.count_decodes(monkeypatch)
+        box = []
+        client.scan("t", box.append, limit=limit)
+        sim.run_until(sim.now + 3.0)
+        (rows,) = box
+        assert len(decoded) == len(rows) == (4 if limit is None else 2)
+        monkeypatch.undo()
+        assert len(results) == 3
+        assert facts(rows) == facts(merge_decoding_everything(results)[:limit])
 
 
 class TestClusterFactory:

@@ -5,8 +5,8 @@ and every hop after that charges the size it carries. That is only honest if
 the carried size is what walking the dict gives and nobody mutates it later.
 These tests hold both: generated payloads against the chain-walk oracle
 (which walks a sized dict as the plain dict it is), every RPC and group-query
-reply of two end-to-end runs at delivery, and every record a cache holds once
-the run is over.
+reply of two end-to-end runs at delivery, and every record a cache and every
+row wire a store replica holds once the run is over.
 """
 
 import pickle
@@ -21,7 +21,10 @@ from repro.gossip.broadcast import SizedWire
 from repro.harness import run_query
 from repro.harness.scenarios import build_single_group_cluster
 from repro.sim.network import MESSAGE_OVERHEAD_BYTES, SizedDict, approx_size
-from repro.sim.rpc import REQUEST_KIND, RESPONSE_KIND
+from repro.sim.process import Process
+from repro.sim.rpc import REQUEST_KIND, RESPONSE_KIND, RpcMixin
+from repro.store import StoreCluster
+from repro.store.table import Row
 from tests.oracles.approx_size import approx_size as walk
 
 _ascii = st.text(
@@ -95,6 +98,48 @@ class TestSizeContract:
             assert shipped.query.cache_key() == payload.query.cache_key()
 
 
+class TestStoredRows:
+    @given(_ascii, st.dictionaries(_ascii, _leaf | _snapshots, max_size=6),
+           st.floats(0.0, 1e6))
+    def test_a_row_wire_carries_what_the_walk_gives(self, key, value, ts):
+        row = Row(key, value, ts)
+        wire = row.to_wire()
+        plain = {"k": key, "v": value, "ts": ts}
+        assert type(wire) is SizedDict and wire == plain
+        assert wire.size == walk(plain)
+        assert row.to_wire() is wire  # built and measured once
+
+    def test_a_scan_reply_is_charged_what_plain_rows_cost(self, sim, network):
+        store = StoreCluster(sim, network, num_replicas=3)
+        host = _RpcHost(sim, network, network.topology.regions[0].name)
+        host.start()
+        client = store.client_for(host)
+        for i in range(6):
+            client.put("t", f"k{i}", {"value": i, "attributes": {"cores": 8.0 * i}})
+        sim.run_until(sim.now + 3.0)
+        replies = []
+        network.add_delivery_tap(
+            lambda m: replies.append(m)
+            if m.kind == RESPONSE_KIND and m.payload["method"] == "store.scan"
+            else None
+        )
+        scanned = []
+        client.scan("t", scanned.append)
+        sim.run_until(sim.now + 3.0)
+        assert len(replies) == 3 and [len(rows) for rows in scanned] == [6]
+        for reply in replies:
+            rows = reply.payload["result"]["rows"]
+            assert rows and all(type(row) is SizedDict for row in rows)
+            plain = {**reply.payload, "result": {"rows": [dict(r) for r in rows]}}
+            assert reply.size == MESSAGE_OVERHEAD_BYTES + walk(plain)
+
+
+class _RpcHost(Process, RpcMixin):
+    def __init__(self, sim, network, region):
+        Process.__init__(self, sim, network, "host", region)
+        self.init_rpc()
+
+
 # ------------------------------------------------------------ end to end
 _TAPPED = (REQUEST_KIND, RESPONSE_KIND, QUERY_RESPONSE)
 
@@ -138,6 +183,19 @@ def test_no_hop_mutates_a_shared_record(name):
     for record in records:
         assert type(record) is SizedDict
         assert record.size == walk(record)
+    # A stored row's wire is measured when first sent: nothing may edit the
+    # row's value after the put, or every later reply carrying it lies.
+    replicas = scenario.store.replicas if scenario.store is not None else []
+    row_wires = [
+        row._wire
+        for replica in replicas
+        for table in replica.tables.values()
+        for row in table
+        if row._wire is not None
+    ]
+    assert row_wires or not replicas
+    for wire in row_wires:
+        assert wire.size == walk(wire)
 
 
 # --------------------------------------------------------- agent answers
