@@ -3,9 +3,12 @@
 What ``Network`` did before every message waited in one heap behind one
 sentinel event: each message is posted to the event queue as its own
 delivery event, whose callback re-checks blocks and partitions, charges the
-receiver's meter and the delivered counter, runs the taps and hands the
-message over. It also decides "fault-free" per message, from the fault
-containers themselves rather than from the flags the fault setters keep.
+receiver's meter (``on_receive``) and the delivered counter, runs the taps
+and hands the message to ``handle_message`` — where the shipped flush charges
+aggregate meters in place and calls a plain ``Process``'s handler from the
+table bound at registration. It also decides "fault-free" per message, from
+the fault containers themselves rather than from the flags the fault setters
+keep.
 ``Network`` must replay it exactly: same event order, RNG draws, counters,
 meters and delivery trace. Tests build a ``DirectPostNetwork`` where they
 would build a ``Network``.
@@ -25,9 +28,10 @@ from repro.sim.network import (
 
 class DirectPostNetwork(Network):
     def send_fanout(self, src, dsts, kind, payload, *, size=None):
-        sender = self._endpoints.get(src)
-        if sender is None:
+        binding = self._bindings.get(src)
+        if binding is None:
             raise NetworkError(f"send from unregistered endpoint {src!r}")
+        sender = binding[0]
         if isinstance(payload, SizedPayload):
             if size is None:
                 size = payload.size
@@ -55,9 +59,9 @@ class DirectPostNetwork(Network):
             uniform = self._uniform
             degrade_rng = self._degrade_rng
         for dst in dsts:
-            receiver = self._endpoints.get(dst)
-            if receiver is not None:
-                dst_region = receiver.region
+            binding = self._bindings.get(dst)
+            if binding is not None:
+                dst_region = binding[0].region
             else:
                 dst_region = self._last_region.get(dst)
             if not (
@@ -110,11 +114,12 @@ class DirectPostNetwork(Network):
         )
 
     def _deliver(self, message):
-        receiver = self._endpoints.get(message.dst)
-        if receiver is None:
+        binding = self._bindings.get(message.dst)
+        if binding is None:
             # Endpoint died while the message was in flight.
             self._count_drop("dead_endpoint")
             return
+        receiver = binding[0]
         if self._blocked or self._blocked_directed or self._blocked_regions:
             reason = self._in_flight_drop_reason(message, receiver)
             if reason is not None:
