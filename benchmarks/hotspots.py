@@ -2,41 +2,62 @@
 
     make hotspots WORKLOAD=group_mesh
     PYTHONPATH=src python -m benchmarks.hotspots --workload W [--seed 42]
-        [--scale full|smoke] [--top 25]
+        [--scale full|smoke] [--top 25] [--sample [--reps 4]]
 
 One level below focusbench's 14-layer ledger: build, warm up and generate as
 ``focusbench/rep.py`` does, ``cProfile`` the steady phase, print the top
 functions by self time with calls and calls/event, then the events by kind
 (messages delivered per ``kind``, timer-wheel firings, posted and deadline
-callbacks by name — what the loop was asked to run, whether or not it found
-anything to do), then the network's per-message path (send calls by entry,
-sentinel flushes and retargets, the in-flight heap's high-water mark, RPC
-deadlines armed, cancelled and fired), then who measured and decoded wire
-payloads (every
-``approx_size`` walk, ``Query.from_json`` decode, ``json.dumps`` and sized-dict
-construction, by calling function: a hop that re-measures or re-decodes what
-it was handed is one line), then how much of the gossip traffic was
-re-delivery (what the update loop's no-op path is worth: custom wires, and
-member wires delivered, turned away by identity, examined and applied), and
-how often a member that had left refuted its own leave (must be 0). No gate, no
-committed output; profiled seconds are ~3x untraced ones, so read counts and
+callbacks by name, gossip ticks — what the loop was asked to run, whether or
+not it found anything to do), then the network's per-message path (send calls
+by entry, sentinel flushes and retargets, the in-flight heap's high-water
+mark, the Python calls between the kernel and a message's handler and inside
+a gossip tick, RPC deadlines armed, cancelled and fired), then who measured
+and decoded wire payloads (every ``approx_size`` walk, ``Query.from_json``
+decode, ``json.dumps`` and sized-dict construction, by calling function: a
+hop that re-measures or re-decodes what it was handed is one line), then how
+much of the gossip traffic was re-delivery (what the update loop's no-op path
+is worth: custom wires, and member wires delivered, turned away by identity,
+examined and applied), and how often a member that had left refuted its own
+leave (must be 0). Profiled seconds are ~3x untraced ones, so read counts and
 proportions here and host time in focusbench.
+
+With ``--sample`` the steady phase runs unprofiled under a ``SIGPROF``
+sampler instead, ``--reps`` times on fresh builds, and the report is the
+sampled self and cumulative shares by function and by line: real time, C
+calls included in the line that made them, which ``cProfile`` understates.
+
+No gate and no committed output; the exit status is non-zero when a check
+the report makes fails (events that do not add up, a counter the tool's
+wrappers should have fed reading 0, a self-refutation by a member that left),
+which is what ``make hotspots-smoke`` runs for in CI: the tool patches and
+names private protocol methods, and a rename must fail there instead of
+zeroing a row.
 """
 
 import argparse
 import cProfile
 import gc
 import json
+import signal
+import sys
+import time
 from collections import Counter, defaultdict
 
 from benchmarks.focusbench.workloads import WORKLOADS
 from repro.core.query import Query
+from repro.gossip.agent import SerfAgent
 from repro.gossip.broadcast import SizedWire
 from repro.gossip.membership import CODE_LEFT, MembershipTable
-from repro.gossip.swim import SwimAgent
-from repro.sim.events import Deadline
-from repro.sim.loop import Simulator
+from repro.gossip.swim import GOSSIP, SwimAgent
+from repro.sim.events import Deadline, EventQueue
+from repro.sim.loop import Simulator, TimerWheel
 from repro.sim.network import Network, SizedDict, approx_size
+from repro.sim.process import Process
+from repro.sim.rpc import RpcMixin
+
+#: CPU seconds between two ``--sample`` samples asked of ``setitimer``.
+SAMPLE_INTERVAL_S = 0.001
 
 
 def count_deliveries(tally: Counter) -> None:
@@ -90,11 +111,26 @@ def arrival_drops(network) -> int:
     return sum(int(counter.value) for counter in counters if counter is not None)
 
 
-def callees(stats, function: str, *helpers: str) -> Counter:
-    """name -> times ``function`` called it, ``helpers`` left out."""
+def nested(function, name: str):
+    """The code of the closure ``name`` defined in ``function``; raises if
+    there is none, so a rename fails here rather than zeroing a row."""
+    for const in function.__code__.co_consts:
+        if getattr(const, "co_name", None) == name:
+            return const
+    raise LookupError(f"{function.__qualname__} defines no {name!r}")
+
+
+def code_of(function):
+    return function if hasattr(function, "co_name") else function.__code__
+
+
+def callees(stats, function, *helpers: str) -> Counter:
+    """name -> times ``function`` (a function or code object) called it,
+    ``helpers`` (names) left out."""
+    code = code_of(function)
     found = Counter()
     for entry in stats:
-        if bare_name(entry.code) == function:
+        if entry.code is code:
             for edge in entry.calls or ():
                 found[bare_name(edge.code)] += edge.callcount
     for helper in helpers:
@@ -102,62 +138,131 @@ def callees(stats, function: str, *helpers: str) -> Counter:
     return found
 
 
-def events_by_kind(stats, events: int, kinds: Counter, dropped: int) -> None:
+def events_by_kind(stats, events: int, kinds: Counter, dropped: int) -> int:
     """Print the steady phase's events by what the loop ran.
 
     The loop's callees in the profile are the callbacks it popped. Behind one
     popped delivery sentinel further messages are flushed, each an event of
     its own, so arrivals are counted by a network tap (``kinds``) and the
     drop counters (``dropped``) instead; and a deadline sentinel that only
-    swept cancelled entries is no event. The last row checks the sum.
+    swept cancelled entries is no event. The last row checks the sum; the
+    difference is returned for :func:`main` to check.
     """
-    popped = callees(stats, "run_until", "pop_before", "_fire_deliveries")
-    wheel = popped.pop("_fire_class", 0)
-    posted = popped.pop("_post_fire", 0)
-    sentinel_firings = popped.pop("_fire_deadlines", 0)
-    fired = callees(stats, "_fire_deadlines", "push_entry",
+    popped = callees(stats, Simulator.run_until, EventQueue.pop_before.__name__,
+                     Network._fire_deliveries.__name__)
+    wheel = popped.pop(TimerWheel._fire_class.__name__, 0)
+    posted = popped.pop(Process._post_fire.__name__, 0)
+    ticks = popped.pop(SwimAgent._gossip_tick.__name__, 0)
+    sentinel_firings = popped.pop(Simulator._fire_deadlines.__name__, 0)
+    fired = callees(stats, Simulator._fire_deadlines, EventQueue.push_entry.__name__,
                     "<method 'popleft' of 'collections.deque' objects>")
-    guarded = callees(stats, "_post_fire", "<method 'append' of 'list' objects>")
+    guarded = callees(stats, Process._post_fire, "<method 'append' of 'list' objects>")
     rows = [(0, "messages delivered", sum(kinds.values()))]
     rows += [(1, kind, count) for kind, count in kinds.most_common()]
     rows += [
         (0, "messages dropped on arrival", dropped),
         (0, "timer-wheel firings", wheel),
+        (0, "gossip ticks (SwimAgent._gossip_tick)", ticks),
         (0, "posted callbacks (Process.post)", posted),
         (0, "deadline callbacks that fired", sum(fired.values())),
     ]
     # One level of call edges cannot tell which of the two a guarded callback
     # came through, so the names are listed once for both.
     by_name = guarded + Counter({callback: count for callback, count in fired.items()
-                                 if callback != "_post_fire"})
+                                 if callback != Process._post_fire.__name__})
     rows += [(1, callback, count) for callback, count in by_name.most_common()]
     rows += [(0, "other callbacks", sum(popped.values()))]
     rows += [(1, callback, count) for callback, count in popped.most_common()]
-    rows += [(0, "sum of the above - events (must be 0)",
-              sum(count for indent, _, count in rows if indent == 0) - events),
+    unaccounted = sum(count for indent, _, count in rows if indent == 0) - events
+    rows += [(0, "sum of the above - events (must be 0)", unaccounted),
              (0, "deadline sentinel firings that only swept (no event)",
               sentinel_firings - sum(fired.values())),
              (0, "queue compactions (EventQueue.compact)",
-              sum(e.callcount for e in stats if bare_name(e.code) == "compact"))]
+              sum(e.callcount for e in stats if e.code is EventQueue.compact.__code__))]
     print(f"events by kind ({events} events):")
     for indent, what, count in rows:
         print(f"  {'  ' * indent}{what:<{54 - 2 * indent}}{count:>10}")
+    return unaccounted
 
 
-def callers(stats, function) -> Counter:
-    """caller's label -> times it called ``function`` (a Python function)."""
-    code = function.__code__
+def callers(stats, function, key=None) -> Counter:
+    """caller's label (or ``key(code)``) -> times it called ``function`` (a
+    Python function or code object)."""
+    code = code_of(function)
+    key = key or label
     found = Counter()
     for entry in stats:
         for edge in entry.calls or ():
             if edge.code is code:
-                found[label(entry.code)] += edge.callcount
+                found[key(entry.code)] += edge.callcount
     return found
 
 
-def per_message_path(stats, sent: int, arrived: int, high_water: int) -> None:
+def python_calls_below(stats, code) -> float:
+    """Python function calls made under one call of ``code``, its callees'
+    calls included: the call graph walked down, each callee charged its mean
+    per call wherever it was called from (gprof's rule), and a recursive edge
+    counted without its subtree."""
+    entries = {entry.code: entry for entry in stats if not isinstance(entry.code, str)}
+    if code not in entries:
+        return 0.0
+    below = {}
+
+    def walk(code, stack):
+        if code in below:
+            return below[code]
+        entry = entries[code]
+        total = 0.0
+        for edge in entry.calls or ():
+            callee = edge.code
+            if isinstance(callee, str) or callee not in entries:
+                continue  # a builtin, or a frame of this tool's own
+            total += edge.callcount
+            if callee not in stack:
+                total += edge.callcount * walk(callee, stack | {callee})
+        below[code] = total / entry.callcount
+        return below[code]
+
+    return walk(code, frozenset((code,)))
+
+
+def hops(stats, delivered: int) -> list:
+    """Rows: Python calls from the delivery flush to a message's handler, per
+    delivered message, and Python calls per gossip tick.
+
+    Between the kernel and the protocol a message crosses the calls the flush
+    makes for it (a meter method, ``handle_message`` or the handler) and the
+    calls ``Process.handle_message`` makes (the handler, ``on_unhandled``);
+    the flush's own bookkeeping is left out. A tick's count is the tick
+    itself, any wrapper that called it, and everything below it
+    (:func:`python_calls_below`).
+    """
+    flush = callees(stats, Network._fire_deliveries, *(
+        f.__name__ for f in (Network._retarget_deliveries, Network._count_drop,
+                             Network._in_flight_drop_reason, EventQueue.peek_key)))
+    dispatch = callees(stats, Process.handle_message)
+    python = {bare_name(e.code) for e in stats if not isinstance(e.code, str)}
+    crossing = sum(n for name, n in (flush + dispatch).items() if name in python)
+    tick = SwimAgent._gossip_tick.__code__
+    ticks = sum(e.callcount for e in stats if e.code is tick)
+    loop = {Simulator.run_until.__code__, Simulator._fire_deadlines.__code__}
+    by_code = callers(stats, tick, key=lambda code: code)
+    wrappers = sum(n for caller, n in by_code.items() if caller not in loop)
+    per_tick = 0.0
+    if ticks:
+        per_tick = 1 + wrappers / ticks + python_calls_below(stats, tick)
+    return [
+        ("Python calls, flush to handler, per delivered message",
+         crossing / delivered if delivered else 0.0),
+        ("Python calls per gossip tick (wrappers and subtree)", per_tick),
+    ]
+
+
+def per_message_path(stats, sent: int, arrived: int, delivered: int,
+                     high_water: int) -> None:
     """Print how messages entered the network and left the in-flight heap,
-    and what the RPC layer's deadlines did.
+    what a delivery and a gossip tick cost in Python calls, and what the RPC
+    layer's deadlines did.
 
     ``arrived`` is every message that left the heap (delivered or dropped on
     arrival); ``high_water`` the heap's largest size seen at a delivery.
@@ -179,18 +284,22 @@ def per_message_path(stats, sent: int, arrived: int, high_water: int) -> None:
     rows += [(0, "in-flight heap high-water mark (at a delivery)", high_water)]
     armed = callers(stats, Simulator.deadline)
     cancelled = callers(stats, Deadline.cancel)
+    timed_out = nested(RpcMixin.call, "timed_out")
     rows += [
         (0, "RPC deadlines armed",
          sum(n for caller, n in armed.items() if caller.startswith("sim/rpc.py"))),
         (0, "RPC deadlines cancelled",
          sum(n for caller, n in cancelled.items() if caller.startswith("sim/rpc.py"))),
-        (0, "RPC deadlines fired", callees(stats, "_fire_deadlines")["timed_out"]),
+        (0, "RPC deadlines fired",
+         callees(stats, Simulator._fire_deadlines)[timed_out.co_name]),
     ]
     print("per-message path:")
     for indent, what, count in rows:
         print(f"  {'  ' * indent}{what:<{54 - 2 * indent}}{count:>10}")
     per_flush = arrived / flushes if flushes else 0.0
     print(f"  {'messages off the heap per flush':<54}{per_flush:>10.2f}")
+    for what, value in hops(stats, delivered):
+        print(f"  {what:<54}{value:>10.2f}")
 
 
 def wire_sizing(stats) -> None:
@@ -227,19 +336,109 @@ def label(code) -> str:
     return f"{file}:{code.co_firstlineno}({getattr(code, 'co_qualname', code.co_name)})"
 
 
-def main() -> None:
+def line_label(code, line: int) -> str:
+    file = code.co_filename.rsplit("/repro/", 1)[-1]
+    return f"{file}:{line}({getattr(code, 'co_qualname', code.co_name)})"
+
+
+def prepare(workload, seed: int, sizes):
+    """Build, warm up and generate as ``focusbench/rep.py`` does."""
+    scenario = workload.build(seed, sizes)
+    workload.warm_up(scenario, seed, sizes)
+    plan = workload.generate(scenario, seed, sizes)
+    scenario.reset_bandwidth()
+    return scenario, plan
+
+
+def frame_line(frame) -> int:
+    """The line a frame is on. A sample lands where the interpreter checks
+    for signals, a loop's backward jump among them, which carries no line of
+    its own: that counts as the line before it."""
+    line = frame.f_lineno
+    if line is None:
+        for start, _, lineno in frame.f_code.co_lines():
+            if start > frame.f_lasti:
+                break
+            if lineno is not None:
+                line = lineno
+    return line
+
+
+def sample(args, workload, sizes) -> None:
+    """``--sample``: the steady phase of ``--reps`` fresh builds under a
+    ``SIGPROF`` sampler; print self and cumulative shares by function and by
+    line. A sample is the interrupted frame: a C call's time lands on the
+    Python line that made it. Frames of this tool and above it are left out,
+    and a function or line on the stack twice counts once per sample."""
+    tables = {name: Counter()
+              for name in ("self_fn", "cum_fn", "self_line", "cum_line")}
+    samples = 0
+    cpu_s = 0.0
+
+    def on_sample(signum, frame) -> None:
+        nonlocal samples
+        while frame is not None and frame.f_code.co_filename == __file__:
+            frame = frame.f_back  # a sample taken inside this handler
+        if frame is None:
+            return
+        samples += 1
+        tables["self_fn"][frame.f_code] += 1
+        tables["self_line"][frame.f_code, frame_line(frame)] += 1
+        functions, lines = set(), set()
+        while frame is not None and frame.f_code.co_filename != __file__:
+            functions.add(frame.f_code)
+            lines.add((frame.f_code, frame_line(frame)))
+            frame = frame.f_back
+        tables["cum_fn"].update(functions)
+        tables["cum_line"].update(lines)
+
+    previous = signal.signal(signal.SIGPROF, on_sample)
+    try:
+        for _ in range(args.reps):
+            scenario, plan = prepare(workload, args.seed, sizes)
+            gc.collect()
+            started = time.process_time()
+            signal.setitimer(signal.ITIMER_PROF, SAMPLE_INTERVAL_S, SAMPLE_INTERVAL_S)
+            try:
+                scenario.sim.run_until(plan.end_time)
+            finally:
+                signal.setitimer(signal.ITIMER_PROF, 0, 0)
+                cpu_s += time.process_time() - started
+            del scenario, plan
+    finally:
+        signal.signal(signal.SIGPROF, previous)
+    # The kernel's tick may be coarser than the interval asked for.
+    print(f"== {args.workload} seed={args.seed} scale={args.scale}: {args.reps} steady "
+          f"phases, {cpu_s:.2f} CPU-s, {samples} samples "
+          f"(one per {cpu_s / max(samples, 1) * 1e3:.1f} ms)")
+    for title, name, render in (
+        ("self, by function", "self_fn", label),
+        ("cumulative, by function", "cum_fn", label),
+        ("self, by line", "self_line", lambda key: line_label(*key)),
+        ("cumulative, by line", "cum_line", lambda key: line_label(*key)),
+    ):
+        print(f"{title}:\n{'share':>7}{'samples':>9}  where")
+        for key, count in tables[name].most_common(args.top):
+            print(f"{count / max(samples, 1):>7.1%}{count:>9}  {render(key)}")
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=sorted(WORKLOADS), default="group_mesh")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--scale", choices=("full", "smoke"), default="full")
     parser.add_argument("--top", type=int, default=25)
+    parser.add_argument("--sample", action="store_true",
+                        help="sample with SIGPROF instead of profiling")
+    parser.add_argument("--reps", type=int, default=4,
+                        help="steady phases to sample (with --sample)")
     args = parser.parse_args()
     workload = WORKLOADS[args.workload]
     sizes = workload.sizes[args.scale]
-    scenario = workload.build(args.seed, sizes)
-    workload.warm_up(scenario, args.seed, sizes)
-    plan = workload.generate(scenario, args.seed, sizes)
-    scenario.reset_bandwidth()
+    if args.sample:
+        sample(args, workload, sizes)
+        return 0
+    scenario, plan = prepare(workload, args.seed, sizes)
     tally = Counter()
     count_deliveries(tally)
     count_refutations_while_left(tally)
@@ -275,31 +474,34 @@ def main() -> None:
         print(f"{entry.inlinetime:>8.3f}{entry.inlinetime / total_self:>7.1%}"
               f"{entry.callcount:>10}{entry.callcount / events:>8.3f}  {label(entry.code)}")
 
-    events_by_kind(stats, events, Counter(kinds), dropped)
+    delivered = sum(kinds.values())
+    unaccounted = events_by_kind(stats, events, Counter(kinds), dropped)
     # The message in hand at the tap had already left the heap: + 1.
     per_message_path(stats, int(sent_counter.value - sent_before),
-                     sum(kinds.values()) + dropped, peak[0] + 1 if kinds else 0)
+                     delivered + dropped, delivered, peak[0] + 1 if kinds else 0)
     wire_sizing(stats)
 
-    def entries(function: str) -> int:
-        return sum(e.callcount for e in stats if bare_name(e.code) == function)
+    def entries(function) -> int:
+        code = code_of(function)
+        return sum(e.callcount for e in stats if e.code is code)
 
     # The loop asks can_change of every member wire it does not turn away by
     # identity; probe handlers ask it of each sender record besides.
     judged_in_loop = sum(count for caller, count in
                          callers(stats, MembershipTable.can_change).items()
                          if caller.endswith("_apply_updates)"))
-    delivered = tally["member wires delivered"]
+    member_wires = tally["member wires delivered"]
+    refutations = tally["self-refutations while LEFT (must be 0)"]
     rows = [
         ("custom wires delivered", tally["custom wires delivered"]),
         ("custom wires first-time", tally["custom wires first-time"]),
-        ("handle_custom_update entries", entries("handle_custom_update")),
-        ("member wires delivered", delivered),
-        ("  rejected by identity (no can_change)", delivered - judged_in_loop),
-        ("member wires examined (can_change)", entries("can_change")),
-        ("member wires applied", entries("_apply_member_update")),
-        ("self-refutations while LEFT (must be 0)",
-         tally["self-refutations while LEFT (must be 0)"]),
+        ("handle_custom_update entries", entries(SwimAgent.handle_custom_update)
+         + entries(SerfAgent.handle_custom_update)),
+        ("member wires delivered", member_wires),
+        ("  rejected by identity (no can_change)", member_wires - judged_in_loop),
+        ("member wires examined (can_change)", entries(MembershipTable.can_change)),
+        ("member wires applied", entries(SwimAgent._apply_member_update)),
+        ("self-refutations while LEFT (must be 0)", refutations),
         ("random.Random.sample calls from gossip/", sum(
             edge.callcount
             for entry in stats if label(entry.code).startswith("gossip/")
@@ -310,6 +512,19 @@ def main() -> None:
     for name, count in rows:
         print(f"  {name:<42}{count:>10}")
 
+    wires = tally["custom wires delivered"] + member_wires
+    problems = [
+        (unaccounted != 0,
+         f"events by kind do not sum to the event count ({unaccounted:+})"),
+        (kinds[GOSSIP] and not wires,
+         f"{kinds[GOSSIP]} gossip packets delivered, none seen by the update loop"),
+        (refutations != 0, f"{refutations} self-refutations by a member that left"),
+    ]
+    for failed, what in problems:
+        if failed:
+            print(f"CHECK FAILED: {what}", file=sys.stderr)
+    return 1 if any(failed for failed, _ in problems) else 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
