@@ -100,11 +100,15 @@ WORKLOAD ?= group_mesh
 hotspots:
 	PYTHONHASHSEED=0 $(PYTHON) -m benchmarks.hotspots --workload $(WORKLOAD)
 
-# The same report on a smoke-size group_mesh (~1 s), for its own checks: the
-# tool wraps and names private protocol methods, so a rename or a moved call
-# fails here instead of silently zeroing a row.
+# The same report on a smoke-size group_mesh and serve_ramp (~1 s each), for
+# its own checks: the tool wraps and names private protocol methods, so a
+# rename or a moved call fails here instead of silently zeroing a row, and
+# serve_ramp makes the RPC calls its deadline rows and cyclic-garbage check
+# need (group_mesh makes almost none).
 hotspots-smoke:
 	PYTHONHASHSEED=0 $(PYTHON) -m benchmarks.hotspots --workload group_mesh \
+		--scale smoke --top 5
+	PYTHONHASHSEED=0 $(PYTHON) -m benchmarks.hotspots --workload serve_ramp \
 		--scale smoke --top 5
 
 bench-kernel:

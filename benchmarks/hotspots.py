@@ -19,8 +19,12 @@ hop that re-measures or re-decodes what it was handed is one line), then how
 much of the gossip traffic was re-delivery (what the update loop's no-op path
 is worth: custom wires, and member wires delivered, turned away by identity,
 examined and applied), and how often a member that had left refuted its own
-leave (must be 0). Profiled seconds are ~3x untraced ones, so read counts and
-proportions here and host time in focusbench.
+leave (must be 0), and last what the cyclic collector did (collections and
+objects collected per generation, from ``gc.get_stats()`` around the phase,
+what a ``gc.collect()`` after it finds, and that garbage per RPC call, which
+must stay below 1: per-request state is freed by reference counting).
+Profiled seconds are ~3x untraced ones, so read counts and proportions here
+and host time in focusbench.
 
 With ``--sample`` the steady phase runs unprofiled under a ``SIGPROF``
 sampler instead, ``--reps`` times on fresh builds, and the report is the
@@ -29,10 +33,10 @@ calls included in the line that made them, which ``cProfile`` understates.
 
 No gate and no committed output; the exit status is non-zero when a check
 the report makes fails (events that do not add up, a counter the tool's
-wrappers should have fed reading 0, a self-refutation by a member that left),
-which is what ``make hotspots-smoke`` runs for in CI: the tool patches and
-names private protocol methods, and a rename must fail there instead of
-zeroing a row.
+wrappers should have fed reading 0, a self-refutation by a member that left,
+one or more objects of cyclic garbage per RPC call), which is what ``make
+hotspots-smoke`` runs for in CI: the tool patches and names private protocol
+methods, and a rename must fail there instead of zeroing a row.
 """
 
 import argparse
@@ -109,15 +113,6 @@ def arrival_drops(network) -> int:
     counters = (network.metrics.get_counter(f"messages_dropped.{reason}")
                 for reason in ARRIVAL_DROPS)
     return sum(int(counter.value) for counter in counters if counter is not None)
-
-
-def nested(function, name: str):
-    """The code of the closure ``name`` defined in ``function``; raises if
-    there is none, so a rename fails here rather than zeroing a row."""
-    for const in function.__code__.co_consts:
-        if getattr(const, "co_name", None) == name:
-            return const
-    raise LookupError(f"{function.__qualname__} defines no {name!r}")
 
 
 def code_of(function):
@@ -284,14 +279,13 @@ def per_message_path(stats, sent: int, arrived: int, delivered: int,
     rows += [(0, "in-flight heap high-water mark (at a delivery)", high_water)]
     armed = callers(stats, Simulator.deadline)
     cancelled = callers(stats, Deadline.cancel)
-    timed_out = nested(RpcMixin.call, "timed_out")
     rows += [
         (0, "RPC deadlines armed",
          sum(n for caller, n in armed.items() if caller.startswith("sim/rpc.py"))),
         (0, "RPC deadlines cancelled",
          sum(n for caller, n in cancelled.items() if caller.startswith("sim/rpc.py"))),
         (0, "RPC deadlines fired",
-         callees(stats, Simulator._fire_deadlines)[timed_out.co_name]),
+         callees(stats, Simulator._fire_deadlines)[RpcMixin._rpc_timed_out.__name__]),
     ]
     print("per-message path:")
     for indent, what, count in rows:
@@ -320,6 +314,35 @@ def wire_sizing(stats) -> None:
         print(f"  {what:<54}{sum(found.values()):>10}")
         for caller, count in found.most_common():
             print(f"    {caller:<52}{count:>10}")
+
+
+def collector(before, after, final: int, rpc_calls: int) -> float:
+    """Print what the cyclic collector did in the steady phase, from two
+    ``gc.get_stats()`` snapshots around it and the count a ``gc.collect()``
+    right after it found; return the cyclic garbage per RPC call.
+
+    Cyclic garbage is every object the phase's collections freed plus what
+    the final collection found: what reference counting could not free.
+    """
+    print("collector (steady phase):")
+    print(f"  {'generation':<38}{'collections':>12}{'collected':>12}")
+    collected = 0
+    for generation, (start, end) in enumerate(zip(before, after)):
+        runs = end["collections"] - start["collections"]
+        freed = end["collected"] - start["collected"]
+        collected += freed
+        print(f"  {f'gen{generation}':<38}{runs:>12}{freed:>12}")
+    garbage = collected + final
+    per_call = garbage / rpc_calls if rpc_calls else 0.0
+    rows = [
+        ("found by a gc.collect() after the phase", final),
+        ("cyclic garbage (collected + found)", garbage),
+        ("RPC calls (RpcMixin.call)", rpc_calls),
+    ]
+    for what, count in rows:
+        print(f"  {what:<54}{count:>10}")
+    print(f"  {'cyclic garbage per RPC call (must be < 1)':<54}{per_call:>10.2f}")
+    return per_call
 
 
 def bare_name(code) -> str:
@@ -458,7 +481,10 @@ def main() -> int:
     dropped_before = arrival_drops(scenario.network)
     profile = cProfile.Profile()
     gc.collect()
+    gc_before = gc.get_stats()
     profile.runcall(scenario.sim.run_until, plan.end_time)
+    gc_after = gc.get_stats()
+    gc_found = gc.collect()
     events = scenario.sim.events_processed - before
     dropped = arrival_drops(scenario.network) - dropped_before
     stats = [entry for entry in profile.getstats()
@@ -511,6 +537,7 @@ def main() -> int:
     print("re-delivery (what the update loop turns away):")
     for name, count in rows:
         print(f"  {name:<42}{count:>10}")
+    garbage_per_call = collector(gc_before, gc_after, gc_found, entries(RpcMixin.call))
 
     wires = tally["custom wires delivered"] + member_wires
     problems = [
@@ -519,6 +546,8 @@ def main() -> int:
         (kinds[GOSSIP] and not wires,
          f"{kinds[GOSSIP]} gossip packets delivered, none seen by the update loop"),
         (refutations != 0, f"{refutations} self-refutations by a member that left"),
+        (garbage_per_call >= 1,
+         f"{garbage_per_call:.2f} objects of cyclic garbage per RPC call"),
     ]
     for failed, what in problems:
         if failed:

@@ -272,6 +272,9 @@ class Simulator:
             self._queue.push_entry(event)
         else:
             del self._deadline_fifos[fifo.delay]
+            # The sentinel's args hold the FIFO: let go of it, or the two
+            # become cyclic garbage.
+            fifo.event = None
         if entry.cancelled:
             # Nothing ran: a sweep is not an event (see the module docstring).
             self._events_processed -= 1

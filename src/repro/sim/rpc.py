@@ -80,16 +80,34 @@ def _response_size(payload: Dict[str, object]) -> int:
 
 
 class PendingCall:
-    """Book-keeping for one outstanding outbound call."""
+    """Everything one outstanding outbound call needs until it completes.
 
-    __slots__ = ("call_id", "method", "on_reply", "timer", "sent_at", "attempt")
+    The caller's ``_rpc_pending`` is its only owner: the timers that act on
+    the call are bound methods keyed by its id, not closures over it, so
+    popping the entry frees the call and all it holds by reference counting.
+    ``timer`` is the attempt's timeout :class:`~repro.sim.events.Deadline`,
+    or during a retry backoff the resend's
+    :class:`~repro.sim.events.TimerHandle`; either stage cancels the same way.
+    """
 
-    def __init__(self, call_id, method, on_reply, timer, sent_at) -> None:
-        self.call_id = call_id
-        self.method = method
+    __slots__ = (
+        "dst", "request", "on_reply", "on_timeout", "timeout", "retries",
+        "retry_backoff", "timer", "attempt",
+    )
+
+    def __init__(
+        self, dst, request, on_reply, on_timeout, timeout, retries,
+        retry_backoff, timer,
+    ) -> None:
+        self.dst = dst
+        #: The wire request, re-sent as is by every retransmission.
+        self.request = request
         self.on_reply = on_reply
+        self.on_timeout = on_timeout
+        self.timeout = timeout
+        self.retries = retries
+        self.retry_backoff = retry_backoff
         self.timer = timer
-        self.sent_at = sent_at
         #: Retransmissions performed so far (0 = first send still pending).
         self.attempt = 0
 
@@ -233,43 +251,48 @@ class RpcMixin:
         """
         call_id = f"{self.address}#{next(self._rpc_counter)}"
         request = {"id": call_id, "method": method, "params": params}
-
-        def timed_out() -> None:
-            pending = self._rpc_pending.get(call_id)
-            if pending is None:
-                return
-            self._rpc_count_timeout()
-            if pending.attempt < retries:
-                pending.attempt += 1
-                delay = self._rpc_retry_rng.uniform(
-                    0.0, retry_backoff * (2 ** (pending.attempt - 1))
-                )
-                # Backoff stays a queued event: a random delay would give
-                # each backoff its own deadline FIFO.
-                pending.timer = self.sim.schedule(delay, resend)
-                return
-            del self._rpc_pending[call_id]
-            if on_timeout is not None:
-                on_timeout()
-
-        def resend() -> None:
-            pending = self._rpc_pending.get(call_id)
-            if pending is None:
-                return  # a late reply completed the call during the backoff
-            if not self.running:
-                # The caller crashed while backing off; abandon the call
-                # without firing either callback (crash semantics).
-                del self._rpc_pending[call_id]
-                return
-            pending.timer = self.sim.deadline(timeout, timed_out)
-            self.send(dst, REQUEST_KIND, request)
-
-        timer = self.sim.deadline(timeout, timed_out)
+        timer = self.sim.deadline(timeout, self._rpc_timed_out, call_id)
         self._rpc_pending[call_id] = PendingCall(
-            call_id, method, on_reply, timer, self.sim.now
+            dst, request, on_reply, on_timeout, timeout, retries, retry_backoff,
+            timer,
         )
         self.send(dst, REQUEST_KIND, request)
         return call_id
+
+    def _rpc_timed_out(self, call_id: str) -> None:
+        """An attempt's deadline expired: back off and resend, or give up.
+
+        Every path that drops a call cancels its timer first, so the call is
+        still pending here.
+        """
+        pending = self._rpc_pending[call_id]
+        self._rpc_count_timeout()
+        if pending.attempt < pending.retries:
+            pending.attempt += 1
+            delay = self._rpc_retry_rng.uniform(
+                0.0, pending.retry_backoff * (2 ** (pending.attempt - 1))
+            )
+            # Backoff stays a queued event: a random delay would give each
+            # backoff its own deadline FIFO.
+            pending.timer = self.sim.schedule(delay, self._rpc_resend, call_id)
+            return
+        del self._rpc_pending[call_id]
+        if pending.on_timeout is not None:
+            pending.on_timeout()
+
+    def _rpc_resend(self, call_id: str) -> None:
+        """A backoff ended: retransmit under a fresh deadline (a late reply
+        during the backoff cancelled this timer with the call)."""
+        pending = self._rpc_pending[call_id]
+        if not self.running:
+            # The caller crashed while backing off; abandon the call without
+            # firing either callback (crash semantics).
+            del self._rpc_pending[call_id]
+            return
+        pending.timer = self.sim.deadline(
+            pending.timeout, self._rpc_timed_out, call_id
+        )
+        self.send(pending.dst, REQUEST_KIND, pending.request)
 
     def cancel_call(self, call_id: str) -> None:
         pending = self._rpc_pending.pop(call_id, None)
