@@ -4,8 +4,8 @@
 # references: a binary heap and a self-rescheduling timer), the benchmark
 # regression gate (a quick kernel-bench smoke pass — which re-verifies the
 # metrics/send hot-path speedups, the swim_full and serial<->parallel
-# checksums, and the seeded-run determinism checksums for both the v1 and v2
-# profiles — compared against the committed full-mode BENCH_kernel.json),
+# checksums, and the seeded-run determinism checksum — compared against the
+# committed full-mode BENCH_kernel.json),
 # the chaos smoke gate (the fault-injection layer stays deterministic and
 # inert when unused), the focusbench smoke pass (the BENCHMARK.json
 # yardstick still runs against this tree) and the hotspots smoke pass (the

@@ -87,7 +87,6 @@ def test_ablation_smallest_group_routing(benchmark, record_rows):
             config=config,
             warm_start=True,
             with_store=False,
-            record_bandwidth_events=False,
             node_factory=node_spec_factory(seed=BENCH_SEED),
         )
         scenario.sim.run_until(5.0)
@@ -170,7 +169,6 @@ def test_ablation_cache_freshness(benchmark, record_rows):
             seed=BENCH_SEED,
             warm_start=True,
             with_store=False,
-            record_bandwidth_events=False,
             node_factory=node_spec_factory(seed=BENCH_SEED),
         )
         scenario.sim.run_until(3.0)
@@ -352,7 +350,6 @@ def test_ablation_fork_threshold(benchmark, record_rows):
             config=config,
             warm_start=True,
             with_store=False,
-            record_bandwidth_events=False,
             node_factory=node_spec_factory(seed=BENCH_SEED),
         )
         scenario.sim.run_until(3.0)

@@ -34,7 +34,6 @@ def build():
         seed=BENCH_SEED,
         warm_start=True,
         with_store=False,
-        record_bandwidth_events=False,
         node_factory=node_spec_factory(seed=BENCH_SEED),
     )
     scenario.sim.run_until(3.0)

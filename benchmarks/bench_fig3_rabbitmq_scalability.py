@@ -25,7 +25,7 @@ MEASURE = 5.0
 
 def run_point(num_producers: int) -> dict:
     sim = Simulator(seed=3)
-    network = Network(sim, record_bandwidth_events=False)
+    network = Network(sim)
     region = network.topology.regions[0].name
     broker = Broker(sim, network, "broker", region)
     broker.start()

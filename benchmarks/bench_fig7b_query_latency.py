@@ -60,7 +60,7 @@ def run_focus(num_nodes: int) -> dict:
 
 def run_rabbitmq(num_nodes: int) -> dict:
     sim = Simulator(seed=BENCH_SEED)
-    network = Network(sim, record_bandwidth_events=False)
+    network = Network(sim)
     finder = RabbitSubFinder(
         sim,
         network,

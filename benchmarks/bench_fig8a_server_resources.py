@@ -26,7 +26,6 @@ def run_point(num_nodes: int) -> dict:
         config=config,
         warm_start=True,
         with_store=False,
-        record_bandwidth_events=False,
         node_factory=node_spec_factory(seed=BENCH_SEED),
     )
     scenario.sim.run_until(3.0)

@@ -30,7 +30,7 @@ def measure(scenario, freshness_ms: float) -> float:
 
 def run_group_point(group_size: int) -> dict:
     scenario = build_single_group_cluster(
-        group_size, seed=BENCH_SEED, record_bandwidth_events=False
+        group_size, seed=BENCH_SEED
     )
     scenario.sim.run_until(5.0)
     # Average a few pulls; each goes to a fresh random member.

@@ -380,7 +380,6 @@ _SWEEP_QUERY_TIMES = (0.5, 1.5, 2.5)
 def _swim_full_run(
     nodes: int,
     duration: float,
-    profile: str = "v1",
     gc_stats: Dict[str, object] = None,
 ) -> Tuple[int, float, str]:
     """One full-protocol run: every node probes, gossips, syncs, and answers
@@ -395,13 +394,13 @@ def _swim_full_run(
     counts, query completions, metrics counters, and one agent's bandwidth
     meter.
 
-    ``profile="v2"`` runs the fast determinism profile: the warm population
-    is GC-frozen before the timed region (and unfrozen after, so back-to-back
-    runs in one process don't pin each other's garbage), and the freeze
-    report — ``gc.get_stats()`` before/after plus the tuned thresholds — is
-    written into ``gc_stats`` when the caller passes a dict.
+    The warm population is GC-frozen before the timed region (and unfrozen
+    after, so back-to-back runs in one process don't pin each other's
+    garbage); freezing moves no event or draw. The freeze report —
+    ``gc.get_stats()`` before/after plus the tuned thresholds — is written
+    into ``gc_stats`` when the caller passes a dict.
     """
-    sim = Simulator(seed=13, profile=profile)
+    sim = Simulator(seed=13)
     topology = Topology()
     network = Network(sim, topology)
     regions = [r.name for r in topology.regions]
@@ -435,17 +434,14 @@ def _swim_full_run(
                 "sweep.load", {"q": qi}, lambda r: completions.append(len(r))
             ),
         )
-    freeze_info = None
-    if profile == "v2":
-        freeze_info = sim.freeze_hot_state()
+    freeze_info = sim.freeze_hot_state()
     start = time.perf_counter()
     sim.run_until(duration)
     elapsed = time.perf_counter() - start
-    if profile == "v2":
-        freeze_info["stats_post_run"] = gc.get_stats()
-        sim.unfreeze_hot_state()
-        if gc_stats is not None:
-            gc_stats.update(freeze_info)
+    freeze_info["stats_post_run"] = gc.get_stats()
+    sim.unfreeze_hot_state()
+    if gc_stats is not None:
+        gc_stats.update(freeze_info)
     summary = {
         "events": sim.events_processed,
         "completions": completions,
@@ -481,25 +477,13 @@ def bench_swim_full(quick: bool) -> Dict[str, object]:
 #: sweep point, at an unchanged per-point checksum.
 PR5_NET_DELIVERY_6400_BASELINE = 13_227.0
 
-#: The committed 6400-node ``swim_full`` throughput under the bit-exact v1
-#: profile as of PR 5 — the denominator for the v2 profile's acceptance bar.
-PR5_SWIM_FULL_6400_BASELINE = 37_175.27
-
-#: Acceptance floors for the v2 fast-determinism profile at the 6400-node
-#: sweep point. The profile's original target was an absolute 100k ev/s
-#: (2.7x the committed v1 number above); the optimization campaign landed at
-#: 55k-75k ev/s on the reference box — a 1.5-2.0x v1 speedup — and profiling
-#: shows the rest is the CPython call floor (~28M function calls per 3
-#: simulated seconds; ``timer_storm`` puts the bare event machinery at
-#: ~550k ev/s, the full protocol costs ~40 calls per event), not an
-#: addressable hot spot. Fresh-process absolute numbers on this workload
-#: also swing by ~±20% with address-space layout, so the *primary* gate is
-#: relative: v2 must beat the v1 point measured in the same sweep (same
-#: process, same heap state, same box mood) by the ratio below. The
-#: absolute floor is a conservative backstop under every fresh-process run
-#: observed while tuning (52.7k worst).
-SWIM_FULL_V2_6400_FLOOR = 45_000.0
-SWIM_FULL_V2_6400_MIN_SPEEDUP = 1.15
+#: Absolute floor for the 6400-node ``swim_full`` point. The probe walk draws
+#: one target per tick (no per-pass reshuffle of the whole alive list) and
+#: the warm population is GC-frozen, which puts the point at 56k-87k ev/s on
+#: a 2-core reference box; fresh-process numbers on this workload swing by
+#: ~±20% with address-space layout, so the floor is a conservative backstop
+#: below every run observed, not the expected rate.
+SWIM_FULL_6400_FLOOR = 45_000.0
 
 
 def bench_scale_sweep(quick: bool) -> Dict[str, object]:
@@ -523,6 +507,7 @@ def bench_scale_sweep(quick: bool) -> Dict[str, object]:
         }
     swim_points = {}
     swim_repeats = 1 if quick else 2
+    gc_stats: Dict[str, object] = {}
     for nodes in swim_sizes:
         # Best-of-N like the timer points (_best_rate): the first large run
         # in a process pays allocator growth for the whole 3+ GB population,
@@ -534,7 +519,7 @@ def bench_scale_sweep(quick: bool) -> Dict[str, object]:
         for _ in range(swim_repeats):
             gc.collect()  # previous run's agents must not tax this one's GC
             events, run_elapsed, run_checksum = _swim_full_run(
-                nodes, swim_duration
+                nodes, swim_duration, gc_stats=gc_stats
             )
             assert checksum is None or checksum == run_checksum, (
                 f"swim_full checksum unstable at {nodes} nodes"
@@ -547,37 +532,6 @@ def bench_scale_sweep(quick: bool) -> Dict[str, object]:
             "sim_seconds_per_wall_second": swim_duration / elapsed,
             "checksum": checksum,
         }
-    # The v2 fast-determinism profile runs the same frozen workload with
-    # batched numpy RNG draws and a GC-frozen population.
-    # Its checksum is pinned separately from v1's (different byte stream,
-    # same protocol behaviour) and must be just as stable run to run.
-    v2_sizes = [400] if quick else [1600, 6400]
-    v2_points = {}
-    gc_stats: Dict[str, object] = {}
-    for nodes in v2_sizes:
-        elapsed = float("inf")
-        checksum = None
-        for _ in range(swim_repeats):
-            gc.collect()
-            events, run_elapsed, run_checksum = _swim_full_run(
-                nodes, swim_duration, profile="v2", gc_stats=gc_stats,
-            )
-            assert checksum is None or checksum == run_checksum, (
-                f"swim_full v2 checksum unstable at {nodes} nodes"
-            )
-            checksum = run_checksum
-            elapsed = min(elapsed, run_elapsed)
-        point = {
-            "events": events,
-            "ops_per_sec": events / elapsed,
-            "sim_seconds_per_wall_second": swim_duration / elapsed,
-            "checksum": checksum,
-        }
-        if str(nodes) in swim_points:
-            point["speedup_vs_v1"] = (
-                point["ops_per_sec"] / swim_points[str(nodes)]["ops_per_sec"]
-            )
-        v2_points[str(nodes)] = point
     return {
         "timer_storm": {"duration": timer_duration, "points": timer_points},
         "swim_full": {
@@ -585,13 +539,7 @@ def bench_scale_sweep(quick: bool) -> Dict[str, object]:
             "points": swim_points,
             "pr3_baseline_6400_ops_per_sec": PR3_SWIM_FULL_6400_BASELINE,
             "pr5_baseline_6400_ops_per_sec": PR5_NET_DELIVERY_6400_BASELINE,
-        },
-        "swim_full_v2": {
-            "duration": swim_duration,
-            "points": v2_points,
-            "pr5_v1_baseline_6400_ops_per_sec": PR5_SWIM_FULL_6400_BASELINE,
-            "floor_6400_ops_per_sec": SWIM_FULL_V2_6400_FLOOR,
-            "min_speedup_6400_vs_v1": SWIM_FULL_V2_6400_MIN_SPEEDUP,
+            "floor_6400_ops_per_sec": SWIM_FULL_6400_FLOOR,
             # The last (largest) point's freeze report, so GC-pressure
             # regressions show up in this file's diff.
             "gc_freeze": gc_stats,
@@ -677,7 +625,7 @@ def bench_swim_full_parallel(quick: bool) -> Dict[str, object]:
     return point
 
 
-def determinism_checksum(with_chaos: bool = False, profile: str = "v1") -> str:
+def determinism_checksum(with_chaos: bool = False) -> str:
     """Checksum of a seeded SWIM run's metrics; must be stable run to run.
 
     ``with_chaos=True`` attaches a :class:`~repro.faults.ChaosEngine` with an
@@ -685,12 +633,8 @@ def determinism_checksum(with_chaos: bool = False, profile: str = "v1") -> str:
     smoke check) is that this changes *nothing*: the chaos layer draws from
     its own RNG streams and schedules no events for an empty plan, so the
     checksum must equal the plain one.
-
-    ``profile`` selects the determinism profile; each profile has its own
-    pinned checksum (v2's numpy draws are a different — equally seeded —
-    byte stream than v1's ``random.Random``).
     """
-    sim = Simulator(seed=99, profile=profile)
+    sim = Simulator(seed=99)
     topology = Topology()
     network = Network(sim, topology)
     if with_chaos:
@@ -784,11 +728,6 @@ def main(argv=None) -> int:
     deterministic = checksum_a == checksum_b
     print(f"determinism checksum       {checksum_a[:16]}… "
           f"({'stable' if deterministic else 'UNSTABLE'})")
-    checksum_v2_a = determinism_checksum(profile="v2")
-    checksum_v2_b = determinism_checksum(profile="v2")
-    deterministic_v2 = checksum_v2_a == checksum_v2_b
-    print(f"determinism checksum (v2)  {checksum_v2_a[:16]}… "
-          f"({'stable' if deterministic_v2 else 'UNSTABLE'})")
 
     report = {
         "benchmark": "kernel hot paths",
@@ -799,8 +738,6 @@ def main(argv=None) -> int:
         "determinism": {
             "checksum": checksum_a,
             "stable": deterministic,
-            "checksum_v2": checksum_v2_a,
-            "stable_v2": deterministic_v2,
         },
     }
     with open(args.out, "w") as fh:
@@ -850,23 +787,11 @@ def main(argv=None) -> int:
                       f"({PR5_NET_DELIVERY_6400_BASELINE:.0f} ev/s); "
                       f"need >=1.5x", file=sys.stderr)
                 return 1
-        # Acceptance bars for the fast-determinism-profile PR (see the
-        # comment on the constants): v2 at 6400 nodes must beat the v1 point
-        # from the *same sweep* by the relative floor, and clear the
-        # absolute backstop.
-        v2_sweep = results["scale_sweep"]["swim_full_v2"]["points"]
-        if "6400" in v2_sweep:
-            rate = v2_sweep["6400"]["ops_per_sec"]
-            if rate < SWIM_FULL_V2_6400_FLOOR:
-                print(f"FAIL: swim_full v2 at 6400 nodes is "
-                      f"{rate:.0f} ev/s; the v2 profile absolute floor is "
-                      f"{SWIM_FULL_V2_6400_FLOOR:.0f} ev/s", file=sys.stderr)
-                return 1
-            speedup = v2_sweep["6400"].get("speedup_vs_v1")
-            if speedup is not None and speedup < SWIM_FULL_V2_6400_MIN_SPEEDUP:
-                print(f"FAIL: swim_full v2 at 6400 nodes is only "
-                      f"{speedup:.2f}x the v1 point from the same sweep; "
-                      f"need >={SWIM_FULL_V2_6400_MIN_SPEEDUP:.2f}x",
+            # The absolute backstop (see SWIM_FULL_6400_FLOOR).
+            rate = sweep["6400"]["ops_per_sec"]
+            if rate < SWIM_FULL_6400_FLOOR:
+                print(f"FAIL: swim_full at 6400 nodes is {rate:.0f} ev/s; "
+                      f"the absolute floor is {SWIM_FULL_6400_FLOOR:.0f} ev/s",
                       file=sys.stderr)
                 return 1
     # Acceptance bar for the region-sharded parallel kernel: the full-mode
@@ -889,10 +814,6 @@ def main(argv=None) -> int:
                   file=sys.stderr)
     if not deterministic:
         print("FAIL: seeded run is not deterministic", file=sys.stderr)
-        return 1
-    if not deterministic_v2:
-        print("FAIL: seeded v2-profile run is not deterministic",
-              file=sys.stderr)
         return 1
     return 0
 

@@ -206,7 +206,6 @@ def run_point(
     window_s: float,
     *,
     seed: int = 42,
-    profile: str = "v2",
 ) -> dict:
     """Measure one (offered load, defense posture) point."""
     scenario = build_focus_cluster(
@@ -215,9 +214,7 @@ def run_point(
         config=bench_config(defenses),
         warm_start=True,
         with_store=False,
-        record_bandwidth_events=False,
         node_factory=node_spec_factory(seed=seed),
-        profile=profile,
     )
     scenario.sim.run_until(SETTLE_S)
     # hot_key_fraction=0 keeps every query's cache key effectively unique,
@@ -312,7 +309,7 @@ BENCHES: Dict[str, Callable[[bool], dict]] = {
 
 
 def determinism_checksum(seed: int = 1) -> str:
-    """Digest of a small fixed-size seeded overload run (v1 profile).
+    """Digest of a small fixed-size seeded overload run.
 
     The run's shape (24 agents, defended 2-shard plane, a 6 s / 120 q/s
     open-loop burst — deep past the knee, so throttle, queue, and shed
@@ -326,9 +323,7 @@ def determinism_checksum(seed: int = 1) -> str:
         config=bench_config(True),
         warm_start=True,
         with_store=False,
-        record_bandwidth_events=False,
         node_factory=node_spec_factory(seed=seed),
-        profile="v1",
     )
     scenario.sim.run_until(SETTLE_S)
     workload = QueryWorkload(seed=seed, limit=10)

@@ -169,7 +169,6 @@ def run_shard_point(
     *,
     concurrency: int = CONCURRENCY,
     seed: int = 42,
-    profile: str = "v2",
 ) -> dict:
     """Measure one shard count: throughput, latency, per-shard CPU/bytes."""
     scenario = build_focus_cluster(
@@ -178,9 +177,7 @@ def run_shard_point(
         config=bench_config(shards),
         warm_start=True,
         with_store=False,
-        record_bandwidth_events=False,
         node_factory=node_spec_factory(seed=seed),
-        profile=profile,
     )
     scenario.sim.run_until(SETTLE_S)
     scenario.reset_bandwidth()
@@ -254,9 +251,7 @@ def bench_hot_replica(quick: bool) -> dict:
         config=config,
         warm_start=True,
         with_store=False,
-        record_bandwidth_events=False,
         node_factory=node_spec_factory(seed=43),
-        profile="v2",
     )
     regions = [r.name for r in scenario.network.topology.regions]
     apps = []
@@ -297,7 +292,7 @@ BENCHES: Dict[str, Callable[[bool], dict]] = {
 
 
 def determinism_checksum(seed: int = 1) -> str:
-    """Digest of a small fixed-size seeded sharded run (v1 profile).
+    """Digest of a small fixed-size seeded sharded run.
 
     The run's shape (120 agents, 4 shards, 16 closed-loop streams, 6
     simulated seconds) is identical in quick and full mode, so the pinned
@@ -311,9 +306,7 @@ def determinism_checksum(seed: int = 1) -> str:
         config=bench_config(4),
         warm_start=True,
         with_store=False,
-        record_bandwidth_events=False,
         node_factory=node_spec_factory(seed=seed),
-        profile="v1",
     )
     scenario.sim.run_until(SETTLE_S)
     responses = closed_loop(scenario, sweep_query_factory(seed), 6.0, 16)

@@ -26,7 +26,6 @@ def build():
         seed=BENCH_SEED,
         warm_start=True,
         with_store=True,
-        record_bandwidth_events=False,
         node_factory=factory,
     )
     scenario.sim.run_until(8.0)

@@ -36,10 +36,9 @@ the set of invariants that hold on any machine at any size:
   acceptance bars below, never by a ratio;
 * the committed baselines themselves must still honor the acceptance bars
   they were committed with (kernel: event_loop >= 2x the PR 1 constant,
-  swim_full at 6400 nodes >= 2x the PR 3 constant and >= 1.5x the PR 5
-  pre-batching constant, the v2 profile above its absolute floor and
-  committed ratio; shards: the full-mode 8-shard scale-out >= 3x a single
-  shard), so a stale or hand-edited baseline cannot hide a regression.
+  swim_full at 6400 nodes >= 2x the PR 3 constant, >= 1.5x the PR 5
+  pre-batching constant and above its absolute floor; shards: the
+  full-mode 8-shard scale-out >= 3x a single shard), so a stale or hand-edited baseline cannot hide a regression.
 
 ``--summary PATH`` appends a markdown verdict table (checksums, speedup
 band, shard scale-out) to ``PATH`` — CI points it at
@@ -61,6 +60,10 @@ SPEEDUP_FLOOR_FRACTION = 0.10
 #: are within noise of each other at quick-mode sizes), so the fractional
 #: band is not applied below it.
 SPEEDUP_NOISE_CEILING = 2.0
+
+#: Absolute floor for the committed full-mode ``swim_full`` point at 6400
+#: nodes (``SWIM_FULL_6400_FLOOR`` in bench_kernel.py).
+SWIM_FULL_6400_FLOOR = 45_000.0
 
 #: Fallback speedup floor for the region-sharded parallel kernel's
 #: full-mode A/B point; normally the floor recorded in the report itself
@@ -88,13 +91,13 @@ def structural_failures(
     candidate: Dict[str, object],
     *,
     label: str,
-    checksum_keys: Tuple[Tuple[str, str, str], ...],
+    run: str,
     candidate_may_be_full: bool = False,
 ) -> List[str]:
     """Shape checks shared by every baseline/candidate report pair.
 
-    ``checksum_keys`` lists ``(checksum_key, stable_key, profile_name)``
-    triples to compare inside each report's ``determinism`` block. Both
+    ``run`` names the seeded run whose ``checksum`` and ``stable`` entries
+    each report's ``determinism`` block carries. Both
     missing-bench directions are errors: a baseline bench absent from the
     candidate means the harness silently dropped it, and a candidate bench
     absent from the baseline means the committed baseline predates the
@@ -111,18 +114,17 @@ def structural_failures(
 
     base_det = baseline.get("determinism") or {}
     cand_det = candidate.get("determinism") or {}
-    for checksum_key, stable_key, profile in checksum_keys:
-        for side, det in (("baseline", base_det), ("candidate", cand_det)):
-            if not det.get(stable_key):
-                failures.append(f"{label}: {side} seeded {profile} run was "
-                                "not deterministic")
-        if base_det.get(checksum_key) != cand_det.get(checksum_key):
-            failures.append(
-                f"{label}: {profile} determinism checksum drifted: baseline "
-                f"{str(base_det.get(checksum_key))[:16]}… vs candidate "
-                f"{str(cand_det.get(checksum_key))[:16]}… — the seeded run "
-                "no longer produces the committed totals"
-            )
+    for side, det in (("baseline", base_det), ("candidate", cand_det)):
+        if not det.get("stable"):
+            failures.append(f"{label}: {side} seeded {run} run was "
+                            "not deterministic")
+    if base_det.get("checksum") != cand_det.get("checksum"):
+        failures.append(
+            f"{label}: {run} determinism checksum drifted: baseline "
+            f"{str(base_det.get('checksum'))[:16]}… vs candidate "
+            f"{str(cand_det.get('checksum'))[:16]}… — the seeded run "
+            "no longer produces the committed totals"
+        )
 
     base_results = baseline.get("results") or {}
     cand_results = candidate.get("results") or {}
@@ -157,10 +159,7 @@ def check(
     failures = structural_failures(
         baseline, candidate,
         label="kernel",
-        checksum_keys=(
-            ("checksum", "stable", "v1"),
-            ("checksum_v2", "stable_v2", "v2"),
-        ),
+        run="kernel",
         candidate_may_be_full=allow_full_candidate,
     )
 
@@ -215,25 +214,12 @@ def check(
             failures.append(f"baseline swim_full at 6400 nodes is only "
                             f"{ratio:.2f}x the PR 5 pre-batching constant; "
                             "need >=1.5x")
-    swim_v2 = sweep.get("swim_full_v2", {})
-    v2_point = swim_v2.get("points", {}).get("6400")
-    v2_floor = swim_v2.get("floor_6400_ops_per_sec")
-    if v2_point is not None and v2_floor:
-        if v2_point["ops_per_sec"] < v2_floor:
-            failures.append(
-                f"baseline swim_full v2 at 6400 nodes is "
-                f"{v2_point['ops_per_sec']:.0f} ev/s; the committed absolute "
-                f"floor is {v2_floor:.0f} ev/s"
-            )
-    min_speedup = swim_v2.get("min_speedup_6400_vs_v1")
-    if v2_point is not None and min_speedup:
-        v2_speedup = v2_point.get("speedup_vs_v1")
-        if v2_speedup is not None and v2_speedup < min_speedup:
-            failures.append(
-                f"baseline swim_full v2 at 6400 nodes is only "
-                f"{v2_speedup:.2f}x the v1 point from the same sweep; "
-                f"need >={min_speedup:.2f}x"
-            )
+    if point is not None and point["ops_per_sec"] < SWIM_FULL_6400_FLOOR:
+        failures.append(
+            f"baseline swim_full at 6400 nodes is "
+            f"{point['ops_per_sec']:.0f} ev/s; the absolute floor is "
+            f"{SWIM_FULL_6400_FLOOR:.0f} ev/s"
+        )
 
     # Region-sharded parallel kernel (swim_full_parallel). Two invariants:
     #
@@ -286,7 +272,7 @@ def check_shards(
     failures = structural_failures(
         baseline, candidate,
         label="shards",
-        checksum_keys=(("checksum", "stable", "sharded-plane"),),
+        run="sharded-plane",
         candidate_may_be_full=True,
     )
 
@@ -345,7 +331,7 @@ def check_overload(
     failures = structural_failures(
         baseline, candidate,
         label="overload",
-        checksum_keys=(("checksum", "stable", "overload-knee"),),
+        run="overload-knee",
         candidate_may_be_full=True,
     )
 
@@ -364,11 +350,11 @@ def check_overload(
     return failures
 
 
-def _checksum_of(report: Optional[Dict[str, object]], key: str = "checksum") -> str:
+def _checksum_of(report: Optional[Dict[str, object]]) -> str:
     """First 16 hex chars of a report's determinism checksum (or ``-``)."""
     if not report:
         return "-"
-    value = (report.get("determinism") or {}).get(key)
+    value = (report.get("determinism") or {}).get("checksum")
     return f"{str(value)[:16]}…" if value else "-"
 
 
@@ -388,10 +374,8 @@ def write_summary(
     lines.append("|---|---|---|")
     if kernel is not None:
         base, cand = kernel
-        lines.append(f"| kernel v1 checksum | {_checksum_of(base)} "
+        lines.append(f"| kernel checksum | {_checksum_of(base)} "
                      f"| {_checksum_of(cand)} |")
-        lines.append(f"| kernel v2 checksum | {_checksum_of(base, 'checksum_v2')} "
-                     f"| {_checksum_of(cand, 'checksum_v2')} |")
 
         def parallel_cell(report: Dict[str, object]) -> str:
             point = (report.get("results") or {}).get("swim_full_parallel")

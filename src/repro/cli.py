@@ -59,26 +59,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    # Shared by every subcommand that builds a simulated cluster: which
-    # determinism profile the simulator runs. "v1" is the bit-exact
-    # reference stream; "v2" is the fast profile (batched numpy RNG for
-    # loss/jitter, gossip targets and probe order) — still
-    # seeded-reproducible, but a different byte stream, so don't diff v1 and
-    # v2 outputs.
-    profiled = argparse.ArgumentParser(add_help=False)
-    profiled.add_argument(
-        "--profile", choices=["v1", "v2"], default="v1",
-        help="determinism profile: v1 = bit-exact reference (default), "
-             "v2 = fast (batched numpy RNG draws; different but "
-             "equally reproducible stream)",
-    )
-
-    demo = subparsers.add_parser("demo", parents=[profiled],
+    demo = subparsers.add_parser("demo",
                                  help="groups forming + sample queries")
     demo.add_argument("--nodes", type=int, default=64)
     demo.add_argument("--seed", type=int, default=7)
 
-    query = subparsers.add_parser("query", parents=[profiled],
+    query = subparsers.add_parser("query",
                                   help="ad-hoc query against a cluster")
     query.add_argument("--nodes", type=int, default=64)
     query.add_argument("--seed", type=int, default=7)
@@ -88,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ATTR>=VALUE",
     )
 
-    trace = subparsers.add_parser("trace", parents=[profiled],
+    trace = subparsers.add_parser("trace",
                                   help="synthetic Chameleon trace replay")
     trace.add_argument("--nodes", type=int, default=200)
     trace.add_argument("--events", type=int, default=200)
@@ -120,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write the full resilience report JSON")
 
     swarm = subparsers.add_parser(
-        "swarm", parents=[profiled],
+        "swarm",
         help="full-protocol SWIM sweep on the parallel kernel",
     )
     swarm.add_argument("--nodes", type=int, default=400)
@@ -145,10 +131,8 @@ def cmd_demo(args) -> int:
     """``demo``: build a cluster, show group formation and sample queries."""
     from repro.harness import build_focus_cluster, drain, run_query
 
-    print(f"Building {args.nodes} nodes (seed {args.seed}, "
-          f"profile {args.profile})...")
-    scenario = build_focus_cluster(args.nodes, seed=args.seed,
-                                   profile=args.profile)
+    print(f"Building {args.nodes} nodes (seed {args.seed})...")
+    scenario = build_focus_cluster(args.nodes, seed=args.seed)
     drain(scenario, 15.0)
     groups = [g for g in scenario.service.dgm.groups.all_groups()
               if g.size_estimate() > 0]
@@ -172,8 +156,7 @@ def cmd_query(args) -> int:
     from repro.harness import build_focus_cluster, drain, run_query
 
     query = Query(args.terms, limit=args.limit, freshness_ms=0.0)
-    scenario = build_focus_cluster(args.nodes, seed=args.seed,
-                                   profile=args.profile)
+    scenario = build_focus_cluster(args.nodes, seed=args.seed)
     drain(scenario, 15.0)
     response = run_query(scenario, query)
     print(f"{len(response.matches)} matches "
@@ -195,7 +178,7 @@ def cmd_trace(args) -> int:
 
     scenario = build_focus_cluster(
         args.nodes, seed=args.seed, config=_Config(cache_enabled=False),
-        warm_start=True, with_store=False, profile=args.profile,
+        warm_start=True, with_store=False,
     )
     drain(scenario, 3.0)
     generator = ChameleonTraceGenerator(seed=1)
@@ -288,15 +271,14 @@ def cmd_swarm(args) -> int:
     )
 
     print(f"{args.nodes} nodes for {args.duration:g} simulated seconds "
-          f"(profile {args.profile}, workers {args.workers})...")
+          f"(workers {args.workers})...")
     start = time.perf_counter()
     if args.workers <= 1:
-        summary = run_serial(args.nodes, args.duration, profile=args.profile)
+        summary = run_serial(args.nodes, args.duration)
         detail = "serial loop"
     else:
         summary, coordinator = run_parallel(
-            args.nodes, args.duration,
-            workers=args.workers, profile=args.profile,
+            args.nodes, args.duration, workers=args.workers
         )
         detail = (f"{coordinator.workers} workers, "
                   f"{coordinator.windows_run} windows, "
@@ -307,7 +289,7 @@ def cmd_swarm(args) -> int:
           f"({events / elapsed:,.0f} ev/s; {detail})")
     print(f"summary checksum: {summary_checksum(summary)[:16]}…")
     if args.verify and args.workers > 1:
-        reference = run_serial(args.nodes, args.duration, profile=args.profile)
+        reference = run_serial(args.nodes, args.duration)
         if reference != summary:
             print("MISMATCH: parallel summary diverges from the serial arm",
                   file=sys.stderr)

@@ -4,8 +4,8 @@ Once the FOCUS servers model CPU service time (:mod:`repro.core.cpumodel`),
 they can saturate the way the paper's Fig. 3 shows RabbitMQ saturating —
 and then the interesting question is what stands between offered load and
 collapse. This module is that defense layer. Everything here is config-gated
-through :class:`OverloadConfig` and **off by default**, so the pinned v1/v2
-kernel checksums and the shard-plane run digest stay byte-identical.
+through :class:`OverloadConfig` and **off by default**, so the pinned kernel
+checksum and the shard-plane run digest stay byte-identical.
 
 Patterns (each independently switchable):
 

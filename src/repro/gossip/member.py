@@ -9,7 +9,7 @@ itself by bumping its incarnation and re-broadcasting ``alive``.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List
+from typing import Dict
 
 
 class MemberState(str, enum.Enum):
@@ -94,56 +94,3 @@ class Member:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<Member {self.name} {self.state.value} inc={self.incarnation}>"
-
-
-class GossipDrawBlock:
-    """Amortized k-of-n index draws for the v2 profile's gossip sampling.
-
-    ``Generator.integers`` pays a few microseconds of pure-Python argument
-    handling before the C draw, which at one call per gossip tick undid its
-    win over ``rng.sample``. Indices are therefore drawn a block at a time
-    and consumed from a plain list; the block is discarded whenever the
-    candidate count changes so every index stays uniform over the current
-    population. The (bound, draw) consumption sequence is a pure function
-    of the generator state and the alive-count history.
-
-    The block is sized for the per-agent consumption rate (a handful of
-    draws per gossip tick): large blocks made the *first* refill of every
-    agent in a big sweep generate three orders of magnitude more draws
-    than the run consumed.
-    """
-
-    __slots__ = ("_block", "_pos", "_bound")
-
-    SIZE = 64
-
-    def __init__(self) -> None:
-        self._block: List[int] = []
-        self._pos = 0
-        self._bound = -1
-
-    def draw(self, np_rng, count: int, k: int) -> List[int]:
-        """``k`` distinct uniform indices in ``[0, count)`` via rejection.
-
-        ``k`` is the gossip fanout (tiny) while ``count`` is the alive
-        population, so collisions are rare and the expected cost is ``k``
-        list reads.
-        """
-        if self._bound != count:
-            self._block = []
-            self._pos = 0
-            self._bound = count
-        block = self._block
-        pos = self._pos
-        picked: List[int] = []
-        while len(picked) < k:
-            if pos >= len(block):
-                block = np_rng.integers(0, count, size=self.SIZE).tolist()
-                self._block = block
-                pos = 0
-            d = block[pos]
-            pos += 1
-            if d not in picked:
-                picked.append(d)
-        self._pos = pos
-        return picked

@@ -49,7 +49,6 @@ import numpy as np
 
 from repro.gossip.member import (
     RANK_BY_VALUE,
-    GossipDrawBlock,
     Member,
     MemberState,
     supersedes,
@@ -90,7 +89,8 @@ def _sample_exact(getrandbits: Callable[[int], int], n: int, k: int) -> List[int
     without ``rng.sample``'s ``Sequence`` ABC check and Python ``_randbelow``
     call per draw, and without a sequence of addresses to hand it: the caller
     indexes its slot array. With ``k == 1`` it is ``rng.choice``'s one draw.
-    The sibling of ``swim._shuffle_exact``; ``tests/test_gossip_membership.py``
+    The sibling of the probe walk's inlined ``_randbelow`` draw
+    (``SwimAgent._next_probe_target``); ``tests/test_gossip_membership.py``
     holds both branches to ``random.sample`` on every CI interpreter.
     """
     picked = [-1] * k  # -1 is never drawn, so unfilled entries match no index
@@ -310,7 +310,6 @@ class MembershipTable:
         self._alive_excl: Optional[np.ndarray] = None  # ... minus self
         self._snapshot: Optional[List[Dict[str, object]]] = None
         self._snapshot_size: Optional[int] = None
-        self._gossip_draws = GossipDrawBlock()
         #: slot -> the last interned wire :meth:`can_change` rejected about
         #: that slot's node, dropped whenever the slot's record changes: while
         #: an entry stands, a re-delivery of that same object is stale by
@@ -605,48 +604,6 @@ class MembershipTable:
         arr = self._alive_excl_arr() if exclude_self else self._alive_arr()
         return self._take_names(arr)
 
-    def permuted_alive_slots(
-        self, np_rng, *, exclude_self: bool = False
-    ) -> np.ndarray:
-        """Alive slots in a random order drawn from a numpy ``Generator``.
-
-        The v2-profile probe order: one ``Generator.permutation`` over the
-        slot array replaces v1's per-element Python shuffle loop — a
-        different (but still seed-deterministic) stream, which is exactly
-        what the v2 checksum admits. Returning slots instead of materialized
-        name lists keeps the per-agent probe order in an untracked numpy
-        buffer: at 6400 nodes a name-list version put ~41M GC-tracked
-        pointers back on the heap (one 6399-entry list per agent, built
-        *after* the v2 warmup freeze), which every gen2 pass then rescanned.
-        Names are resolved lazily, one probe target at a time, via
-        :meth:`next_alive_in_order`.
-        """
-        arr = self._alive_excl_arr() if exclude_self else self._alive_arr()
-        if len(arr) < 2:
-            return arr
-        return arr[np_rng.permutation(len(arr))]
-
-    def next_alive_in_order(
-        self, order: np.ndarray, start: int
-    ) -> Tuple[int, Optional[str]]:
-        """Walk ``order`` (a slot array) from ``start`` to the next alive
-        member; returns ``(next_index, name-or-None)``.
-
-        The skip condition (``known`` and currently alive) is exactly the
-        ``peek(name)``-based filter of the v1 name-list walk.
-        """
-        state = self._state
-        known = self._known
-        names = self.directory.names
-        idx = start
-        n = len(order)
-        while idx < n:
-            slot = int(order[idx])
-            idx += 1
-            if known[slot] and state[slot] == CODE_ALIVE:
-                return idx, names[slot]
-        return idx, None
-
     def suspects(self) -> List[Member]:
         arr = self._live_arr()
         if not len(arr):
@@ -678,31 +635,6 @@ class MembershipTable:
         addresses = self.directory.addresses
         picked = _sample_exact(rng.getrandbits, count, min(max_fanout, count))
         return [addresses[arr.item(j)] for j in picked]
-
-    def gossip_targets_v2(self, np_rng, max_fanout: int) -> List[str]:
-        """v2-profile twin of :meth:`gossip_targets` on a numpy ``Generator``.
-
-        ``rng.sample``'s draws were the single hottest per-tick RNG cost left
-        at 6400 nodes (one Mersenne draw per candidate, which the v1 stream
-        is pinned to). Here the k-of-n without-replacement draw is
-        rejection-sampled from a :class:`~repro.gossip.member.GossipDrawBlock`
-        of batched ``Generator.integers`` draws, amortizing the generator
-        call over ~1k ticks. The draw sequence is a pure function of the
-        generator state and the alive-count history, so the result stays
-        deterministic.
-        """
-        arr = self._alive_excl_arr()
-        count = len(arr)
-        if not count:
-            return []
-        addresses = self.directory.addresses
-        if max_fanout >= count:
-            if count == 1:
-                return [addresses[int(arr[0])]]
-            perm = np_rng.permutation(count)
-            return [addresses[s] for s in arr[perm].tolist()]
-        picked = self._gossip_draws.draw(np_rng, count, max_fanout)
-        return [addresses[int(arr[d])] for d in picked]
 
     def sync_peer(self, rng: random.Random) -> Optional[str]:
         """Address of one random alive peer for push-pull anti-entropy

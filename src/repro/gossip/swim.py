@@ -79,34 +79,6 @@ class SwimConfig:
         return self.suspicion_mult * scale * self.probe_interval
 
 
-def _shuffle_exact(x: List[str], getrandbits) -> None:
-    """``random.shuffle`` inlined against raw ``getrandbits``.
-
-    Draws the exact same bit sequence as ``random.shuffle`` (Fisher-Yates with
-    rejection-sampled ``_randbelow``), so seeded runs are bit-identical, but
-    skips the per-draw Python ``_randbelow`` call — ~1.85x faster on the large
-    probe-order lists this module shuffles. (Bulk-pulling the underlying MT
-    words via ``getrandbits(32 * j)`` was measured 2x *slower*: the cost is
-    the per-element Python loop, not the ``getrandbits`` C calls.)
-    """
-    i = len(x) - 1
-    if i < 1:
-        return
-    m = i + 1
-    k = m.bit_length()
-    threshold = 1 << (k - 1)
-    while i > 0:
-        if m < threshold:
-            k -= 1
-            threshold >>= 1
-        r = getrandbits(k)
-        while r >= m:
-            r = getrandbits(k)
-        x[i], x[r] = x[r], x[i]
-        i -= 1
-        m -= 1
-
-
 class _PendingProbe(Deadline):
     """An outstanding probe, which is also its own timeout: armed for the
     direct ack window at the tick, re-armed for the indirect window if that
@@ -153,21 +125,18 @@ class SwimAgent(Process):
         self.on_member_alive: List[Callable[[Member], None]] = []
         self.on_member_dead: List[Callable[[Member], None]] = []
         self._rng = sim.derive_rng(f"swim/{address}")
-        # v2 profile: probe-order reshuffles come from a per-agent numpy
-        # Generator (one vectorized permutation instead of an O(n) Python
-        # Fisher-Yates); every other draw stays on ``_rng`` in both profiles.
-        if getattr(sim, "profile", "v1") == "v2":
-            self._np_rng = sim.derive_np_rng(f"swim/{address}")
-        else:
-            self._np_rng = None
         self._seq = 0
         self._pending_probes: Dict[int, _PendingProbe] = {}
         self._relayed: Dict[int, _RelayedPing] = {}
+        #: This pass's probe order: ``[:_probe_index]`` is what the pass has
+        #: drawn, the rest is what it has not, in no particular order.
+        #: ``_probe_size`` is its length and ``_probe_bits`` the bit length of
+        #: the last draw's bound, kept so a tick makes no ``len`` or
+        #: ``bit_length`` call.
         self._probe_order: List[str] = []
-        # v2: the probe order is a numpy slot array (no GC-tracked name
-        # list); names resolve lazily per probe target.
-        self._probe_order_slots = None
         self._probe_index = 0
+        self._probe_size = 0
+        self._probe_bits = 0
         #: Whether this life's gossip tick is queued, and which life (one
         #: per start) a queued tick belongs to: a tick queued before a crash
         #: finds a newer life when it fires and does nothing.
@@ -206,16 +175,6 @@ class SwimAgent(Process):
         # state every sweep begins from) materializes its membership caches
         # now, not lazily on the first in-run tick.
         self.members.prewarm()
-        np_rng = self._np_rng
-        if np_rng is not None:
-            # v2: draw the first probe-order permutation now as well — it is
-            # the single largest per-agent draw (O(population)) and would
-            # otherwise land inside the measured region on the first probe
-            # tick.
-            order = self.members.permuted_alive_slots(np_rng, exclude_self=True)
-            if len(order):
-                self._probe_order_slots = order
-                self._probe_index = 0
 
     def join(self, entry_points: List[str]) -> None:
         """Join via push-pull sync with the given entry addresses."""
@@ -310,16 +269,9 @@ class SwimAgent(Process):
             return
         broadcasts = self.broadcasts
         if broadcasts._queue:
-            if self._np_rng is not None:
-                # v2: batched Generator.integers rejection sampling instead
-                # of one Mersenne draw per candidate through rng.sample.
-                targets = self.members.gossip_targets_v2(
-                    self._np_rng, self.config.gossip_fanout
-                )
-            else:
-                targets = self.members.gossip_targets(
-                    self._rng, self.config.gossip_fanout
-                )
+            targets = self.members.gossip_targets(
+                self._rng, self.config.gossip_fanout
+            )
             if targets:
                 # One take() per tick: every selected peer receives the same
                 # payload batch, matching memberlist's gossip behaviour.
@@ -362,50 +314,55 @@ class SwimAgent(Process):
         self.arm(probe, self.config.probe_timeout, self._direct_probe_timeout, seq)
 
     def _next_probe_target(self) -> Optional[str]:
-        np_rng = self._np_rng
-        if np_rng is not None:
-            return self._next_probe_target_slots(np_rng)
-        # The alive view is only materialized on wrap — a probe tick that is
-        # mid-round walks the existing shuffled order without touching it.
-        if self._probe_index >= len(self._probe_order):
-            # alive_names returns a fresh list, so we can shuffle it in
-            # place without copying.
-            alive = self.members.alive_names(exclude_self=True)
-            if not alive:
-                return None
-            self._probe_order = alive
-            _shuffle_exact(self._probe_order, self._rng.getrandbits)
-            self._probe_index = 0
-        while self._probe_index < len(self._probe_order):
-            name = self._probe_order[self._probe_index]
-            self._probe_index += 1
-            peeked = self.members.peek(name)
-            if peeked is not None and peeked[1] == _ALIVE_VALUE:
-                return name
-        return self._next_probe_target()
+        """The next member of this pass's random probe order.
 
-    def _next_probe_target_slots(self, np_rng) -> Optional[str]:
-        """v2 probe-order walk over a slot array instead of a name list.
-
-        One vectorized ``permutation`` draw per wrap replaces the v1
-        per-element shuffle loop; the order lives in an untracked numpy
-        buffer and names materialize one target at a time — see
-        ``MembershipTable.permuted_alive_slots``.
+        An incremental Fisher-Yates shuffle: each tick swaps one name, drawn
+        uniformly from the pass's not-yet-probed suffix, into the next slot,
+        so every member of the pass is probed once, in a uniformly random
+        order, at O(1) per probe and nothing drawn up front. The draw is
+        ``i + rng._randbelow(n - i)`` inlined against ``getrandbits`` — the
+        same bits, without a Python call per draw. A pass's order is the
+        alive view when it wraps: a member drawn after it stopped being
+        alive is skipped, and one that joined mid-pass waits for the next.
+        The walk that shuffled the whole pass on wrap is the oracle,
+        ``tests/oracles/probe_order.py``.
         """
-        members = self.members
-        order = self._probe_order_slots
-        if order is None or self._probe_index >= len(order):
-            order = members.permuted_alive_slots(np_rng, exclude_self=True)
-            if not len(order):
-                return None
-            self._probe_order_slots = order
-            self._probe_index = 0
-        self._probe_index, name = members.next_alive_in_order(
-            order, self._probe_index
-        )
-        if name is not None:
-            return name
-        return self._next_probe_target_slots(np_rng)
+        order = self._probe_order
+        i = self._probe_index
+        n = self._probe_size
+        k = self._probe_bits
+        peek = self.members.peek
+        getrandbits = self._rng.getrandbits
+        while True:
+            if i >= n:
+                # alive_names returns a fresh list: the pass owns it.
+                order = self._probe_order = self.members.alive_names(
+                    exclude_self=True
+                )
+                n = self._probe_size = len(order)
+                i = 0
+                if not n:
+                    self._probe_index = 0
+                    return None
+                k = n.bit_length()
+            m = n - i
+            # The bound shrinks by one per draw, so its bit length by at
+            # most one.
+            if m < 1 << (k - 1):
+                k -= 1
+            r = getrandbits(k)
+            while r >= m:
+                r = getrandbits(k)
+            j = i + r
+            name = order[j]
+            order[j] = order[i]
+            order[i] = name
+            i += 1
+            peeked = peek(name)
+            if peeked is not None and peeked[1] == _ALIVE_VALUE:
+                self._probe_index = i
+                self._probe_bits = k
+                return name
 
     def _direct_probe_timeout(self, seq: int) -> None:
         probe = self._pending_probes.get(seq)

@@ -43,7 +43,7 @@ def build_finder(system: str, num_nodes: int, *, seed: int = DEFAULT_SEED,
         )
         return FocusFinder(scenario)
     sim = Simulator(seed=seed)
-    network = Network(sim, record_bandwidth_events=False)
+    network = Network(sim)
     builders: Dict[str, Callable] = {
         "naive-push": lambda: NaivePushFinder(
             sim, network, num_nodes=num_nodes, node_factory=factory),

@@ -119,17 +119,11 @@ def build_focus_cluster(
     collector_factory: Optional[Callable[[NodeAgent], Callable[[], Dict[str, float]]]] = None,
     record_bandwidth_events: bool = False,
     node_factory: Optional[Callable[[int, str], Dict[str, object]]] = None,
-    profile: str = "v1",
 ) -> FocusScenario:
     """Build the paper's evaluation deployment with ``num_nodes`` agents.
 
     Pass the same ``node_factory`` used for a baseline deployment to compare
     systems over an identical node population (Fig. 7a requires this).
-
-    ``profile`` selects the simulator's determinism profile: ``"v1"``
-    (default) is the bit-exact reference stream; ``"v2"`` is the fast
-    profile (batched numpy RNG draws) — seeded results
-    stay reproducible but are a different byte stream than v1's.
 
     Bandwidth meters keep totals only (``record_bandwidth_events`` is off):
     ``total_bytes``, :meth:`FocusScenario.server_bandwidth_bytes` and any
@@ -146,7 +140,7 @@ def build_focus_cluster(
     EXPERIMENTS.md, "Set-up and memory", has the build time and RSS).
     """
     config = config or FocusConfig()
-    sim = Simulator(seed=seed, profile=profile)
+    sim = Simulator(seed=seed)
     network = Network(
         sim,
         topology or Topology(),

@@ -29,23 +29,11 @@ own FIFOs), so counting them would break serial == parallel on
 ``events_processed``; the sentinel takes its count back. Oracle:
 ``tests/oracles/deadlines.py`` (every deadline a ``schedule`` + ``cancel``).
 
-Determinism profiles (``profile=`` constructor knob):
-
-* ``"v1"`` (default) — the bit-exact reference: every random draw comes from
-  per-component ``random.Random`` streams, one Python-level draw at a time.
-  The seeded kernel checksum is pinned in ``BENCH_kernel.json`` and must
-  never move.
-* ``"v2"`` — the fast profile: components may replace per-element draws with
-  batched ``numpy.random.Generator`` draws (probe-order permutations,
-  gossip-target draws, block jitter/loss sampling). Runs are still fully
-  deterministic — same seed, same byte stream — but the stream *differs*
-  from v1, so v2 carries its own pinned checksum (``checksum_v2``) and is
-  validated against v1 statistically (same convergence/detection
-  distributions) rather than byte-for-byte.
-
-The loop itself never reads the profile: it validates the name and carries it
-for the components that draw (:mod:`repro.sim.network`,
-:mod:`repro.gossip.swim`, :mod:`repro.gossip.membership`).
+Determinism: every random draw comes from a per-component ``random.Random``
+stream that :meth:`Simulator.derive_rng` keys by a label and the seed, so a
+run is a pure function of its seed and adding a component never perturbs the
+draws an unrelated one sees. The seeded kernel checksum is pinned in
+``BENCH_kernel.json``.
 
 Long-lived state (membership tables, the node directory, interning pools)
 can be pinned out of the cyclic collector's reach after warmup via
@@ -55,7 +43,6 @@ can be pinned out of the cyclic collector's reach after warmup via
 from __future__ import annotations
 
 import gc
-import hashlib
 import math
 import random
 from collections import deque
@@ -64,9 +51,6 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import Deadline, Event, EventQueue, TimerHandle
-
-#: Valid determinism profiles; see the module docstring.
-PROFILES = ("v1", "v2")
 
 #: Collection thresholds :meth:`Simulator.freeze_hot_state` applies: a much
 #: larger gen0 allocation budget (protocol traffic allocates heavily but
@@ -84,39 +68,28 @@ class Simulator:
         Seed for the root RNG. Child components should derive their own
         streams via :meth:`derive_rng` so that adding a component does not
         perturb the randomness seen by unrelated components.
-    profile:
-        Determinism profile, ``"v1"`` (default, bit-exact) or ``"v2"``
-        (fast; batched numpy RNG). Components read :attr:`profile` at
-        construction to pick their draw strategy; see the module docstring.
     strict_rng_labels:
-        When ``True``, :meth:`derive_rng` / :meth:`derive_np_rng` raise on a
-        duplicate label instead of silently handing out the *same* stream
-        twice (two components drawing from one sequence — the classic
-        determinism leak). Off by default because crash/restart scenarios
-        legitimately re-derive a restarted process's timer labels; collisions
-        are always recorded and queryable via :meth:`rng_label_collisions`.
+        When ``True``, :meth:`derive_rng` raises on a duplicate label
+        instead of silently handing out the *same* stream twice (two
+        components drawing from one sequence — the classic determinism
+        leak). Off by default because crash/restart scenarios legitimately
+        re-derive a restarted process's timer labels; collisions are always
+        recorded and queryable via :meth:`rng_label_collisions`.
     """
 
     def __init__(
         self,
         seed: int = 0,
         *,
-        profile: str = "v1",
         strict_rng_labels: bool = False,
     ) -> None:
         self.seed = seed
         self.rng = random.Random(seed)
         self.strict_rng_labels = strict_rng_labels
-        #: (method, label) -> times derived; >1 entries are collisions.
-        self._derived_labels: Dict[Tuple[str, str], int] = {}
+        #: label -> times derived; >1 entries are collisions.
+        self._derived_labels: Dict[str, int] = {}
         #: key -> the one object this simulation's components share under it.
         self._shared: Dict[Any, Any] = {}
-        if profile not in PROFILES:
-            raise SimulationError(
-                f"unknown determinism profile {profile!r} "
-                f"(expected one of {PROFILES})"
-            )
-        self.profile = profile
         #: The interpreter's thresholds while :meth:`freeze_hot_state` is in
         #: effect (``None`` otherwise), for :meth:`unfreeze_hot_state`.
         self._gc_prev_threshold: Optional[Tuple[int, int, int]] = None
@@ -378,51 +351,30 @@ class Simulator:
         return executed
 
     # ------------------------------------------------------------------ rng
-    def _note_label(self, method: str, label: str) -> None:
-        """Record a stream derivation; duplicate = shared-stream hazard.
-
-        Keyed by (method, label) because deriving *both* a ``random.Random``
-        and a numpy Generator for one label is fine — they hash the same
-        string but the streams are algorithmically unrelated. Deriving the
-        same label twice through the same method hands two components the
-        same sequence, which silently couples their draws.
-        """
-        key = (method, label)
-        count = self._derived_labels.get(key, 0) + 1
-        self._derived_labels[key] = count
+    def _note_label(self, label: str) -> None:
+        """Record a stream derivation; a duplicate is a shared-stream hazard:
+        deriving one label twice hands two components the same sequence,
+        which silently couples their draws."""
+        count = self._derived_labels.get(label, 0) + 1
+        self._derived_labels[label] = count
         if count > 1 and self.strict_rng_labels:
             raise SimulationError(
-                f"RNG label {label!r} derived {count} times via {method} "
-                f"on one simulator — two components would share one stream. "
-                f"Disambiguate the label (or drop strict_rng_labels if this "
-                f"is a deliberate crash-restart re-derivation)."
+                f"RNG label {label!r} derived {count} times on one simulator "
+                f"— two components would share one stream. Disambiguate the "
+                f"label (or drop strict_rng_labels if this is a deliberate "
+                f"crash-restart re-derivation)."
             )
 
-    def rng_label_collisions(self) -> Dict[Tuple[str, str], int]:
-        """``(method, label) -> derivation count`` for labels derived more
-        than once. Empty in a well-labelled simulation; crash-restart
-        scenarios legitimately re-derive restarted processes' timer labels."""
+    def rng_label_collisions(self) -> Dict[str, int]:
+        """``label -> derivation count`` for labels derived more than once.
+        Empty in a well-labelled simulation; crash-restart scenarios
+        legitimately re-derive restarted processes' timer labels."""
         return {k: n for k, n in self._derived_labels.items() if n > 1}
 
     def derive_rng(self, label: str) -> random.Random:
         """Create an independent RNG stream keyed by ``label`` and the seed."""
-        self._note_label("derive_rng", label)
+        self._note_label(label)
         return random.Random(f"{self.seed}/{label}")
-
-    def derive_np_rng(self, label: str):
-        """Independent ``numpy.random.Generator`` keyed by ``label`` + seed.
-
-        Seeded through a sha256 digest of the same ``"{seed}/{label}"`` string
-        :meth:`derive_rng` hashes, so the stream is stable across platforms
-        and interpreter hash randomization. Used by profile-v2 components for
-        batched draws; the lazy import keeps ``repro.sim.loop`` importable
-        where numpy is absent (numpy is only required once v2 is selected).
-        """
-        import numpy as np
-
-        self._note_label("derive_np_rng", label)
-        digest = hashlib.sha256(f"{self.seed}/{label}".encode()).digest()
-        return np.random.default_rng(int.from_bytes(digest[:16], "little"))
 
     # ---------------------------------------------------------------- shared
     def shared(self, key: Any, factory: Callable[[], Any]) -> Any:
@@ -452,8 +404,7 @@ class Simulator:
         generation, and the collection thresholds are raised to
         :data:`FROZEN_GC_THRESHOLD` so the young generations stop
         promoting protocol traffic into gen2 scans. This changes *no* event
-        ordering or RNG draw — it is purely an allocator/GC lever, safe under
-        either determinism profile.
+        ordering or RNG draw — it is purely an allocator/GC lever.
 
         Both ``gc.freeze`` and ``gc.set_threshold`` are process-global;
         :meth:`unfreeze_hot_state` undoes both (benchmarks that build several

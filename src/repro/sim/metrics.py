@@ -441,7 +441,7 @@ class BandwidthMeter:
         With ``record_events=True``: O(log n) in the number of recorded
         events.
 
-        With ``record_events=False`` (aggregate mode, the v2 profile's
+        With ``record_events=False`` (aggregate mode, the network's
         default): answers exactly — from the running totals — whenever the
         window covers every event the meter has seen, and raises
         :class:`WindowTruncatedError` for partial windows, whose per-event

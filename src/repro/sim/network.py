@@ -53,15 +53,10 @@ flight still stops it, counted under ``messages_dropped.blocked_in_flight``
 / ``.partitioned_in_flight``). A fault-free send tests one flag and keeps
 only the unknown-destination check; a fault-free delivery tests one flag.
 
-Determinism profiles: under the simulator's default ``v1`` profile every
-loss/jitter draw comes one-at-a-time from ``random.Random`` — byte-identical
-to the original reference implementation. Under ``v2`` (see ``sim/loop.py``)
-the same draws are taken in blocks of :data:`UNIFORM_BLOCK` from a numpy
-``Generator`` and consumed in send order (:class:`_BlockUniform`). Event
-*order* is identical between profiles — only the RNG byte stream differs —
-which is what the v1-vs-v2 statistical-equivalence suite checks. Under both
-profiles an in-flight message is one :class:`Message` object, so a handler or
-delivery tap may keep the object it was handed.
+Randomness: every loss/jitter draw comes one at a time from the network's
+``random.Random`` stream (one per source region under ``region_rng``), in
+send order. An in-flight message is one :class:`Message` object, so a handler
+or delivery tap may keep the object it was handed.
 """
 
 from __future__ import annotations
@@ -78,11 +73,6 @@ from repro.sim.topology import Topology
 
 #: Fixed per-message framing overhead (UDP/IP or minimal HTTP), bytes.
 MESSAGE_OVERHEAD_BYTES = 60
-
-#: Uniform draws taken per numpy batch under the ``v2`` profile. Big enough
-#: that the per-block ``Generator.random`` + ``tolist`` overhead amortises to
-#: ~30 ns/draw; small enough that short runs don't waste draws.
-UNIFORM_BLOCK = 1024
 
 
 class SizedPayload:
@@ -242,33 +232,6 @@ class Message:
         return f"<Message {self.kind} {self.src}->{self.dst} {self.size}B>"
 
 
-class _BlockUniform:
-    """Batched uniform tap (``v2`` profile): one numpy generator, one block.
-
-    Draws are generated :data:`UNIFORM_BLOCK` at a time and consumed in
-    generation order (the block is reversed once so ``list.pop`` walks it
-    front-to-back), so the sequence of draws is a pure function of the seed —
-    batch size and refill timing never change which draw the Nth send sees.
-    The network owns one tap for the shared ``network`` stream, or under
-    ``region_rng`` one per source region, so one region's draw count never
-    shifts another region's sequence — the property the parallel kernel needs
-    to run regions in separate processes.
-    """
-
-    __slots__ = ("_np_rng", "_block")
-
-    def __init__(self, np_rng) -> None:
-        self._np_rng = np_rng
-        self._block: List[float] = []
-
-    def __call__(self) -> float:
-        block = self._block
-        if not block:
-            block[:] = self._np_rng.random(UNIFORM_BLOCK).tolist()
-            block.reverse()
-        return block.pop()
-
-
 class Endpoint(Protocol):
     """Anything that can be attached to the network.
 
@@ -351,10 +314,8 @@ class Network:
         windows can be measured; when ``False`` meters keep aggregates only
         (totals plus the observed time span — window queries that cover every
         event still answer exactly, see :meth:`BandwidthMeter.bytes_in_window`).
-        Defaults to ``None``, which resolves to ``True`` under the ``v1``
-        profile and ``False`` under ``v2``: the fast profile trades the
-        per-message log (two list appends on every delivery) for aggregate
-        meters. Pass an explicit ``True`` to keep full logs under v2.
+        Off by default: the per-message log costs two list appends on every
+        delivery, and only a caller that measures a partial window needs it.
     region_rng:
         When ``True``, loss/jitter and degraded-link draws come from
         per-*source-region* streams (``network@<region>`` /
@@ -363,8 +324,8 @@ class Network:
         is the precondition for running each region's event loop in its own
         process (:mod:`repro.sim.parallel`): with one shared stream, which
         draw a message gets depends on the *global* interleaving of sends
-        across regions. Off by default — the pinned v1/v2 determinism
-        checksums consume the shared stream; runs with ``region_rng=True``
+        across regions. Off by default — the pinned determinism checksums
+        consume the shared stream; runs with ``region_rng=True``
         are equally deterministic but a *different* byte stream, so never
         compare one against the other.
     """
@@ -376,7 +337,7 @@ class Network:
         *,
         loss_rate: float = 0.0,
         jitter_fraction: float = 0.1,
-        record_bandwidth_events: Optional[bool] = None,
+        record_bandwidth_events: bool = False,
         region_rng: bool = False,
     ) -> None:
         if jitter_fraction < 0.0:
@@ -390,11 +351,6 @@ class Network:
         for (src_region, dst_region), latency in self.topology.latency_map().items():
             self._latency_rows.setdefault(src_region, {})[dst_region] = latency
         self.jitter_fraction = jitter_fraction
-        # The profile decides two things here and nothing else: which
-        # generator the loss/jitter taps below draw from, and this default.
-        v2 = getattr(sim, "profile", "v1") == "v2"
-        if record_bandwidth_events is None:
-            record_bandwidth_events = not v2
         self.record_bandwidth_events = record_bandwidth_events
         self.metrics = MetricsRegistry()
         #: Registered address -> its :data:`Binding`, resolved once at
@@ -419,16 +375,8 @@ class Network:
         # (loss + jitter draws) seen by the rest of the run.
         self._degrade_rng = sim.derive_rng("network/degrade")
         # ``_uniform`` is the single tap every loss and jitter draw goes
-        # through. v1 binds it straight to ``random.Random.random`` (the
-        # reference byte stream); v2 refills a block of numpy draws and pops
-        # them in send order, so draws stay deterministic per seed but come
-        # from a different (much cheaper per-draw) generator.
-        if v2:
-            self._uniform: Callable[[], float] = _BlockUniform(
-                sim.derive_np_rng("network")
-            )
-        else:
-            self._uniform = self._rng.random
+        # through.
+        self._uniform: Callable[[], float] = self._rng.random
         # Per-source-region streams (see the ``region_rng`` parameter). The
         # dicts are keyed by region name and built in topology order so the
         # derivations themselves are deterministic.
@@ -438,16 +386,9 @@ class Network:
             self._region_degrade: Optional[Dict[str, object]] = {
                 name: sim.derive_rng(f"network/degrade@{name}") for name in names
             }
-            if v2:
-                self._region_uniform: Optional[Dict[str, Callable[[], float]]] = {
-                    name: _BlockUniform(sim.derive_np_rng(f"network@{name}"))
-                    for name in names
-                }
-            else:
-                self._region_uniform = {
-                    name: sim.derive_rng(f"network@{name}").random
-                    for name in names
-                }
+            self._region_uniform: Optional[Dict[str, Callable[[], float]]] = {
+                name: sim.derive_rng(f"network@{name}").random for name in names
+            }
         else:
             self._region_degrade = None
             self._region_uniform = None

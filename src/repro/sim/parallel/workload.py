@@ -53,7 +53,6 @@ def _build_shard(
     *,
     nodes: int,
     duration: float,
-    profile: str,
     plan: Optional[FaultPlan],
 ) -> WorkerShard:
     """Build one worker's shard: agents of the owned regions only.
@@ -63,7 +62,7 @@ def _build_shard(
     subset of the agents derives exactly the streams the serial run derives
     for those agents — construction order across shards cannot matter.
     """
-    sim = Simulator(seed=SEED, profile=profile)
+    sim = Simulator(seed=SEED)
     topology = Topology()
     network = Network(sim, topology, region_rng=True)
     regions = [r.name for r in topology.regions]
@@ -110,8 +109,6 @@ def _build_shard(
                 lambda r, qi=qi: completions.__setitem__(qi, len(r)),
             ),
         )
-    if profile == "v2":
-        sim.freeze_hot_state()
 
     def summary() -> dict:
         return {
@@ -169,7 +166,6 @@ def run_serial(
     nodes: int,
     duration: float,
     *,
-    profile: str = "v1",
     plan: Optional[FaultPlan] = None,
 ) -> dict:
     """The reference arm: the same shard builder, every region owned, run
@@ -178,8 +174,7 @@ def run_serial(
     topology = Topology()
     all_regions = tuple(r.name for r in topology.regions)
     shard = _build_shard(
-        0, all_regions, nodes=nodes, duration=duration, profile=profile,
-        plan=plan,
+        0, all_regions, nodes=nodes, duration=duration, plan=plan
     )
     if plan is not None and not plan.empty:
         engine = ChaosEngine(
@@ -187,10 +182,7 @@ def run_serial(
         )
         engine.execute(plan)
     shard.sim.run_until(duration)
-    result = shard.summary()
-    if profile == "v2":
-        shard.sim.unfreeze_hot_state()
-    return result
+    return shard.summary()
 
 
 def run_parallel(
@@ -198,7 +190,6 @@ def run_parallel(
     duration: float,
     *,
     workers: int,
-    profile: str = "v1",
     plan: Optional[FaultPlan] = None,
 ) -> Tuple[dict, ParallelSimulation]:
     """The sharded arm: ``workers`` forked region workers under the
@@ -213,7 +204,7 @@ def run_parallel(
     def builder(worker_index: int, owned_regions: Tuple[str, ...]) -> WorkerShard:
         return _build_shard(
             worker_index, owned_regions, nodes=nodes, duration=duration,
-            profile=profile, plan=plan,
+            plan=plan,
         )
 
     coordinator = ParallelSimulation(

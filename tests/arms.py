@@ -1,9 +1,9 @@
 """Test-side substitution of the kernel's oracles (``tests/oracles/``).
 
-``src/`` has one scheduler, one periodic-timer path and one membership
-backend, and no parameter to choose another. The equivalence tests swap the
-oracle in at the construction site instead, by patching the module global the
-kernel instantiates.
+``src/`` has one scheduler, one periodic-timer path, one membership backend
+and one probe walk, and no parameter to choose another. The equivalence tests
+swap the oracle in at the construction site instead, by patching the module
+global the kernel instantiates (or, for the probe walk, the method).
 """
 
 from __future__ import annotations
@@ -16,14 +16,21 @@ import repro.gossip.swim
 import repro.sim.loop
 from tests.oracles.heap_queue import HeapEventQueue
 from tests.oracles.member_list import MemberList
+from tests.oracles.probe_order import next_probe_target
 from tests.oracles.self_timer import SelfReschedulingTimer
 
 
 @contextmanager
-def kernel(queue: str = "calendar", timers: str = "wheel", members: str = "table"):
+def kernel(
+    queue: str = "calendar",
+    timers: str = "wheel",
+    members: str = "table",
+    probes: str = "draw",
+):
     """Simulators, timers and SWIM agents *built* inside the block use the
     named oracle: ``queue="heap"``, ``timers="self"``, ``members="dict"``.
-    The defaults are the kernel as shipped."""
+    ``probes="shuffle"`` swaps every SWIM agent's probe walk, built or not,
+    while the block runs. The defaults are the kernel as shipped."""
     with pytest.MonkeyPatch.context() as patch:
         if queue == "heap":
             patch.setattr(repro.sim.loop, "EventQueue", HeapEventQueue)
@@ -31,4 +38,8 @@ def kernel(queue: str = "calendar", timers: str = "wheel", members: str = "table
             patch.setattr(repro.sim.loop, "RepeatingTimer", SelfReschedulingTimer)
         if members == "dict":
             patch.setattr(repro.gossip.swim, "MembershipTable", MemberList)
+        if probes == "shuffle":
+            patch.setattr(
+                repro.gossip.swim.SwimAgent, "_next_probe_target", next_probe_target
+            )
         yield

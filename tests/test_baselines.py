@@ -42,7 +42,7 @@ def factory():
 
 
 def build(sim, kind, factory):
-    network = Network(sim, record_bandwidth_events=False)
+    network = Network(sim)
     builders = {
         "push": lambda: NaivePushFinder(sim, network, num_nodes=NUM_NODES, node_factory=factory),
         "pull": lambda: NaivePullFinder(sim, network, num_nodes=NUM_NODES, node_factory=factory),
@@ -94,7 +94,7 @@ class TestAccounting:
     def test_push_bandwidth_grows_with_nodes(self, factory):
         def bandwidth(num_nodes):
             sim = Simulator(seed=5)
-            network = Network(sim, record_bandwidth_events=False)
+            network = Network(sim)
             finder = NaivePushFinder(
                 sim, network, num_nodes=num_nodes, node_factory=factory
             )
@@ -107,7 +107,7 @@ class TestAccounting:
 
     def test_pull_bandwidth_mostly_query_driven(self, factory):
         sim = Simulator(seed=6)
-        network = Network(sim, record_bandwidth_events=False)
+        network = Network(sim)
         finder = NaivePullFinder(sim, network, num_nodes=30, node_factory=factory)
         sim.run_until(5.0)
         finder.reset_server_bandwidth()
@@ -155,7 +155,7 @@ class TestHierarchyModes:
 
         def bytes_for(manager_mode):
             sim = Simulator(seed=9)
-            network = Network(sim, record_bandwidth_events=False)
+            network = Network(sim)
             finder = HierarchyFinder(
                 sim, network, num_nodes=NUM_NODES, node_factory=factory,
                 manager_mode=manager_mode,

@@ -5,6 +5,7 @@ import json
 from benchmarks.gate import (
     SHARDS_QUICK_SCALEOUT_FLOOR,
     SHARDS_SCALEOUT_FLOOR,
+    SWIM_FULL_6400_FLOOR,
     check,
     check_shards,
     main,
@@ -17,10 +18,7 @@ def kernel_report(*, quick, benches=("event_loop",), checksum="aa", speedup=10.0
     return {
         "quick": quick,
         "results": {name: {"speedup": speedup} for name in benches},
-        "determinism": {
-            "checksum": checksum, "stable": True,
-            "checksum_v2": checksum + "v2", "stable_v2": True,
-        },
+        "determinism": {"checksum": checksum, "stable": True},
     }
 
 
@@ -77,6 +75,49 @@ class TestSingleArmPoints:
             self.report(quick=False, pr1_ratio=1.7), self.report(quick=True)
         )
         assert any("PR 1 constant" in f for f in failures)
+
+    @staticmethod
+    def with_swim_full(report, rate):
+        report["results"]["scale_sweep"] = {"swim_full": {
+            "points": {"6400": {"ops_per_sec": rate}},
+            "pr3_baseline_6400_ops_per_sec": 5_865.0,
+            "pr5_baseline_6400_ops_per_sec": 13_227.0,
+        }}
+        return report
+
+    def test_baseline_swim_full_above_floor_passes(self):
+        baseline = self.with_swim_full(self.report(quick=False), 60_000.0)
+        candidate = self.with_swim_full(self.report(quick=True), 90_000.0)
+        assert check(baseline, candidate) == []
+
+    def test_baseline_swim_full_below_floor_fails(self):
+        # Clears the PR 3 and PR 5 ratios, misses the absolute floor.
+        baseline = self.with_swim_full(
+            self.report(quick=False), SWIM_FULL_6400_FLOOR - 1_000.0
+        )
+        candidate = self.with_swim_full(self.report(quick=True), 90_000.0)
+        failures = check(baseline, candidate)
+        assert len(failures) == 1 and "absolute floor" in failures[0]
+
+
+class TestKernelChecksum:
+    def test_checksum_drift_fails(self):
+        failures = check(
+            kernel_report(quick=False, checksum="aa"),
+            kernel_report(quick=True, checksum="zz"),
+        )
+        assert any("kernel determinism checksum drifted" in f for f in failures)
+
+    def test_summary_has_one_kernel_checksum_row(self, tmp_path):
+        path = tmp_path / "summary.md"
+        write_summary(
+            str(path), [],
+            kernel=(kernel_report(quick=False), kernel_report(quick=True)),
+            shards=None,
+        )
+        rows = [line for line in path.read_text().splitlines()
+                if "checksum" in line]
+        assert rows == ["| kernel checksum | aa… | aa… |"]
 
 
 class TestNoKeyErrors:

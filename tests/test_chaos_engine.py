@@ -19,8 +19,7 @@ from repro.workloads.churn import ChurnController
 
 def small_cluster(num_nodes=8, seed=11, **kwargs):
     scenario = build_focus_cluster(
-        num_nodes, seed=seed, warm_start=True,
-        record_bandwidth_events=False, **kwargs
+        num_nodes, seed=seed, warm_start=True, **kwargs
     )
     engine = ChaosEngine(
         scenario.sim,

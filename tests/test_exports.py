@@ -55,7 +55,7 @@ class TestPublicSurface:
         from repro.sim import Network, Simulator  # noqa: F401
 
     @pytest.mark.parametrize("cls, options", [
-        ("Simulator", ["profile", "strict_rng_labels"]),
+        ("Simulator", ["strict_rng_labels"]),
         ("Network", ["loss_rate", "jitter_fraction",
                      "record_bandwidth_events", "region_rng"]),
         ("BandwidthMeter", ["record_events"]),

@@ -120,7 +120,7 @@ def run_seeded_gossip(seed: int = 7) -> str:
     """A fixed-seed SWIM run; returns a canonical JSON metrics summary."""
     sim = Simulator(seed=seed)
     topology = Topology()
-    network = Network(sim, topology)
+    network = Network(sim, topology, record_bandwidth_events=True)
     regions = [r.name for r in topology.regions]
     agents = []
     for i in range(8):
@@ -173,7 +173,7 @@ class TestSeededDeterminism:
     def test_optimized_windows_match_naive_on_real_run(self):
         sim = Simulator(seed=11)
         topology = Topology()
-        network = Network(sim, topology)
+        network = Network(sim, topology, record_bandwidth_events=True)
         regions = [r.name for r in topology.regions]
         agents = []
         for i in range(6):

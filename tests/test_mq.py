@@ -72,7 +72,7 @@ class TestCpuModel:
             from repro.sim import Network, Simulator
 
             local_sim = Simulator(seed=1)
-            local_net = Network(local_sim, record_bandwidth_events=False)
+            local_net = Network(local_sim)
             region = local_net.topology.regions[0].name
             broker = Broker(local_sim, local_net, "b", region)
             broker.start()

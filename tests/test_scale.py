@@ -19,7 +19,6 @@ def big_cluster():
         seed=404,
         warm_start=True,
         with_store=False,
-        record_bandwidth_events=False,
         node_factory=node_spec_factory(seed=404),
     )
 

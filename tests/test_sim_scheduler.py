@@ -46,7 +46,7 @@ def swim_summary(queue: str, timers: str, seed: int = 7) -> str:
 
 def _swim_summary(sim: Simulator) -> str:
     topology = Topology()
-    network = Network(sim, topology)
+    network = Network(sim, topology, record_bandwidth_events=True)
     regions = [r.name for r in topology.regions]
     agents = []
     for i in range(8):
@@ -327,6 +327,7 @@ class TestCalendarQueueEdges:
     @pytest.mark.parametrize("knob", [
         dict(scheduler="heap"), dict(coalesce_timers=False),
         dict(bucket_width=0.1), dict(wheel_span=8), dict(workers=2),
+        dict(profile="v1"),
     ])
     def test_removed_knobs_are_type_errors(self, knob):
         with pytest.raises(TypeError):
