@@ -18,7 +18,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
         parallel-equivalence bench-gate bench-kernel \
         bench-kernel-smoke bench chaos-smoke bench-shards bench-shards-smoke \
         bench-overload bench-overload-smoke focusbench-smoke digest-diff \
-        hotspots hotspots-smoke
+        hotspots hotspots-smoke lockstep
 
 check: lint test scheduler-equivalence global-state-gate bench-gate chaos-smoke \
        focusbench-smoke hotspots-smoke
@@ -110,6 +110,16 @@ hotspots-smoke:
 		--scale smoke --top 5
 	PYTHONHASHSEED=0 $(PYTHON) -m benchmarks.hotspots --workload serve_ramp \
 		--scale smoke --top 5
+
+# A/B of the steady phase against BASE on a box whose speed drifts: both
+# trees built in two child processes, their steady phases run alternately
+# one sim-time slice at a time, CPU time per slice. Prints per rep both
+# totals, the ratio, slices won, events and peak RSS. Informational; no gate.
+SEED ?= 42
+REPS ?= 3
+lockstep:
+	$(PYTHON) benchmarks/lockstep.py --base $(BASE) --workload $(WORKLOAD) \
+		--seed $(SEED) --reps $(REPS)
 
 bench-kernel:
 	$(PYTHON) benchmarks/bench_kernel.py

@@ -23,6 +23,22 @@ WARMUP = 3.0
 MEASURE = 5.0
 
 
+def pooled_p50(histograms) -> float:
+    """The median over every consumer's messages, through the public
+    ``Histogram`` API: the count-weighted median of the consumers' own
+    medians (``inf`` when no message arrived). Each queue is drained by one
+    consumer at the same offered load, so their latency distributions are
+    alike and this is the pooled median to within their spread."""
+    medians = sorted((h.percentile(50), h.count) for h in histograms if h.count)
+    total = sum(count for _, count in medians)
+    running = 0
+    for median, count in medians:
+        running += count
+        if 2 * running >= total:
+            return median
+    return float("inf")
+
+
 def run_point(num_producers: int) -> dict:
     sim = Simulator(seed=3)
     network = Network(sim)
@@ -40,16 +56,9 @@ def run_point(num_producers: int) -> dict:
             rate=5.0, message_size=1024,
         ).start()
     sim.run_until(WARMUP + MEASURE)
-    latencies = [
-        value
-        for consumer in consumers
-        for value in consumer.latency._values
-    ]
-    latencies.sort()
-    p50 = latencies[len(latencies) // 2] if latencies else float("inf")
     return {
         "producers": num_producers,
-        "latency_p50_ms": p50 * 1000.0,
+        "latency_p50_ms": pooled_p50([c.latency for c in consumers]) * 1000.0,
         "cpu": broker.utilization_over(WARMUP, WARMUP + MEASURE),
         "backlog_s": broker.backlog_seconds,
         "dropped": broker.messages_dropped,
@@ -72,11 +81,14 @@ def test_fig3_rabbitmq_scalability(benchmark, record_rows):
     )
     by_count = {r["producers"]: r for r in results}
 
-    # Shape 1: >=50% CPU by 2k producers (paper: "as early as 2k").
+    # Shape 1: high CPU by 2k producers (paper: past 50% "as early as 2k";
+    # the model reads 0.43 there, so the bound is 40%).
     assert by_count[2000]["cpu"] >= 0.40
     assert by_count[1000]["cpu"] < by_count[2000]["cpu"] < by_count[4000]["cpu"]
 
-    # Shape 2: saturation around 6k - latency explodes relative to 1-4k.
+    # Shape 2: saturation around 6k - latency explodes relative to 1-4k, and
+    # the broker is below capacity at 4k and at it from 6k on.
+    assert by_count[4000]["cpu"] < 0.99 <= by_count[6000]["cpu"]
     assert by_count[1000]["latency_p50_ms"] < 50.0
     assert by_count[4000]["latency_p50_ms"] < 200.0
     assert by_count[6000]["latency_p50_ms"] > 10 * by_count[2000]["latency_p50_ms"]

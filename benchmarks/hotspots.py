@@ -16,9 +16,12 @@ a gossip tick, RPC deadlines armed, cancelled and fired), then who measured
 and decoded wire payloads (every ``approx_size`` walk, ``Query.from_json``
 decode, ``json.dumps`` and sized-dict construction, by calling function: a
 hop that re-measures or re-decodes what it was handed is one line), then how
-much of the gossip traffic was re-delivery (what the update loop's no-op path
-is worth: custom wires, and member wires delivered, turned away by identity,
-examined and applied), and how often a member that had left refuted its own
+much of the gossip traffic was re-delivery and what the gossip round cost
+(custom wires delivered and first-time, gossip packets ``_on_gossip`` turned
+away whole, ``_apply_updates`` entries by caller, member wires delivered,
+turned away by identity, examined and applied, ``gossip_targets`` and
+``_sample_exact`` entries by caller — wires counted by a delivery tap, which
+runs before the handler), and how often a member that had left refuted its own
 leave (must be 0), and last what the cyclic collector did (collections and
 objects collected per generation, from ``gc.get_stats()`` around the phase,
 what a ``gc.collect()`` after it finds, and that garbage per RPC call, which
@@ -32,9 +35,10 @@ sampled self and cumulative shares by function and by line: real time, C
 calls included in the line that made them, which ``cProfile`` understates.
 
 No gate and no committed output; the exit status is non-zero when a check
-the report makes fails (events that do not add up, a counter the tool's
-wrappers should have fed reading 0, a self-refutation by a member that left,
-one or more objects of cyclic garbage per RPC call), which is what ``make
+the report makes fails (events that do not add up, a row the tool's tap,
+wrappers or named methods should have fed reading 0, a self-refutation by a
+member that left, one or more objects of cyclic garbage per RPC call), which
+is what ``make
 hotspots-smoke`` runs for in CI: the tool patches and names private protocol
 methods, and a rename must fail there instead of zeroing a row.
 """
@@ -52,8 +56,8 @@ from benchmarks.focusbench.workloads import WORKLOADS
 from repro.core.query import Query
 from repro.gossip.agent import SerfAgent
 from repro.gossip.broadcast import SizedWire
-from repro.gossip.membership import CODE_LEFT, MembershipTable
-from repro.gossip.swim import GOSSIP, SwimAgent
+from repro.gossip.membership import CODE_LEFT, MembershipTable, _sample_exact
+from repro.gossip.swim import ACK, GOSSIP, PING, SwimAgent
 from repro.sim.events import Deadline, EventQueue
 from repro.sim.loop import Simulator, TimerWheel
 from repro.sim.network import Network, SizedDict, approx_size
@@ -64,25 +68,65 @@ from repro.sim.rpc import RpcMixin
 SAMPLE_INTERVAL_S = 0.001
 
 
-def count_deliveries(tally: Counter) -> None:
-    """Wrap the update loop to count the wires handed to it: custom wires
-    (a ``SizedWire``, or a plain dict whose ``"t"`` is not ``"m"``) delivered
-    and first-time, and member wires (every other wire, interned or plain,
-    with or without a ``"t"``) delivered. The wrapper makes no call per wire
-    and its frame is left out of the totals."""
-    inner = SwimAgent._apply_updates
+#: Message kinds whose ``"u"`` list of piggybacked wires the receiver hands
+#: to its update loop (a gossip packet of seen custom wires only to
+#: ``SwimAgent._on_gossip``, which turns it away).
+PIGGYBACK_KINDS = (GOSSIP, PING, ACK)
+
+#: Rows the delivery tap and the push-pull wrapper feed.
+WIRE_ROWS = ("custom wires delivered", "custom wires first-time",
+             "member wires delivered")
+
+
+def count_wires(wires, seen, tally: Counter) -> None:
+    """Count ``wires`` as the update loop tells them apart: custom wires (a
+    ``SizedWire``, or a plain dict whose ``"t"`` is not ``"m"``) delivered
+    and first-time against ``seen``, and member wires (every other wire,
+    interned or plain, with or without a ``"t"``) delivered. Makes no call,
+    so nothing of it reaches the profile."""
+    for wire in wires:
+        if type(wire) is SizedWire or ("t" in wire and wire["t"] != "m"):
+            tally["custom wires delivered"] += 1
+            tally["custom wires first-time"] += wire["id"] not in seen
+        else:
+            tally["member wires delivered"] += 1
+
+
+def delivery_tap(network, kinds, tally: Counter, peak: list):
+    """A network delivery tap counting messages by kind, the in-flight
+    heap's high-water mark (into ``peak[0]``) and the wires piggybacked on
+    SWIM messages (:func:`count_wires`). Taps run before the handler, so the
+    receiver's seen set is the one its handler will test, and a gossip
+    packet the handler turns away whole is counted like any other. The tap
+    makes no call: its frame is left out of the totals."""
+    heap = network._in_flight.heap
+    bindings = network._bindings
+
+    def count_delivery(message) -> None:
+        kind = message.kind
+        kinds[kind] += 1
+        while heap[peak[0]:]:  # a slice, unlike len(), is not a profiled call
+            peak[0] += 1
+        if kind in PIGGYBACK_KINDS and "u" in message.payload:
+            receiver = bindings[message.dst][0]
+            if not receiver.paused:  # a paused receiver drops it unhandled
+                count_wires(message.payload["u"], receiver._seen, tally)
+
+    return count_delivery
+
+
+def count_merged_wires(tally: Counter) -> None:
+    """Wrap the push-pull prefilter to count the member wires it passes on
+    to the update loop (:func:`count_wires`), the one way wires reach the
+    loop without a delivery tap seeing them in a ``"u"`` list."""
+    inner = MembershipTable.filter_superseding
 
     def counting(self, updates):
-        seen = self._seen
-        for wire in updates:
-            if type(wire) is SizedWire or ("t" in wire and wire["t"] != "m"):
-                tally["custom wires delivered"] += 1
-                tally["custom wires first-time"] += wire["id"] not in seen
-            else:
-                tally["member wires delivered"] += 1
-        inner(self, updates)
+        kept = inner(self, updates)
+        count_wires(kept, (), tally)
+        return kept
 
-    SwimAgent._apply_updates = counting
+    MembershipTable.filter_superseding = counting
 
 
 def count_refutations_while_left(tally: Counter) -> None:
@@ -462,19 +506,14 @@ def main() -> int:
         sample(args, workload, sizes)
         return 0
     scenario, plan = prepare(workload, args.seed, sizes)
-    tally = Counter()
-    count_deliveries(tally)
+    # Every key set up front: a missing one would call Counter.__missing__.
+    tally = Counter({row: 0 for row in WIRE_ROWS})
+    tally["self-refutations while LEFT (must be 0)"] = 0
+    count_merged_wires(tally)
     count_refutations_while_left(tally)
     kinds = defaultdict(int)
-    heap = scenario.network._in_flight.heap
     peak = [0]
-
-    def count_kind(message) -> None:  # no call of its own: its frame is left out
-        kinds[message.kind] += 1
-        while heap[peak[0]:]:  # a slice, unlike len(), is not a profiled call
-            peak[0] += 1
-
-    scenario.network.add_delivery_tap(count_kind)
+    scenario.network.add_delivery_tap(delivery_tap(scenario.network, kinds, tally, peak))
     sent_counter = scenario.network.metrics.counter("messages_sent")
     sent_before = sent_counter.value
     before = scenario.sim.events_processed
@@ -518,33 +557,53 @@ def main() -> int:
                          if caller.endswith("_apply_updates)"))
     member_wires = tally["member wires delivered"]
     refutations = tally["self-refutations while LEFT (must be 0)"]
+    loop_entries = callers(stats, SwimAgent._apply_updates)
+    from_on_gossip = sum(count for caller, count in loop_entries.items()
+                         if caller.endswith("_on_gossip)"))
     rows = [
-        ("custom wires delivered", tally["custom wires delivered"]),
-        ("custom wires first-time", tally["custom wires first-time"]),
-        ("handle_custom_update entries", entries(SwimAgent.handle_custom_update)
+        (0, "custom wires delivered", tally["custom wires delivered"]),
+        (0, "custom wires first-time", tally["custom wires first-time"]),
+        (0, "handle_custom_update entries", entries(SwimAgent.handle_custom_update)
          + entries(SerfAgent.handle_custom_update)),
-        ("member wires delivered", member_wires),
-        ("  rejected by identity (no can_change)", member_wires - judged_in_loop),
-        ("member wires examined (can_change)", entries(MembershipTable.can_change)),
-        ("member wires applied", entries(SwimAgent._apply_member_update)),
-        ("self-refutations while LEFT (must be 0)", refutations),
-        ("random.Random.sample calls from gossip/", sum(
-            edge.callcount
-            for entry in stats if label(entry.code).startswith("gossip/")
-            for edge in entry.calls or () if bare_name(edge.code) == "sample"
-        )),
+        (0, "gossip packets rejected whole (by _on_gossip)",
+         kinds[GOSSIP] - from_on_gossip),
+        (0, "_apply_updates entries", sum(loop_entries.values())),
     ]
-    print("re-delivery (what the update loop turns away):")
-    for name, count in rows:
-        print(f"  {name:<42}{count:>10}")
+    rows += [(1, caller, count) for caller, count in loop_entries.most_common()]
+    rows += [
+        (0, "member wires delivered", member_wires),
+        (1, "rejected by identity (no can_change)", member_wires - judged_in_loop),
+        (0, "member wires examined (can_change)", entries(MembershipTable.can_change)),
+        (0, "member wires applied", entries(SwimAgent._apply_member_update)),
+        (0, "self-refutations while LEFT (must be 0)", refutations),
+    ]
+    targets = callers(stats, MembershipTable.gossip_targets)
+    draws = callers(stats, _sample_exact)
+    rows += [(0, "gossip_targets entries", sum(targets.values()))]
+    rows += [(1, caller, count) for caller, count in targets.most_common()]
+    rows += [(0, "_sample_exact entries", sum(draws.values()))]
+    rows += [(1, caller, count) for caller, count in draws.most_common()]
+    rows += [(0, "random.Random.sample calls from gossip/", sum(
+        edge.callcount
+        for entry in stats if label(entry.code).startswith("gossip/")
+        for edge in entry.calls or () if bare_name(edge.code) == "sample"
+    ))]
+    print("re-delivery and the gossip round (entries by caller):")
+    for indent, name, count in rows:
+        print(f"  {'  ' * indent}{name:<{54 - 2 * indent}}{count:>10}")
     garbage_per_call = collector(gc_before, gc_after, gc_found, entries(RpcMixin.call))
 
     wires = tally["custom wires delivered"] + member_wires
+    ticks = entries(SwimAgent._gossip_tick)
     problems = [
         (unaccounted != 0,
          f"events by kind do not sum to the event count ({unaccounted:+})"),
         (kinds[GOSSIP] and not wires,
-         f"{kinds[GOSSIP]} gossip packets delivered, none seen by the update loop"),
+         f"{kinds[GOSSIP]} gossip packets delivered, none seen by the delivery tap"),
+        (tally["custom wires first-time"] and not from_on_gossip,
+         "first-time custom wires delivered, no _apply_updates entry from _on_gossip"),
+        (ticks and not targets,
+         f"{ticks} gossip ticks, no gossip_targets entry"),
         (refutations != 0, f"{refutations} self-refutations by a member that left"),
         (garbage_per_call >= 1,
          f"{garbage_per_call:.2f} objects of cyclic garbage per RPC call"),

@@ -19,9 +19,13 @@ is queued.
 Who rejects a re-delivery: every member re-gossips every wire
 ``retransmit_mult * ceil(log2(n + 1))`` times to ``gossip_fanout`` peers, so
 all but one of a member's deliveries of a wire are repeats (99% in a
-400-member group). :meth:`SwimAgent._apply_updates
-<repro.gossip.swim.SwimAgent._apply_updates>` drops those in its loop — a
-``SizedWire`` whose ``id`` is in this agent's seen set never reaches
+400-member group). :meth:`SwimAgent._on_gossip
+<repro.gossip.swim.SwimAgent._on_gossip>` turns away a gossip packet whose
+every wire is a ``SizedWire`` with an ``id`` in this agent's seen set without
+entering the update loop, as most packets are such whole repeats; any other
+packet goes whole to :meth:`SwimAgent._apply_updates
+<repro.gossip.swim.SwimAgent._apply_updates>`, which drops each seen
+``SizedWire`` in its loop. Either way a repeat never reaches
 :meth:`SerfAgent.handle_custom_update`, which therefore runs once per wire per
 member. The hook keeps its own check for the wires the loop cannot recognise
 by type (a plain ``dict``). Member updates are the same story one layer down:

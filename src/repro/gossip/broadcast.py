@@ -36,9 +36,10 @@ class SizedWire(SizedDict):
     same object, so each queue it passes through charges ``size`` without
     re-walking it. ``id`` is ``fields["id"]``, the key members deduplicate on:
     epidemic dissemination re-delivers a wire tens of times per member, and
-    the update loop (``SwimAgent._apply_updates``) rejects a re-delivery by
-    asking ``wire.id in seen`` of a wire it recognises by this exact type — no
-    call, no subscript.
+    ``SwimAgent._on_gossip`` (a packet of nothing else) and the update loop
+    (``SwimAgent._apply_updates``, one wire at a time) reject a re-delivery by
+    asking ``wire.id in seen`` of a wire they recognise by this exact type —
+    no call, no subscript.
     """
 
     __slots__ = ("id",)
@@ -129,26 +130,39 @@ class BroadcastQueue:
 
     def take_with_size(self, max_items: int) -> Tuple[List[Dict[str, object]], int]:
         """Like :meth:`take` but also returns the summed payload size."""
-        if not self._queue or max_items <= 0:
+        queue = self._queue
+        if not queue or max_items <= 0:
             return [], 0
+        payloads = []
+        total_size = 0
+        if len(queue) <= max_items:
+            # Everything goes, in queue order (what the stable sort below
+            # would give too). The dict is walked in place, without a copy,
+            # so spent broadcasts are deleted after the walk. A tuple: most
+            # takes spend none, and ``()`` allocates nothing.
+            spent = ()
+            for broadcast in queue.values():
+                payloads.append(broadcast.payload)
+                total_size += broadcast.size
+                broadcast.transmits_left -= 1
+                if broadcast.transmits_left <= 0:
+                    spent += (broadcast.key,)
+            for key in spent:
+                del queue[key]
+            return payloads, total_size
         # Least-transmitted first, so fresh information spreads fastest;
         # ties go to the broadcast queued first (the sort is stable, also
         # under ``reverse``). A full C-level sort beats a Python-level
         # partial selection at the tens to hundreds of broadcasts held here.
-        if len(self._queue) <= max_items:
-            selected = list(self._queue.values())
-        else:
-            selected = sorted(
-                self._queue.values(), key=_TRANSMITS_LEFT, reverse=True
-            )[:max_items]
-        payloads = []
-        total_size = 0
+        selected = sorted(
+            queue.values(), key=_TRANSMITS_LEFT, reverse=True
+        )[:max_items]
         for broadcast in selected:
             payloads.append(broadcast.payload)
             total_size += broadcast.size
             broadcast.transmits_left -= 1
             if broadcast.transmits_left <= 0:
-                del self._queue[broadcast.key]
+                del queue[broadcast.key]
         return payloads, total_size
 
     def peek_keys(self) -> List[Tuple[str, str]]:

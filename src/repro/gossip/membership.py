@@ -92,6 +92,12 @@ def _sample_exact(getrandbits: Callable[[int], int], n: int, k: int) -> List[int
     The sibling of the probe walk's inlined ``_randbelow`` draw
     (``SwimAgent._next_probe_target``); ``tests/test_gossip_membership.py``
     holds both branches to ``random.sample`` on every CI interpreter.
+
+    The gossip tick does not come here for the rejection branch:
+    :meth:`MembershipTable.gossip_targets` repeats that loop inline,
+    resolving each address as it draws, and calls this function for the
+    pool branch only. This function stays the draw oracle the inline copy
+    is tested against.
     """
     picked = [-1] * k  # -1 is never drawn, so unfilled entries match no index
     setsize = 21
@@ -308,6 +314,12 @@ class MembershipTable:
         # independently so a path that never asks for one never builds it.
         self._alive_cache: Optional[np.ndarray] = None  # alive slots, in order
         self._alive_excl: Optional[np.ndarray] = None  # ... minus self
+        # ... their addresses, what a gossip tick draws from, and the
+        # directory's address mirror they were read through: the directory
+        # drops its mirror when it re-interns an address, which retires this
+        # list in every table on that directory.
+        self._gossip_addresses: Optional[List[str]] = None
+        self._gossip_addresses_of: Optional[np.ndarray] = None
         self._snapshot: Optional[List[Dict[str, object]]] = None
         self._snapshot_size: Optional[int] = None
         #: slot -> the last interned wire :meth:`can_change` rejected about
@@ -345,6 +357,7 @@ class MembershipTable:
         if alive_changed and self._alive_cache is not None:
             self._alive_cache = None
             self._alive_excl = None
+            self._gossip_addresses = None
 
     def _order_np(self, order: "array") -> np.ndarray:
         """Numpy mirror of ``_order``; rebuilt only when the buffer grew.
@@ -624,17 +637,54 @@ class MembershipTable:
         """Addresses of up to ``max_fanout`` random alive peers.
 
         Exactly the draws of one ``rng.sample`` over the insertion-ordered
-        alive view. :meth:`_draw_addresses` inlined, as it runs on every
-        gossip tick; ``arr.item(j)`` (a plain ``int``) indexes the address
-        list faster than the numpy scalar ``arr[j]``.
+        alive view's addresses, made in this one frame, as it runs on every
+        gossip tick. The addresses are a list the table keeps
+        (:meth:`_alive_addresses`), so a drawn index is one list subscript. A
+        fan-out of at most 5 over more than 21 peers — ``random.sample``'s
+        rejection branch, the steady state of every group — is
+        :func:`_sample_exact`'s rejection loop inlined: the same
+        ``getrandbits`` calls in the same order, each address taken as its
+        index is drawn. Smaller views and larger fan-outs walk the pool in
+        :func:`_sample_exact`.
+
+        The list costs 8 bytes per alive peer per table. Indexing ``_order``
+        past this table's own slot instead, while the view is converged,
+        saves that memory but was measured ~30% slower per call
+        (EXPERIMENTS.md §"The gossip round").
         """
-        arr = self._alive_excl_arr()
-        count = len(arr)
+        addresses = self._gossip_addresses
+        if (
+            addresses is None
+            or self._gossip_addresses_of is not self.directory._addrs_np
+        ):
+            addresses = self._alive_addresses()
+        count = len(addresses)
         if not count:
             return []
-        addresses = self.directory.addresses
-        picked = _sample_exact(rng.getrandbits, count, min(max_fanout, count))
-        return [addresses[arr.item(j)] for j in picked]
+        k = max_fanout if max_fanout < count else count
+        if k > 5 or count <= 21:
+            return [addresses[j] for j in _sample_exact(rng.getrandbits, count, k)]
+        getrandbits = rng.getrandbits
+        bits = count.bit_length()
+        picked = [-1] * k
+        targets = [None] * k
+        for i in range(k):
+            j = getrandbits(bits)
+            while j >= count or j in picked:
+                j = getrandbits(bits)
+            picked[i] = j
+            targets[i] = addresses[j]
+        return targets
+
+    def _alive_addresses(self) -> List[str]:
+        """Addresses of the alive view minus this table's own record, in
+        its order: the list :meth:`gossip_targets` draws from, kept until the
+        view changes or the directory re-interns an address."""
+        mirror = self.directory.address_array()
+        arr = self._alive_excl_arr()
+        self._gossip_addresses = mirror[arr].tolist() if len(arr) else []
+        self._gossip_addresses_of = mirror
+        return self._gossip_addresses
 
     def sync_peer(self, rng: random.Random) -> Optional[str]:
         """Address of one random alive peer for push-pull anti-entropy

@@ -623,4 +623,14 @@ class SwimAgent(Process):
         self._apply_updates(self.members.filter_superseding(state))
 
     def _on_gossip(self, message: Message) -> None:
-        self._apply_updates(message.payload.get("u", ()))
+        """Hand a gossip packet's updates to the update loop, unless every
+        one is a custom wire already seen: most packets a queried group
+        delivers are whole repeats, and this turns one away without the
+        loop's frame. At the first wire that is not, the whole list goes to
+        the loop unchanged; re-reading the seen prefix is a no-op there."""
+        updates = message.payload.get("u", ())
+        seen = self._seen
+        for wire in updates:
+            if type(wire) is not SizedWire or wire.id not in seen:
+                self._apply_updates(updates)
+                return

@@ -564,7 +564,8 @@ class TimerWheel:
         interval = timer._interval
         jitter = timer._jitter
         if jitter > 0.0:
-            next_time = time + interval + timer._rng.uniform(0.0, jitter)
+            # Bitwise ``uniform(0.0, jitter)`` without its Python frame.
+            next_time = time + interval + jitter * timer._rng.random()
         else:
             next_time = time + interval
         next_seq = self._alloc()
@@ -719,5 +720,6 @@ class RepeatingTimer:
 
     def _next_delay(self) -> float:
         if self._jitter > 0:
-            return self._interval + self._rng.uniform(0.0, self._jitter)
+            # Bitwise ``uniform(0.0, jitter)``: ``0.0 + jitter * random()``.
+            return self._interval + self._jitter * self._rng.random()
         return self._interval

@@ -320,6 +320,102 @@ class TestRedelivery:
         assert heard == [{"k": "v"}]
         assert receiver.broadcasts._queue[("event", "ext:e1")].payload is wire
 
+    @staticmethod
+    def seen_wires(group, sim, count=3):
+        """``count`` Serf wires every member of ``group`` has handled."""
+        wires = []
+        for index in range(count):
+            event_id = group[0].user_event("deploy", {"version": index})
+            wires.append(group[0].broadcasts._queue[("event", event_id)].payload)
+        sim.run_until(sim.now + 4.0)
+        assert all(wire.id in group[1]._seen for wire in wires)
+        return wires
+
+    def test_a_packet_of_seen_wires_never_enters_the_update_loop(self, group, sim):
+        packet = self.gossip(group, self.seen_wires(group, sim))
+        with program_calls() as calls:
+            group[1].handle_message(packet)
+        assert names(calls) == ["handle_message", "_on_gossip"]
+
+    def test_an_empty_or_missing_update_list_is_turned_away(self, group):
+        receiver = group[1]
+        src, dst = group[0].address, receiver.address
+        for payload in ({"u": []}, {}):
+            with program_calls() as calls:
+                receiver.handle_message(Message(GOSSIP, payload, src, dst, 0, 0.0))
+            assert "_apply_updates" not in names(calls)
+
+    @pytest.mark.parametrize("position", [0, 1, 2, 3])
+    def test_one_new_wire_anywhere_sends_the_whole_packet_through_once(
+        self, group, sim, position
+    ):
+        receiver = group[1]
+        asked = []
+        receiver.on_query("s", lambda payload, origin: asked.append(origin))
+        wires = self.seen_wires(group, sim)
+        fresh = self.query_wire()
+        wires.insert(position, fresh)
+        packet = self.gossip(group, wires)
+        with program_calls() as calls:
+            receiver.handle_message(packet)
+        assert names(calls).count("_apply_updates") == 1
+        assert names(calls).count("handle_custom_update") == 1
+        assert asked == ["n0"]
+        with program_calls() as calls:
+            receiver.handle_message(packet)  # every wire seen now
+        assert "_apply_updates" not in names(calls)
+
+    @pytest.mark.parametrize("kind", ["member", "plain-dict"])
+    def test_a_wire_not_recognised_as_seen_sends_the_packet_through_once(
+        self, group, sim, kind
+    ):
+        receiver = group[1]
+        wires = self.seen_wires(group, sim)
+        if kind == "member":
+            peer = receiver.members.get("n2")
+            other = receiver.members.wire_of(peer)
+        else:
+            # Already handled, but recognisable only by the hook.
+            other = dict(wires[0])
+        wires.insert(1, other)
+        with program_calls() as calls:
+            receiver.handle_message(self.gossip(group, wires))
+        assert names(calls).count("_apply_updates") == 1
+        assert ("can_change" in names(calls)) == (kind == "member")
+        assert names(calls).count("handle_custom_update") == (kind == "plain-dict")
+
+    def test_an_evicted_id_reenters_the_loop(self, group):
+        receiver = group[1]
+        wire = self.query_wire()
+        receiver.handle_message(self.gossip(group, [wire]))
+        with program_calls() as calls:
+            receiver.handle_message(self.gossip(group, [wire]))
+        assert "_apply_updates" not in names(calls)
+        for index in range(SEEN_BUFFER):
+            receiver._remember(f"filler:{index}")
+        assert wire.id not in receiver._seen
+        with program_calls() as calls:
+            receiver.handle_message(self.gossip(group, [wire]))
+        assert names(calls).count("_apply_updates") == 1
+        assert names(calls).count("handle_custom_update") == 1
+
+    def test_a_crash_restarted_agent_rejects_what_it_has_seen(self, group, sim):
+        receiver = group[1]
+        asked = []
+        receiver.on_query("s", lambda payload, origin: asked.append(origin))
+        wires = self.seen_wires(group, sim)
+        receiver.stop()
+        receiver.restart()
+        sim.run_until(sim.now + 1.0)
+        with program_calls() as calls:
+            receiver.handle_message(self.gossip(group, wires))
+        assert "_apply_updates" not in names(calls)
+        fresh = self.query_wire("ext:after-restart")
+        with program_calls() as calls:
+            receiver.handle_message(self.gossip(group, wires + [fresh]))
+        assert names(calls).count("_apply_updates") == 1
+        assert asked == ["n0"]
+
     def test_an_id_evicted_from_the_seen_buffer_is_handled_again(self, group):
         receiver = group[1]
         asked = []

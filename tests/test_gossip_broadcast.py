@@ -3,7 +3,7 @@
 import heapq
 import pickle
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import repro.gossip.broadcast
 from repro.gossip.broadcast import BroadcastQueue, SizedWire, retransmit_limit
@@ -109,6 +109,71 @@ class TestSelection:
             payloads, size = q.take_with_size(max_items)
             assert payloads == [b.payload for b in expected]
             assert size == sum(b.size for b in expected)
+
+
+def copy_then_walk_take(queue, max_items):
+    """``take_with_size`` as it was before its take-all path walked the
+    queue in place: the oracle for that path. It copies the broadcasts into
+    a list first and deletes each spent one as it goes."""
+    if not queue._queue or max_items <= 0:
+        return [], 0
+    if len(queue._queue) <= max_items:
+        selected = list(queue._queue.values())
+    else:
+        selected = sorted(
+            queue._queue.values(), key=lambda b: b.transmits_left, reverse=True
+        )[:max_items]
+    payloads = []
+    total_size = 0
+    for broadcast in selected:
+        payloads.append(broadcast.payload)
+        total_size += broadcast.size
+        broadcast.transmits_left -= 1
+        if broadcast.transmits_left <= 0:
+            del queue._queue[broadcast.key]
+    return payloads, total_size
+
+
+class TestTakeAll:
+    """Every take, whether it fits the whole queue or selects from it, leaves
+    what the copy-then-walk take left: the same payloads in the same order,
+    the same summed size, the same broadcasts retired, and the survivors in
+    the same dict order with the same budgets."""
+
+    keys = st.integers(0, 5)
+    steps = st.lists(
+        st.one_of(
+            # A re-enqueue of a key already queued replaces it in place.
+            st.tuples(st.just("enqueue"), keys, st.integers(1, 4)),
+            st.tuples(st.just("invalidate"), keys),
+            st.tuples(st.just("take"), st.integers(0, 8)),
+        ),
+        max_size=60,
+    )
+
+    @staticmethod
+    def state(queue):
+        return [(key, b.payload, b.transmits_left, b.size)
+                for key, b in queue._queue.items()]
+
+    @given(steps)
+    @settings(max_examples=300)
+    def test_matches_the_copy_then_walk_take(self, steps):
+        ours, theirs = BroadcastQueue(), BroadcastQueue()
+        for number, step in enumerate(steps):
+            if step[0] == "enqueue":
+                _, key, budget = step
+                for queue in (ours, theirs):
+                    queue.enqueue(("m", str(key)), {"v": number}, group_size=4,
+                                  transmits=budget, size=10 + key)
+            elif step[0] == "invalidate":
+                for queue in (ours, theirs):
+                    queue.invalidate(("m", str(step[1])))
+            else:
+                assert ours.take_with_size(step[1]) == copy_then_walk_take(
+                    theirs, step[1]
+                )
+            assert self.state(ours) == self.state(theirs)
 
 
 class TestSizedWire:

@@ -18,6 +18,7 @@ import json
 import random
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.gossip.agent import SerfAgent, SerfConfig
@@ -495,6 +496,126 @@ class TestDrawExactness:
         ours, theirs = random.Random(seed), random.Random(seed)
         assert _sample_exact(ours.getrandbits, n, 1) == [theirs.choice(range(n))]
         assert ours.random() == theirs.random()
+
+
+class TestGossipTargetsDraw:
+    """``gossip_targets`` is one ``random.sample`` over the addresses of the
+    alive peers in insertion order — the same picks and the same bits
+    consumed — on tables of every size and history, before and after every
+    change. The rejection branch (k <= 5 < 22 <= n) is drawn inline, the
+    pool branch by ``_sample_exact``; both must agree with
+    ``Random.sample`` itself, and the table's cached address list must
+    follow every write, its own or another table's on the same directory."""
+
+    #: What happens to peer ``i % peers`` after the warm start, in order.
+    #: "moved" re-interns the peer's address through another table on the
+    #: same directory (a private table re-interns it itself).
+    changes = st.lists(
+        st.tuples(
+            st.sampled_from(
+                ("dead", "left", "suspect", "reclaim", "rejoin", "readdress",
+                 "moved")
+            ),
+            st.integers(0, 2999),
+        ),
+        max_size=12,
+    )
+
+    @staticmethod
+    def check(table, model, k, seed):
+        expected = [address for name, (address, alive) in model.items()
+                    if alive and name != SELF]
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert table.gossip_targets(ours, k) == theirs.sample(
+            expected, min(k, len(expected))
+        )
+        assert ours.random() == theirs.random()
+        return expected
+
+    def drive(self, peers, k, changes, shared, self_first, seed):
+        """Build a table and its dict model (name -> [address, alive], in
+        insertion order: a rewrite keeps a name's place, a re-insert moves
+        it to the end, as the table does), checking the draw after the warm
+        start and after every change; returns the table and the last view."""
+        identities = [
+            (f"p{i}", f"p{i}/addr", REGIONS[i % len(REGIONS)]) for i in range(peers)
+        ]
+        if shared:
+            # Slots are not insertion order: a crowded directory, interned
+            # backwards by another table first.
+            table, other = crowded_directory(SELF, "other")
+            seed_converged([other], identities[::-1], 0.0)
+        else:
+            table = other = MembershipTable(SELF)
+        model = {}
+
+        def write(name, address, region, state, incarnation):
+            table.upsert(Member(name, address, region, incarnation=incarnation,
+                                state=state))
+            model[name] = [address, state is MemberState.ALIVE]
+
+        own = identity(SELF)
+        if self_first:
+            write(*own, MemberState.ALIVE, 0)
+        seed_converged([table], identities, 0.0)
+        for name, address, _ in identities:
+            model[name] = [address, True]
+        if not self_first:
+            write(*own, MemberState.ALIVE, 0)
+        expected = self.check(table, model, k, seed)
+        for step, (what, index) in enumerate(changes, 1):
+            if not peers:
+                break
+            name, _, region = identities[index % peers]
+            address = model[name][0] if name in model else f"{name}/addr"
+            if what == "moved":
+                moved = f"{name}/moved{step}"
+                other.upsert(Member(name, moved, region, incarnation=step))
+                if other is not table:
+                    if name in model:
+                        model[name][0] = moved
+                else:
+                    model[name] = [moved, True]
+            else:
+                if what in ("reclaim", "rejoin"):
+                    table.remove(name)
+                    model.pop(name, None)
+                if what in ("rejoin", "readdress"):
+                    if what == "readdress":
+                        address = f"{name}/readdressed{step}"
+                    write(name, address, region, MemberState.ALIVE, step)
+                elif what != "reclaim":
+                    write(name, address, region, MemberState(what), step)
+            expected = self.check(table, model, k, (seed + step) % 2**32)
+        return table, expected
+
+    @given(
+        st.integers(0, 3000), st.integers(1, 8), changes, st.booleans(),
+        st.booleans(), st.integers(0, 2**32),
+    )
+    # Both sides of both branch boundaries: n = 21 | 22 and k = 5 | 6. Seed 2
+    # tells the branches apart at n = 21 and redraws a repeat at n = 22.
+    @example(21, 5, [], False, True, 2)
+    @example(22, 5, [], False, True, 2)
+    @example(22, 6, [], True, True, 0)
+    @example(21, 4, [("dead", 3)], True, False, 7)
+    @example(23, 4, [("rejoin", 0), ("readdress", 5), ("reclaim", 9)], True, True, 1)
+    @example(30, 4, [("moved", 3), ("moved", 3), ("dead", 3), ("moved", 3)], True, True, 5)
+    @example(0, 4, [], False, True, 0)
+    @settings(max_examples=150, deadline=None)
+    def test_is_random_sample_over_the_alive_view(
+        self, peers, k, changes, shared, self_first, seed
+    ):
+        self.drive(peers, k, changes, shared, self_first, seed)
+
+    def test_the_rejection_branch_is_drawn_without_a_call(self, monkeypatch):
+        table, expected = self.drive(400, 4, [], False, True, 0)
+        monkeypatch.setattr(
+            "repro.gossip.membership._sample_exact",
+            lambda *args: pytest.fail("the rejection branch called _sample_exact"),
+        )
+        targets = table.gossip_targets(random.Random(3), 4)
+        assert targets == random.Random(3).sample(expected, 4)
 
 
 def crowded_directory(*self_names):

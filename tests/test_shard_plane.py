@@ -256,3 +256,41 @@ class TestShardFailover:
         # The plane kept answering during the outage (timeouts surface as
         # timed-out partials, not lost queries) and recovered by the end.
         assert report["reconvergence_s"] is not None
+
+
+class TestShedShardMergeIsNotCached:
+    """A multi-shard merge in which one shard shed or throttled the query
+    (its reply carries ``error``) is missing that shard's matches: the
+    router must not cache it, so a repeat of the query is pulled again."""
+
+    QUERY = Query([QueryTerm("ram_mb", lower=2048.0, upper=10240.0)],
+                  limit=None, freshness_ms=3000.0)
+
+    def repeat(self, shed: bool):
+        scenario = build_focus_cluster(
+            40, seed=6, config=FocusConfig(shards=4),
+            warm_start=True, with_store=False,
+        )
+        router = scenario.plane.router
+        _, owners = router._scatter_plan(self.QUERY)
+        assert len(owners) >= 2  # a scatter-gather, not a forward
+        if shed:
+            (victim,) = [s for s in scenario.plane.shards if s.address == owners[0]]
+            victim.router.handle = (
+                lambda params, respond: victim._overload_payload("shed-backlog")
+            )
+        scenario.sim.run_until(2.0)
+        first, second = _drain_queries(scenario, [self.QUERY, self.QUERY])
+        return first, second, router.cache.lookup(self.QUERY, scenario.sim.now)
+
+    def test_a_merge_without_a_shed_shard_is_cached(self):
+        first, second, cached = self.repeat(shed=False)
+        assert first[0] == "groups" and second[0] == "cache"
+        assert cached is not None
+
+    def test_a_merge_with_a_shed_shard_misses_the_cache(self):
+        first, second, cached = self.repeat(shed=True)
+        assert first[0] == second[0] == "groups"
+        assert not first[1]  # not timed out: the shard answered, with an error
+        assert first[3] == second[3]
+        assert cached is None

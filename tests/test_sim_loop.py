@@ -1,6 +1,9 @@
 """Unit tests for the Simulator event loop."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import Simulator
@@ -140,3 +143,37 @@ class TestDeterminism:
         a2 = Simulator(seed=1).derive_rng("a")
         assert [a.random() for _ in range(5)] == [a2.random() for _ in range(5)]
         assert a.random() != b.random()
+
+
+class TestJitterDraw:
+    """A periodic timer's jitter is ``jitter * rng.random()``: bitwise
+    ``rng.uniform(0.0, jitter)``, which computes ``0.0 + (jitter - 0.0) *
+    random()``, without its Python frame."""
+
+    jitters = st.one_of(
+        st.floats(min_value=0.0, exclude_min=True, max_value=1e300,
+                  allow_nan=False, allow_infinity=False),
+        st.integers(1, 10**6),
+    )
+
+    @given(st.integers(0, 2**64), jitters)
+    @settings(max_examples=500)
+    def test_is_bitwise_uniform(self, seed, jitter):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert (jitter * ours.random()).hex() == theirs.uniform(0.0, jitter).hex()
+
+    @given(st.integers(0, 2**32), st.floats(0.05, 5.0), jitters.filter(lambda j: j < 10))
+    @settings(max_examples=50, deadline=None)
+    def test_timer_fires_where_uniform_draws_put_it(self, seed, interval, jitter):
+        """The first firing (``RepeatingTimer._next_delay``) and every later
+        one (the timer wheel's re-arm) land where ``uniform`` puts them."""
+        sim = Simulator(seed=0)
+        fired = []
+        sim.call_every(interval, lambda: fired.append(sim.now), jitter=jitter,
+                       rng=random.Random(seed))
+        sim.run_until(20 * (interval + jitter))
+        draws = random.Random(seed)
+        expected = [0.0 + (interval + draws.uniform(0.0, jitter))]
+        while len(expected) < len(fired):
+            expected.append(expected[-1] + interval + draws.uniform(0.0, jitter))
+        assert fired and [t.hex() for t in fired] == [t.hex() for t in expected]
