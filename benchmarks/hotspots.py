@@ -97,8 +97,10 @@ def delivery_tap(network, kinds, tally: Counter, peak: list):
     heap's high-water mark (into ``peak[0]``) and the wires piggybacked on
     SWIM messages (:func:`count_wires`). Taps run before the handler, so the
     receiver's seen set is the one its handler will test, and a gossip
-    packet the handler turns away whole is counted like any other. The tap
-    makes no call: its frame is left out of the totals."""
+    packet the handler turns away whole is counted like any other. Gossip
+    packets with a non-empty ``"u"`` list that reach a running receiver are
+    counted too: each either enters ``_apply_updates`` once or is rejected
+    whole. The tap makes no call: its frame is left out of the totals."""
     heap = network._in_flight.heap
     bindings = network._bindings
 
@@ -110,7 +112,10 @@ def delivery_tap(network, kinds, tally: Counter, peak: list):
         if kind in PIGGYBACK_KINDS and "u" in message.payload:
             receiver = bindings[message.dst][0]
             if not receiver.paused:  # a paused receiver drops it unhandled
-                count_wires(message.payload["u"], receiver._seen, tally)
+                updates = message.payload["u"]
+                count_wires(updates, receiver._seen, tally)
+                if kind == GOSSIP and updates:
+                    tally["gossip packets with updates handled"] += 1
 
     return count_delivery
 
@@ -565,8 +570,10 @@ def main() -> int:
         (0, "custom wires first-time", tally["custom wires first-time"]),
         (0, "handle_custom_update entries", entries(SwimAgent.handle_custom_update)
          + entries(SerfAgent.handle_custom_update)),
-        (0, "gossip packets rejected whole (by _on_gossip)",
-         kinds[GOSSIP] - from_on_gossip),
+        (0, "gossip packets with updates handled",
+         tally["gossip packets with updates handled"]),
+        (1, "rejected whole by _on_gossip",
+         tally["gossip packets with updates handled"] - from_on_gossip),
         (0, "_apply_updates entries", sum(loop_entries.values())),
     ]
     rows += [(1, caller, count) for caller, count in loop_entries.most_common()]

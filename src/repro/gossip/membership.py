@@ -314,12 +314,10 @@ class MembershipTable:
         # independently so a path that never asks for one never builds it.
         self._alive_cache: Optional[np.ndarray] = None  # alive slots, in order
         self._alive_excl: Optional[np.ndarray] = None  # ... minus self
-        # ... their addresses, what a gossip tick draws from, and the
-        # directory's address mirror they were read through: the directory
-        # drops its mirror when it re-interns an address, which retires this
-        # list in every table on that directory.
-        self._gossip_addresses: Optional[List[str]] = None
-        self._gossip_addresses_of: Optional[np.ndarray] = None
+        # Set with _alive_excl: when that view is the directory's slots
+        # 0..n in order but for one, the missing slot's position (n if none
+        # is missing), so view[j] == j + (j >= gap); else -1.
+        self._alive_excl_gap = -1
         self._snapshot: Optional[List[Dict[str, object]]] = None
         self._snapshot_size: Optional[int] = None
         #: slot -> the last interned wire :meth:`can_change` rejected about
@@ -357,7 +355,6 @@ class MembershipTable:
         if alive_changed and self._alive_cache is not None:
             self._alive_cache = None
             self._alive_excl = None
-            self._gossip_addresses = None
 
     def _order_np(self, order: "array") -> np.ndarray:
         """Numpy mirror of ``_order``; rebuilt only when the buffer grew.
@@ -419,7 +416,14 @@ class MembershipTable:
     def _alive_excl_arr(self) -> np.ndarray:
         if self._alive_excl is None:
             arr = self._alive_arr()
-            self._alive_excl = arr[arr != self._self_slot] if len(arr) else arr
+            arr = arr[arr != self._self_slot] if len(arr) else arr
+            gap = -1
+            # Strictly rising slots, the last at most n: at most one is
+            # missing from 0..n (a warm-started table's own).
+            if len(arr) and arr[-1] <= len(arr) and (arr[1:] > arr[:-1]).all():
+                gap = int(np.count_nonzero(arr == np.arange(len(arr))))
+            self._alive_excl = arr
+            self._alive_excl_gap = gap
         return self._alive_excl
 
     def _take_names(self, arr: np.ndarray) -> List[str]:
@@ -638,32 +642,34 @@ class MembershipTable:
 
         Exactly the draws of one ``rng.sample`` over the insertion-ordered
         alive view's addresses, made in this one frame, as it runs on every
-        gossip tick. The addresses are a list the table keeps
-        (:meth:`_alive_addresses`), so a drawn index is one list subscript. A
-        fan-out of at most 5 over more than 21 peers — ``random.sample``'s
-        rejection branch, the steady state of every group — is
-        :func:`_sample_exact`'s rejection loop inlined: the same
+        gossip tick. A fan-out of at most 5 over more than 21 peers —
+        ``random.sample``'s rejection branch, the steady state of every
+        group — is :func:`_sample_exact`'s rejection loop inlined: the same
         ``getrandbits`` calls in the same order, each address taken as its
         index is drawn. Smaller views and larger fan-outs walk the pool in
         :func:`_sample_exact`.
 
-        The list costs 8 bytes per alive peer per table. Indexing ``_order``
-        past this table's own slot instead, while the view is converged,
-        saves that memory but was measured ~30% slower per call
-        (EXPERIMENTS.md §"The gossip round").
+        The view is the cached alive array. In a warm-started group it is
+        the directory's slots in order but for this table's own, and a drawn
+        index maps to its slot by arithmetic (``_alive_excl_gap``), so
+        ``directory.addresses`` is read directly; else through
+        ``arr.item``. Neither keeps a list per table: that would be N² refs
+        across a full mesh.
         """
-        addresses = self._gossip_addresses
-        if (
-            addresses is None
-            or self._gossip_addresses_of is not self.directory._addrs_np
-        ):
-            addresses = self._alive_addresses()
-        count = len(addresses)
+        view = self._alive_excl
+        if view is None:
+            view = self._alive_excl_arr()
+        count = len(view)
         if not count:
             return []
+        gap = self._alive_excl_gap
+        addresses = self.directory.addresses
         k = max_fanout if max_fanout < count else count
         if k > 5 or count <= 21:
-            return [addresses[j] for j in _sample_exact(rng.getrandbits, count, k)]
+            return [
+                addresses[j + (j >= gap) if gap >= 0 else view.item(j)]
+                for j in _sample_exact(rng.getrandbits, count, k)
+            ]
         getrandbits = rng.getrandbits
         bits = count.bit_length()
         picked = [-1] * k
@@ -673,18 +679,8 @@ class MembershipTable:
             while j >= count or j in picked:
                 j = getrandbits(bits)
             picked[i] = j
-            targets[i] = addresses[j]
+            targets[i] = addresses[j + (j >= gap) if gap >= 0 else view.item(j)]
         return targets
-
-    def _alive_addresses(self) -> List[str]:
-        """Addresses of the alive view minus this table's own record, in
-        its order: the list :meth:`gossip_targets` draws from, kept until the
-        view changes or the directory re-interns an address."""
-        mirror = self.directory.address_array()
-        arr = self._alive_excl_arr()
-        self._gossip_addresses = mirror[arr].tolist() if len(arr) else []
-        self._gossip_addresses_of = mirror
-        return self._gossip_addresses
 
     def sync_peer(self, rng: random.Random) -> Optional[str]:
         """Address of one random alive peer for push-pull anti-entropy

@@ -504,17 +504,22 @@ class TestGossipTargetsDraw:
     consumed — on tables of every size and history, before and after every
     change. The rejection branch (k <= 5 < 22 <= n) is drawn inline, the
     pool branch by ``_sample_exact``; both must agree with
-    ``Random.sample`` itself, and the table's cached address list must
-    follow every write, its own or another table's on the same directory."""
+    ``Random.sample`` itself, whether a drawn index maps to its slot by
+    arithmetic (the view is the directory's slots in order but for the
+    table's own, wherever that stands) or through the alive array, and must
+    follow every write, the table's own or another table's on the same
+    directory."""
 
     #: What happens to peer ``i % peers`` after the warm start, in order.
     #: "moved" re-interns the peer's address through another table on the
-    #: same directory (a private table re-interns it itself).
+    #: same directory (a private table re-interns it itself). The "self_"
+    #: changes write the table's own record: suspected (the view is not
+    #: converged) or removed and re-added (it moves to the end).
     changes = st.lists(
         st.tuples(
             st.sampled_from(
                 ("dead", "left", "suspect", "reclaim", "rejoin", "readdress",
-                 "moved")
+                 "moved", "self_suspect", "self_rejoin")
             ),
             st.integers(0, 2999),
         ),
@@ -532,11 +537,13 @@ class TestGossipTargetsDraw:
         assert ours.random() == theirs.random()
         return expected
 
-    def drive(self, peers, k, changes, shared, self_first, seed):
+    def drive(self, peers, k, changes, shared, self_at, seed):
         """Build a table and its dict model (name -> [address, alive], in
         insertion order: a rewrite keeps a name's place, a re-insert moves
         it to the end, as the table does), checking the draw after the warm
-        start and after every change; returns the table and the last view."""
+        start and after every change; returns the table and the last view.
+        The table's own record goes in after ``self_at`` peers, or not at
+        all when ``self_at`` is None."""
         identities = [
             (f"p{i}", f"p{i}/addr", REGIONS[i % len(REGIONS)]) for i in range(peers)
         ]
@@ -555,19 +562,26 @@ class TestGossipTargetsDraw:
             model[name] = [address, state is MemberState.ALIVE]
 
         own = identity(SELF)
-        if self_first:
+        at = peers if self_at is None else min(self_at, peers)
+        seed_converged([table], identities[:at], 0.0)
+        if self_at is not None:
             write(*own, MemberState.ALIVE, 0)
-        seed_converged([table], identities, 0.0)
+        seed_converged([table], identities[at:], 0.0)
         for name, address, _ in identities:
             model[name] = [address, True]
-        if not self_first:
-            write(*own, MemberState.ALIVE, 0)
         expected = self.check(table, model, k, seed)
         for step, (what, index) in enumerate(changes, 1):
-            if not peers:
-                break
-            name, _, region = identities[index % peers]
-            address = model[name][0] if name in model else f"{name}/addr"
+            if what == "self_suspect":
+                write(*own, MemberState.SUSPECT, step)
+            elif what == "self_rejoin":
+                table.remove(SELF)
+                model.pop(SELF, None)
+                write(*own, MemberState.ALIVE, step)
+            elif not peers:
+                continue
+            else:
+                name, _, region = identities[index % peers]
+                address = model[name][0] if name in model else f"{name}/addr"
             if what == "moved":
                 moved = f"{name}/moved{step}"
                 other.upsert(Member(name, moved, region, incarnation=step))
@@ -576,7 +590,7 @@ class TestGossipTargetsDraw:
                         model[name][0] = moved
                 else:
                     model[name] = [moved, True]
-            else:
+            elif not what.startswith("self_"):
                 if what in ("reclaim", "rejoin"):
                     table.remove(name)
                     model.pop(name, None)
@@ -591,25 +605,51 @@ class TestGossipTargetsDraw:
 
     @given(
         st.integers(0, 3000), st.integers(1, 8), changes, st.booleans(),
-        st.booleans(), st.integers(0, 2**32),
+        st.one_of(st.none(), st.integers(0, 3000)), st.integers(0, 2**32),
     )
     # Both sides of both branch boundaries: n = 21 | 22 and k = 5 | 6. Seed 2
     # tells the branches apart at n = 21 and redraws a repeat at n = 22.
-    @example(21, 5, [], False, True, 2)
-    @example(22, 5, [], False, True, 2)
-    @example(22, 6, [], True, True, 0)
-    @example(21, 4, [("dead", 3)], True, False, 7)
-    @example(23, 4, [("rejoin", 0), ("readdress", 5), ("reclaim", 9)], True, True, 1)
-    @example(30, 4, [("moved", 3), ("moved", 3), ("dead", 3), ("moved", 3)], True, True, 5)
-    @example(0, 4, [], False, True, 0)
+    @example(21, 5, [], False, 0, 2)
+    @example(22, 5, [], False, 0, 2)
+    @example(22, 6, [], True, 0, 0)
+    @example(21, 4, [("dead", 3)], True, 21, 7)
+    @example(23, 4, [("rejoin", 0), ("readdress", 5), ("reclaim", 9)], True, 0, 1)
+    @example(30, 4, [("moved", 3), ("moved", 3), ("dead", 3), ("moved", 3)], True, 0, 5)
+    @example(40, 4, [("self_suspect", 0), ("self_rejoin", 0), ("reclaim", 7)], False, 17, 3)
+    @example(40, 4, [("rejoin", 39)], False, None, 3)
+    @example(0, 4, [], False, 0, 0)
     @settings(max_examples=150, deadline=None)
     def test_is_random_sample_over_the_alive_view(
-        self, peers, k, changes, shared, self_first, seed
+        self, peers, k, changes, shared, self_at, seed
     ):
-        self.drive(peers, k, changes, shared, self_first, seed)
+        self.drive(peers, k, changes, shared, self_at, seed)
+
+    @given(
+        st.integers(1, 400), st.integers(1, 8),
+        st.one_of(st.none(), st.integers(0, 400)), st.integers(0, 2**32),
+    )
+    @example(22, 5, 0, 2)
+    @example(22, 5, 11, 2)
+    @example(400, 4, None, 9)
+    @settings(max_examples=60, deadline=None)
+    def test_the_slot_arithmetic_draws_as_the_alive_array(
+        self, peers, k, self_at, seed
+    ):
+        """The same alive peers in the same order, read two ways: on a
+        private directory, whose slots are the insertion order but for the
+        table's own (a drawn index maps to its slot by arithmetic), and on a
+        crowded one, whose are not (it is read through the alive array)."""
+        private, expected = self.drive(peers, k, [], False, self_at, seed)
+        crowded, same = self.drive(peers, k, [], True, self_at, seed)
+        assert expected == same
+        assert private._alive_excl_gap >= 0
+        assert crowded._alive_excl_gap == -1
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert private.gossip_targets(ours, k) == crowded.gossip_targets(theirs, k)
+        assert ours.random() == theirs.random()
 
     def test_the_rejection_branch_is_drawn_without_a_call(self, monkeypatch):
-        table, expected = self.drive(400, 4, [], False, True, 0)
+        table, expected = self.drive(400, 4, [], False, 0, 0)
         monkeypatch.setattr(
             "repro.gossip.membership._sample_exact",
             lambda *args: pytest.fail("the rejection branch called _sample_exact"),
