@@ -100,15 +100,18 @@ WORKLOAD ?= group_mesh
 hotspots:
 	PYTHONHASHSEED=0 $(PYTHON) -m benchmarks.hotspots --workload $(WORKLOAD)
 
-# The same report on a smoke-size group_mesh and serve_ramp (~1 s each), for
-# its own checks: the tool wraps and names private protocol methods, so a
-# rename or a moved call fails here instead of silently zeroing a row, and
-# serve_ramp makes the RPC calls its deadline rows and cyclic-garbage check
-# need (group_mesh makes almost none).
+# The same report on a smoke-size group_mesh, serve_ramp and trace_replay
+# (~1 s each), for its own checks: the tool wraps and names private protocol
+# methods, so a rename or a moved call fails here instead of silently zeroing
+# a row, serve_ramp makes the RPC calls its deadline rows and cyclic-garbage
+# check need (group_mesh makes almost none), and trace_replay runs the probe
+# rounds and Serf queries whose events its sum must account for.
 hotspots-smoke:
 	PYTHONHASHSEED=0 $(PYTHON) -m benchmarks.hotspots --workload group_mesh \
 		--scale smoke --top 5
 	PYTHONHASHSEED=0 $(PYTHON) -m benchmarks.hotspots --workload serve_ramp \
+		--scale smoke --top 5
+	PYTHONHASHSEED=0 $(PYTHON) -m benchmarks.hotspots --workload trace_replay \
 		--scale smoke --top 5
 
 # A/B of the steady phase against BASE on a box whose speed drifts: both

@@ -25,7 +25,10 @@ runs before the handler), and how often a member that had left refuted its own
 leave (must be 0), and last what the cyclic collector did (collections and
 objects collected per generation, from ``gc.get_stats()`` around the phase,
 what a ``gc.collect()`` after it finds, and that garbage per RPC call, which
-must stay below 1: per-request state is freed by reference counting).
+must stay below 1: per-request state is freed by reference counting; then,
+from a second, unprofiled steady phase on a fresh build, collections and
+pauses per generation and the types of the objects promoted to generation
+2, found by diffing it at each gen-1 collection).
 Profiled seconds are ~3x untraced ones, so read counts and proportions here
 and host time in focusbench.
 
@@ -394,6 +397,65 @@ def collector(before, after, final: int, rpc_calls: int) -> float:
     return per_call
 
 
+def census(workload, seed: int, sizes):
+    """Run an unprofiled steady phase on a fresh build under a
+    ``gc.callbacks`` hook; return per generation the collections and their
+    pause seconds, and a Counter of type name -> objects promoted to
+    generation 2.
+
+    A gen-1 collection appends what survives of generations 0 and 1 to the
+    tail of generation 2. As one starts, the hook notes the young objects'
+    ids and types (keeping no reference, which would keep them alive); as it
+    stops, it looks those ids up in the tail of generation 2. The objects
+    found there are medium-lived: they outlived two collections and will
+    cost a full pass to scan. The hook's own calls would land in a profile,
+    hence the second phase; its work is left out of the pauses.
+    """
+    scenario, plan = prepare(workload, seed, sizes)
+    collections = [0, 0, 0]
+    pauses = [0.0, 0.0, 0.0]
+    promoted = Counter()
+    young = {}
+    started = 0.0
+
+    def on_collection(phase, info) -> None:
+        nonlocal started
+        generation = info["generation"]
+        if phase == "start":
+            if generation == 1:
+                young.update((id(obj), type(obj)) for g in (0, 1)
+                             for obj in gc.get_objects(g))
+            started = time.perf_counter()
+            return
+        pauses[generation] += time.perf_counter() - started
+        collections[generation] += 1
+        if generation == 1:
+            old = gc.get_objects(2)
+            promoted.update(type(obj).__qualname__
+                            for obj in old[len(old) - len(young):]
+                            if young.get(id(obj)) is type(obj))
+            young.clear()
+
+    gc.collect()
+    gc.callbacks.append(on_collection)
+    try:
+        scenario.sim.run_until(plan.end_time)
+    finally:
+        gc.callbacks.remove(on_collection)
+    return collections, pauses, promoted
+
+
+def print_census(collections, pauses, promoted, top: int) -> None:
+    print("collector (a second steady phase, unprofiled):")
+    print(f"  {'generation':<38}{'collections':>12}{'pause_s':>12}")
+    for generation, (runs, pause) in enumerate(zip(collections, pauses)):
+        print(f"  {f'gen{generation}':<38}{runs:>12}{pause:>12.3f}")
+    print(f"  {'promoted to gen2 at gen-1 collections, by type':<54}"
+          f"{sum(promoted.values()):>10}")
+    for kind, count in promoted.most_common(top):
+        print(f"    {kind:<52}{count:>10}")
+
+
 def bare_name(code) -> str:
     """Bare function name of a profile entry's code."""
     return code if isinstance(code, str) else code.co_name
@@ -599,9 +661,12 @@ def main() -> int:
     for indent, name, count in rows:
         print(f"  {'  ' * indent}{name:<{54 - 2 * indent}}{count:>10}")
     garbage_per_call = collector(gc_before, gc_after, gc_found, entries(RpcMixin.call))
-
     wires = tally["custom wires delivered"] + member_wires
     ticks = entries(SwimAgent._gossip_tick)
+    # The profiled build goes before the census builds its own: alive, it
+    # would sit in generation 2 and lengthen the census's full passes.
+    del scenario, plan, stats, profile, entries
+    print_census(*census(workload, args.seed, sizes), top=10)
     problems = [
         (unaccounted != 0,
          f"events by kind do not sum to the event count ({unaccounted:+})"),

@@ -32,6 +32,8 @@ class GroupMember:
 
     node_id: str
     region: str
+    #: The report that first listed the node here: a later report that
+    #: lists it in the same region keeps the row.
     joined_at: float
 
 
@@ -68,6 +70,8 @@ class GroupInfo:
 
     def size_estimate(self) -> int:
         """Known members plus suggested-but-unreported nodes."""
+        if not self.pending:
+            return len(self.members)
         return len(self.members.keys() | self.pending.keys())
 
     def contains_value(self, value: float) -> bool:
@@ -85,11 +89,20 @@ class GroupInfo:
         return [serf_address(n, self.name) for n in node_ids[:limit]]
 
     def record_report(self, node_ids: List[str], regions: Dict[str, str], time: float) -> None:
-        """Replace the member list from a representative upload."""
-        self.members = {
-            node_id: GroupMember(node_id, regions.get(node_id, ""), time)
-            for node_id in node_ids
-        }
+        """Replace the member list from a representative upload.
+
+        A node listed before in the same region keeps its row: the upload
+        repeats the same members every report interval.
+        """
+        previous = self.members
+        members = {}
+        for node_id in node_ids:
+            region = regions.get(node_id, "")
+            member = previous.get(node_id)
+            if member is None or member.region != region:
+                member = GroupMember(node_id, region, time)
+            members[node_id] = member
+        self.members = members
         for node_id in node_ids:
             self.pending.pop(node_id, None)
         # Pending entries eventually expire via the DGM's transition sweep.

@@ -134,7 +134,7 @@ class QueryRouter:
             self._finish(state, timed_out=False)
             return
         self._query_group(state, view.group)
-        self.service.after(self.service.config.query_timeout, self._timeout, state)
+        self.service.post(self.service.config.query_timeout, self._timeout, state)
 
     def _split_terms(self, query: Query):
         schema = self.service.config.schema
@@ -239,7 +239,7 @@ class QueryRouter:
         if not state.pending_groups:
             self._advance(state)
         if not state.finished:
-            service.after(service.config.query_timeout, self._timeout, state)
+            service.post(service.config.query_timeout, self._timeout, state)
 
     @staticmethod
     def _take_wave(plan: List[GroupInfo], limit: int):

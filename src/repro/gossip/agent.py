@@ -44,7 +44,7 @@ from itertools import count
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.sim.loop import Simulator
-from repro.sim.network import Message, Network
+from repro.sim.network import Message, Network, SizedDict
 from repro.gossip.broadcast import SizedWire
 from repro.gossip.membership import NodeDirectory
 from repro.gossip.swim import SwimAgent, SwimConfig
@@ -205,7 +205,7 @@ class SerfAgent(SwimAgent):
         self._answer_query(wire)
         self.broadcast_payload("query", query_id, wire)
         query_timeout = timeout if timeout is not None else self.config.query_timeout  # type: ignore[attr-defined]
-        self.after(query_timeout, self._query_deadline, query_id)
+        self.post(query_timeout, self._query_deadline, query_id)
         return query_id
 
     def _query_deadline(self, query_id: str) -> None:
@@ -263,7 +263,12 @@ class SerfAgent(SwimAgent):
                     collector.finish()
             return
         reply = {"id": query_id, "from": self.name, "r": response}
-        self.send(wire["ra"], QUERY_RESPONSE, reply)
+        size = None
+        if isinstance(response, SizedDict) and type(query_id) is str:
+            # approx_size's walk of the reply, by arithmetic: braces and
+            # separators 8, the three keys 13, two strings' quotes 4.
+            size = 25 + len(query_id) + len(self.name) + response.size
+        self.send(wire["ra"], QUERY_RESPONSE, reply, size=size)
 
     def _remember(self, event_id: object) -> None:
         self._seen.add(event_id)

@@ -19,7 +19,6 @@ forwarding is what makes nearly every delivery of it a re-delivery.
 
 from __future__ import annotations
 
-import math
 import operator
 from typing import Dict, List, Optional, Tuple
 
@@ -72,8 +71,10 @@ class Broadcast:
 
 
 def retransmit_limit(retransmit_mult: int, group_size: int) -> int:
-    """Number of times each broadcast is retransmitted."""
-    return retransmit_mult * int(math.ceil(math.log2(max(group_size, 1) + 1)))
+    """Number of times each broadcast is retransmitted:
+    ``retransmit_mult * ceil(log2(n + 1))``, where ``ceil(log2(n + 1))`` is
+    exactly the bit length of ``n`` for ``n >= 1``."""
+    return retransmit_mult * max(group_size, 1).bit_length()
 
 
 class BroadcastQueue:

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.gossip.swim import _ALIVE_VALUE
-
 #: The seeded kernel checksum (``bench_kernel.determinism_checksum``) the
 #: full-shuffle walk produces.
 SHUFFLE_DETERMINISM_CHECKSUM = (
@@ -52,7 +50,8 @@ def _shuffle_exact(x: List[str], getrandbits) -> None:
 
 
 def next_probe_target(self) -> Optional[str]:
-    """``SwimAgent._next_probe_target`` with the whole pass shuffled on wrap."""
+    """``SwimAgent._next_probe_target`` with the whole pass shuffled on wrap.
+    Like it, leaves the returned member's address in ``_probe_address``."""
     # The alive view is only materialized on wrap — a probe tick that is
     # mid-round walks the existing shuffled order without touching it.
     if self._probe_index >= len(self._probe_order):
@@ -67,7 +66,8 @@ def next_probe_target(self) -> Optional[str]:
     while self._probe_index < len(self._probe_order):
         name = self._probe_order[self._probe_index]
         self._probe_index += 1
-        peeked = self.members.peek(name)
-        if peeked is not None and peeked[1] == _ALIVE_VALUE:
+        address = self.members.alive_address(name)
+        if address is not None:
+            self._probe_address = address
             return name
     return self._next_probe_target()

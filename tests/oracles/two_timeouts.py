@@ -9,7 +9,7 @@ ping-reqs and the same suspicion at the same instants.
 
 from __future__ import annotations
 
-from repro.gossip.swim import PING, SwimAgent, _PendingProbe
+from repro.gossip.swim import _PROBE_PIGGYBACK, PING, SwimAgent, _PendingProbe
 
 
 class TwoTimeoutSwimAgent(SwimAgent):
@@ -23,11 +23,11 @@ class TwoTimeoutSwimAgent(SwimAgent):
         self._seq += 1
         seq = self._seq
         self._pending_probes[seq] = _PendingProbe(target_name, self.sim.now)
-        updates, usize = self._piggyback()
+        updates, usize = self.broadcasts.take_with_size(_PROBE_PIGGYBACK)
         self.send(
             target_address,
             PING,
-            {"seq": seq, "from": self._self_wire(), "u": updates},
+            {"seq": seq, "from": self._self_wire, "u": updates},
             size=24 + self._self_wire_size + usize,
         )
         self.post(self.config.probe_timeout, self._direct_probe_timeout, seq)

@@ -1,6 +1,10 @@
 """Unit tests for group metadata, forks and geo splits."""
 
-from repro.core.groups import GroupInfo, GroupTable, serf_address
+from hypothesis import given, strategies as st
+
+from repro.core.groups import GroupInfo, GroupMember, GroupTable, serf_address
+
+_node_ids = st.lists(st.sampled_from([f"n{i}" for i in range(8)]), max_size=8)
 
 
 def make_table():
@@ -23,6 +27,30 @@ class TestGroupInfo:
         g.members["n2"] = GroupMember("n2", "r", 0.0)
         g.members["n1"] = GroupMember("n1", "r", 0.0)  # overlap counted once
         assert g.size_estimate() == 2
+
+    @given(_node_ids, _node_ids)
+    def test_size_estimate_is_the_union(self, members, pending):
+        g = GroupInfo("g", "a", 0.0, 1.0)
+        g.members = {n: GroupMember(n, "r", 0.0) for n in members}
+        g.pending = {n: GroupMember(n, "r", 0.0) for n in pending}
+        assert g.size_estimate() == len(g.members.keys() | g.pending.keys())
+
+    def test_record_report_keeps_a_row_whose_region_is_unchanged(self):
+        g = GroupInfo("g", "a", 0.0, 1.0)
+        g.record_report(["n1", "n2", "n3"], {"n1": "r1", "n2": "r2"}, time=5.0)
+        first = dict(g.members)
+        g.record_report(["n3", "n2", "n1", "n4"],
+                        {"n1": "r1", "n2": "moved", "n4": "r4"}, time=9.0)
+        assert list(g.members) == ["n3", "n2", "n1", "n4"]
+        assert g.members["n1"] is first["n1"]
+        assert g.members["n3"] is first["n3"]  # no region either time
+        assert g.members["n2"] == GroupMember("n2", "moved", 9.0)
+        assert g.members["n4"] == GroupMember("n4", "r4", 9.0)
+        assert {n: m.region for n, m in g.members.items()} == {
+            "n1": "r1", "n2": "moved", "n3": "", "n4": "r4"
+        }
+        g.record_report(["n4"], {"n4": "r4"}, time=12.0)
+        assert list(g.members) == ["n4"]
 
     def test_entry_points_use_serf_addresses(self):
         from repro.core.groups import GroupMember

@@ -5,11 +5,14 @@ from contextlib import contextmanager
 
 import pytest
 
+import repro.sim.network
+from repro.core.query import MatchAnswer
 from repro.gossip import SerfAgent, SerfConfig
 from repro.gossip.agent import QUERY_RESPONSE, SEEN_BUFFER
 from repro.gossip.broadcast import SizedWire
 from repro.gossip.swim import GOSSIP, PING
-from repro.sim.network import Message, approx_size
+from repro.sim.network import MESSAGE_OVERHEAD_BYTES, Message, SizedDict, approx_size
+from tests.oracles.approx_size import approx_size as walk
 
 
 def build_group(sim, network, count, regions, config=None):
@@ -156,6 +159,43 @@ class TestQueries:
         assert "n6" not in results
         assert len(results) >= 6
 
+    @pytest.mark.parametrize("answer, sized", [
+        (SizedDict({"node": "n5", "match": False}), True),
+        (MatchAnswer("node-17", SizedDict({"load": 0.5, "arch": "x86"}), "us-east-2"),
+         True),
+        (SizedWire({"t": "e", "id": "w", "k": [1, 2.5]}), True),
+        ({"plain": [1, 2.0, "three"], "none": None}, False),
+    ])
+    def test_a_reply_is_charged_what_walking_it_gives(
+        self, sim, network, regions, answer, sized, monkeypatch
+    ):
+        """A reply around a sized answer is sized by arithmetic, without a
+        walk; any other answer is walked. Either way the charge is the
+        walk's."""
+        agents = build_group(sim, network, 4, regions)
+        sim.run_until(5.0)
+        for agent in agents:
+            agent.on_query("s", lambda p, o: answer)
+        charged = []
+        network.add_delivery_tap(
+            lambda m: charged.append((m.size, MESSAGE_OVERHEAD_BYTES + walk(m.payload)))
+            if m.kind == QUERY_RESPONSE else None
+        )
+        walked = []
+
+        def counting(payload):
+            if type(payload) is dict and set(payload) == {"id", "from", "r"}:
+                walked.append(payload)
+            return approx_size(payload)
+
+        monkeypatch.setattr(repro.sim.network, "approx_size", counting)
+        results = {}
+        agents[0].query("s", {}, results.update, timeout=2.0)
+        sim.run_until(8.0)
+        assert len(results) == 4 and len(charged) == 3
+        assert all(size == walk_size for size, walk_size in charged)
+        assert len(walked) == (0 if sized else 3)
+
 
 class TestWires:
     def test_members_forward_the_originators_wire_itself(self, sim, network, regions):
@@ -299,7 +339,7 @@ class TestRedelivery:
     def test_a_ping_from_a_known_sender_asks_the_table_once(self, group):
         sender, receiver = group[0], group[1]
         ping = Message(
-            PING, {"seq": 1, "from": sender._self_wire(), "u": []},
+            PING, {"seq": 1, "from": sender._self_wire, "u": []},
             sender.address, receiver.address, 0, 0.0,
         )
         with program_calls() as calls:

@@ -1,6 +1,7 @@
 """Unit tests for the piggyback broadcast queue."""
 
 import heapq
+import math
 import pickle
 
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,13 @@ class TestRetransmitLimit:
 
     def test_minimum_group(self):
         assert retransmit_limit(4, 0) == 4
+
+    def test_bit_length_is_the_ceiling_of_log2(self):
+        """The integer form against the float form it replaced, for every
+        group size up to 10^5 (and the clamped ones below 1)."""
+        for n in range(-2, 10**5):
+            old = 4 * int(math.ceil(math.log2(max(n, 1) + 1)))
+            assert retransmit_limit(4, n) == old, n
 
 
 class TestQueue:

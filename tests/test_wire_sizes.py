@@ -15,7 +15,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from benchmarks.focusbench.workloads import WORKLOADS
-from repro.core.query import DecodedQueryJson, Query, QueryTerm, match_record
+from repro.core.query import (
+    DecodedQueryJson,
+    MatchAnswer,
+    Query,
+    QueryTerm,
+    match_record,
+)
 from repro.gossip.agent import QUERY_RESPONSE
 from repro.gossip.broadcast import SizedWire
 from repro.harness import run_query
@@ -59,6 +65,7 @@ def _sized(children):
         | _queries.map(DecodedQueryJson.of)
         | st.builds(match_record, _ascii, _snapshots | st.dictionaries(_ascii, _leaf),
                     _ascii)
+        | st.builds(MatchAnswer, _ascii, _snapshots, _ascii)
     )
 
 
@@ -96,6 +103,19 @@ class TestSizeContract:
         if isinstance(payload, DecodedQueryJson):
             assert shipped.query.to_json() == payload.query.to_json()
             assert shipped.query.cache_key() == payload.query.cache_key()
+        if isinstance(payload, MatchAnswer):
+            assert type(shipped.record) is SizedDict
+            assert shipped.record == payload.record
+            assert shipped.record.size == payload.record.size
+
+    @given(_ascii, _snapshots, _ascii)
+    def test_a_match_answer_carries_the_record_of_itself(self, node, attrs, region):
+        answer = MatchAnswer(node, attrs, region)
+        assert answer == {"node": node, "match": True, "attrs": attrs, "region": region}
+        assert answer.size == walk(answer)
+        record = match_record(answer["node"], answer["attrs"], answer.get("region", ""))
+        assert answer.record == record and answer.record.size == record.size
+        assert answer.record["attrs"] is attrs
 
 
 class TestStoredRows:
