@@ -3,7 +3,7 @@
 # queue and timer wheel must be bit-identical to their tests/oracles/
 # references: a binary heap and a self-rescheduling timer), the benchmark
 # regression gate (a quick kernel-bench smoke pass — which re-verifies the
-# metrics/send hot-path speedups, the swim_full and serial<->parallel
+# send hot-path speedup, the swim_full and serial<->parallel
 # checksums, and the seeded-run determinism checksum — compared against the
 # committed full-mode BENCH_kernel.json),
 # the chaos smoke gate (the fault-injection layer stays deterministic and
@@ -18,7 +18,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
         parallel-equivalence bench-gate bench-kernel \
         bench-kernel-smoke bench chaos-smoke bench-shards bench-shards-smoke \
         bench-overload bench-overload-smoke focusbench-smoke digest-diff \
-        hotspots hotspots-smoke lockstep
+        hotspots hotspots-smoke lockstep figures
 
 check: lint test scheduler-equivalence global-state-gate bench-gate chaos-smoke \
        focusbench-smoke hotspots-smoke
@@ -134,6 +134,13 @@ bench-shards:
 # Full-mode saturation-knee sweep (~2 min); regenerates BENCH_overload.json.
 bench-overload:
 	$(PYTHON) benchmarks/bench_overload.py
+
+# The paper's figures, tables and ablations (~4 min): the bench_*.py tests,
+# each asserting its figure's shape and printing its rows. The nightly
+# workflow runs this. FIGURES="fig3 or fig8b" selects tests by name (-k).
+figures:
+	$(PYTHON) -m pytest benchmarks/bench_*.py --benchmark-only -q -s \
+		-p no:cacheprovider $(if $(FIGURES),-k "$(FIGURES)")
 
 # Full paper-figure regeneration (~10 minutes); see benchmarks/README.md.
 bench:

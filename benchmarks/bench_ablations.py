@@ -36,20 +36,21 @@ def test_ablation_gossip_fanout(benchmark, record_rows):
 
     def run_point(fanout: int) -> dict:
         serf = SerfConfig(gossip_fanout=fanout, gossip_interval=0.1)
-        # The member window starts mid-run: keep the per-message meter log.
         scenario = build_single_group_cluster(
-            group_size, seed=BENCH_SEED, serf_config=serf,
-            record_bandwidth_events=True,
+            group_size, seed=BENCH_SEED, serf_config=serf
         )
         scenario.sim.run_until(5.0)
         query = Query([QueryTerm.at_least("load", 0.0)], freshness_ms=0.0)
+        member_meters = [
+            scenario.network.meter(a)
+            for a in scenario.agents[17].endpoint_addresses()
+        ]
         start = scenario.sim.now
+        start_bytes = sum(meter.total_bytes for meter in member_meters)
         pulls = [run_query(scenario, query).elapsed for _ in range(5)]
         window = scenario.sim.now - start
-        member = scenario.agents[17]
-        member_bytes = sum(
-            scenario.network.meter(a).bytes_in_window(start, scenario.sim.now)
-            for a in member.endpoint_addresses()
+        member_bytes = (
+            sum(meter.total_bytes for meter in member_meters) - start_bytes
         )
         return {
             "fanout": fanout,

@@ -37,8 +37,6 @@ def run_point(num_nodes: int) -> dict:
     pairs = ChameleonTraceGenerator(seed=7).accelerated_queries(
         EVENTS_PER_POINT, limit=10, freshness_ms=0.0
     )
-    # Exact mode on purpose: Fig. 7c reports exact replay percentiles and
-    # the trace is bounded, so streaming approximation buys nothing here.
     latency = Histogram("trace")
     start = scenario.sim.now
     for offset, query in pairs:

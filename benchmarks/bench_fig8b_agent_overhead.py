@@ -25,28 +25,32 @@ GROUP_SIZES = (50, 100, 200, 400)
 MEASURE_SECONDS = 10.0
 
 
-def node_bandwidth_kbps(scenario, node_id: str, start: float, end: float) -> float:
+def node_bytes(scenario, node_id: str) -> int:
+    """Bytes sent and received so far by all of a node's endpoints."""
     agent = scenario.agent(node_id)
-    total = sum(
-        scenario.network.meter(address).bytes_in_window(start, end)
+    return sum(
+        scenario.network.meter(address).total_bytes
         for address in agent.endpoint_addresses()
     )
-    return total / (end - start) / 1024.0
+
+
+def node_bandwidth_kbps(scenario, node_id: str, start: float, start_bytes: int) -> float:
+    """KB/s from ``start`` (when the node had ``start_bytes``) to now."""
+    sent = node_bytes(scenario, node_id) - start_bytes
+    return sent / (scenario.sim.now - start) / 1024.0
 
 
 def run_point(group_size: int) -> dict:
-    # Windows that start mid-run need the per-message meter log.
-    scenario = build_single_group_cluster(
-        group_size, seed=BENCH_SEED, record_bandwidth_events=True
-    )
+    scenario = build_single_group_cluster(group_size, seed=BENCH_SEED)
     sim = scenario.sim
     sim.run_until(5.0)
 
     # -- normal operation: a member with no special duties.
     idle_member = scenario.agents[-1].node_id
     start = sim.now
+    start_bytes = node_bytes(scenario, idle_member)
     sim.run_until(start + MEASURE_SECONDS)
-    normal_kbps = node_bandwidth_kbps(scenario, idle_member, start, sim.now)
+    normal_kbps = node_bandwidth_kbps(scenario, idle_member, start, start_bytes)
 
     # The query phase pins aggregation duty on one member (see run_query_phase).
     target = scenario.agents[1].node_id
@@ -60,6 +64,7 @@ def run_query_phase(point: dict) -> dict:
     sim = scenario.sim
     query = Query([QueryTerm.at_least("load", 0.0)], freshness_ms=0.0)
     start = sim.now
+    start_bytes = node_bytes(scenario, point["target"])
 
     def fire() -> None:
         scenario.app.call(
@@ -73,7 +78,9 @@ def run_query_phase(point: dict) -> dict:
     for index in range(int(MEASURE_SECONDS)):
         sim.schedule_at(start + index * 1.0, fire)
     sim.run_until(start + MEASURE_SECONDS + 3.0)
-    querying_kbps = node_bandwidth_kbps(scenario, point["target"], start, sim.now)
+    querying_kbps = node_bandwidth_kbps(
+        scenario, point["target"], start, start_bytes
+    )
     return {
         "group_size": point["group_size"],
         "normal_kbps": point["normal"],

@@ -1,15 +1,12 @@
 """Microbenchmarks for the simulation kernel's hot paths.
 
 Unlike the ``bench_fig*`` files (which regenerate the paper's figures), this
-harness measures the kernel itself: the event loop, the network send path,
-and the metrics window queries that every figure's measurement code leans
-on. For each optimized metrics/send path it also times a **naive reference**
-— a faithful copy of the pre-optimization implementation (linear scans,
-per-recipient ``approx_size``, re-sorting histograms) — so the speedup stays
-visible and regressions are measurable long after the old code is gone. The
-scheduler, timer and full-protocol points are single-arm throughput numbers:
-the kernel has one implementation of each, and its oracles live in
-``tests/oracles/``.
+harness measures the kernel itself: the event loop and the network send
+path. The send point also times a **naive reference** — per-recipient
+``approx_size``, the pre-optimization path — so the speedup stays visible and
+regressions are measurable long after the old code is gone. The scheduler,
+timer and full-protocol points are single-arm throughput numbers: the kernel
+has one implementation of each, and its oracles live in ``tests/oracles/``.
 
 Run from the repo root::
 
@@ -36,7 +33,6 @@ from repro.gossip.agent import SerfAgent, SerfConfig
 from repro.gossip.membership import NodeDirectory, seed_converged
 from repro.gossip.swim import SwimAgent, SwimConfig
 from repro.sim import Network, Simulator, Topology
-from repro.sim.metrics import BandwidthMeter, Histogram, TimeSeries
 from repro.sim.network import SizedPayload
 from repro.sim.parallel.workload import (
     run_parallel,
@@ -58,158 +54,7 @@ def measure(fn: Callable[[], int], min_seconds: float = 0.4) -> float:
             return ops / elapsed
 
 
-# ------------------------------------------------- naive reference (pre-PR)
-def naive_bytes_in_window(
-    event_lists: List[List[Tuple[float, int]]], start: float, end: float
-) -> int:
-    """The pre-optimization BandwidthMeter.bytes_in_window: full scan."""
-    total = 0
-    for events in event_lists:
-        for t, size in events:
-            if start <= t <= end:
-                total += size
-    return total
-
-
-def naive_mean_over(
-    samples: List[Tuple[float, float]], start: float, end: float
-) -> float:
-    """The pre-optimization TimeSeries.mean_over: filter then average."""
-    window = [(t, v) for t, v in samples if start <= t <= end]
-    if not window:
-        return float("nan")
-    return sum(v for _, v in window) / len(window)
-
-
-class NaiveHistogram:
-    """The pre-optimization exact histogram: re-sort after every observe."""
-
-    def __init__(self) -> None:
-        self.values: List[float] = []
-        self._sorted = True
-
-    def observe(self, value: float) -> None:
-        self.values.append(value)
-        self._sorted = False
-
-    def percentile(self, p: float) -> float:
-        if not self._sorted:
-            self.values.sort()
-            self._sorted = True
-        rank = int((p / 100) * (len(self.values) - 1))
-        return self.values[rank]
-
-
 # ----------------------------------------------------------------- workloads
-def bench_metrics_windows(quick: bool) -> Dict[str, object]:
-    num_events = 20_000 if quick else 200_000
-    meter = BandwidthMeter("bench")
-    for i in range(num_events):
-        t = i * 0.001
-        meter.on_send(t, 100 + i % 400)
-        meter.on_receive(t, 60)
-    event_lists = [meter.sent_events(), meter.received_events()]
-    horizon = num_events * 0.001
-    queries = [
-        ((i * 37) % 1000 / 1000 * horizon * 0.5, horizon * (0.5 + (i % 50) / 100))
-        for i in range(1000)
-    ]
-
-    def run_naive() -> int:
-        for start, end in queries[:20]:
-            naive_bytes_in_window(event_lists, start, end)
-        return 20
-
-    def run_optimized() -> int:
-        for start, end in queries:
-            meter.bytes_in_window(start, end)
-        return len(queries)
-
-    # Sanity: both must agree before either is worth timing.
-    for start, end in queries[:5]:
-        assert meter.bytes_in_window(start, end) == naive_bytes_in_window(
-            event_lists, start, end
-        )
-    naive = measure(run_naive)
-    optimized = measure(run_optimized)
-    return {
-        "events": num_events * 2,
-        "naive_ops_per_sec": naive,
-        "optimized_ops_per_sec": optimized,
-        "speedup": optimized / naive,
-    }
-
-
-def bench_timeseries(quick: bool) -> Dict[str, object]:
-    num_samples = 20_000 if quick else 200_000
-    ts = TimeSeries("bench")
-    for i in range(num_samples):
-        ts.record(i * 0.01, float(i % 97))
-    horizon = num_samples * 0.01
-    queries = [
-        (horizon * (i % 40) / 100, horizon * (0.4 + (i % 60) / 100))
-        for i in range(1000)
-    ]
-
-    def run_naive() -> int:
-        for start, end in queries[:20]:
-            naive_mean_over(ts.samples, start, end)
-        return 20
-
-    def run_optimized() -> int:
-        for start, end in queries:
-            ts.mean_over(start, end)
-        return len(queries)
-
-    naive = measure(run_naive)
-    optimized = measure(run_optimized)
-    return {
-        "samples": num_samples,
-        "naive_ops_per_sec": naive,
-        "optimized_ops_per_sec": optimized,
-        "speedup": optimized / naive,
-    }
-
-
-def bench_histogram_interleaved(quick: bool) -> Dict[str, object]:
-    """Interleaved observe/percentile loop: naive re-sort vs streaming mode.
-
-    The preload happens outside the timed region; what is measured is the
-    steady-state cost of one observe followed by one percentile read, which
-    for the naive histogram means re-sorting the whole value list each time.
-    """
-    preload = 10_000 if quick else 50_000
-    rounds = 500 if quick else 1_000
-    values = [float((i * 7919) % 10_000) for i in range(preload)]
-
-    naive_h = NaiveHistogram()
-    stream_h = Histogram("bench", streaming=True)
-    for v in values:
-        naive_h.observe(v)
-        stream_h.observe(v)
-
-    def run_naive() -> int:
-        for i in range(rounds):
-            naive_h.observe(values[i % preload])
-            naive_h.percentile(99)
-        return rounds
-
-    def run_streaming() -> int:
-        for i in range(rounds):
-            stream_h.observe(values[i % preload])
-            stream_h.percentile(99)
-        return rounds
-
-    naive = measure(run_naive)
-    optimized = measure(run_streaming)
-    return {
-        "preloaded": preload,
-        "naive_ops_per_sec": naive,
-        "optimized_ops_per_sec": optimized,
-        "speedup": optimized / naive,
-    }
-
-
 def bench_send_fanout(quick: bool) -> Dict[str, object]:
     """Same payload to many recipients: per-recipient sizing vs SizedPayload."""
     fanout = 64
@@ -449,7 +294,7 @@ def _swim_full_run(
             name: network.metrics.counter(name).value
             for name in network.metrics.names()["counters"]
         },
-        "meter0": network.meter("a0").bytes_in_window(0.0, duration),
+        "meter0": network.meter("a0").total_bytes,
     }
     checksum = hashlib.sha256(
         json.dumps(summary, sort_keys=True).encode()
@@ -660,8 +505,7 @@ def determinism_checksum(with_chaos: bool = False) -> str:
             for name in network.metrics.names()["counters"]
         },
         "meters": {
-            f"a{i}": network.meter(f"a{i}").bytes_in_window(0.0, 15.0)
-            for i in range(6)
+            f"a{i}": network.meter(f"a{i}").total_bytes for i in range(6)
         },
     }
     blob = json.dumps(summary, sort_keys=True).encode()
@@ -669,9 +513,6 @@ def determinism_checksum(with_chaos: bool = False) -> str:
 
 
 BENCHES = {
-    "metrics_window_queries": bench_metrics_windows,
-    "timeseries_mean_over": bench_timeseries,
-    "histogram_interleaved": bench_histogram_interleaved,
     "send_repeated_payload": bench_send_fanout,
     "event_loop": bench_event_loop,
     "timer_storm": bench_timer_storm,
@@ -747,7 +588,7 @@ def main(argv=None) -> int:
 
     failures = [
         name
-        for name in ("metrics_window_queries", "send_repeated_payload")
+        for name in ("send_repeated_payload",)
         if name in results and results[name]["speedup"] < 2.0
     ]
     if failures:

@@ -23,12 +23,12 @@ the set of invariants that hold on any machine at any size:
   the harness is a regression too), and a candidate bench with no committed
   baseline is an error as well (the baseline must be regenerated so the new
   bench is actually gated);
-* for the kernel pair's metrics and send-path benches, the relative
-  speedups (optimized vs in-tree naive reference, same machine, same run)
-  must not collapse: each quick-mode speedup must stay above a generous
+* for the kernel pair's send-path bench (``send_repeated_payload``), the
+  relative speedup (optimized vs in-tree naive reference, same machine, same
+  run) must not collapse: the quick-mode speedup must stay above a generous
   fraction of the committed full-mode speedup. The band is wide because CI
   machines are noisy and quick mode's smaller inputs flatter the naive
-  arms — the gate exists to catch an optimization being disabled (a 700x
+  arm — the gate exists to catch an optimization being disabled (a 700x
   speedup falling to 1x), not a 20% wobble. The scheduler, timer and
   full-protocol points (``event_loop``, ``timer_storm``, ``swim_full``) are
   single-arm throughput numbers — the kernel has one implementation of

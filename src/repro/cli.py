@@ -183,7 +183,7 @@ def cmd_trace(args) -> int:
     drain(scenario, 3.0)
     generator = ChameleonTraceGenerator(seed=1)
     pairs = generator.accelerated_queries(args.events, limit=10, freshness_ms=0.0)
-    histogram = Histogram("trace", streaming=True)
+    histogram = Histogram("trace")
     start = scenario.sim.now
     for offset, query in pairs:
         scenario.sim.schedule_at(

@@ -117,7 +117,6 @@ def build_focus_cluster(
     registration_window: float = 5.0,
     topology: Optional[Topology] = None,
     collector_factory: Optional[Callable[[NodeAgent], Callable[[], Dict[str, float]]]] = None,
-    record_bandwidth_events: bool = False,
     node_factory: Optional[Callable[[int, str], Dict[str, object]]] = None,
 ) -> FocusScenario:
     """Build the paper's evaluation deployment with ``num_nodes`` agents.
@@ -125,13 +124,10 @@ def build_focus_cluster(
     Pass the same ``node_factory`` used for a baseline deployment to compare
     systems over an identical node population (Fig. 7a requires this).
 
-    Bandwidth meters keep totals only (``record_bandwidth_events`` is off):
-    ``total_bytes``, :meth:`FocusScenario.server_bandwidth_bytes` and any
-    window that covers everything since the last
-    :meth:`FocusScenario.reset_bandwidth` answer exactly, and a run pays for
-    no per-message log. Pass ``record_bandwidth_events=True`` to measure a
-    window that starts mid-run (``meter.bytes_in_window``); without the log
-    such a window raises ``WindowTruncatedError`` rather than under-count.
+    Bandwidth meters keep totals: ``total_bytes`` and
+    :meth:`FocusScenario.server_bandwidth_bytes` count everything since the
+    last :meth:`FocusScenario.reset_bandwidth`. A window that starts mid-run
+    is the difference of the totals read at its start and at its end.
 
     Cost of a population: a node's p2p agents index their membership tables
     by one node directory per group, so an entry of a table costs its numpy
@@ -141,11 +137,7 @@ def build_focus_cluster(
     """
     config = config or FocusConfig()
     sim = Simulator(seed=seed)
-    network = Network(
-        sim,
-        topology or Topology(),
-        record_bandwidth_events=record_bandwidth_events,
-    )
+    network = Network(sim, topology or Topology())
     regions = [r.name for r in network.topology.regions]
     store = StoreCluster(sim, network, num_replicas=3) if with_store else None
     plane = build_shard_plane(
@@ -210,7 +202,6 @@ def build_single_group_cluster(
     *,
     seed: int = 0,
     serf_config=None,
-    record_bandwidth_events: bool = False,
 ) -> FocusScenario:
     """A deployment whose nodes all share ONE attribute group.
 
@@ -248,7 +239,6 @@ def build_single_group_cluster(
         config=config,
         with_store=False,
         warm_start=True,
-        record_bandwidth_events=record_bandwidth_events,
         node_factory=factory,
     )
 

@@ -76,10 +76,7 @@ class Consumer(Process):
         super().__init__(sim, network, address, region)
         self.broker = broker
         self.queue = queue
-        # Streaming mode: consumers interleave an observe per delivery with
-        # percentile reads over the whole run, the exact pattern where
-        # re-sorting raw values is O(n log n) per read (~1% relative error).
-        self.latency = Histogram(f"{address}.latency", streaming=True)
+        self.latency = Histogram(f"{address}.latency")
         self.consumed = 0
         self._on_message = on_message
 

@@ -58,13 +58,12 @@ def build_openstack_cloud(
     host_disk_gb: int = 100,
     host_vcpus: int = 8,
     push_interval: float = 1.0,
-    record_bandwidth_events: bool = False,
 ) -> OpenStackCloud:
     """Build a cloud with ``num_hosts`` across the paper's four regions."""
     if mode not in ("focus", "mq"):
         raise ValueError(f"unknown mode {mode!r}")
     sim = Simulator(seed=seed)
-    network = Network(sim, Topology(), record_bandwidth_events=record_bandwidth_events)
+    network = Network(sim, Topology())
     regions = [r.name for r in network.topology.regions]
     config = config or FocusConfig()
 

@@ -10,11 +10,8 @@ from repro.sim.loop import Simulator
 from repro.sim.metrics import (
     BandwidthMeter,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
-    TimeSeries,
-    WindowTruncatedError,
 )
 from repro.sim.network import (
     Endpoint,
@@ -42,7 +39,6 @@ __all__ = [
     "Endpoint",
     "Event",
     "EventQueue",
-    "Gauge",
     "Histogram",
     "Message",
     "MetricsRegistry",
@@ -55,10 +51,8 @@ __all__ = [
     "Site",
     "SizedDict",
     "SizedPayload",
-    "TimeSeries",
     "TimerHandle",
     "Topology",
-    "WindowTruncatedError",
     "approx_size",
     "geo_distance_km",
 ]

@@ -39,7 +39,7 @@ message; that per-message path is the oracle in
 
 Endpoints are bound once, at :meth:`Network.register`: one record per
 address holds the endpoint, its handler table and its meter. A send resolves
-its sender and a delivery its receiver with one lookup, aggregate meters are
+its sender and a delivery its receiver with one lookup, meter totals are
 charged in place, and a message to a plain
 :class:`~repro.sim.process.Process` costs one handler call.
 
@@ -309,13 +309,6 @@ class Network:
         base times ``1 + uniform(0, jitter_fraction)``. Must be ``>= 0`` — a
         negative fraction could otherwise schedule delivery in the simulated
         past.
-    record_bandwidth_events:
-        When ``True`` meters keep per-message timestamped events so arbitrary
-        windows can be measured; when ``False`` meters keep aggregates only
-        (totals plus the observed time span — window queries that cover every
-        event still answer exactly, see :meth:`BandwidthMeter.bytes_in_window`).
-        Off by default: the per-message log costs two list appends on every
-        delivery, and only a caller that measures a partial window needs it.
     region_rng:
         When ``True``, loss/jitter and degraded-link draws come from
         per-*source-region* streams (``network@<region>`` /
@@ -337,7 +330,6 @@ class Network:
         *,
         loss_rate: float = 0.0,
         jitter_fraction: float = 0.1,
-        record_bandwidth_events: bool = False,
         region_rng: bool = False,
     ) -> None:
         if jitter_fraction < 0.0:
@@ -351,7 +343,6 @@ class Network:
         for (src_region, dst_region), latency in self.topology.latency_map().items():
             self._latency_rows.setdefault(src_region, {})[dst_region] = latency
         self.jitter_fraction = jitter_fraction
-        self.record_bandwidth_events = record_bandwidth_events
         self.metrics = MetricsRegistry()
         #: Registered address -> its :data:`Binding`, resolved once at
         #: :meth:`register` for every send and delivery.
@@ -477,9 +468,7 @@ class Network:
     def meter(self, address: str) -> BandwidthMeter:
         meter = self._meters.get(address)
         if meter is None:
-            meter = BandwidthMeter(
-                address, record_events=self.record_bandwidth_events
-            )
+            meter = BandwidthMeter(address)
             self._meters[address] = meter
         return meter
 
@@ -639,16 +628,9 @@ class Network:
         wire_size = size + MESSAGE_OVERHEAD_BYTES
         now = self.sim._now
         count = len(dsts)
-        if meter.record_events:
-            meter.on_send_many(now, wire_size, count)
-        elif count:
-            # BandwidthMeter.on_send_many's aggregate branch, in place.
-            meter.bytes_sent += wire_size * count
-            meter.messages_sent += count
-            if now < meter._oldest:
-                meter._oldest = now
-            if now > meter._newest:
-                meter._newest = now
+        # BandwidthMeter.on_send_many, in place.
+        meter.bytes_sent += wire_size * count
+        meter.messages_sent += count
         self._messages_sent.value += count
         self._bytes_sent.value += wire_size * count
         src_region = sender.region
@@ -878,9 +860,8 @@ class Network:
         items.
 
         Each delivery is one lookup of the receiver's :data:`Binding`, the
-        meter charged in place (a logging meter through ``on_receive``), and
-        one call: the handler from the bound table, or ``handle_message``
-        (see :meth:`register`). The delivered-messages counter is charged
+        meter charged in place, and one call: the handler from the bound
+        table, or ``handle_message`` (see :meth:`register`). The delivered-messages counter is charged
         once per flush (nothing in the stack reads it mid-flush);
         ``tests/oracles/direct_post.py``, one posted event per message
         through ``on_receive`` and ``handle_message``, is what this loop must
@@ -910,16 +891,9 @@ class Network:
                 self._count_drop(reason)
             else:
                 receiver, handlers, meter = binding
-                if meter.record_events:
-                    meter.on_receive(time, message.size)
-                else:
-                    # BandwidthMeter.on_receive's aggregate branch, in place.
-                    meter.bytes_received += message.size
-                    meter.messages_received += 1
-                    if time < meter._oldest:
-                        meter._oldest = time
-                    if time > meter._newest:
-                        meter._newest = time
+                # BandwidthMeter.on_receive, in place.
+                meter.bytes_received += message.size
+                meter.messages_received += 1
                 delivered += 1
                 if taps:
                     for tap in taps:

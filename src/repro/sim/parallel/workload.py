@@ -119,8 +119,7 @@ def _build_shard(
                 for name in network.metrics.names()["counters"]
             },
             "meter0": (
-                network.meter("a0").bytes_in_window(0.0, duration)
-                if 0 in local_index else None
+                network.meter("a0").total_bytes if 0 in local_index else None
             ),
         }
 

@@ -5,7 +5,7 @@ sentinel event: each message is posted to the event queue as its own
 delivery event, whose callback re-checks blocks and partitions, charges the
 receiver's meter (``on_receive``) and the delivered counter, runs the taps
 and hands the message to ``handle_message`` — where the shipped flush charges
-aggregate meters in place and calls a plain ``Process``'s handler from the
+meter totals in place and calls a plain ``Process``'s handler from the
 table bound at registration. It also decides "fault-free" per message, from
 the fault containers themselves rather than from the flags the fault setters
 keep.
@@ -47,7 +47,7 @@ class DirectPostNetwork(Network):
         wire_size = size + MESSAGE_OVERHEAD_BYTES
         now = self.sim.now
         count = len(dsts)
-        self.meter(src).on_send_many(now, wire_size, count)
+        self.meter(src).on_send_many(wire_size, count)
         self._messages_sent.inc(count)
         self._bytes_sent.inc(wire_size * count)
         src_region = sender.region
@@ -125,7 +125,7 @@ class DirectPostNetwork(Network):
             if reason is not None:
                 self._count_drop(reason)
                 return
-        self.meter(message.dst).on_receive(self.sim.now, message.size)
+        self.meter(message.dst).on_receive(message.size)
         self._messages_delivered.inc()
         for tap in self._delivery_taps:
             tap(message)

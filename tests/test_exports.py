@@ -56,9 +56,9 @@ class TestPublicSurface:
 
     @pytest.mark.parametrize("cls, options", [
         ("Simulator", ["strict_rng_labels"]),
-        ("Network", ["loss_rate", "jitter_fraction",
-                     "record_bandwidth_events", "region_rng"]),
-        ("BandwidthMeter", ["record_events"]),
+        ("Network", ["loss_rate", "jitter_fraction", "region_rng"]),
+        ("BandwidthMeter", []),
+        ("Histogram", []),
     ])
     def test_kernel_keyword_options_are_pinned(self, cls, options):
         """The kernel's constructor knobs, by name: a new one is added here

@@ -97,7 +97,7 @@ def swim_run(
             for name in network.metrics.names()["counters"]
         },
         "meters": {
-            f"a{i}": network.meter(f"a{i}").bytes_in_window(0.0, duration)
+            f"a{i}": network.meter(f"a{i}").total_bytes
             for i in range(num_nodes)
         },
     }

@@ -11,8 +11,9 @@ the shipped one). These tests pin the equivalence (a seeded full-protocol
 run, a Hypothesis sweep over random topologies and fault plans, and a
 Hypothesis sweep over raw fault-setter calls interleaved with sends),
 guard that the two arms really take different paths, hold the flags in
-step with the containers, and check message conservation at every sim
-second of a chaos run. The drop-accounting fixes that rode along earlier
+step with the containers, check message conservation at every sim second
+of a chaos run, and check that the per-endpoint meters sum to the network's
+counters under generated fault plans. The drop-accounting fixes that rode along earlier
 stay pinned too: in-flight partition/block re-checks, dead-destination
 partition attribution, and jitter/loss validation with a latency clamp.
 """
@@ -76,8 +77,6 @@ def network_summary(sim, network, trace):
             meter.bytes_received,
             meter.messages_sent,
             meter.messages_received,
-            meter._oldest,  # the observed span an aggregate meter keeps
-            meter._newest,
         )
         for address, meter in sorted(network._meters.items())
     }
@@ -104,7 +103,6 @@ def chatter_run(
     loss_rate=0.0,
     jitter_fraction=0.1,
     plan=None,
-    record_bandwidth_events=True,
 ):
     sim = Simulator(seed=seed)
     topo = topology if topology is not None else Topology()
@@ -114,7 +112,6 @@ def chatter_run(
         batched=batched,
         loss_rate=loss_rate,
         jitter_fraction=jitter_fraction,
-        record_bandwidth_events=record_bandwidth_events,
     )
     regions = [r.name for r in topo.regions]
     trace = []
@@ -138,15 +135,11 @@ def chatter_run(
     return network_summary(sim, network, trace)
 
 
-def swim_run(*, batched, seed=7, num_nodes=10, duration=8.0, loss_rate=0.05,
-             record_bandwidth_events=True):
+def swim_run(*, batched, seed=7, num_nodes=10, duration=8.0, loss_rate=0.05):
     """Full SWIM protocol (probes, suspicion, piggyback gossip, sync)."""
     sim = Simulator(seed=seed)
     topology = Topology()
-    network = make_network(
-        sim, topology, batched=batched, loss_rate=loss_rate,
-        record_bandwidth_events=record_bandwidth_events,
-    )
+    network = make_network(sim, topology, batched=batched, loss_rate=loss_rate)
     regions = [r.name for r in topology.regions]
     trace = []
     network.add_delivery_tap(
@@ -173,17 +166,12 @@ def swim_run(*, batched, seed=7, num_nodes=10, duration=8.0, loss_rate=0.05,
 class TestBatchedEquivalence:
     def test_swim_full_protocol_identical(self):
         """Seeded A/B: the batched path replays the reference run exactly —
-        event counts, drop counters, per-endpoint bytes, and the full
-        delivery trace (time, kind, src, dst, size per message)."""
+        event counts, drop counters, per-endpoint bytes (charged in place by
+        the shipped path, through ``on_send_many``/``on_receive`` by the
+        oracle), and the full delivery trace (time, kind, src, dst, size per
+        message)."""
         reference = swim_run(batched=False)
         batched = swim_run(batched=True)
-        assert batched == reference
-
-    def test_swim_full_protocol_identical_with_aggregate_meters(self):
-        """The same A/B with aggregate meters, which the shipped path charges
-        in place and the oracle through ``on_send_many``/``on_receive``."""
-        reference = swim_run(batched=False, record_bandwidth_events=False)
-        batched = swim_run(batched=True, record_bandwidth_events=False)
         assert batched == reference
 
     def test_arms_exercise_different_paths(self):
@@ -358,17 +346,15 @@ class TestBatchedEquivalenceProperty:
         loss_rate=st.floats(min_value=0.0, max_value=0.3),
         jitter_fraction=st.floats(min_value=0.0, max_value=0.5),
         plan=fault_plans(num_nodes=5),
-        record_bandwidth_events=st.booleans(),
     )
     @settings(max_examples=30, deadline=None)
     def test_batched_is_event_order_and_byte_identical(
         self, topology, seed, loss_rate, jitter_fraction, plan,
-        record_bandwidth_events,
     ):
-        """Across random topologies, jitter/loss settings, fault plans
-        (partitions with heals, degraded links, crash/restart) and both
-        meter modes, the batched path produces the identical delivery trace,
-        counters and meters as the direct-post oracle."""
+        """Across random topologies, jitter/loss settings and fault plans
+        (partitions with heals, degraded links, crash/restart), the batched
+        path produces the identical delivery trace, counters and meters as
+        the direct-post oracle."""
         kwargs = dict(
             seed=seed,
             topology=topology,
@@ -377,7 +363,6 @@ class TestBatchedEquivalenceProperty:
             loss_rate=loss_rate,
             jitter_fraction=jitter_fraction,
             plan=plan,
-            record_bandwidth_events=record_bandwidth_events,
         )
         reference = chatter_run(batched=False, **kwargs)
         batched = chatter_run(batched=True, **kwargs)
@@ -609,6 +594,33 @@ class TestConservation:
         for reason in ("partitioned", "partitioned_in_flight", "degraded",
                        "loss", "dead_endpoint"):
             assert count(f"messages_dropped.{reason}") > 0, reason
+
+    @given(
+        topology=topologies(),
+        seed=st.integers(min_value=0, max_value=2**20),
+        loss_rate=st.floats(min_value=0.0, max_value=0.3),
+        plan=fault_plans(num_nodes=5),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_meters_sum_to_the_network_counters(
+        self, topology, seed, loss_rate, plan,
+    ):
+        """Under loss, partitions, degraded links and crash/restart, the
+        per-endpoint meters add up to the network-wide counters: every byte
+        and message sent is charged to exactly one sender's meter, and every
+        delivery to exactly one receiver's."""
+        summary = chatter_run(
+            batched=True, seed=seed, topology=topology, num_nodes=5,
+            loss_rate=loss_rate, plan=plan,
+        )
+        meters = summary["meters"].values()
+        counters = summary["counters"]
+        bytes_sent, _, messages_sent, messages_received = (
+            sum(column) for column in zip(*meters)
+        )
+        assert bytes_sent == counters["bytes_sent"]
+        assert messages_sent == counters["messages_sent"]
+        assert messages_received == counters["messages_delivered"]
 
 
 @pytest.fixture

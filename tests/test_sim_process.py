@@ -170,10 +170,10 @@ class TestDispatchContract:
         assert network.metrics.counter("messages_dropped.dead_endpoint").value == 1
         assert network.metrics.counter("messages_delivered").value == 0
 
-    @pytest.mark.parametrize("record_events", [True, False])
-    def test_restart_rebinds_the_same_meter(self, record_events):
+    @pytest.mark.parametrize("reset_between", [True, False])
+    def test_restart_rebinds_the_same_meter(self, reset_between):
         sim = Simulator(seed=1)
-        network = Network(sim, Topology(), record_bandwidth_events=record_events)
+        network = Network(sim, Topology())
         region = network.topology.regions[0].name
         a = Echo(sim, network, "a", region)
         b = Echo(sim, network, "b", region)
@@ -188,11 +188,14 @@ class TestDispatchContract:
         b.restart()
         assert network._bindings["b"][2] is meter is network.meter("b")
         assert network._bindings["b"][1] is b._handlers
-        meter.reset()  # what FocusScenario.reset_bandwidth does
+        if reset_between:
+            meter.reset()  # what FocusScenario.reset_bandwidth does
         a.send("b", "echo", {}, size=40)
         sim.run_until(2.0)
         assert len(b.seen) == 2
+        # Without a reset the one meter carries both lives of "b".
+        received = 1 if reset_between else 2
         assert (meter.bytes_received, meter.messages_received) == (
-            40 + MESSAGE_OVERHEAD_BYTES, 1
+            received * (40 + MESSAGE_OVERHEAD_BYTES), received
         )
-        assert meter.bytes_in_window(0.0, 2.0) == 40 + MESSAGE_OVERHEAD_BYTES
+        assert meter.total_bytes == received * (40 + MESSAGE_OVERHEAD_BYTES)
