@@ -10,7 +10,7 @@ never traverse — and are never cached by — the server).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.query import DecodedQueryJson, Query, match_record
 from repro.sim.loop import Simulator
@@ -32,6 +32,10 @@ class QueryResponse:
     #: and replica answers report how stale their snapshot may be).
     staleness_ms: float = 0.0
     error: Optional[str] = None
+    #: Set when a shard of a sharded plane shed or throttled the query: the
+    #: answer lacks those shards' matches (named in ``refused_shards``).
+    partial: bool = False
+    refused_shards: Tuple[str, ...] = ()
 
     @property
     def node_ids(self) -> List[str]:
@@ -69,6 +73,8 @@ class FocusClient:
                     groups_queried=int(result.get("groups_queried", 0)),
                     staleness_ms=float(result.get("staleness_ms", 0.0)),
                     error=result.get("error"),
+                    partial=bool(result.get("partial", False)),
+                    refused_shards=tuple(result.get("refused_shards", ())),
                 )
             )
 

@@ -510,7 +510,7 @@ class ShardRouter(Process, RpcMixin):
 
         def on_reply(result) -> None:
             self._breaker_record(shard, sent_at, result)
-            self._absorb_and_respond(query, [result], respond)
+            self._absorb_and_respond(query, [shard], [result], respond)
 
         def on_timeout() -> None:
             self._breaker_record(shard, sent_at, None)
@@ -553,7 +553,7 @@ class ShardRouter(Process, RpcMixin):
             # Merge in shard order (not arrival order) so the merged match
             # list — and everything derived from it — is deterministic.
             ordered = [partials.get(owner) for owner in owners]
-            self._absorb_and_respond(query, ordered, respond)
+            self._absorb_and_respond(query, owners, ordered, respond)
 
         for owner in owners:
             def on_reply(result, owner=owner) -> None:
@@ -574,8 +574,15 @@ class ShardRouter(Process, RpcMixin):
                 timeout=self._shard_timeout(),
             )
 
-    def _absorb_and_respond(self, query: Query, partials, respond) -> None:
-        """Merge shard answers, cache the result, respond to the caller."""
+    def _absorb_and_respond(self, query: Query, owners, partials, respond) -> None:
+        """Merge shard answers, cache the result, respond to the caller.
+
+        ``partials[i]`` is ``owners[i]``'s reply (``None`` if it timed out).
+        A shard that shed or throttled the query answers with ``error`` and
+        no matches, so the merge lacks its share: the reply then says so
+        with ``partial: true`` and the refusing shards in ``refused_shards``
+        (a complete reply carries neither key).
+        """
         matches: Dict[str, dict] = {}
         staleness = 0.0
         groups_queried = 0
@@ -610,8 +617,11 @@ class ShardRouter(Process, RpcMixin):
             })
             return
         merged = list(matches.values())
-        errored = any(p and p.get("error") for p in partials)
-        if not timed_out and not errored and seen_any and self.config.cache_enabled:
+        refused = [
+            owner for owner, partial in zip(owners, partials)
+            if partial and partial.get("error")
+        ]
+        if not timed_out and not refused and seen_any and self.config.cache_enabled:
             self.cache.store(query, merged, self.sim.now, staleness_ms=staleness)
         if query.limit is not None:
             merged = merged[: query.limit]
@@ -626,8 +636,11 @@ class ShardRouter(Process, RpcMixin):
             timed_out=timed_out, groups_queried=groups_queried,
             staleness_ms=staleness,
         )
-        if len(partials) == 1 and partials[0] and partials[0].get("error"):
-            payload["error"] = partials[0]["error"]
+        if refused:
+            if len(partials) == 1:
+                payload["error"] = partials[0]["error"]
+            payload["partial"] = True
+            payload["refused_shards"] = refused
         respond(payload)
 
     @staticmethod

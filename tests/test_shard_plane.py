@@ -17,6 +17,7 @@ from repro.core.shardplane import (
 )
 from repro.harness import build_focus_cluster
 from repro.harness.failure_suite import run_shard_failover
+from repro.sim.rpc import RESPONSE_KIND
 from repro.workloads.querygen import QueryWorkload
 
 #: Digest of the seeded ``shards=1`` run in :func:`_seeded_run_digest`.
@@ -294,3 +295,50 @@ class TestShedShardMergeIsNotCached:
         assert not first[1]  # not timed out: the shard answered, with an error
         assert first[3] == second[3]
         assert cached is None
+
+
+class TestShedShardMergeIsFlaggedPartial:
+    """A 2-shard query in which one shard sheds: the merged reply carries the
+    other shard's matches and says it is partial, naming the shard that
+    refused. A complete merge carries neither key."""
+
+    QUERY = TestShedShardMergeIsNotCached.QUERY
+
+    def answer(self, shed: bool):
+        scenario = build_focus_cluster(
+            40, seed=6, config=FocusConfig(shards=2),
+            warm_start=True, with_store=False,
+        )
+        _, owners = scenario.plane.router._scatter_plan(self.QUERY)
+        assert len(owners) == 2
+        if shed:
+            (victim,) = [s for s in scenario.plane.shards if s.address == owners[1]]
+            victim.router.handle = (
+                lambda params, respond: victim._overload_payload("shed-backlog")
+            )
+        replies = []  # the result of every RPC response the application gets
+        scenario.network.add_delivery_tap(
+            lambda message: replies.append(message.payload["result"])
+            if message.dst == scenario.app.address and message.kind == RESPONSE_KIND
+            else None
+        )
+        scenario.sim.run_until(2.0)
+        box = []
+        scenario.app.query(self.QUERY, box.append)
+        while not box:
+            scenario.sim.run_until(scenario.sim.now + 0.25)
+        return box[0], replies[-1], owners
+
+    def test_a_complete_merge_has_no_partial_keys(self):
+        response, result, _ = self.answer(shed=False)
+        assert not response.partial and response.refused_shards == ()
+        assert "partial" not in result and "refused_shards" not in result
+
+    def test_a_merge_with_a_shed_shard_says_partial(self):
+        complete, _, _ = self.answer(shed=False)
+        response, _, owners = self.answer(shed=True)
+        assert response.partial
+        assert response.refused_shards == (owners[1],)
+        assert not response.timed_out and response.error is None
+        assert response.matches  # the answering shard's share is kept
+        assert set(response.node_ids) < set(complete.node_ids)
