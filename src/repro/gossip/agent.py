@@ -17,9 +17,9 @@ member. A hand-built plain ``dict`` wire still works; it is measured where it
 is queued.
 
 Who rejects a re-delivery: every member re-gossips every wire
-``retransmit_mult * ceil(log2(n + 1))`` times to ``gossip_fanout`` peers, so
-all but one of a member's deliveries of a wire are repeats (99% in a
-400-member group). :meth:`SwimAgent._on_gossip
+``retransmit_mult * ceil(log10(n + 1))`` times (memberlist's limit) to
+``gossip_fanout`` peers, so all but one of a member's deliveries of a wire
+are repeats (97.6% in a 400-member group). :meth:`SwimAgent._on_gossip
 <repro.gossip.swim.SwimAgent._on_gossip>` turns away a gossip packet whose
 every wire is a ``SizedWire`` with an ``id`` in this agent's seen set without
 entering the update loop, as most packets are such whole repeats; any other

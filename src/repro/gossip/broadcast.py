@@ -2,8 +2,10 @@
 
 SWIM disseminates membership updates (and, in Serf, user events) by
 piggybacking them on gossip and probe messages. Each broadcast is retransmitted
-a bounded number of times — ``retransmit_mult * ceil(log2(n + 1))`` — which
-gives epidemic dissemination with high probability while bounding bandwidth.
+a bounded number of times — ``retransmit_mult * ceil(log10(n + 1))``, the
+limit memberlist's ``TransmitLimitedQueue`` (and so Serf) applies — which
+gives epidemic dissemination with high probability while bounding bandwidth:
+with fan-out 4, a broadcast is sent 12 times in a 400-member group.
 
 Broadcasts carry a ``key``: queueing a new broadcast with the same key
 invalidates the old one (e.g. a newer state for the same member replaces the
@@ -72,9 +74,10 @@ class Broadcast:
 
 def retransmit_limit(retransmit_mult: int, group_size: int) -> int:
     """Number of times each broadcast is retransmitted:
-    ``retransmit_mult * ceil(log2(n + 1))``, where ``ceil(log2(n + 1))`` is
-    exactly the bit length of ``n`` for ``n >= 1``."""
-    return retransmit_mult * max(group_size, 1).bit_length()
+    ``retransmit_mult * ceil(log10(n + 1))``, memberlist's
+    ``retransmitLimit``. ``ceil(log10(n + 1))`` is exactly the number of
+    decimal digits of ``n`` for ``n >= 1``; smaller groups count as 1."""
+    return retransmit_mult * len(str(max(group_size, 1)))
 
 
 class BroadcastQueue:
@@ -137,10 +140,13 @@ class BroadcastQueue:
         payloads = []
         total_size = 0
         if len(queue) <= max_items:
-            # Everything goes, in queue order (what the stable sort below
-            # would give too). The dict is walked in place, without a copy,
-            # so spent broadcasts are deleted after the walk. A tuple: most
-            # takes spend none, and ``()`` allocates nothing.
+            # Everything goes, in queue order. That is not the order the
+            # sort below would give once budgets differ (it puts a later
+            # broadcast with more transmissions left first), and the order
+            # is the packet's bytes: keep the walk. The dict is walked in
+            # place, without a copy, so spent broadcasts are deleted after
+            # the walk. A tuple: most takes spend none, and ``()`` allocates
+            # nothing.
             spent = ()
             for broadcast in queue.values():
                 payloads.append(broadcast.payload)

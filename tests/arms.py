@@ -1,9 +1,10 @@
 """Test-side substitution of the kernel's oracles (``tests/oracles/``).
 
-``src/`` has one scheduler, one periodic-timer path, one membership backend
-and one probe walk, and no parameter to choose another. The equivalence tests
-swap the oracle in at the construction site instead, by patching the module
-global the kernel instantiates (or, for the probe walk, the method).
+``src/`` has one scheduler, one periodic-timer path, one membership backend,
+one probe walk and one retransmit limit, and no parameter to choose another.
+The equivalence tests swap the oracle in at the construction site instead, by
+patching the module global the kernel instantiates or calls (or, for the
+probe walk, the method).
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ from contextlib import contextmanager
 
 import pytest
 
+import repro.gossip.broadcast
 import repro.gossip.swim
 import repro.sim.loop
 from tests.oracles.heap_queue import HeapEventQueue
 from tests.oracles.member_list import MemberList
 from tests.oracles.probe_order import next_probe_target
+from tests.oracles.retransmit import retransmit_limit as log2_retransmit_limit
 from tests.oracles.self_timer import SelfReschedulingTimer
 
 
@@ -26,10 +29,12 @@ def kernel(
     timers: str = "wheel",
     members: str = "table",
     probes: str = "draw",
+    retransmit: str = "log10",
 ):
     """Simulators, timers and SWIM agents *built* inside the block use the
     named oracle: ``queue="heap"``, ``timers="self"``, ``members="dict"``.
-    ``probes="shuffle"`` swaps every SWIM agent's probe walk, built or not,
+    ``probes="shuffle"`` swaps every SWIM agent's probe walk, and
+    ``retransmit="log2"`` the limit of every broadcast queued, built or not,
     while the block runs. The defaults are the kernel as shipped."""
     with pytest.MonkeyPatch.context() as patch:
         if queue == "heap":
@@ -41,5 +46,9 @@ def kernel(
         if probes == "shuffle":
             patch.setattr(
                 repro.gossip.swim.SwimAgent, "_next_probe_target", next_probe_target
+            )
+        if retransmit == "log2":
+            patch.setattr(
+                repro.gossip.broadcast, "retransmit_limit", log2_retransmit_limit
             )
         yield

@@ -1,7 +1,6 @@
 """Unit tests for the piggyback broadcast queue."""
 
 import heapq
-import math
 import pickle
 
 from hypothesis import given, settings, strategies as st
@@ -12,20 +11,27 @@ from repro.sim.network import approx_size
 
 
 class TestRetransmitLimit:
-    def test_grows_logarithmically(self):
-        assert retransmit_limit(4, 1) == 4
-        assert retransmit_limit(4, 3) == 8
-        assert retransmit_limit(4, 100) < retransmit_limit(4, 10000)
+    def test_memberlist_cases(self):
+        """memberlist's own ``retransmitLimit`` cases (``util_test.go``),
+        and the limits at the group sizes the paper runs. (memberlist gives
+        0 for an empty group; here a group counts as at least 1 member.)"""
+        assert retransmit_limit(3, 1) == 3
+        assert retransmit_limit(3, 99) == 6
+        assert retransmit_limit(4, 400) == 12
+        assert retransmit_limit(4, 1600) == 16
 
     def test_minimum_group(self):
         assert retransmit_limit(4, 0) == 4
 
-    def test_bit_length_is_the_ceiling_of_log2(self):
-        """The integer form against the float form it replaced, for every
-        group size up to 10^5 (and the clamped ones below 1)."""
+    def test_digit_count_is_the_ceiling_of_log10(self):
+        """The decimal digit count of ``n`` is the smallest ``d`` with
+        ``10**d >= n + 1``, i.e. ``ceil(log10(n + 1))`` without a float,
+        for every group size up to 10^5 (and the clamped ones below 1)."""
         for n in range(-2, 10**5):
-            old = 4 * int(math.ceil(math.log2(max(n, 1) + 1)))
-            assert retransmit_limit(4, n) == old, n
+            d = 1
+            while 10**d < max(n, 1) + 1:
+                d += 1
+            assert retransmit_limit(4, n) == 4 * d, n
 
 
 class TestQueue:
@@ -140,6 +146,22 @@ def copy_then_walk_take(queue, max_items):
         if broadcast.transmits_left <= 0:
             del queue._queue[broadcast.key]
     return payloads, total_size
+
+
+class TestTakeAllOrder:
+    def test_a_queue_that_fits_goes_out_in_queue_order(self):
+        """When the whole queue fits, the take walks it in queue order,
+        which is *not* what the least-transmitted-first sort would give once
+        budgets differ: here the later broadcast has more left and the sort
+        would put it first, moving every packet's bytes."""
+        q = BroadcastQueue()
+        q.enqueue(("m", "early"), {"v": "early"}, group_size=4, transmits=1)
+        q.enqueue(("m", "late"), {"v": "late"}, group_size=4, transmits=3)
+        by_budget = sorted(
+            q._queue.values(), key=lambda b: b.transmits_left, reverse=True
+        )
+        assert [b.payload["v"] for b in by_budget] == ["late", "early"]
+        assert q.take(2) == [{"v": "early"}, {"v": "late"}]
 
 
 class TestTakeAll:

@@ -9,6 +9,9 @@ list when a pass wrapped (``tests/oracles/probe_order.py``, substituted with
 * the seeded kernel run digests to the committed checksum, and every
   implementation arm (the in-flight heap vs the one-event-per-message oracle
   in ``tests/oracles/direct_post.py``, GC freeze on/off) reproduces it;
+* under the log2 retransmit limit it replaced (``tests/oracles/retransmit.py``,
+  ``kernel(retransmit="log2")``) the run digests to the checksum pinned
+  before that change, and with the old walk too, to the one before that;
 * each draw takes exactly the bits ``random.Random._randbelow`` takes;
 * a member alive for a whole pass is probed exactly once in it, and no
   member is probed twice in a pass, whatever deaths, leaves, reclaims and
@@ -41,10 +44,11 @@ from repro.sim.rpc import DEFERRED, RpcMixin
 from tests.arms import kernel
 from tests.oracles.direct_post import DirectPostNetwork
 from tests.oracles.probe_order import SHUFFLE_DETERMINISM_CHECKSUM
+from tests.oracles.retransmit import LOG2_DETERMINISM_CHECKSUM
 
 #: The committed kernel determinism checksum (BENCH_kernel.json).
 DETERMINISM_CHECKSUM = (
-    "fc5bcf0234bddcbc17d2995568000369c6b9113b40531c3d2fc47f095b8db7e1"
+    "26ae3d3d67143a4955d486728f8c085b2125aa7a6c1f9cf3b542a8f4b308fabf"
 )
 
 
@@ -140,11 +144,19 @@ class TestByteExactness:
         assert "victim_views" in json.loads(a)
 
     def test_shuffle_oracle_is_the_walk_it_replaced(self):
-        """Under the oracle the kernel run digests to the checksum pinned
-        before the walk changed, so the comparisons below are against the
-        old walk itself."""
-        with kernel(probes="shuffle"):
+        """Under the oracle (and the retransmit limit of its day) the kernel
+        run digests to the checksum pinned before the walk changed, so the
+        comparisons below are against the old walk itself."""
+        with kernel(probes="shuffle", retransmit="log2"):
             assert determinism_checksum() == SHUFFLE_DETERMINISM_CHECKSUM
+
+    def test_log2_oracle_is_the_limit_it_replaced(self):
+        """Under the log2 retransmit limit the kernel run digests to the
+        checksum pinned before the limit changed: the limit is the only
+        cause of the re-pin."""
+        with kernel(retransmit="log2"):
+            assert determinism_checksum() == LOG2_DETERMINISM_CHECKSUM
+        assert LOG2_DETERMINISM_CHECKSUM != DETERMINISM_CHECKSUM
 
 
 # ---------------------------------------------------------------- the draw
