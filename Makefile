@@ -3,8 +3,8 @@
 # queue and timer wheel must be bit-identical to their tests/oracles/
 # references: a binary heap and a self-rescheduling timer), the benchmark
 # regression gate (a quick kernel-bench smoke pass — which re-verifies the
-# send hot-path speedup, the swim_full and serial<->parallel
-# checksums, and the seeded-run determinism checksum — compared against the
+# send hot-path speedup, the swim_full checksums and the seeded-run
+# determinism checksum — compared against the
 # committed full-mode BENCH_kernel.json),
 # the chaos smoke gate (the fault-injection layer stays deterministic and
 # inert when unused), the focusbench smoke pass (the BENCHMARK.json
@@ -15,10 +15,10 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: check lint test scheduler-equivalence global-state-gate \
-        parallel-equivalence bench-gate bench-kernel \
+        bench-gate bench-kernel \
         bench-kernel-smoke bench chaos-smoke bench-shards bench-shards-smoke \
         bench-overload bench-overload-smoke focusbench-smoke digest-diff \
-        hotspots hotspots-smoke lockstep figures
+        hotspots hotspots-smoke lockstep figures census
 
 check: lint test scheduler-equivalence global-state-gate bench-gate chaos-smoke \
        focusbench-smoke hotspots-smoke
@@ -44,10 +44,6 @@ scheduler-equivalence:
 global-state-gate:
 	$(PYTHON) -m pytest tests/test_global_state.py \
 		tests/test_run_until_boundary.py -q
-
-# Serial <-> parallel byte-equivalence of the region-sharded kernel.
-parallel-equivalence:
-	$(PYTHON) -m pytest tests/test_parallel_kernel.py -q
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -123,6 +119,12 @@ REPS ?= 3
 lockstep:
 	$(PYTHON) benchmarks/lockstep.py --base $(BASE) --workload $(WORKLOAD) \
 		--seed $(SEED) --reps $(REPS)
+
+# Which function bodies in src/repro a product path reaches, which only
+# tier-1 reaches, and which nothing reaches: per file, in lines, from stdlib
+# cProfile in every process (~15 min). Informational; nothing is gated on it.
+census:
+	$(PYTHON) benchmarks/census.py
 
 bench-kernel:
 	$(PYTHON) benchmarks/bench_kernel.py

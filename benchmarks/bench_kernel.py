@@ -23,7 +23,6 @@ import argparse
 import gc
 import hashlib
 import json
-import os
 import platform
 import sys
 import time
@@ -34,11 +33,6 @@ from repro.gossip.membership import NodeDirectory, seed_converged
 from repro.gossip.swim import SwimAgent, SwimConfig
 from repro.sim import Network, Simulator, Topology
 from repro.sim.network import SizedPayload
-from repro.sim.parallel.workload import (
-    run_parallel,
-    run_serial,
-    summary_checksum,
-)
 
 
 # --------------------------------------------------------------------- timing
@@ -392,84 +386,6 @@ def bench_scale_sweep(quick: bool) -> Dict[str, object]:
     }
 
 
-#: Required wall-clock speedup of the 4-worker parallel arm over the
-#: same-sweep serial arm at 6400 nodes. Only *enforced* when the machine
-#: that produced the numbers actually had at least as many cores as
-#: workers — on smaller boxes the point still runs (checksum equality is
-#: unconditional) but the speedup is recorded as advisory.
-PARALLEL_MIN_SPEEDUP = 1.8
-
-#: Worker count for the full-mode parallel A/B point.
-PARALLEL_WORKERS = 4
-
-
-def _parallel_ab_point(
-    nodes: int, workers: int, duration: float
-) -> Dict[str, object]:
-    """One serial-vs-parallel A/B measurement of the canonical sharded
-    workload (``repro.sim.parallel.workload``): run the identical seeded
-    workload on the serial loop and under ``workers`` forked region
-    workers, assert the merged summary is byte-identical, and record the
-    wall-clock speedup."""
-    gc.collect()
-    start = time.perf_counter()
-    serial = run_serial(nodes, duration)
-    serial_elapsed = time.perf_counter() - start
-    gc.collect()
-    start = time.perf_counter()
-    merged, coordinator = run_parallel(nodes, duration, workers=workers)
-    parallel_elapsed = time.perf_counter() - start
-    serial_ck = summary_checksum(serial)
-    parallel_ck = summary_checksum(merged)
-    # The hard equivalence bar: the region-sharded kernel must reproduce
-    # the serial run exactly, on every machine, at every size. Never
-    # conditional on core count.
-    assert serial_ck == parallel_ck, (
-        f"parallel kernel diverged from serial at {nodes} nodes / "
-        f"{workers} workers: {serial_ck[:16]} != {parallel_ck[:16]}"
-    )
-    cores = os.cpu_count() or 1
-    return {
-        "nodes": nodes,
-        "duration": duration,
-        "workers": workers,
-        "cpu_count": cores,
-        "events": serial["events"],
-        "serial_ops_per_sec": serial["events"] / serial_elapsed,
-        "parallel_ops_per_sec": serial["events"] / parallel_elapsed,
-        "speedup": serial_elapsed / parallel_elapsed,
-        "min_speedup": PARALLEL_MIN_SPEEDUP,
-        # The speedup floor only means something when the workers had real
-        # cores to land on; gate.py reads this flag.
-        "enforced": cores >= workers,
-        "checksum": serial_ck,
-        "checksums_match": True,
-        "windows_run": coordinator.windows_run,
-        "messages_exchanged": coordinator.messages_exchanged,
-    }
-
-
-def bench_swim_full_parallel(quick: bool) -> Dict[str, object]:
-    """A/B the region-sharded parallel kernel against the serial loop on
-    the same seeded full-protocol SWIM sweep.
-
-    Quick mode runs 400 nodes on 2 workers (an equivalence smoke — the
-    speedup carries no signal at that size); full mode runs the 6400-node
-    sweep on 4 workers, the point the ``PARALLEL_MIN_SPEEDUP`` acceptance
-    bar applies to. Setting ``BENCH_PARALLEL_STRETCH_NODES`` (the nightly
-    sweep sets 25600) appends a stretch point under ``"stretch"``.
-    """
-    nodes = 400 if quick else 6400
-    workers = 2 if quick else PARALLEL_WORKERS
-    point = _parallel_ab_point(nodes, workers, duration=3.0)
-    stretch_nodes = os.environ.get("BENCH_PARALLEL_STRETCH_NODES")
-    if stretch_nodes and not quick:
-        point["stretch"] = _parallel_ab_point(
-            int(stretch_nodes), PARALLEL_WORKERS, duration=3.0
-        )
-    return point
-
-
 def determinism_checksum(with_chaos: bool = False) -> str:
     """Checksum of a seeded SWIM run's metrics; must be stable run to run.
 
@@ -518,7 +434,6 @@ BENCHES = {
     "timer_storm": bench_timer_storm,
     "swim_full": bench_swim_full,
     "scale_sweep": bench_scale_sweep,
-    "swim_full_parallel": bench_swim_full_parallel,
 }
 
 
@@ -545,12 +460,7 @@ def main(argv=None) -> int:
         gc.collect()
         result = BENCHES[name](args.quick)
         results[name] = result
-        if name == "swim_full_parallel":
-            print(f"{name:26s} {result['serial_ops_per_sec']:>12.0f} -> "
-                  f"{result['parallel_ops_per_sec']:>12.0f} ev/s "
-                  f"({result['speedup']:.2f}x on {result['workers']} workers, "
-                  f"{result['cpu_count']} cores, checksums match)")
-        elif "speedup" in result:
+        if "speedup" in result:
             print(f"{name:26s} {result['naive_ops_per_sec']:>12.0f} -> "
                   f"{result['optimized_ops_per_sec']:>12.0f} ops/s "
                   f"({result['speedup']:.1f}x)")
@@ -635,24 +545,6 @@ def main(argv=None) -> int:
                       f"the absolute floor is {SWIM_FULL_6400_FLOOR:.0f} ev/s",
                       file=sys.stderr)
                 return 1
-    # Acceptance bar for the region-sharded parallel kernel: the full-mode
-    # 6400-node point must clear PARALLEL_MIN_SPEEDUP over the same-sweep
-    # serial arm — but only on machines with enough cores for the workers
-    # to actually run in parallel (checksum equality was already asserted
-    # inside the bench, unconditionally).
-    if not args.quick and "swim_full_parallel" in results:
-        point = results["swim_full_parallel"]
-        if point["enforced"]:
-            if point["speedup"] < PARALLEL_MIN_SPEEDUP:
-                print(f"FAIL: swim_full_parallel at {point['nodes']} nodes "
-                      f"is only {point['speedup']:.2f}x the serial arm on "
-                      f"{point['workers']} workers; need "
-                      f">={PARALLEL_MIN_SPEEDUP:.1f}x", file=sys.stderr)
-                return 1
-        else:
-            print(f"note: swim_full_parallel speedup bar not enforced — "
-                  f"{point['cpu_count']} cores < {point['workers']} workers",
-                  file=sys.stderr)
     if not deterministic:
         print("FAIL: seeded run is not deterministic", file=sys.stderr)
         return 1

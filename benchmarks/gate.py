@@ -65,11 +65,6 @@ SPEEDUP_NOISE_CEILING = 2.0
 #: nodes (``SWIM_FULL_6400_FLOOR`` in bench_kernel.py).
 SWIM_FULL_6400_FLOOR = 45_000.0
 
-#: Fallback speedup floor for the region-sharded parallel kernel's
-#: full-mode A/B point; normally the floor recorded in the report itself
-#: (``min_speedup``, set by bench_kernel.py) is used.
-PARALLEL_MIN_SPEEDUP = 1.8
-
 #: The committed full-mode shard sweep must show at least this much
 #: aggregate query throughput at 8 shards relative to 1 shard.
 SHARDS_SCALEOUT_FLOOR = 3.0
@@ -221,43 +216,6 @@ def check(
             f"{SWIM_FULL_6400_FLOOR:.0f} ev/s"
         )
 
-    # Region-sharded parallel kernel (swim_full_parallel). Two invariants:
-    #
-    # * serial<->parallel checksum equality must hold in *every* report —
-    #   baseline and candidate, quick or full, any machine. (The bench
-    #   asserts it before writing the file; the gate re-checks so a
-    #   hand-edited report cannot hide a divergence.)
-    # * the wall-clock speedup floor applies only to full-mode reports
-    #   whose recorded machine had at least as many cores as workers
-    #   (``enforced`` — a 1-core box cannot demonstrate parallel speedup,
-    #   but it can and must demonstrate equivalence). Quick mode's
-    #   400-node point is an equivalence smoke, never a speedup claim.
-    for side, report, point in (
-        ("baseline", baseline, base_results.get("swim_full_parallel")),
-        ("candidate", candidate, cand_results.get("swim_full_parallel")),
-    ):
-        if point is None:
-            continue
-        for name, sub in (("", point), (" stretch", point.get("stretch"))):
-            if sub is None:
-                continue
-            if not sub.get("checksums_match"):
-                failures.append(
-                    f"{side} swim_full_parallel{name}: the parallel arm's "
-                    f"merged checksum does not match the serial arm — the "
-                    f"region-sharded kernel diverged"
-                )
-                continue
-            floor = sub.get("min_speedup", PARALLEL_MIN_SPEEDUP)
-            if (not report.get("quick") and sub.get("enforced")
-                    and sub["speedup"] < floor):
-                failures.append(
-                    f"{side} swim_full_parallel{name}: "
-                    f"{sub['speedup']:.2f}x over the serial arm on "
-                    f"{sub['workers']} workers ({sub['cpu_count']} cores); "
-                    f"the acceptance floor is {floor:.1f}x"
-                )
-
     return failures
 
 
@@ -376,18 +334,6 @@ def write_summary(
         base, cand = kernel
         lines.append(f"| kernel checksum | {_checksum_of(base)} "
                      f"| {_checksum_of(cand)} |")
-
-        def parallel_cell(report: Dict[str, object]) -> str:
-            point = (report.get("results") or {}).get("swim_full_parallel")
-            if not point:
-                return "-"
-            verdict = ("serial≡parallel" if point.get("checksums_match")
-                       else "DIVERGED")
-            return (f"{point['speedup']:.2f}x @ {point['workers']}w "
-                    f"({verdict})")
-
-        lines.append(f"| parallel kernel A/B | {parallel_cell(base)} "
-                     f"| {parallel_cell(cand)} |")
     if shards is not None:
         base, cand = shards
         lines.append(f"| shards checksum | {_checksum_of(base)} "

@@ -9,9 +9,6 @@ Installed as ``focus-repro``. Subcommands:
 * ``compare`` — FOCUS vs one baseline, server bandwidth side by side;
 * ``chaos``   — seeded failure scenarios (crash, partition, churn, server
                 failover) with a deterministic resilience report;
-* ``swarm``   — the full-protocol SWIM sweep on the region-sharded parallel
-                kernel (``--workers N``; ``--workers 1`` runs the serial
-                reference arm of the same workload);
 * ``info``    — the default attribute schema and configuration.
 """
 
@@ -104,23 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument("--out", default=None, metavar="PATH",
                        help="also write the full resilience report JSON")
-
-    swarm = subparsers.add_parser(
-        "swarm",
-        help="full-protocol SWIM sweep on the parallel kernel",
-    )
-    swarm.add_argument("--nodes", type=int, default=400)
-    swarm.add_argument("--duration", type=float, default=3.0)
-    swarm.add_argument(
-        "--workers", type=int, default=1,
-        help="region worker processes (1 = serial loop; >1 shards the "
-             "topology's regions over forked workers with conservative "
-             "window sync — byte-identical summaries either way)",
-    )
-    swarm.add_argument(
-        "--verify", action="store_true",
-        help="also run the serial arm and assert the summaries match",
-    )
 
     subparsers.add_parser("info", help="default schema and configuration")
     return parser
@@ -260,44 +240,6 @@ def cmd_chaos(args) -> int:
     return 0
 
 
-def cmd_swarm(args) -> int:
-    """``swarm``: the canonical sharded SWIM sweep, serial or parallel."""
-    import time
-
-    from repro.sim.parallel.workload import (
-        run_parallel,
-        run_serial,
-        summary_checksum,
-    )
-
-    print(f"{args.nodes} nodes for {args.duration:g} simulated seconds "
-          f"(workers {args.workers})...")
-    start = time.perf_counter()
-    if args.workers <= 1:
-        summary = run_serial(args.nodes, args.duration)
-        detail = "serial loop"
-    else:
-        summary, coordinator = run_parallel(
-            args.nodes, args.duration, workers=args.workers
-        )
-        detail = (f"{coordinator.workers} workers, "
-                  f"{coordinator.windows_run} windows, "
-                  f"{coordinator.messages_exchanged} cross-region messages")
-    elapsed = time.perf_counter() - start
-    events = summary["events"]
-    print(f"{events} events in {elapsed:.2f}s wall "
-          f"({events / elapsed:,.0f} ev/s; {detail})")
-    print(f"summary checksum: {summary_checksum(summary)[:16]}…")
-    if args.verify and args.workers > 1:
-        reference = run_serial(args.nodes, args.duration)
-        if reference != summary:
-            print("MISMATCH: parallel summary diverges from the serial arm",
-                  file=sys.stderr)
-            return 1
-        print("verified: byte-identical to the serial arm")
-    return 0
-
-
 def cmd_info(args) -> int:
     """``info``: print the default schema and configuration knobs."""
     config = FocusConfig()
@@ -320,7 +262,6 @@ COMMANDS = {
     "trace": cmd_trace,
     "compare": cmd_compare,
     "chaos": cmd_chaos,
-    "swarm": cmd_swarm,
     "info": cmd_info,
 }
 

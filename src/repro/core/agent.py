@@ -110,7 +110,6 @@ class NodeAgent(Process, RpcMixin):
         self.serve("node.group-query", self._rpc_group_query)
         self.serve("node.query", self._rpc_node_query)
         self.serve("node.be-representative", self._rpc_be_representative)
-        self.serve("node.stop-representative", self._rpc_stop_representative)
         self.serve("node.move-group", self._rpc_move_group)
         self.serve("node.view-def", self._rpc_view_def)
         self.serve("node.drop-view", self._rpc_drop_view)
@@ -514,14 +513,6 @@ class NodeAgent(Process, RpcMixin):
                 return {"ok": True}
         return {"ok": False, "error": "not-member"}
 
-    def _rpc_stop_representative(self, params, respond, message):
-        group = str(params["group"])
-        for membership in self.memberships.values():
-            if membership.group == group and membership.report_timer is not None:
-                membership.report_timer.stop()
-                membership.report_timer = None
-        return {"ok": True}
-
     def _rpc_move_group(self, params, respond, message):
         """The DGM asks us to re-request a group (e.g. after a geo split)."""
         attribute = str(params["attribute"])
@@ -540,9 +531,3 @@ class NodeAgent(Process, RpcMixin):
         addresses.extend(m.serf.address for m in self.memberships.values())
         addresses.extend(m.serf.address for m in self.view_memberships.values())
         return addresses
-
-    def total_bandwidth_bytes(self) -> int:
-        """Bytes sent+received across every endpoint of this node."""
-        return sum(
-            self.network.meter(a).total_bytes for a in self.endpoint_addresses()
-        )

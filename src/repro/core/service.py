@@ -21,14 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from repro.core.naming import group_base, group_name
+from repro.core.naming import group_name
 
 from repro.core.admission import AdmissionQueue, TokenBucket
 from repro.core.cache import QueryCache
 from repro.core.config import FocusConfig
 from repro.core.cpumodel import ServerCpuModel
 from repro.core.dgm import DynamicGroupsManager
-from repro.core.query import DecodedQueryJson, Query
 from repro.core.registrar import Registrar
 from repro.core.router import QueryRouter
 from repro.core.views import ViewManager, is_view_group
@@ -262,14 +261,6 @@ class FocusService(Process, RpcMixin):
         key = group_name(attribute, float(value), self.config.cutoff_for(attribute))
         return self.family_owner(key) == self.address
 
-    def owns_family_base(self, attribute: str, base: float) -> bool:
-        """Ownership by family base value (already cutoff-aligned)."""
-        if self.family_owner is None:
-            return True
-        cutoff = self.config.cutoff_for(attribute)
-        key = group_name(attribute, group_base(base, cutoff), cutoff)
-        return self.family_owner(key) == self.address
-
     # ------------------------------------------------------- processing queue
     def enqueue_processing(self, service_time: float) -> float:
         """Modelled serial query processor: returns the delay until this
@@ -461,18 +452,3 @@ class FocusService(Process, RpcMixin):
                 on_done()
 
         self.store_client.scan("nodes", loaded)
-
-    # ------------------------------------------------------------ local entry
-    def local_query(self, query: Query, on_response: Callable[[dict], None]) -> None:
-        """Northbound entry without a separate application process.
-
-        Used by the harness and tests; follows the same code path as the RPC
-        endpoint (including the modelled processing delay).
-        """
-        try:
-            result = self.router.handle({"query": DecodedQueryJson.of(query)}, on_response)
-        except FocusError as exc:
-            on_response({"error": str(exc), "matches": [], "source": "error"})
-            return
-        if result is not DEFERRED:
-            on_response(result)

@@ -142,10 +142,6 @@ class FaultPlan:
             self.add(event)
         return self
 
-    @property
-    def empty(self) -> bool:
-        return not self.events
-
     def sorted_events(self) -> List[FaultEvent]:
         """Events by time; ties keep insertion order (stable sort)."""
         return sorted(self.events, key=lambda e: e.at)

@@ -166,11 +166,10 @@ class NodeDirectory:
         self._wire_sizes: List[int] = []
         #: Per-slot interned wires keyed by (incarnation, state code).
         self._wires: List[Dict[Tuple[int, int], MemberWire]] = []
-        # Object-array mirrors of names/addresses for vectorized view
-        # rebuilds (fancy-index + tolist beats a Python listcomp ~10x at
-        # 6400 slots). Built lazily, dropped whenever identity changes.
+        # Object-array mirror of names for vectorized view rebuilds
+        # (fancy-index + tolist beats a Python listcomp ~10x at 6400 slots).
+        # Built lazily, dropped whenever identity changes.
         self._names_np: Optional[np.ndarray] = None
-        self._addrs_np: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.names)
@@ -199,7 +198,6 @@ class NodeDirectory:
             self._wire_sizes.append(48 + len(name) + len(address) + len(region))
             self._wires.append({})
             self._names_np = None
-            self._addrs_np = None
             return slot
         if self.addresses[slot] != address or self.regions[slot] != region:
             # A node re-registered under a new address/region: refresh the
@@ -210,7 +208,6 @@ class NodeDirectory:
             self._wire_sizes[slot] = 48 + len(name) + len(address) + len(region)
             self._wires[slot] = {}
             self._names_np = None
-            self._addrs_np = None
         return slot
 
     def name_array(self) -> np.ndarray:
@@ -218,15 +215,6 @@ class NodeDirectory:
         if self._names_np is None or len(self._names_np) != len(self.names):
             self._names_np = np.array(self.names, dtype=object)
         return self._names_np
-
-    def address_array(self) -> np.ndarray:
-        """Object-array view of :attr:`addresses` (lazily mirrored)."""
-        if self._addrs_np is None or len(self._addrs_np) != len(self.addresses):
-            self._addrs_np = np.array(self.addresses, dtype=object)
-        return self._addrs_np
-
-    def wire_size(self, slot: int) -> int:
-        return self._wire_sizes[slot]
 
     def wire_for(self, slot: int, incarnation: int, code: int) -> MemberWire:
         """Interned member wire for one ``(node, incarnation, state)``.

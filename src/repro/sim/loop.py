@@ -23,10 +23,10 @@ When the sentinel fires it takes the head off, drops the cancelled entries
 behind it, re-aims at the first live one, and runs the head's callback if it
 was still live — at the ``(time, seq)`` a ``post`` at the arming moment would
 have had. Why a sweep is not an event: a firing that finds its head cancelled
-runs nobody's code, and how many such firings happen depends on how the
-simulation is cut up (each region worker of the parallel kernel sweeps its
-own FIFOs), so counting them would break serial == parallel on
-``events_processed``; the sentinel takes its count back. Oracle:
+runs nobody's code, and how many such firings happen depends on how deadlines
+are stored, not on what the simulation did. ``events_processed`` feeds every
+digest, so the sentinel takes its count back and the count stays the
+oracle's, where a cancelled deadline is never an event. Oracle:
 ``tests/oracles/deadlines.py`` (every deadline a ``schedule`` + ``cancel``).
 
 Determinism: every random draw comes from a per-component ``random.Random``
@@ -303,18 +303,19 @@ class Simulator:
         The clock is advanced to exactly ``time`` even if the queue drains
         early, so back-to-back ``run_until`` calls behave like a wall clock.
 
-        **Boundary rule** (load-bearing for the parallel kernel's window
-        barriers; pinned against the heap oracle in
-        ``tests/test_run_until_boundary.py``): the bound is *inclusive*.
+        **Boundary rule** (load-bearing for the network's delivery flush,
+        which reads the bound to stop draining its in-flight heap; pinned
+        against the heap oracle in ``tests/test_run_until_boundary.py``):
+        the bound is *inclusive*.
         An event stamped exactly ``time`` executes inside this call, in
         ``(time, seq)`` order with everything else at that instant. An event
         pushed *during* the call with a stamp equal to the bound (e.g. a
         zero-delay post from a callback running at ``t == time``) also
         executes in this call; only stamps strictly greater than ``time``
         carry over. After the call returns, ``now == time``, and an event
-        then scheduled at exactly ``now`` (delay 0) runs in the *next* call
-        — so a window barrier at ``t`` may inject messages stamped ``t`` for
-        the following window without re-entering the closed one.
+        then scheduled at exactly ``now`` (delay 0) runs in the *next* call,
+        so a caller that schedules at ``t`` between two calls never re-enters
+        the closed one.
         """
         if time < self._now:
             raise SimulationError(

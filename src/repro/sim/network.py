@@ -22,11 +22,10 @@ and costs one step per record at every hop after that.
 One per-message path: every send resolves the sender, the size, the
 sender's meter, the counters and the source region's latency row once, then
 runs one loop per destination — destination region, drop decision,
-degraded-link multiplier, jitter draw, exporter hand-off, ``(time, seq)``
-allocation. Every message scheduled locally, and every message another
-region's worker injects, then waits in one shared heap ordered by that key,
-and exactly **one** recycled sentinel event sits in the main queue, aimed at
-the head message's exact key (the same sentinel-recycling discipline as the
+degraded-link multiplier, jitter draw, ``(time, seq)`` allocation. Every
+message then waits in one shared heap ordered by that key, and exactly
+**one** recycled sentinel event sits in the main queue, aimed at the head
+message's exact key (the same sentinel-recycling discipline as the
 scheduler's timer wheel). When the sentinel fires, the flush delivers every
 consecutive message whose key beats the main queue's head — advancing the
 clock and event count itself — so a burst of gossip and acks lands in one
@@ -54,9 +53,9 @@ flight still stops it, counted under ``messages_dropped.blocked_in_flight``
 only the unknown-destination check; a fault-free delivery tests one flag.
 
 Randomness: every loss/jitter draw comes one at a time from the network's
-``random.Random`` stream (one per source region under ``region_rng``), in
-send order. An in-flight message is one :class:`Message` object, so a handler
-or delivery tap may keep the object it was handed.
+``random.Random`` stream, in send order. An in-flight message is one
+:class:`Message` object, so a handler or delivery tap may keep the object it
+was handed.
 """
 
 from __future__ import annotations
@@ -291,8 +290,7 @@ class Network:
 
     Every message takes one path: :meth:`send_fanout` accounts and parks it
     in the in-flight heap (:attr:`in_flight` counts it), and the sentinel's
-    flush delivers it; :meth:`inject_remote` parks another worker's export
-    the same way. The fault setters are the only place the fault-free
+    flush delivers it. The fault setters are the only place the fault-free
     decision is made (see the module docstring's two flags).
 
     Parameters
@@ -309,18 +307,6 @@ class Network:
         base times ``1 + uniform(0, jitter_fraction)``. Must be ``>= 0`` — a
         negative fraction could otherwise schedule delivery in the simulated
         past.
-    region_rng:
-        When ``True``, loss/jitter and degraded-link draws come from
-        per-*source-region* streams (``network@<region>`` /
-        ``network/degrade@<region>``) instead of the single shared
-        ``network`` stream. This decouples the regions' RNG sequences, which
-        is the precondition for running each region's event loop in its own
-        process (:mod:`repro.sim.parallel`): with one shared stream, which
-        draw a message gets depends on the *global* interleaving of sends
-        across regions. Off by default — the pinned determinism checksums
-        consume the shared stream; runs with ``region_rng=True``
-        are equally deterministic but a *different* byte stream, so never
-        compare one against the other.
     """
 
     def __init__(
@@ -330,7 +316,6 @@ class Network:
         *,
         loss_rate: float = 0.0,
         jitter_fraction: float = 0.1,
-        region_rng: bool = False,
     ) -> None:
         if jitter_fraction < 0.0:
             raise NetworkError(
@@ -368,26 +353,6 @@ class Network:
         # ``_uniform`` is the single tap every loss and jitter draw goes
         # through.
         self._uniform: Callable[[], float] = self._rng.random
-        # Per-source-region streams (see the ``region_rng`` parameter). The
-        # dicts are keyed by region name and built in topology order so the
-        # derivations themselves are deterministic.
-        self.region_rng = region_rng
-        if region_rng:
-            names = [r.name for r in self.topology.regions]
-            self._region_degrade: Optional[Dict[str, object]] = {
-                name: sim.derive_rng(f"network/degrade@{name}") for name in names
-            }
-            self._region_uniform: Optional[Dict[str, Callable[[], float]]] = {
-                name: sim.derive_rng(f"network@{name}").random for name in names
-            }
-        else:
-            self._region_degrade = None
-            self._region_uniform = None
-        # Region-sharded (parallel-worker) mode: when ``_export`` is set,
-        # sends whose destination region is remote are handed to the exporter
-        # instead of being scheduled locally — see enable_region_sharding().
-        self._export: Optional[Callable[..., None]] = None
-        self._remote_regions: FrozenSet[str] = frozenset()
         self._delivery_taps: list[Callable[[Message], None]] = []
         #: Wire-size table: message kind -> fixed size or callable(payload).
         self._wire_sizes: Dict[str, object] = {}
@@ -412,16 +377,11 @@ class Network:
 
     @property
     def in_flight(self) -> int:
-        """Messages scheduled here and not yet delivered or dropped.
+        """Messages sent and not yet delivered or dropped.
 
-        Every local send and every injected message waits in the in-flight
-        heap, so on a serial run ``messages_sent == messages_delivered +
-        messages_dropped + in_flight`` holds between any two events, no drain
-        needed. Under region sharding a message exported to another worker
-        counts in this network's ``messages_sent`` but not in its
-        ``in_flight``: the parallel coordinator counts it
-        (``ParallelSimulation.messages_exchanged``) and injects it into the
-        destination worker's heap, where it is ``in_flight`` until delivered.
+        Every send waits in the in-flight heap, so ``messages_sent ==
+        messages_delivered + messages_dropped + in_flight`` holds between any
+        two events, no drain needed.
         """
         return len(self._in_flight.heap)
 
@@ -599,8 +559,8 @@ class Network:
         The payload is sized, and the sender's meter and the sent counters
         charged, once per call. Per destination, in order: its region (a
         recently dead endpoint routes toward where it actually lived), the
-        drop decision, the degraded-link multiplier, the jitter draw, the
-        exporter hand-off under region sharding, and the delivery key.
+        drop decision, the degraded-link multiplier, the jitter draw and the
+        delivery key.
         Unknown destinations and blocked/partitioned pairs silently drop the
         message (that is what the real network does); every loss is counted
         once in ``messages_dropped`` and once under
@@ -633,30 +593,20 @@ class Network:
         meter.messages_sent += count
         self._messages_sent.value += count
         self._bytes_sent.value += wire_size * count
-        src_region = sender.region
-        latency_row = self._latency_rows[src_region]
-        region_uniform = self._region_uniform
-        if region_uniform is not None:
-            uniform = region_uniform[src_region]
-            degrade_rng = self._region_degrade[src_region]
-        else:
-            uniform = self._uniform
-            degrade_rng = self._degrade_rng
+        latency_row = self._latency_rows[sender.region]
+        uniform = self._uniform
         # A registered destination's region is its ``_last_region`` entry.
         regions_get = self._last_region.get
         faults = self._faults
         degraded = self._degraded
         jitter_fraction = self.jitter_fraction
-        export = self._export
         batch = self._in_flight
         heap = batch.heap
         alloc_seq = self._alloc_seq
         for dst in dsts:
             dst_region = regions_get(dst)
             if faults:
-                drop_reason = self._drop_reason(
-                    src, dst, sender, dst_region, uniform, degrade_rng
-                )
+                drop_reason = self._drop_reason(src, dst, sender, dst_region)
                 if drop_reason is not None:
                     self._count_drop(drop_reason)
                     continue
@@ -679,15 +629,6 @@ class Network:
                 # never schedule a delivery in the simulated past.
                 latency = 0.0
             time = now + latency
-            if export is not None and dst_region in self._remote_regions:
-                # Region-sharded mode: the destination lives in another
-                # worker. Accounting and RNG draws are a local send's; the
-                # key's seq comes from the local counter, and the coordinator
-                # merges the message into the destination worker at the next
-                # window barrier.
-                export(src_region, dst_region, time, alloc_seq(),
-                       kind, payload, src, dst, wire_size, now)
-                continue
             heappush(
                 heap,
                 (time, alloc_seq(), Message(kind, payload, src, dst, wire_size, now)),
@@ -696,14 +637,12 @@ class Network:
                 self._retarget_deliveries(batch)
 
     def _drop_reason(
-        self, src: str, dst: str, sender: Endpoint, dst_region: Optional[str],
-        uniform: Callable[[], float], degrade_rng,
+        self, src: str, dst: str, sender: Endpoint, dst_region: Optional[str]
     ) -> Optional[str]:
         """Send-time drop decision; RNG draws happen here and only here.
 
-        The loss/degrade streams are passed in by the caller — the shared
-        ``network`` streams normally, the sender-region streams under
-        ``region_rng`` — so this body stays byte-identical in both modes.
+        Degraded-link loss draws come from the ``network/degrade`` stream,
+        network-wide loss from ``network``, each in send order.
 
         Only called while ``_faults`` is set. Each container check is still
         guarded by a truthiness test, so a run with loss alone never builds a
@@ -731,86 +670,12 @@ class Network:
             if (
                 entry is not None
                 and entry[1] > 0.0
-                and degrade_rng.random() < entry[1]
+                and self._degrade_rng.random() < entry[1]
             ):
                 return "degraded"
-        if self._loss_rate > 0 and uniform() < self._loss_rate:
+        if self._loss_rate > 0 and self._uniform() < self._loss_rate:
             return "loss"
         return None
-
-    # ------------------------------------------------------- region sharding
-    def enable_region_sharding(
-        self, local_regions: Sequence[str], remote_regions: Sequence[str],
-        address_regions: Dict[str, str], exporter: Callable[..., None],
-    ) -> None:
-        """Turn this network into one shard of a region-partitioned run.
-
-        ``local_regions`` are the regions whose endpoints live (and register)
-        in this process; any send toward a region in ``remote_regions`` is
-        handed to ``exporter(src_region, dst_region, arrival_time, seq, kind,
-        payload, src, dst, wire_size, sent_at)`` after all local accounting
-        and RNG draws, instead of being scheduled locally. ``address_regions``
-        maps *every* address in the whole simulation to its region, so
-        destination regions resolve without the remote endpoints ever
-        registering here.
-
-        Requires ``region_rng=True``: with the single shared ``network``
-        stream, which draw a send gets depends on the global cross-region
-        interleaving of sends, which no longer exists once regions run in
-        separate processes.
-        """
-        if not self.region_rng:
-            raise NetworkError(
-                "region sharding requires Network(region_rng=True) — the "
-                "shared 'network' RNG stream is not decomposable by region"
-            )
-        local = frozenset(local_regions)
-        remote = frozenset(remote_regions)
-        overlap = local & remote
-        if overlap:
-            raise NetworkError(
-                f"regions {sorted(overlap)} listed as both local and remote"
-            )
-        known = {r.name for r in self.topology.regions}
-        unknown = (local | remote) - known
-        if unknown:
-            raise NetworkError(
-                f"unknown regions in sharding config: {sorted(unknown)}"
-            )
-        self._remote_regions = remote
-        self._export = exporter
-        # Pre-populate the address -> region map: remote destinations are
-        # routable (latency model + partition checks) without registration.
-        for address, region in address_regions.items():
-            self._last_region.setdefault(address, region)
-
-    def inject_remote(self, arrival: float, kind: str, payload: object,
-                      src: str, dst: str, size: int, sent_at: float) -> None:
-        """Park a message exported by another region's worker in the
-        in-flight heap, like a local send.
-
-        Called by the parallel coordinator's barrier merge, in the
-        deterministic ``(arrival, src-region index, sender seq)`` order — the
-        local delivery seq is allocated here, by insertion order, so the
-        destination worker's event order is a pure function of the merged
-        stream. The message is delivered by the same flush as a local one,
-        so the in-flight fault re-check still runs (a partition injected in
-        this window drops a message sent before it, exactly as in the serial
-        run) and :attr:`in_flight` counts it until then.
-        """
-        if arrival < self.sim._now:
-            raise NetworkError(
-                f"remote injection at t={arrival:.6f} behind local clock "
-                f"t={self.sim._now:.6f} — lookahead (window width) violated"
-            )
-        batch = self._in_flight
-        heappush(
-            batch.heap,
-            (arrival, self._alloc_seq(),
-             Message(kind, payload, src, dst, size, sent_at)),
-        )
-        if arrival < batch.target_time:
-            self._retarget_deliveries(batch)
 
     # -------------------------------------------------------------- delivery
     def _retarget_deliveries(self, batch: _DeliveryBatch) -> None:

@@ -129,29 +129,6 @@ class Topology:
         """
         return self._latency
 
-    def min_inter_region_latency(self) -> float:
-        """Smallest one-way latency between two *distinct* regions.
-
-        This is the conservative-synchronization lookahead for the parallel
-        kernel (``repro.sim.parallel``): a message sent at time ``t`` from one
-        region can never arrive in another region before
-        ``t + min_inter_region_latency()``, so region workers may safely run
-        that far ahead of each other between barrier exchanges. Requires at
-        least two regions (a single-region topology has no inter-region
-        traffic and nothing to parallelize over).
-        """
-        best: Optional[float] = None
-        for (a, b), latency in self._latency.items():
-            if a == b:
-                continue
-            if best is None or latency < best:
-                best = latency
-        if best is None:
-            raise ValueError(
-                "min_inter_region_latency() needs at least two regions"
-            )
-        return best
-
     def max_distance_km(self, region_names: Iterable[str]) -> float:
         """Largest pairwise distance among the given regions.
 

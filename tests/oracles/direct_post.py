@@ -52,12 +52,6 @@ class DirectPostNetwork(Network):
         self._bytes_sent.inc(wire_size * count)
         src_region = sender.region
         latency_table = self.topology.latency_map()
-        if self._region_uniform is not None:
-            uniform = self._region_uniform[src_region]
-            degrade_rng = self._region_degrade[src_region]
-        else:
-            uniform = self._uniform
-            degrade_rng = self._degrade_rng
         for dst in dsts:
             binding = self._bindings.get(dst)
             if binding is not None:
@@ -75,9 +69,7 @@ class DirectPostNetwork(Network):
                     self._count_drop("unknown_destination")
                     continue
             else:
-                drop_reason = self._drop_reason(
-                    src, dst, sender, dst_region, uniform, degrade_rng
-                )
+                drop_reason = self._drop_reason(src, dst, sender, dst_region)
                 if drop_reason is not None:
                     self._count_drop(drop_reason)
                     continue
@@ -87,31 +79,15 @@ class DirectPostNetwork(Network):
                 if entry is not None:
                     base *= entry[0]
             if self.jitter_fraction > 0.0:
-                latency = base * (1.0 + uniform() * self.jitter_fraction)
+                latency = base * (1.0 + self._uniform() * self.jitter_fraction)
             else:
                 latency = base
             if latency < 0.0:
                 latency = 0.0
-            if self._export is not None and dst_region in self._remote_regions:
-                self._export(src_region, dst_region, now + latency,
-                             self._alloc_seq(), kind, payload, src, dst,
-                             wire_size, now)
-                continue
             self.sim.post(
                 latency, self._deliver,
                 Message(kind, payload, src, dst, wire_size, now),
             )
-
-    def inject_remote(self, arrival, kind, payload, src, dst, size, sent_at):
-        if arrival < self.sim.now:
-            raise NetworkError(
-                f"remote injection at t={arrival:.6f} behind local clock "
-                f"t={self.sim.now:.6f} — lookahead (window width) violated"
-            )
-        self._queue.push(
-            arrival, self._deliver,
-            (Message(kind, payload, src, dst, size, sent_at),),
-        )
 
     def _deliver(self, message):
         binding = self._bindings.get(message.dst)

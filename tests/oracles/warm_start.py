@@ -1,9 +1,9 @@
 """Per-pair warm-start seeding: the oracle for ``seed_converged``.
 
 Until bulk seeding, a warm start filled the converged full mesh with one
-``Member(...)`` + ``upsert`` per (table, peer) pair, in three places:
-``harness/scenarios.py::_warm_start``, ``sim/parallel/workload.py::_build_shard``
-and ``benchmarks/bench_kernel.py::_swim_full_run``. ``src/`` now has one bulk
+``Member(...)`` + ``upsert`` per (table, peer) pair, in every warm-start
+builder: ``harness/scenarios.py::_warm_start`` and
+``benchmarks/bench_kernel.py::_swim_full_run``. ``src/`` now has one bulk
 path (:func:`repro.gossip.membership.seed_converged`); the loops live on here
 as what it is tested against.
 

@@ -186,58 +186,6 @@ class TestShardsGate:
         assert any("staleness bound" in f for f in failures)
 
 
-def parallel_point(**overrides):
-    """A gate-relevant swim_full_parallel point; override per test."""
-    point = {
-        "nodes": 6400, "workers": 4, "cpu_count": 8, "speedup": 2.2,
-        "min_speedup": 1.8, "enforced": True, "checksums_match": True,
-    }
-    point.update(overrides)
-    return point
-
-
-class TestParallelKernel:
-    def _pair(self, base_point, cand_point, *, cand_quick=True):
-        baseline = kernel_report(quick=False)
-        baseline["results"]["swim_full_parallel"] = base_point
-        candidate = kernel_report(quick=cand_quick)
-        candidate["results"]["swim_full_parallel"] = cand_point
-        return baseline, candidate
-
-    def test_checksum_divergence_fails_even_in_quick_mode(self):
-        baseline, candidate = self._pair(
-            parallel_point(), parallel_point(checksums_match=False)
-        )
-        failures = check(baseline, candidate)
-        assert any("diverged" in f and "candidate" in f for f in failures)
-
-    def test_speedup_floor_enforced_on_full_report_with_cores(self):
-        baseline, candidate = self._pair(
-            parallel_point(speedup=1.2), parallel_point()
-        )
-        failures = check(baseline, candidate)
-        assert any("acceptance floor" in f and "baseline" in f
-                   for f in failures)
-
-    def test_speedup_floor_skipped_without_cores_or_on_quick(self):
-        # Baseline from a 1-core box (enforced=False); quick candidate
-        # below the floor with cores — neither may fail the gate.
-        baseline, candidate = self._pair(
-            parallel_point(speedup=0.8, enforced=False),
-            parallel_point(speedup=0.7),
-        )
-        assert check(baseline, candidate) == []
-
-    def test_nightly_stretch_point_gated_too(self):
-        baseline, candidate = self._pair(
-            parallel_point(),
-            parallel_point(stretch=parallel_point(speedup=1.0)),
-            cand_quick=False,
-        )
-        failures = check(baseline, candidate, allow_full_candidate=True)
-        assert any("stretch" in f for f in failures)
-
-
 class TestSummary:
     def test_summary_includes_verdict_and_scaleout(self, tmp_path):
         path = tmp_path / "summary.md"

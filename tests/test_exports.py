@@ -56,7 +56,7 @@ class TestPublicSurface:
 
     @pytest.mark.parametrize("cls, options", [
         ("Simulator", ["strict_rng_labels"]),
-        ("Network", ["loss_rate", "jitter_fraction", "region_rng"]),
+        ("Network", ["loss_rate", "jitter_fraction"]),
         ("BandwidthMeter", []),
         ("Histogram", []),
     ])

@@ -8,16 +8,30 @@ file holds the ``derive_rng`` label-collision guard tests (a shared stream
 between two components is the in-process flavour of the same bug).
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.harness import build_focus_cluster, drain
+from repro.harness.scenarios import build_single_group_cluster
 from repro.sim.loop import Simulator
-from repro.sim.parallel.workload import run_serial, summary_checksum
 
 
 def _checksum(nodes):
-    return summary_checksum(run_serial(nodes, 1.0))
+    """Digest of a seeded one-group deployment run for 3 sim-s."""
+    scenario = build_single_group_cluster(nodes, seed=5)
+    drain(scenario, 3.0)
+    metrics = scenario.network.metrics
+    summary = {
+        "events": scenario.sim.events_processed,
+        "counters": {
+            name: metrics.counter(name).value
+            for name in metrics.names()["counters"]
+        },
+    }
+    return hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
 
 
 def test_two_sims_same_process_identical_in_both_orders():

@@ -235,8 +235,8 @@ class TestSizedWire:
         assert q.take_with_size(1) == ([self.WIRE], approx_size(self.WIRE))
 
     def test_size_survives_pickle(self):
-        """The parallel kernel ships payloads between workers through pipes;
-        the far side dedupes on ``id`` and charges ``size`` as this side does."""
+        """A wire is plain data: a pickled copy dedupes on the same ``id``
+        and is charged the same ``size`` as the original."""
         wire = SizedWire(self.WIRE)
         for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
             shipped = pickle.loads(pickle.dumps([wire], protocol))[0]

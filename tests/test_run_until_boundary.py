@@ -6,9 +6,9 @@ tested against (``tests/oracles/heap_queue.py``): the bound is
 ``run_until(t)``; a zero-delay event posted by a callback running at
 ``t`` also executes; only stamps strictly greater than ``t`` carry over.
 After the call returns, an event scheduled at exactly ``now`` belongs to
-the *next* call — that is what lets the parallel kernel inject
-cross-region messages at a window barrier and know they sort into the
-following window.
+the *next* call, so a driver that schedules between two calls never
+re-enters the closed one. The network's delivery flush reads the same
+bound to stop draining its in-flight heap.
 """
 
 import pytest
@@ -48,9 +48,8 @@ def test_zero_delay_post_from_callback_at_bound_runs_inside(scheduler):
 
 @pytest.mark.parametrize("scheduler", BACKENDS)
 def test_event_at_now_after_return_runs_in_next_call(scheduler):
-    # The parallel kernel's barrier-injection contract: after
-    # run_until(t) returns, scheduling at exactly t lands in the next
-    # window.
+    # After run_until(t) returns, scheduling at exactly t lands in the
+    # next call.
     sim = make_sim(scheduler)
     sim.run_until(1.0)
     fired = []

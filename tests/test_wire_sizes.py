@@ -92,7 +92,7 @@ class TestSizeContract:
 
     @given(_payloads)
     def test_pickle_keeps_size_id_and_query(self, payload):
-        """The parallel kernel ships payloads between workers by pickle."""
+        """Payloads are plain data: a pickled copy keeps what it carries."""
         shipped = pickle.loads(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
         assert approx_size(shipped) == approx_size(payload)
         if isinstance(payload, SizedDict):
