@@ -10,8 +10,8 @@ checksum and the shard-plane run digest stay byte-identical.
 Patterns (each independently switchable):
 
 * **Token-bucket throttling** (:class:`TokenBucket`) — reject excess
-  requests at the door, with optional per-client buckets so one greedy
-  client cannot exhaust the shared budget (per-client fairness).
+  requests at the door, one bucket per client so one greedy client cannot
+  exhaust anyone else's budget (per-client fairness).
 * **Queue-based load leveling** (:class:`AdmissionQueue`) — a bounded
   FIFO/LIFO admission queue in front of each CPU lane, shedding on
   capacity and on deadline (a request that has already waited past its
@@ -24,7 +24,7 @@ Patterns (each independently switchable):
 * **Circuit breaker** (:class:`CircuitBreaker`) — per-shard
   closed → open → half-open state machine driven by failure rate and
   latency over a sliding outcome window. While open, the router falls
-  back to replica/cache stale reads stamped with the existing
+  back to stale router-cache reads stamped with the existing
   ``staleness_ms`` bound instead of queueing more work onto a drowning
   shard.
 """
@@ -53,7 +53,7 @@ class OverloadConfig:
     # ----------------------------------------------------------- CPU model
     #: Charge queries/registrations/reports real CPU service time on a
     #: busy-until :class:`~repro.core.cpumodel.ServerCpuModel` per server
-    #: (per shard, per replica). Off = the legacy fixed
+    #: (per shard). Off = the legacy fixed
     #: ``server_processing_delay`` serial queue.
     cpu_model_enabled: bool = False
     #: Cores per serving-plane server (each shard gets its own machine).
@@ -64,20 +64,16 @@ class OverloadConfig:
     per_registration_cpu: float = 0.005
     #: Core-seconds to ingest one representative report.
     per_report_cpu: float = 0.002
-    #: Core-seconds for a replica to answer one bounded-staleness read.
-    per_replica_query_cpu: float = 0.001
     #: Shed work whose queue wait would exceed this (None = unbounded — the
     #: pure Fig. 3 collapse).
     max_backlog_seconds: Optional[float] = None
 
     # ----------------------------------------------------------- throttling
     throttle_enabled: bool = False
-    #: Sustained admitted request rate per bucket (requests/second).
+    #: Sustained admitted request rate per client (requests/second).
     throttle_rate: float = 200.0
-    #: Burst capacity per bucket (requests).
+    #: Burst capacity per client (requests).
     throttle_burst: float = 50.0
-    #: One bucket per client address (fairness) instead of one shared.
-    throttle_per_client: bool = True
 
     # ------------------------------------------------------ admission queue
     queue_enabled: bool = False
@@ -110,9 +106,6 @@ class OverloadConfig:
     breaker_cooldown: float = 5.0
     #: Probes admitted while half-open; all must succeed to close.
     breaker_half_open_probes: int = 2
-    #: Uniform extra cooldown drawn from a derived RNG stream (decorrelates
-    #: breakers that tripped together); 0 keeps cooldowns exact.
-    breaker_cooldown_jitter: float = 0.0
 
     def any_defense_enabled(self) -> bool:
         return (
@@ -126,12 +119,7 @@ class OverloadConfig:
         """Raise :class:`~repro.errors.ConfigError` on nonsense combinations."""
         if self.cores <= 0:
             raise ConfigError(f"overload.cores must be positive, got {self.cores}")
-        for name in (
-            "per_query_cpu",
-            "per_registration_cpu",
-            "per_report_cpu",
-            "per_replica_query_cpu",
-        ):
+        for name in ("per_query_cpu", "per_registration_cpu", "per_report_cpu"):
             value = getattr(self, name)
             if value < 0:
                 raise ConfigError(f"overload.{name} must be >= 0, got {value}")
@@ -202,44 +190,36 @@ class OverloadConfig:
                     "overload.breaker_half_open_probes must be >= 1, "
                     f"got {self.breaker_half_open_probes}"
                 )
-            if self.breaker_cooldown_jitter < 0:
-                raise ConfigError(
-                    "overload.breaker_cooldown_jitter must be >= 0, "
-                    f"got {self.breaker_cooldown_jitter}"
-                )
 
 
 class TokenBucket:
-    """Deterministic token-bucket rate limiter with optional per-client buckets.
+    """Deterministic token-bucket rate limiter, one bucket per client.
 
     Tokens refill continuously at ``rate`` per second up to ``burst``; each
-    admitted request spends one token. With ``per_client`` every client
-    address gets its own bucket, so fairness is structural: a flash crowd
-    from one client exhausts only that client's budget.
+    admitted request spends one token. Every client address gets its own
+    bucket, so fairness is structural: a flash crowd from one client
+    exhausts only that client's budget. Calls that name no client share
+    one bucket.
     """
 
-    __slots__ = ("rate", "burst", "per_client", "_buckets", "allowed", "throttled")
+    __slots__ = ("rate", "burst", "_buckets", "allowed", "throttled")
 
-    _SHARED = "<shared>"
-
-    def __init__(self, rate: float, burst: float, *, per_client: bool = True) -> None:
+    def __init__(self, rate: float, burst: float) -> None:
         self.rate = rate
         self.burst = burst
-        self.per_client = per_client
         # client -> (tokens, refilled_at)
-        self._buckets: Dict[str, Tuple[float, float]] = {}
+        self._buckets: Dict[Optional[str], Tuple[float, float]] = {}
         self.allowed = 0
         self.throttled = 0
 
     def allow(self, now: float, client: Optional[str] = None) -> bool:
-        key = client if (self.per_client and client is not None) else self._SHARED
-        tokens, refilled_at = self._buckets.get(key, (self.burst, now))
+        tokens, refilled_at = self._buckets.get(client, (self.burst, now))
         tokens = min(self.burst, tokens + (now - refilled_at) * self.rate)
         if tokens >= 1.0:
-            self._buckets[key] = (tokens - 1.0, now)
+            self._buckets[client] = (tokens - 1.0, now)
             self.allowed += 1
             return True
-        self._buckets[key] = (tokens, now)
+        self._buckets[client] = (tokens, now)
         self.throttled += 1
         return False
 
@@ -344,12 +324,11 @@ class CircuitBreaker:
     least ``min_volume`` outcomes in the window, the failure fraction
     reaches ``failure_threshold``; successes slower than
     ``latency_threshold`` count as failures (a shard that answers in 8 s is
-    as good as down). After ``cooldown`` seconds (plus optional jitter from
-    a derived RNG stream, for determinism) the next :meth:`allow` moves it
-    to half-open, which admits exactly ``half_open_probes`` probes: all
-    must succeed to re-close; any failure re-opens. The cooldown transition
-    happens in :meth:`allow` unconditionally, so an open breaker can never
-    wedge — time alone always gets it back to half-open.
+    as good as down). After ``cooldown`` seconds the next :meth:`allow`
+    moves it to half-open, which admits exactly ``half_open_probes``
+    probes: all must succeed to re-close; any failure re-opens. The cooldown
+    transition happens in :meth:`allow` unconditionally, so an open breaker
+    can never wedge — time alone always gets it back to half-open.
     """
 
     CLOSED = "closed"
@@ -365,16 +344,12 @@ class CircuitBreaker:
         window: int = 32,
         cooldown: float = 5.0,
         half_open_probes: int = 2,
-        cooldown_jitter: float = 0.0,
-        rng=None,
     ) -> None:
         self.failure_threshold = failure_threshold
         self.min_volume = min_volume
         self.latency_threshold = latency_threshold
         self.cooldown = cooldown
         self.half_open_probes = half_open_probes
-        self.cooldown_jitter = cooldown_jitter
-        self._rng = rng
         self._window: Deque[bool] = deque(maxlen=window)
         self.state = self.CLOSED
         self._reopen_at = 0.0
@@ -449,10 +424,7 @@ class CircuitBreaker:
     def _trip(self, now: float) -> None:
         self.state = self.OPEN
         self.opened_count += 1
-        jitter = 0.0
-        if self.cooldown_jitter > 0 and self._rng is not None:
-            jitter = self._rng.random() * self.cooldown_jitter
-        self._reopen_at = now + self.cooldown + jitter
+        self._reopen_at = now + self.cooldown
         self._window.clear()
         self._probes_in_flight = 0
         self._probe_successes = 0

@@ -14,9 +14,9 @@ ships them again at the size they carry.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from repro.core.query import Query
+from repro.core.query import Query, answer_payload
 
 
 class CacheEntry:
@@ -26,6 +26,15 @@ class CacheEntry:
     def __init__(self, matches: List[dict], fetched_at: float) -> None:
         self.matches = matches
         self.fetched_at = fetched_at
+
+    def answer(self, query: Query, now: float, source: str) -> Dict[str, object]:
+        """This entry as an answer to ``query``: trimmed to its limit, with
+        the entry's age at ``now`` as the ``staleness_ms`` bound."""
+        matches = self.matches
+        if query.limit is not None:
+            matches = matches[: query.limit]
+        age_ms = (now - self.fetched_at) * 1000.0
+        return answer_payload(matches, source, staleness_ms=age_ms)
 
 
 class QueryCache:

@@ -5,6 +5,11 @@ cutoffs (via the schema), the group size cap that triggers forks, the number
 of representatives per group and their upload period, query timeouts, cache
 size, geographic split threshold, and the gossip parameters passed down to
 the node agents' Serf clients (fanout 4 / interval 100 ms, §VIII-B).
+
+Serving-plane settings that no caller varies (ring virtual nodes, replica
+refresh period) are constants in :mod:`repro.core.shardplane`, not fields.
+``tests/test_exports.py`` pins the field names of :class:`FocusConfig` and
+:class:`~repro.core.admission.OverloadConfig`.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from typing import Dict, Optional
 
 from repro.core.admission import OverloadConfig
 from repro.core.attributes import AttributeSchema, openstack_schema
+from repro.core.naming import group_name
 from repro.errors import ConfigError
 from repro.gossip.agent import SerfConfig
 
@@ -83,13 +89,9 @@ class FocusConfig:
     #: group-family keys and fronts them with a scatter-gather
     #: :class:`~repro.core.shardplane.ShardRouter`.
     shards: int = 1
-    #: Virtual nodes per shard on the family hash ring (balance smoothness).
-    shard_virtual_nodes: int = 64
     #: Deploy one read replica per region, answering bounded-staleness
     #: queries from a region-local cache + materialized views (CQRS reads).
     replica_reads: bool = False
-    #: How often the router re-materializes view results to region replicas.
-    replica_refresh_interval: float = 5.0
     #: Model each server's query processing as a serial queue instead of
     #: infinite concurrency. Off by default so existing seeded runs keep
     #: their exact byte streams. On its own (``overload`` untouched) the
@@ -113,10 +115,6 @@ class FocusConfig:
         """
         if self.shards < 1:
             raise ConfigError(f"shards must be >= 1, got {self.shards}")
-        if self.shard_virtual_nodes < 1:
-            raise ConfigError(
-                f"shard_virtual_nodes must be >= 1, got {self.shard_virtual_nodes}"
-            )
         self.overload.validate()
         if self.overload.cpu_model_enabled and not self.server_queue_enabled:
             raise ConfigError(
@@ -136,6 +134,11 @@ class FocusConfig:
         if spec.cutoff is None:
             raise ValueError(f"attribute {attribute!r} is static (no cutoff)")
         return spec.cutoff
+
+    def family_of(self, attribute: str, value: float) -> str:
+        """The family key of the group covering ``value``: its base group
+        name, which a shard plane hashes to the family's owner."""
+        return group_name(attribute, float(value), self.cutoff_for(attribute))
 
     def fanout_for(self, attribute: str) -> int:
         """Gossip fanout for groups of ``attribute`` (override or default)."""

@@ -4,9 +4,8 @@
 latency explodes near 6k producers; ``repro.mq.broker`` reproduces that
 collapse with an explicit M/D/c service-time model approximated by its
 equivalent fast single server. This module extracts that model so the FOCUS
-serving plane — the shards, the router's replicas, and the legacy single
-server — can saturate the same way instead of processing every request for
-free.
+serving plane — the shards and the legacy single server — can saturate the
+same way instead of processing every request for free.
 
 The model is a single logical server of capacity ``cores`` running at some
 number of core-seconds per request, plus an optional standing

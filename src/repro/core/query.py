@@ -12,7 +12,7 @@ Static attributes may also match by equality on strings (e.g.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import QueryError
 from repro.sim.network import SizedDict
@@ -240,6 +240,34 @@ def match_record(node: object, attrs: Dict[str, object], region: object) -> Size
     snapshot, so measuring the record walks its three keys only.
     """
     return SizedDict({"node": node, "attrs": attrs, "region": region})
+
+
+def answer_payload(
+    matches: List[dict],
+    source: str,
+    *,
+    timed_out: bool = False,
+    groups_queried: int = 0,
+    staleness_ms: float = 0.0,
+    error: Optional[str] = None,
+) -> Dict[str, object]:
+    """A query answer as every serving-plane hop ships it.
+
+    ``source`` says where the matches came from (``groups``, ``cache``,
+    ``replica``, ...) and ``staleness_ms`` bounds their age. A refusal — a
+    shed or throttled query, an open breaker — is an empty answer whose
+    ``error`` names the reason, so clients degrade instead of timing out.
+    """
+    payload: Dict[str, object] = {
+        "matches": matches,
+        "source": source,
+        "timed_out": timed_out,
+        "groups_queried": groups_queried,
+        "staleness_ms": staleness_ms,
+    }
+    if error is not None:
+        payload["error"] = error
+    return payload
 
 
 class MatchAnswer(SizedDict):

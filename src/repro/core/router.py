@@ -23,7 +23,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.core.groups import GroupInfo
-from repro.core.query import DecodedQueryJson, Query, decode_query, match_record
+from repro.core.query import (
+    DecodedQueryJson,
+    Query,
+    answer_payload,
+    decode_query,
+    match_record,
+)
 from repro.core.registrar import static_table_name
 from repro.errors import QueryError
 from repro.sim.rpc import DEFERRED
@@ -76,11 +82,9 @@ class QueryRouter:
         if service.config.cache_enabled:
             entry = service.cache.lookup_entry(query, service.sim.now)
             if entry is not None:
-                matches = entry.matches
-                if query.limit is not None:
-                    matches = matches[: query.limit]
-                age_ms = (service.sim.now - entry.fetched_at) * 1000.0
-                self._finish_with(respond, matches, "cache", staleness_ms=age_ms)
+                self._respond_after_processing(
+                    respond, entry.answer(query, service.sim.now, "cache")
+                )
                 return DEFERRED
 
         view = service.views.match_query(query)
@@ -166,7 +170,7 @@ class QueryRouter:
                     if query.limit is not None and len(matches) >= query.limit:
                         break
             self._maybe_cache(query, matches)
-            self._finish_with(respond, matches, "static")
+            self._respond_after_processing(respond, answer_payload(matches, "static"))
 
         if store is None:
             # No store deployed: answer from the in-memory registry.
@@ -179,7 +183,9 @@ class QueryRouter:
         store.scan(
             static_table_name(smallest.name),
             finish,
-            on_error=lambda exc: self._finish_with(respond, [], "static", error=str(exc)),
+            on_error=lambda exc: self._respond_after_processing(
+                respond, answer_payload([], "static", error=str(exc))
+            ),
         )
 
     # --------------------------------------------------------- directed pull
@@ -372,13 +378,12 @@ class QueryRouter:
         matches = state.trimmed_matches()
         if not timed_out:
             self._maybe_cache(state.query, list(state.matches.values()))
-        self._finish_with(
-            state.respond,
+        self._respond_after_processing(state.respond, answer_payload(
             matches,
             state.source,
             timed_out=timed_out,
             groups_queried=state.groups_queried,
-        )
+        ))
 
     # ------------------------------------------------------------- delegation
     def _delegate(
@@ -401,28 +406,6 @@ class QueryRouter:
     def _maybe_cache(self, query: Query, matches: List[dict]) -> None:
         if self.service.config.cache_enabled:
             self.service.cache.store(query, matches, self.service.sim.now)
-
-    def _finish_with(
-        self,
-        respond,
-        matches: List[dict],
-        source: str,
-        *,
-        timed_out: bool = False,
-        groups_queried: int = 0,
-        error: Optional[str] = None,
-        staleness_ms: float = 0.0,
-    ) -> None:
-        payload: Dict[str, object] = {
-            "matches": matches,
-            "source": source,
-            "timed_out": timed_out,
-            "groups_queried": groups_queried,
-            "staleness_ms": staleness_ms,
-        }
-        if error is not None:
-            payload["error"] = error
-        self._respond_after_processing(respond, payload)
 
     def _respond_after_processing(self, respond, payload) -> None:
         """Model server-side processing time (the ~45 ms cache path of

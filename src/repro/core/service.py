@@ -21,13 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from repro.core.naming import group_name
-
 from repro.core.admission import AdmissionQueue, TokenBucket
 from repro.core.cache import QueryCache
 from repro.core.config import FocusConfig
 from repro.core.cpumodel import ServerCpuModel
 from repro.core.dgm import DynamicGroupsManager
+from repro.core.query import answer_payload
 from repro.core.registrar import Registrar
 from repro.core.router import QueryRouter
 from repro.core.views import ViewManager, is_view_group
@@ -63,9 +62,9 @@ class ResourceModelConfig:
 class ServerResourceModel:
     """Accumulates modelled CPU work and samples utilisation and RAM."""
 
-    def __init__(self, service: "FocusService", config: Optional[ResourceModelConfig] = None) -> None:
+    def __init__(self, service: "FocusService") -> None:
         self.service = service
-        self.config = config or ResourceModelConfig()
+        self.config = ResourceModelConfig()
         self._window_cpu = 0.0
         self.cpu_series: List[Tuple[float, float]] = []
         self.ram_series: List[Tuple[float, float]] = []
@@ -117,7 +116,6 @@ class FocusService(Process, RpcMixin):
         region: str,
         config: Optional[FocusConfig] = None,
         store_cluster: Optional[StoreCluster] = None,
-        resource_config: Optional[ResourceModelConfig] = None,
         family_owner: Optional[Callable[[str], str]] = None,
         persist_statics: bool = True,
     ) -> None:
@@ -187,9 +185,7 @@ class FocusService(Process, RpcMixin):
                 )
             if overload.throttle_enabled:
                 self.throttle = TokenBucket(
-                    overload.throttle_rate,
-                    overload.throttle_burst,
-                    per_client=overload.throttle_per_client,
+                    overload.throttle_rate, overload.throttle_burst
                 )
         self.cache = QueryCache(self.config.cache_max_entries)
         self.store_client: Optional[StoreClient] = (
@@ -199,7 +195,7 @@ class FocusService(Process, RpcMixin):
         self.dgm = DynamicGroupsManager(self)
         self.router = QueryRouter(self)
         self.views = ViewManager(self)
-        self.resources = ServerResourceModel(self, resource_config)
+        self.resources = ServerResourceModel(self)
 
         self.serve("focus.register", self._rpc_register)
         self.serve("focus.deregister", self._rpc_deregister)
@@ -258,8 +254,7 @@ class FocusService(Process, RpcMixin):
         """
         if self.family_owner is None:
             return True
-        key = group_name(attribute, float(value), self.config.cutoff_for(attribute))
-        return self.family_owner(key) == self.address
+        return self.family_owner(self.config.family_of(attribute, value)) == self.address
 
     # ------------------------------------------------------- processing queue
     def enqueue_processing(self, service_time: float) -> float:
@@ -268,18 +263,6 @@ class FocusService(Process, RpcMixin):
         return self._legacy_queue.occupy(self.sim.now, service_time)
 
     # --------------------------------------------------------- overload entry
-    def _overload_payload(self, source: str) -> dict:
-        """Rejection reply: shaped like a query answer so clients degrade
-        gracefully (empty matches + an error tag) instead of timing out."""
-        return {
-            "matches": [],
-            "source": source,
-            "timed_out": False,
-            "groups_queried": 0,
-            "staleness_ms": 0.0,
-            "error": source,
-        }
-
     def _admit_query(self, params, respond, message):
         """Admission pipeline in front of the query path (CPU model on).
 
@@ -296,7 +279,7 @@ class FocusService(Process, RpcMixin):
             self.sim.now, message.src
         ):
             self.queries_throttled += 1
-            return self._overload_payload("throttled")
+            return answer_payload([], "throttled", error="throttled")
         service_time = self.query_cpu.service_time(overload.per_query_cpu)
 
         def run(_sojourn: float = 0.0) -> None:
@@ -310,43 +293,49 @@ class FocusService(Process, RpcMixin):
         if self.admission is not None:
             def shed(reason: str) -> None:
                 self.queries_shed += 1
-                respond(self._overload_payload(f"shed-{reason}"))
+                respond(answer_payload([], f"shed-{reason}", error=f"shed-{reason}"))
 
             self.admission.submit(service_time, run, shed)
             return DEFERRED
         delay = self.query_cpu.try_occupy(self.sim.now, service_time)
         if delay is None:
             self.queries_shed += 1
-            return self._overload_payload("shed-backlog")
+            return answer_payload([], "shed-backlog", error="shed-backlog")
         self.sim.schedule(delay, run)
         return DEFERRED
 
     # ------------------------------------------------------------ southbound
-    def _rpc_register(self, params, respond, message):
-        if self.register_cpu is not None:
-            overload = self.config.overload
-            delay = self.register_cpu.admit(
-                self.sim.now, overload.per_registration_cpu
-            )
-            if delay is None:
-                # Shed: no reply, the agent's retry machinery takes over.
-                self.registrations_shed += 1
-                return DEFERRED
-            self.sim.schedule(delay, self._finish_register, params, respond)
-            return DEFERRED
-        return self._finish_register(params, None)
+    def _register_lane(self, step, params, respond, cost: float) -> bool:
+        """Answer ``step(params)`` once the registration CPU lane has served
+        ``cost`` core-seconds of it; at once when there is no CPU model.
 
-    def _finish_register(self, params, respond):
+        Returns False when the lane sheds the request: it gets no reply, and
+        the agent's registration retry or the representative's next report
+        takes over.
+        """
+        if self.register_cpu is None:
+            respond(step(params))
+            return True
+        delay = self.register_cpu.admit(self.sim.now, cost)
+        if delay is None:
+            return False
+        self.sim.schedule(delay, lambda: respond(step(params)))
+        return True
+
+    def _rpc_register(self, params, respond, message):
+        cost = self.config.overload.per_registration_cpu
+        if not self._register_lane(self._register, params, respond, cost):
+            self.registrations_shed += 1
+        return DEFERRED
+
+    def _register(self, params):
         try:
             result = self.registrar.register(params)
         except FocusError as exc:
-            result = {"error": str(exc)}
-        else:
-            self.resources.charge_registration()
-            result["views"] = self.views.definitions_for_registration()
-        if respond is None:
-            return result
-        respond(result)
+            return {"error": str(exc)}
+        self.resources.charge_registration()
+        result["views"] = self.views.definitions_for_registration()
+        return result
 
     def _rpc_deregister(self, params, respond, message):
         self.registrar.deregister(str(params["node_id"]))
@@ -379,27 +368,16 @@ class FocusService(Process, RpcMixin):
         return {"ok": True}
 
     def _rpc_report(self, params, respond, message):
-        if self.register_cpu is not None:
-            delay = self.register_cpu.admit(
-                self.sim.now, self.config.overload.per_report_cpu
-            )
-            if delay is None:
-                # Shed: the representative re-reports next interval anyway.
-                self.reports_shed += 1
-                return DEFERRED
-            self.sim.schedule(delay, self._finish_report, params, respond)
-            return DEFERRED
-        return self._finish_report(params, None)
+        cost = self.config.overload.per_report_cpu
+        if not self._register_lane(self._report, params, respond, cost):
+            self.reports_shed += 1
+        return DEFERRED
 
-    def _finish_report(self, params, respond):
+    def _report(self, params):
         self.resources.charge_report()
         if is_view_group(str(params.get("group", ""))):
-            result = self.views.handle_report(params)
-        else:
-            result = self.dgm.handle_report(params)
-        if respond is None:
-            return result
-        respond(result)
+            return self.views.handle_report(params)
+        return self.dgm.handle_report(params)
 
     def _rpc_create_view(self, params, respond, message):
         try:

@@ -1,4 +1,4 @@
-"""The partitioned FOCUS serving plane: shards, scatter-gather, replicas.
+"""The partitioned FOCUS serving plane: shards, one routing table, replicas.
 
 The single ``FocusService`` is the scaling wall for large fleets — every
 registration, report and query funnels through one process. This module
@@ -9,17 +9,24 @@ splits it N ways while keeping every wire protocol intact:
   :class:`~repro.store.hashring.ConsistentHashRing`). A family key is the
   region- and fork-agnostic part of a group name (``ram_mb.2048``), so all
   geo-split and forked instances of a family live on one shard and a family
-  never straddles shards.
-* **scatter-gather** — a front :class:`ShardRouter` owns the public
-  ``focus`` address. Registrations replicate to every shard (each shard
-  suggests groups only for the families it owns; the router merges the
-  suggestion lists). Queries scatter only to the shards owning the routed
-  attribute's covering families, pin the routed attribute in the sub-query,
-  and merge partial results deterministically in shard order.
+  never straddles shards. A view's group (``view::<id>``) is a family of
+  its own.
+* **one routing rule** — a front :class:`ShardRouter` owns the public
+  ``focus`` address and sends each call to the shards it concerns.
+  Registrations and deregistrations go to every shard
+  (:data:`BROADCAST_CALLS`): each shard registers the node but suggests
+  groups only for the families it owns, and the router merges the replies
+  in shard order. A call about one group — a report, a view's join, leave
+  or drop (:data:`OWNED_CALLS`), a suggestion, a view's creation — goes to
+  ``shard_map.owner_of_group(group)``. A query goes to the owners of its
+  routed attribute's covering families, pins that attribute in the
+  sub-query, and the replies are merged in shard order; a one-shard plan is
+  a scatter of one.
 * **CQRS read replicas** — with ``replica_reads`` on, one
   :class:`RegionReadReplica` per region answers bounded-staleness queries
   from a region-local read-through cache, refreshed by materialized-view
-  pushes from the router (``replica.view-update``).
+  pushes from the router (``replica.view-update``) every
+  :data:`REPLICA_REFRESH_INTERVAL` seconds.
 
 Every answer that did not come straight from the groups carries an explicit
 ``staleness_ms`` bound, and re-cached answers backdate their cache entries
@@ -39,22 +46,29 @@ byte-identical to the pre-sharding code path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional
 
 from repro.core.admission import CircuitBreaker
 from repro.core.cache import QueryCache
 from repro.core.config import FocusConfig
-from repro.core.cpumodel import ServerCpuModel
-from repro.core.naming import group_name, groups_covering
-from repro.core.query import DecodedQueryJson, Query, decode_query
-from repro.core.service import FocusService, ResourceModelConfig
-from repro.core.views import is_view_group, view_group_name, _constraint_key
+from repro.core.naming import groups_covering
+from repro.core.query import DecodedQueryJson, Query, answer_payload, decode_query
+from repro.core.service import FocusService
+from repro.core.views import view_group_name, _constraint_key
+from repro.errors import FocusError
 from repro.sim.loop import Simulator
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network
 from repro.sim.process import Process
 from repro.sim.rpc import DEFERRED, RpcMixin
 from repro.store.cluster import StoreCluster
+from repro.store.hashring import ConsistentHashRing
+
+#: Virtual nodes per shard on the family hash ring (balance smoothness).
+SHARD_VIRTUAL_NODES = 64
+#: How often the router re-materializes view results to region replicas.
+REPLICA_REFRESH_INTERVAL = 5.0
 
 
 def family_key_of_group(group: str) -> str:
@@ -69,36 +83,63 @@ def family_key_of_group(group: str) -> str:
 class FamilyShardMap:
     """Consistent-hash assignment of group families to shard addresses."""
 
-    def __init__(self, shard_addresses: List[str], virtual_nodes: int = 64) -> None:
-        from repro.store.hashring import ConsistentHashRing
-
-        self.ring = ConsistentHashRing(virtual_nodes)
+    def __init__(self, shard_addresses: List[str]) -> None:
+        self.ring = ConsistentHashRing(SHARD_VIRTUAL_NODES)
         for address in shard_addresses:
             self.ring.add_node(address)
-
-    @property
-    def shard_addresses(self) -> List[str]:
-        return self.ring.nodes
 
     def owner(self, family_key: str) -> str:
         """The shard owning a family key (``attribute.base``)."""
         return self.ring.primary_for(family_key)
 
     def owner_of_group(self, group: str) -> str:
+        """The shard owning a group: its family's owner."""
         return self.owner(family_key_of_group(group))
 
-    def owner_for_value(self, attribute: str, value: float, cutoff: float) -> str:
-        return self.owner(group_name(attribute, value, cutoff))
 
-    def add_shard(self, address: str) -> None:
-        self.ring.add_node(address)
+def _merge_registrations(replies: List[Optional[dict]]) -> dict:
+    """The shards' registration replies as one: the union of their group
+    suggestions and view definitions, or the error if none suggested any."""
+    groups: List[dict] = []
+    views: Dict[str, dict] = {}
+    error = None
+    for result in replies:
+        if result:
+            error = result.get("error") or error
+            groups.extend(result.get("groups") or ())
+            for definition in result.get("views") or ():
+                views[str(definition["view_id"])] = definition
+    if error is not None and not groups:
+        return {"error": error}
+    groups.sort(key=lambda s: str(s.get("attribute", "")))
+    return {"groups": groups, "views": [views[vid] for vid in sorted(views)]}
 
-    def remove_shard(self, address: str) -> None:
-        self.ring.remove_node(address)
 
-    def assignment(self, family_keys: List[str]) -> Dict[str, str]:
-        """Family key → owning shard, for every key given."""
-        return {key: self.owner(key) for key in family_keys}
+#: Calls every shard must see: method -> merge of the replies, in shard
+#: order, ``None`` for a shard that timed out.
+BROADCAST_CALLS: Dict[str, Callable[[List[Optional[dict]]], dict]] = {
+    "focus.register": _merge_registrations,
+    "focus.deregister": lambda replies: {"ok": True},
+}
+
+
+def _view_group(params) -> str:
+    return view_group_name(str(params["view_id"]))
+
+
+#: Calls one shard owns: method -> (the group the call is about, from its
+#: params; the reply when the owner does not answer). A representative
+#: whose shard is down keeps its duty, so its next report lands after
+#: failover.
+OWNED_CALLS: Dict[str, tuple] = {
+    "focus.group-report": (
+        lambda params: str(params.get("group", "")),
+        {"ok": False, "representative": True},
+    ),
+    "focus.join-view": (_view_group, {"error": "view shard unavailable"}),
+    "focus.leave-view": (_view_group, {"ok": False}),
+    "focus.drop-view": (_view_group, {"ok": False}),
+}
 
 
 class ShardRouter(Process, RpcMixin):
@@ -107,37 +148,35 @@ class ShardRouter(Process, RpcMixin):
     Owns the public FOCUS address, so node agents and applications are
     oblivious to the partitioning. Stateless with respect to group
     membership — it holds only the family map, a read-through response
-    cache, and the view registry (view definitions route by view id).
+    cache, and the view registry (a query matching a view goes to the view
+    group's owner).
     """
 
     def __init__(
         self,
         sim: Simulator,
         network: Network,
-        shards: List[FocusService],
+        shard_map: FamilyShardMap,
+        shard_addresses: List[str],
         *,
         address: str = "focus",
         region: str,
         config: FocusConfig,
-        shard_map: Optional[FamilyShardMap] = None,
     ) -> None:
         Process.__init__(self, sim, network, address, region)
         self.init_rpc()
         self.enable_rpc_idempotency()
         self.config = config
-        self.shards = shards
-        self.shard_addresses = [s.address for s in shards]
-        self.shard_map = shard_map or FamilyShardMap(
-            self.shard_addresses, config.shard_virtual_nodes
-        )
+        self.shard_map = shard_map
+        self.shard_addresses = shard_addresses
         self.metrics = MetricsRegistry()
         #: Router-level read-through cache for hot queries: a hit answers
         #: without touching any shard. Entries inherit the merged answer's
         #: staleness (backdated fetch time), so freshness bounds hold
         #: end-to-end.
         self.cache = QueryCache(config.cache_max_entries)
-        #: view_id -> {"query_json", "key", "owner"}; definitions are
-        #: registered here so matching queries route straight to the owner.
+        #: view_id -> {"query_json", "key"}; a query whose constraints match
+        #: a view's key goes to the view group's owner.
         self.views: Dict[str, Dict[str, object]] = {}
         self._view_counter = 0
         #: Region read replicas fed by the materialization loop.
@@ -146,12 +185,10 @@ class ShardRouter(Process, RpcMixin):
         #: ``config.overload.breaker_enabled``). A breaker that opens takes
         #: its shard out of the scatter set; matching queries degrade to
         #: stale cache reads (stamped with their true ``staleness_ms``)
-        #: instead of queueing onto a drowning shard. Cooldown jitter draws
-        #: from a derived RNG stream so runs stay seed-reproducible.
+        #: instead of queueing onto a drowning shard.
         self.breakers: Optional[Dict[str, CircuitBreaker]] = None
         overload = config.overload
         if overload.breaker_enabled:
-            rng = sim.derive_rng(f"breaker/{address}")
             self.breakers = {
                 shard: CircuitBreaker(
                     failure_threshold=overload.breaker_failure_threshold,
@@ -160,26 +197,24 @@ class ShardRouter(Process, RpcMixin):
                     window=overload.breaker_window,
                     cooldown=overload.breaker_cooldown,
                     half_open_probes=overload.breaker_half_open_probes,
-                    cooldown_jitter=overload.breaker_cooldown_jitter,
-                    rng=rng,
                 )
-                for shard in self.shard_addresses
+                for shard in shard_addresses
             }
 
-        self.serve("focus.register", self._rpc_register)
-        self.serve("focus.deregister", self._rpc_deregister)
+        for method in BROADCAST_CALLS:
+            self.serve(method, partial(self._rpc_broadcast, method))
+        for method in OWNED_CALLS:
+            self.serve(method, partial(self._rpc_owned, method))
         self.serve("focus.suggest", self._rpc_suggest)
-        self.serve("focus.group-report", self._rpc_report)
         self.serve("focus.query", self._rpc_query)
         self.serve("focus.create-view", self._rpc_create_view)
+        # Replaces the plain row: the view leaves the router's registry too.
         self.serve("focus.drop-view", self._rpc_drop_view)
-        self.serve("focus.join-view", self._rpc_join_view)
-        self.serve("focus.leave-view", self._rpc_leave_view)
 
     # ------------------------------------------------------------- lifecycle
     def on_start(self) -> None:
         if self.replicas:
-            self.every(self.config.replica_refresh_interval, self._refresh_replicas)
+            self.every(REPLICA_REFRESH_INTERVAL, self._refresh_replicas)
 
     def on_stop(self) -> None:
         self.reset_rpc()
@@ -193,82 +228,59 @@ class ShardRouter(Process, RpcMixin):
         return self.config.query_timeout + 1.0
 
     def _forward(self, shard: str, method: str, params, respond, *, fallback) -> None:
-        """Proxy one call to a shard; answer ``fallback`` if it is down."""
+        """Proxy one call to a shard; answer a copy of ``fallback`` if it is
+        down."""
         self.call(
             shard,
             method,
             params,
             on_reply=respond,
-            on_timeout=lambda: respond(fallback),
+            on_timeout=lambda: respond(dict(fallback)),
             timeout=self._shard_timeout(),
         )
 
-    # ----------------------------------------------------------- registration
-    def _rpc_register(self, params, respond, message):
-        """Replicate the registration to every shard and merge suggestions.
+    def _gather(self, shards: List[str], method: str, params, done, *, each=None) -> None:
+        """Call ``method`` on every shard in ``shards``; once each has
+        answered or timed out, hand ``done`` the replies in shard order (not
+        arrival order, so everything built from them is deterministic),
+        ``None`` for a shard that timed out. ``each(shard, reply)`` sees
+        every outcome as it lands."""
+        replies: List[Optional[dict]] = [None] * len(shards)
+        pending = [len(shards)]
 
-        Each shard registers the node (so its registrar can resolve regions
-        in group reports and answer static queries) but only suggests groups
-        for the families it owns; exactly one shard persists the static
-        tables. The merged reply is indistinguishable from the single
-        server's.
-        """
-        state = {"pending": len(self.shard_addresses), "groups": [],
-                 "views": {}, "error": None, "done": False}
+        def answered(index: int, result=None) -> None:
+            replies[index] = result
+            if each is not None:
+                each(shards[index], result)
+            pending[0] -= 1
+            if pending[0] == 0:
+                done(replies)
 
-        def advance() -> None:
-            state["pending"] -= 1
-            if state["done"] or state["pending"] > 0:
-                return
-            state["done"] = True
-            if state["error"] is not None and not state["groups"]:
-                respond({"error": state["error"]})
-                return
-            groups = sorted(state["groups"], key=lambda s: str(s.get("attribute", "")))
-            views = [state["views"][vid] for vid in sorted(state["views"])]
-            respond({"groups": groups, "views": views})
-
-        def on_reply(result) -> None:
-            if result:
-                if result.get("error"):
-                    state["error"] = result["error"]
-                state["groups"].extend(result.get("groups") or ())
-                for definition in result.get("views") or ():
-                    state["views"][str(definition["view_id"])] = definition
-            advance()
-
-        for shard in self.shard_addresses:
+        for index, shard in enumerate(shards):
             self.call(
                 shard,
-                "focus.register",
+                method,
                 params,
-                on_reply=on_reply,
-                on_timeout=advance,
+                on_reply=partial(answered, index),
+                on_timeout=partial(answered, index),
                 timeout=self._shard_timeout(),
             )
-        self.metrics.counter("registrations").inc()
+
+    # --------------------------------------------------------- control calls
+    def _rpc_broadcast(self, method, params, respond, message):
+        merge = BROADCAST_CALLS[method]
+        self._gather(
+            self.shard_addresses, method, params,
+            lambda replies: respond(merge(replies)),
+        )
         return DEFERRED
 
-    def _rpc_deregister(self, params, respond, message):
-        state = {"pending": len(self.shard_addresses)}
-
-        def advance(result=None) -> None:
-            state["pending"] -= 1
-            if state["pending"] == 0:
-                respond({"ok": True})
-
-        for shard in self.shard_addresses:
-            self.call(
-                shard,
-                "focus.deregister",
-                params,
-                on_reply=advance,
-                on_timeout=advance,
-                timeout=self._shard_timeout(),
-            )
+    def _rpc_owned(self, method, params, respond, message):
+        group_of, fallback = OWNED_CALLS[method]
+        owner = self.shard_map.owner_of_group(group_of(params))
+        self._forward(owner, method, params, respond, fallback=fallback)
         return DEFERRED
 
-    # ------------------------------------------------------------ suggestions
     def _rpc_suggest(self, params, respond, message):
         """Route a suggestion to the owner of the target value's family.
 
@@ -277,13 +289,13 @@ class ShardRouter(Process, RpcMixin):
         representative bookkeeping stay accurate, and the new owner gets the
         suggest (without the leave, which it could not serve).
         """
-        attribute = str(params["attribute"])
-        value = float(params["value"])
         try:
-            cutoff = self.config.cutoff_for(attribute)
-        except Exception as exc:
+            family = self.config.family_of(
+                str(params["attribute"]), float(params["value"])
+            )
+        except (FocusError, ValueError) as exc:  # unknown or static attribute
             return {"error": str(exc)}
-        target = self.shard_map.owner_for_value(attribute, value, cutoff)
+        target = self.shard_map.owner_of_group(family)
         forward = dict(params)
         leaving = forward.get("leaving")
         if leaving:
@@ -303,22 +315,6 @@ class ShardRouter(Process, RpcMixin):
         )
         return DEFERRED
 
-    # ---------------------------------------------------------------- reports
-    def _rpc_report(self, params, respond, message):
-        group = str(params.get("group", ""))
-        if is_view_group(group):
-            owner = self.shard_map.owner(group)
-        else:
-            owner = self.shard_map.owner_of_group(group)
-        # A representative whose shard is down must keep reporting, so the
-        # fallback keeps its duty; the next report lands after failover.
-        self._forward(
-            owner, "focus.group-report", params, respond,
-            fallback={"ok": False, "representative": True},
-        )
-        return DEFERRED
-
-    # ------------------------------------------------------------------ views
     def _rpc_create_view(self, params, respond, message):
         view_id = params.get("view_id")
         if view_id is None:
@@ -327,7 +323,7 @@ class ShardRouter(Process, RpcMixin):
         view_id = str(view_id)
         if view_id in self.views:
             return {"error": f"view {view_id!r} already exists"}
-        owner = self.shard_map.owner(view_group_name(view_id))
+        owner = self.shard_map.owner_of_group(view_group_name(view_id))
         forward = dict(params)
         forward["view_id"] = view_id
 
@@ -337,42 +333,18 @@ class ShardRouter(Process, RpcMixin):
                 self.views[view_id] = {
                     "query_json": DecodedQueryJson.of(query),
                     "key": _constraint_key(query),
-                    "owner": owner,
                 }
             respond(result)
 
-        self.call(
-            owner,
-            "focus.create-view",
-            forward,
-            on_reply=on_reply,
-            on_timeout=lambda: respond({"error": f"shard {owner} unavailable"}),
-            timeout=self._shard_timeout(),
+        self._forward(
+            owner, "focus.create-view", forward, on_reply,
+            fallback={"error": f"shard {owner} unavailable"},
         )
         return DEFERRED
 
     def _rpc_drop_view(self, params, respond, message):
-        view_id = str(params["view_id"])
-        info = self.views.pop(view_id, None)
-        owner = (
-            str(info["owner"]) if info is not None
-            else self.shard_map.owner(view_group_name(view_id))
-        )
-        self._forward(owner, "focus.drop-view", params, respond,
-                      fallback={"ok": False})
-        return DEFERRED
-
-    def _rpc_join_view(self, params, respond, message):
-        owner = self.shard_map.owner(view_group_name(str(params["view_id"])))
-        self._forward(owner, "focus.join-view", params, respond,
-                      fallback={"error": "view shard unavailable"})
-        return DEFERRED
-
-    def _rpc_leave_view(self, params, respond, message):
-        owner = self.shard_map.owner(view_group_name(str(params["view_id"])))
-        self._forward(owner, "focus.leave-view", params, respond,
-                      fallback={"ok": False})
-        return DEFERRED
+        self.views.pop(str(params["view_id"]), None)
+        return self._rpc_owned("focus.drop-view", params, respond, message)
 
     # ---------------------------------------------------------------- queries
     def _rpc_query(self, params, respond, message):
@@ -382,36 +354,22 @@ class ShardRouter(Process, RpcMixin):
         if self.config.cache_enabled:
             entry = self.cache.lookup_entry(query, self.sim.now)
             if entry is not None:
-                matches = entry.matches
-                if query.limit is not None:
-                    matches = matches[: query.limit]
-                age_ms = (self.sim.now - entry.fetched_at) * 1000.0
-                return self._payload(matches, "cache", staleness_ms=age_ms)
+                return entry.answer(query, self.sim.now, "cache")
 
-        view = self._match_view(query)
-        if view is not None:
-            self._forward_query(str(view["owner"]), params, query, respond)
-            return DEFERRED
-
-        attribute, owners = self._scatter_plan(query)
-        if attribute is None:
-            # Static-only query: every shard holds the full registry; the
-            # statics shard also owns the store tables.
-            self._forward_query(self.shard_addresses[0], params, query, respond)
-            return DEFERRED
-        if len(owners) == 1:
-            sub = dict(params)
-            sub["routed_attribute"] = attribute
-            self._forward_query(owners[0], sub, query, respond)
-            return DEFERRED
+        view_id = self._match_view(query)
+        if view_id is None:
+            attribute, owners = self._scatter_plan(query)
+        else:
+            attribute = None
+            owners = [self.shard_map.owner_of_group(view_group_name(view_id))]
         self._scatter_gather(params, query, attribute, owners, respond)
         return DEFERRED
 
-    def _match_view(self, query: Query) -> Optional[Dict[str, object]]:
+    def _match_view(self, query: Query) -> Optional[str]:
         wanted = _constraint_key(query)
         for view_id in sorted(self.views):
             if self.views[view_id]["key"] == wanted:
-                return self.views[view_id]
+                return view_id
         return None
 
     def _scatter_plan(self, query: Query):
@@ -420,7 +378,10 @@ class ShardRouter(Process, RpcMixin):
         The router has no group tables, so the single server's smallest-group
         routing is approximated by the *fewest enumerated covering families*
         — the same tables-free signal both sides can compute. Bounds are
-        clamped to the schema's declared value range before enumeration.
+        clamped to the schema's declared value range before enumeration. A
+        static-only query has no routed attribute and goes to the statics
+        shard: every shard holds the full registry, and that one also owns
+        the store tables.
         """
         schema = self.config.schema
         best_attribute: Optional[str] = None
@@ -446,7 +407,7 @@ class ShardRouter(Process, RpcMixin):
             if better:
                 best_attribute, best_families = term.name, families
         if best_attribute is None:
-            return None, []
+            return None, self.shard_addresses[:1]
         owner_set = {self.shard_map.owner(key) for key in best_families}
         owners = [a for a in self.shard_addresses if a in owner_set]
         return best_attribute, owners
@@ -464,7 +425,7 @@ class ShardRouter(Process, RpcMixin):
         now = self.sim.now
         return any(not self.breakers[owner].peek(now) for owner in owners)
 
-    def _breaker_record(self, shard: str, sent_at: float, result) -> None:
+    def _breaker_record(self, sent_at: float, shard: str, result) -> None:
         """Feed one shard outcome to its breaker (latency counts)."""
         if self.breakers is None:
             return
@@ -489,45 +450,14 @@ class ShardRouter(Process, RpcMixin):
         self.metrics.counter("breaker_degraded").inc()
         entry = self.cache.lookup_stale(query) if self.config.cache_enabled else None
         if entry is not None:
-            matches = entry.matches
-            if query.limit is not None:
-                matches = matches[: query.limit]
-            age_ms = (self.sim.now - entry.fetched_at) * 1000.0
-            respond(self._payload(matches, "breaker-stale", staleness_ms=age_ms))
+            respond(entry.answer(query, self.sim.now, "breaker-stale"))
             return
-        payload = self._payload([], "breaker-open")
-        payload["error"] = "breaker-open"
-        respond(payload)
-
-    def _forward_query(self, shard: str, params, query: Query, respond) -> None:
-        """Single-shard query path; the reply is re-cached at the router."""
-        if self._breaker_blocks([shard]):
-            self._respond_degraded(query, respond)
-            return
-        if self.breakers is not None:
-            self.breakers[shard].allow(self.sim.now)
-        sent_at = self.sim.now
-
-        def on_reply(result) -> None:
-            self._breaker_record(shard, sent_at, result)
-            self._absorb_and_respond(query, [shard], [result], respond)
-
-        def on_timeout() -> None:
-            self._breaker_record(shard, sent_at, None)
-            respond(self._payload([], "shard-timeout", timed_out=True))
-
-        self.call(
-            shard,
-            "focus.query",
-            params,
-            on_reply=on_reply,
-            on_timeout=on_timeout,
-            timeout=self._shard_timeout(),
-        )
+        respond(answer_payload([], "breaker-open", error="breaker-open"))
 
     def _scatter_gather(self, params, query, attribute, owners, respond) -> None:
-        """Fan a query out to the owning shards and merge partial results.
+        """Send a query to the shards of its plan and merge their answers.
 
+        ``attribute`` (the routed one, if any) is pinned in the sub-query.
         With breakers on, a plan touching any open shard degrades whole
         (stale cache or breaker-open) rather than returning a silently
         partial merge missing the hot shard's matches.
@@ -539,40 +469,16 @@ class ShardRouter(Process, RpcMixin):
             now = self.sim.now
             for owner in owners:
                 self.breakers[owner].allow(now)
-        self.metrics.counter("scatter_queries").inc()
-        sub = dict(params)
-        sub["routed_attribute"] = attribute
-        partials: Dict[str, Optional[dict]] = {}
-        state = {"pending": len(owners)}
-        sent_at = self.sim.now
-
-        def advance() -> None:
-            state["pending"] -= 1
-            if state["pending"] > 0:
-                return
-            # Merge in shard order (not arrival order) so the merged match
-            # list — and everything derived from it — is deterministic.
-            ordered = [partials.get(owner) for owner in owners]
-            self._absorb_and_respond(query, owners, ordered, respond)
-
-        for owner in owners:
-            def on_reply(result, owner=owner) -> None:
-                partials[owner] = result
-                self._breaker_record(owner, sent_at, result)
-                advance()
-
-            def on_timeout(owner=owner) -> None:
-                self._breaker_record(owner, sent_at, None)
-                advance()
-
-            self.call(
-                owner,
-                "focus.query",
-                sub,
-                on_reply=on_reply,
-                on_timeout=on_timeout,
-                timeout=self._shard_timeout(),
-            )
+        if len(owners) > 1:
+            self.metrics.counter("scatter_queries").inc()
+        if attribute is not None:
+            params = dict(params)
+            params["routed_attribute"] = attribute
+        self._gather(
+            owners, "focus.query", params,
+            lambda replies: self._absorb_and_respond(query, owners, replies, respond),
+            each=partial(self._breaker_record, self.sim.now),
+        )
 
     def _absorb_and_respond(self, query: Query, owners, partials, respond) -> None:
         """Merge shard answers, cache the result, respond to the caller.
@@ -590,17 +496,17 @@ class ShardRouter(Process, RpcMixin):
         delegated_groups: List[dict] = []
         delegated_transitions: List[str] = []
         seen_any = False
-        for partial in partials:
-            if not partial:
+        for partial_reply in partials:
+            if not partial_reply:
                 timed_out = True  # a shard never answered (crash/saturation)
                 continue
             seen_any = True
-            for record in partial.get("matches") or ():
+            for record in partial_reply.get("matches") or ():
                 matches.setdefault(str(record["node"]), record)
-            staleness = max(staleness, float(partial.get("staleness_ms", 0.0)))
-            groups_queried += int(partial.get("groups_queried", 0))
-            timed_out = timed_out or bool(partial.get("timed_out", False))
-            delegated = partial.get("delegated")
+            staleness = max(staleness, float(partial_reply.get("staleness_ms", 0.0)))
+            groups_queried += int(partial_reply.get("groups_queried", 0))
+            timed_out = timed_out or bool(partial_reply.get("timed_out", False))
+            delegated = partial_reply.get("delegated")
             if delegated:
                 delegated_groups.extend(delegated.get("groups") or ())
                 delegated_transitions.extend(delegated.get("transitions") or ())
@@ -618,8 +524,8 @@ class ShardRouter(Process, RpcMixin):
             return
         merged = list(matches.values())
         refused = [
-            owner for owner, partial in zip(owners, partials)
-            if partial and partial.get("error")
+            owner for owner, partial_reply in zip(owners, partials)
+            if partial_reply and partial_reply.get("error")
         ]
         if not timed_out and not refused and seen_any and self.config.cache_enabled:
             self.cache.store(query, merged, self.sim.now, staleness_ms=staleness)
@@ -631,28 +537,16 @@ class ShardRouter(Process, RpcMixin):
             source = str(partials[0].get("source", "groups"))
         else:
             source = "groups"
-        payload = self._payload(
+        payload = answer_payload(
             merged, source,
             timed_out=timed_out, groups_queried=groups_queried,
             staleness_ms=staleness,
+            error=partials[0]["error"] if refused and len(partials) == 1 else None,
         )
         if refused:
-            if len(partials) == 1:
-                payload["error"] = partials[0]["error"]
             payload["partial"] = True
             payload["refused_shards"] = refused
         respond(payload)
-
-    @staticmethod
-    def _payload(matches, source, *, timed_out=False, groups_queried=0,
-                 staleness_ms=0.0):
-        return {
-            "matches": matches,
-            "source": source,
-            "timed_out": timed_out,
-            "groups_queried": groups_queried,
-            "staleness_ms": staleness_ms,
-        }
 
     # ----------------------------------------------------- view materialization
     def _refresh_replicas(self) -> None:
@@ -679,7 +573,7 @@ class ShardRouter(Process, RpcMixin):
                     )
 
             self.call(
-                str(info["owner"]),
+                self.shard_map.owner_of_group(view_group_name(view_id)),
                 "focus.query",
                 {"query": info["query_json"]},
                 on_reply=on_reply,
@@ -713,18 +607,6 @@ class RegionReadReplica(Process, RpcMixin):
         self.config = config
         self.cache = QueryCache(config.cache_max_entries)
         self.metrics = MetricsRegistry()
-        #: Region-local CPU lane: serving a bounded-staleness read is cheap
-        #: but not free, so a hot region's replica can itself saturate.
-        #: Misses are charged where the work happens (router/shard side).
-        overload = config.overload
-        self.cpu: Optional[ServerCpuModel] = None
-        if overload.cpu_model_enabled:
-            self.cpu = ServerCpuModel(
-                overload.cores,
-                per_request_cpu=overload.per_replica_query_cpu,
-                max_backlog_seconds=overload.max_backlog_seconds,
-            )
-        self.reads_shed = 0
         self.serve("focus.query", self._rpc_query)
         self.serve("replica.view-update", self._rpc_view_update)
 
@@ -733,30 +615,7 @@ class RegionReadReplica(Process, RpcMixin):
         entry = self.cache.lookup_entry(query, self.sim.now)
         if entry is not None:
             self.metrics.counter("replica_hits").inc()
-            matches = entry.matches
-            if query.limit is not None:
-                matches = matches[: query.limit]
-            age_ms = (self.sim.now - entry.fetched_at) * 1000.0
-            payload = {
-                "matches": matches,
-                "source": "replica",
-                "timed_out": False,
-                "groups_queried": 0,
-                "staleness_ms": age_ms,
-            }
-            if self.cpu is None:
-                return payload
-            delay = self.cpu.admit(self.sim.now)
-            if delay is None:
-                self.reads_shed += 1
-                payload = {
-                    "matches": [], "source": "shed-backlog", "timed_out": False,
-                    "groups_queried": 0, "staleness_ms": 0.0,
-                    "error": "shed-backlog",
-                }
-                return payload
-            self.sim.schedule(delay, respond, payload)
-            return DEFERRED
+            return entry.answer(query, self.sim.now, "replica")
         self.metrics.counter("replica_misses").inc()
 
         def on_reply(result) -> None:
@@ -775,10 +634,7 @@ class RegionReadReplica(Process, RpcMixin):
             "focus.query",
             params,
             on_reply=on_reply,
-            on_timeout=lambda: respond({
-                "matches": [], "source": "timeout", "timed_out": True,
-                "groups_queried": 0, "staleness_ms": 0.0,
-            }),
+            on_timeout=lambda: respond(answer_payload([], "timeout", timed_out=True)),
             timeout=self.config.query_timeout * 3,
         )
         return DEFERRED
@@ -854,7 +710,6 @@ def build_shard_plane(
     regions: Optional[List[str]] = None,
     config: FocusConfig,
     store_cluster: Optional[StoreCluster] = None,
-    resource_config: Optional[ResourceModelConfig] = None,
 ) -> ShardPlane:
     """Construct (but do not start) a serving plane per ``config``.
 
@@ -876,13 +731,12 @@ def build_shard_plane(
             region=region,
             config=config,
             store_cluster=store_cluster,
-            resource_config=resource_config,
         )
         return ShardPlane(shards=[service])
 
     regions = regions or [region]
     addresses = [shard_address(address, i) for i in range(max(config.shards, 1))]
-    shard_map = FamilyShardMap(addresses, config.shard_virtual_nodes)
+    shard_map = FamilyShardMap(addresses)
     shards = [
         FocusService(
             sim,
@@ -891,15 +745,14 @@ def build_shard_plane(
             region=regions[index % len(regions)],
             config=config,
             store_cluster=store_cluster,
-            resource_config=resource_config,
             family_owner=shard_map.owner,
             persist_statics=(index == 0),
         )
         for index, addr in enumerate(addresses)
     ]
     router = ShardRouter(
-        sim, network, shards,
-        address=address, region=region, config=config, shard_map=shard_map,
+        sim, network, shard_map, addresses,
+        address=address, region=region, config=config,
     )
     replicas: List[RegionReadReplica] = []
     if config.replica_reads:

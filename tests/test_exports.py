@@ -72,3 +72,33 @@ class TestPublicSurface:
             name for name, p in params.items() if p.kind is p.KEYWORD_ONLY
         ]
         assert keyword_only == options
+
+    @pytest.mark.parametrize("cls, fields", [
+        ("FocusConfig", [
+            "schema", "max_group_size", "representatives_per_group",
+            "report_interval", "query_timeout", "server_processing_delay",
+            "group_query_timeout", "cache_max_entries", "cache_enabled",
+            "geo_split_km", "transition_ttl", "delegation_enabled",
+            "delegation_threshold", "smallest_group_routing", "serf",
+            "fanout_overrides", "collection_interval", "store_sync_interval",
+            "shards", "replica_reads", "server_queue_enabled", "overload",
+        ]),
+        ("OverloadConfig", [
+            "cpu_model_enabled", "cores", "per_query_cpu",
+            "per_registration_cpu", "per_report_cpu", "max_backlog_seconds",
+            "throttle_enabled", "throttle_rate", "throttle_burst",
+            "queue_enabled", "queue_capacity", "queue_discipline",
+            "queue_deadline", "bulkhead_enabled", "bulkhead_query_share",
+            "breaker_enabled", "breaker_failure_threshold",
+            "breaker_min_volume", "breaker_latency_threshold",
+            "breaker_window", "breaker_cooldown", "breaker_half_open_probes",
+        ]),
+    ])
+    def test_serving_plane_knobs_are_pinned(self, cls, fields):
+        """The serving plane's config fields, by name: a new knob is added
+        here on purpose, with a caller that sets it to more than one value."""
+        import dataclasses
+
+        import repro.core
+
+        assert [f.name for f in dataclasses.fields(getattr(repro.core, cls))] == fields
