@@ -28,7 +28,10 @@ what a ``gc.collect()`` after it finds, and that garbage per RPC call, which
 must stay below 1: per-request state is freed by reference counting; then,
 from a second, unprofiled steady phase on a fresh build, collections and
 pauses per generation and the types of the objects promoted to generation
-2, found by diffing it at each gen-1 collection).
+2, found by diffing it at each gen-1 collection), and from a third, on
+another fresh build, how deep the broadcast queues were when gossip ticks
+ran (max, p99, mean) and how many transmissions — wires sent, one per
+destination, over gossip and probe packets — each queued broadcast got.
 Profiled seconds are ~3x untraced ones, so read counts and proportions here
 and host time in focusbench.
 
@@ -58,7 +61,7 @@ from collections import Counter, defaultdict
 from benchmarks.focusbench.workloads import WORKLOADS
 from repro.core.query import Query
 from repro.gossip.agent import SerfAgent
-from repro.gossip.broadcast import SizedWire
+from repro.gossip.broadcast import BroadcastQueue, SizedWire
 from repro.gossip.membership import CODE_LEFT, MembershipTable, _sample_exact
 from repro.gossip.swim import ACK, GOSSIP, PING, SwimAgent
 from repro.sim.events import Deadline, EventQueue
@@ -456,6 +459,67 @@ def print_census(collections, pauses, promoted, top: int) -> None:
         print(f"    {kind:<52}{count:>10}")
 
 
+def broadcast_queues(workload, seed: int, sizes):
+    """Run an unprofiled steady phase on a fresh build with the gossip tick
+    and the broadcast queue wrapped; return the queue depth at each tick
+    that ran for its agent's current life, the broadcasts queued and the
+    transmissions spent (wires times the peers each take fed).
+
+    The wrappers go on before the build, so every agent binds the wrapped
+    tick; the counts start after warm-up, with the steady phase."""
+    depths = []
+    counts = Counter()
+    tick, enqueue, take = (SwimAgent._gossip_tick, BroadcastQueue.enqueue,
+                           BroadcastQueue.take_batches)
+
+    def counting_tick(self, life):
+        if life == self._gossip_life and self.running and not self.paused:
+            depths.append(len(self.broadcasts))
+        tick(self, life)
+
+    def counting_enqueue(self, *args, **kwargs):
+        counts["queued"] += 1
+        enqueue(self, *args, **kwargs)
+
+    def counting_take(self, max_items, peers):
+        runs = take(self, max_items, peers)
+        counts["sent"] += sum(len(payloads) * count for payloads, _, count in runs)
+        return runs
+
+    SwimAgent._gossip_tick = counting_tick
+    BroadcastQueue.enqueue = counting_enqueue
+    BroadcastQueue.take_batches = counting_take
+    try:
+        scenario, plan = prepare(workload, seed, sizes)
+        depths.clear()
+        counts.clear()
+        scenario.sim.run_until(plan.end_time)
+    finally:
+        SwimAgent._gossip_tick = tick
+        BroadcastQueue.enqueue = enqueue
+        BroadcastQueue.take_batches = take
+    return depths, counts["queued"], counts["sent"]
+
+
+def print_broadcast_queues(depths, queued: int, sent: int) -> None:
+    ordered = sorted(depths)
+    p99 = ordered[min(len(ordered) - 1, int(0.99 * len(ordered)))] if ordered else 0
+    rows = [
+        ("gossip ticks", len(depths)),
+        ("queue depth at a tick, max", ordered[-1] if ordered else 0),
+        ("queue depth at a tick, p99", p99),
+        ("queue depth at a tick, mean",
+         f"{sum(ordered) / len(ordered):.1f}" if ordered else "0"),
+        ("broadcasts queued", queued),
+        ("transmissions (wires sent, per destination)", sent),
+        ("transmissions per broadcast queued",
+         f"{sent / queued:.2f}" if queued else "0"),
+    ]
+    print("broadcast queues (a third steady phase, unprofiled):")
+    for name, value in rows:
+        print(f"  {name:<54}{value:>10}")
+
+
 def bare_name(code) -> str:
     """Bare function name of a profile entry's code."""
     return code if isinstance(code, str) else code.co_name
@@ -667,6 +731,8 @@ def main() -> int:
     # would sit in generation 2 and lengthen the census's full passes.
     del scenario, plan, stats, profile, entries
     print_census(*census(workload, args.seed, sizes), top=10)
+    depths, queued, sent = broadcast_queues(workload, args.seed, sizes)
+    print_broadcast_queues(depths, queued, sent)
     problems = [
         (unaccounted != 0,
          f"events by kind do not sum to the event count ({unaccounted:+})"),
@@ -676,6 +742,8 @@ def main() -> int:
          "first-time custom wires delivered, no _apply_updates entry from _on_gossip"),
         (ticks and not targets,
          f"{ticks} gossip ticks, no gossip_targets entry"),
+        (ticks and not (depths and sent),
+         f"{ticks} gossip ticks, the queue wrappers saw no tick or no send"),
         (refutations != 0, f"{refutations} self-refutations by a member that left"),
         (garbage_per_call >= 1,
          f"{garbage_per_call:.2f} objects of cyclic garbage per RPC call"),

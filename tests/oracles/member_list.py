@@ -146,8 +146,12 @@ class MemberList:
         return RANK_BY_VALUE[wire["s"]] > RANK_BY_VALUE[previous[1]]
 
     def gossip_targets(self, rng: random.Random, max_fanout: int) -> List[str]:
-        """Addresses of up to ``max_fanout`` random alive peers."""
-        peers = self.alive(exclude_self=True)
+        """Addresses of up to ``max_fanout`` random alive or suspect peers."""
+        peers = [
+            m for m in self._members.values()
+            if m.state in (MemberState.ALIVE, MemberState.SUSPECT)
+            and m.name != self.self_name
+        ]
         if not peers:
             return []
         sampled = rng.sample(peers, min(max_fanout, len(peers)))

@@ -198,25 +198,37 @@ class TestQueries:
 
 
 class TestWires:
+    """A wire is immutable and carries its size: whoever hears it forwards
+    that same object, charged at that size. A 6-member group spends a
+    wire's whole budget (4) in one round to 4 peers, so the forwards are
+    watched on the wire, with a delivery tap, not in the queues."""
+
+    @staticmethod
+    def forwards(network, agents):
+        """Gossip packets sent by ``agents``, as they are delivered."""
+        senders = {agent.address for agent in agents}
+        packets = []
+        network.add_delivery_tap(
+            lambda m: packets.append(m)
+            if m.kind == GOSSIP and m.src in senders else None
+        )
+        return packets
+
     def test_members_forward_the_originators_wire_itself(self, sim, network, regions):
-        """A wire is immutable and carries its size: whoever hears it queues
-        that same object, at that size, for its own retransmissions."""
         agents = build_group(sim, network, 6, regions)
         sim.run_until(5.0)
+        packets = self.forwards(network, agents[1:])
         agents[0].user_event("deploy", {"version": 2})
         (origin,) = agents[0].broadcasts._queue.values()
         assert type(origin.payload) is SizedWire
         assert origin.size == origin.payload.size == approx_size(dict(origin.payload))
         sim.run_until(5.25)  # a couple of gossip rounds
-        forwarded = [
-            agent.broadcasts._queue[origin.key]
-            for agent in agents[1:]
-            if origin.key in agent.broadcasts._queue
-        ]
-        assert forwarded
-        for broadcast in forwarded:
-            assert broadcast.payload is origin.payload
-            assert broadcast.size == origin.size
+        copies = [(m, wire) for m in packets for wire in m.payload["u"]
+                  if wire == origin.payload]
+        alone = [packet for packet, _ in copies if len(packet.payload["u"]) == 1]
+        assert alone
+        assert all(wire is origin.payload for _, wire in copies)
+        assert all(p.size == MESSAGE_OVERHEAD_BYTES + 8 + origin.size for p in alone)
 
     def test_hand_built_dict_wire_is_measured_and_forwarded(self, sim, network, regions):
         """A custom update that is a plain ``dict`` carries no size; the
@@ -226,12 +238,13 @@ class TestWires:
         seen = []
         for agent in agents:
             agent.on_event("cfg", lambda p, o, name=agent.name: seen.append((name, p, o)))
+        packets = self.forwards(network, agents[1:2])
         wire = {"t": "e", "id": "ext:e1", "en": "cfg", "ep": {"k": "v"}, "o": "ext"}
         agents[0].send(agents[1].address, GOSSIP, {"u": [wire]})
-        sim.run_until(5.1)
-        queued = agents[1].broadcasts._queue[("event", "ext:e1")]
-        assert queued.payload == wire
-        assert queued.size == approx_size(wire)
+        sim.run_until(5.25)
+        first = next(m for m in packets if wire in m.payload["u"])
+        assert first.payload["u"] == [wire]
+        assert first.size == MESSAGE_OVERHEAD_BYTES + 8 + approx_size(wire)
         sim.run_until(9.0)
         # Every member once — the sender too, when the wire is gossiped back.
         assert sorted(seen) == sorted((a.name, {"k": "v"}, "ext") for a in agents)

@@ -206,6 +206,81 @@ class TestTakeAll:
             assert self.state(ours) == self.state(theirs)
 
 
+class TestTakeBatches:
+    """A gossip round's multi-peer take is exactly ``peers`` one-peer takes
+    in turn, each the copy-then-walk take: the same batch per peer (same
+    payloads in the same order, same summed size), stopping at the first
+    peer the queue has nothing for, leaving the same budgets and the same
+    queue order — after any history of enqueues, replacements and
+    invalidations, on queues that fit one packet and queues that do not.
+    Consecutive peers that get the same batch share one run."""
+
+    keys = st.integers(0, 30)
+    steps = st.lists(
+        st.one_of(
+            # A re-enqueue of a key already queued replaces it in place.
+            st.tuples(st.just("enqueue"), keys, st.integers(1, 6)),
+            st.tuples(st.just("invalidate"), keys),
+            st.tuples(st.just("take"), st.integers(0, 8), st.integers(1, 6)),
+        ),
+        max_size=80,
+    )
+
+    @staticmethod
+    def sequential(queue, max_items, peers):
+        batches = []
+        for _ in range(peers):
+            payloads, size = copy_then_walk_take(queue, max_items)
+            if not payloads:
+                break
+            batches.append((payloads, size))
+        return batches
+
+    @given(steps)
+    @settings(max_examples=400)
+    def test_is_one_take_per_peer_in_turn(self, steps):
+        ours, theirs = BroadcastQueue(), BroadcastQueue()
+        for number, step in enumerate(steps):
+            if step[0] == "enqueue":
+                _, key, budget = step
+                for queue in (ours, theirs):
+                    queue.enqueue(("m", str(key)), {"v": number}, group_size=4,
+                                  transmits=budget, size=10 + key)
+            elif step[0] == "invalidate":
+                for queue in (ours, theirs):
+                    queue.invalidate(("m", str(step[1])))
+            else:
+                _, max_items, peers = step
+                runs = ours.take_batches(max_items, peers)
+                assert all(count >= 1 for _, _, count in runs)
+                for before, after in zip(runs, runs[1:]):
+                    assert list(map(id, before[0])) != list(map(id, after[0]))
+                per_peer = [(payloads, size) for payloads, size, count in runs
+                            for _ in range(count)]
+                assert per_peer == self.sequential(theirs, max_items, peers)
+            assert TestTakeAll.state(ours) == TestTakeAll.state(theirs)
+
+    def test_a_deep_queue_is_sorted_once(self, monkeypatch):
+        """Past the first take only the candidates are re-sorted: the
+        first ``max_items * peers`` of the one full sort."""
+        q = BroadcastQueue()
+        for index in range(200):
+            q.enqueue(("m", str(index)), {"v": index}, group_size=400,
+                      transmits=1 + index % 5, size=1)
+        lengths = []
+        real_sorted = sorted
+
+        def counting(iterable, **kwargs):
+            items = real_sorted(iterable, **kwargs)
+            lengths.append(len(items))
+            return items
+
+        monkeypatch.setattr(repro.gossip.broadcast, "sorted", counting, raising=False)
+        runs = q.take_batches(8, 4)
+        assert lengths == [200]
+        assert sum(count for _, _, count in runs) == 4
+
+
 class TestSizedWire:
     WIRE = {"t": "q", "id": "n0:q1", "qn": "fq", "qp": {"terms": [1.5, None]},
             "o": "n0", "ra": "n0/serf"}

@@ -500,15 +500,15 @@ class TestDrawExactness:
 
 class TestGossipTargetsDraw:
     """``gossip_targets`` is one ``random.sample`` over the addresses of the
-    alive peers in insertion order — the same picks and the same bits
-    consumed — on tables of every size and history, before and after every
-    change. The rejection branch (k <= 5 < 22 <= n) is drawn inline, the
-    pool branch by ``_sample_exact``; both must agree with
-    ``Random.sample`` itself, whether a drawn index maps to its slot by
-    arithmetic (the view is the directory's slots in order but for the
-    table's own, wherever that stands) or through the alive array, and must
-    follow every write, the table's own or another table's on the same
-    directory."""
+    alive and suspect peers in insertion order (memberlist gossips to both)
+    — the same picks and the same bits consumed — on tables of every size
+    and history, before and after every change. The rejection branch
+    (k <= 5 < 22 <= n) is drawn inline, the pool branch by
+    ``_sample_exact``; both must agree with ``Random.sample`` itself,
+    whether a drawn index maps to its slot by arithmetic (the view is the
+    directory's slots in order but for the table's own, wherever that
+    stands) or through the view array, and must follow every write, the
+    table's own or another table's on the same directory."""
 
     #: What happens to peer ``i % peers`` after the warm start, in order.
     #: "moved" re-interns the peer's address through another table on the
@@ -528,8 +528,8 @@ class TestGossipTargetsDraw:
 
     @staticmethod
     def check(table, model, k, seed):
-        expected = [address for name, (address, alive) in model.items()
-                    if alive and name != SELF]
+        expected = [address for name, (address, target) in model.items()
+                    if target and name != SELF]
         ours, theirs = random.Random(seed), random.Random(seed)
         assert table.gossip_targets(ours, k) == theirs.sample(
             expected, min(k, len(expected))
@@ -538,8 +538,8 @@ class TestGossipTargetsDraw:
         return expected
 
     def drive(self, peers, k, changes, shared, self_at, seed):
-        """Build a table and its dict model (name -> [address, alive], in
-        insertion order: a rewrite keeps a name's place, a re-insert moves
+        """Build a table and its dict model (name -> [address, alive or
+        suspect], in insertion order: a rewrite keeps a name's place, a re-insert moves
         it to the end, as the table does), checking the draw after the warm
         start and after every change; returns the table and the last view.
         The table's own record goes in after ``self_at`` peers, or not at
@@ -559,7 +559,9 @@ class TestGossipTargetsDraw:
         def write(name, address, region, state, incarnation):
             table.upsert(Member(name, address, region, incarnation=incarnation,
                                 state=state))
-            model[name] = [address, state is MemberState.ALIVE]
+            model[name] = [
+                address, state in (MemberState.ALIVE, MemberState.SUSPECT)
+            ]
 
         own = identity(SELF)
         at = peers if self_at is None else min(self_at, peers)
@@ -619,7 +621,7 @@ class TestGossipTargetsDraw:
     @example(40, 4, [("rejoin", 39)], False, None, 3)
     @example(0, 4, [], False, 0, 0)
     @settings(max_examples=150, deadline=None)
-    def test_is_random_sample_over_the_alive_view(
+    def test_is_random_sample_over_the_gossip_view(
         self, peers, k, changes, shared, self_at, seed
     ):
         self.drive(peers, k, changes, shared, self_at, seed)
@@ -635,7 +637,7 @@ class TestGossipTargetsDraw:
     def test_the_slot_arithmetic_draws_as_the_alive_array(
         self, peers, k, self_at, seed
     ):
-        """The same alive peers in the same order, read two ways: on a
+        """The same peers in the same order, read two ways: on a
         private directory, whose slots are the insertion order but for the
         table's own (a drawn index maps to its slot by arithmetic), and on a
         crowded one, whose are not (it is read through the alive array)."""
@@ -644,9 +646,28 @@ class TestGossipTargetsDraw:
         assert expected == same
         assert private._alive_excl_gap >= 0
         assert crowded._alive_excl_gap == -1
+        assert private._gossip_excl_gap == private._alive_excl_gap
+        assert crowded._gossip_excl_gap == -1
         ours, theirs = random.Random(seed), random.Random(seed)
         assert private.gossip_targets(ours, k) == crowded.gossip_targets(theirs, k)
         assert ours.random() == theirs.random()
+
+    def test_with_no_suspect_the_view_is_the_alive_array(self):
+        """A converged table holds one array for both views; a suspect
+        gets its own gossip view until it is no longer suspect."""
+        table, _ = self.drive(30, 4, [], False, 0, 0)
+        assert table._gossip_excl_arr() is table._alive_excl_arr()
+        name, address, region = "p7", "p7/addr", REGIONS[7 % len(REGIONS)]
+        table.upsert(Member(name, address, region, incarnation=1,
+                            state=MemberState.SUSPECT))
+        view = table._gossip_excl_arr()
+        assert view is not table._alive_excl_arr()
+        assert len(view) == len(table._alive_excl_arr()) + 1 == 30
+        assert table._gossip_excl_gap >= 0
+        table.upsert(Member(name, address, region, incarnation=1,
+                            state=MemberState.DEAD))
+        assert table._gossip_excl_arr() is table._alive_excl_arr()
+        assert len(table._gossip_excl_arr()) == 29
 
     def test_the_rejection_branch_is_drawn_without_a_call(self, monkeypatch):
         table, expected = self.drive(400, 4, [], False, 0, 0)

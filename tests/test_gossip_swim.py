@@ -422,11 +422,14 @@ class TestProbeRoundAllocations:
 
 
 class TestGossipTick:
-    """The gossip tick is posted on the simulator directly and keeps
-    ``Process.post``'s rules itself: dropped once the agent stops, deferred
-    while it is paused. A crash-restarted agent runs exactly one tick chain:
-    a tick queued before the crash neither blocks the new life's first tick
-    nor starts a second chain beside it."""
+    """The gossip tick keeps memberlist's fixed-phase ticker: a phase drawn
+    once per start, every tick on that grid, one per interval while the
+    queue holds anything, none while it is empty. It is posted on the
+    simulator directly and keeps ``Process.post``'s rules itself: dropped
+    once the agent stops, deferred while it is paused. A crash-restarted
+    agent runs exactly one tick chain, on its new life's grid: a tick
+    queued before the crash neither blocks the new life's first tick nor
+    starts a second chain beside it."""
 
     CONFIG = SwimConfig(sync_interval=1000.0)
 
@@ -435,31 +438,64 @@ class TestGossipTick:
         for i in range(count):
             agent.broadcast_payload("test", f"{tag}{i}", {"t": "test", "k": i})
 
+    @staticmethod
+    def gossip_instants(network, agent):
+        sent_at = set()
+        network.add_delivery_tap(
+            lambda m: sent_at.add(m.sent_at)
+            if m.kind == GOSSIP and m.src == agent.address else None
+        )
+        return sent_at
+
+    @staticmethod
+    def on_grid(instant, origin, interval):
+        steps = (instant - origin) / interval
+        return steps > -1e-9 and steps == pytest.approx(round(steps), abs=1e-9)
+
+    def test_first_tick_is_on_the_phase_grid(self):
+        sim, network, agents = warm_group(SwimAgent, 8, self.CONFIG)
+        agent = agents[0]
+        interval = agent.config.gossip_interval
+        origin = agent._gossip_origin
+        # Drawn at start, within one interval, and per agent.
+        assert 0.0 <= origin < interval
+        assert len({a._gossip_origin for a in agents}) == len(agents)
+        sent_at = self.gossip_instants(network, agent)
+        for queued_at in (2.0137, 3.5, 7.0421):
+            sim.run_until(queued_at)
+            assert not agent._gossip_scheduled  # idle: no tick queued
+            sent_at.clear()
+            self.queue(agent, 1, f"at{queued_at}")
+            sim.run_until(queued_at + 1.0)
+            (first,) = sent_at  # 1 wire, budget 4, 4 peers: one tick spends it
+            assert 0.0 < first - queued_at <= interval + 1e-9
+            assert self.on_grid(first, origin, interval)
+
     # Restart before / after the tick queued in the previous life fires.
     @pytest.mark.parametrize("gap", [0.0, 0.25])
     def test_restart_runs_one_tick_per_interval(self, gap):
         sim, network, agents = warm_group(SwimAgent, 8, self.CONFIG)
         agent = agents[0]
         interval = agent.config.gossip_interval
-        sent_at = set()
-        network.add_delivery_tap(
-            lambda m: sent_at.add(m.sent_at)
-            if m.kind == GOSSIP and m.src == agent.address else None
-        )
+        sent_at = self.gossip_instants(network, agent)
         sim.run_until(2.0)
-        self.queue(agent, 1, "before")  # tick queued for 2.1
-        sim.run_until(2.05)
+        self.queue(agent, 1, "before")
+        assert agent._gossip_scheduled  # due within the next interval
         agent.stop()
-        sim.run_until(2.05 + gap)
+        sim.run_until(2.0 + gap)
         agent.restart()
         restarted_at = sim.now
+        origin = agent._gossip_origin
+        assert restarted_at <= origin < restarted_at + interval
         sent_at.clear()
-        self.queue(agent, 40, "after")
-        sim.run_until(restarted_at + 1.0 + interval / 2)
+        # 100 broadcasts of 4 transmissions outlast the second: a round
+        # spends at most 8 items to each of 4 peers.
+        self.queue(agent, 100, "after")
+        sim.run_until(origin + 10 * interval - interval / 2)
         instants = sorted(sent_at)
-        # 40 broadcasts outlast the second: a tick every interval, one chain.
+        # A tick every interval on the new life's grid, one chain.
         assert len(instants) == 10
-        assert instants[0] == pytest.approx(restarted_at + interval)
+        assert instants[0] == pytest.approx(origin)
         for earlier, later in zip(instants, instants[1:]):
             assert later - earlier == pytest.approx(interval)
 
@@ -468,13 +504,14 @@ class TestGossipTick:
         agent = agents[0]
         meter = network.meter(agent.address)
         sim.run_until(2.0)
-        self.queue(agent, 1, "x")  # tick queued for 2.1
+        # More than one round spends: the chain outlives the first tick.
+        self.queue(agent, 12, "x")  # tick queued within the next interval
         seen = []
 
         def marker():
             seen.append(meter.messages_sent)
 
-        agent.post(agent.config.gossip_interval, marker)  # also due at 2.1
+        agent.post(agent.config.gossip_interval, marker)  # due at 2.1, after it
         agent.pause()
         sim.run_until(3.0)
         assert seen == []
@@ -483,7 +520,7 @@ class TestGossipTick:
         ]
         sent_before = meter.messages_sent
         agent.resume()
-        # Replayed in expiry order: the tick's fan-out of 4 went out first.
+        # Replayed in expiry order: the tick's packets to 4 peers went first.
         assert seen == [sent_before + agent.config.gossip_fanout]
         assert agent._gossip_scheduled  # the chain goes on from the resume
         agent.stop()

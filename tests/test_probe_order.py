@@ -9,9 +9,12 @@ list when a pass wrapped (``tests/oracles/probe_order.py``, substituted with
 * the seeded kernel run digests to the committed checksum, and every
   implementation arm (the in-flight heap vs the one-event-per-message oracle
   in ``tests/oracles/direct_post.py``, GC freeze on/off) reproduces it;
-* under the log2 retransmit limit it replaced (``tests/oracles/retransmit.py``,
-  ``kernel(retransmit="log2")``) the run digests to the checksum pinned
-  before that change, and with the old walk too, to the one before that;
+* under the shared gossip round memberlist's per-peer one replaced
+  (``tests/oracles/gossip_round.py``, ``kernel(gossip="shared")``) the run
+  digests to the checksum pinned before that change; with the log2
+  retransmit limit (``tests/oracles/retransmit.py``,
+  ``kernel(retransmit="log2")``) as well, to the one before that; and with
+  the old walk too, to the one before that;
 * each draw takes exactly the bits ``random.Random._randbelow`` takes;
 * a member alive for a whole pass is probed exactly once in it, and no
   member is probed twice in a pass, whatever deaths, leaves, reclaims and
@@ -43,12 +46,13 @@ from repro.sim.process import Process
 from repro.sim.rpc import DEFERRED, RpcMixin
 from tests.arms import kernel
 from tests.oracles.direct_post import DirectPostNetwork
+from tests.oracles.gossip_round import SHARED_DETERMINISM_CHECKSUM
 from tests.oracles.probe_order import SHUFFLE_DETERMINISM_CHECKSUM
 from tests.oracles.retransmit import LOG2_DETERMINISM_CHECKSUM
 
 #: The committed kernel determinism checksum (BENCH_kernel.json).
 DETERMINISM_CHECKSUM = (
-    "26ae3d3d67143a4955d486728f8c085b2125aa7a6c1f9cf3b542a8f4b308fabf"
+    "c0f7cd5bba3e7cbfa47481347452c09f472dda829959715e04a5d42c144090bf"
 )
 
 
@@ -144,19 +148,28 @@ class TestByteExactness:
         assert "victim_views" in json.loads(a)
 
     def test_shuffle_oracle_is_the_walk_it_replaced(self):
-        """Under the oracle (and the retransmit limit of its day) the kernel
-        run digests to the checksum pinned before the walk changed, so the
-        comparisons below are against the old walk itself."""
-        with kernel(probes="shuffle", retransmit="log2"):
+        """Under the oracle (and the retransmit limit and gossip round of
+        its day) the kernel run digests to the checksum pinned before the
+        walk changed, so the comparisons below are against the old walk
+        itself."""
+        with kernel(probes="shuffle", retransmit="log2", gossip="shared"):
             assert determinism_checksum() == SHUFFLE_DETERMINISM_CHECKSUM
 
     def test_log2_oracle_is_the_limit_it_replaced(self):
-        """Under the log2 retransmit limit the kernel run digests to the
-        checksum pinned before the limit changed: the limit is the only
-        cause of the re-pin."""
-        with kernel(retransmit="log2"):
+        """Under the log2 retransmit limit (and the gossip round of its day)
+        the kernel run digests to the checksum pinned before the limit
+        changed: the limit is the only cause of that re-pin."""
+        with kernel(retransmit="log2", gossip="shared"):
             assert determinism_checksum() == LOG2_DETERMINISM_CHECKSUM
-        assert LOG2_DETERMINISM_CHECKSUM != DETERMINISM_CHECKSUM
+        assert LOG2_DETERMINISM_CHECKSUM != SHARED_DETERMINISM_CHECKSUM
+
+    def test_shared_round_oracle_is_the_round_it_replaced(self):
+        """Under the shared gossip round the kernel run digests to the
+        checksum pinned before memberlist's per-peer round: the round is
+        the only cause of the re-pin."""
+        with kernel(gossip="shared"):
+            assert determinism_checksum() == SHARED_DETERMINISM_CHECKSUM
+        assert SHARED_DETERMINISM_CHECKSUM != DETERMINISM_CHECKSUM
 
 
 # ---------------------------------------------------------------- the draw
