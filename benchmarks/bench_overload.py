@@ -180,15 +180,11 @@ def plane_counters(scenario) -> Dict[str, int]:
         "queries_shed": 0,
         "queue_shed_capacity": 0,
         "queue_shed_deadline": 0,
-        "registrations_shed": 0,
-        "reports_shed": 0,
         "breaker_opened": 0,
     }
     for shard in scenario.plane.shards:
         counters["queries_throttled"] += shard.queries_throttled
         counters["queries_shed"] += shard.queries_shed
-        counters["registrations_shed"] += shard.registrations_shed
-        counters["reports_shed"] += shard.reports_shed
         if shard.admission is not None:
             counters["queue_shed_capacity"] += shard.admission.shed_capacity
             counters["queue_shed_deadline"] += shard.admission.shed_deadline

@@ -5,9 +5,9 @@ aggregate query throughput, latency percentiles, and per-shard CPU and
 bandwidth under a closed-loop query workload (``CONCURRENCY`` application
 streams, each issuing its next query the moment the previous one answers).
 The serial-queue service model (``server_queue_enabled``) bounds each shard
-at ``1 / server_processing_delay`` queries/sec, so a single shard saturates
-and the sweep exposes how close the scatter-gather plane gets to linear
-scale-out.
+at ``1 / SERVER_PROCESSING_DELAY`` queries/sec (:mod:`repro.core.service`),
+so a single shard saturates and the sweep exposes how close the
+scatter-gather plane gets to linear scale-out.
 
 Two workload properties matter for sharding and are both exercised here:
 
@@ -52,7 +52,7 @@ from repro.workloads.querygen import QueryWorkload, multi_attribute_query
 
 SHARD_COUNTS = (1, 2, 4, 8)
 #: Closed-loop streams. Sized so the 1-shard arm saturates (queue wait
-#: ``CONCURRENCY * server_processing_delay`` stays inside the query timeout)
+#: ``CONCURRENCY * SERVER_PROCESSING_DELAY`` stays inside the query timeout)
 #: while the 8-shard arm is not starved of offered load.
 CONCURRENCY = 128
 SETTLE_S = 3.0

@@ -9,7 +9,8 @@ buckets by the first set that called it:
 
 * **product** — a product path: the figure, table and ablation benches (file
   by file), focusbench's four workloads at smoke size, the chaos smoke, the
-  shard and overload ``--quick`` benches and the failure suite;
+  kernel, shard and overload ``--quick`` benches (``make check``'s bench
+  gate runs all three) and the failure suite;
 * **tests only** — the tier-1 suite and nothing above;
 * **nowhere** — neither.
 
@@ -87,6 +88,7 @@ def product_commands(out: str) -> List[List[str]]:
         [py, "benchmarks/focusbench/run.py", "--workload", "all", "--seed", "42",
          "--scale", "smoke", "--reps", "1"],
         [py, "benchmarks/chaos_smoke.py"],
+        [py, "benchmarks/bench_kernel.py", "--quick", "--out", f"{out}/kernel.json"],
         [py, "benchmarks/bench_shards.py", "--quick", "--out", f"{out}/shards.json"],
         [py, "benchmarks/bench_overload.py", "--quick", "--out", f"{out}/ovl.json"],
         [py, "-m", "repro.harness.failure_suite", "--out", f"{out}/failures.json"],

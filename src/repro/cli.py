@@ -21,6 +21,7 @@ from typing import List, Optional
 
 from repro._version import __version__
 from repro.core.config import FocusConfig
+from repro.core.dgm import REPRESENTATIVES_PER_GROUP
 from repro.core.query import Query, QueryTerm
 
 _TERM_PATTERN = re.compile(r"^(\w+)\s*(>=|<=|==)\s*(.+)$")
@@ -249,7 +250,7 @@ def cmd_info(args) -> int:
               f"range=[{spec.min_value:g}, {spec.max_value:g}] {spec.unit}")
     print("Static attributes:", ", ".join(sorted(config.schema.static())))
     print(f"Group size cap: {config.max_group_size}; "
-          f"representatives/group: {config.representatives_per_group}; "
+          f"representatives/group: {REPRESENTATIVES_PER_GROUP}; "
           f"report interval: {config.report_interval}s")
     print(f"Gossip: fanout {config.serf.gossip_fanout}, "
           f"interval {config.serf.gossip_interval * 1000:.0f} ms")

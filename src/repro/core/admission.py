@@ -44,8 +44,8 @@ _QUEUE_DISCIPLINES = ("fifo", "lifo")
 class OverloadConfig:
     """All overload-model and defense knobs, off by default.
 
-    ``FocusConfig.server_queue_enabled`` is the master switch: none of
-    these take effect unless it is on (enforced by
+    ``FocusConfig.server_queue_enabled`` is the master switch: no lane or
+    defense takes effect unless it is on (enforced by
     :meth:`repro.core.config.FocusConfig.validate`), and with everything
     here at its default the serving plane behaves exactly as before.
     """
@@ -54,7 +54,9 @@ class OverloadConfig:
     #: Charge queries/registrations/reports real CPU service time on a
     #: busy-until :class:`~repro.core.cpumodel.ServerCpuModel` per server
     #: (per shard). Off = the legacy fixed
-    #: ``server_processing_delay`` serial queue.
+    #: :data:`~repro.core.service.SERVER_PROCESSING_DELAY` serial queue.
+    #: The Fig. 8a meter (:class:`~repro.core.service.ServerResourceModel`)
+    #: reads ``cores`` and the three costs below either way.
     cpu_model_enabled: bool = False
     #: Cores per serving-plane server (each shard gets its own machine).
     cores: float = 4.0
@@ -64,9 +66,6 @@ class OverloadConfig:
     per_registration_cpu: float = 0.005
     #: Core-seconds to ingest one representative report.
     per_report_cpu: float = 0.002
-    #: Shed work whose queue wait would exceed this (None = unbounded — the
-    #: pure Fig. 3 collapse).
-    max_backlog_seconds: Optional[float] = None
 
     # ----------------------------------------------------------- throttling
     throttle_enabled: bool = False
@@ -123,11 +122,6 @@ class OverloadConfig:
             value = getattr(self, name)
             if value < 0:
                 raise ConfigError(f"overload.{name} must be >= 0, got {value}")
-        if self.max_backlog_seconds is not None and self.max_backlog_seconds < 0:
-            raise ConfigError(
-                "overload.max_backlog_seconds must be >= 0 or None, "
-                f"got {self.max_backlog_seconds}"
-            )
         if self.any_defense_enabled() and not self.cpu_model_enabled:
             raise ConfigError(
                 "overload defenses (throttle/queue/bulkhead/breaker) require "

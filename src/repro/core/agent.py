@@ -40,6 +40,12 @@ GROUP_QUERY_EVENT = "fq"
 #: How long after joining to verify the join actually took.
 JOIN_VERIFY_DELAY = 3.0
 
+#: Node-side serf query timeout (gossip convergence bound).
+GROUP_QUERY_TIMEOUT = 1.5
+
+#: How often the collector refreshes attribute values.
+COLLECTION_INTERVAL = 1.0
+
 
 class GroupMembership:
     """One attribute group this node currently belongs to."""
@@ -120,9 +126,9 @@ class NodeAgent(Process, RpcMixin):
             self.register()
         if self.collector is not None:
             self.every(
-                self.config.collection_interval,
+                COLLECTION_INTERVAL,
                 self._collect,
-                jitter=self.config.collection_interval * 0.2,
+                jitter=COLLECTION_INTERVAL * 0.2,
             )
 
     def on_stop(self) -> None:
@@ -490,7 +496,7 @@ class NodeAgent(Process, RpcMixin):
             GROUP_QUERY_EVENT,
             query_json,
             on_complete,
-            timeout=self.config.group_query_timeout,
+            timeout=GROUP_QUERY_TIMEOUT,
         )
         return DEFERRED
 

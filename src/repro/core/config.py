@@ -1,13 +1,27 @@
 """FOCUS deployment configuration.
 
-Bundles every operator-tunable knob called out by the paper: attribute
-cutoffs (via the schema), the group size cap that triggers forks, the number
-of representatives per group and their upload period, query timeouts, cache
-size, geographic split threshold, and the gossip parameters passed down to
-the node agents' Serf clients (fanout 4 / interval 100 ms, §VIII-B).
+:class:`FocusConfig` holds the knobs a caller sets: attribute cutoffs (via
+the schema), the group size cap that triggers forks, the representatives'
+upload period, the server-side query timeout, the response cache switch, the
+geographic split threshold, delegation, smallest-group routing, the gossip
+parameters passed down to the node agents' Serf clients (fanout 4 / interval
+100 ms, §VIII-B), the serving plane's shape and the overload model.
 
-Serving-plane settings that no caller varies (ring virtual nodes, replica
-refresh period) are constants in :mod:`repro.core.shardplane`, not fields.
+Settings that no caller varies are constants in the one module that reads
+them, not fields (a test that needs another value patches the constant):
+
+* :data:`repro.core.service.SERVER_PROCESSING_DELAY` (the ~45 ms cache path of
+  Fig. 8c) and :data:`~repro.core.service.STORE_SYNC_INTERVAL`;
+* :data:`repro.core.agent.GROUP_QUERY_TIMEOUT` and
+  :data:`~repro.core.agent.COLLECTION_INTERVAL`;
+* :data:`repro.core.dgm.REPRESENTATIVES_PER_GROUP` and
+  :data:`~repro.core.dgm.TRANSITION_TTL`;
+* :data:`repro.core.rest.DELEGATED_PULL_TIMEOUT`;
+* the response cache's capacity, :class:`~repro.core.cache.QueryCache`'s
+  default;
+* the ring's virtual nodes and the replica refresh period, in
+  :mod:`repro.core.shardplane`.
+
 ``tests/test_exports.py`` pins the field names of :class:`FocusConfig` and
 :class:`~repro.core.admission.OverloadConfig`.
 """
@@ -36,32 +50,18 @@ class FocusConfig:
     #: Fork a group once its size estimate reaches this (§VII). The paper
     #: observes average group sizes of ~150 in the trace experiment.
     max_group_size: int = 150
-    #: Representatives per group uploading member lists (§VII). The paper's
-    #: evaluation averaged ~16 representatives in total (fn. 4), i.e. about
-    #: one per occupied group.
-    representatives_per_group: int = 1
     #: Representative upload period, seconds.
     report_interval: float = 5.0
     #: Server-side query abort timeout (§VIII-A3).
     query_timeout: float = 3.0
-    #: Modelled per-query server processing time (request parsing, cache and
-    #: table lookups, response encoding). Fig. 8c's ~45 ms cache-hit latency
-    #: is dominated by this.
-    server_processing_delay: float = 0.04
-    #: Node-side serf query timeout (gossip convergence bound).
-    group_query_timeout: float = 1.5
-    #: Response cache capacity.
-    cache_max_entries: int = 1024
     #: Enable/disable the response cache entirely (disabled in Fig. 7c).
     cache_enabled: bool = True
     #: Split a group family per-region once its members span more than this
     #: great-circle distance (km); None disables geo splits. The paper
     #: presents geo splits as an optional capability (§VII) and its own
     #: evaluation runs groups spanning all four regions, so the default is
-    #: off; the ablation bench and tests exercise it.
+    #: off; ``examples/geo_split_monitoring.py`` and the DGM tests turn it on.
     geo_split_km: Optional[float] = None
-    #: How long a node may sit in the transition table before being swept.
-    transition_ttl: float = 30.0
     #: Under heavy load, hand the group-query fan-out to the application
     #: instead of performing it server-side (§VI "Optimizations").
     delegation_enabled: bool = False
@@ -78,10 +78,6 @@ class FocusConfig:
     #: high value, of great use for time-sensitive applications" at the cost
     #: of member bandwidth (see the fanout ablation).
     fanout_overrides: Dict[str, int] = field(default_factory=dict)
-    #: How often the node agent's collector refreshes attribute values.
-    collection_interval: float = 1.0
-    #: How often the DGM syncs its primary tables to the store.
-    store_sync_interval: float = 10.0
     #: Number of serving-plane shards. 1 (the default) keeps the legacy
     #: single ``FocusService`` — byte-identical to the pre-sharding code
     #: path. Above 1, :func:`~repro.core.shardplane.build_shard_plane`
@@ -95,7 +91,8 @@ class FocusConfig:
     #: Model each server's query processing as a serial queue instead of
     #: infinite concurrency. Off by default so existing seeded runs keep
     #: their exact byte streams. On its own (``overload`` untouched) the
-    #: service time is the fixed ``server_processing_delay`` — the knob the
+    #: service time is the fixed
+    #: :data:`~repro.core.service.SERVER_PROCESSING_DELAY` — the knob the
     #: shard scale-out bench turns on to expose its saturation knee. It is
     #: also the master switch for the overload subsystem: the CPU
     #: service-time model and every admission-control defense in

@@ -63,8 +63,8 @@ class ServerCpuModel:
         self.per_request_cpu = per_request_cpu
         self.per_connection_cpu = per_connection_cpu
         #: Requests whose queue wait would exceed this are shed instead of
-        #: occupying the server; ``None`` queues without bound (the pure
-        #: saturation knee).
+        #: occupying the server (the MQ broker's bound); ``None`` queues
+        #: without bound (the pure saturation knee, as every FOCUS lane does).
         self.max_backlog_seconds = max_backlog_seconds
         self.busy_until = 0.0
         self.busy_accum = 0.0

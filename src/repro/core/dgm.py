@@ -25,6 +25,13 @@ from typing import Dict, List, Optional
 from repro.core.groups import GroupInfo, GroupMember, GroupTable
 from repro.core.registrar import NodeRecord
 
+#: Representatives per group uploading member lists (§VII). The paper's
+#: evaluation averaged ~16 representatives in total (fn. 4), i.e. about one
+#: per occupied group.
+REPRESENTATIVES_PER_GROUP = 1
+#: How long a node may sit in the transition table before being swept.
+TRANSITION_TTL = 30.0
+
 
 @dataclass
 class Transition:
@@ -85,7 +92,7 @@ class DynamicGroupsManager:
         self.transitions[(node_id, attribute)] = Transition(
             node_id, attribute, group.name, self.service.sim.now
         )
-        representative = self._maybe_appoint_representative(group, node_id)
+        representative = self.maybe_appoint_representative(group, node_id)
         if group.size_estimate() >= config.max_group_size:
             family.mark_forked(group)
         record = self.service.registrar.get(node_id)
@@ -103,9 +110,10 @@ class DynamicGroupsManager:
             "fanout": config.fanout_for(attribute),
         }
 
-    def _maybe_appoint_representative(self, group: GroupInfo, node_id: str) -> bool:
-        config = self.service.config
-        if len(group.representatives) < config.representatives_per_group:
+    def maybe_appoint_representative(self, group: GroupInfo, node_id: str) -> bool:
+        """Make ``node_id`` a representative of ``group`` if it is short of
+        :data:`REPRESENTATIVES_PER_GROUP`; whether it did."""
+        if len(group.representatives) < REPRESENTATIVES_PER_GROUP:
             group.representatives.add(node_id)
             return True
         return False
@@ -187,7 +195,7 @@ class DynamicGroupsManager:
         return group
 
     def _refresh_representatives(self, group: GroupInfo, reporter: str) -> bool:
-        """Maintain exactly ``representatives_per_group`` live reps.
+        """Maintain exactly :data:`REPRESENTATIVES_PER_GROUP` live reps.
 
         Dead reps (absent from the reported member list) are dropped, new
         ones are appointed from the membership, and excess reps are trimmed
@@ -195,8 +203,7 @@ class DynamicGroupsManager:
         demoting each other forever). The return value tells the reporter
         whether to keep reporting.
         """
-        config = self.service.config
-        target = config.representatives_per_group
+        target = REPRESENTATIVES_PER_GROUP
         live = {n for n in group.representatives if n in group.members}
         if reporter not in live and len(live) < target and reporter in group.members:
             live.add(reporter)
@@ -280,10 +287,14 @@ class DynamicGroupsManager:
                 group.representatives.add(node_id)
                 self._send_appointment(group, node_id)
 
+    @staticmethod
+    def sweep_interval() -> float:
+        """Period of :meth:`sweep_transitions`: half the TTL, at least 1 s."""
+        return max(TRANSITION_TTL / 2, 1.0)
+
     def sweep_transitions(self) -> None:
-        """Expire transition entries older than the TTL."""
-        ttl = self.service.config.transition_ttl
-        cutoff = self.service.sim.now - ttl
+        """Expire transition entries older than :data:`TRANSITION_TTL`."""
+        cutoff = self.service.sim.now - TRANSITION_TTL
         expired = [key for key, t in self.transitions.items() if t.since < cutoff]
         for key in expired:
             del self.transitions[key]

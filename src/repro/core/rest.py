@@ -18,6 +18,10 @@ from repro.sim.network import Network
 from repro.sim.process import Process
 from repro.sim.rpc import RpcMixin
 
+#: Timeout of each group or node pull the client makes for a delegated
+#: query.
+DELEGATED_PULL_TIMEOUT = 2.0
+
 
 @dataclass
 class QueryResponse:
@@ -45,10 +49,9 @@ class QueryResponse:
 class FocusClient:
     """Query client for one application process."""
 
-    def __init__(self, host, focus_address: str = "focus", *, group_query_timeout: float = 2.0) -> None:
+    def __init__(self, host, focus_address: str = "focus") -> None:
         self.host = host
         self.focus_address = focus_address
-        self.group_query_timeout = group_query_timeout
 
     def query(
         self,
@@ -198,7 +201,7 @@ class FocusClient:
                 {"group": group["name"], "query": wire},
                 on_reply=on_group_reply,
                 on_timeout=on_timeout,
-                timeout=self.group_query_timeout,
+                timeout=DELEGATED_PULL_TIMEOUT,
             )
         for node_id in transitions:
             state["pending"] += 1
@@ -208,7 +211,7 @@ class FocusClient:
                 {"query": wire},
                 on_reply=on_node_reply,
                 on_timeout=on_timeout,
-                timeout=self.group_query_timeout,
+                timeout=DELEGATED_PULL_TIMEOUT,
             )
         if state["pending"] == 0:
             finish(False)

@@ -15,7 +15,9 @@ Processing order for a query:
    lists instead of fanning out itself, and the application pulls directly;
    delegated responses are not cached (§VI).
 
-A configured timeout bounds the whole operation (§VIII-A3).
+A configured timeout bounds the whole operation (§VIII-A3). Each path ends
+by calling the ``respond`` it was handed; when that reply leaves the server
+(fixed processing time, serial queue or CPU lane) is the service's decision.
 """
 
 from __future__ import annotations
@@ -82,9 +84,7 @@ class QueryRouter:
         if service.config.cache_enabled:
             entry = service.cache.lookup_entry(query, service.sim.now)
             if entry is not None:
-                self._respond_after_processing(
-                    respond, entry.answer(query, service.sim.now, "cache")
-                )
+                respond(entry.answer(query, service.sim.now, "cache"))
                 return DEFERRED
 
         view = service.views.match_query(query)
@@ -170,7 +170,7 @@ class QueryRouter:
                     if query.limit is not None and len(matches) >= query.limit:
                         break
             self._maybe_cache(query, matches)
-            self._respond_after_processing(respond, answer_payload(matches, "static"))
+            respond(answer_payload(matches, "static"))
 
         if store is None:
             # No store deployed: answer from the in-memory registry.
@@ -183,8 +183,8 @@ class QueryRouter:
         store.scan(
             static_table_name(smallest.name),
             finish,
-            on_error=lambda exc: self._respond_after_processing(
-                respond, answer_payload([], "static", error=str(exc))
+            on_error=lambda exc: respond(
+                answer_payload([], "static", error=str(exc))
             ),
         )
 
@@ -378,7 +378,7 @@ class QueryRouter:
         matches = state.trimmed_matches()
         if not timed_out:
             self._maybe_cache(state.query, list(state.matches.values()))
-        self._respond_after_processing(state.respond, answer_payload(
+        state.respond(answer_payload(
             matches,
             state.source,
             timed_out=timed_out,
@@ -400,37 +400,12 @@ class QueryRouter:
                 "transitions": self.service.dgm.transitioning_nodes(attribute),
             },
         }
-        self._respond_after_processing(respond, payload)
+        respond(payload)
 
     # -------------------------------------------------------------- responses
     def _maybe_cache(self, query: Query, matches: List[dict]) -> None:
         if self.service.config.cache_enabled:
             self.service.cache.store(query, matches, self.service.sim.now)
-
-    def _respond_after_processing(self, respond, payload) -> None:
-        """Model server-side processing time (the ~45 ms cache path of
-        Fig. 8c is dominated by it).
-
-        With ``server_queue_enabled`` the server is a serial queue: each
-        response occupies the CPU for the processing delay, so responses
-        queue behind each other and an overloaded server's latency grows
-        without bound — the saturation knee the shard sweep measures.
-
-        Under the overload CPU model the charge already happened at
-        admission (:meth:`FocusService._admit_query` occupied the query
-        lane before this handler ran), so the response leaves immediately
-        rather than paying a second fixed delay.
-        """
-        if self.service.query_cpu is not None:
-            respond(payload)
-            return
-        delay = self.service.config.server_processing_delay
-        if self.service.config.server_queue_enabled:
-            delay = self.service.enqueue_processing(delay)
-        if delay > 0:
-            self.service.sim.schedule(delay, respond, payload)
-        else:
-            respond(payload)
 
 
 class _MemoryRow:

@@ -18,7 +18,7 @@ CPU/RAM measurements (the paper's server VM: 4 vCPUs, 16 GB RAM).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 from repro.core.admission import AdmissionQueue, TokenBucket
@@ -39,57 +39,60 @@ from repro.sim.rpc import DEFERRED, RpcMixin
 from repro.store.cluster import StoreClient, StoreCluster
 
 
-@dataclass
-class ResourceModelConfig:
-    """CPU/RAM cost model for the FOCUS server (Fig. 8a calibration)."""
-
-    cores: float = 4.0
-    ram_total_mb: float = 16384.0
-    #: Parsing, cache lookup and planning for one query.
-    per_query_cpu: float = 0.002
-    #: Issuing one group/transition RPC and merging its response. This is
-    #: the work delegation (§VI) offloads to the application.
-    per_fanout_cpu: float = 0.004
-    per_report_cpu: float = 0.002
-    per_registration_cpu: float = 0.005
-    sample_interval: float = 1.0
-    base_ram_mb: float = 450.0
-    ram_per_node_mb: float = 0.12
-    ram_per_group_mb: float = 0.06
-    ram_per_cache_entry_mb: float = 0.01
+#: Modelled per-query server processing time with no CPU lane (request
+#: parsing, cache and table lookups, response encoding). Fig. 8c's ~45 ms
+#: cache-hit latency is dominated by it.
+SERVER_PROCESSING_DELAY = 0.04
+#: How often the DGM syncs its primary tables to the store.
+STORE_SYNC_INTERVAL = 10.0
 
 
 class ServerResourceModel:
-    """Accumulates modelled CPU work and samples utilisation and RAM."""
+    """Accumulates modelled CPU work and samples utilisation and RAM.
+
+    The Fig. 8a meter. Its cores and its query, report and registration
+    costs are the service's ``config.overload`` table, the one the CPU lanes
+    charge; the fan-out cost and the RAM constants are its own.
+    """
+
+    #: Issuing one group/transition RPC and merging its response. This is
+    #: the work delegation (§VI) offloads to the application.
+    PER_FANOUT_CPU = 0.004
+    SAMPLE_INTERVAL = 1.0
+    BASE_RAM_MB = 450.0
+    RAM_PER_NODE_MB = 0.12
+    RAM_PER_GROUP_MB = 0.06
+    RAM_PER_CACHE_ENTRY_MB = 0.01
 
     def __init__(self, service: "FocusService") -> None:
         self.service = service
-        self.config = ResourceModelConfig()
+        self.costs = service.config.overload
         self._window_cpu = 0.0
         self.cpu_series: List[Tuple[float, float]] = []
         self.ram_series: List[Tuple[float, float]] = []
 
     def charge_query(self) -> None:
-        self._window_cpu += self.config.per_query_cpu
+        self._window_cpu += self.costs.per_query_cpu
 
     def charge_fanout(self) -> None:
-        self._window_cpu += self.config.per_fanout_cpu
+        self._window_cpu += self.PER_FANOUT_CPU
 
     def charge_report(self) -> None:
-        self._window_cpu += self.config.per_report_cpu
+        self._window_cpu += self.costs.per_report_cpu
 
     def charge_registration(self) -> None:
-        self._window_cpu += self.config.per_registration_cpu
+        self._window_cpu += self.costs.per_registration_cpu
 
     def sample(self) -> None:
-        cfg = self.config
-        utilization = min(1.0, self._window_cpu / cfg.sample_interval / cfg.cores)
+        utilization = min(
+            1.0, self._window_cpu / self.SAMPLE_INTERVAL / self.costs.cores
+        )
         self._window_cpu = 0.0
         ram_mb = (
-            cfg.base_ram_mb
-            + cfg.ram_per_node_mb * len(self.service.registrar.nodes)
-            + cfg.ram_per_group_mb * len(self.service.dgm.groups)
-            + cfg.ram_per_cache_entry_mb * len(self.service.cache)
+            self.BASE_RAM_MB
+            + self.RAM_PER_NODE_MB * len(self.service.registrar.nodes)
+            + self.RAM_PER_GROUP_MB * len(self.service.dgm.groups)
+            + self.RAM_PER_CACHE_ENTRY_MB * len(self.service.cache)
         )
         now = self.service.sim.now
         self.cpu_series.append((now, utilization))
@@ -136,9 +139,10 @@ class FocusService(Process, RpcMixin):
         #: persists them (the rest would duplicate every row N ways).
         self.persist_statics = persist_statics
         #: Serial queue for the modelled query processor (see
-        #: :meth:`enqueue_processing`); only advances under
-        #: ``config.server_queue_enabled``. Callers pass the service time
-        #: directly, so the lane's own per-request cost never applies.
+        #: :meth:`_reply_after_processing`); only advances under
+        #: ``config.server_queue_enabled`` with no CPU model. It is handed
+        #: the service time directly, so its own per-request cost never
+        #: applies.
         self._legacy_queue = ServerCpuModel(1.0)
         # ---- overload subsystem (all off by default; see core/admission.py)
         overload = self.config.overload
@@ -152,26 +156,19 @@ class FocusService(Process, RpcMixin):
         self.throttle: Optional[TokenBucket] = None
         self.queries_throttled = 0
         self.queries_shed = 0
-        self.registrations_shed = 0
-        self.reports_shed = 0
         if overload.cpu_model_enabled:
             if overload.bulkhead_enabled:
                 query_cores = overload.cores * overload.bulkhead_query_share
                 self.query_cpu = ServerCpuModel(
-                    query_cores,
-                    per_request_cpu=overload.per_query_cpu,
-                    max_backlog_seconds=overload.max_backlog_seconds,
+                    query_cores, per_request_cpu=overload.per_query_cpu
                 )
                 self.register_cpu = ServerCpuModel(
                     overload.cores - query_cores,
                     per_request_cpu=overload.per_registration_cpu,
-                    max_backlog_seconds=overload.max_backlog_seconds,
                 )
             else:
                 shared = ServerCpuModel(
-                    overload.cores,
-                    per_request_cpu=overload.per_query_cpu,
-                    max_backlog_seconds=overload.max_backlog_seconds,
+                    overload.cores, per_request_cpu=overload.per_query_cpu
                 )
                 self.query_cpu = shared
                 self.register_cpu = shared
@@ -187,7 +184,7 @@ class FocusService(Process, RpcMixin):
                 self.throttle = TokenBucket(
                     overload.throttle_rate, overload.throttle_burst
                 )
-        self.cache = QueryCache(self.config.cache_max_entries)
+        self.cache = QueryCache()
         self.store_client: Optional[StoreClient] = (
             store_cluster.client_for(self) if store_cluster is not None else None
         )
@@ -210,15 +207,12 @@ class FocusService(Process, RpcMixin):
 
     # ------------------------------------------------------------- lifecycle
     def on_start(self) -> None:
-        self.every(
-            max(self.config.transition_ttl / 2, 1.0),
-            self.dgm.sweep_transitions,
-        )
+        self.every(self.dgm.sweep_interval(), self.dgm.sweep_transitions)
         self.every(self.config.report_interval, self.dgm.check_stale_groups)
         self.every(self.config.report_interval, self.views.check_stale_view_groups)
         if self.store_client is not None:
-            self.every(self.config.store_sync_interval, self.dgm.sync_to_store)
-        self.every(self.resources.config.sample_interval, self.resources.sample)
+            self.every(STORE_SYNC_INTERVAL, self.dgm.sync_to_store)
+        self.every(self.resources.SAMPLE_INTERVAL, self.resources.sample)
 
     def on_stop(self) -> None:
         # Crash semantics: calls issued by the previous incarnation must not
@@ -234,12 +228,12 @@ class FocusService(Process, RpcMixin):
         """
         super().restart()
         self._legacy_queue.reset()
-        if self.query_cpu is not None:
-            self.query_cpu.reset()
-        if self.register_cpu is not None:
-            self.register_cpu.reset()
         if self.admission is not None:
-            self.admission.reset()
+            self.admission.reset()  # the query lane with its queue
+        elif self.query_cpu is not None:
+            self.query_cpu.reset()
+        if self.register_cpu is not self.query_cpu:
+            self.register_cpu.reset()
         if self.store_client is not None:
             self.recover_from_store()
 
@@ -256,12 +250,6 @@ class FocusService(Process, RpcMixin):
             return True
         return self.family_owner(self.config.family_of(attribute, value)) == self.address
 
-    # ------------------------------------------------------- processing queue
-    def enqueue_processing(self, service_time: float) -> float:
-        """Modelled serial query processor: returns the delay until this
-        response leaves the server, advancing the shared busy pointer."""
-        return self._legacy_queue.occupy(self.sim.now, service_time)
-
     # --------------------------------------------------------- overload entry
     def _admit_query(self, params, respond, message):
         """Admission pipeline in front of the query path (CPU model on).
@@ -269,10 +257,10 @@ class FocusService(Process, RpcMixin):
         Order matters: the throttle rejects at the door (costs nothing),
         then the admission queue levels what got through onto the query CPU
         lane; without the queue, arrivals stack up on the lane's busy-until
-        pointer directly — the undefended Fig. 3 collapse (optionally capped
-        by ``max_backlog_seconds`` shedding). The lane charge covers the
-        whole query (parse, lookups, fan-out bookkeeping, encoding); the
-        router's fixed processing delay is skipped so CPU is charged once.
+        pointer directly — the undefended Fig. 3 collapse. The lane charge
+        covers the whole query (parse, lookups, fan-out bookkeeping,
+        encoding), so the router gets ``respond`` itself: its reply leaves
+        at once, with no fixed processing delay on top.
         """
         overload = self.config.overload
         if self.throttle is not None and not self.throttle.allow(
@@ -297,36 +285,23 @@ class FocusService(Process, RpcMixin):
 
             self.admission.submit(service_time, run, shed)
             return DEFERRED
-        delay = self.query_cpu.try_occupy(self.sim.now, service_time)
-        if delay is None:
-            self.queries_shed += 1
-            return answer_payload([], "shed-backlog", error="shed-backlog")
-        self.sim.schedule(delay, run)
+        self.sim.schedule(self.query_cpu.occupy(self.sim.now, service_time), run)
         return DEFERRED
 
     # ------------------------------------------------------------ southbound
-    def _register_lane(self, step, params, respond, cost: float) -> bool:
+    def _register_lane(self, step, params, respond, cost: float):
         """Answer ``step(params)`` once the registration CPU lane has served
-        ``cost`` core-seconds of it; at once when there is no CPU model.
-
-        Returns False when the lane sheds the request: it gets no reply, and
-        the agent's registration retry or the representative's next report
-        takes over.
-        """
+        ``cost`` core-seconds of it; at once when there is no CPU model."""
         if self.register_cpu is None:
             respond(step(params))
-            return True
-        delay = self.register_cpu.admit(self.sim.now, cost)
-        if delay is None:
-            return False
-        self.sim.schedule(delay, lambda: respond(step(params)))
-        return True
+        else:
+            delay = self.register_cpu.admit(self.sim.now, cost)
+            self.sim.schedule(delay, lambda: respond(step(params)))
+        return DEFERRED
 
     def _rpc_register(self, params, respond, message):
         cost = self.config.overload.per_registration_cpu
-        if not self._register_lane(self._register, params, respond, cost):
-            self.registrations_shed += 1
-        return DEFERRED
+        return self._register_lane(self._register, params, respond, cost)
 
     def _register(self, params):
         try:
@@ -369,9 +344,7 @@ class FocusService(Process, RpcMixin):
 
     def _rpc_report(self, params, respond, message):
         cost = self.config.overload.per_report_cpu
-        if not self._register_lane(self._report, params, respond, cost):
-            self.reports_shed += 1
-        return DEFERRED
+        return self._register_lane(self._report, params, respond, cost)
 
     def _report(self, params):
         self.resources.charge_report()
@@ -403,9 +376,26 @@ class FocusService(Process, RpcMixin):
         if self.query_cpu is not None:
             return self._admit_query(params, respond, message)
         try:
-            return self.router.handle(params, respond)
+            return self.router.handle(
+                params, partial(self._reply_after_processing, respond)
+            )
         except FocusError as exc:
             return {"error": str(exc), "matches": [], "source": "error"}
+
+    def _reply_after_processing(self, respond, payload) -> None:
+        """Send a query's reply once the server has processed it (no CPU
+        model): the router calls this at each of its exits.
+
+        Processing is the fixed :data:`SERVER_PROCESSING_DELAY`. With
+        ``server_queue_enabled`` the server is a serial queue: each reply
+        occupies it for that delay, so replies queue behind each other and an
+        overloaded server's latency grows without bound — the saturation
+        knee the shard sweep measures.
+        """
+        delay = SERVER_PROCESSING_DELAY
+        if self.config.server_queue_enabled:
+            delay = self._legacy_queue.occupy(self.sim.now, delay)
+        self.sim.schedule(delay, respond, payload)
 
     # ---------------------------------------------------------------- recovery
     def recover_from_store(self, on_done: Optional[Callable[[], None]] = None) -> None:

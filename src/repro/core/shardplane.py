@@ -174,7 +174,7 @@ class ShardRouter(Process, RpcMixin):
         #: without touching any shard. Entries inherit the merged answer's
         #: staleness (backdated fetch time), so freshness bounds hold
         #: end-to-end.
-        self.cache = QueryCache(config.cache_max_entries)
+        self.cache = QueryCache()
         #: view_id -> {"query_json", "key"}; a query whose constraints match
         #: a view's key goes to the view group's owner.
         self.views: Dict[str, Dict[str, object]] = {}
@@ -605,7 +605,7 @@ class RegionReadReplica(Process, RpcMixin):
         self.init_rpc()
         self.router_address = router_address
         self.config = config
-        self.cache = QueryCache(config.cache_max_entries)
+        self.cache = QueryCache()
         self.metrics = MetricsRegistry()
         self.serve("focus.query", self._rpc_query)
         self.serve("replica.view-update", self._rpc_view_update)

@@ -122,10 +122,9 @@ class ViewManager:
         entry_points = group.entry_points()
         start_new = not entry_points
         group.pending[node_id] = GroupMember(node_id, region, self.service.sim.now)
-        representative = False
-        if len(group.representatives) < self.service.config.representatives_per_group:
-            group.representatives.add(node_id)
-            representative = True
+        representative = self.service.dgm.maybe_appoint_representative(
+            group, node_id
+        )
         return {
             "name": group.name,
             "entry_points": entry_points,

@@ -329,7 +329,6 @@ class TestOverloadConfigValidation:
     @pytest.mark.parametrize("field,value,match", [
         ("cores", 0.0, "cores"),
         ("per_query_cpu", -1.0, "per_query_cpu"),
-        ("max_backlog_seconds", -0.5, "max_backlog_seconds"),
     ])
     def test_bad_cpu_model_values_rejected(self, field, value, match):
         config = OverloadConfig(**{field: value})

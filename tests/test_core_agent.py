@@ -3,6 +3,7 @@
 
 import repro.sim.network
 from repro.core.config import FocusConfig
+from repro.core.dgm import REPRESENTATIVES_PER_GROUP
 from repro.core.query import Query, QueryTerm
 from repro.gossip.agent import QUERY_RESPONSE
 from repro.harness import build_focus_cluster, drain, run_query
@@ -212,7 +213,7 @@ class TestRepresentatives:
         group.representatives.add(extra_id)
         service.dgm._send_appointment(group, extra_id)
         drain(scenario, scenario.config.report_interval * 3 + 2.0)
-        target = scenario.config.representatives_per_group
+        target = REPRESENTATIVES_PER_GROUP
         group_after = service.dgm.groups.get(group.name)
         assert len(group_after.representatives) == target
         reporting = 0

@@ -1,6 +1,6 @@
 """Deeper DGM tests: forks, geo splits, transitions, store sync, recovery."""
 
-
+import repro.core.dgm
 from repro.core.config import FocusConfig
 from repro.harness import build_focus_cluster, drain
 
@@ -95,8 +95,9 @@ class TestTransitions:
         drain(scenario, 0.5)
         assert (agent.node_id, "ram_mb") in scenario.service.dgm.transitions
 
-    def test_sweep_expires_stuck_transitions(self):
-        scenario = build(num_nodes=8, seed=91, transition_ttl=5.0)
+    def test_sweep_expires_stuck_transitions(self, monkeypatch):
+        monkeypatch.setattr(repro.core.dgm, "TRANSITION_TTL", 5.0)
+        scenario = build(num_nodes=8, seed=91)
         dgm = scenario.service.dgm
         from repro.core.dgm import Transition
 
@@ -122,7 +123,7 @@ class TestTransitions:
 class TestStoreSync:
     def test_group_tables_persisted(self):
         scenario = build_focus_cluster(12, seed=93, with_store=True)
-        drain(scenario, 25.0)  # past a store_sync_interval
+        drain(scenario, 25.0)  # past a STORE_SYNC_INTERVAL
         rows = []
         scenario.service.store_client.scan("groups", rows.extend)
         drain(scenario, 2.0)

@@ -2,8 +2,10 @@
 
 import pytest
 
+import repro.core.agent
 from repro.core.config import FocusConfig
-from repro.core.query import Query, QueryTerm
+from repro.core.query import DecodedQueryJson, Query, QueryTerm
+from repro.core.service import SERVER_PROCESSING_DELAY
 from repro.harness import build_focus_cluster, drain, run_query
 
 
@@ -63,8 +65,9 @@ class TestEmptyGroups:
 
 
 class TestTimeout:
-    def test_unresponsive_group_times_out_with_partial_results(self):
-        config = FocusConfig(query_timeout=1.5, group_query_timeout=1.0)
+    def test_unresponsive_group_times_out_with_partial_results(self, monkeypatch):
+        monkeypatch.setattr(repro.core.agent, "GROUP_QUERY_TIMEOUT", 1.0)
+        config = FocusConfig(query_timeout=1.5)
         scenario = build_focus_cluster(24, seed=23, with_store=False, config=config)
         drain(scenario, 12.0)
         # Partition one group's members from the service after reports, so
@@ -156,6 +159,43 @@ class TestCachePath:
         assert hit.source == "cache"
         assert hit.elapsed < miss.elapsed
         # Fig. 8c: the cache path is dominated by server processing (~45 ms).
-        assert hit.elapsed == pytest.approx(
-            scenario.config.server_processing_delay, rel=0.5
-        )
+        assert hit.elapsed == pytest.approx(SERVER_PROCESSING_DELAY, rel=0.5)
+
+
+class TestReplyTiming:
+    """When a query's reply leaves a server with no CPU model."""
+
+    @staticmethod
+    def _cache_hits(config, count, seed):
+        """Offsets after their common arrival at which ``count`` cache hits,
+        handed to the service at one instant, leave it."""
+        scenario = build_focus_cluster(12, seed=seed, with_store=False,
+                                       config=config)
+        drain(scenario, 12.0)
+        query = Query([QueryTerm.at_least("ram_mb", 1000.0)],
+                      freshness_ms=120_000.0)
+        run_query(scenario, query)  # fills the cache
+        drain(scenario, 1.0)
+        arrived = scenario.sim.now
+        left = []
+
+        def respond(payload):
+            assert payload["source"] == "cache"
+            left.append(scenario.sim.now - arrived)
+
+        for _ in range(count):
+            scenario.service._rpc_query(
+                {"query": DecodedQueryJson.of(query)}, respond, None
+            )
+        drain(scenario, 1.0)
+        return left
+
+    def test_reply_leaves_after_the_fixed_delay(self):
+        left = self._cache_hits(FocusConfig(), 1, seed=30)
+        assert left == [pytest.approx(SERVER_PROCESSING_DELAY, abs=1e-9)]
+
+    def test_serial_queue_serves_replies_one_at_a_time(self):
+        left = self._cache_hits(FocusConfig(server_queue_enabled=True), 3,
+                                seed=31)
+        d = SERVER_PROCESSING_DELAY
+        assert left == [pytest.approx(k * d, abs=1e-9) for k in (1, 2, 3)]

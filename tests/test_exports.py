@@ -75,17 +75,15 @@ class TestPublicSurface:
 
     @pytest.mark.parametrize("cls, fields", [
         ("FocusConfig", [
-            "schema", "max_group_size", "representatives_per_group",
-            "report_interval", "query_timeout", "server_processing_delay",
-            "group_query_timeout", "cache_max_entries", "cache_enabled",
-            "geo_split_km", "transition_ttl", "delegation_enabled",
+            "schema", "max_group_size", "report_interval", "query_timeout",
+            "cache_enabled", "geo_split_km", "delegation_enabled",
             "delegation_threshold", "smallest_group_routing", "serf",
-            "fanout_overrides", "collection_interval", "store_sync_interval",
-            "shards", "replica_reads", "server_queue_enabled", "overload",
+            "fanout_overrides", "shards", "replica_reads",
+            "server_queue_enabled", "overload",
         ]),
         ("OverloadConfig", [
             "cpu_model_enabled", "cores", "per_query_cpu",
-            "per_registration_cpu", "per_report_cpu", "max_backlog_seconds",
+            "per_registration_cpu", "per_report_cpu",
             "throttle_enabled", "throttle_rate", "throttle_burst",
             "queue_enabled", "queue_capacity", "queue_discipline",
             "queue_deadline", "bulkhead_enabled", "bulkhead_query_share",

@@ -80,9 +80,9 @@ class TestOverloadScenarios:
     def test_herd_reregistration_contract(self):
         report = run_herd_reregistration(seed=0)
         assert all(report["asserts"].values()), report["asserts"]
-        # Every herd member re-registered and none were shed: the bulkhead
-        # kept the registration lane alive under the query load.
-        assert report["registrations_shed"] == 0
+        # The registration lane served every herd member's re-registration:
+        # the bulkhead kept it alive under the query load.
+        assert report["herd_registrations_served"] >= report["herd_size"]
 
     def test_hot_key_overload_contract(self):
         report = run_hot_key_overload(seed=0)

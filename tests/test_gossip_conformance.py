@@ -54,7 +54,7 @@ from typing import Dict, List, NamedTuple, Tuple
 
 import pytest
 
-from repro.core.config import FocusConfig
+from repro.core.agent import GROUP_QUERY_TIMEOUT
 from repro.gossip import SerfAgent, SerfConfig
 from repro.gossip.broadcast import SizedWire, retransmit_limit
 from repro.gossip.member import MemberState
@@ -70,8 +70,6 @@ CRASH_AT = 0.5
 FIRE_AT = 1.0
 #: Queries per second the live members issue, in turn, in a loaded case.
 QUERY_RATE = 2.0
-#: FOCUS's timeout for one group query.
-GROUP_QUERY_TIMEOUT = FocusConfig().group_query_timeout
 #: Message kinds that carry piggybacked wires in ``"u"``.
 CARRIERS = (GOSSIP, PING, ACK)
 #: Sim-time cap. The crash verdict needs a probe miss, the suspicion window
