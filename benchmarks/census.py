@@ -113,10 +113,11 @@ def profile_runs(commands: Iterable[List[str]], hook_dir: str, work: str) -> Set
     for command in commands:
         print("census:", " ".join(command[1:]), file=sys.stderr, flush=True)
         done = subprocess.run(command, cwd=ROOT, env=env, text=True,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         if done.returncode not in (0, 5):  # 5: pytest collected nothing
-            print(f"census: exit {done.returncode}\n{done.stderr[-1000:]}",
-                  file=sys.stderr, flush=True)
+            # pytest names the failing tests at the end of its stdout.
+            print(f"census: exit {done.returncode}\n{done.stdout[-3000:]}"
+                  f"{done.stderr[-1000:]}", file=sys.stderr, flush=True)
     called: Set[Key] = set()
     pattern = re.compile(r"(?:^|[\\/])src[\\/]repro[\\/](.+\.py)$")
     for name in os.listdir(stats_dir):

@@ -30,8 +30,11 @@ from a second, unprofiled steady phase on a fresh build, collections and
 pauses per generation and the types of the objects promoted to generation
 2, found by diffing it at each gen-1 collection), and from a third, on
 another fresh build, how deep the broadcast queues were when gossip ticks
-ran (max, p99, mean) and how many transmissions — wires sent, one per
-destination, over gossip and probe packets — each queued broadcast got.
+ran (max, p99, mean), how many transmissions — wires sent, one per
+destination, over gossip and probe packets — each queued broadcast got, and
+how the Serf query collectors ended: closed at the query's limit, or short
+at the timeout (a member alive in the originator's view never answered), by
+group size (the alive view when the query started).
 Profiled seconds are ~3x untraced ones, so read counts and proportions here
 and host time in focusbench.
 
@@ -60,7 +63,7 @@ from collections import Counter, defaultdict
 
 from benchmarks.focusbench.workloads import WORKLOADS
 from repro.core.query import Query
-from repro.gossip.agent import SerfAgent
+from repro.gossip.agent import QueryCollector, SerfAgent
 from repro.gossip.broadcast import BroadcastQueue, SizedWire
 from repro.gossip.membership import CODE_LEFT, MembershipTable, _sample_exact
 from repro.gossip.swim import ACK, GOSSIP, PING, SwimAgent
@@ -460,17 +463,21 @@ def print_census(collections, pauses, promoted, top: int) -> None:
 
 
 def broadcast_queues(workload, seed: int, sizes):
-    """Run an unprofiled steady phase on a fresh build with the gossip tick
-    and the broadcast queue wrapped; return the queue depth at each tick
-    that ran for its agent's current life, the broadcasts queued and the
-    transmissions spent (wires times the peers each take fed).
+    """Run an unprofiled steady phase on a fresh build with the gossip tick,
+    the broadcast queue and the Serf query collector wrapped; return the
+    queue depth at each tick that ran for its agent's current life, the
+    counts (broadcasts ``queued``, transmissions ``sent``, wires times the
+    peers each take fed, Serf collectors ``finished`` and ``closed`` at the
+    limit) and the collectors that ended short, by group size.
 
     The wrappers go on before the build, so every agent binds the wrapped
     tick; the counts start after warm-up, with the steady phase."""
     depths = []
     counts = Counter()
+    short = Counter()
     tick, enqueue, take = (SwimAgent._gossip_tick, BroadcastQueue.enqueue,
                            BroadcastQueue.take_batches)
+    finish = QueryCollector.finish
 
     def counting_tick(self, life):
         if life == self._gossip_life and self.running and not self.paused:
@@ -486,22 +493,34 @@ def broadcast_queues(workload, seed: int, sizes):
         counts["sent"] += sum(len(payloads) * count for payloads, _, count in runs)
         return runs
 
+    def counting_finish(self):
+        if not self.finished:
+            counts["finished"] += 1
+            counts["closed"] += self.closed
+            if self.short:
+                short[len(self.expected)] += 1
+        finish(self)
+
     SwimAgent._gossip_tick = counting_tick
     BroadcastQueue.enqueue = counting_enqueue
     BroadcastQueue.take_batches = counting_take
+    QueryCollector.finish = counting_finish
     try:
         scenario, plan = prepare(workload, seed, sizes)
         depths.clear()
         counts.clear()
+        short.clear()
         scenario.sim.run_until(plan.end_time)
     finally:
         SwimAgent._gossip_tick = tick
         BroadcastQueue.enqueue = enqueue
         BroadcastQueue.take_batches = take
-    return depths, counts["queued"], counts["sent"]
+        QueryCollector.finish = finish
+    return depths, counts, short
 
 
-def print_broadcast_queues(depths, queued: int, sent: int) -> None:
+def print_broadcast_queues(depths, counts: Counter, short: Counter) -> None:
+    queued, sent = counts["queued"], counts["sent"]
     ordered = sorted(depths)
     p99 = ordered[min(len(ordered) - 1, int(0.99 * len(ordered)))] if ordered else 0
     rows = [
@@ -514,7 +533,12 @@ def print_broadcast_queues(depths, queued: int, sent: int) -> None:
         ("transmissions (wires sent, per destination)", sent),
         ("transmissions per broadcast queued",
          f"{sent / queued:.2f}" if queued else "0"),
+        ("Serf query collectors finished", counts["finished"]),
+        ("Serf query collectors closed at the query's limit", counts["closed"]),
+        ("Serf query collectors that ended short", sum(short.values())),
     ]
+    rows.extend((f"  in {size}-member groups", count)
+                for size, count in sorted(short.items()))
     print("broadcast queues (a third steady phase, unprofiled):")
     for name, value in rows:
         print(f"  {name:<54}{value:>10}")
@@ -731,8 +755,8 @@ def main() -> int:
     # would sit in generation 2 and lengthen the census's full passes.
     del scenario, plan, stats, profile, entries
     print_census(*census(workload, args.seed, sizes), top=10)
-    depths, queued, sent = broadcast_queues(workload, args.seed, sizes)
-    print_broadcast_queues(depths, queued, sent)
+    depths, counts, short = broadcast_queues(workload, args.seed, sizes)
+    print_broadcast_queues(depths, counts, short)
     problems = [
         (unaccounted != 0,
          f"events by kind do not sum to the event count ({unaccounted:+})"),
@@ -742,7 +766,7 @@ def main() -> int:
          "first-time custom wires delivered, no _apply_updates entry from _on_gossip"),
         (ticks and not targets,
          f"{ticks} gossip ticks, no gossip_targets entry"),
-        (ticks and not (depths and sent),
+        (ticks and not (depths and counts["sent"]),
          f"{ticks} gossip ticks, the queue wrappers saw no tick or no send"),
         (refutations != 0, f"{refutations} self-refutations by a member that left"),
         (garbage_per_call >= 1,

@@ -11,7 +11,9 @@ Two cooperating pieces run on every node:
   attribute group the node belongs to. Group queries arrive at the manager,
   are gossiped to the whole group via the serf query mechanism, and every
   member's answer returns directly to this node, which filters matches and
-  replies to the FOCUS server.
+  replies to the FOCUS server: at the query's ``limit`` matches, once every
+  member has answered, or at the timeout, flagged ``short`` if a member it
+  still holds alive never answered.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from repro.core.query import (
     Query,
     decode_query,
 )
-from repro.gossip.agent import SerfAgent, SerfConfig
+from repro.gossip.agent import QueryResponses, SerfAgent, SerfConfig
 from repro.gossip.membership import NodeDirectory
 from repro.sim.loop import RepeatingTimer, Simulator
 from repro.sim.network import Network, SizedDict
@@ -482,7 +484,7 @@ class NodeAgent(Process, RpcMixin):
             query_json = DecodedQueryJson(query_json)
         limit = query_json.query.limit
 
-        def on_complete(responses: Dict[str, object]) -> None:
+        def on_complete(responses: QueryResponses) -> None:
             # A member's matching answer carries its record: shared, not
             # rebuilt per answer.
             matches = [r.record for r in responses.values() if type(r) is MatchAnswer]
@@ -490,13 +492,31 @@ class NodeAgent(Process, RpcMixin):
                 # Trim at the aggregating member: the server asked for at
                 # most ``limit`` nodes, so don't ship more upstream.
                 matches = matches[:limit]
-            respond({"matches": matches, "respondents": len(responses)})
+            reply = {"matches": matches, "respondents": len(responses)}
+            if responses.short:
+                # A member still alive here never answered: the matches may
+                # be incomplete, and the router must not take them as whole.
+                reply["short"] = True
+            respond(reply)
+
+        on_response = None
+        if limit is not None:
+            matched = 0
+
+            def on_response(member: str, response: object) -> bool:
+                # The router stops at ``limit`` matches; so does the group:
+                # close the Serf query at the limit-th match.
+                nonlocal matched
+                if type(response) is MatchAnswer:
+                    matched += 1
+                return matched >= limit
 
         membership.serf.query(
             GROUP_QUERY_EVENT,
             query_json,
             on_complete,
             timeout=GROUP_QUERY_TIMEOUT,
+            on_response=on_response,
         )
         return DEFERRED
 

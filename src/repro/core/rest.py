@@ -133,13 +133,17 @@ class FocusClient:
         started: float,
         on_response: Callable[[QueryResponse], None],
     ) -> None:
-        """Client-side directed pull using server-provided candidates."""
+        """Client-side directed pull using server-provided candidates.
+
+        As the router's pull, the answer is flagged ``timed_out`` when a
+        group answered short or never answered, unless the limit was met."""
         groups = list(delegated.get("groups", ()))
         transitions = list(delegated.get("transitions", ()))
         state = {
             "pending": 0,
             "matches": {},
             "done": False,
+            "short": False,
             "groups_queried": 0,
         }
         rng = self.host.sim.derive_rng(f"client/{self.host.address}/delegated")
@@ -168,11 +172,14 @@ class FocusClient:
             if query.limit is not None and len(state["matches"]) >= query.limit:
                 finish(False)
             elif state["pending"] == 0:
-                finish(False)
+                finish(state["short"])
 
         def on_group_reply(result) -> None:
             state["pending"] -= 1
-            for record in (result or {}).get("matches", ()):
+            result = result or {}
+            if result.get("short"):
+                state["short"] = True
+            for record in result.get("matches", ()):
                 state["matches"][str(record["node"])] = record
             advance()
 
@@ -188,6 +195,10 @@ class FocusClient:
             state["pending"] -= 1
             advance()
 
+        def on_group_timeout() -> None:
+            state["short"] = True
+            on_timeout()
+
         for group in groups:
             candidates = list(group.get("candidates", ()))
             if not candidates:
@@ -200,7 +211,7 @@ class FocusClient:
                 "node.group-query",
                 {"group": group["name"], "query": wire},
                 on_reply=on_group_reply,
-                on_timeout=on_timeout,
+                on_timeout=on_group_timeout,
                 timeout=DELEGATED_PULL_TIMEOUT,
             )
         for node_id in transitions:

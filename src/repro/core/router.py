@@ -15,7 +15,11 @@ Processing order for a query:
    lists instead of fanning out itself, and the application pulls directly;
    delegated responses are not cached (§VI).
 
-A configured timeout bounds the whole operation (§VIII-A3). Each path ends
+A configured timeout bounds the whole operation (§VIII-A3). A group that
+answers ``short`` (a member alive in its aggregator's view never answered)
+or stays silent through its retry leaves the answer incomplete: it is
+flagged ``timed_out`` and not cached, unless the query's limit was met
+anyway. Each path ends
 by calling the ``respond`` it was handed; when that reply leaves the server
 (fixed processing time, serial queue or CPU lane) is the service's decision.
 """
@@ -55,6 +59,9 @@ class ActiveQuery:
         self.groups_queried = 0
         self.finished = False
         self.retried: Set[str] = set()
+        #: A group answered short or never answered: the matches may be
+        #: incomplete.
+        self.short = False
 
     @property
     def limit_reached(self) -> bool:
@@ -290,12 +297,16 @@ class QueryRouter:
         state.pending_groups.discard(group.name)
         if state.finished:
             return
-        for record in (result or {}).get("matches", ()):
+        result = result or {}
+        if result.get("short"):
+            state.short = True
+        for record in result.get("matches", ()):
             state.matches[str(record["node"])] = record
         self._advance(state)
 
     def _group_timed_out(self, state: ActiveQuery, group: GroupInfo, member: str) -> None:
-        """Retry once via a different member (resilience to node failure)."""
+        """Retry once via a different member (resilience to node failure);
+        a group that stays silent after that is missing from the answer."""
         state.pending_groups.discard(group.name)
         if state.finished:
             return
@@ -313,13 +324,11 @@ class QueryRouter:
                 "node.group-query",
                 {"group": group.name, "query": state.wire},
                 on_reply=on_reply,
-                on_timeout=lambda: (
-                    state.pending_groups.discard(group.name),
-                    self._advance(state),
-                ),
+                on_timeout=lambda: self._group_timed_out(state, group, substitute),
                 timeout=self.service.config.query_timeout,
             )
             return
+        state.short = True
         self._advance(state)
 
     def _query_transitioning(self, state: ActiveQuery, node_id: str) -> None:
@@ -376,6 +385,7 @@ class QueryRouter:
         state.finished = True
         self.outstanding -= 1
         matches = state.trimmed_matches()
+        timed_out = timed_out or (state.short and not state.limit_reached)
         if not timed_out:
             self._maybe_cache(state.query, list(state.matches.values()))
         state.respond(answer_payload(

@@ -9,6 +9,14 @@ Two Serf features matter for FOCUS:
   "Load-balanced Query Routing"), which aggregates and can finish early once
   every member in its local view has answered.
 
+A query's caller can also close it early, as a Serf caller reads
+``QueryResponse.ResponseCh()`` and calls ``Close()`` once it has what it
+needs: ``on_response`` sees each member's first answer as it arrives, and a
+true return finishes the query there (a FOCUS aggregator closes at the
+query's ``limit`` matches). A query that reaches its timeout instead is
+``short`` when a member that has not answered is still alive in this
+member's view; a member that left or died meanwhile has nothing to add.
+
 Event and query wires are immutable and carry their size and their id: the
 originator builds one :class:`~repro.gossip.broadcast.SizedWire`, and every
 member that hears it re-gossips that same object at the size the originator
@@ -63,6 +71,14 @@ class SerfConfig(SwimConfig):
     query_timeout: float = 1.0
 
 
+class QueryResponses(dict):
+    """What a query's ``on_complete`` receives: ``member name -> response``,
+    and ``short``, true when the query reached its timeout while a member
+    that had not answered was still alive in the originator's view."""
+
+    __slots__ = ("short",)
+
+
 class QueryCollector:
     """Aggregates direct responses for one in-flight group query."""
 
@@ -72,6 +88,9 @@ class QueryCollector:
         "missing",
         "responses",
         "on_complete",
+        "on_response",
+        "closed",
+        "short",
         "finished",
         "started_at",
     )
@@ -80,32 +99,44 @@ class QueryCollector:
         self,
         query_id: str,
         expected: List[str],
-        on_complete: Callable[[Dict[str, object]], None],
+        on_complete: Callable[[QueryResponses], None],
         started_at: float,
+        on_response: Optional[Callable[[str, object], bool]] = None,
     ) -> None:
         self.query_id = query_id
         self.expected = set(expected)
         self.missing = set(self.expected)
         self.responses: Dict[str, object] = {}
         self.on_complete = on_complete
+        self.on_response = on_response
+        #: The caller closed the query before every member answered.
+        self.closed = False
+        self.short = False
         self.finished = False
         self.started_at = started_at
 
-    def add(self, member_name: str, payload: object) -> None:
-        self.responses[member_name] = payload
-        self.missing.discard(member_name)
-
-    @property
-    def complete(self) -> bool:
+    def add(self, member_name: str, payload: object) -> bool:
+        """Record one answer; true once the query is done: every expected
+        member has answered, or ``on_response`` closed it. ``on_response``
+        sees only a member's first answer, so a repeat never counts twice."""
+        responses = self.responses
+        first = member_name not in responses
+        responses[member_name] = payload
         # Tracked incrementally: a subset check per response would make a
         # full-group query O(n^2) in the group size.
-        return not self.missing
+        self.missing.discard(member_name)
+        on_response = self.on_response
+        if first and on_response is not None and on_response(member_name, payload):
+            self.closed = True
+        return self.closed or not self.missing
 
     def finish(self) -> None:
         if self.finished:
             return
         self.finished = True
-        self.on_complete(dict(self.responses))
+        responses = QueryResponses(self.responses)
+        responses.short = self.short
+        self.on_complete(responses)
 
 
 class SerfAgent(SwimAgent):
@@ -176,16 +207,20 @@ class SerfAgent(SwimAgent):
         self,
         name: str,
         payload: object,
-        on_complete: Callable[[Dict[str, object]], None],
+        on_complete: Callable[[QueryResponses], None],
         *,
         timeout: Optional[float] = None,
+        on_response: Optional[Callable[[str, object], bool]] = None,
     ) -> str:
         """Originate a group query from this member.
 
         Every member (including this one) runs its query handler and sends
         the answer directly back here. ``on_complete`` fires exactly once,
-        with a dict of ``member name -> response payload``, either when all
-        members in the local alive view have answered or at the timeout.
+        with a :class:`QueryResponses` dict of ``member name -> response
+        payload``: when all members in the local alive view have answered,
+        when ``on_response(member name, response)``, called on each
+        member's first answer, returns true (Serf's ``Close()``), or at the
+        timeout, when the responses say whether they are ``short``.
         """
         query_id = f"{self.name}:q{next(self.event_ids)}"
         wire = SizedWire(
@@ -199,7 +234,9 @@ class SerfAgent(SwimAgent):
             }
         )
         expected = self.members.alive_names()
-        collector = QueryCollector(query_id, expected, on_complete, self.sim.now)
+        collector = QueryCollector(
+            query_id, expected, on_complete, self.sim.now, on_response
+        )
         self._collectors[query_id] = collector
         self._remember(query_id)
         # Answer locally first (we are a member too).
@@ -212,16 +249,18 @@ class SerfAgent(SwimAgent):
     def _query_deadline(self, query_id: str) -> None:
         collector = self._collectors.pop(query_id, None)
         if collector is not None:
+            alive_address = self.members.alive_address
+            collector.short = any(
+                alive_address(name) is not None for name in collector.missing
+            )
             collector.finish()
 
     def _on_query_response(self, message: Message) -> None:
         payload = message.payload
-        collector = self._collectors.get(payload["id"])
-        if collector is None or collector.finished:
-            return
-        collector.add(payload["from"], payload["r"])
-        if collector.complete:
-            del self._collectors[payload["id"]]
+        query_id = payload["id"]
+        collector = self._collectors.get(query_id)
+        if collector is not None and collector.add(payload["from"], payload["r"]):
+            del self._collectors[query_id]
             collector.finish()
 
     # ------------------------------------------------------------ gossip hook
@@ -257,11 +296,9 @@ class SerfAgent(SwimAgent):
         if wire["ra"] == self.address:
             # Local shortcut: we are the originator.
             collector = self._collectors.get(query_id)
-            if collector is not None:
-                collector.add(self.name, response)
-                if collector.complete:
-                    del self._collectors[query_id]
-                    collector.finish()
+            if collector is not None and collector.add(self.name, response):
+                del self._collectors[query_id]
+                collector.finish()
             return
         reply = {"id": query_id, "from": self.name, "r": response}
         size = None

@@ -12,6 +12,16 @@ Broadcasts carry a ``key``: queueing a new broadcast with the same key
 invalidates the old one (e.g. a newer state for the same member replaces the
 older state still awaiting retransmission).
 
+Which broadcasts a packet carries follows memberlist's ``limitedBroadcast``
+order: fewest transmissions first and, among equal transmits left, the
+newest first (memberlist's ``id`` tie-break), so a fresh wire does not wait
+behind older ones of its tier. memberlist's middle tier, the larger message
+first, is left out: it serves packing under a byte budget, and these packets
+are capped by item count (``piggyback_max``). Two other differences: a
+replacement keeps the age of the broadcast it replaces, where memberlist
+gives it a new ``id``; and a queue that fits in one packet goes out whole in
+queue order, where memberlist walks it in its order.
+
 Every member of a group forwards the custom (Serf event/query) updates it
 hears, so such a wire is a :class:`SizedWire`, a
 :class:`~repro.sim.network.SizedDict`: it carries the size its originator
@@ -58,8 +68,8 @@ class Broadcast:
     ``size`` is the estimated wire size of the payload, computed once at
     enqueue time so the gossip hot path never re-measures payloads. ``seq``
     is the broadcast's place in its queue's order, the tie-break among equal
-    budgets: a replacement keeps the place of the broadcast it replaces, as
-    a dict keeps a re-assigned key's.
+    budgets (the higher, newer one goes first): a replacement keeps the
+    place of the broadcast it replaces, as a dict keeps a re-assigned key's.
     """
 
     __slots__ = ("key", "payload", "transmits_left", "size", "seq")
@@ -91,8 +101,9 @@ class BroadcastQueue:
     """Bounded-retransmission broadcast queue.
 
     A take fills one packet for one peer with up to ``max_items`` payloads,
-    preferring the least-transmitted broadcasts (so new information spreads
-    fastest), and spends one transmission of each. :meth:`take_batches`
+    preferring the least-transmitted broadcasts and, among those, the newest
+    (so new information spreads fastest), and spends one transmission of
+    each. :meth:`take_batches`
     fills the packets of a gossip round, one per peer, exactly as that many
     one-peer takes in turn would; :meth:`take_with_size` is its one-peer
     case.
@@ -169,7 +180,7 @@ class BroadcastQueue:
 
         A queue that fits in one packet goes out whole, in queue order, to
         as many peers in a row as its smallest budget allows. A deeper one
-        is sorted once, least-transmitted first with ties in queue order;
+        is sorted once, least-transmitted first with ties newest first;
         each take spends one transmission of its ``max_items`` and so moves
         at most that many broadcasts behind, so this round's takes all come
         from the first ``max_items * peers`` of that order, and only those
@@ -181,11 +192,14 @@ class BroadcastQueue:
             return runs
         previous = None
         if len(queue) > max_items:
-            # Least-transmitted first; ties go to the broadcast queued first
-            # (the sort is stable, also under ``reverse``). A full C-level
-            # sort beats a Python-level partial selection at the tens to
-            # hundreds of broadcasts held here.
-            order = sorted(queue.values(), key=_TRANSMITS_LEFT, reverse=True)
+            # Least-transmitted first; ties go to the broadcast queued last
+            # (the sort is stable, also under ``reverse``, and walks the
+            # queue newest first). A full C-level sort beats a Python-level
+            # partial selection at the tens to hundreds of broadcasts held
+            # here.
+            order = sorted(
+                reversed(queue.values()), key=_TRANSMITS_LEFT, reverse=True
+            )
             if peers > 1:
                 del order[max_items * peers:]
             while True:
@@ -213,8 +227,8 @@ class BroadcastQueue:
                 if spent:
                     order = [b for b in order if b.transmits_left > 0]
                 # The taken broadcasts fell behind: re-sort the candidates
-                # by place, then stably by budget.
-                order.sort(key=_SEQ)
+                # newest first, then stably by budget.
+                order.sort(key=_SEQ, reverse=True)
                 order.sort(key=_TRANSMITS_LEFT, reverse=True)
             if not peers:
                 return runs

@@ -4,7 +4,7 @@
 import repro.sim.network
 from repro.core.config import FocusConfig
 from repro.core.dgm import REPRESENTATIVES_PER_GROUP
-from repro.core.query import Query, QueryTerm
+from repro.core.query import DecodedQueryJson, MatchAnswer, Query, QueryTerm
 from repro.gossip.agent import QUERY_RESPONSE
 from repro.harness import build_focus_cluster, drain, run_query
 from repro.harness.scenarios import build_single_group_cluster
@@ -174,6 +174,38 @@ class TestGroupQueryCost:
         assert len(response.matches) == 32  # every member answered
         assert len(walks) == 1
         assert decodes == []
+
+
+class TestGroupQueryLimit:
+    def test_a_pull_with_limit_3_replies_at_its_third_match(self):
+        """The aggregating member closes its Serf query at the query's
+        limit: the reply leaves when the third matching answer arrives, not
+        when the whole group has answered."""
+        scenario = build_single_group_cluster(32, seed=5)
+        scenario.sim.run_until(5.0)
+        aggregator = scenario.agents[0]
+        membership = aggregator.memberships["load"]
+        matched_at = []
+        scenario.network.add_delivery_tap(
+            lambda m: matched_at.append(scenario.sim.now)
+            if m.kind == QUERY_RESPONSE and m.dst == membership.serf.address
+            and type(m.payload["r"]) is MatchAnswer else None
+        )
+        query = Query([QueryTerm.at_least("load", 50.0)], limit=3, freshness_ms=0.0)
+        replies = []
+        aggregator._rpc_group_query(
+            {"group": membership.group, "query": DecodedQueryJson.of(query)},
+            lambda reply: replies.append((scenario.sim.now, reply)),
+            None,
+        )
+        scenario.sim.run_until(8.0)
+        local_match = query.matches(aggregator.dynamic)
+        assert len(replies) == 1
+        replied_at, reply = replies[0]
+        assert len(reply["matches"]) == 3
+        assert "short" not in reply
+        assert replied_at == matched_at[2 - local_match]
+        assert reply["respondents"] < 32
 
 
 class TestCollector:

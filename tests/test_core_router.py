@@ -5,6 +5,7 @@ import pytest
 import repro.core.agent
 from repro.core.config import FocusConfig
 from repro.core.query import DecodedQueryJson, Query, QueryTerm
+from repro.core.router import QueryRouter
 from repro.core.service import SERVER_PROCESSING_DELAY
 from repro.harness import build_focus_cluster, drain, run_query
 
@@ -105,6 +106,82 @@ class TestTimeout:
             if a.running and low <= a.dynamic[group.attribute] < high
         }
         assert alive_expected.issubset(set(response.node_ids) | {victim})
+
+
+def short_group_replies(monkeypatch):
+    """Make every aggregating member flag its group answer ``short``, as
+    one does when a member it holds alive never answered by the deadline."""
+    group_query = repro.core.agent.NodeAgent._rpc_group_query
+
+    def flagging(self, params, respond, message):
+        return group_query(
+            self, params, lambda reply: respond({**reply, "short": True}), message
+        )
+
+    monkeypatch.setattr(repro.core.agent.NodeAgent, "_rpc_group_query", flagging)
+
+
+class TestShortGroups:
+    """A group answer that may lack matches makes the whole answer
+    ``timed_out``, which is never cached, unless the limit was met anyway."""
+
+    def test_a_short_reply_times_the_answer_out_and_is_not_cached(self, monkeypatch):
+        short_group_replies(monkeypatch)
+        scenario = build_focus_cluster(24, seed=32, with_store=False)
+        drain(scenario, 12.0)
+        query = Query([QueryTerm.at_least("ram_mb", 0.0)], freshness_ms=60_000.0)
+        first = run_query(scenario, query)
+        assert first.source == "groups" and first.timed_out
+        assert len(first.matches) == 24
+        assert len(scenario.service.cache) == 0
+        second = run_query(scenario, query)
+        assert second.source == "groups" and second.timed_out
+        assert scenario.service.metrics.counter("query_timeouts").value == 0
+
+    def test_a_short_reply_that_met_the_limit_stays_complete(self, monkeypatch):
+        short_group_replies(monkeypatch)
+        scenario = build_focus_cluster(24, seed=32, with_store=False)
+        drain(scenario, 12.0)
+        query = Query([QueryTerm.at_least("ram_mb", 0.0)], limit=3,
+                      freshness_ms=60_000.0)
+        first = run_query(scenario, query)
+        assert len(first.matches) == 3 and not first.timed_out
+        second = run_query(scenario, query)
+        assert second.source == "cache" and len(second.matches) == 3
+
+    def test_a_group_silent_through_its_retry_times_the_answer_out(
+        self, monkeypatch
+    ):
+        """With the router's own deadline out of the way, a group whose
+        member and substitute both stay silent still flags the answer."""
+        monkeypatch.setattr(QueryRouter, "_timeout", lambda self, state: None)
+        scenario = build_focus_cluster(24, seed=23, with_store=False)
+        drain(scenario, 12.0)
+        groups = scenario.service.dgm.groups.instances_covering("ram_mb", 0.0, None)
+        victims = groups[0].all_node_ids()
+        assert len(victims) >= 2
+        for node_id in victims:
+            scenario.network.block(scenario.service.address, node_id)
+        query = Query([QueryTerm.at_least("ram_mb", 0.0)], freshness_ms=60_000.0)
+        response = run_query(scenario, query)
+        assert response.timed_out
+        assert set(response.node_ids).isdisjoint(victims)
+        assert len(scenario.service.cache) == 0
+
+    def test_a_delegated_pull_flags_a_short_group(self, monkeypatch):
+        short_group_replies(monkeypatch)
+        config = FocusConfig(delegation_enabled=True, delegation_threshold=0)
+        scenario = build_focus_cluster(24, seed=25, with_store=False, config=config)
+        drain(scenario, 12.0)
+        complete = run_query(
+            scenario, Query([QueryTerm.at_least("ram_mb", 0.0)], freshness_ms=0.0)
+        )
+        limited = run_query(
+            scenario,
+            Query([QueryTerm.at_least("ram_mb", 0.0)], limit=4, freshness_ms=0.0),
+        )
+        assert complete.source == "delegated" and complete.timed_out
+        assert len(limited.matches) == 4 and not limited.timed_out
 
 
 class TestDelegation:

@@ -159,6 +159,92 @@ class TestQueries:
         assert "n6" not in results
         assert len(results) >= 6
 
+    def test_on_response_closes_the_query_at_its_word(self, sim, network, regions):
+        """Serf's read-then-``Close()``: the query finishes on the answer
+        for which ``on_response`` returns true, long before its timeout, and
+        later answers are dropped."""
+        agents = build_group(sim, network, 8, regions)
+        sim.run_until(5.0)
+        for agent in agents:
+            agent.on_query("s", lambda p, o: {"ok": True})
+        seen, done = [], []
+
+        def on_response(member, response):
+            seen.append(member)
+            return len(seen) == 3
+
+        agents[0].query(
+            "s", {}, lambda r: done.append((sim.now, dict(r), r.short)),
+            timeout=5.0, on_response=on_response,
+        )
+        sim.run_until(11.0)
+        assert len(done) == 1
+        closed_at, responses, short = done[0]
+        assert closed_at < 5.0 + 1.0
+        assert list(responses) == seen
+        assert not short
+
+    def test_a_repeat_answer_is_not_shown_to_on_response(self, sim, network, regions):
+        agents = build_group(sim, network, 3, regions)
+        sim.run_until(5.0)
+        for agent in agents:
+            agent.on_query("s", lambda p, o: {"ok": True})
+        seen, done = [], []
+        query_id = agents[0].query(
+            "s", {}, done.append, timeout=5.0,
+            on_response=lambda member, response: seen.append(member) or False,
+        )
+        collector = agents[0]._collectors[query_id]
+        assert not collector.add("n0", {"ok": True})
+        assert seen == ["n0"]
+
+    def test_a_silent_member_still_alive_makes_the_answer_short(
+        self, sim, network, regions
+    ):
+        agents = build_group(sim, network, 6, regions)
+        sim.run_until(5.0)
+        for agent in agents:
+            agent.on_query("s", lambda p, o: {"ok": True})
+        agents[5].on_query("s", lambda p, o: None)
+        done = []
+        agents[0].query("s", {}, done.append, timeout=1.5)
+        sim.run_until(10.0)
+        assert len(done) == 1 and set(done[0]) == {"n0", "n1", "n2", "n3", "n4"}
+        assert done[0].short
+
+    def test_a_member_that_left_does_not_make_the_answer_short(
+        self, sim, network, regions
+    ):
+        agents = build_group(sim, network, 6, regions)
+        sim.run_until(5.0)
+        for agent in agents:
+            agent.on_query("s", lambda p, o: {"ok": True})
+        agents[5].on_query("s", lambda p, o: None)
+        done = []
+        agents[0].query("s", {}, done.append, timeout=1.5)
+        agents[5].leave()
+        sim.run_until(10.0)
+        assert agents[0].members.alive_address("n5") is None
+        assert len(done) == 1 and len(done[0]) == 5
+        assert not done[0].short
+
+    def test_a_complete_answer_is_a_plain_dict_for_one_argument_callers(
+        self, sim, network, regions
+    ):
+        """``on_complete`` still takes one argument: what it gets is a
+        ``dict``, and the ``short`` verdict rides on it as an attribute."""
+        agents = build_group(sim, network, 4, regions)
+        sim.run_until(5.0)
+        for agent in agents:
+            agent.on_query("s", lambda p, o, name=agent.name: {"me": name})
+        results, done = {}, []
+        agents[0].query("s", {}, results.update, timeout=2.0)
+        agents[1].query("s", {}, done.append, timeout=2.0)
+        sim.run_until(8.0)
+        assert results == {f"n{i}": {"me": f"n{i}"} for i in range(4)}
+        assert isinstance(done[0], dict) and done[0] == results
+        assert not done[0].short
+
     @pytest.mark.parametrize("answer, sized", [
         (SizedDict({"node": "n5", "match": False}), True),
         (MatchAnswer("node-17", SizedDict({"load": 0.5, "arch": "x86"}), "us-east-2"),

@@ -100,16 +100,55 @@ class TestQueue:
         assert q.peek_keys() == [("m", "a")]
 
 
+class TestMemberlistOrder:
+    """memberlist's ``limitedBroadcast.Less``: fewer transmissions first,
+    then the larger message, then the higher ``id`` (the newer broadcast).
+    The size tier is left out here: packets are capped by item count."""
+
+    def test_newest_first_among_equal_transmits(self):
+        q = BroadcastQueue()
+        for name in "abcd":
+            q.enqueue(("m", name), {"v": name}, group_size=4)
+        assert q.take(2) == [{"v": "d"}, {"v": "c"}]
+        assert q.take(2) == [{"v": "b"}, {"v": "a"}]
+        # All four have gone once; a fresh one outranks them, and behind it
+        # the newest of the tier goes first again.
+        q.enqueue(("m", "e"), {"v": "e"}, group_size=4)
+        assert q.take(3) == [{"v": "e"}, {"v": "d"}, {"v": "c"}]
+
+    def test_a_round_to_several_peers_keeps_the_order(self):
+        q = BroadcastQueue()
+        for name in "abcde":
+            q.enqueue(("m", name), {"v": name}, group_size=4)
+        runs = q.take_batches(2, 3)
+        assert [[p["v"] for p in payloads] for payloads, _, _ in runs] == [
+            ["e", "d"], ["c", "b"], ["a", "e"],
+        ]
+
+    def test_the_larger_message_does_not_go_first(self):
+        q = BroadcastQueue()
+        q.enqueue(("m", "big"), {"v": "big"}, group_size=4, size=1000)
+        q.enqueue(("m", "small"), {"v": "small"}, group_size=4, size=10)
+        assert q.take(1) == [{"v": "small"}]
+
+    def test_a_replacement_keeps_the_age_of_what_it_replaces(self):
+        q = BroadcastQueue()
+        q.enqueue(("m", "a"), {"v": "a1"}, group_size=4)
+        q.enqueue(("m", "b"), {"v": "b"}, group_size=4)
+        q.enqueue(("m", "a"), {"v": "a2"}, group_size=4)
+        assert q.take(1) == [{"v": "b"}]
+
+
 class TestSelection:
     @given(
         st.lists(st.integers(1, 4), min_size=1, max_size=40),
         st.lists(st.integers(1, 9), min_size=1, max_size=12),
     )
     def test_take_selects_what_nlargest_would(self, budgets, takes):
-        """Least-transmitted first, ties to the broadcast queued first: the
-        order ``heapq.nlargest`` documents, over a queue full of ties that is
-        drained take by take. (A queue that fits whole goes out in queue
-        order; no selection happens.)"""
+        """Least-transmitted first, ties to the broadcast queued last: the
+        order ``heapq.nlargest`` gives by (budget, place in the queue), over
+        a queue full of ties that is drained take by take. (A queue that
+        fits whole goes out in queue order; no selection happens.)"""
         q = BroadcastQueue()
         for index, budget in enumerate(budgets):
             q.enqueue(("m", str(index)), {"v": index}, group_size=4,
@@ -117,9 +156,10 @@ class TestSelection:
         for max_items in takes:
             expected = list(q._queue.values())
             if len(expected) > max_items:
-                expected = heapq.nlargest(
-                    max_items, expected, key=lambda b: b.transmits_left
-                )
+                expected = [b for _, b in heapq.nlargest(
+                    max_items, enumerate(expected),
+                    key=lambda placed: (placed[1].transmits_left, placed[0]),
+                )]
             payloads, size = q.take_with_size(max_items)
             assert payloads == [b.payload for b in expected]
             assert size == sum(b.size for b in expected)
@@ -128,15 +168,21 @@ class TestSelection:
 def copy_then_walk_take(queue, max_items):
     """``take_with_size`` as it was before its take-all path walked the
     queue in place: the oracle for that path. It copies the broadcasts into
-    a list first and deletes each spent one as it goes."""
+    a list first and deletes each spent one as it goes. Its selection ranks
+    by budget and then by place in the queue (dict order), not by the
+    queue's own ``seq``."""
     if not queue._queue or max_items <= 0:
         return [], 0
     if len(queue._queue) <= max_items:
         selected = list(queue._queue.values())
     else:
-        selected = sorted(
-            queue._queue.values(), key=lambda b: b.transmits_left, reverse=True
-        )[:max_items]
+        # Least-transmitted first, ties to the later place in the queue.
+        placed = sorted(
+            enumerate(queue._queue.values()),
+            key=lambda placed: (placed[1].transmits_left, placed[0]),
+            reverse=True,
+        )
+        selected = [b for _, b in placed[:max_items]]
     payloads = []
     total_size = 0
     for broadcast in selected:
