@@ -14,6 +14,7 @@ groups increases.
 import pytest
 
 from benchmarks.conftest import BENCH_SEED
+from repro.core.agent import GROUP_QUERY_TIMEOUT
 from repro.core.config import FocusConfig
 from repro.harness import build_focus_cluster
 from repro.sim.metrics import Histogram
@@ -97,3 +98,8 @@ def test_fig7c_trace_replay(benchmark, record_rows):
     assert by_nodes[1600]["max_group"] <= 160  # fork threshold (150) + slack
     assert by_nodes[1600]["groups"] > by_nodes[400]["groups"]
     assert by_nodes[1600]["avg_group"] <= 160
+
+    # Shape 4: no point's tail waits out a group's Serf query timeout, as a
+    # query does whose first wave cannot meet its limit.
+    for r in results:
+        assert r["p99_ms"] < GROUP_QUERY_TIMEOUT * 1000, r

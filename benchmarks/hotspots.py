@@ -34,7 +34,9 @@ ran (max, p99, mean), how many transmissions — wires sent, one per
 destination, over gossip and probe packets — each queued broadcast got, and
 how the Serf query collectors ended: closed at the query's limit, or short
 at the timeout (a member alive in the originator's view never answered), by
-group size (the alive view when the query started).
+group size (the alive view when the query started), and how many directed
+pulls the router answered in their first wave of group pulls and how many
+needed a later one, with the sim latency (p50, max) of the latter.
 Profiled seconds are ~3x untraced ones, so read counts and proportions here
 and host time in focusbench.
 
@@ -63,6 +65,7 @@ from collections import Counter, defaultdict
 
 from benchmarks.focusbench.workloads import WORKLOADS
 from repro.core.query import Query
+from repro.core.router import QueryRouter
 from repro.gossip.agent import QueryCollector, SerfAgent
 from repro.gossip.broadcast import BroadcastQueue, SizedWire
 from repro.gossip.membership import CODE_LEFT, MembershipTable, _sample_exact
@@ -468,16 +471,21 @@ def broadcast_queues(workload, seed: int, sizes):
     queue depth at each tick that ran for its agent's current life, the
     counts (broadcasts ``queued``, transmissions ``sent``, wires times the
     peers each take fed, Serf collectors ``finished`` and ``closed`` at the
-    limit) and the collectors that ended short, by group size.
+    limit, directed pulls answered in their ``first wave``), the collectors
+    that ended short, by group size, and the sim latency in ms of each
+    directed pull that needed a later wave.
 
     The wrappers go on before the build, so every agent binds the wrapped
     tick; the counts start after warm-up, with the steady phase."""
     depths = []
     counts = Counter()
     short = Counter()
+    later_ms = []
     tick, enqueue, take = (SwimAgent._gossip_tick, BroadcastQueue.enqueue,
                            BroadcastQueue.take_batches)
     finish = QueryCollector.finish
+    advance, finish_query = QueryRouter._advance, QueryRouter._finish
+    waved = set()
 
     def counting_tick(self, life):
         if life == self._gossip_life and self.running and not self.paused:
@@ -501,10 +509,28 @@ def broadcast_queues(workload, seed: int, sizes):
                 short[len(self.expected)] += 1
         finish(self)
 
+    def counting_advance(self, state):
+        # The conditions under which _advance launches the next wave.
+        if (not state.finished and not state.limit_reached
+                and not state.pending_groups and state.remaining_plan):
+            waved.add(id(state))
+        advance(self, state)
+
+    def counting_finish_query(self, state, *, timed_out):
+        if state.source == "groups":
+            if id(state) in waved:
+                waved.discard(id(state))
+                later_ms.append((self.service.sim.now - state.started_at) * 1000)
+            else:
+                counts["first wave"] += 1
+        finish_query(self, state, timed_out=timed_out)
+
     SwimAgent._gossip_tick = counting_tick
     BroadcastQueue.enqueue = counting_enqueue
     BroadcastQueue.take_batches = counting_take
     QueryCollector.finish = counting_finish
+    QueryRouter._advance = counting_advance
+    QueryRouter._finish = counting_finish_query
     try:
         scenario, plan = prepare(workload, seed, sizes)
         depths.clear()
@@ -516,10 +542,13 @@ def broadcast_queues(workload, seed: int, sizes):
         BroadcastQueue.enqueue = enqueue
         BroadcastQueue.take_batches = take
         QueryCollector.finish = finish
-    return depths, counts, short
+        QueryRouter._advance = advance
+        QueryRouter._finish = finish_query
+    return depths, counts, short, later_ms
 
 
-def print_broadcast_queues(depths, counts: Counter, short: Counter) -> None:
+def print_broadcast_queues(depths, counts: Counter, short: Counter,
+                           later_ms) -> None:
     queued, sent = counts["queued"], counts["sent"]
     ordered = sorted(depths)
     p99 = ordered[min(len(ordered) - 1, int(0.99 * len(ordered)))] if ordered else 0
@@ -539,7 +568,15 @@ def print_broadcast_queues(depths, counts: Counter, short: Counter) -> None:
     ]
     rows.extend((f"  in {size}-member groups", count)
                 for size, count in sorted(short.items()))
-    print("broadcast queues (a third steady phase, unprofiled):")
+    later = sorted(later_ms)
+    rows += [
+        ("directed pulls answered in their first wave", counts["first wave"]),
+        ("directed pulls that needed a later wave", len(later)),
+        ("  their sim latency, p50 ms",
+         f"{later[len(later) // 2]:.0f}" if later else "-"),
+        ("  their sim latency, max ms", f"{later[-1]:.0f}" if later else "-"),
+    ]
+    print("broadcast queues and router waves (a third steady phase, unprofiled):")
     for name, value in rows:
         print(f"  {name:<54}{value:>10}")
 
@@ -755,8 +792,8 @@ def main() -> int:
     # would sit in generation 2 and lengthen the census's full passes.
     del scenario, plan, stats, profile, entries
     print_census(*census(workload, args.seed, sizes), top=10)
-    depths, counts, short = broadcast_queues(workload, args.seed, sizes)
-    print_broadcast_queues(depths, counts, short)
+    depths, counts, short, later_ms = broadcast_queues(workload, args.seed, sizes)
+    print_broadcast_queues(depths, counts, short, later_ms)
     problems = [
         (unaccounted != 0,
          f"events by kind do not sum to the event count ({unaccounted:+})"),

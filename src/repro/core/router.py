@@ -10,7 +10,13 @@ Processing order for a query:
    candidate groups contain the fewest nodes (the "smallest group"
    optimisation for multi-constraint queries), sends the query to one random
    member per candidate group (load-balanced routing), includes nodes from
-   the transition table for inclusiveness, aggregates, and answers.
+   the transition table for inclusiveness, aggregates, and answers. With a
+   limit, groups are pulled in waves that cover twice what is still missing,
+   densest first: by the share of a group's members that also sit in a
+   candidate group of every other dynamic term (the DGM's member lists), so
+   the first wave can meet the limit instead of waiting out a group where
+   few can match. Ties, and a one-term query, go smallest first. Member
+   lists can be a report interval stale, so no group is ever left out.
 4. **delegation** — under heavy load the router returns the group candidate
    lists instead of fanning out itself, and the application pulls directly;
    delegated responses are not cached (§VI).
@@ -26,7 +32,7 @@ by calling the ``respond`` it was handed; when that reply leaves the server
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.core.groups import GroupInfo
 from repro.core.query import (
@@ -197,30 +203,45 @@ class QueryRouter:
 
     # --------------------------------------------------------- directed pull
     def _plan_groups(self, query: Query, dynamic_terms):
-        """Candidate groups for the term with the fewest total nodes."""
+        """Candidate groups for the term with the fewest total nodes, densest
+        first: the share of a group's members that sit in a candidate group
+        of every other term, ties smallest first."""
         groups_table = self.service.dgm.groups
-        best_attribute: Optional[str] = None
-        best: Optional[List[GroupInfo]] = None
-        best_total = None
+        covering: List[List[GroupInfo]] = []
         for term in dynamic_terms:
             if term.equals is not None:
                 raise QueryError(
                     f"dynamic attribute {term.name!r} requires numeric bounds"
                 )
-            candidates = groups_table.instances_covering(
-                term.name, term.lower, term.upper
+            covering.append(
+                groups_table.instances_covering(term.name, term.lower, term.upper)
             )
-            total = sum(g.size_estimate() for g in candidates)
-            prefer_smallest = self.service.config.smallest_group_routing
-            better = (
-                best_total is None
-                or (total < best_total if prefer_smallest else total > best_total)
-            )
-            if better:
-                best_attribute, best, best_total = term.name, candidates, total
-        assert best is not None and best_attribute is not None
-        # Smallest groups first: cheapest way to satisfy a limit.
-        return best_attribute, sorted(best, key=GroupInfo.size_estimate)
+        totals = [sum(g.size_estimate() for g in groups) for groups in covering]
+        pick = min if self.service.config.smallest_group_routing else max
+        chosen = pick(range(len(covering)), key=totals.__getitem__)
+        plan = covering[chosen]
+        attribute = dynamic_terms[chosen].name
+        if len(covering) == 1:
+            # Smallest groups first: cheapest way to satisfy a limit.
+            return attribute, sorted(plan, key=GroupInfo.size_estimate)
+        # A member outside some other term's candidate groups cannot match.
+        # Member lists can be a report interval stale, so this only orders
+        # the plan: a group where none can match is still pulled last.
+        eligible = set.intersection(*(
+            {node for group in groups for node in (*group.members, *group.pending)}
+            for index, groups in enumerate(covering)
+            if index != chosen
+        ))
+
+        def rank(group: GroupInfo):
+            nodes = group.members.keys() | group.pending.keys()
+            if not nodes:
+                # First: a later wave of empty groups alone would start no
+                # pull, and nothing would advance the query to its end.
+                return (-1.0, 0)
+            return (-len(nodes & eligible) / len(nodes), len(nodes))
+
+        return attribute, sorted(plan, key=rank)
 
     def _directed_pull(
         self, query: Query, attribute: str, plan: List[GroupInfo], respond

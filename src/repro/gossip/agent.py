@@ -7,7 +7,8 @@ Two Serf features matter for FOCUS:
 * **queries** — a member gossips a question to the whole group and every
   member sends its answer *directly* to the originating member (§VII,
   "Load-balanced Query Routing"), which aggregates and can finish early once
-  every member in its local view has answered.
+  every member in its local view has answered, or died or left since the
+  query started.
 
 A query's caller can also close it early, as a Serf caller reads
 ``QueryResponse.ResponseCh()`` and calls ``Close()`` once it has what it
@@ -15,7 +16,8 @@ needs: ``on_response`` sees each member's first answer as it arrives, and a
 true return finishes the query there (a FOCUS aggregator closes at the
 query's ``limit`` matches). A query that reaches its timeout instead is
 ``short`` when a member that has not answered is still alive in this
-member's view; a member that left or died meanwhile has nothing to add.
+member's view; a member that left or died meanwhile has nothing to add, and
+the query finishes as soon as only such members are missing.
 
 Event and query wires are immutable and carry their size and their id: the
 originator builds one :class:`~repro.gossip.broadcast.SizedWire`, and every
@@ -55,6 +57,7 @@ from typing import Callable, Dict, Iterator, List, Optional
 from repro.sim.loop import Simulator
 from repro.sim.network import Message, Network, SizedDict
 from repro.gossip.broadcast import SizedWire
+from repro.gossip.member import Member
 from repro.gossip.membership import NodeDirectory
 from repro.gossip.swim import SwimAgent, SwimConfig
 
@@ -217,10 +220,11 @@ class SerfAgent(SwimAgent):
         Every member (including this one) runs its query handler and sends
         the answer directly back here. ``on_complete`` fires exactly once,
         with a :class:`QueryResponses` dict of ``member name -> response
-        payload``: when all members in the local alive view have answered,
-        when ``on_response(member name, response)``, called on each
-        member's first answer, returns true (Serf's ``Close()``), or at the
-        timeout, when the responses say whether they are ``short``.
+        payload``: when all members in the local alive view have answered
+        (or died or left since), when ``on_response(member name,
+        response)``, called on each member's first answer, returns true
+        (Serf's ``Close()``), or at the timeout, when the responses say
+        whether they are ``short``.
         """
         query_id = f"{self.name}:q{next(self.event_ids)}"
         wire = SizedWire(
@@ -254,6 +258,20 @@ class SerfAgent(SwimAgent):
                 alive_address(name) is not None for name in collector.missing
             )
             collector.finish()
+
+    def _notify_dead(self, member: Member) -> None:
+        """A member that died or left has nothing to add to a query: stop
+        waiting for it, and finish a query it was the last one missing from
+        (not ``short``: every member still alive has answered)."""
+        super()._notify_dead(member)
+        name = member.name
+        for query_id, collector in list(self._collectors.items()):
+            missing = collector.missing
+            if name in missing:
+                missing.discard(name)
+                if not missing:
+                    del self._collectors[query_id]
+                    collector.finish()
 
     def _on_query_response(self, message: Message) -> None:
         payload = message.payload

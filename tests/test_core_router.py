@@ -45,6 +45,122 @@ class TestPlanning:
         assert fanout < len(all_instances)
 
 
+def density_population(index, region):
+    """30 nodes: three ``disk_gb`` groups of unequal match density for
+    ``ram_mb >= 8192``, and 12 high-``ram_mb`` nodes outside the disk range
+    that make the ``ram_mb`` term the larger one."""
+    if index < 8:
+        disk, ram = 72.0, 10000.0  # disk_gb.70: all 8 match
+    elif index < 14:
+        disk, ram = 77.0, 10000.0 if index == 8 else 1000.0  # disk_gb.75: 1 of 6
+    elif index < 18:
+        disk, ram = 67.0, 1000.0  # disk_gb.65: none of 4
+    else:
+        disk, ram = 10.0, 12000.0
+    return {
+        "node_id": f"node-{index:05d}",
+        "static": {"arch": "x86"},
+        "dynamic": {"disk_gb": disk, "ram_mb": ram, "vcpus": 4.0,
+                    "cpu_percent": 50.0},
+    }
+
+
+def pulled_groups(monkeypatch):
+    """The names of the groups the router pulls, in the order it pulls them."""
+    pulled = []
+    query_group = QueryRouter._query_group
+
+    def recording(self, state, group):
+        pulled.append(group.name)
+        query_group(self, state, group)
+
+    monkeypatch.setattr(QueryRouter, "_query_group", recording)
+    return pulled
+
+
+class TestMatchDensity:
+    """The routed term's groups are pulled densest first: the share of a
+    group's members that sit in a candidate group of every other term."""
+
+    @pytest.fixture
+    def scenario(self):
+        scenario = build_focus_cluster(
+            30, seed=31, warm_start=True, with_store=False,
+            node_factory=density_population,
+        )
+        drain(scenario, 2.0)
+        return scenario
+
+    @staticmethod
+    def disk_group(scenario, base):
+        (group,) = [g for g in scenario.service.dgm.groups.all_groups()
+                    if g.attribute == "disk_gb" and g.base == base]
+        return group.name
+
+    def test_the_dense_group_is_pulled_first_and_answers_in_one_wave(
+        self, scenario, monkeypatch
+    ):
+        """``disk_gb.75`` is smaller and covers the wave's 2 x limit alone,
+        but only 1 of its 6 members can match: smallest-first would wait for
+        all 6 answers before a second wave."""
+        pulled = pulled_groups(monkeypatch)
+        query = Query(
+            [QueryTerm("disk_gb", lower=70.0, upper=79.9),
+             QueryTerm.at_least("ram_mb", 8192.0)],
+            limit=3, freshness_ms=0.0,
+        )
+        response = run_query(scenario, query)
+        assert pulled == [self.disk_group(scenario, 70.0)]
+        assert len(response.matches) == 3 and not response.timed_out
+        assert response.groups_queried == 1
+
+    def test_a_one_term_query_keeps_smallest_first(self, scenario, monkeypatch):
+        pulled = pulled_groups(monkeypatch)
+        query = Query([QueryTerm("disk_gb", lower=70.0, upper=79.9)], limit=3,
+                      freshness_ms=0.0)
+        _, plan = scenario.service.router._plan_groups(query, list(query.terms))
+        assert [g.name for g in plan] == [
+            self.disk_group(scenario, 75.0), self.disk_group(scenario, 70.0)
+        ]
+        response = run_query(scenario, query)
+        assert pulled == [self.disk_group(scenario, 75.0)]
+        assert len(response.matches) == 3
+
+    def test_a_limit_never_met_pulls_every_group_density_zero_last(
+        self, scenario, monkeypatch
+    ):
+        pulled = pulled_groups(monkeypatch)
+        query = Query(
+            [QueryTerm("disk_gb", lower=65.0, upper=79.9),
+             QueryTerm.at_least("ram_mb", 8192.0)],
+            limit=50, freshness_ms=0.0,
+        )
+        response = run_query(scenario, query)
+        assert pulled == [self.disk_group(scenario, base) for base in (70.0, 75.0, 65.0)]
+        assert sorted(response.node_ids) == [f"node-{i:05d}" for i in range(9)]
+        assert not response.timed_out
+
+    def test_empty_groups_go_in_the_first_wave(self, scenario):
+        """An empty group starts no pull: were it ranked by its density (0),
+        a later wave of empty groups alone would leave the query waiting
+        for its timeout."""
+        for base in (65.0, 70.0):
+            group = scenario.service.dgm.groups.require(
+                self.disk_group(scenario, base)
+            )
+            group.members.clear()
+            group.pending.clear()
+        query = Query(
+            [QueryTerm("disk_gb", lower=65.0, upper=79.9),
+             QueryTerm.at_least("ram_mb", 8192.0)],
+            limit=3, freshness_ms=0.0,
+        )
+        response = run_query(scenario, query)
+        assert response.node_ids == ["node-00008"]
+        assert not response.timed_out
+        assert response.elapsed < scenario.config.query_timeout / 2
+
+
 class TestEmptyGroups:
     def test_wave_of_empty_groups_finishes_immediately(self):
         """Group instances whose members all left produce no RPCs; the

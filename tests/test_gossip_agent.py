@@ -228,6 +228,32 @@ class TestQueries:
         assert len(done) == 1 and len(done[0]) == 5
         assert not done[0].short
 
+    def test_a_member_that_leaves_mid_query_ends_it_at_the_leave(
+        self, sim, network, regions
+    ):
+        """The last member missing leaves: the query finishes when its
+        originator hears of the leave, not at the timeout, and is not short."""
+        agents = build_group(sim, network, 6, regions)
+        sim.run_until(5.0)
+        for agent in agents:
+            agent.on_query("s", lambda p, o: {"ok": True})
+        agents[5].on_query("s", lambda p, o: None)
+        done = []
+        agents[0].query(
+            "s", {}, lambda r: done.append((sim.now, r)), timeout=1.5
+        )
+        sim.run_until(5.5)
+        assert not done
+        agents[5].leave()
+        while agents[0].members.alive_address("n5") is not None:
+            sim.run_until(sim.now + 0.01)
+        heard_at = sim.now
+        sim.run_until(10.0)
+        assert len(done) == 1
+        finished_at, responses = done[0]
+        assert 5.5 < finished_at <= heard_at < 5.0 + 1.5
+        assert len(responses) == 5 and not responses.short
+
     def test_a_complete_answer_is_a_plain_dict_for_one_argument_callers(
         self, sim, network, regions
     ):

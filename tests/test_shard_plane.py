@@ -27,7 +27,7 @@ from repro.workloads.querygen import QueryWorkload
 #: Pinned so any future change to the legacy serving path (which a
 #: single-shard deployment must reproduce byte-for-byte) is caught here.
 SHARDS1_RUN_DIGEST = (
-    "ac98736b157cf4f98ff8527f017a5333b25e50bae7134be4b226cd61ad068439"
+    "908616c7f36542759c6be35fbc4b4c53eff3cda3eca0588a8859f8abff7f434b"
 )
 
 # ------------------------------------------------------------ ring ownership
