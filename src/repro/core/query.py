@@ -16,18 +16,21 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import QueryError
 from repro.sim.network import SizedDict
+from repro.store.table import Term
 
 Value = Union[float, int, str]
 
 
-class QueryTerm:
+class QueryTerm(Term):
     """One attribute constraint.
 
     For numeric attributes use ``lower``/``upper`` (inclusive). For string
-    attributes use ``equals``.
+    attributes use ``equals``. Matching and the JSON form are the store's
+    :class:`~repro.store.table.Term`, so a replica filtering a scan applies
+    exactly the rule a node applies to itself.
     """
 
-    __slots__ = ("name", "lower", "upper", "equals")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -44,10 +47,7 @@ class QueryTerm:
             raise QueryError(f"term {name!r}: needs at least one bound")
         if lower is not None and upper is not None and lower > upper:
             raise QueryError(f"term {name!r}: lower {lower} > upper {upper}")
-        self.name = name
-        self.lower = lower
-        self.upper = upper
-        self.equals = equals
+        Term.__init__(self, name, lower, upper, equals)
 
     @classmethod
     def exact(cls, name: str, value: Value) -> "QueryTerm":
@@ -63,41 +63,6 @@ class QueryTerm:
     @classmethod
     def at_most(cls, name: str, value: float) -> "QueryTerm":
         return cls(name, upper=float(value))
-
-    def matches(self, value: object) -> bool:
-        """Whether a node's attribute value satisfies this term."""
-        if value is None:
-            return False
-        if self.equals is not None:
-            return value == self.equals
-        try:
-            number = float(value)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            return False
-        if self.lower is not None and number < self.lower:
-            return False
-        if self.upper is not None and number > self.upper:
-            return False
-        return True
-
-    def to_json(self) -> Dict[str, object]:
-        data: Dict[str, object] = {"name": self.name}
-        if self.lower is not None:
-            data["lower"] = self.lower
-        if self.upper is not None:
-            data["upper"] = self.upper
-        if self.equals is not None:
-            data["equals"] = self.equals
-        return data
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "QueryTerm":
-        return cls(
-            str(data["name"]),
-            lower=data.get("lower"),  # type: ignore[arg-type]
-            upper=data.get("upper"),  # type: ignore[arg-type]
-            equals=data.get("equals"),  # type: ignore[arg-type]
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         if self.equals is not None:

@@ -5,7 +5,11 @@ Processing order for a query:
 1. **cache** — first step; a hit answers immediately if it satisfies the
    query's freshness bound.
 2. **static path** — queries touching only static attributes are answered
-   from the store (one table lookup: the smallest static-attribute table).
+   from the store: one scan of the smallest static-attribute table, whose
+   replicas return only the rows matching the query's terms, at most its
+   limit (a key the replicas disagree on sends the coordinator back to an
+   unfiltered read; see :meth:`repro.store.cluster.StoreClient.scan`).
+   Without a store, from the registry.
 3. **directed pull** — otherwise the router picks the dynamic term whose
    candidate groups contain the fewest nodes (the "smallest group"
    optimisation for multi-constraint queries), sends the query to one random
@@ -32,6 +36,7 @@ by calling the ``respond`` it was handed; when that reply leaves the server
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, List, Set
 
 from repro.core.groups import GroupInfo
@@ -168,34 +173,35 @@ class QueryRouter:
     def _static_query(self, query: Query, static_terms, respond) -> None:
         registrar = self.service.registrar
         store = self.service.store_client
-        smallest = min(
-            static_terms, key=lambda t: registrar_table_size(registrar, t.name)
-        )
 
-        def finish(rows) -> None:
-            matches = []
-            for row in rows:
-                attrs = dict(row.value.get("attributes") or {})
-                if query.matches(attrs):
-                    matches.append(
-                        match_record(row.key, attrs, row.value.get("region", ""))
-                    )
-                    if query.limit is not None and len(matches) >= query.limit:
-                        break
+        def finish(matches: List[dict]) -> None:
             self._maybe_cache(query, matches)
             respond(answer_payload(matches, "static"))
 
         if store is None:
             # No store deployed: answer from the in-memory registry.
-            rows = [
-                _MemoryRow(r.node_id, {"attributes": r.static, "region": r.region})
-                for r in registrar.nodes.values()
-            ]
-            finish(rows)
+            matching = (r for r in registrar.nodes.values() if query.matches(r.static))
+            finish([
+                match_record(r.node_id, dict(r.static), r.region)
+                for r in islice(matching, query.limit)
+            ])
             return
+        smallest = min(
+            static_terms, key=lambda t: registrar_table_size(registrar, t.name)
+        )
+        # The replicas filter: every row the scan returns matches.
         store.scan(
             static_table_name(smallest.name),
-            finish,
+            lambda rows: finish([
+                match_record(
+                    row.key,
+                    dict(row.value.get("attributes") or {}),
+                    row.value.get("region", ""),
+                )
+                for row in rows
+            ]),
+            where=[term.to_json() for term in static_terms],
+            limit=query.limit,
             on_error=lambda exc: respond(
                 answer_payload([], "static", error=str(exc))
             ),
@@ -437,16 +443,6 @@ class QueryRouter:
     def _maybe_cache(self, query: Query, matches: List[dict]) -> None:
         if self.service.config.cache_enabled:
             self.service.cache.store(query, matches, self.service.sim.now)
-
-
-class _MemoryRow:
-    """Adapter so the storeless static path looks like store rows."""
-
-    __slots__ = ("key", "value")
-
-    def __init__(self, key: str, value: dict) -> None:
-        self.key = key
-        self.value = value
 
 
 def registrar_table_size(registrar, attribute: str) -> int:

@@ -3,7 +3,10 @@
 Serves get/put/delete/scan RPCs over its local tables. Placement and quorum
 logic live in the coordinator (:mod:`repro.store.cluster`); the replica is
 deliberately dumb, like a Cassandra storage node from the coordinator's
-perspective.
+perspective. A scan may carry a ``where`` (query terms in their JSON form)
+and a ``limit``: the replica then returns only the rows whose local newest
+version matches every term, at most ``limit`` of them. It cannot know
+whether another replica holds a newer version; the coordinator does.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from repro.sim.loop import Simulator
 from repro.sim.network import Network
 from repro.sim.process import Process
 from repro.sim.rpc import RpcMixin
-from repro.store.table import Row, Table
+from repro.store.table import Row, Table, Term, row_matches
 
 
 class StoreReplica(Process, RpcMixin):
@@ -67,6 +70,13 @@ class StoreReplica(Process, RpcMixin):
         table = self.tables.get(params["table"])
         if table is None:
             return {"rows": []}
-        limit = params.get("limit")
-        rows = table.scan(limit=limit)
+        where = params.get("where")
+        predicate = None
+        if where is not None:
+            terms = [Term.from_json(term) for term in where]
+
+            def predicate(row: Row) -> bool:
+                return row_matches(row.value, terms)
+
+        rows = table.scan(predicate, params.get("limit"))
         return {"rows": [row.to_wire() for row in rows]}

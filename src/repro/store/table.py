@@ -7,13 +7,84 @@ timestamp used for last-write-wins reconciliation:
 
     | node ID    | arch | attributes | timestamp  |
     | IP address | x86  | {cores:8}  | time value |
+
+A scan can filter where the rows live: a :class:`Term` is one attribute
+constraint (the one matching rule; the query layer's ``QueryTerm`` is this
+class with validation), and :func:`row_matches` applies a list of them to a
+row value's ``attributes`` map. A replica answering a scan with a ``where``
+returns only the rows whose local newest version matches (see
+:mod:`repro.store.replica`); the coordinator settles replicas that disagree
+(:meth:`repro.store.cluster.StoreClient.scan`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.sim.network import SizedDict
+
+
+class Term:
+    """One attribute constraint: string equality (``equals``) or inclusive
+    numeric bounds (``lower``/``upper``, ``None`` leaves a side open)."""
+
+    __slots__ = ("name", "lower", "upper", "equals")
+
+    def __init__(
+        self,
+        name: str,
+        lower: Optional[float] = None,
+        upper: Optional[float] = None,
+        equals: Optional[str] = None,
+    ) -> None:
+        self.name = name
+        self.lower = lower
+        self.upper = upper
+        self.equals = equals
+
+    def matches(self, value: object) -> bool:
+        """Whether a node's attribute value satisfies this term."""
+        if value is None:
+            return False
+        if self.equals is not None:
+            return value == self.equals
+        try:
+            number = float(value)  # type: ignore[arg-type]
+        except (TypeError, ValueError):
+            return False
+        if self.lower is not None and number < self.lower:
+            return False
+        if self.upper is not None and number > self.upper:
+            return False
+        return True
+
+    def to_json(self) -> Dict[str, object]:
+        data: Dict[str, object] = {"name": self.name}
+        if self.lower is not None:
+            data["lower"] = self.lower
+        if self.upper is not None:
+            data["upper"] = self.upper
+        if self.equals is not None:
+            data["equals"] = self.equals
+        return data
+
+    @classmethod
+    def from_json(cls, data: Dict[str, object]):
+        return cls(
+            str(data["name"]),
+            lower=data.get("lower"),  # type: ignore[arg-type]
+            upper=data.get("upper"),  # type: ignore[arg-type]
+            equals=data.get("equals"),  # type: ignore[arg-type]
+        )
+
+
+def row_matches(value: Dict[str, object], terms: Sequence[Term]) -> bool:
+    """Whether a row value's ``attributes`` map satisfies every term."""
+    attributes = value.get("attributes") or {}
+    for term in terms:
+        if not term.matches(attributes.get(term.name)):  # type: ignore[union-attr]
+            return False
+    return True
 
 
 class Row:
