@@ -521,13 +521,12 @@ class NodeAgent(Process, RpcMixin):
         return DEFERRED
 
     def _rpc_node_query(self, params, respond, message):
+        """A direct pull (a transitioning node, or a delegated client):
+        answered like a group member, a bare "no" on a non-match."""
         answer = self._matching_answer()
-        attrs = answer["attrs"]
-        if decode_query(params["query"]).matches(attrs):
+        if decode_query(params["query"]).matches(answer["attrs"]):
             return answer
-        return SizedDict(
-            {"node": self.node_id, "match": False, "attrs": attrs, "region": self.region}
-        )
+        return self._no_match_answer
 
     def _rpc_be_representative(self, params, respond, message):
         group = str(params["group"])
