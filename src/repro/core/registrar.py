@@ -3,7 +3,10 @@
 Listens for node registration requests carrying the node's id, region and
 attribute-value pairs. Static attributes land in per-attribute store tables
 (node ID | value | other attributes | timestamp); dynamic attributes are
-handed to the DGM, which suggests p2p groups for the node to join.
+handed to the DGM, which suggests p2p groups for the node to join. A
+deregistration deletes the node's rows again, so neither a static query
+(whose scan the store's replicas filter, see :mod:`repro.store.cluster`)
+nor a recovery after a restart finds a node that has left.
 """
 
 from __future__ import annotations
@@ -87,6 +90,7 @@ class Registrar:
         if record is not None:
             for name in record.static:
                 self.static_counts[name] = self.static_counts.get(name, 1) - 1
+            self._delete_static_tables(record)
         self.service.dgm.forget_node(node_id)
         self.service.views.forget_node(node_id)
 
@@ -141,3 +145,12 @@ class Registrar:
                 "static": record.static,
             },
         )
+
+    def _delete_static_tables(self, record: NodeRecord) -> None:
+        """Asynchronously delete every row :meth:`_write_static_tables` wrote."""
+        store = self.service.store_client
+        if store is None or not self.service.persist_statics:
+            return
+        for name in record.static:
+            store.delete(static_table_name(name), record.node_id)
+        store.delete("nodes", record.node_id)
