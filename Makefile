@@ -96,18 +96,22 @@ WORKLOAD ?= group_mesh
 hotspots:
 	PYTHONHASHSEED=0 $(PYTHON) -m benchmarks.hotspots --workload $(WORKLOAD)
 
-# The same report on a smoke-size group_mesh, serve_ramp and trace_replay
-# (~1 s each), for its own checks: the tool wraps and names private protocol
-# methods, so a rename or a moved call fails here instead of silently zeroing
-# a row, serve_ramp makes the RPC calls its deadline rows and cyclic-garbage
-# check need (group_mesh makes almost none), and trace_replay runs the probe
-# rounds and Serf queries whose events its sum must account for.
+# The same report on a smoke-size group_mesh, serve_ramp, trace_replay and
+# churn_moves (~1 s each), for its own checks: the tool wraps and names
+# private protocol methods, so a rename or a moved call fails here instead of
+# silently zeroing a row, serve_ramp makes the RPC calls its deadline rows and
+# cyclic-garbage check need (group_mesh makes almost none), trace_replay runs
+# the probe rounds and Serf queries whose events its sum must account for,
+# and churn_moves is the one smoke pass that reaches the store: its static
+# queries, registrations and deregistrations.
 hotspots-smoke:
 	PYTHONHASHSEED=0 $(PYTHON) -m benchmarks.hotspots --workload group_mesh \
 		--scale smoke --top 5
 	PYTHONHASHSEED=0 $(PYTHON) -m benchmarks.hotspots --workload serve_ramp \
 		--scale smoke --top 5
 	PYTHONHASHSEED=0 $(PYTHON) -m benchmarks.hotspots --workload trace_replay \
+		--scale smoke --top 5
+	PYTHONHASHSEED=0 $(PYTHON) -m benchmarks.hotspots --workload churn_moves \
 		--scale smoke --top 5
 
 # A/B of the steady phase against BASE on a box whose speed drifts: both

@@ -36,7 +36,11 @@ how the Serf query collectors ended: closed at the query's limit, or short
 at the timeout (a member alive in the originator's view never answered), by
 group size (the alive view when the query started), and how many directed
 pulls the router answered in their first wave of group pulls and how many
-needed a later one, with the sim latency (p50, max) of the latter.
+needed a later one, with the sim latency (p50, max) of the latter, and from
+a fourth, the serving plane's bytes by direction and message (an RPC's method,
+request or reply, else the message kind): count, average and total bytes and
+share, summing to the plane's meters, so the Fig. 7a server bandwidth is
+split by what carried it.
 Profiled seconds are ~3x untraced ones, so read counts and proportions here
 and host time in focusbench.
 
@@ -48,7 +52,8 @@ calls included in the line that made them, which ``cProfile`` understates.
 No gate and no committed output; the exit status is non-zero when a check
 the report makes fails (events that do not add up, a row the tool's tap,
 wrappers or named methods should have fed reading 0, a self-refutation by a
-member that left, one or more objects of cyclic garbage per RPC call), which
+member that left, one or more objects of cyclic garbage per RPC call, server
+bytes by message that do not sum to the meters), which
 is what ``make
 hotspots-smoke`` runs for in CI: the tool patches and names private protocol
 methods, and a rename must fail there instead of zeroing a row.
@@ -74,7 +79,7 @@ from repro.sim.events import Deadline, EventQueue
 from repro.sim.loop import Simulator, TimerWheel
 from repro.sim.network import Network, SizedDict, approx_size
 from repro.sim.process import Process
-from repro.sim.rpc import RpcMixin
+from repro.sim.rpc import REQUEST_KIND, RESPONSE_KIND, RpcMixin
 
 #: CPU seconds between two ``--sample`` samples asked of ``setitimer``.
 SAMPLE_INTERVAL_S = 0.001
@@ -581,6 +586,78 @@ def print_broadcast_queues(depths, counts: Counter, short: Counter,
         print(f"  {name:<54}{value:>10}")
 
 
+def rpc_method(kind: str, payload) -> str:
+    """What a message is, for the byte table: an RPC request's or reply's
+    method (both carry it) and which of the two, else its kind."""
+    if kind == REQUEST_KIND:
+        return f"{payload['method']} request"
+    if kind == RESPONSE_KIND:
+        return f"{payload['method']} reply"
+    return kind
+
+
+def server_bytes(workload, seed: int, sizes):
+    """Run an unprofiled steady phase on a fresh build and count the serving
+    plane's bytes by direction and message: what it sends, charged at the
+    send (the sender's meter, so dropped copies count), and what it
+    receives, charged at the delivery, as its meters charge them. Return
+    the table ``(direction, method) -> [messages, bytes]`` and the meters'
+    own total for the phase, which the table must sum to."""
+    table = defaultdict(lambda: [0, 0])
+    servers = set()
+    send = Network.send_fanout
+
+    def counting_send(self, src, dsts, kind, payload, *, size=None):
+        if src not in servers:
+            send(self, src, dsts, kind, payload, size=size)
+            return
+        meter = self._bindings[src][2]
+        before = meter.bytes_sent
+        send(self, src, dsts, kind, payload, size=size)
+        row = table["out", rpc_method(kind, getattr(payload, "payload", payload))]
+        row[0] += len(dsts)
+        row[1] += meter.bytes_sent - before
+
+    def count_delivery(message) -> None:
+        if message.dst in servers:
+            row = table["in", rpc_method(message.kind, message.payload)]
+            row[0] += 1
+            row[1] += message.size
+
+    Network.send_fanout = counting_send
+    try:
+        scenario, plan = prepare(workload, seed, sizes)
+        servers.update(scenario._server_addresses())
+        scenario.network.add_delivery_tap(count_delivery)
+        table.clear()
+        scenario.sim.run_until(plan.end_time)
+    finally:
+        Network.send_fanout = send
+    return table, scenario.server_bandwidth_bytes()
+
+
+def print_server_bytes(table, metered: int, span_s: float, top: int) -> int:
+    """Print the serving plane's bytes by direction and message, largest
+    first; return the table's total minus the meters' (must be 0)."""
+    total = sum(size for _, size in table.values())
+    print(f"serving-plane bytes by message (a fourth steady phase, unprofiled; "
+          f"{total / 1000.0 / span_s:.1f} KB/s over {span_s:.1f} sim-s):")
+    print(f"  {'dir':<4}{'message':<36}{'count':>9}{'avg_B':>9}"
+          f"{'total_B':>12}{'share':>7}")
+    rows = sorted(table.items(), key=lambda item: -item[1][1])
+    for (direction, method), (count, size) in rows[:top]:
+        print(f"  {direction:<4}{method:<36}{count:>9}{size / count:>9.0f}"
+              f"{size:>12}{size / total:>7.1%}")
+    rest = rows[top:]
+    if rest:
+        size = sum(s for _, (_, s) in rest)
+        print(f"  {'':<4}{f'{len(rest)} more':<36}{sum(c for _, (c, _) in rest):>9}"
+              f"{'':>9}{size:>12}{size / total:>7.1%}")
+    print(f"  {'sum of the above - serving-plane meters (must be 0)':<54}"
+          f"{total - metered:>10}")
+    return total - metered
+
+
 def bare_name(code) -> str:
     """Bare function name of a profile entry's code."""
     return code if isinstance(code, str) else code.co_name
@@ -788,12 +865,15 @@ def main() -> int:
     garbage_per_call = collector(gc_before, gc_after, gc_found, entries(RpcMixin.call))
     wires = tally["custom wires delivered"] + member_wires
     ticks = entries(SwimAgent._gossip_tick)
+    plan_span_s = plan.end_time - plan.start_time
     # The profiled build goes before the census builds its own: alive, it
     # would sit in generation 2 and lengthen the census's full passes.
     del scenario, plan, stats, profile, entries
     print_census(*census(workload, args.seed, sizes), top=10)
     depths, counts, short, later_ms = broadcast_queues(workload, args.seed, sizes)
     print_broadcast_queues(depths, counts, short, later_ms)
+    table, metered = server_bytes(workload, args.seed, sizes)
+    bytes_unaccounted = print_server_bytes(table, metered, plan_span_s, args.top)
     problems = [
         (unaccounted != 0,
          f"events by kind do not sum to the event count ({unaccounted:+})"),
@@ -808,6 +888,9 @@ def main() -> int:
         (refutations != 0, f"{refutations} self-refutations by a member that left"),
         (garbage_per_call >= 1,
          f"{garbage_per_call:.2f} objects of cyclic garbage per RPC call"),
+        (bytes_unaccounted != 0,
+         f"serving-plane bytes by message do not sum to its meters "
+         f"({bytes_unaccounted:+})"),
     ]
     for failed, what in problems:
         if failed:
