@@ -1,7 +1,8 @@
 # Developer entry points. `make check` is what CI runs: lint (when ruff is
-# installed), the tier-1 suite, the scheduler-equivalence gate (the calendar
-# queue and timer wheel must be bit-identical to their tests/oracles/
-# references: a binary heap and a self-rescheduling timer), the benchmark
+# installed), the tier-1 suite, the scheduler-equivalence gate (the timer
+# wheel must be bit-identical to its tests/oracles/ reference, a
+# self-rescheduling timer, and the binary-heap event queue must pop in
+# (time, seq) order; the heap has no oracle), the benchmark
 # regression gate (a quick kernel-bench smoke pass — which re-verifies the
 # send hot-path speedup, the swim_full checksums and the seeded-run
 # determinism checksum — compared against the
@@ -39,7 +40,7 @@ scheduler-equivalence:
 
 # Cross-simulation isolation: two seeded sims in one process must checksum
 # identically in both run orders (no interpreter-global mutable state), and
-# run_until's inclusive-bound rule must hold on the queue and its oracle.
+# run_until's inclusive-bound rule must hold on the event queue.
 # Part of `test` too; named so the sweep is visible in CI logs.
 global-state-gate:
 	$(PYTHON) -m pytest tests/test_global_state.py \

@@ -237,9 +237,7 @@ def events_by_kind(stats, events: int, kinds: Counter, dropped: int) -> int:
     unaccounted = sum(count for indent, _, count in rows if indent == 0) - events
     rows += [(0, "sum of the above - events (must be 0)", unaccounted),
              (0, "deadline sentinel firings that only swept (no event)",
-              sentinel_firings - sum(fired.values())),
-             (0, "queue compactions (EventQueue.compact)",
-              sum(e.callcount for e in stats if e.code is EventQueue.compact.__code__))]
+              sentinel_firings - sum(fired.values()))]
     print(f"events by kind ({events} events):")
     for indent, what, count in rows:
         print(f"  {'  ' * indent}{what:<{54 - 2 * indent}}{count:>10}")

@@ -5,12 +5,11 @@ number generator. Everything in a run — gossip timers, network deliveries,
 workload arrivals — is an event on this single loop, which makes runs
 reproducible from a single seed.
 
-Scheduling: events live in the calendar-queue/heap hybrid of
-:mod:`repro.sim.events`, and every :class:`RepeatingTimer` fires through the
-:class:`TimerWheel`, which coalesces same-interval timer storms (1600 nodes'
-probe ticks) into one recycled sentinel entry per interval class. Their
-oracles — a single binary heap and a self-rescheduling timer — live in
-``tests/oracles/``.
+Scheduling: events live in the binary heap of :mod:`repro.sim.events`, and
+every :class:`RepeatingTimer` fires through the :class:`TimerWheel`, which
+coalesces same-interval timer storms (1600 nodes' probe ticks) into one
+recycled sentinel entry per interval class. The wheel's oracle, a timer that
+re-schedules itself every firing, lives in ``tests/oracles/self_timer.py``.
 
 Deadlines (:meth:`Simulator.deadline`) sit beside the wheel for the opposite
 case: one-shot timeouts that are nearly always cancelled (a SWIM probe's ack
@@ -126,7 +125,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay:.6f}s in the past")
         event = self._queue.push(self._now + delay, callback, args)
-        return TimerHandle(event, self._queue)
+        return TimerHandle(event)
 
     def schedule_at(
         self, time: float, callback: Callable[..., Any], *args: Any
@@ -137,7 +136,7 @@ class Simulator:
                 f"cannot schedule at t={time:.6f} (now={self._now:.6f})"
             )
         event = self._queue.push(time, callback, args)
-        return TimerHandle(event, self._queue)
+        return TimerHandle(event)
 
     def post(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule`: no :class:`TimerHandle`.
@@ -163,7 +162,7 @@ class Simulator:
         ``callback(*args)`` runs ``delay`` seconds from now unless the
         returned :class:`~repro.sim.events.Deadline` is cancelled first — but
         the entry waits in a per-``delay`` FIFO instead of the event queue,
-        so a cancelled one costs a flag write: no event, no tombstone. See
+        so a cancelled one costs a flag write: no event, no queue entry. See
         the module docstring. ``since`` counts the delay from an earlier
         instant (a timeout that started before it could be armed); an
         instant already past fires now.
@@ -221,9 +220,8 @@ class Simulator:
             if index:
                 return
             # New head: the queued sentinel is aimed at the old one. It stays
-            # behind as a tombstone, like a re-aimed timer-wheel sentinel.
+            # behind cancelled, like a re-aimed timer-wheel sentinel.
             fifo.event.cancelled = True
-            self._queue.note_cancelled()
         fifo.event = Event(entry.time, entry.seq, self._fire_deadlines, (fifo,))
         self._queue.push_entry(fifo.event)
 
@@ -500,8 +498,7 @@ class TimerWheel:
 
     def add(self, timer: "RepeatingTimer", fire_time: float) -> None:
         """Register ``timer``'s next firing at absolute ``fire_time``."""
-        queue = self._sim._queue
-        seq = queue.alloc_seq()
+        seq = self._alloc()
         interval = timer._interval
         cls = self._classes.get(interval)
         if cls is None:
@@ -544,7 +541,7 @@ class TimerWheel:
         This is the per-event hot path of a coalesced timer storm, so the
         common case (member stays in its class, sentinel reusable, head
         live) is fully inlined: two small-heap operations, one jitter draw,
-        one seq allocation, one bucket insert — zero allocations.
+        one seq allocation, one queue insert — zero allocations.
         """
         heap = cls.heap
         while True:
@@ -626,11 +623,9 @@ class TimerWheel:
                 heappop(heap)  # tombstoned (stopped or superseded) member
                 continue
             break
-        queue = self._sim._queue
         if not heap:
             if cls.scheduled:
                 cls.event.cancelled = True
-                queue.note_cancelled()
                 cls.event = None
                 cls.scheduled = False
             cls.target = None
@@ -640,10 +635,9 @@ class TimerWheel:
         if cls.scheduled:
             if cls.target == key:
                 return
-            # The queued sentinel entry is stale; tombstone it and use a
-            # fresh Event (the old object stays behind as the tombstone).
+            # The queued sentinel entry is stale; cancel it and use a fresh
+            # Event (the old object stays behind in the queue, cancelled).
             cls.event.cancelled = True
-            queue.note_cancelled()
             cls.event = None
         event = cls.event
         if event is None:
@@ -652,7 +646,7 @@ class TimerWheel:
         else:
             event.time = time
             event.seq = seq
-        queue.push_entry(event)
+        self._queue.push_entry(event)
         cls.scheduled = True
         cls.target = key
 

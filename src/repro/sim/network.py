@@ -683,14 +683,12 @@ class Network:
 
         Called when a new message beats the queued sentinel's key, or when
         the batch is idle. Mirrors the timer wheel's sentinel recycling: a
-        sentinel queued at a now-stale key is tombstoned (the old object
+        sentinel queued at a now-stale key is cancelled (the old object
         stays behind in the queue) and a fresh event takes its place; a
         sentinel that just fired is reused in place, costing no allocation.
         """
-        queue = self._queue
         if batch.target_time != _IDLE:
             batch.event.cancelled = True
-            queue.note_cancelled()
             batch.event = None
         heap = batch.heap
         if not heap:
@@ -703,7 +701,7 @@ class Network:
         else:
             event.time = time
             event.seq = seq
-        queue.push_entry(event)
+        self._queue.push_entry(event)
         batch.target_time = time
 
     def _fire_deliveries(self, batch: _DeliveryBatch) -> None:

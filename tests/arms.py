@@ -1,8 +1,9 @@
 """Test-side substitution of the kernel's oracles (``tests/oracles/``).
 
-``src/`` has one scheduler, one periodic-timer path, one membership backend,
-one probe walk, one retransmit limit and one gossip round, and no parameter
-to choose another.
+``src/`` has one scheduler, one periodic-timer path, one membership
+backend, one probe walk, one retransmit limit and one gossip round, and no
+parameter to choose another. The scheduler, a plain binary heap, is its own
+reference and has no oracle here.
 The equivalence tests swap the oracle in at the construction site instead, by
 patching the module global the kernel instantiates or calls (or, for the
 probe walk and the gossip round, the methods).
@@ -19,7 +20,6 @@ import repro.gossip.membership
 import repro.gossip.swim
 import repro.sim.loop
 from tests.oracles import gossip_round
-from tests.oracles.heap_queue import HeapEventQueue
 from tests.oracles.member_list import MemberList
 from tests.oracles.probe_order import next_probe_target
 from tests.oracles.retransmit import retransmit_limit as log2_retransmit_limit
@@ -28,7 +28,6 @@ from tests.oracles.self_timer import SelfReschedulingTimer
 
 @contextmanager
 def kernel(
-    queue: str = "calendar",
     timers: str = "wheel",
     members: str = "table",
     probes: str = "draw",
@@ -36,7 +35,7 @@ def kernel(
     gossip: str = "per-peer",
 ):
     """Simulators, timers and SWIM agents *built* inside the block use the
-    named oracle: ``queue="heap"``, ``timers="self"``, ``members="dict"``.
+    named oracle: ``timers="self"``, ``members="dict"``.
     ``probes="shuffle"`` swaps every SWIM agent's probe walk, and
     ``retransmit="log2"`` the limit of every broadcast queued, built or not,
     while the block runs. ``gossip="shared"`` gives every SWIM agent the
@@ -44,8 +43,6 @@ def kernel(
     peers, alive-only targets, no phase. The defaults are the kernel as
     shipped."""
     with pytest.MonkeyPatch.context() as patch:
-        if queue == "heap":
-            patch.setattr(repro.sim.loop, "EventQueue", HeapEventQueue)
         if timers == "self":
             patch.setattr(repro.sim.loop, "RepeatingTimer", SelfReschedulingTimer)
         if members == "dict":

@@ -2,7 +2,7 @@
 
 What a cancellable one-shot is without ``Simulator.deadline``: one queue
 event per deadline from ``schedule_at``, cancelled through its
-``TimerHandle`` (a tombstone the queue skips without counting). The kernel's
+``TimerHandle`` (an entry the queue skips without counting). The kernel's
 FIFOs must fire the same ``(time, callback, args)`` sequence, in the same
 order against everything else in the queue, with the same
 ``events_processed``. Tests build a ``ScheduledDeadlineSimulator`` where they

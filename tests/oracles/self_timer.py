@@ -3,6 +3,12 @@
 What ``RepeatingTimer`` did before the wheel: one queue event (and one
 ``TimerHandle``) per firing. Tests substitute it with
 ``monkeypatch.setattr(repro.sim.loop, "RepeatingTimer", SelfReschedulingTimer)``.
+
+Each re-arming computes its firing time as ``(now + interval) + jitter * r``,
+the float association ``TimerWheel._fire_class`` uses. Through
+``_next_delay()`` and ``schedule`` it would be ``now + (interval + jitter *
+r)``, which rounds differently in the last bit often enough to move every
+focusbench digest.
 """
 
 from __future__ import annotations
@@ -28,5 +34,8 @@ class SelfReschedulingTimer(RepeatingTimer):
     def _fire(self):
         if self._stopped:
             return
-        self._handle = self._sim.schedule(self._next_delay(), self._fire)
+        next_time = self._sim.now + self._interval
+        if self._jitter > 0:
+            next_time += self._jitter * self._rng.random()
+        self._handle = self._sim.schedule_at(next_time, self._fire)
         self._callback()

@@ -38,10 +38,8 @@ class TestPublicSurface:
     def test_oracles_are_not_exported(self):
         """The reference arms live in tests/oracles/, not in the packages."""
         import repro.gossip
-        import repro.sim
 
         for module, gone in (
-            (repro.sim, "HeapEventQueue"),
             (repro.gossip, "MemberList"),
             (repro.gossip, "RegionProbeBatcher"),
         ):
