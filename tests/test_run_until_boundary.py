@@ -8,13 +8,33 @@ After the call returns, an event scheduled at exactly ``now`` belongs to
 the *next* call, so a driver that schedules between two calls never
 re-enters the closed one. The network's delivery flush reads the same
 bound to stop draining its in-flight heap.
+
+Each rule runs twice, under the ids of the two queues the kernel once had.
+``heap`` checks it on an otherwise empty queue. ``calendar`` first files a
+backlog of far-future events over a wide span of time, every other one
+cancelled (the load the calendar queue spread over its buckets and
+overflow heap): the bound must not depend on what else is pending.
 """
+
+import pytest
 
 from repro.sim.loop import Simulator
 
+BACKLOGS = {"heap": 0, "calendar": 4096}
 
-def test_event_at_exact_bound_runs_inside_the_call():
+
+def make_sim(backlog: str) -> Simulator:
     sim = Simulator(seed=0)
+    for i in range(BACKLOGS[backlog]):
+        handle = sim.schedule_at(10.0 + i * 0.37, lambda: None)
+        if i % 2:
+            handle.cancel()
+    return sim
+
+
+@pytest.mark.parametrize("backlog", BACKLOGS)
+def test_event_at_exact_bound_runs_inside_the_call(backlog):
+    sim = make_sim(backlog)
     fired = []
     sim.schedule_at(1.0, fired.append, "at-bound")
     sim.schedule_at(1.0 + 1e-12, fired.append, "past-bound")
@@ -25,18 +45,20 @@ def test_event_at_exact_bound_runs_inside_the_call():
     assert fired == ["at-bound", "past-bound"]
 
 
-def test_zero_delay_post_from_callback_at_bound_runs_inside():
-    sim = Simulator(seed=0)
+@pytest.mark.parametrize("backlog", BACKLOGS)
+def test_zero_delay_post_from_callback_at_bound_runs_inside(backlog):
+    sim = make_sim(backlog)
     fired = []
     sim.schedule_at(1.0, lambda: sim.post(0.0, fired.append, "chained"))
     sim.run_until(1.0)
     assert fired == ["chained"]
 
 
-def test_event_at_now_after_return_runs_in_next_call():
+@pytest.mark.parametrize("backlog", BACKLOGS)
+def test_event_at_now_after_return_runs_in_next_call(backlog):
     # After run_until(t) returns, scheduling at exactly t lands in the
     # next call.
-    sim = Simulator(seed=0)
+    sim = make_sim(backlog)
     sim.run_until(1.0)
     fired = []
     sim.schedule_at(1.0, fired.append, "injected")
@@ -45,8 +67,9 @@ def test_event_at_now_after_return_runs_in_next_call():
     assert fired == ["injected"]
 
 
-def test_ties_at_bound_run_in_schedule_order():
-    sim = Simulator(seed=0)
+@pytest.mark.parametrize("backlog", BACKLOGS)
+def test_ties_at_bound_run_in_schedule_order(backlog):
+    sim = make_sim(backlog)
     fired = []
     for i in range(5):
         sim.schedule_at(1.0, fired.append, i)

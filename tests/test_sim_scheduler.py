@@ -286,3 +286,32 @@ class TestTimerWheel:
                 sim.run_until(2.0)
             traces[timers] = fired
         assert traces["self"] == traces["wheel"] != []
+
+
+class TestCalendarQueueEdges:
+    """Edge cases first written against the calendar queue, held by the
+    binary heap that replaced it."""
+
+    def test_run_until_exact_at_bucket_edge(self):
+        """Stamps at multiples of the calendar queue's old bucket width (a
+        twentieth of the probe interval, inexact in binary) fire when the
+        clock reaches exactly that stamp, and not before."""
+        sim = Simulator(seed=0)
+        width = SwimConfig().probe_interval / 20
+        fired = []
+        for k in (1, 2, 3):
+            sim.schedule_at(k * width, lambda k=k: fired.append(k))
+        sim.run_until(2 * width)
+        assert fired == [1, 2]
+        assert sim.now == 2 * width
+        sim.run_until(3 * width)
+        assert fired == [1, 2, 3]
+
+    @pytest.mark.parametrize("knob", [
+        dict(scheduler="heap"), dict(coalesce_timers=False),
+        dict(bucket_width=0.1), dict(wheel_span=8), dict(workers=2),
+        dict(profile="v1"),
+    ])
+    def test_removed_knobs_are_type_errors(self, knob):
+        with pytest.raises(TypeError):
+            Simulator(**knob)
