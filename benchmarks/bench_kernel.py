@@ -105,10 +105,10 @@ def bench_send_fanout(quick: bool) -> Dict[str, object]:
 
 
 #: PR 1's committed event_loop throughput (one-shot schedule burst on the
-#: single-heap scheduler, one queue event per timer firing). The scheduler
-#: as shipped, the binary heap plus the timer wheel that coalesces each
-#: interval's timers behind one sentinel, must clear >=2x this number at
-#: 1600-node SWIM timer density.
+#: single-heap scheduler, one new queue event and handle per timer firing).
+#: The scheduler as shipped, the binary heap with one queued event per
+#: timer that the timer re-queues at each firing, must clear >=2x this
+#: number at 1600-node SWIM timer density.
 PR1_EVENT_LOOP_BASELINE = 273_782.05
 
 
@@ -151,8 +151,9 @@ def _best_rate(runs: int, fn: Callable[[], Tuple[int, float]]) -> Tuple[int, flo
 
 
 def bench_event_loop(quick: bool) -> Dict[str, object]:
-    """Event-loop throughput at SWIM timer density (binary-heap queue +
-    timer wheel), against PR 1's committed single-heap number."""
+    """Event-loop throughput at SWIM timer density (binary-heap queue, one
+    queued event per timer, re-queued at each firing), against PR 1's
+    committed single-heap number."""
     nodes = 400 if quick else 1600
     duration = 5.0 if quick else 10.0
     runs = 1 if quick else 3
@@ -170,8 +171,9 @@ def bench_event_loop(quick: bool) -> Dict[str, object]:
 
 def bench_timer_storm(quick: bool) -> Dict[str, object]:
     """Timer churn: nodes restart their timers and schedule-then-cancel
-    probe-timeout one-shots every round, stressing O(1) tombstoning plus
-    wheel re-aiming."""
+    probe-timeout one-shots every round. A stopped timer's one queued event
+    and a cancelled one-shot stay in the heap, cancelled, until they surface
+    and are skipped; a live timer re-queues its event at each firing."""
     nodes = 200 if quick else 800
     rounds = 10 if quick else 20
 
@@ -184,7 +186,8 @@ def bench_timer_storm(quick: bool) -> Dict[str, object]:
 
         def churn(round_no: int) -> None:
             # A rotating 10% of nodes crash and rejoin: their periodic
-            # timers stop (tombstoning) and fresh ones start.
+            # timers stop (their events cancelled in place) and fresh ones
+            # start.
             for i in range(nodes // 10):
                 victim = (round_no * nodes // 10 + i) % nodes
                 timers[victim].stop()
@@ -506,10 +509,10 @@ def main(argv=None) -> int:
     if failures:
         print(f"FAIL: speedup < 2x on: {', '.join(failures)}", file=sys.stderr)
         return 1
-    # Acceptance bar for the scheduler (binary heap + timer wheel): at
-    # 1600-node timer density it must clear 2x PR 1's committed
-    # event-loop throughput. Only enforced on full runs — quick mode uses a
-    # smaller population that is not comparable to the baseline.
+    # Acceptance bar for the scheduler (binary heap, one queued event per
+    # periodic timer): at 1600-node timer density it must clear 2x PR 1's
+    # committed event-loop throughput. Only enforced on full runs — quick
+    # mode uses a smaller population that is not comparable to the baseline.
     if not args.quick and "event_loop" in results:
         ratio = results["event_loop"]["speedup_vs_pr1_baseline"]
         if ratio < 2.0:

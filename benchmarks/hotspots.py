@@ -7,7 +7,7 @@
 One level below focusbench's 14-layer ledger: build, warm up and generate as
 ``focusbench/rep.py`` does, ``cProfile`` the steady phase, print the top
 functions by self time with calls and calls/event, then the events by kind
-(messages delivered per ``kind``, timer-wheel firings, posted and deadline
+(messages delivered per ``kind``, periodic timer firings, posted and deadline
 callbacks by name, gossip ticks — what the loop was asked to run, whether or
 not it found anything to do), then the network's per-message path (send calls
 by entry, sentinel flushes and retargets, the in-flight heap's high-water
@@ -76,7 +76,7 @@ from repro.gossip.broadcast import BroadcastQueue, SizedWire
 from repro.gossip.membership import CODE_LEFT, MembershipTable, _sample_exact
 from repro.gossip.swim import ACK, GOSSIP, PING, SwimAgent
 from repro.sim.events import Deadline, EventQueue
-from repro.sim.loop import Simulator, TimerWheel
+from repro.sim.loop import RepeatingTimer, Simulator
 from repro.sim.network import Network, SizedDict, approx_size
 from repro.sim.process import Process
 from repro.sim.rpc import REQUEST_KIND, RESPONSE_KIND, RpcMixin
@@ -211,7 +211,7 @@ def events_by_kind(stats, events: int, kinds: Counter, dropped: int) -> int:
     """
     popped = callees(stats, Simulator.run_until, EventQueue.pop_before.__name__,
                      Network._fire_deliveries.__name__)
-    wheel = popped.pop(TimerWheel._fire_class.__name__, 0)
+    periodic = popped.pop(RepeatingTimer._fire_timer.__name__, 0)
     posted = popped.pop(Process._post_fire.__name__, 0)
     ticks = popped.pop(SwimAgent._gossip_tick.__name__, 0)
     sentinel_firings = popped.pop(Simulator._fire_deadlines.__name__, 0)
@@ -222,7 +222,7 @@ def events_by_kind(stats, events: int, kinds: Counter, dropped: int) -> int:
     rows += [(1, kind, count) for kind, count in kinds.most_common()]
     rows += [
         (0, "messages dropped on arrival", dropped),
-        (0, "timer-wheel firings", wheel),
+        (0, "periodic timer firings", periodic),
         (0, "gossip ticks (SwimAgent._gossip_tick)", ticks),
         (0, "posted callbacks (Process.post)", posted),
         (0, "deadline callbacks that fired", sum(fired.values())),

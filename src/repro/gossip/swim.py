@@ -30,12 +30,13 @@ push-pull sync and refutes it then (ROADMAP item 15(d)).
 Membership bookkeeping lives in the vectorized
 :class:`~repro.gossip.membership.MembershipTable`; its oracle, the original
 dict-of-``Member`` list, is ``tests/oracles/member_list.py``. Probe timers are
-ordinary :meth:`~repro.sim.process.Process.every` timers, coalesced by the
-simulator's timer wheel, and an outstanding probe is its own timeout — a
-:class:`~repro.sim.events.Deadline` the ack cancels — so an acked probe costs
-three events (tick, ping, ack) and leaves nothing in the event queue. Nothing
-a probe round allocates outlives its ack: the timeout is armed with a bound
-method the agent made once, and the ack's ``cancel()`` drops its arguments.
+ordinary :meth:`~repro.sim.process.Process.every` timers, each one queued
+event re-queued at every firing, and an outstanding probe is its own timeout —
+a :class:`~repro.sim.events.Deadline` the ack cancels — so an acked probe
+costs three events (tick, ping, ack) and leaves nothing in the event queue.
+Nothing a probe round allocates outlives its ack: the timeout is armed with a
+bound method the agent made once, and the ack's ``cancel()`` drops its
+arguments.
 """
 
 from __future__ import annotations

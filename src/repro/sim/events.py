@@ -27,8 +27,9 @@ class Event:
 
     Instances are created by the :class:`~repro.sim.loop.Simulator`; user code
     normally only sees the :class:`TimerHandle` wrapper. ``time`` and ``seq``
-    are mutable so the timer wheel can recycle one sentinel event across
-    firings instead of allocating a new object per period.
+    are mutable so one object can be queued again and again: a
+    :class:`~repro.sim.loop.RepeatingTimer` re-queues its event every period,
+    and the deadline FIFOs and the delivery batcher recycle their sentinels.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled")
@@ -48,9 +49,10 @@ class Event:
 
     def __lt__(self, other: "Event") -> bool:
         # Heap entries are ``(time, seq, event)`` tuples, so this runs only
-        # on a tie in ``(time, seq)``: a sentinel cancelled when it was
-        # re-aimed earlier, still queued, and the sentinel later queued at
-        # that same key again. Either order pops the same live events.
+        # on a tie in ``(time, seq)``: a deadline or delivery sentinel
+        # cancelled when it was re-aimed earlier, still queued, and a
+        # sentinel later queued at that same key again. Either order pops the
+        # same live events.
         return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
@@ -138,9 +140,10 @@ class EventQueue:
 
     def __init__(self) -> None:
         self._heap: List[_Entry] = []
-        #: The ordering tie-breaker. The simulator, the timer wheel and the
-        #: network's delivery batcher draw from it too, at the moments a
-        #: ``push`` would, so their sentinels interleave with plain events.
+        #: The ordering tie-breaker. The simulator (for periodic timers and
+        #: deadlines) and the network's delivery batcher draw from it too, at
+        #: the moments a ``push`` would, so their events interleave with
+        #: plain ones.
         self._seq = itertools.count()
         #: Total inserts ever; lets batch executors detect that no event was
         #: scheduled between two points and reuse a cached :meth:`peek_key`.
@@ -160,9 +163,9 @@ class EventQueue:
     def push_entry(self, event: Event) -> None:
         """Insert an event whose ``time``/``seq`` are already assigned.
 
-        The timer wheel, the deadline FIFOs and the delivery batcher queue
-        their recycled sentinels this way, at the exact ``(time, seq)`` of
-        what each one stands for.
+        Periodic timers re-queue their one event this way, and the deadline
+        FIFOs and the delivery batcher their recycled sentinels, at the exact
+        ``(time, seq)`` of what each one stands for.
         """
         heappush(self._heap, (event.time, event.seq, event))
         self.pushes += 1

@@ -26,7 +26,7 @@ degraded-link multiplier, jitter draw, ``(time, seq)`` allocation. Every
 message then waits in one shared heap ordered by that key, and exactly
 **one** recycled sentinel event sits in the main queue, aimed at the head
 message's exact key (the same sentinel-recycling discipline as the
-scheduler's timer wheel). When the sentinel fires, the flush delivers every
+simulator's deadline FIFOs). When the sentinel fires, the flush delivers every
 consecutive message whose key beats the main queue's head — advancing the
 clock and event count itself — so a burst of gossip and acks lands in one
 tight loop with one queue entry instead of dozens. Delivery keys are
@@ -273,7 +273,7 @@ class _DeliveryBatch:
     :data:`_IDLE` or :data:`_DRAINING` otherwise. A new message's seq is
     larger than every queued one, so it beats the sentinel's key exactly
     when ``time < target_time``: one float compare per send. Messages are
-    never cancelled, so unlike the timer wheel the heap holds no tombstones.
+    never cancelled, so the heap holds no tombstones.
     """
 
     __slots__ = ("heap", "event", "target_time")
@@ -682,7 +682,7 @@ class Network:
         """Aim the batch sentinel at the head message's exact ``(time, seq)``.
 
         Called when a new message beats the queued sentinel's key, or when
-        the batch is idle. Mirrors the timer wheel's sentinel recycling: a
+        the batch is idle. Mirrors a deadline FIFO's sentinel recycling: a
         sentinel queued at a now-stale key is cancelled (the old object
         stays behind in the queue) and a fresh event takes its place; a
         sentinel that just fired is reused in place, costing no allocation.

@@ -28,7 +28,7 @@ from tests.oracles.self_timer import SelfReschedulingTimer
 
 @contextmanager
 def kernel(
-    timers: str = "wheel",
+    timers: str = "kernel",
     members: str = "table",
     probes: str = "draw",
     retransmit: str = "log10",

@@ -1,11 +1,11 @@
-"""The self-rescheduling periodic timer: the oracle for the timer wheel.
+"""The self-rescheduling periodic timer: the oracle for ``RepeatingTimer``.
 
-What ``RepeatingTimer`` did before the wheel: one queue event (and one
-``TimerHandle``) per firing. Tests substitute it with
+A new queue event (and a new ``TimerHandle``) per firing, where
+``RepeatingTimer`` re-queues its one event. Tests substitute it with
 ``monkeypatch.setattr(repro.sim.loop, "RepeatingTimer", SelfReschedulingTimer)``.
 
 Each re-arming computes its firing time as ``(now + interval) + jitter * r``,
-the float association ``TimerWheel._fire_class`` uses. Through
+the float association ``RepeatingTimer._fire_timer`` uses. Through
 ``_next_delay()`` and ``schedule`` it would be ``now + (interval + jitter *
 r)``, which rounds differently in the last bit often enough to move every
 focusbench digest.

@@ -107,15 +107,19 @@ class TestPeriodicTimers:
         with pytest.raises(SimulationError):
             sim.call_every(0.0, lambda: None)
 
-    def test_set_interval(self, sim):
+    def test_next_firing_is_queued_before_the_callback_runs(self, sim):
+        # A callback that schedules at the instant of the next firing ties
+        # with it on time; the firing, queued first, has the smaller seq.
         fired = []
-        timer = sim.call_every(1.0, lambda: fired.append(sim.now))
+
+        def tick():
+            fired.append("tick")
+            if len(fired) == 1:
+                sim.schedule(1.0, fired.append, "scheduled")
+
+        sim.call_every(1.0, tick)
         sim.run_until(2.0)
-        timer.set_interval(3.0)
-        # The firing at t=3 was already scheduled; the new period applies
-        # from the next rescheduling.
-        sim.run_until(8.0)
-        assert fired == [1.0, 2.0, 3.0, 6.0]
+        assert fired == ["tick", "tick", "scheduled"]
 
     def test_restart_after_stop_rejected(self, sim):
         timer = sim.call_every(1.0, lambda: None)
@@ -166,7 +170,8 @@ class TestJitterDraw:
     @settings(max_examples=50, deadline=None)
     def test_timer_fires_where_uniform_draws_put_it(self, seed, interval, jitter):
         """The first firing (``RepeatingTimer._next_delay``) and every later
-        one (the timer wheel's re-arm) land where ``uniform`` puts them."""
+        one (``RepeatingTimer._fire_timer``'s re-queue) land where
+        ``uniform`` puts them."""
         sim = Simulator(seed=0)
         fired = []
         sim.call_every(interval, lambda: fired.append(sim.now), jitter=jitter,

@@ -1,14 +1,14 @@
-"""Scheduler equivalence and timer-wheel tests.
+"""Scheduler equivalence and periodic-timer tests.
 
-The timer wheel — the kernel's only periodic-timer path — must reproduce its
-oracle in ``tests/oracles/self_timer.py``, a timer that re-schedules itself
-every firing: the same events in the same order at the same ``sim.now``
-(compared as floats, unrounded), the same RNG draws, the same
-``events_processed`` and the same metrics. These tests pin that on a real
-seeded SWIM run and on a synthetic timer storm, check that the one event
-queue pops strictly in ``(time, seq)`` order on randomized schedule/cancel
-mixes (Python's sort is the reference), and cover the timer wheel's
-interval-class bookkeeping.
+``RepeatingTimer`` — the kernel's only periodic-timer path, one queued event
+re-queued at each firing — must reproduce its oracle in
+``tests/oracles/self_timer.py``, a timer that schedules a new event every
+firing: the same events in the same order at the same ``sim.now`` (compared
+as floats, unrounded), the same RNG draws, the same ``events_processed`` and
+the same metrics. These tests pin that on a real seeded SWIM run and on a
+synthetic timer storm, check that the one event queue pops strictly in
+``(time, seq)`` order on randomized schedule/cancel mixes (Python's sort is
+the reference), and cover stopping, replacing and restarting timers.
 """
 
 import json
@@ -81,8 +81,8 @@ class TestSchedulerEquivalence:
     the queue pops in ``(time, seq)`` order."""
 
     def test_swim_run_identical_across_all_configs(self):
-        assert swim_summary("wheel") == swim_summary("self"), (
-            "the timer wheel diverged from the self-rescheduling timer oracle"
+        assert swim_summary("kernel") == swim_summary("self"), (
+            "RepeatingTimer diverged from the self-rescheduling timer oracle"
         )
 
     def test_oracles_are_actually_substituted(self):
@@ -119,11 +119,10 @@ class TestSchedulerEquivalence:
                         )
                     )
                 sim.schedule(2.0, handles[1].stop)
-                sim.schedule(3.0, lambda: handles[2].set_interval(0.5))
                 sim.run_until(6.0)
                 return log, sim.events_processed
 
-        assert trace("wheel") == trace("self")
+        assert trace("kernel") == trace("self")
 
     def test_wide_queue_pops_in_time_seq_order(self):
         """2048+ pending one-shots (the live width the old "auto" backend
@@ -188,62 +187,76 @@ class TestSchedulerEquivalence:
 
 
 class TestTimerWheel:
+    """Periodic-timer cases first written against the timer wheel, held by
+    the one queued event each :class:`RepeatingTimer` owns."""
+
     def test_same_interval_timers_share_one_class(self):
         sim = Simulator(seed=0)
-        for _ in range(50):
-            sim.call_every(1.0, lambda: None)
-        for _ in range(30):
-            sim.call_every(0.1, lambda: None)
-        assert sim._wheel.class_count() == 2
-        # 80 timers, but only one queued sentinel per interval class.
-        assert len(sim._queue) == 2
+        fired = []
+        for i in range(50):
+            sim.call_every(1.0, lambda i=i: fired.append(("slow", i)))
+        for i in range(30):
+            sim.call_every(0.1, lambda i=i: fired.append(("fast", i)))
+        # One queued event per timer.
+        assert len(sim._queue) == 80
+        sim.run_until(1.0)
+        # Ten rounds of the 0.1 s timers (the tenth at 0.9999999999999999),
+        # then the 1.0 s timers, each round in start order.
+        assert fired == [("fast", i) for _ in range(10) for i in range(30)] + [
+            ("slow", i) for i in range(50)
+        ]
 
     def test_set_interval_mid_flight_moves_class(self):
+        """``set_interval`` is gone; a new period is a new timer, started
+        from the old one's last firing."""
         sim = Simulator(seed=0)
         fired = []
-        timer = sim.call_every(1.0, lambda: fired.append(sim.now))
+
+        def tick():
+            fired.append(sim.now)
+            if sim.now == 3.0:
+                timer.stop()
+                sim.call_every(0.5, lambda: fired.append(sim.now))
+
+        timer = sim.call_every(1.0, tick)
+        assert not hasattr(timer, "set_interval")
         sim.run_until(2.5)
         assert fired == [1.0, 2.0]
-        timer.set_interval(0.5)
         sim.run_until(4.1)
-        # Next firing still honours the old arming (3.0), then 0.5 cadence.
         assert fired == [1.0, 2.0, 3.0, 3.5, 4.0]
-        # The abandoned 1.0s class is reaped once its last member migrates.
-        assert sim._wheel.class_count() == 1
 
     def test_idle_interval_classes_are_reaped(self):
-        # ROADMAP-noted leak: a sim churning through many distinct intervals
-        # (adaptive probe timers) must not accumulate empty classes.
+        # A sim churning through many distinct intervals (adaptive probe
+        # timers) must not accumulate queue entries.
         sim = Simulator(seed=0)
         for i in range(100):
             timer = sim.call_every(1.0 + i * 0.01, lambda: None)
             timer.stop()
-        assert sim._wheel.class_count() == 0
-        # Only cancelled sentinels remain queued, skipped as they surface.
+        # Only cancelled events remain queued, skipped as they surface.
         sim.run_until(2.0)
         assert len(sim._queue) == 0
 
     def test_adaptive_interval_churn_bounds_class_count(self):
         sim = Simulator(seed=0)
         fired = []
-        timer = sim.call_every(1.0, lambda: fired.append(sim.now))
-        # Adapt the interval every firing; each migration must reap the
-        # class left behind, keeping exactly one live class.
+        interval = 1.0
+        timer = sim.call_every(interval, lambda: fired.append(sim.now))
+        # Adapt the interval after every firing by replacing the timer: the
+        # queue holds the live timer's event and at most the stopped one's.
         for i in range(50):
-            sim.run_until(sim.now + timer.interval + 0.001)
-            timer.set_interval(timer.interval * 1.01)
-            assert sim._wheel.class_count() <= 2
+            sim.run_until(sim.now + interval + 0.001)
+            timer.stop()
+            interval *= 1.01
+            timer = sim.call_every(interval, lambda: fired.append(sim.now))
+            assert len(sim._queue) <= 2
         assert len(fired) >= 50
-        assert sim._wheel.class_count() == 1
 
     def test_reaped_class_is_recreated_on_reuse(self):
         sim = Simulator(seed=0)
         fired = []
         first = sim.call_every(1.0, lambda: fired.append("first"))
         first.stop()
-        assert sim._wheel.class_count() == 0
         sim.call_every(1.0, lambda: fired.append("second"))
-        assert sim._wheel.class_count() == 1
         sim.run_until(1.0)
         assert fired == ["second"]
 
@@ -273,7 +286,7 @@ class TestTimerWheel:
     def test_wheel_matches_self_timer_oracle_per_timer_state(self):
         """One jittered timer fires at the oracle's unrounded instants."""
         traces = {}
-        for timers in ("self", "wheel"):
+        for timers in ("self", "kernel"):
             with kernel(timers=timers):
                 sim = Simulator(seed=5)
                 fired = []
@@ -285,7 +298,7 @@ class TestTimerWheel:
                 )
                 sim.run_until(2.0)
             traces[timers] = fired
-        assert traces["self"] == traces["wheel"] != []
+        assert traces["self"] == traces["kernel"] != []
 
 
 class TestCalendarQueueEdges:
