@@ -1,7 +1,8 @@
 # Developer entry points. `make check` is what CI runs: lint (when ruff is
-# installed), the tier-1 suite, the scheduler-equivalence gate (the timer
-# wheel must be bit-identical to its tests/oracles/ reference, a
-# self-rescheduling timer, and the binary-heap event queue must pop in
+# installed), the tier-1 suite, the scheduler-equivalence gate (the periodic
+# timer, one queued event re-queued at each firing, must be bit-identical to
+# its tests/oracles/ reference, a timer that schedules a new event every
+# firing, and the binary-heap event queue must pop in
 # (time, seq) order; the heap has no oracle), the benchmark
 # regression gate (a quick kernel-bench smoke pass — which re-verifies the
 # send hot-path speedup, the swim_full checksums and the seeded-run
