@@ -40,7 +40,10 @@ needed a later one, with the sim latency (p50, max) of the latter, and from
 a fourth, the serving plane's bytes by direction and message (an RPC's method,
 request or reply, else the message kind): count, average and total bytes and
 share, summing to the plane's meters, so the Fig. 7a server bandwidth is
-split by what carried it.
+split by what carried it, then the transition pulls the plane sent
+(``node.query`` requests) and how many of their nodes answered a match, and
+the store replicas a scan contacted (``store.scan`` requests per
+``StoreClient.scan`` call).
 Profiled seconds are ~3x untraced ones, so read counts and proportions here
 and host time in focusbench.
 
@@ -80,6 +83,7 @@ from repro.sim.loop import RepeatingTimer, Simulator
 from repro.sim.network import Network, SizedDict, approx_size
 from repro.sim.process import Process
 from repro.sim.rpc import REQUEST_KIND, RESPONSE_KIND, RpcMixin
+from repro.store.cluster import StoreClient
 
 #: CPU seconds between two ``--sample`` samples asked of ``setitimer``.
 SAMPLE_INTERVAL_S = 0.001
@@ -599,11 +603,15 @@ def server_bytes(workload, seed: int, sizes):
     plane's bytes by direction and message: what it sends, charged at the
     send (the sender's meter, so dropped copies count), and what it
     receives, charged at the delivery, as its meters charge them. Return
-    the table ``(direction, method) -> [messages, bytes]`` and the meters'
-    own total for the phase, which the table must sum to."""
+    the table ``(direction, method) -> [messages, bytes]``, the meters'
+    own total for the phase, which the table must sum to, and a count of
+    the ``node.query`` replies that answered a match and of the store scans
+    started."""
     table = defaultdict(lambda: [0, 0])
+    counts = Counter()
     servers = set()
     send = Network.send_fanout
+    scan = StoreClient.scan
 
     def counting_send(self, src, dsts, kind, payload, *, size=None):
         if src not in servers:
@@ -616,27 +624,40 @@ def server_bytes(workload, seed: int, sizes):
         row[0] += len(dsts)
         row[1] += meter.bytes_sent - before
 
+    def counting_scan(self, *args, **kwargs):
+        counts["store scans"] += 1
+        scan(self, *args, **kwargs)
+
     def count_delivery(message) -> None:
         if message.dst in servers:
-            row = table["in", rpc_method(message.kind, message.payload)]
+            payload = message.payload
+            method = rpc_method(message.kind, payload)
+            row = table["in", method]
             row[0] += 1
             row[1] += message.size
+            if method == "node.query reply" and (payload.get("result") or {}).get("match"):
+                counts["matched pulls"] += 1
 
     Network.send_fanout = counting_send
+    StoreClient.scan = counting_scan
     try:
         scenario, plan = prepare(workload, seed, sizes)
         servers.update(scenario._server_addresses())
         scenario.network.add_delivery_tap(count_delivery)
         table.clear()
+        counts.clear()
         scenario.sim.run_until(plan.end_time)
     finally:
         Network.send_fanout = send
-    return table, scenario.server_bandwidth_bytes()
+        StoreClient.scan = scan
+    return table, scenario.server_bandwidth_bytes(), counts
 
 
-def print_server_bytes(table, metered: int, span_s: float, top: int) -> int:
+def print_server_bytes(table, metered: int, span_s: float, top: int,
+                       counts: Counter) -> int:
     """Print the serving plane's bytes by direction and message, largest
-    first; return the table's total minus the meters' (must be 0)."""
+    first, then its transition pulls and store replicas per scan; return
+    the table's total minus the meters' (must be 0)."""
     total = sum(size for _, size in table.values())
     print(f"serving-plane bytes by message (a fourth steady phase, unprofiled; "
           f"{total / 1000.0 / span_s:.1f} KB/s over {span_s:.1f} sim-s):")
@@ -653,6 +674,13 @@ def print_server_bytes(table, metered: int, span_s: float, top: int) -> int:
               f"{'':>9}{size:>12}{size / total:>7.1%}")
     print(f"  {'sum of the above - serving-plane meters (must be 0)':<54}"
           f"{total - metered:>10}")
+    pulls = table.get(("out", "node.query request"), (0, 0))[0]
+    replicas = table.get(("out", "store.scan request"), (0, 0))[0]
+    scans = counts["store scans"]
+    per_scan = f"{replicas / scans:.2f}" if scans else "-"
+    print(f"  {'transition pulls sent (node.query requests)':<54}{pulls:>10}")
+    print(f"    {'whose node answered a match':<52}{counts['matched pulls']:>10}")
+    print(f"  {'store replicas contacted per scan':<54}{per_scan:>10}")
     return total - metered
 
 
@@ -870,8 +898,9 @@ def main() -> int:
     print_census(*census(workload, args.seed, sizes), top=10)
     depths, counts, short, later_ms = broadcast_queues(workload, args.seed, sizes)
     print_broadcast_queues(depths, counts, short, later_ms)
-    table, metered = server_bytes(workload, args.seed, sizes)
-    bytes_unaccounted = print_server_bytes(table, metered, plan_span_s, args.top)
+    table, metered, serving = server_bytes(workload, args.seed, sizes)
+    bytes_unaccounted = print_server_bytes(table, metered, plan_span_s, args.top,
+                                           serving)
     problems = [
         (unaccounted != 0,
          f"events by kind do not sum to the event count ({unaccounted:+})"),

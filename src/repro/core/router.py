@@ -13,9 +13,12 @@ Processing order for a query:
 3. **directed pull** — otherwise the router picks the dynamic term whose
    candidate groups contain the fewest nodes (the "smallest group"
    optimisation for multi-constraint queries), sends the query to one random
-   member per candidate group (load-balanced routing), includes nodes from
-   the transition table for inclusiveness, aggregates, and answers. With a
-   limit, groups are pulled in waves that cover twice what is still missing,
+   member per candidate group (load-balanced routing), includes for
+   inclusiveness the nodes of the transition table that are joining a
+   candidate group (any wave) or a group gone from the group table, pulled
+   directly (a node joining any other group cannot match, as that group's
+   range misses the term), aggregates, and answers. With a limit, groups
+   are pulled in waves that cover twice what is still missing,
    densest first: by the share of a group's members that also sit in a
    candidate group of every other dynamic term (the DGM's member lists), so
    the first wave can meet the limit instead of waiting out a group where
@@ -256,9 +259,10 @@ class QueryRouter:
         state = ActiveQuery(query, respond, service.sim.now)
         self.outstanding += 1
 
-        # Only nodes transitioning between groups of the routed attribute can
-        # be missed by the group fan-out; everyone else is covered.
-        transitions = service.dgm.transitioning_nodes(attribute)
+        # Only nodes joining a candidate group of the routed attribute (or a
+        # group gone from the table) can be missed by the group fan-out and
+        # still match; everyone else is covered or out of range.
+        transitions = service.dgm.transitions_to_pull(attribute, plan)
         state.pending_transitions = len(transitions)
         for node_id in transitions:
             self._query_transitioning(state, node_id)
@@ -434,7 +438,7 @@ class QueryRouter:
                 "groups": [
                     {"name": g.name, "candidates": g.all_node_ids()} for g in plan
                 ],
-                "transitions": self.service.dgm.transitioning_nodes(attribute),
+                "transitions": self.service.dgm.transitions_to_pull(attribute, plan),
             },
         }
         respond(payload)

@@ -495,6 +495,9 @@ class RepeatingTimer:
 
     def stop(self) -> None:
         self._stopped = True
+        # The callback goes too: an owner that holds its stopped timer (a
+        # closure over the owner, say) would otherwise be a cycle.
+        self._callback = None
         event = self._event
         if event is not None:
             # Queued until its time comes round, but holding nothing, as

@@ -71,6 +71,15 @@ class Process:
         self.network.unregister(self.address)
         self.on_stop()
 
+    def release(self) -> None:
+        """Stop for good: also drop the handler table, whose bound methods
+        point back at this process, so that once its owner lets go of it
+        reference counting frees it, not the cyclic collector. A crash is
+        :meth:`stop`, which keeps the handlers for :meth:`restart`; a
+        released process is never started again."""
+        self.stop()
+        self._handlers.clear()
+
     def restart(self) -> None:
         """Bring a stopped process back up (crash recovery).
 

@@ -6,7 +6,10 @@ deliberately dumb, like a Cassandra storage node from the coordinator's
 perspective. A scan may carry a ``where`` (query terms in their JSON form)
 and a ``limit``: the replica then returns only the rows whose local newest
 version matches every term, at most ``limit`` of them. It cannot know
-whether another replica holds a newer version; the coordinator does.
+whether another replica holds a newer version; the coordinator does. A get
+and an unfiltered scan also return the replica's tombstones (deleted keys
+with the delete's timestamp), so the coordinator's newest-version merge
+sees a delete that another replica missed.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ class StoreReplica(Process, RpcMixin):
     # ------------------------------------------------------------------ RPCs
     def _rpc_get(self, params, respond, message):
         table = self.tables.get(params["table"])
-        row: Optional[Row] = table.get(params["key"]) if table is not None else None
+        row: Optional[Row] = table.version(params["key"]) if table is not None else None
         return {"row": row.to_wire() if row is not None else None}
 
     def _rpc_put(self, params, respond, message):
@@ -79,4 +82,6 @@ class StoreReplica(Process, RpcMixin):
                 return row_matches(row.value, terms)
 
         rows = table.scan(predicate, params.get("limit"))
+        if where is None:
+            rows += table.tombstones()
         return {"rows": [row.to_wire() for row in rows]}

@@ -15,6 +15,10 @@ row value's ``attributes`` map. A replica answering a scan with a ``where``
 returns only the rows whose local newest version matches (see
 :mod:`repro.store.replica`); the coordinator settles replicas that disagree
 (:meth:`repro.store.cluster.StoreClient.scan`).
+
+A delete leaves a *tombstone*: a :class:`Row` whose ``value`` is ``None``,
+carrying the delete's timestamp, so a replica that missed the delete cannot
+win a later read with its older live copy.
 """
 
 from __future__ import annotations
@@ -88,7 +92,8 @@ def row_matches(value: Dict[str, object], terms: Sequence[Term]) -> bool:
 
 
 class Row:
-    """A versioned row. Greater ``timestamp`` wins on merge.
+    """A versioned row. Greater ``timestamp`` wins on merge; a ``value`` of
+    ``None`` is a tombstone (the key was deleted at ``timestamp``).
 
     A row is never modified once built — :meth:`Table.put` replaces it — and
     nobody mutates its ``value`` after the put, so its wire is built and
@@ -115,18 +120,34 @@ class Row:
 
     @classmethod
     def from_wire(cls, data: Dict[str, object]) -> "Row":
-        return cls(str(data["k"]), dict(data["v"]), float(data["ts"]))  # type: ignore[arg-type]
+        value = data["v"]
+        return cls(
+            str(data["k"]),
+            None if value is None else dict(value),  # type: ignore[arg-type]
+            float(data["ts"]),  # type: ignore[arg-type]
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<Row {self.key} ts={self.timestamp:.3f}>"
 
 
 class Table:
-    """An in-memory keyed table with last-write-wins semantics."""
+    """An in-memory keyed table with last-write-wins semantics.
+
+    A delete keeps a tombstone for the key, with the delete's timestamp: a
+    put no newer than it is refused (at equal timestamps the delete wins,
+    whichever arrives first). The live views — :meth:`get`, :meth:`scan`,
+    ``len``, ``in``, iteration, :meth:`keys`, :meth:`items` — skip
+    tombstones; :meth:`version` and :meth:`tombstones` are what a replica
+    hands a coordinator. Tombstones are never purged: the tables are small
+    (a row per node or group), and a safe purge would need Cassandra's
+    ``gc_grace_seconds``.
+    """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._rows: Dict[str, Row] = {}
+        self._tombstones: Dict[str, Row] = {}
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -140,30 +161,43 @@ class Table:
     def get(self, key: str) -> Optional[Row]:
         return self._rows.get(key)
 
+    def version(self, key: str) -> Optional[Row]:
+        """The key's newest version: its live row or its tombstone."""
+        return self._rows.get(key) or self._tombstones.get(key)
+
     def put(self, key: str, value: Dict[str, object], timestamp: float) -> bool:
         """Write if ``timestamp`` is newer; returns True if applied."""
         current = self._rows.get(key)
-        if current is not None and current.timestamp > timestamp:
-            return False
+        if current is not None:
+            if current.timestamp > timestamp:
+                return False
+        else:
+            tombstone = self._tombstones.get(key)
+            if tombstone is not None:
+                if tombstone.timestamp >= timestamp:
+                    return False
+                del self._tombstones[key]
         self._rows[key] = Row(key, value, timestamp)
         return True
 
     def delete(self, key: str, timestamp: float) -> bool:
-        """Delete if the stored row is not newer than ``timestamp``."""
-        current = self._rows.get(key)
-        if current is None:
+        """Leave a tombstone unless a newer version is stored; returns True
+        if a live row was removed."""
+        current = self.version(key)
+        if current is not None and current.timestamp > timestamp:
             return False
-        if current.timestamp > timestamp:
-            return False
-        del self._rows[key]
-        return True
+        self._tombstones[key] = Row(key, None, timestamp)  # type: ignore[arg-type]
+        return self._rows.pop(key, None) is not None
+
+    def tombstones(self) -> List[Row]:
+        return list(self._tombstones.values())
 
     def scan(
         self,
         predicate: Optional[Callable[[Row], bool]] = None,
         limit: Optional[int] = None,
     ) -> List[Row]:
-        """All rows matching ``predicate``, up to ``limit``."""
+        """All live rows matching ``predicate``, up to ``limit``."""
         rows = []
         for row in self._rows.values():
             if predicate is None or predicate(row):

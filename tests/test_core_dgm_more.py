@@ -107,7 +107,7 @@ class TestTransitions:
         drain(scenario, 15.0)
         assert ("ghost", "ram_mb") not in dgm.transitions
 
-    def test_transitioning_nodes_filters_by_attribute(self):
+    def test_transitions_to_pull_filters_by_attribute(self):
         scenario = build(num_nodes=8, seed=92)
         from repro.core.dgm import Transition
 
@@ -115,9 +115,14 @@ class TestTransitions:
         now = scenario.sim.now
         dgm.transitions[("a", "ram_mb")] = Transition("a", "ram_mb", "ram_mb.0", now)
         dgm.transitions[("b", "disk_gb")] = Transition("b", "disk_gb", "disk_gb.0", now)
-        assert dgm.transitioning_nodes("ram_mb") == ["a"]
-        assert dgm.transitioning_nodes("disk_gb") == ["b"]
-        assert dgm.transitioning_nodes("vcpus") == []
+
+        def every_group(attribute):
+            return dgm.groups.instances_covering(attribute, None, None)
+
+        # Each target is a candidate of an unbounded query, or not a group.
+        assert dgm.transitions_to_pull("ram_mb", every_group("ram_mb")) == ["a"]
+        assert dgm.transitions_to_pull("disk_gb", every_group("disk_gb")) == ["b"]
+        assert dgm.transitions_to_pull("vcpus", every_group("vcpus")) == []
 
 
 class TestStoreSync:

@@ -161,6 +161,110 @@ class TestMatchDensity:
         assert response.elapsed < scenario.config.query_timeout / 2
 
 
+class TestTransitionPulls:
+    """A node in transition for the routed attribute is pulled directly only
+    if it is joining a candidate group of the query (any wave) or a group
+    gone from the group table; the delegated reply names the same nodes."""
+
+    QUERY = Query(
+        [QueryTerm("disk_gb", lower=65.0, upper=79.9),
+         QueryTerm.at_least("ram_mb", 8192.0)],
+        limit=3, freshness_ms=0.0,
+    )
+
+    @pytest.fixture
+    def scenario(self):
+        scenario = build_focus_cluster(
+            30, seed=31, warm_start=True, with_store=False,
+            node_factory=density_population,
+        )
+        drain(scenario, 2.0)
+        return scenario
+
+    @staticmethod
+    def joining(scenario, node, base):
+        """Put ``node`` in transition into the ``disk_gb`` group at
+        ``base``, or into a group name the table does not hold."""
+        from repro.core.dgm import Transition
+
+        groups = [g.name for g in scenario.service.dgm.groups.all_groups()
+                  if g.attribute == "disk_gb" and g.base == base]
+        group = groups[0] if groups else f"disk_gb.{base:g}-gone"
+        scenario.service.dgm.transitions[(node, "disk_gb")] = Transition(
+            node, "disk_gb", group, scenario.sim.now
+        )
+        return group
+
+    @staticmethod
+    def pulls(monkeypatch):
+        """Every direct and group pull the router starts, in order."""
+        pulled = []
+        query_group = QueryRouter._query_group
+        query_node = QueryRouter._query_transitioning
+
+        def group_pull(self, state, group):
+            pulled.append(("group", group.name))
+            query_group(self, state, group)
+
+        def node_pull(self, state, node_id):
+            pulled.append(("node", node_id))
+            query_node(self, state, node_id)
+
+        monkeypatch.setattr(QueryRouter, "_query_group", group_pull)
+        monkeypatch.setattr(QueryRouter, "_query_transitioning", node_pull)
+        return pulled
+
+    def test_a_node_joining_a_candidate_group_is_pulled(self, scenario, monkeypatch):
+        first = self.joining(scenario, "node-00001", 70.0)
+        pulled = self.pulls(monkeypatch)
+        response = run_query(scenario, self.QUERY)
+        assert pulled == [("node", "node-00001"), ("group", first)]
+        assert len(response.matches) == 3 and not response.timed_out
+
+    def test_a_node_joining_a_non_candidate_group_is_not_pulled(
+        self, scenario, monkeypatch
+    ):
+        self.joining(scenario, "node-00020", 10.0)
+        pulled = self.pulls(monkeypatch)
+        response = run_query(scenario, self.QUERY)
+        assert [kind for kind, _ in pulled] == ["group"]
+        assert len(response.matches) == 3 and not response.timed_out
+
+    def test_a_node_whose_target_group_is_gone_is_pulled(self, scenario, monkeypatch):
+        gone = self.joining(scenario, "node-00021", 80.0)
+        assert scenario.service.dgm.groups.get(gone) is None
+        pulled = self.pulls(monkeypatch)
+        run_query(scenario, self.QUERY)
+        assert pulled[0] == ("node", "node-00021")
+
+    def test_a_node_joining_a_later_wave_group_is_pulled_at_the_start(
+        self, scenario, monkeypatch
+    ):
+        later = self.joining(scenario, "node-00015", 65.0)
+        pulled = self.pulls(monkeypatch)
+        response = run_query(scenario, self.QUERY)
+        assert pulled[0] == ("node", "node-00015")
+        assert ("group", later) not in pulled  # the first wave met the limit
+        assert len(response.matches) == 3
+
+    def test_the_delegated_reply_names_the_nodes_a_directed_pull_pulls(
+        self, scenario, monkeypatch
+    ):
+        for node, base in (("node-00001", 70.0), ("node-00015", 65.0),
+                           ("node-00020", 10.0), ("node-00021", 80.0)):
+            self.joining(scenario, node, base)
+        pulled = self.pulls(monkeypatch)
+        run_query(scenario, self.QUERY)
+        directed = [node for kind, node in pulled if kind == "node"]
+        assert directed == ["node-00001", "node-00015", "node-00021"]
+        router = scenario.service.router
+        attribute, plan = router._plan_groups(self.QUERY, list(self.QUERY.terms))
+        replies = []
+        router._delegate(self.QUERY, attribute, plan, replies.append)
+        (reply,) = replies
+        assert reply["delegated"]["transitions"] == directed
+
+
 class TestEmptyGroups:
     def test_wave_of_empty_groups_finishes_immediately(self):
         """Group instances whose members all left produce no RPCs; the

@@ -6,17 +6,21 @@ backoff, retries exhausted, a caller crash during the backoff,
 periodic timer must leave no cyclic garbage: with the collector off,
 ``gc.collect()`` afterwards finds nothing. A second test holds a whole served
 steady phase (two shards, every defense on, an open-loop query stream) to the
-same rule. DESIGN.md §5 states it.
+same rule, and a third a node's group move: the p2p agent it drops is freed
+by reference counting once its leave has flushed. DESIGN.md §5 states it.
 """
 
 import functools
 import gc
+import types
 import weakref
 from contextlib import contextmanager
 
 import pytest
 
 from benchmarks.focusbench.workloads import WORKLOADS
+from repro.harness import build_focus_cluster, drain
+from tests.test_gossip_swim import build_group
 from tests.test_rpc_failures import Peer, answer_later
 
 
@@ -136,9 +140,26 @@ def stopped_timer(sim, network, client, server, log):
     first.stop()
 
 
+def timer_owner(sim, log):
+    """An owner keeping a timer whose callback closes over the owner, as a
+    node's group membership keeps its report timer."""
+    owner = types.SimpleNamespace(name="owner")
+    owner.timer = sim.call_every(30.0, lambda: log.append(owner.name))
+    return owner
+
+
+def stopped_timer_kept_by_its_owner(sim, network, client, server, log):
+    owner = timer_owner(sim, log)
+    sim.run_until(sim.now + 31.0)
+    owner.timer.stop()
+    del owner
+    assert log == ["owner"]
+
+
 OUTCOMES = [reply, timeout, retry_then_reply, late_reply_during_backoff,
             retries_exhausted, caller_crash_during_backoff, cancel_call,
-            reset_rpc, deadline_fifo_empties, stopped_timer]
+            reset_rpc, deadline_fifo_empties, stopped_timer,
+            stopped_timer_kept_by_its_owner]
 
 
 @pytest.mark.parametrize("outcome", OUTCOMES, ids=lambda f: f.__name__)
@@ -165,3 +186,34 @@ def test_a_served_steady_phase_leaves_no_cyclic_garbage(seed):
         scenario.sim.run_until(plan.end_time)
         assert gc.collect() == 0
     assert plan.board.spans
+
+
+def test_a_group_move_leaves_no_collectable_serf_agent():
+    scenario = build_focus_cluster(12, seed=94, with_store=False)
+    drain(scenario, 12.0)
+    agent = scenario.agents[0]
+    membership = agent.memberships["ram_mb"]
+    dropped = weakref.ref(membership.serf)
+    moved_to = membership.high + 2000 if membership.high + 2000 < 16384 \
+        else membership.low - 2000
+    del membership
+    with collector_off():
+        agent.set_attribute("ram_mb", moved_to)
+        drain(scenario, 10.0)  # the move, then the dropped agent's leave
+        assert agent.memberships["ram_mb"].serf is not dropped()
+        assert dropped() is None
+        assert gc.collect() == 0
+
+
+def test_a_released_agent_with_a_probe_pending_is_freed(sim, network, regions):
+    agents = build_group(sim, network, 2, regions)
+    sim.run_until(3.0)
+    network.block(agents[0].address, agents[1].address)  # no acks come back
+    while not agents[0]._pending_probes:
+        sim.run_until(sim.now + 0.05)
+    released = weakref.ref(agents[0])
+    with collector_off():
+        agents.pop(0).release()
+        sim.run_until(sim.now + 5.0)  # the armed probe fires, dropped
+        assert released() is None
+        assert gc.collect() == 0

@@ -44,6 +44,39 @@ class TestDelete:
         assert "k" in t
 
 
+class TestTombstones:
+    def test_a_delete_leaves_a_tombstone_the_live_views_skip(self):
+        t = Table("t")
+        t.put("k", {"v": 1}, timestamp=1.0)
+        t.put("j", {"v": 2}, timestamp=1.0)
+        t.delete("k", timestamp=2.0)
+        assert "k" not in t and len(t) == 1
+        assert [r.key for r in t] == [r.key for r in t.scan()] == t.keys() == ["j"]
+        tombstone = t.version("k")
+        assert (tombstone.key, tombstone.value, tombstone.timestamp) == ("k", None, 2.0)
+        assert [r.key for r in t.tombstones()] == ["k"]
+
+    def test_a_put_no_newer_than_the_delete_is_refused(self):
+        t = Table("t")
+        t.put("k", {"v": 1}, timestamp=1.0)
+        t.delete("k", timestamp=2.0)
+        assert not t.put("k", {"v": 1}, timestamp=1.0)  # a replayed old write
+        assert not t.put("k", {"v": 3}, timestamp=2.0)  # a tie: the delete wins
+        assert t.get("k") is None
+        assert t.put("k", {"v": 4}, timestamp=3.0)
+        assert t.get("k").value == {"v": 4} and t.tombstones() == []
+
+    def test_a_delete_of_a_missing_key_still_leaves_a_tombstone(self):
+        t = Table("t")
+        assert not t.delete("k", timestamp=2.0)
+        assert not t.put("k", {"v": 1}, timestamp=1.0)  # the put it overtook
+        assert t.version("k").value is None
+
+    def test_a_tombstone_travels_on_the_wire(self):
+        row = Row.from_wire(Row("k", None, 2.0).to_wire())
+        assert (row.key, row.value, row.timestamp) == ("k", None, 2.0)
+
+
 class TestScan:
     def test_scan_all(self):
         t = Table("t")
