@@ -43,7 +43,9 @@ share, summing to the plane's meters, so the Fig. 7a server bandwidth is
 split by what carried it, then the transition pulls the plane sent
 (``node.query`` requests) and how many of their nodes answered a match, and
 the store replicas a scan contacted (``store.scan`` requests per
-``StoreClient.scan`` call).
+``StoreClient.scan`` call), the scan replies that carried rows per scan
+(the others carried only a digest) and the scans that fell back to an
+unfiltered read (``store.scan_fallbacks``).
 Profiled seconds are ~3x untraced ones, so read counts and proportions here
 and host time in focusbench.
 
@@ -605,8 +607,9 @@ def server_bytes(workload, seed: int, sizes):
     receives, charged at the delivery, as its meters charge them. Return
     the table ``(direction, method) -> [messages, bytes]``, the meters'
     own total for the phase, which the table must sum to, and a count of
-    the ``node.query`` replies that answered a match and of the store scans
-    started."""
+    the ``node.query`` replies that answered a match, of the store scans
+    started, of their replies that carried rows (the rest carried a
+    digest) and of the scans that fell back to an unfiltered read."""
     table = defaultdict(lambda: [0, 0])
     counts = Counter()
     servers = set()
@@ -637,6 +640,8 @@ def server_bytes(workload, seed: int, sizes):
             row[1] += message.size
             if method == "node.query reply" and (payload.get("result") or {}).get("match"):
                 counts["matched pulls"] += 1
+            elif method == "store.scan reply" and "rows" in payload["result"]:
+                counts["scan replies with rows"] += 1
 
     Network.send_fanout = counting_send
     StoreClient.scan = counting_scan
@@ -646,11 +651,18 @@ def server_bytes(workload, seed: int, sizes):
         scenario.network.add_delivery_tap(count_delivery)
         table.clear()
         counts.clear()
+        before = scan_fallbacks(scenario)
         scenario.sim.run_until(plan.end_time)
+        counts["scan fallbacks"] = scan_fallbacks(scenario) - before
     finally:
         Network.send_fanout = send
         StoreClient.scan = scan
     return table, scenario.server_bandwidth_bytes(), counts
+
+
+def scan_fallbacks(scenario) -> int:
+    counter = scenario.network.metrics.get_counter("store.scan_fallbacks")
+    return 0 if counter is None else counter.value
 
 
 def print_server_bytes(table, metered: int, span_s: float, top: int,
@@ -677,10 +689,16 @@ def print_server_bytes(table, metered: int, span_s: float, top: int,
     pulls = table.get(("out", "node.query request"), (0, 0))[0]
     replicas = table.get(("out", "store.scan request"), (0, 0))[0]
     scans = counts["store scans"]
-    per_scan = f"{replicas / scans:.2f}" if scans else "-"
+
+    def per_scan(count: int) -> str:
+        return f"{count / scans:.2f}" if scans else "-"
+
     print(f"  {'transition pulls sent (node.query requests)':<54}{pulls:>10}")
     print(f"    {'whose node answered a match':<52}{counts['matched pulls']:>10}")
-    print(f"  {'store replicas contacted per scan':<54}{per_scan:>10}")
+    print(f"  {'store replicas contacted per scan':<54}{per_scan(replicas):>10}")
+    print(f"  {'scan replies carrying rows per scan':<54}"
+          f"{per_scan(counts['scan replies with rows']):>10}")
+    print(f"  {'scan fallbacks':<54}{counts['scan fallbacks']:>10}")
     return total - metered
 
 

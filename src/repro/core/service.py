@@ -398,7 +398,11 @@ class FocusService(Process, RpcMixin):
         self.sim.schedule(delay, respond, payload)
 
     # ---------------------------------------------------------------- recovery
-    def recover_from_store(self, on_done: Optional[Callable[[], None]] = None) -> None:
+    def recover_from_store(
+        self,
+        on_done: Optional[Callable[[], None]] = None,
+        on_error: Optional[Callable[[Exception], None]] = None,
+    ) -> None:
         """Rebuild service state after a crash-restart (§VIII-A).
 
         Two sources, matching the paper's failure story:
@@ -408,6 +412,10 @@ class FocusService(Process, RpcMixin):
         * the **groups** repopulate themselves: representatives keep
           uploading member lists, and :meth:`DynamicGroupsManager.handle_report`
           recreates missing group records from the first report it sees.
+
+        A store read that fails (a scan needs every replica) restores
+        nothing, counts under ``recoveries_failed`` and hands the error to
+        ``on_error``.
         """
         if self.store_client is None:
             raise FocusError("recovery requires a store-backed deployment")
@@ -419,4 +427,9 @@ class FocusService(Process, RpcMixin):
             if on_done is not None:
                 on_done()
 
-        self.store_client.scan("nodes", loaded)
+        def failed(error: Exception) -> None:
+            self.metrics.counter("recoveries_failed").inc()
+            if on_error is not None:
+                on_error(error)
+
+        self.store_client.scan("nodes", loaded, on_error=failed)

@@ -18,10 +18,11 @@ Degraded operation (how the store keeps answering through faults):
 * **partial scans** — ``scan(..., allow_partial=True)`` merges whatever
   replicas answered instead of failing the whole scan.
 
-A scan reads every replica. With a ``where`` the replicas filter and return
-only their matching rows; when they disagree on which keys match, the
-coordinator reads the table again unfiltered and filters the newest versions
-itself (:meth:`StoreClient.scan`).
+A scan reads every replica. With a ``where`` it is Cassandra's digest read:
+the replicas filter, the first in ring order (the data replica) returns its
+matching rows and the others only a digest of theirs; when a digest differs
+from the data rows', the coordinator reads the table again unfiltered and
+filters the newest versions itself (:meth:`StoreClient.scan`).
 
 A delete leaves a tombstone (:class:`~repro.store.table.Table`). Replicas
 return tombstones on gets and unfiltered scans; both coordinator merges
@@ -38,7 +39,7 @@ from repro.sim.loop import Simulator
 from repro.sim.network import Network
 from repro.store.hashring import ConsistentHashRing
 from repro.store.replica import StoreReplica
-from repro.store.table import Row, Term, row_matches
+from repro.store.table import Row, Term, row_matches, rows_digest
 
 
 class _QuorumOp:
@@ -330,25 +331,32 @@ class StoreClient:
         tombstone winner leaves the key out).
 
         With ``where`` (query terms in their JSON form, see
-        :class:`~repro.store.table.Term`) the terms and ``limit`` go to the
-        replicas, and each returns only the rows whose local newest version
-        matches, at most ``limit``. When every answering replica returned the
-        same keys, each of those keys matches on every replica, and their
-        merge is the answer. When they did not, one replica may hold a stale
-        matching version of a key whose newer version elsewhere does not
-        match (the hazard Cassandra's replica filtering protection closes):
-        the coordinator never answers from that merge, but reads the table
-        again unfiltered and applies the terms to each key's newest version
-        itself (counted under ``store.scan_fallbacks``). This pays off when
-        every replica holds every row (replication factor = replica count,
-        as :meth:`StoreCluster.client_for` sets up for three replicas); with
-        more replicas the keys always differ and every filtered scan falls
-        back. Without ``where`` every row is read and ``limit`` trims the
-        merge.
+        :class:`~repro.store.table.Term`) this is a digest read. The terms
+        and ``limit`` go to every replica, and each filters: it takes the
+        rows whose local newest version matches, at most ``limit``. The
+        first replica in ring order, the data replica, returns those rows;
+        the others return only their digest
+        (:func:`~repro.store.table.rows_digest`, which ignores the order a
+        replica's writes arrived in). When every digest equals the data
+        rows' digest, every replica took those rows at those versions, and
+        they are the answer. When one differs,
+        or a replica did not answer, one replica may hold a stale matching
+        version of a key whose newer version elsewhere does not match (the
+        hazard Cassandra's replica filtering protection closes): the
+        coordinator reads the table again unfiltered and applies the terms
+        to each key's newest version itself (counted under
+        ``store.scan_fallbacks``). This pays off when every replica holds
+        every row (replication factor = replica count, as
+        :meth:`StoreCluster.client_for` sets up for three replicas); with
+        more replicas the digests always differ and every filtered scan
+        falls back. Without ``where`` every row and tombstone is read from
+        every replica and ``limit`` trims the merge.
 
         ``allow_partial=True`` degrades gracefully: if any replica times out,
         whatever the others returned is merged and delivered (counted under
-        ``store.partial_scans``) instead of failing the whole scan.
+        ``store.partial_scans``, once per read) instead of failing the whole
+        scan. A filtered scan missing a reply reads again unfiltered first,
+        so its answer is the merge of the unfiltered read.
         """
         unfiltered = {"table": table, "limit": None}
         if where is None:
@@ -359,11 +367,16 @@ class StoreClient:
                 allow_partial,
             )
             return
+        filtered = {"table": table, "where": where, "limit": limit}
+        replica_count = len(self.ring)
 
         def settle(results: List[object]) -> None:
-            if self._same_keys(results):
-                on_done(self._merge(results, limit))
-                return
+            rows = next((r["rows"] for r in results if "rows" in r), None)
+            if rows is not None and len(results) == replica_count:
+                digest = rows_digest(rows)
+                if all(r.get("digest", digest) == digest for r in results):
+                    on_done([Row.from_wire(wire) for wire in rows])
+                    return
             self._counter("store.scan_fallbacks").inc()
             terms = [Term.from_json(term) for term in where]
             self._scan_replicas(
@@ -374,10 +387,7 @@ class StoreClient:
             )
 
         self._scan_replicas(
-            {"table": table, "where": where, "limit": limit},
-            settle,
-            on_error,
-            allow_partial,
+            filtered, settle, on_error, allow_partial, {**filtered, "digest": True}
         )
 
     def _scan_replicas(
@@ -386,8 +396,10 @@ class StoreClient:
         on_results: Callable[[List[object]], None],
         on_error: Optional[Callable[[Exception], None]],
         allow_partial: bool,
+        digest_params: Optional[Dict[str, object]] = None,
     ) -> None:
-        """Send one ``store.scan`` to every replica; ``on_results`` gets the
+        """Send one ``store.scan`` to every replica (``digest_params``, when
+        given, to all but the first in ring order); ``on_results`` gets the
         replies once all have answered (or, partial, once the rest failed)."""
         replicas = self.ring.nodes
         if not replicas:
@@ -402,29 +414,17 @@ class StoreClient:
                 on_results(list(op.successes))
 
             op.on_error = degrade
-        for replica in replicas:
+        for index, replica in enumerate(replicas):
             self.host.call(
                 replica,
                 "store.scan",
-                params,
+                params if index == 0 or digest_params is None else digest_params,
                 on_reply=lambda result, op=op: op.succeed(result),
                 on_timeout=op.fail,
                 timeout=self.timeout,
                 retries=self.retries,
                 retry_backoff=self.retry_backoff,
             )
-
-    @staticmethod
-    def _same_keys(results: List[object]) -> bool:
-        """Whether every reply of a filtered scan returned the same keys."""
-        first = None
-        for result in results:
-            keys = {wire["k"] for wire in result.get("rows", ())}
-            if first is None:
-                first = keys
-            elif keys != first:
-                return False
-        return True
 
     @staticmethod
     def _merge(

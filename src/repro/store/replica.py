@@ -5,11 +5,14 @@ logic live in the coordinator (:mod:`repro.store.cluster`); the replica is
 deliberately dumb, like a Cassandra storage node from the coordinator's
 perspective. A scan may carry a ``where`` (query terms in their JSON form)
 and a ``limit``: the replica then returns only the rows whose local newest
-version matches every term, at most ``limit`` of them. It cannot know
-whether another replica holds a newer version; the coordinator does. A get
-and an unfiltered scan also return the replica's tombstones (deleted keys
-with the delete's timestamp), so the coordinator's newest-version merge
-sees a delete that another replica missed.
+version matches every term, at most ``limit`` of them. With ``"digest":
+true`` as well it returns, in place of those rows, only their digest
+(:func:`~repro.store.table.rows_digest`, an MD5 over each row's key,
+timestamp and value), as a Cassandra replica answers a digest read. It
+cannot know whether another replica holds a newer version; the coordinator
+does. A get and an unfiltered scan also return the replica's tombstones
+(deleted keys with the delete's timestamp), so the coordinator's
+newest-version merge sees a delete that another replica missed.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from repro.sim.loop import Simulator
 from repro.sim.network import Network
 from repro.sim.process import Process
 from repro.sim.rpc import RpcMixin
-from repro.store.table import Row, Table, Term, row_matches
+from repro.store.table import Row, Table, Term, row_matches, rows_digest
 
 
 class StoreReplica(Process, RpcMixin):
@@ -72,7 +75,7 @@ class StoreReplica(Process, RpcMixin):
     def _rpc_scan(self, params, respond, message):
         table = self.tables.get(params["table"])
         if table is None:
-            return {"rows": []}
+            table = Table(params["table"])  # answers as an empty table
         where = params.get("where")
         predicate = None
         if where is not None:
@@ -84,4 +87,6 @@ class StoreReplica(Process, RpcMixin):
         rows = table.scan(predicate, params.get("limit"))
         if where is None:
             rows += table.tombstones()
+        elif params.get("digest"):
+            return {"digest": rows_digest(row.to_wire() for row in rows)}
         return {"rows": [row.to_wire() for row in rows]}

@@ -13,8 +13,9 @@ constraint (the one matching rule; the query layer's ``QueryTerm`` is this
 class with validation), and :func:`row_matches` applies a list of them to a
 row value's ``attributes`` map. A replica answering a scan with a ``where``
 returns only the rows whose local newest version matches (see
-:mod:`repro.store.replica`); the coordinator settles replicas that disagree
-(:meth:`repro.store.cluster.StoreClient.scan`).
+:mod:`repro.store.replica`), or only the digest of those rows
+(:func:`rows_digest`); the coordinator compares digests and settles
+replicas that disagree (:meth:`repro.store.cluster.StoreClient.scan`).
 
 A delete leaves a *tombstone*: a :class:`Row` whose ``value`` is ``None``,
 carrying the delete's timestamp, so a replica that missed the delete cannot
@@ -23,7 +24,9 @@ win a later read with its older live copy.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+import hashlib
+import json
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.sim.network import SizedDict
 
@@ -91,6 +94,35 @@ def row_matches(value: Dict[str, object], terms: Sequence[Term]) -> bool:
     return True
 
 
+class RowWire(SizedDict):
+    """A row's wire ``{"k", "v", "ts"}``, carrying its share of a scan
+    digest: the canonical JSON of ``[key, ts, value]``, encoded once when the
+    wire is built (a row's wire is built once per row version)."""
+
+    __slots__ = ("share",)
+
+    def __init__(self, fields: Dict[str, object]) -> None:
+        super().__init__(fields)
+        self.share = json.dumps(
+            [fields["k"], fields["ts"], fields["v"]],
+            sort_keys=True,
+            separators=(",", ":"),
+        ).encode()
+
+
+def rows_digest(wires: Iterable[RowWire]) -> str:
+    """The 32-hex MD5 over the ``(key, ts, value)`` of row wires, as a set:
+    what a digest replica returns for a filtered scan instead of its rows.
+
+    The shares are hashed sorted, because a table keeps its rows in the
+    order its writes arrived, and two replicas can receive the same writes
+    in another order (a Cassandra range scan returns rows in token order,
+    the same on every replica). Each share is a JSON array, so their
+    concatenation is unambiguous.
+    """
+    return hashlib.md5(b"".join(sorted(wire.share for wire in wires))).hexdigest()
+
+
 class Row:
     """A versioned row. Greater ``timestamp`` wins on merge; a ``value`` of
     ``None`` is a tombstone (the key was deleted at ``timestamp``).
@@ -106,14 +138,14 @@ class Row:
         self.key = key
         self.value = value
         self.timestamp = timestamp
-        self._wire: Optional[SizedDict] = None
+        self._wire: Optional[RowWire] = None
 
-    def to_wire(self) -> SizedDict:
-        """``{"k", "v", "ts"}`` as a :class:`~repro.sim.network.SizedDict`:
-        a scan reply of N rows then costs the RPC sizer N steps."""
+    def to_wire(self) -> RowWire:
+        """``{"k", "v", "ts"}`` as a :class:`RowWire`: a scan reply of N rows
+        then costs the RPC sizer N steps, and its digest N cached shares."""
         wire = self._wire
         if wire is None:
-            wire = self._wire = SizedDict(
+            wire = self._wire = RowWire(
                 {"k": self.key, "v": self.value, "ts": self.timestamp}
             )
         return wire

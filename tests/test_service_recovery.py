@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.query import Query, QueryTerm
 from repro.core.service import FocusService
-from repro.errors import FocusError
+from repro.errors import FocusError, QuorumError
 from repro.harness import build_focus_cluster, drain, run_query
 
 
@@ -93,6 +93,27 @@ class TestRecovery:
         drain(scenario, 10.0)
         with pytest.raises(FocusError):
             scenario.service.recover_from_store()
+
+
+class TestRecoveryWithAStoreReplicaDown:
+    def test_a_recovery_that_cannot_read_the_store_reports_the_error(self):
+        scenario = build_focus_cluster(8, seed=114, with_store=True)
+        drain(scenario, 10.0)
+        replacement = crash_and_restart(scenario)
+        scenario.store.replicas[1].stop()
+        done, errors = [], []
+        start = scenario.sim.now
+        replacement.recover_from_store(
+            lambda: done.append(True),
+            lambda error: errors.append((scenario.sim.now - start, error)),
+        )
+        drain(scenario, 5.0)
+        assert done == []
+        ((elapsed, error),) = errors
+        assert isinstance(error, QuorumError)
+        assert elapsed == pytest.approx(replacement.store_client.timeout)
+        assert replacement.metrics.get_counter("recoveries_failed").value == 1
+        assert replacement.metrics.get_counter("recoveries") is None
 
 
 class TestAvailabilityDuringOutage:

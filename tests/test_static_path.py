@@ -6,13 +6,16 @@ filtering the live registrations gives, also through churn, and a service
 restarted after a deregistration does not bring the node back.
 """
 
+import re
+from collections import defaultdict
+
 import pytest
 
 from repro.core.query import Query, QueryTerm
 from repro.core.registrar import static_table_name
 from repro.harness import build_focus_cluster, drain, run_query
 from repro.sim.rpc import REQUEST_KIND, RESPONSE_KIND
-from repro.store.table import Term, row_matches
+from repro.store.table import Term, row_matches, rows_digest
 from repro.workloads.churn import ChurnController
 from tests.test_service_recovery import crash_and_restart
 
@@ -47,7 +50,8 @@ def check_answer(scenario, query):
 
 
 class ScanTap:
-    """Pairs every ``store.scan`` reply with the request's parameters."""
+    """Pairs every ``store.scan`` reply with its replica and the request's
+    parameters."""
 
     def __init__(self, network) -> None:
         self.requests = {}
@@ -59,7 +63,9 @@ class ScanTap:
         if message.kind == REQUEST_KIND and payload["method"] == "store.scan":
             self.requests[payload["id"]] = payload["params"]
         elif message.kind == RESPONSE_KIND and payload["method"] == "store.scan":
-            self.replies.append((self.requests[payload["id"]], payload["result"]))
+            self.replies.append(
+                (message.src, self.requests[payload["id"]], payload["result"])
+            )
 
 
 @pytest.fixture(scope="module")
@@ -90,18 +96,47 @@ class TestChurn:
         assert {node for _, nodes in answers for node in nodes} & set(churn.joined)
 
     def test_each_filtered_reply_carries_at_most_limit_matching_rows(self, churned):
+        # A digest reply carries no rows at all.
         scenario, _, tap, _ = churned
-        filtered = [(p, r) for p, r in tap.replies if p.get("where") is not None]
+        filtered = [(p, r) for _, p, r in tap.replies if p.get("where") is not None]
         assert len(filtered) == 3 * 4 * len(STATIC_QUERIES)
         limited = 0
         for params, result in filtered:
             terms = [Term.from_json(term) for term in params["where"]]
-            rows = result["rows"]
+            rows = result.get("rows", [])
             assert all(row_matches(wire["v"], terms) for wire in rows)
             if params["limit"] is not None:
                 limited += 1
                 assert len(rows) <= params["limit"]
         assert limited == 3 * 4 * 3
+
+    def test_each_filtered_scan_takes_rows_from_one_replica_digests_from_two(
+        self, churned
+    ):
+        scenario, _, tap, _ = churned
+        data = scenario.store.replicas[0].address  # the first in ring order
+        scans = defaultdict(list)  # the requests of one scan share its terms
+        for src, params, result in tap.replies:
+            if params.get("where") is not None:
+                scans[id(params["where"])].append((src, params, result))
+        assert len(scans) == 4 * len(STATIC_QUERIES)
+        limited = 0
+        for replies in scans.values():
+            assert len(replies) == 3
+            (rows,) = [result["rows"] for src, _, result in replies if src == data]
+            params = replies[0][1]
+            terms = [Term.from_json(term) for term in params["where"]]
+            assert all(row_matches(wire["v"], terms) for wire in rows)
+            if params["limit"] is not None:
+                limited += 1
+                assert len(rows) <= params["limit"]
+            digests = [result for src, _, result in replies if src != data]
+            assert len(digests) == 2
+            for result in digests:
+                assert list(result) == ["digest"]
+                assert re.fullmatch("[0-9a-f]{32}", result["digest"])
+                assert result["digest"] == rows_digest(rows)
+        assert limited == 4 * 3
         counter = scenario.network.metrics.get_counter("store.scan_fallbacks")
         assert counter is None  # settled replicas always agree
 

@@ -1,20 +1,26 @@
-"""A scan with a ``where`` filters at the replicas.
+"""A scan with a ``where`` filters at the replicas, as a digest read.
 
-Each replica returns only the rows whose local newest version matches, at
-most ``limit``; the coordinator answers from their merge only when every
-replica returned the same keys, and otherwise reads the table again
+Each replica takes only the rows whose local newest version matches, at most
+``limit``. The first replica in ring order returns them; the others return
+only their digest. The coordinator answers with the data replica's rows only
+when every digest equals theirs, and otherwise reads the table again
 unfiltered and filters the newest versions itself. A delete leaves a
 tombstone that wins over an older copy a replica kept.
 """
 
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.query import QueryTerm
+from repro.errors import QuorumError
+from repro.sim import Network, Simulator, Topology
 from repro.sim.process import Process
 from repro.sim.rpc import RESPONSE_KIND, RpcMixin
 from repro.store import StoreCluster
 from repro.store.cluster import StoreClient
-from repro.store.table import Row, Table, Term, row_matches
+from repro.store.table import Row, Table, Term, row_matches, rows_digest
 
 MANY_CORES = [QueryTerm.at_least("cores", 10).to_json()]
 
@@ -48,14 +54,19 @@ def put_everywhere(cluster, key, row_value, ts, table="t"):
 
 
 def scan_replies(network):
-    """Every ``store.scan`` reply delivered from now on."""
+    """Every ``store.scan`` reply delivered from now on, as ``(replica,
+    result)``."""
     replies = []
     network.add_delivery_tap(
-        lambda m: replies.append(m.payload["result"])
+        lambda m: replies.append((m.src, m.payload["result"]))
         if m.kind == RESPONSE_KIND and m.payload["method"] == "store.scan"
         else None
     )
     return replies
+
+
+def is_digest(text):
+    return isinstance(text, str) and re.fullmatch("[0-9a-f]{32}", text) is not None
 
 
 def run_scan(sim, client, **kwargs):
@@ -132,13 +143,41 @@ class TestCoordinator:
     def test_agreeing_replicas_answer_from_the_filtered_merge(
         self, sim, network, client, cluster
     ):
+        # The answer is what merging every replica's filtered rows gives:
+        # each replica's own filtered rows, as they all agree.
         for i in range(8):
             put_everywhere(cluster, f"k{i}", value(16 if i < 5 else 8), 1.0)
         replies = scan_replies(network)
         rows = run_scan(sim, client, where=MANY_CORES, limit=3)
         assert [row.key for row in rows] == ["k0", "k1", "k2"]
         assert len(replies) == 3
-        assert all(len(reply["rows"]) <= 3 for reply in replies)
+        assert all(len(result.get("rows", [])) <= 3 for _, result in replies)
+        for replica in cluster.replicas:
+            local = replica._rpc_scan(
+                {"table": "t", "where": MANY_CORES, "limit": 3}, None, None
+            )["rows"]
+            assert [(w["k"], w["ts"], w["v"]) for w in local] == [
+                (row.key, row.timestamp, row.value) for row in rows
+            ]
+        assert fallbacks(network) == 0
+
+    def test_agreeing_replicas_answer_from_the_data_replica(
+        self, sim, network, client, cluster
+    ):
+        for i in range(8):
+            put_everywhere(cluster, f"k{i}", value(16 if i < 5 else 8), 1.0)
+        replies = scan_replies(network)
+        rows = run_scan(sim, client, where=MANY_CORES, limit=3)
+        assert [row.key for row in rows] == ["k0", "k1", "k2"]
+        assert len(replies) == 3
+        data = cluster.replicas[0].address  # the first in ring order
+        (wires,) = [result["rows"] for src, result in replies if src == data]
+        assert [wire["k"] for wire in wires] == ["k0", "k1", "k2"]
+        digests = [result for src, result in replies if src != data]
+        assert len(digests) == 2
+        for result in digests:
+            assert list(result) == ["digest"] and is_digest(result["digest"])
+            assert result["digest"] == rows_digest(wires)
         assert fallbacks(network) == 0
 
     def test_stale_matching_version_is_not_answered(
@@ -155,7 +194,54 @@ class TestCoordinator:
         rows = run_scan(sim, client, where=MANY_CORES)
         assert [row.key for row in rows] == ["other"]
         assert fallbacks(network) == 1
-        assert len(replies) == 6  # three filtered, three unfiltered
+        assert len(replies) == 6  # three in the digest round, three unfiltered
+
+    @pytest.mark.parametrize("newer", [0, 1, 2])
+    def test_same_keys_at_different_versions_fall_back_to_the_newest(
+        self, sim, network, client, cluster, newer
+    ):
+        # Every replica returns the same keys, all matching, but one holds a
+        # newer version of "k": the digests differ whichever replica it is.
+        put_everywhere(cluster, "k", value(16), 1.0)
+        put_everywhere(cluster, "j", value(12), 1.0)
+        cluster.replicas[newer].table("t").put("k", value(32), 2.0)
+        rows = run_scan(sim, client, where=MANY_CORES)
+        assert sorted((row.key, row.timestamp) for row in rows) == [
+            ("j", 1.0), ("k", 2.0)
+        ]
+        assert {row.key: row.value for row in rows}["k"] == value(32)
+        assert fallbacks(network) == 1
+
+    def test_same_rows_in_another_order_answer_without_a_fallback(
+        self, sim, network, client, cluster
+    ):
+        # Replica 1 received the writes in another order. Every replica
+        # still returns the same rows at the same versions, so the digests
+        # agree and the data replica's rows are the answer.
+        for index, replica in enumerate(cluster.replicas):
+            for key in ["b", "a"] if index == 1 else ["a", "b"]:
+                replica.table("t").put(key, value(16), 1.0 if key == "a" else 2.0)
+        put_everywhere(cluster, "low", value(2), 1.0)
+        replies = scan_replies(network)
+        rows = run_scan(sim, client, where=MANY_CORES, limit=2)
+        assert [(row.key, row.timestamp) for row in rows] == [("a", 1.0), ("b", 2.0)]
+        assert fallbacks(network) == 0
+        assert len(replies) == 3
+
+    def test_another_order_under_limit_takes_another_set_and_falls_back(
+        self, sim, network, client, cluster
+    ):
+        # Under the limit, replica 1's order makes it take {c, a} where the
+        # others take {a, b}: the digests differ.
+        for index, replica in enumerate(cluster.replicas):
+            for key in ["c", "a", "b"] if index == 1 else ["a", "b", "c"]:
+                replica.table("t").put(key, value(16), 1.0)
+        replies = scan_replies(network)
+        rows = run_scan(sim, client, where=MANY_CORES, limit=2)
+        assert fallbacks(network) == 1
+        assert len(replies) == 6
+        assert len(rows) == 2 and len({row.key for row in rows}) == 2
+        assert all(row.key in "abc" and row.timestamp == 1.0 for row in rows)
 
     def test_disputed_key_whose_newest_version_matches_is_answered(
         self, sim, network, client, cluster
@@ -193,6 +279,123 @@ class TestCoordinator:
         assert len(replies) == 3
         assert fallbacks(network) == 0
         assert [row.key for row in run_scan(sim, client, limit=1)] == ["k"]
+
+
+class TestFailures:
+    """A replica that does not answer the digest round: a strict scan fails
+    once, at the RPC timeout; a partial one reads again unfiltered."""
+
+    @pytest.mark.parametrize("down", [0, 1])  # the data replica, a digest one
+    def test_a_stopped_replica_fails_the_scan_once_at_the_timeout(
+        self, sim, network, client, cluster, down
+    ):
+        put_everywhere(cluster, "k", value(16), 1.0)
+        cluster.replicas[down].stop()
+        outcomes = []
+        start = sim.now
+
+        def record(outcome):
+            outcomes.append((sim.now - start, outcome))
+
+        client.scan("t", record, on_error=record, where=MANY_CORES)
+        sim.run_until(sim.now + 10.0)
+        ((elapsed, error),) = outcomes
+        assert isinstance(error, QuorumError)
+        assert elapsed == pytest.approx(client.timeout)
+        assert fallbacks(network) == 0
+
+    @pytest.mark.parametrize("down", [0, 1])
+    def test_a_partial_scan_missing_a_replica_reads_again_unfiltered(
+        self, sim, network, client, cluster, down
+    ):
+        put_everywhere(cluster, "k", value(16), 1.0)
+        put_everywhere(cluster, "low", value(2), 1.0)
+        for index, replica in enumerate(cluster.replicas):
+            if index != down:  # the stopped replica missed the newer version
+                replica.table("t").put("j", value(12), 2.0)
+        cluster.replicas[down].stop()
+        outcomes = []
+        client.scan(
+            "t", outcomes.append, on_error=outcomes.append, where=MANY_CORES,
+            allow_partial=True,
+        )
+        sim.run_until(sim.now + 10.0)
+        (rows,) = outcomes
+        assert sorted((row.key, row.timestamp) for row in rows) == [
+            ("j", 2.0), ("k", 1.0)
+        ]
+        assert fallbacks(network) == 1
+        # Both reads, the digest round and the unfiltered one, degraded.
+        assert network.metrics.counter("store.partial_scans").value == 2
+
+
+#: A row version's content is fixed by its key and timestamp, so two
+#: replicas holding the same version hold the same value.
+def version_value(key, ts):
+    return value((ts * 5 + ord(key)) % 24)
+
+
+_ops = st.lists(
+    st.tuples(st.sampled_from("abcd"), st.booleans(), st.integers(1, 6)),
+    max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _ops,
+    st.lists(_ops.map(lambda ops: ops[:3]), min_size=3, max_size=3),
+    st.integers(0, 24),
+    st.none() | st.integers(1, 4),
+)
+def test_a_filtered_scan_answers_each_matching_key_at_its_newest_version(
+    shared_ops, replica_ops, threshold, limit
+):
+    sim = Simulator(seed=7)
+    network = Network(sim, Topology())
+    cluster = StoreCluster(sim, network, num_replicas=3)
+    host = Host(sim, network, network.topology.regions[0].name)
+    host.start()
+    client = cluster.client_for(host)
+    # Puts, deletes and so tombstones: writes every replica took, then a
+    # few of its own, at arbitrary timestamps.
+    for replica, ops in zip(cluster.replicas, replica_ops):
+        table = replica.table("t")
+        for key, delete, ts in shared_ops + ops:
+            if delete:
+                table.delete(key, float(ts))
+            else:
+                table.put(key, version_value(key, ts), float(ts))
+    newest = {}
+    for replica in cluster.replicas:
+        for key in "abcd":
+            row = replica.table("t").version(key)
+            current = newest.get(key)
+            if row is not None and (
+                current is None
+                or row.timestamp > current.timestamp
+                or (row.timestamp == current.timestamp and row.value is None)
+            ):
+                newest[key] = row
+    terms = [Term("cores", lower=threshold)]
+    matches = {
+        key: row.timestamp
+        for key, row in newest.items()
+        if row.value is not None and row_matches(row.value, terms)
+    }
+    outcomes = []
+    client.scan(
+        "t", outcomes.append, on_error=outcomes.append,
+        where=[term.to_json() for term in terms], limit=limit,
+    )
+    sim.run_until(sim.now + 6.0)
+    (rows,) = outcomes
+    keys = [row.key for row in rows]
+    assert len(set(keys)) == len(keys)
+    assert all(matches.get(row.key) == row.timestamp for row in rows)
+    assert all(row.value == version_value(row.key, int(row.timestamp)) for row in rows)
+    expected = len(matches) if limit is None else min(limit, len(matches))
+    assert len(rows) == expected
 
 
 class TestTombstones:

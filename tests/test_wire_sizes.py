@@ -9,6 +9,8 @@ reply of two end-to-end runs at delivery, and every record a cache and every
 row wire a store replica holds once the run is over.
 """
 
+import hashlib
+import json
 import pickle
 
 import pytest
@@ -30,7 +32,7 @@ from repro.sim.network import MESSAGE_OVERHEAD_BYTES, SizedDict, approx_size
 from repro.sim.process import Process
 from repro.sim.rpc import REQUEST_KIND, RESPONSE_KIND, RpcMixin
 from repro.store import StoreCluster
-from repro.store.table import Row
+from repro.store.table import Row, RowWire, rows_digest
 from tests.oracles.approx_size import approx_size as walk
 
 _ascii = st.text(
@@ -125,9 +127,14 @@ class TestStoredRows:
         row = Row(key, value, ts)
         wire = row.to_wire()
         plain = {"k": key, "v": value, "ts": ts}
-        assert type(wire) is SizedDict and wire == plain
+        assert type(wire) is RowWire and wire == plain
         assert wire.size == walk(plain)
         assert row.to_wire() is wire  # built and measured once
+        # Its digest share is the row's canonical JSON, and travels with it.
+        assert json.loads(wire.share) == [key, ts, value]
+        assert rows_digest([wire]) == hashlib.md5(wire.share).hexdigest()
+        shipped = pickle.loads(pickle.dumps(wire, pickle.HIGHEST_PROTOCOL))
+        assert shipped.share == wire.share and shipped.size == wire.size
 
     def test_a_scan_reply_is_charged_what_plain_rows_cost(self, sim, network):
         store = StoreCluster(sim, network, num_replicas=3)
@@ -149,7 +156,7 @@ class TestStoredRows:
         assert len(replies) == 3 and [len(rows) for rows in scanned] == [6]
         for reply in replies:
             rows = reply.payload["result"]["rows"]
-            assert rows and all(type(row) is SizedDict for row in rows)
+            assert rows and all(type(row) is RowWire for row in rows)
             plain = {**reply.payload, "result": {"rows": [dict(r) for r in rows]}}
             assert reply.size == MESSAGE_OVERHEAD_BYTES + walk(plain)
 
